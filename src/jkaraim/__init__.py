@@ -8,8 +8,7 @@ from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      KeplerNonConvergence, NoValidPartition,
                      SubsetRankDeficient, UnknownSatellite)
 from .integrity import (IntegrityBudget, PlResult, baseline_araim_pl,
-                        constellation_ss, hmi_risk_eval, jk_pl_result,
-                        pl_solve)
+                        constellation_ss, hmi_risk_eval, pl_solve)
 from .jackknife import (JkStatistics, combined_stat, residual, run_detector,
                         stat_coeffs, stat_distributions, thresholds)
 from .model_core import (AXIS_EAST, AXIS_NORTH, AXIS_UP, LinearModel,
@@ -45,7 +44,7 @@ __all__ = [
     "default_partition_point", "default_table", "determine_kmax",
     "ecef_to_geodetic", "elevation_azimuth", "enumerate_modes",
     "error_model", "evaluate_epoch", "fit_bgmm", "fit_gaussian_overbound",
-    "geodetic_to_ecef", "hmi_risk_eval", "jk_pl_result", "parse_yuma",
+    "geodetic_to_ecef", "hmi_risk_eval", "parse_yuma",
     "pl_solve", "propagate", "q_vector", "read_records_csv", "residual",
     "run_detector", "run_scenario", "scaled_convolve", "stanford_class",
     "stat_coeffs", "stat_distributions", "summary_json", "thresholds",

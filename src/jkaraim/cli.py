@@ -318,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Jackknife-detector ARAIM toolkit")
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; computation is "
-                        "single-threaded")
     p.add_argument("--quiet", action="store_true",
                    help="suppress progress chatter on stderr")
     p.add_argument("--config", default=None,

@@ -22,6 +22,9 @@ DEFAULT_GRID_POINTS = 2 ** 16
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
+# exp(-z^2 / 2) underflows to exactly 0.0 in float64 for z above 38.6.
+_UNDERFLOW_Z = 39.0
+
 
 def _norm_pdf(x, sigma):
     return np.exp(-0.5 * (x / sigma) ** 2) / (sigma * _SQRT_2PI)
@@ -294,13 +297,17 @@ class GridDistribution:
         return self._support_extra
 
     def pdf(self, x):
-        """Interpolated density; analytic Gaussian continuation outside."""
+        """Interpolated density; analytic Gaussian continuation outside.
+
+        The continuation is evaluated only short of _UNDERFLOW_Z tail
+        sigmas; beyond, it is exactly 0.0 in float64 anyway."""
         x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.x, self.pdf_grid)
-        far = np.abs(x) > self.x[-1]
-        if np.any(far):
-            out = np.array(out, copy=True)
-            out[far] = self._tail_scale * _norm_pdf(x[far], self.tail_sigma)
+        ax = np.abs(x)
+        inside = ax <= self.x[-1]
+        tail = ~inside & (ax < _UNDERFLOW_Z * self.tail_sigma)
+        out = np.zeros(x.shape)
+        out[inside] = np.interp(x[inside], self.x, self.pdf_grid)
+        out[tail] = self._tail_scale * _norm_pdf(x[tail], self.tail_sigma)
         return out
 
     @property
@@ -367,16 +374,6 @@ def _bisect_quantile(cdf, p, scale, iters=80):
         hi = np.where(take_hi, hi, mid)
     out = 0.5 * (lo + hi)
     return out if out.size > 1 else float(out[0])
-
-
-def quantile(dist, p):
-    """Inverse CDF of an analytic or grid distribution."""
-    return dist.quantile(p)
-
-
-def sample(dist, rng: np.random.Generator, size=None):
-    """Draw reproducible samples via inverse-CDF (or exact mixture) sampling."""
-    return dist.sample(rng, size)
 
 
 def _support_halfwidth(coeffs, dists, n_sigmas=12.0):
@@ -450,14 +447,6 @@ def scaled_convolve(coeffs, dists, n_points=DEFAULT_GRID_POINTS,
     return GridDistribution(x, lin[sl], _tail_sigma(coeffs, dists), extra)
 
 
-def gaussian_grid(sigma, n_points=DEFAULT_GRID_POINTS, n_sigmas=12.0):
-    """Exact zero-mean Gaussian sampled onto a GridDistribution."""
-    n_half = n_points // 2
-    h = n_sigmas * sigma / n_half
-    x = np.arange(-n_half, n_half + 1) * h
-    return GridDistribution(x, _norm_pdf(x, sigma), sigma)
-
-
 def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
                    force_grid=False):
     """scaled_convolve for many coefficient rows over one set of component
@@ -492,7 +481,10 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
             continue
         a = np.abs(cj[nz])[:, None]
         vals = d.pdf(xw[None, :] / a) / a
-        spec[nz] *= np.fft.rfft(vals, axis=1)
+        if nz.all():
+            spec *= np.fft.rfft(vals, axis=1)
+        else:
+            spec[nz] *= np.fft.rfft(vals, axis=1)
         hpow[nz] *= h
     hpow /= h  # h^(n_active - 1)
     pdf_w = np.fft.irfft(spec * hpow[:, None], n=padded, axis=1)

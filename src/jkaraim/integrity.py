@@ -11,7 +11,6 @@ from scipy.special import ndtr, ndtri
 
 from . import distkit
 from .errors import SubsetRankDeficient
-from .jackknife import stat_coeffs
 from .model_core import (AXIS_UP, LinearModel, SolutionOps, _solution_matrix,
                          bias_projection, q_vector)
 from .threat import ThreatModel
@@ -125,22 +124,24 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
     budget_ax = budget.i_req_axis(axis) * deflate
     i_alloc = budget_ax / n_modes
 
-    # Collect convolution rows: H0 position error, then q vectors of the
-    # jackknife-capable modes that can actually bind.
+    # Convolution rows: H0 position error, then the q vectors of the
+    # jackknife-capable modes that can actually bind (a mode whose prior
+    # fits inside its allocation is bounded by the prior alone).
+    candidates = [m for m in threat.sat_modes() if i_alloc < m.prior]
+    ok, Q, _ = ops.mode_rows([m.excluded for m in candidates], axis)
+    biases = np.abs(Q) @ b_nom
     rows = [ops.S[axis]]
     labels = ["H0"]
     extras = [bias_projection(ops.S, b_nom, axis)]
     priors = [threat.p_h0]
     skipped_mass = 0.0
+    candidate = iter(zip(ok, Q, biases.tolist()))
     for mode in threat.sat_modes():
         if i_alloc >= mode.prior:
-            # Risk contribution bounded by the prior alone.
             skipped_mass += min(mode.prior, i_alloc)
             continue
-        try:
-            Sk, _ = ops.subset(mode.excluded)
-            q = q_vector(model, ops, mode.excluded, axis)
-        except SubsetRankDeficient:
+        good, q, bias = next(candidate)
+        if not good:
             if mode.prior > budget.p_thres:
                 return (math.inf, f"unmonitorable:{mode.id}") \
                     if return_binding else math.inf
@@ -154,7 +155,7 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
             extra = t_k
         rows.append(q)
         labels.append(f"mode:{mode.id}")
-        extras.append(extra + bias_projection(Sk, b_nom, axis))
+        extras.append(extra + bias)
         priors.append(mode.prior)
 
     dists = distkit.convolve_batch(np.array(rows), bases, n_points=n_points)
@@ -302,26 +303,31 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
 
         sigma0 = float(np.sqrt(np.sum(ops.S[axis] ** 2 * var)))
         b0 = bias_projection(ops.S, b_nom, axis)
+        sat_modes = [m for m in threat.modes if m.kind != "constellation"]
+        ok, Q, _ = ops.mode_rows([m.excluded for m in sat_modes], axis)
+        sig_vk = np.sqrt((Q ** 2) @ var)
+        d_kv = k_fa * np.sqrt(((Q - ops.S[axis]) ** 2) @ var)
+        offsets = d_kv + np.abs(Q) @ b_nom
+        sat_terms = iter(zip(ok, sig_vk.tolist(), offsets.tolist()))
         terms = []
         unavailable = False
         for mode in threat.modes:
-            try:
-                if mode.kind == "constellation":
-                    sigma_vk, d_kv, Sk = constellation_ss(
-                        model, ops, mode, sig, c_alloc, axis)
-                else:
-                    Sk, _ = ops.subset(mode.excluded)
-                    sigma_vk = float(np.sqrt(np.sum(Sk[axis] ** 2 * var)))
-                    diff = Sk[axis] - ops.S[axis]
-                    sigma_ss = float(np.sqrt(np.sum(diff ** 2 * var)))
-                    d_kv = k_fa * sigma_ss
-            except SubsetRankDeficient:
+            if mode.kind == "constellation":
+                try:
+                    s_vk, d, Sk = constellation_ss(model, ops, mode, sig,
+                                                   c_alloc, axis)
+                    term = (s_vk, d + bias_projection(Sk, b_nom, axis))
+                except SubsetRankDeficient:
+                    term = None
+            else:
+                good, s_vk, offset = next(sat_terms)
+                term = (s_vk, offset) if good else None
+            if term is None:
                 if mode.prior > budget.p_thres:
                     unavailable = True
                     break
                 continue
-            terms.append((mode.prior, sigma_vk,
-                          d_kv + bias_projection(Sk, b_nom, axis)))
+            terms.append((mode.prior,) + term)
         if unavailable:
             pl[axis] = math.inf
             continue
@@ -346,26 +352,3 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
         pl[axis] = hi
         binding[axis] = "total-risk"
     return PlResult(pl, binding, iters)
-
-
-def jk_pl_result(model: LinearModel, threat: ThreatModel, bounds_int,
-                 thresholds_by_axis, budget: IntegrityBudget,
-                 ops: SolutionOps = None, gaussian_sigmas=None,
-                 n_points=4096, axes=(0, 1, 2)) -> PlResult:
-    """Per-axis jackknife protection levels assembled into one result.
-
-    thresholds_by_axis maps axis -> {mode id -> threshold}; single-fault
-    thresholds are axis-independent and may be shared between entries.
-    """
-    if ops is None:
-        ops = SolutionOps(model)
-    pl = np.full(3, np.nan)
-    binding = {}
-    for axis in axes:
-        val, lab = pl_solve(model, threat, bounds_int,
-                            thresholds_by_axis[axis], budget, axis,
-                            ops=ops, gaussian_sigmas=gaussian_sigmas,
-                            n_points=n_points, return_binding=True)
-        pl[axis] = val
-        binding[axis] = lab
-    return PlResult(pl, binding)

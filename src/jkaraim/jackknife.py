@@ -27,11 +27,11 @@ class JkStatistics:
 
 def residual(model: LinearModel, ops: SolutionOps, mode, i: int) -> float:
     """Jackknife residual t_i = y_i - g_i x_hat_subset for i in the mode's
-    excluded set."""
+    excluded set, in the leave-out form t_I = R[I, I]^-1 r_I."""
     if i not in mode.excluded:
         raise ValueError(f"index {i} not excluded by mode {mode.id}")
-    Sk, _ = ops.subset(mode.excluded)
-    return float(model.y[i] - model.G[i] @ (Sk @ model.y))
+    t = ops.leave_out(mode.excluded) @ model.y
+    return float(t[sorted(mode.excluded).index(i)])
 
 
 def stat_coeffs(model: LinearModel, ops: SolutionOps, mode,
@@ -41,26 +41,14 @@ def stat_coeffs(model: LinearModel, ops: SolutionOps, mode,
     Single-exclusion modes use the raw residual row of (I - G S_k);
     larger modes use the S_{v,i}-weighted combination.
     """
-    Sk, Pt = ops.subset(mode.excluded)
-    idx = sorted(mode.excluded)
-    resid_rows = -Pt[idx]
-    resid_rows[np.arange(len(idx)), idx] += 1.0
-    if len(idx) == 1:
-        return resid_rows[0]
-    return ops.S[axis, idx] @ resid_rows
+    return ops.mode_row(mode.excluded, axis)[1]
 
 
 def combined_stat(model: LinearModel, ops: SolutionOps, mode,
                   axis: int = AXIS_UP):
     """Test statistic for one fault mode plus its error coefficients."""
-    idx = sorted(mode.excluded)
     coeffs = stat_coeffs(model, ops, mode, axis)
-    if len(idx) == 1:
-        t = residual(model, ops, mode, idx[0])
-    else:
-        t = float(sum(ops.S[axis, i] * residual(model, ops, mode, i)
-                      for i in idx))
-    return t, coeffs
+    return float(coeffs @ model.y), coeffs
 
 
 def stat_distributions(model: LinearModel, ops: SolutionOps,
@@ -73,20 +61,18 @@ def stat_distributions(model: LinearModel, ops: SolutionOps,
     Constellation modes are never jackknife-testable and are not included.
     mode_ids restricts the work to a subset of satellite modes.
     """
-    rows, ids, skipped = [], [], []
-    wanted = None if mode_ids is None else set(mode_ids)
-    for mode in threat.sat_modes():
-        if wanted is not None and mode.id not in wanted:
-            continue
-        try:
-            rows.append(stat_coeffs(model, ops, mode, axis))
-            ids.append(mode.id)
-        except SubsetRankDeficient:
-            skipped.append(mode.id)
-    if not rows:
+    modes = threat.sat_modes()
+    if mode_ids is not None:
+        wanted = set(mode_ids)
+        modes = [m for m in modes if m.id in wanted]
+    if not modes:
+        return {}, []
+    ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
+    ids = [m.id for m, good in zip(modes, ok) if good]
+    skipped = [m.id for m, good in zip(modes, ok) if not good]
+    if not ids:
         return {}, skipped
-    dists = distkit.convolve_batch(np.array(rows), acc_bounds,
-                                   n_points=n_points)
+    dists = distkit.convolve_batch(C[ok], acc_bounds, n_points=n_points)
     return dict(zip(ids, dists)), skipped
 
 
@@ -120,13 +106,16 @@ def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds,
     if thresh is None:
         thresh = thresholds(threat, stat_dists, c_req_fa)
 
-    stats, alerts = {}, {}
+    modes = [m for m in threat.sat_modes() if m.id in thresh]
     for mode in threat.sat_modes():
-        if mode.id not in thresh:
-            if mode.id not in skipped:
-                skipped.append(mode.id)
-            continue
-        t, _ = combined_stat(model, ops, mode, axis)
-        stats[mode.id] = t
-        alerts[mode.id] = abs(t) >= thresh[mode.id]
+        if mode.id not in thresh and mode.id not in skipped:
+            skipped.append(mode.id)
+    stats, alerts = {}, {}
+    if modes:
+        ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
+        if not ok.all():
+            raise SubsetRankDeficient("a thresholded mode is rank deficient")
+        for mode, t in zip(modes, (C @ model.y).tolist()):
+            stats[mode.id] = t
+            alerts[mode.id] = abs(t) >= thresh[mode.id]
     return JkStatistics(stats, thresh, alerts, skipped, tau=c_req_fa)

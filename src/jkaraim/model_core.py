@@ -15,8 +15,19 @@ from .errors import (InsufficientGeometry, SingularNormalMatrix,
 
 AXIS_EAST, AXIS_NORTH, AXIS_UP = 0, 1, 2
 
-# Relative singular-value cutoff for rank decisions.
+# Relative singular-value cutoff for rank decisions of the SVD solves (the
+# full set, whole-constellation subsets): a 1e-16 relative test on the
+# normal matrix G'WG, i.e. working precision.
 RANK_RTOL = 1e-8
+
+# Rank rule of the satellite-subset downdate (see SolutionOps), its
+# counterpart of RANK_RTOL: a subset that keeps at least as many
+# measurements as states is rank deficient when it keeps at most this
+# share of the full set's information in some direction. Exactly singular
+# subsets (a constellation's only satellite, a whole constellation) come
+# out at working precision, below 1e-15; usable subsets keep more than
+# 8e-10 even in random 5-to-11-satellite geometries.
+SUBSET_RTOL = 1e-12
 
 WGS84_A = 6378137.0
 WGS84_E2 = 6.69437999014e-3
@@ -73,14 +84,20 @@ class LinearModel:
 
 
 def _solution_matrix(G, w, err=SingularNormalMatrix):
-    """(G'WG)^-1 G'W via a rank-revealing decomposition of sqrt(W)G."""
+    """(G'WG)^-1 G'W via a rank-revealing decomposition of sqrt(W)G.
+
+    One Newton step S <- S - (S G - I) S then makes S a left inverse of G
+    to working precision (S G - I drops to its square), so that the
+    residual operator I - G S annihilates G and the leave-out statistics
+    of SolutionOps come out exact on exact data.
+    """
     sw = np.sqrt(w)
     A = sw[:, None] * G
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[0] == 0 or s[-1] < RANK_RTOL * s[0]:
         raise err("weighted geometry is rank deficient")
     S = (Vt.T / s) @ (U.T * sw[None, :])
-    return S
+    return S - (S @ G - np.eye(G.shape[1])) @ S
 
 
 def wls_solve(model: LinearModel):
@@ -92,54 +109,135 @@ def wls_solve(model: LinearModel):
 def subset_ops(model: LinearModel, excluded):
     """Subset solution matrix and projection for one fault mode.
 
-    Excluded rows get zero weight; their columns in S_k are exactly zero.
-    Raises SubsetRankDeficient when the remaining geometry cannot observe
-    all states (e.g. a whole constellation removed).
+    Excluded columns of S_k are exactly zero. Raises SubsetRankDeficient
+    when the remaining geometry cannot observe all states (e.g. a whole
+    constellation removed). Factorises the full set first; callers with
+    many modes of one geometry build one SolutionOps instead.
     """
-    excluded = sorted(set(int(i) for i in excluded))
-    wk = model.W.copy()
-    wk[excluded] = 0.0
-    keep = np.ones(model.n, dtype=bool)
-    keep[excluded] = False
-    if keep.sum() < model.m:
-        raise SubsetRankDeficient("too few measurements remain")
-    Sk_red = _solution_matrix(model.G[keep], model.W[keep],
-                              err=SubsetRankDeficient)
-    Sk = np.zeros((model.m, model.n))
-    Sk[:, keep] = Sk_red
-    return Sk, model.G @ Sk
+    return SolutionOps(model).subset(excluded)
 
 
 class SolutionOps:
-    """Full-set solution matrix plus cached per-mode subset operators."""
+    """Full-set solution S = (G'WG)^-1 G'W, its residual operator
+    R = I - G S, and every satellite-subset operator derived from the two.
+
+    Excluding the measurements I leaves the subset solution
+
+        S_k = S - S[:, I] R[I, I]^-1 R[I, :]
+
+    (the leave-out downdate of S; for one measurement it is the PRESS
+    identity of Allen 1974). The rows L = R[I, I]^-1 R[I, :] are the rows I
+    of I - G S_k, so the jackknife residuals of the excluded measurements
+    are t_I = L y = R[I, I]^-1 r_I with r = R y, and the full-set error
+    splits as S eps = S_k eps + S[:, I] t_I. One SVD per epoch (for S)
+    serves every mode; a mode costs row operations, plus an |I| x |I|
+    solve when it excludes more than one measurement.
+
+    Rank rule: scaled by the square roots of the weights, R[I, I] becomes
+    the symmetric I - H[I, I] of the weighted hat matrix H; its smallest
+    eigenvalue is the least share of the full set's information (x'N_k x
+    over x'N x, N = G'WG) that the subset keeps in any direction. A mode
+    is rank deficient when that share is at most SUBSET_RTOL.
+    """
 
     def __init__(self, model: LinearModel):
         self.model = model
         self.S = _solution_matrix(model.G, model.W)
-        self._cache = {}
+        self.R = np.eye(model.n) - model.G @ self.S
+
+    def _leave_out(self, idx):
+        """Leave-out rows for g modes of one size s, idx a (g, s) array of
+        excluded indices. Returns (ok, L): ok flags the modes that are not
+        rank deficient and L holds their rows R[I, I]^-1 R[I, :] as a
+        (ok.sum(), s, n) array."""
+        R = self.R
+        if self.model.n - idx.shape[1] < self.model.m:
+            # Too few measurements remain to observe every state.
+            return (np.zeros(len(idx), dtype=bool),
+                    np.zeros((0, idx.shape[1], self.model.n)))
+        if idx.shape[1] == 1:
+            i = idx[:, 0]
+            d = R[i, i]
+            ok = d > SUBSET_RTOL
+            return ok, (R[i[ok]] / d[ok, None])[:, None, :]
+        R_II = R[idx[:, :, None], idx[:, None, :]]
+        sw = np.sqrt(self.model.W)[idx]
+        sym = sw[:, :, None] * R_II / sw[:, None, :]
+        sym = 0.5 * (sym + sym.transpose(0, 2, 1))
+        ok = np.linalg.eigvalsh(sym)[:, 0] > SUBSET_RTOL
+        return ok, np.linalg.solve(R_II[ok], R[idx[ok]])
+
+    def leave_out(self, excluded):
+        """R[I, I]^-1 R[I, :] for the sorted excluded indices I; raises
+        SubsetRankDeficient for a rank-deficient subset."""
+        idx = sorted({int(i) for i in excluded})
+        ok, L = self._leave_out(np.array([idx], dtype=int))
+        if not ok[0]:
+            raise SubsetRankDeficient(
+                f"subset without measurements {idx} is rank deficient")
+        return L[0]
 
     def subset(self, excluded):
-        key = frozenset(int(i) for i in excluded)
-        if not key:
+        """(S_k, G S_k) for one mode; the full set for an empty one."""
+        idx = sorted({int(i) for i in excluded})
+        if not idx:
             return self.S, self.model.G @ self.S
-        if key not in self._cache:
-            self._cache[key] = subset_ops(self.model, key)
-        return self._cache[key]
+        Sk = self.S - self.S[:, idx] @ self.leave_out(idx)
+        Sk[:, idx] = 0.0
+        return Sk, self.model.G @ Sk
+
+    def mode_rows(self, excluded_sets, axis: int):
+        """Per-mode rows for one position axis, over many non-empty
+        excluded sets at once (vectorised per mode size).
+
+        Returns (ok, Q, C): ok flags the modes that are not rank
+        deficient; Q[k] is the axis row of S_k (the q vector of the error
+        decomposition S_v eps = q . eps + sum_{j in I} S_vj t_j); C[k] holds
+        the coefficients of the mode's test statistic, t_i = C[k] . eps for
+        one excluded measurement i and sum_{j in I} S_vj t_j for more.
+        Rows of rank-deficient modes are zero.
+        """
+        n = self.model.n
+        ok = np.zeros(len(excluded_sets), dtype=bool)
+        Q = np.zeros((len(excluded_sets), n))
+        C = np.zeros((len(excluded_sets), n))
+        s_ax = self.S[axis]
+        by_size = {}
+        for k, excluded in enumerate(excluded_sets):
+            by_size.setdefault(len(excluded), []).append(k)
+        for size, ks in by_size.items():
+            idx = np.array([sorted(excluded_sets[k]) for k in ks], dtype=int)
+            good, L = self._leave_out(idx)
+            ks = np.array(ks)[good]
+            idx = idx[good]
+            if size == 1:
+                C[ks] = L[:, 0]
+                Q[ks] = s_ax - s_ax[idx] * L[:, 0]
+            else:
+                C[ks] = np.einsum("gs,gsn->gn", s_ax[idx], L)
+                Q[ks] = s_ax - C[ks]
+            Q[ks[:, None], idx] = 0.0
+            ok[ks] = True
+        return ok, Q, C
+
+    def mode_row(self, excluded, axis: int):
+        """(q, c) of mode_rows for one non-empty excluded set; raises
+        SubsetRankDeficient for a rank-deficient subset."""
+        ok, Q, C = self.mode_rows([excluded], axis)
+        if not ok[0]:
+            raise SubsetRankDeficient(
+                f"subset without measurements {sorted(excluded)} is rank "
+                "deficient")
+        return Q[0], C[0]
 
 
 def q_vector(model: LinearModel, ops: SolutionOps, excluded, axis: int):
     """Coefficient vector of the nominal-error part of the position error
-    under the fault mode excluding the given indices.
-
-    q = s_v E + sum_{j in excluded} S_{v,j} g_j S_k, where E zeroes the
-    excluded entries of the full-solution row s_v.
-    """
-    Sk, _ = ops.subset(excluded)
-    q = ops.S[axis].copy()
-    q[list(excluded)] = 0.0
-    for j in excluded:
-        q += ops.S[axis, j] * (model.G[j] @ Sk)
-    return q
+    under the fault mode excluding the given indices: the axis row of S_k,
+    so that S_v eps = q . eps + sum_{j in excluded} S_vj t_j."""
+    if not excluded:
+        return ops.S[axis].copy()
+    return ops.mode_row(excluded, axis)[0]
 
 
 def bias_projection(S_mat, b_nom, axis: int) -> float:
@@ -200,6 +298,46 @@ def elevation_azimuth(user_ecef, sat_ecef):
     return el, az
 
 
+def line_of_sight(user_ecef, sat_ecef):
+    """Unit ENU line-of-sight rows (n x 3) and elevations (degrees) of n
+    satellites seen from one user.
+
+    The user's geodetic position and ENU rotation are computed once for
+    all satellites. The per-satellite products are stacked matmuls, which
+    round exactly like elevation_azimuth's one-satellite R @ d and norm.
+    """
+    user = np.asarray(user_ecef, dtype=float)
+    lat, lon, _ = ecef_to_geodetic(user)
+    R = enu_rotation(lat, lon)
+    d = np.asarray(sat_ecef, dtype=float).reshape(-1, 3) - user
+    los = np.matmul(R, d[:, :, None])[:, :, 0]
+    rng = np.sqrt(np.matmul(los[:, None, :], los[:, :, None])[:, 0, 0])
+    u = los / rng[:, None]
+    return u, np.degrees(np.arcsin(u[:, 2]))
+
+
+def model_from_los(u, elevations, consts, sat_ids, weights=None):
+    """Linear model from unit line-of-sight rows, their elevations and
+    constellation tags: the state dimension is 3 + number of distinct
+    constellations, in order of first appearance. Observations are
+    initialized to zero (fill in after error synthesis)."""
+    tags = []
+    for c in consts:
+        if c not in tags:
+            tags.append(c)
+    m = 3 + len(tags)
+    n = len(consts)
+    if n < m:
+        raise InsufficientGeometry(f"{n} visible satellites for {m} states")
+    G = np.zeros((n, m))
+    G[:, :3] = u
+    G[np.arange(n), [3 + tags.index(c) for c in consts]] = 1.0
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    model = LinearModel(G, w, np.zeros(n), list(sat_ids), list(consts))
+    model.elevations = np.asarray(elevations, dtype=float)
+    return model
+
+
 def assemble_geometry(user_pos, sats, mask_angle=5.0, weights=None,
                       sat_ids=None):
     """Build the linear model from user/satellite ECEF geometry.
@@ -209,36 +347,8 @@ def assemble_geometry(user_pos, sats, mask_angle=5.0, weights=None,
     distinct constellations among the visible satellites. Observations are
     initialized to zero (fill in after error synthesis).
     """
-    user_pos = np.asarray(user_pos, dtype=float)
-    lat, lon, _ = ecef_to_geodetic(user_pos)
-    R = enu_rotation(lat, lon)
-
-    rows, consts, ids, els = [], [], [], []
-    for i, (pos, tag) in enumerate(sats):
-        los = R @ (np.asarray(pos, dtype=float) - user_pos)
-        rng = np.linalg.norm(los)
-        u = los / rng
-        el = np.degrees(np.arcsin(u[2]))
-        if el <= mask_angle:
-            continue
-        rows.append(u)
-        consts.append(tag)
-        ids.append(sat_ids[i] if sat_ids is not None else f"s{i}")
-        els.append(el)
-
-    tags = []
-    for c in consts:
-        if c not in tags:
-            tags.append(c)
-    m = 3 + len(tags)
-    n = len(rows)
-    if n < m:
-        raise InsufficientGeometry(f"{n} visible satellites for {m} states")
-    G = np.zeros((n, m))
-    for i, (u, c) in enumerate(zip(rows, consts)):
-        G[i, :3] = u
-        G[i, 3 + tags.index(c)] = 1.0
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    model = LinearModel(G, w, np.zeros(n), ids, consts)
-    model.elevations = np.array(els)
-    return model
+    u, el = line_of_sight(user_pos, [pos for pos, _ in sats])
+    keep = np.flatnonzero(el > mask_angle)
+    ids = [sat_ids[i] if sat_ids is not None else f"s{i}" for i in keep]
+    return model_from_los(u[keep], el[keep], [sats[i][1] for i in keep], ids,
+                          weights)

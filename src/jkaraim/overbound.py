@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -66,6 +67,12 @@ class SatelliteBound:
         return Gaussian(self.gauss_sigma_m)
 
     def pgo(self) -> Pgo:
+        """The entry's PGO, built on first use and kept: both the entry
+        and the Pgo are immutable."""
+        return self._pgo
+
+    @cached_property
+    def _pgo(self) -> Pgo:
         return build_pgo((self.p1, self.sigma1_m, self.sigma2_m), self.xrp_m)
 
 

@@ -14,8 +14,8 @@ from importlib import resources
 import numpy as np
 
 from . import distkit, jackknife, model_core, overbound, threat
-from .errors import (InsufficientGeometry, KeplerNonConvergence,
-                     UnknownSatellite)
+from .errors import (InsufficientRedundancy, KeplerNonConvergence,
+                     SubsetRankDeficient, UnknownSatellite)
 from .integrity import (IntegrityBudget, baseline_araim_pl, constellation_ss,
                         pl_solve)
 from .model_core import AXIS_UP, SolutionOps
@@ -316,26 +316,36 @@ class EpochRecord:
     error: str = ""
 
 
-def _visible_sats(almanac, user_ecef, t, mask_deg, constellations):
-    vis = []
-    for alm in almanac:
-        if alm.health != 0 or alm.constellation not in constellations:
-            continue
-        pos = propagate(alm, t)
-        el, _ = model_core.elevation_azimuth(user_ecef, pos)
-        if el > mask_deg:
-            vis.append((alm, pos, el))
-    return vis
+def healthy_satellites(almanac, constellations):
+    """Almanac entries of the given constellations that are healthy."""
+    return [a for a in almanac
+            if a.health == 0 and a.constellation in constellations]
 
 
-def evaluate_epoch(config: ScenarioConfig, almanac, table, lat, lon, t,
-                   loc_id=0, epoch_id=0) -> EpochRecord:
+def satellite_positions(sats, t):
+    """ECEF positions (len(sats) x 3) of the given satellites at time t."""
+    return np.array([propagate(a, t) for a in sats]).reshape(-1, 3)
+
+
+def _visible_sats(sats, positions, user_ecef, mask_deg):
+    """Satellites above the mask seen from one user, as (entry, position,
+    elevation) triples, and their unit ENU line-of-sight rows."""
+    u, el = model_core.line_of_sight(user_ecef, positions)
+    keep = np.flatnonzero(el > mask_deg)
+    vis = [(sats[i], positions[i], el[i]) for i in keep]
+    return vis, u[keep]
+
+
+def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
+                   t, loc_id=0, epoch_id=0) -> EpochRecord:
     """One (location, epoch) cell: geometry, synthetic errors, detection
-    and protection levels."""
+    and protection levels.
+
+    sats are the scenario's healthy satellites (healthy_satellites) and
+    positions their ECEF positions at t (satellite_positions)."""
     budget = config.budget
     user = model_core.geodetic_to_ecef(lat, lon, 0.0)
-    vis = _visible_sats(almanac, user, t, config.mask_deg,
-                        config.constellations)
+    vis, los = _visible_sats(sats, positions, user, config.mask_deg)
     rec = EpochRecord(lat, lon, t, len(vis))
     consts = sorted({alm.constellation for alm, _, _ in vis})
     if len(vis) < 3 + len(consts) + 1:
@@ -346,10 +356,10 @@ def evaluate_epoch(config: ScenarioConfig, almanac, table, lat, lon, t,
                           b_nom=budget.b_nom, n_points=config.n_points)
               for alm, _, el in vis]
     sig_acc = np.array([m.acc_sigma for m in models])
-    geom = model_core.assemble_geometry(
-        user, [(pos, alm.constellation) for alm, pos, _ in vis],
-        mask_angle=config.mask_deg, weights=1.0 / sig_acc ** 2,
-        sat_ids=[alm.svn for alm, _, _ in vis])
+    geom = model_core.model_from_los(
+        los, [el for _, _, el in vis],
+        [alm.constellation for alm, _, _ in vis],
+        [alm.svn for alm, _, _ in vis], weights=1.0 / sig_acc ** 2)
     ops = SolutionOps(geom)
 
     parts = {}
@@ -363,7 +373,7 @@ def evaluate_epoch(config: ScenarioConfig, almanac, table, lat, lon, t,
     try:
         tm = threat.enumerate_modes(geom.n, k_max, parts, budget.p_sat,
                                     budget.p_const)
-    except Exception as exc:
+    except InsufficientRedundancy as exc:
         rec.error = str(exc)
         return rec
 
@@ -428,25 +438,31 @@ def evaluate_epoch(config: ScenarioConfig, almanac, table, lat, lon, t,
 
 def _baseline_alert(model, ops, tm, sigmas, budget, modes=None,
                     axis=AXIS_UP):
-    """Solution-separation tests |d_k| >= D_k over the given modes."""
+    """Solution-separation tests |d_k| >= D_k over the given modes.
+
+    Rank-deficient modes cannot be tested and are passed over."""
     from scipy.special import ndtri
     var = np.asarray(sigmas) ** 2
     c_alloc = budget.c_req_fa_total / (2.0 * tm.n_fault_modes * tm.p_h0)
     k_fa = abs(float(ndtri(c_alloc)))
+    modes = tm.modes if modes is None else modes
     full = ops.S[axis] @ model.y
-    for mode in (modes if modes is not None else tm.modes):
-        try:
-            if mode.kind == "constellation":
-                _, d_thresh, Sk = constellation_ss(model, ops, mode, sigmas,
-                                                   c_alloc, axis)
-            else:
-                Sk, _ = ops.subset(mode.excluded)
-                diff = Sk[axis] - ops.S[axis]
-                d_thresh = k_fa * math.sqrt(float(np.sum(diff ** 2 * var)))
-        except Exception:
+    sat = [m.excluded for m in modes if m.kind != "constellation"]
+    if sat:
+        ok, Q, _ = ops.mode_rows(sat, axis)
+        diff = Q[ok] - ops.S[axis]
+        d_thresh = k_fa * np.sqrt((diff ** 2) @ var)
+        if np.any(np.abs(diff @ model.y) >= d_thresh):
+            return True
+    for mode in modes:
+        if mode.kind != "constellation":
             continue
-        d = float(Sk[axis] @ model.y - full)
-        if abs(d) >= d_thresh:
+        try:
+            _, d_thresh, Sk = constellation_ss(model, ops, mode, sigmas,
+                                               c_alloc, axis)
+        except SubsetRankDeficient:
+            continue
+        if abs(float(Sk[axis] @ model.y - full)) >= d_thresh:
             return True
     return False
 
@@ -454,21 +470,29 @@ def _baseline_alert(model, ops, tm, sigmas, budget, modes=None,
 def run_scenario(config: ScenarioConfig, almanac=None, table=None,
                  progress=None):
     """All (location, epoch) records for a scenario; deterministic in the
-    seed. Per-cell failures are recorded in-row, never raised."""
+    seed. Per-cell failures are recorded in-row, never raised.
+
+    Satellites are propagated once per epoch, on the first location that
+    needs the epoch; a propagation failure is recorded in every record of
+    its epoch."""
     if almanac is None:
         almanac = default_almanac(config.constellations)
     if table is None:
         table = overbound.default_table()
+    sats = healthy_satellites(almanac, config.constellations)
     records = []
     grid = config.grid()
-    epochs = config.epochs()
+    epochs = [float(t) for t in config.epochs()]
+    positions = [None] * len(epochs)
     for loc_id, (lat, lon) in enumerate(grid):
         for epoch_id, t in enumerate(epochs):
             try:
-                rec = evaluate_epoch(config, almanac, table, lat, lon,
-                                     float(t), loc_id, epoch_id)
+                if positions[epoch_id] is None:
+                    positions[epoch_id] = satellite_positions(sats, t)
+                rec = evaluate_epoch(config, sats, positions[epoch_id],
+                                     table, lat, lon, t, loc_id, epoch_id)
             except Exception as exc:
-                rec = EpochRecord(lat, lon, float(t), 0, error=str(exc))
+                rec = EpochRecord(lat, lon, t, 0, error=str(exc))
             records.append(rec)
         if progress is not None:
             progress(loc_id + 1, len(grid))

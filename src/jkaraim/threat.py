@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 from scipy.stats import binom
@@ -44,8 +45,10 @@ class ThreatModel:
         return [m for m in self.modes if m.kind == "constellation"]
 
 
+@lru_cache(maxsize=4096)
 def _binom_tail(n, p, k):
-    """P(more than k of n independent events)."""
+    """P(more than k of n independent events); memoised, as a scenario
+    asks for the same few (n, p, k) at every record."""
     if p <= 0.0:
         return 0.0
     return float(binom.sf(k, n, p))
@@ -57,10 +60,16 @@ def determine_kmax(n_sats_per_const, p_sat, p_const, p_thres):
 
     Unmonitored constellation events (the whole-constellation fault for a
     single constellation, simultaneous multi-constellation faults
-    otherwise) are folded into p_not_monitored.
+    otherwise) are folded into p_not_monitored. The result depends only
+    on the total satellite count and the number of constellations, and is
+    memoised on them.
     """
-    n = int(sum(n_sats_per_const))
-    n_const = len(n_sats_per_const)
+    return _kmax(int(sum(n_sats_per_const)), len(n_sats_per_const),
+                 p_sat, p_const, p_thres)
+
+
+@lru_cache(maxsize=4096)
+def _kmax(n, n_const, p_sat, p_const, p_thres):
     k_max = 1
     while k_max < n and _binom_tail(n, p_sat, k_max) > p_thres:
         k_max += 1

@@ -55,7 +55,9 @@ def gps_epoch_case(lat, lon, t, flavor="gaussian", budget=None,
     table = default_table()
     almanac = sim.default_almanac(constellations)
     user = geodetic_to_ecef(lat, lon)
-    vis = sim._visible_sats(almanac, user, t, 5.0, constellations)
+    sats = sim.healthy_satellites(almanac, constellations)
+    vis, _ = sim._visible_sats(sats, sim.satellite_positions(sats, t), user,
+                               5.0)
     models = [sim.error_model(a.svn, el, table, flavor,
                               b_nom=budget.b_nom)
               for a, _, el in vis]

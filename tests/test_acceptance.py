@@ -189,6 +189,7 @@ def test_criterion_5_baseline_equivalence(capsys):
             f"{elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_6_non_gaussian_sharpness(dual_runs, capsys):
     runs, elapsed = dual_runs
     gauss, pgo = runs["gaussian"], runs["pgo"]
@@ -214,6 +215,7 @@ def test_criterion_6_non_gaussian_sharpness(dual_runs, capsys):
             f"coverage gap {100 * cov_gap:.0f} points, {elapsed:.0f} s")
 
 
+@pytest.mark.slow
 def test_criterion_7_no_misleading_information(dual_runs, safety_runs,
                                                capsys):
     records = list(safety_runs)

@@ -126,6 +126,19 @@ class TestMassAndSymmetry:
         tail = 1.0 - float(d.cdf(d.half_width))
         assert mass + 2 * tail == pytest.approx(1.0, abs=1e-9)
 
+    def test_pdf_matches_unpruned_evaluation(self):
+        # pdf skips interpolation outside the grid and the continuation
+        # where it underflows; the values must equal evaluating both
+        # everywhere.
+        from jkaraim.distkit import _norm_pdf
+        d = scaled_convolve([1.0, 1.0], [svn63_pgo(), Gaussian(0.3)],
+                            force_grid=True)
+        x = np.linspace(-60.0, 60.0, 24001) * d.tail_sigma
+        expect = np.interp(x, d.x, d.pdf_grid)
+        far = np.abs(x) > d.x[-1]
+        expect[far] = d._tail_scale * _norm_pdf(x[far], d.tail_sigma)
+        np.testing.assert_array_equal(d.pdf(x), expect)
+
     def test_grid_symmetry(self):
         d = scaled_convolve([1.0, -1.0], [svn63_pgo(), svn63_pgo()],
                             force_grid=True)

@@ -1,11 +1,18 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jkaraim import sim
 from jkaraim.errors import InsufficientGeometry, SubsetRankDeficient
-from jkaraim.model_core import (LinearModel, SolutionOps, assemble_geometry,
-                                bias_projection, geodetic_to_ecef, q_vector,
-                                subset_ops, wls_solve)
+from jkaraim.jackknife import residual
+from jkaraim.model_core import (LinearModel, SolutionOps, _solution_matrix,
+                                assemble_geometry, bias_projection,
+                                elevation_azimuth, geodetic_to_ecef,
+                                line_of_sight, q_vector, subset_ops,
+                                wls_solve)
+from jkaraim.threat import enumerate_modes
 
 from conftest import random_geometry
 
@@ -170,3 +177,131 @@ class TestInvariants:
         before = Sk @ model.y
         model.y[k] += 1e6
         np.testing.assert_allclose(Sk @ model.y, before, atol=1e-6)
+
+
+def _svd_subset(model, excluded):
+    """Reference S_k: an SVD solve of the kept rows, zero-padded."""
+    keep = np.ones(model.n, dtype=bool)
+    keep[list(excluded)] = False
+    if keep.sum() < model.m:
+        raise SubsetRankDeficient("too few measurements remain")
+    Sk = np.zeros((model.m, model.n))
+    Sk[:, keep] = _solution_matrix(model.G[keep], model.W[keep],
+                                   err=SubsetRankDeficient)
+    return Sk
+
+
+def _assert_close(actual, reference):
+    """Equal to 1e-12 relative to the reference's largest entry."""
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    np.testing.assert_allclose(actual, reference, rtol=0, atol=1e-12 * scale)
+
+
+def _reference_condition(model, excluded):
+    keep = np.ones(model.n, dtype=bool)
+    keep[list(excluded)] = False
+    return np.linalg.cond(np.sqrt(model.W[keep])[:, None] * model.G[keep])
+
+
+geometries = st.builds(
+    lambda seed, n, m: random_geometry(np.random.default_rng(seed), n=n,
+                                       m=m),
+    st.integers(0, 2 ** 32 - 1), st.integers(8, 14), st.integers(4, 5))
+
+
+class TestDowndate:
+    """SolutionOps' leave-out downdate against per-mode SVD solves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=geometries, axis=st.integers(0, 2))
+    def test_operators_match_svd_reference(self, model, axis):
+        ops = SolutionOps(model)
+        modes = [frozenset(c) for size in (1, 2)
+                 for c in combinations(range(model.n), size)]
+        modes += [frozenset(i for i, c in enumerate(model.const_of)
+                            if c == tag) for tag in model.constellations]
+        ok, Q, C = ops.mode_rows(modes, axis)
+        for k, excluded in enumerate(modes):
+            try:
+                ref = _svd_subset(model, excluded)
+            except SubsetRankDeficient:
+                assert not ok[k], sorted(excluded)
+                with pytest.raises(SubsetRankDeficient):
+                    ops.subset(excluded)
+                continue
+            assert ok[k], sorted(excluded)
+            # The downdate's rounding grows with the square of the subset's
+            # condition number; compare where it is GNSS-like (97 % of
+            # these modes).
+            if _reference_condition(model, excluded) > 30.0:
+                continue
+            idx = sorted(excluded)
+            resid = (np.eye(model.n) - model.G @ ref)[idx]
+            ref_c = resid[0] if len(idx) == 1 else ops.S[axis, idx] @ resid
+            Sk, Pt = ops.subset(excluded)
+            _assert_close(Sk, ref)
+            _assert_close(Pt, model.G @ ref)
+            _assert_close(Q[k], ref[axis])
+            _assert_close(q_vector(model, ops, excluded, axis), ref[axis])
+            _assert_close(C[k], ref_c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=geometries, seed=st.integers(0, 2 ** 32 - 1))
+    def test_press_residual_identity(self, model, seed):
+        # t_i = r_i / R_ii: the leave-one-out residual from the full-set
+        # residual, equal to y_i - g_i S_k y of the SVD reference.
+        rng = np.random.default_rng(seed)
+        model.y = model.G @ rng.standard_normal(model.m) \
+            + rng.standard_normal(model.n)
+        ops = SolutionOps(model)
+        r = model.y - model.G @ (ops.S @ model.y)
+        tm = enumerate_modes(model.n, 1, {"all": range(model.n)}, 1e-5,
+                             1e-4, m=model.m)
+        for mode in tm.modes:
+            (i,) = mode.excluded
+            try:
+                ref = _svd_subset(model, mode.excluded)
+            except SubsetRankDeficient:
+                continue
+            if _reference_condition(model, mode.excluded) > 30.0:
+                continue
+            t = residual(model, ops, mode, i)
+            assert t == pytest.approx(r[i] / ops.R[i, i], abs=1e-9)
+            loo = model.y[i] - model.G[i] @ (ref @ model.y)
+            assert t == pytest.approx(loo, abs=1e-9)
+
+    def test_sole_clock_satellite_and_whole_constellation_raise(self, rng):
+        model = random_geometry(rng, n=10, m=5)
+        G = model.G.copy()
+        G[:, 3:] = [1.0, 0.0]
+        G[4, 3:] = [0.0, 1.0]          # the only satellite of C1
+        const_of = ["C0"] * model.n
+        const_of[4] = "C1"
+        model = LinearModel(G, model.W, model.y, model.sat_ids, const_of)
+        ops = SolutionOps(model)
+        for excluded in ({4}, {4, 7}):
+            with pytest.raises(SubsetRankDeficient):
+                _svd_subset(model, excluded)
+            with pytest.raises(SubsetRankDeficient):
+                ops.subset(excluded)
+            ok, _, _ = ops.mode_rows([frozenset(excluded)], 2)
+            assert not ok[0]
+        with pytest.raises(SubsetRankDeficient):
+            ops.subset(set(range(model.n)) - {4})
+        ok, _, _ = ops.mode_rows([frozenset({3}), frozenset({3, 7})], 2)
+        assert ok.all()
+
+
+class TestSharedFrame:
+    @settings(max_examples=40, deadline=None)
+    @given(lat=st.floats(-89.9, 89.9), lon=st.floats(-180.0, 180.0),
+           t=st.floats(0.0, 86400.0))
+    def test_elevations_match_elevation_azimuth(self, lat, lon, t):
+        almanac = sim.default_almanac(("GPS", "GAL"))
+        user = geodetic_to_ecef(lat, lon)
+        positions = [sim.propagate(a, t) for a in almanac]
+        u, el = line_of_sight(user, positions)
+        expect = [elevation_azimuth(user, p)[0] for p in positions]
+        np.testing.assert_allclose(el, expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0,
+                                   atol=1e-15)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jkaraim import sim
+from jkaraim.errors import SubsetRankDeficient
 from jkaraim.sim import (ScenarioConfig, aggregate, cnmp_sigma,
                          default_almanac, parse_yuma, propagate,
                          stanford_class, tropo_sigma, write_records_csv,
@@ -189,3 +190,38 @@ class TestAggregate:
                    for _ in range(10)]
         stats = aggregate(records, val=35.0)
         assert math.isinf(stats["vpl_p995_by_location"][(0.0, 0.0)])
+
+
+class TestBaselineAlert:
+    def dual_case(self):
+        from conftest import gps_epoch_case
+        from jkaraim.model_core import SolutionOps
+        geom, models, sigmas, tm, budget = gps_epoch_case(
+            45.0, 10.0, 3600.0, constellations=("GPS", "GAL"))
+        geom.y = np.zeros(geom.n)
+        return geom, SolutionOps(geom), tm, sigmas, budget
+
+    def test_rank_deficient_mode_is_passed_over(self, monkeypatch):
+        geom, ops, tm, sigmas, budget = self.dual_case()
+        assert tm.constellation_modes()
+
+        def rank_deficient(*args, **kwargs):
+            raise SubsetRankDeficient("no clock support")
+
+        monkeypatch.setattr(sim, "constellation_ss", rank_deficient)
+        assert not sim._baseline_alert(geom, ops, tm, sigmas, budget)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        # A mode skipped on an unexpected error would be a missed alert.
+        geom, ops, tm, sigmas, budget = self.dual_case()
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(sim, "constellation_ss", broken)
+        with pytest.raises(RuntimeError):
+            sim._baseline_alert(geom, ops, tm, sigmas, budget)
+        monkeypatch.setattr(ops, "mode_rows", broken)
+        with pytest.raises(RuntimeError):
+            sim._baseline_alert(geom, ops, tm, sigmas, budget,
+                                modes=tm.sat_modes())
