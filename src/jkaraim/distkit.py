@@ -9,6 +9,7 @@ to tail probabilities of 1e-9.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -196,17 +197,27 @@ class Pgo(ErrorDistribution):
     def support_extra(self):
         return self.x_rp
 
-    def _sample_core(self, rng, n):
-        """Exact draws from the core piece p1*N(0,s1)+c on [-x_rp, x_rp]."""
+    @cached_property
+    def _draw(self):
+        """Sampler constants, computed on first use: (phi_lo, span) of the
+        truncated core's CDF, the core's Gaussian weight and total weight,
+        the two-sided tail mass and the one-sided tail mass of N(0, s2)."""
         a = self.x_rp / self.sigma1
         phi_lo, phi_hi = ndtr(-a), ndtr(a)
+        w_gauss = self.p1 * (phi_hi - phi_lo)
+        f_rp = ndtr(-self.x_rp / self.sigma2)
+        return (phi_lo, phi_hi - phi_lo, w_gauss,
+                w_gauss + 2.0 * self.c_offset * self.x_rp,
+                2.0 * (self.tail_coeff * f_rp), f_rp)
+
+    def _sample_core(self, rng, n):
+        """Exact draws from the core piece p1*N(0,s1)+c on [-x_rp, x_rp]."""
+        phi_lo, span, w_gauss, w_total, _, _ = self._draw
         if self.c_offset >= 0:
             # Mixture of a truncated Gaussian and a uniform slab.
-            w_gauss = self.p1 * (phi_hi - phi_lo)
-            w_unif = 2.0 * self.c_offset * self.x_rp
-            pick = rng.random(n) * (w_gauss + w_unif) < w_gauss
+            pick = rng.random(n) * w_total < w_gauss
             u = rng.random(n)
-            gauss = self.sigma1 * ndtri(phi_lo + u * (phi_hi - phi_lo))
+            gauss = self.sigma1 * ndtri(phi_lo + u * span)
             unif = (2.0 * u - 1.0) * self.x_rp
             return np.where(pick, gauss, unif)
         # Negative offset: rejection from the truncated Gaussian; the
@@ -216,26 +227,50 @@ class Pgo(ErrorDistribution):
         todo = np.arange(n)
         while todo.size:
             u = rng.random(todo.size)
-            x = self.sigma1 * ndtri(phi_lo + u * (phi_hi - phi_lo))
+            x = self.sigma1 * ndtri(phi_lo + u * span)
             dens = self.p1 * _norm_pdf(x, self.sigma1)
             keep = rng.random(todo.size) * dens < dens + self.c_offset
             out[todo[keep]] = x[keep]
             todo = todo[~keep]
         return out
 
+    def _sample_one(self, rng):
+        """One draw of sample(rng, size=1) through scalar generator calls:
+        the same calls in the same order, the same arithmetic."""
+        phi_lo, span, w_gauss, w_total, p_tail, f_rp = self._draw
+        in_tail = rng.random() < p_tail
+        if self.c_offset >= 0:
+            pick = rng.random() * w_total < w_gauss
+            u = rng.random()
+            x = (self.sigma1 * ndtri(phi_lo + u * span) if pick
+                 else (2.0 * u - 1.0) * self.x_rp)
+        else:
+            while True:
+                x = self.sigma1 * ndtri(phi_lo + rng.random() * span)
+                z = x / self.sigma1
+                # _norm_pdf, with the square its array form takes.
+                dens = self.p1 * (np.exp(-0.5 * (z * z))
+                                  / (self.sigma1 * _SQRT_2PI))
+                if rng.random() * dens < dens + self.c_offset:
+                    break
+        if in_tail:
+            mag = -self.sigma2 * ndtri(rng.random() * f_rp)
+            x = -mag if rng.random() < 0.5 else mag
+        return float(x)
+
     def sample(self, rng: np.random.Generator, size=None):
-        n = 1 if size is None else int(np.prod(size))
-        tail_side = self.tail_coeff * ndtr(-self.x_rp / self.sigma2)
-        in_tail = rng.random(n) < 2.0 * tail_side
+        if size is None:
+            return self._sample_one(rng)
+        *_, p_tail, f_rp = self._draw
+        n = int(np.prod(size))
+        in_tail = rng.random(n) < p_tail
         out = self._sample_core(rng, n)
         n_tail = int(in_tail.sum())
         if n_tail:
             u = rng.random(n_tail)
-            mag = -self.sigma2 * ndtri(u * ndtr(-self.x_rp / self.sigma2))
+            mag = -self.sigma2 * ndtri(u * f_rp)
             sign = np.where(rng.random(n_tail) < 0.5, -1.0, 1.0)
             out[in_tail] = sign * mag
-        if size is None:
-            return float(out[0])
         return out.reshape(size)
 
 
@@ -274,23 +309,26 @@ class GridDistribution:
 
     def __init__(self, x: np.ndarray, pdf: np.ndarray, tail_sigma: float,
                  support_extra: float = 0.0):
-        pdf = np.clip(np.asarray(pdf, dtype=float), 0.0, None)
         self.x = np.asarray(x, dtype=float)
         self.h = float(self.x[1] - self.x[0])
-        mass = np.trapezoid(pdf, dx=self.h)
-        if mass <= 0:
-            raise ValueError("grid carries no probability mass")
-        self.pdf_grid = pdf / mass
-        cdf = np.concatenate(
-            ([0.0],
-             np.cumsum(0.5 * (self.pdf_grid[1:] + self.pdf_grid[:-1])
-                       * self.h)))
-        self.cdf_grid = cdf / cdf[-1]
+        pdf_grid, cdf_grid = _normalise(np.asarray(pdf, dtype=float)[None, :],
+                                        self.h)
+        self.pdf_grid, self.cdf_grid = pdf_grid[0], cdf_grid[0]
         self.tail_sigma = float(tail_sigma)
         self._support_extra = float(support_extra)
-        # The continuation is scaled so its density matches pdf[0] at -L.
-        phi0 = _norm_pdf(self.x[0], self.tail_sigma)
-        self._tail_scale = float(self.pdf_grid[0]) / phi0 if phi0 > 0 else 0.0
+        self._tail_scale = _continuation_scale(self.pdf_grid[0], self.x[0],
+                                               self.tail_sigma)
+
+    @classmethod
+    def _row(cls, batch, i):
+        """Row i of a GridBatch, sharing its arrays."""
+        self = cls.__new__(cls)
+        self.x, self.h = batch.x, batch.h
+        self.pdf_grid, self.cdf_grid = batch.pdf_grid[i], batch.cdf_grid[i]
+        self.tail_sigma = float(batch.tail_sigma[i])
+        self._support_extra = float(batch.support_extra[i])
+        self._tail_scale = float(batch.tail_scale[i])
+        return self
 
     @property
     def support_extra(self) -> float:
@@ -359,6 +397,164 @@ class GridDistribution:
 
     def sample(self, rng: np.random.Generator, size=None):
         return self.quantile(rng.random(size))
+
+
+def _normalise(pdf, h):
+    """Density rows (rows x points) clipped at zero and scaled to unit
+    trapezoid mass, and their trapezoid CDF rows, ending at exactly 1."""
+    pdf = np.clip(pdf, 0.0, None)
+    mass = np.trapezoid(pdf, dx=h, axis=1)
+    if np.any(mass <= 0):
+        raise ValueError("grid carries no probability mass")
+    pdf = pdf / mass[:, None]
+    cdf = np.zeros(pdf.shape)
+    np.cumsum(0.5 * (pdf[:, 1:] + pdf[:, :-1]) * h, axis=1, out=cdf[:, 1:])
+    return pdf, cdf / cdf[:, -1:]
+
+
+def _continuation_scale(pdf0, x0, tail_sigma):
+    """Scale of the Gaussian continuation that matches the density pdf0 at
+    the grid edge x0; zero when the Gaussian underflows there."""
+    phi0 = _norm_pdf(x0, tail_sigma)
+    return float(pdf0) / phi0 if phi0 > 0 else 0.0
+
+
+def _interp_rows(v, xp, fp):
+    """np.interp(v[..., i], xp[i], fp[i]) for every row i, bit for bit, for
+    v inside [xp[i, 0], xp[i, -1]]. A 1-D xp or fp is one grid shared by
+    all rows, and then v may hold several points per row (the rows along
+    its last axis); xp rows must be non-decreasing."""
+    n = xp.shape[-1]
+    if xp.ndim == 1:
+        j = np.searchsorted(xp, v, side="right") - 1
+    else:
+        j = np.count_nonzero(xp <= v[:, None], axis=1) - 1
+    last = j >= n - 1
+    j = np.clip(j, 0, n - 2)
+    rows = np.arange(v.shape[-1])
+
+    def at(a, k):
+        return a[k] if a.ndim == 1 else a[rows, k]
+
+    x0, x1, f0, f1 = at(xp, j), at(xp, j + 1), at(fp, j), at(fp, j + 1)
+    # Same formula and special cases as np.interp. Its fallback for a NaN
+    # slope is left out: x0 <= v < x1 on every point kept, so no kept slope
+    # is NaN; a repeated last node only makes a discarded lane divide by 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (f1 - f0) / (x1 - x0) * (v - x0) + f0
+    return np.where(last, f1, np.where(v == x0, f0, out))
+
+
+class DistBatch:
+    """Distributions of many weighted sums of one set of independent
+    errors: row i is the distribution of sum_j C[i, j] eps_j.
+
+    What convolve_batch returns. Indexing and iteration give the row
+    distributions (Gaussian or GridDistribution); cdf, tail_prob and
+    quantile evaluate every row at once, equal bit for bit to the same
+    call on each row.
+    """
+
+    def __len__(self):
+        raise NotImplementedError
+
+    def __getitem__(self, i):
+        raise NotImplementedError
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def cdf(self, x):
+        """CDF of row i at x[..., i]: one point per row, or several (along
+        the leading axes)."""
+        raise NotImplementedError
+
+    def quantile(self, p):
+        """Quantile of row i at p, a scalar or one probability per row."""
+        raise NotImplementedError
+
+    def tail_prob(self, x):
+        """Two-sided tail P(|X_i| >= x[..., i]) of the symmetric rows: 1
+        where x <= 0, else 2 F_i(-x)."""
+        x = np.asarray(x, dtype=float)
+        return np.where(x <= 0, 1.0, 2.0 * self.cdf(-x))
+
+
+class GaussianBatch(DistBatch):
+    """Zero-mean Gaussian rows, one sigma each."""
+
+    def __init__(self, sigma):
+        self.sigma = np.asarray(sigma, dtype=float)
+        if np.any(self.sigma <= 0):
+            raise ValueError("sigma must be positive")
+
+    def __len__(self):
+        return len(self.sigma)
+
+    def __getitem__(self, i):
+        return Gaussian(float(self.sigma[i]))
+
+    def cdf(self, x):
+        return ndtr(np.asarray(x, dtype=float) / self.sigma)
+
+    def quantile(self, p):
+        return self.sigma * ndtri(np.asarray(p, dtype=float))
+
+
+class GridBatch(DistBatch):
+    """Grid rows on one shared symmetric grid x: a rows x points matrix of
+    densities and one of CDFs, each row with its own Gaussian tail
+    continuation (tail_sigma, tail_scale) as in GridDistribution."""
+
+    def __init__(self, x, pdf, tail_sigma, support_extra):
+        self.x = np.asarray(x, dtype=float)
+        self.h = float(self.x[1] - self.x[0])
+        self.pdf_grid, self.cdf_grid = _normalise(
+            np.asarray(pdf, dtype=float), self.h)
+        self.tail_sigma = np.array(tail_sigma, dtype=float)
+        self.support_extra = np.array(support_extra, dtype=float)
+        self.tail_scale = np.array(
+            [_continuation_scale(p0, self.x[0], s) for p0, s in
+             zip(self.pdf_grid[:, 0], self.tail_sigma.tolist())])
+
+    def __len__(self):
+        return len(self.pdf_grid)
+
+    def __getitem__(self, i):
+        return GridDistribution._row(self, i)
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        lo_x, hi_x = self.x[0], self.x[-1]
+        inside = _interp_rows(np.clip(x, lo_x, hi_x), self.x, self.cdf_grid)
+        lo = self.tail_scale * ndtr(np.minimum(x, lo_x) / self.tail_sigma)
+        hi = 1.0 - self.tail_scale * ndtr(-np.maximum(x, hi_x)
+                                          / self.tail_sigma)
+        return np.where(x < lo_x, lo, np.where(x > hi_x, hi, inside))
+
+    def quantile(self, p):
+        p = np.broadcast_to(np.asarray(p, dtype=float), (len(self),))
+        if np.any(p <= 0.0) or np.any(p >= 1.0):
+            raise ValueError("p must lie strictly inside (0, 1)")
+        out = np.empty(len(self))
+        p_lo, p_hi = self.cdf_grid[:, 1], self.cdf_grid[:, -2]
+        mid = (p >= p_lo) & (p <= p_hi)
+        if mid.any():
+            out[mid] = _interp_rows(p[mid], self.cdf_grid[mid], self.x)
+        for mask, sign in ((p < p_lo, -1.0), (p > p_hi, 1.0)):
+            if not np.any(mask):
+                continue
+            q = p[mask] if sign < 0 else 1.0 - p[mask]
+            scale = self.tail_scale[mask]
+            if np.any(scale <= 0.0) or np.any(q <= 0.0):
+                raise TailUnresolved(
+                    "tail probability below resolvable mass of the grid")
+            arg = q / scale
+            if np.any(arg <= 0.0) or np.any(arg >= 1.0):
+                raise TailUnresolved(
+                    "tail probability below resolvable mass of the grid")
+            out[mask] = sign * (-self.tail_sigma[mask] * ndtri(arg))
+        return out
 
 
 def _bisect_quantile(cdf, p, scale, iters=80):
@@ -447,20 +643,60 @@ def scaled_convolve(coeffs, dists, n_points=DEFAULT_GRID_POINTS,
     return GridDistribution(x, lin[sl], _tail_sigma(coeffs, dists), extra)
 
 
+def _scaled_pdf(d, xw, a):
+    """d.pdf(xw / a) / a for each coefficient magnitude a[i] (a column)
+    over the wrapped grid xw = idx * h of _wrapped_grid, bit for bit.
+
+    A grid component is evaluated only for |idx| <= k_max, past which it
+    is zero on every row: beyond its grid edge and beyond _UNDERFLOW_Z tail
+    sigmas of its continuation (at the edge already when the continuation's
+    scale is zero). Both signs of idx share |x| = (|idx| h) / a, and the
+    continuation, even in x, is computed once for both.
+    """
+    if not isinstance(d, GridDistribution):
+        return d.pdf(xw[None, :] / a) / a
+    padded = len(xw)
+    n = padded // 2
+    h = xw[1]            # xw = idx * h and idx[1] = 1
+    edge = float(d.x[-1])
+    reach = edge
+    if d._tail_scale > 0.0:
+        reach = max(edge, _UNDERFLOW_Z * d.tail_sigma)
+    k_max = min(n, int(reach * float(a.max()) / h) + 2)
+    u = np.arange(k_max + 1) * h / a
+    inside = u <= edge
+    pos = np.zeros(u.shape)
+    neg = np.zeros(u.shape)
+    ui = u[inside]
+    pos[inside] = np.interp(ui, d.x, d.pdf_grid)
+    neg[inside] = np.interp(-ui, d.x, d.pdf_grid)
+    if d._tail_scale > 0.0:
+        tail = ~inside & (u < _UNDERFLOW_Z * d.tail_sigma)
+        cont = d._tail_scale * _norm_pdf(u[tail], d.tail_sigma)
+        pos[tail] = cont
+        neg[tail] = cont
+    vals = np.zeros((len(a), padded))
+    top = min(k_max, n - 1)
+    vals[:, :top + 1] = pos[:, :top + 1] / a
+    vals[:, padded - k_max:] = neg[:, k_max:0:-1] / a
+    return vals
+
+
 def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
                    force_grid=False):
     """scaled_convolve for many coefficient rows over one set of component
     distributions, on a shared grid.
 
-    All-Gaussian component sets short-circuit to closed-form Gaussians
-    unless force_grid is set. Returns one distribution per row.
+    Returns one DistBatch: a GaussianBatch when every component is
+    Gaussian (closed-form variance sums) unless force_grid is set, else a
+    GridBatch.
     """
     C = np.asarray(coeff_matrix, dtype=float)
     if C.ndim != 2 or C.shape[1] != len(dists):
         raise ValueError("coefficient matrix shape mismatch")
     if not force_grid and all(isinstance(d, Gaussian) for d in dists):
         var = np.array([d.sigma ** 2 for d in dists])
-        return [Gaussian(float(np.sqrt(s))) for s in (C ** 2) @ var]
+        return GaussianBatch(np.sqrt((C ** 2) @ var))
     var = np.array([d.variance() for d in dists])
     extra = np.array([d.support_extra for d in dists])
     L = float(np.max(n_sigmas * np.sqrt((C ** 2) @ var)
@@ -479,8 +715,7 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
         nz = cj != 0.0
         if not np.any(nz):
             continue
-        a = np.abs(cj[nz])[:, None]
-        vals = d.pdf(xw[None, :] / a) / a
+        vals = _scaled_pdf(d, xw, np.abs(cj[nz])[:, None])
         if nz.all():
             spec *= np.fft.rfft(vals, axis=1)
         else:
@@ -492,6 +727,4 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
     center = padded // 2
     sl = slice(center - n_half, center + n_half + 1)
     x = np.arange(-n_half, n_half + 1) * h
-    extras = np.abs(C) @ np.array([d.support_extra for d in dists])
-    return [GridDistribution(x, lin[i, sl], tail[i], extras[i])
-            for i in range(C.shape[0])]
+    return GridBatch(x, lin[:, sl], tail, np.abs(C) @ extra)

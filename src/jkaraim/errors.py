@@ -9,10 +9,6 @@ class InsufficientGeometry(JkAraimError):
     """Too few visible satellites, or geometry matrix is rank deficient."""
 
 
-class SingularNormalMatrix(JkAraimError):
-    """Weighted normal matrix G'WG is singular."""
-
-
 class SubsetRankDeficient(JkAraimError):
     """A subset geometry cannot support a solution (e.g. a whole
     constellation excluded leaves its clock state unobservable)."""

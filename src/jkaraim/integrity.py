@@ -60,9 +60,46 @@ class PlResult:
         return float(np.hypot(self.pl[0], self.pl[1]))
 
 
-def _tail_mag(dist, p: float) -> float:
-    """Magnitude x with P(X <= -x) = p for a symmetric distribution."""
-    return abs(float(dist.quantile(p)))
+# The PL bisections stop once their bracket is at most this wide (m).
+PL_TOLERANCE_M = 1e-3
+
+# Bisection steps whose midpoints, on every branch, one risk call takes.
+_BISECT_DEPTH = 4
+
+
+def _bisect_level(risk, hi: float, target: float):
+    """Bisection on [0, hi] for the lowest level whose risk stays within
+    target, to PL_TOLERANCE_M. Returns (level, steps), or (None, 0) when
+    risk(hi) already exceeds target. risk must not increase with the level.
+
+    risk maps an array of levels to their risks. Each call takes the
+    midpoints of the next _BISECT_DEPTH steps on every branch (the first
+    call hi as well); walking that tree takes the decisions of a
+    step-by-step bisection at the same midpoints, so the level is the same.
+    """
+    lo, steps = 0.0, 0
+    start = [hi]
+    while True:
+        brackets, mids = [(lo, hi)], []
+        for node in range(2 ** _BISECT_DEPTH - 1):
+            a, b = brackets[node]
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            brackets += [(a, mid), (mid, b)]
+        r = risk(np.array(start + mids)).tolist()
+        if start:
+            if r.pop(0) > target:
+                return None, 0
+            start = []
+        node = 0
+        for _ in range(_BISECT_DEPTH):
+            if not hi - lo > PL_TOLERANCE_M:
+                return hi, steps
+            if r[node] > target:
+                lo, node = mids[node], 2 * node + 2
+            else:
+                hi, node = mids[node], 2 * node + 1
+            steps += 1
 
 
 def constellation_ss(model: LinearModel, ops: SolutionOps, const_mode,
@@ -159,12 +196,11 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
         priors.append(mode.prior)
 
     dists = distkit.convolve_batch(np.array(rows), bases, n_points=n_points)
-
-    best, best_label = -math.inf, "H0"
-    for label, dist, extra, prior in zip(labels, dists, extras, priors):
-        term = _tail_mag(dist, i_alloc / (2.0 * prior)) + extra
-        if term > best:
-            best, best_label = term, label
+    extras = np.array(extras)
+    priors = np.array(priors)
+    terms = np.abs(dists.quantile(i_alloc / (2.0 * priors))) + extras
+    k = int(np.argmax(terms))
+    best, best_label = float(terms[k]), labels[k]
 
     const_terms = []
     for mode in threat.constellation_modes():
@@ -191,26 +227,27 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
     best = max(best, 0.0)
     target = budget_ax - skipped_mass
     if refine and target > 0.0 and best > 0.0:
+        # Summed monitored risk at each level (a column), term by term in
+        # the order H0, satellite modes, constellation modes.
+        if const_terms:
+            c_priors, c_sigmas, c_offsets = np.array(const_terms).T
+            const = distkit.GaussianBatch(c_sigmas)
+            priors = np.concatenate((priors, c_priors))
 
-        def risk(level):
-            r = 0.0
-            for dist, extra, prior in zip(dists, extras, priors):
-                x = level - extra
-                r += prior * (1.0 if x <= 0 else 2.0 * float(dist.cdf(-x)))
-            for prior, s, off in const_terms:
-                x = level - off
-                r += prior * (1.0 if x <= 0 else 2.0 * float(ndtr(-x / s)))
-            return r
+            def tails(level):
+                return np.concatenate((dists.tail_prob(level - extras),
+                                       const.tail_prob(level - c_offsets)),
+                                      axis=1)
+        else:
+            def tails(level):
+                return dists.tail_prob(level - extras)
 
-        lo, hi = 0.0, best
-        if risk(hi) <= target:
-            while hi - lo > 1e-3:
-                mid = 0.5 * (lo + hi)
-                if risk(mid) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            best = hi
+        def risk(levels):
+            return np.cumsum(priors * tails(levels[:, None]), axis=1)[:, -1]
+
+        level, _ = _bisect_level(risk, best, target)
+        if level is not None:
+            best = level
     return (best, best_label) if return_binding else best
 
 
@@ -332,23 +369,20 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
             pl[axis] = math.inf
             continue
 
-        def risk(level):
-            r = 2.0 * threat.p_h0 * ndtr(-(level - b0) / sigma0)
-            for prior, s, off in terms:
-                r += prior * ndtr(-(level - off) / s)
-            return r
+        weights = np.array([2.0 * threat.p_h0] + [t[0] for t in terms])
+        sigmas = np.array([sigma0] + [t[1] for t in terms])
+        offsets = np.array([b0] + [t[2] for t in terms])
 
-        lo, hi = 0.0, 1.0e4
-        if risk(hi) > target:
+        def risk(levels):
+            # Fault-free term, then the faulted terms in mode order.
+            return np.cumsum(weights * ndtr((offsets - levels[:, None])
+                                            / sigmas), axis=1)[:, -1]
+
+        level, steps = _bisect_level(risk, 1.0e4, target)
+        iters += steps
+        if level is None:
             pl[axis] = math.inf
             continue
-        while hi - lo > 1e-3:
-            mid = 0.5 * (lo + hi)
-            if risk(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            iters += 1
-        pl[axis] = hi
+        pl[axis] = level
         binding[axis] = "total-risk"
     return PlResult(pl, binding, iters)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,25 @@ class JkStatistics:
     @property
     def alert(self) -> bool:
         return any(self.alerts.values())
+
+
+class ModeDistributions(Mapping):
+    """Mode id -> nominal distribution of the mode's statistic: a keyed
+    view of one convolve_batch result whose rows follow ids."""
+
+    def __init__(self, ids, batch):
+        self.ids = list(ids)
+        self.batch = batch
+        self._row = {mid: k for k, mid in enumerate(self.ids)}
+
+    def __getitem__(self, mid):
+        return self.batch[self._row[mid]]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
 
 
 def residual(model: LinearModel, ops: SolutionOps, mode, i: int) -> float:
@@ -56,8 +76,9 @@ def stat_distributions(model: LinearModel, ops: SolutionOps,
                        axis: int = AXIS_UP, n_points=4096, mode_ids=None):
     """Nominal distributions of every computable mode statistic.
 
-    Returns (dists, skipped) where dists maps mode id -> GridDistribution
-    and skipped lists rank-deficient (untestable) satellite-subset modes.
+    Returns (dists, skipped) where dists is a ModeDistributions (mode id
+    -> Gaussian or GridDistribution, all rows of one batch) and skipped
+    lists rank-deficient (untestable) satellite-subset modes.
     Constellation modes are never jackknife-testable and are not included.
     mode_ids restricts the work to a subset of satellite modes.
     """
@@ -72,17 +93,22 @@ def stat_distributions(model: LinearModel, ops: SolutionOps,
     skipped = [m.id for m, good in zip(modes, ok) if not good]
     if not ids:
         return {}, skipped
-    dists = distkit.convolve_batch(C[ok], acc_bounds, n_points=n_points)
-    return dict(zip(ids, dists)), skipped
+    batch = distkit.convolve_batch(C[ok], acc_bounds, n_points=n_points)
+    return ModeDistributions(ids, batch), skipped
 
 
 def thresholds(threat: ThreatModel, stat_dists, c_req_fa: float):
     """Continuity-allocated per-mode thresholds T_k.
 
     T_k is the magnitude of the statistic's quantile at
-    C_REQ,FA / (2 N_fault_modes P_H0), the equal continuity split.
+    C_REQ,FA / (2 N_fault_modes P_H0), the equal continuity split. A
+    ModeDistributions is evaluated as one batch, any other mapping of mode
+    ids to distributions one distribution at a time.
     """
     p = c_req_fa / (2.0 * threat.n_fault_modes * threat.p_h0)
+    if isinstance(stat_dists, ModeDistributions):
+        return dict(zip(stat_dists.ids,
+                        np.abs(stat_dists.batch.quantile(p)).tolist()))
     return {mid: abs(float(d.quantile(p))) for mid, d in stat_dists.items()}
 
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InsufficientGeometry, SingularNormalMatrix,
-                     SubsetRankDeficient)
+from .errors import InsufficientGeometry, SubsetRankDeficient
 
 AXIS_EAST, AXIS_NORTH, AXIS_UP = 0, 1, 2
 
@@ -38,7 +37,9 @@ class LinearModel:
     """Geometry matrix, weights and linearized observations for one epoch.
 
     G rows are ENU unit line-of-sight components toward each satellite plus
-    one 0/1 clock-indicator column per constellation.
+    one 0/1 clock-indicator column per constellation. A rank-deficient G
+    is reported by the solve (_solution_matrix raises InsufficientGeometry),
+    whose SVD decides the rank.
     """
 
     G: np.ndarray
@@ -56,15 +57,12 @@ class LinearModel:
             raise InsufficientGeometry(f"{n} rows for {m} states")
         if np.any(self.W <= 0):
             raise ValueError("all weights must be positive")
-        n_clock = m - 3
-        if n_clock > 0:
+        if m > 3:
             clock = self.G[:, 3:]
-            ok = np.all(np.isin(clock, (0.0, 1.0))) and \
+            ok = np.all((clock == 0.0) | (clock == 1.0)) and \
                 np.all(clock.sum(axis=1) == 1.0)
             if not ok:
                 raise ValueError("each row needs exactly one unit clock entry")
-        if np.linalg.matrix_rank(self.G, tol=None) < m:
-            raise InsufficientGeometry("geometry matrix is rank deficient")
 
     @property
     def n(self) -> int:
@@ -83,8 +81,10 @@ class LinearModel:
         return seen
 
 
-def _solution_matrix(G, w, err=SingularNormalMatrix):
+def _solution_matrix(G, w, err=InsufficientGeometry):
     """(G'WG)^-1 G'W via a rank-revealing decomposition of sqrt(W)G.
+
+    Raises err when sqrt(W)G is rank deficient by the RANK_RTOL rule.
 
     One Newton step S <- S - (S G - I) S then makes S a left inverse of G
     to working precision (S G - I drops to its square), so that the
@@ -144,6 +144,7 @@ class SolutionOps:
         self.model = model
         self.S = _solution_matrix(model.G, model.W)
         self.R = np.eye(model.n) - model.G @ self.S
+        self._rows = {}   # axis -> (row of each excluded set, ok, Q, C)
 
     def _leave_out(self, idx):
         """Leave-out rows for g modes of one size s, idx a (g, s) array of
@@ -188,7 +189,7 @@ class SolutionOps:
 
     def mode_rows(self, excluded_sets, axis: int):
         """Per-mode rows for one position axis, over many non-empty
-        excluded sets at once (vectorised per mode size).
+        excluded sets at once.
 
         Returns (ok, Q, C): ok flags the modes that are not rank
         deficient; Q[k] is the axis row of S_k (the q vector of the error
@@ -196,7 +197,32 @@ class SolutionOps:
         the coefficients of the mode's test statistic, t_i = C[k] . eps for
         one excluded measurement i and sum_{j in I} S_vj t_j for more.
         Rows of rank-deficient modes are zero.
+
+        Each mode's rows are computed once per axis and kept: they do not
+        depend on which modes are asked for together, so a later call
+        returns slices of the rows already built.
         """
+        if not excluded_sets:
+            n = self.model.n
+            return np.zeros(0, dtype=bool), np.zeros((0, n)), np.zeros((0, n))
+        keys = [frozenset(e) for e in excluded_sets]
+        index, *rows = self._rows.get(axis, ({}, None, None, None))
+        new = [k for k in keys if k not in index]
+        if new:
+            new = list(dict.fromkeys(new))
+            built = self._build_rows(new, axis)
+            if index:
+                built = [np.concatenate(pair) for pair in zip(rows, built)]
+            start = len(index)
+            index.update((k, start + i) for i, k in enumerate(new))
+            rows = built
+            self._rows[axis] = (index, *rows)
+        sel = np.array([index[k] for k in keys])
+        ok, Q, C = rows
+        return ok.take(sel), Q.take(sel, axis=0), C.take(sel, axis=0)
+
+    def _build_rows(self, excluded_sets, axis: int):
+        """mode_rows computed afresh, vectorised per mode size."""
         n = self.model.n
         ok = np.zeros(len(excluded_sets), dtype=bool)
         Q = np.zeros((len(excluded_sets), n))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, asdict
 from importlib import resources
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import distkit, jackknife, model_core, overbound, threat
 from .errors import (InsufficientRedundancy, KeplerNonConvergence,
@@ -441,7 +442,6 @@ def _baseline_alert(model, ops, tm, sigmas, budget, modes=None,
     """Solution-separation tests |d_k| >= D_k over the given modes.
 
     Rank-deficient modes cannot be tested and are passed over."""
-    from scipy.special import ndtri
     var = np.asarray(sigmas) ** 2
     c_alloc = budget.c_req_fa_total / (2.0 * tm.n_fault_modes * tm.p_h0)
     k_fa = abs(float(ndtri(c_alloc)))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
-from jkaraim.distkit import (Gaussian, GridDistribution, PairedBound, Pgo,
-                             scaled_convolve)
+from jkaraim.distkit import (Gaussian, GridBatch, GridDistribution,
+                             PairedBound, Pgo, _norm_pdf, _scaled_pdf,
+                             _wrapped_grid, convolve_batch, scaled_convolve)
+from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
 
 
@@ -153,3 +156,188 @@ class TestMassAndSymmetry:
         hi = float(pgo.pdf(pgo.x_rp + eps))
         assert abs(lo - hi) < 1e-6
         assert pgo.tail_coeff > 0
+
+
+def pgo_grid(pgo, s_tropo, s_user, n_points=512):
+    """A satellite's PGO accuracy bound on a grid, as sim.error_model
+    builds it."""
+    return scaled_convolve([1.0, 1.0, 1.0],
+                           [pgo, Gaussian(s_tropo), Gaussian(s_user)],
+                           n_points=n_points, force_grid=True)
+
+
+_GRID_COMPONENTS = []
+
+
+def grid_components():
+    if not _GRID_COMPONENTS:
+        table = default_table()
+        for k, svn in enumerate(sorted(table.svns())[::13][:4]):
+            _GRID_COMPONENTS.append(
+                pgo_grid(table[svn].pgo(), 0.1 + 0.1 * k, 0.3 + 0.05 * k))
+    return _GRID_COMPONENTS
+
+
+@st.composite
+def batches(draw, grid=st.booleans()):
+    """A convolve_batch result over random coefficient rows, with Gaussian
+    components only or with PGO-grid components among them."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    n_rows = draw(st.integers(1, 6))
+    n_comp = draw(st.integers(2, 6))
+    if draw(grid):
+        pool = grid_components()
+        dists = [pool[i] if rng.random() < 0.6
+                 else Gaussian(rng.uniform(0.2, 2.0))
+                 for i in rng.integers(0, len(pool), n_comp)]
+        dists[0] = pool[0]
+    else:
+        dists = [Gaussian(s) for s in rng.uniform(0.2, 2.0, n_comp)]
+    C = rng.normal(size=(n_rows, n_comp))
+    C[rng.random(C.shape) < 0.3] = 0.0
+    C[:, 0] = rng.uniform(0.1, 1.0, n_rows)     # no empty row
+    return convolve_batch(C, dists, n_points=256), rng
+
+
+def row_points(batch, rng):
+    """One point per row: inside the grid, on grid nodes, at and beyond its
+    edges, and at zero."""
+    if isinstance(batch, GridBatch):
+        width, nodes = batch.x[-1], batch.x
+    else:
+        width, nodes = 8.0 * batch.sigma, None
+    x = rng.uniform(-1.5, 1.5, len(batch)) * width
+    kind = rng.integers(0, 4, len(batch))
+    if nodes is not None:
+        x = np.where(kind == 0, rng.choice(nodes, len(batch)), x)
+        x = np.where(kind == 1, rng.choice([-1.0, 1.0], len(batch))
+                     * nodes[-1], x)
+    return np.where(kind == 2, 0.0, x)
+
+
+class TestBatch:
+    """Batch evaluation against the same call on each row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=batches())
+    def test_cdf_and_tail_match_rows(self, case):
+        batch, rng = case
+        x = row_points(batch, rng)
+        np.testing.assert_array_equal(
+            batch.cdf(x), [float(d.cdf(v)) for d, v in zip(batch, x)])
+        levels = np.stack([x, -x, 0.5 * x])
+        expect = [[float(d.cdf(v)) for d, v in zip(batch, row)]
+                  for row in levels]
+        np.testing.assert_array_equal(batch.cdf(levels), expect)
+        tails = [[1.0 if v <= 0 else 2.0 * float(d.cdf(-v))
+                  for d, v in zip(batch, row)] for row in levels]
+        np.testing.assert_array_equal(batch.tail_prob(levels), tails)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=batches(), p=st.sampled_from(
+        [1e-9, 6.6e-8, 1e-6, 1e-3, 0.3, 0.5, 0.9, 1.0 - 1e-7]))
+    def test_quantile_matches_rows(self, case, p):
+        batch, rng = case
+        try:
+            expect = [float(d.quantile(p)) for d in batch]
+        except TailUnresolved:
+            with pytest.raises(TailUnresolved):
+                batch.quantile(p)
+        else:
+            np.testing.assert_array_equal(batch.quantile(p), expect)
+        per_row = 10.0 ** rng.uniform(-9.5, -0.5, len(batch))
+        np.testing.assert_array_equal(
+            batch.quantile(per_row),
+            [float(d.quantile(q)) for d, q in zip(batch, per_row)])
+
+    def test_grid_rows_match_grid_distribution(self, rng):
+        # The batch normalises each row as GridDistribution does.
+        x = np.linspace(-5.0, 5.0, 257)
+        pdf = np.exp(-0.5 * (x / rng.uniform(0.5, 1.5, (4, 1))) ** 2)
+        pdf[1, :3] = 0.0                    # no tail continuation
+        tails, extras = rng.uniform(0.5, 2.0, 4), rng.uniform(0.0, 1.0, 4)
+        batch = GridBatch(x, pdf, tails, extras)
+        for i, row in enumerate(batch):
+            ref = GridDistribution(x, pdf[i], tails[i], extras[i])
+            for name in ("pdf_grid", "cdf_grid"):
+                np.testing.assert_array_equal(getattr(row, name),
+                                              getattr(ref, name))
+            assert row._tail_scale == ref._tail_scale
+            assert row.tail_sigma == ref.tail_sigma
+            assert row.support_extra == ref.support_extra
+        assert batch[1]._tail_scale == 0.0
+
+
+class TestWindowedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), zero_tail=st.booleans(),
+           n_points=st.sampled_from([64, 256, 1024]))
+    def test_matches_full_evaluation(self, seed, zero_tail, n_points):
+        rng = np.random.default_rng(seed)
+        pool = [d for d in grid_components() if d._tail_scale > 0.0]
+        d = pool[int(rng.integers(0, len(pool)))]
+        if zero_tail:
+            d = GridDistribution(d.x, np.where(np.abs(d.x) > 0.9 * d.x[-1],
+                                               0.0, d.pdf_grid),
+                                 d.tail_sigma, d.support_extra)
+            assert d._tail_scale == 0.0
+        idx, _, _ = _wrapped_grid(n_points)
+        h = rng.uniform(0.5, 4.0) * d.tail_sigma / n_points
+        xw = idx * h
+        a = 10.0 ** rng.uniform(-3.0, 1.0, (int(rng.integers(1, 6)), 1))
+        np.testing.assert_array_equal(_scaled_pdf(d, xw, a),
+                                      d.pdf(xw[None, :] / a) / a)
+
+    def test_gaussian_component_unchanged(self):
+        idx, _, _ = _wrapped_grid(128)
+        xw = idx * 0.05
+        a = np.array([[0.3], [1.7]])
+        np.testing.assert_array_equal(
+            _scaled_pdf(Gaussian(0.8), xw, a),
+            _norm_pdf(xw[None, :] / a, 0.8) / a)
+
+
+pgo_params = st.builds(
+    lambda p1, s1, ratio, k_gain, x_rp, c_share: (p1, s1, s1 * ratio, k_gain,
+                                                  x_rp, c_share),
+    st.floats(0.3, 0.99), st.floats(0.2, 2.0), st.floats(1.0, 4.0),
+    st.floats(0.0, 3.0), st.floats(0.05, 3.0), st.floats(-1.0, 1.0))
+
+
+def make_pgo(p1, s1, s2, k_gain, x_rp, c_share):
+    """A valid PGO; c_share in [-1, 0) takes the offset down to the lowest
+    one that keeps the core density non-negative at x_rp."""
+    floor = p1 * float(_norm_pdf(x_rp, s1))
+    c = c_share * floor if c_share < 0 else c_share * 0.05
+    return Pgo(p1, s1, s2, k_gain, c, x_rp)
+
+
+class TestScalarSample:
+    @settings(max_examples=80, deadline=None)
+    @given(params=pgo_params, seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_array_draw_and_stream(self, params, seed):
+        pgo = make_pgo(*params)
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        scalar = [pgo.sample(a) for _ in range(200)]
+        array = [float(pgo.sample(b, size=1)[0]) for _ in range(200)]
+        assert all(type(v) is float for v in scalar)
+        np.testing.assert_array_equal(scalar, array)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_both_offset_signs_and_tail_covered(self):
+        pgo = svn63_pgo()
+        neg = Pgo(0.6, 0.5, 1.5, 1.0, -0.9 * 0.6 * float(_norm_pdf(0.8, 0.5)),
+                  0.8)
+        for dist in (pgo, neg):
+            a, b = np.random.default_rng(3), np.random.default_rng(3)
+            scalar = [dist.sample(a) for _ in range(2000)]
+            array = dist.sample(b, size=2000)
+            # One array draw of 2000 consumes the stream differently; the
+            # scalar draws must match 2000 draws of size 1.
+            b = np.random.default_rng(3)
+            single = [float(dist.sample(b, size=1)[0]) for _ in range(2000)]
+            np.testing.assert_array_equal(scalar, single)
+            assert np.sum(np.abs(scalar) > dist.x_rp) > 0
+            assert array.shape == (2000,)

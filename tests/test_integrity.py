@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 from jkaraim import jackknife
 from jkaraim.distkit import Gaussian, PairedBound
-from jkaraim.integrity import (IntegrityBudget, baseline_araim_pl,
+from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
+                               _bisect_level, baseline_araim_pl,
                                constellation_ss, hmi_risk_eval, pl_solve)
 from jkaraim.model_core import LinearModel, SolutionOps
 from jkaraim.threat import enumerate_modes
@@ -209,3 +211,40 @@ class TestHmiRiskEval:
             x = level - 0.5 * thresh[mode.id]
             expect += mode.prior * 2 * ndtr(-x / 1.0)
         assert risk == pytest.approx(expect, rel=1e-6)
+
+
+class TestBisectLevel:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), hi=st.floats(1e-4, 1e4),
+           log_target=st.floats(-12.0, 0.0))
+    def test_matches_step_by_step_bisection(self, seed, hi, log_target):
+        # The batched tree walk takes the decisions of the plain loop.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        priors = 10.0 ** rng.uniform(-9.0, 0.0, n)
+        sigmas = rng.uniform(0.1, 5.0, n)
+        offsets = rng.uniform(0.0, 10.0, n)
+        target = 10.0 ** log_target
+
+        def risk(level):
+            r = 0.0
+            for p, s, o in zip(priors, sigmas, offsets):
+                r += p * float(ndtr((o - level) / s))
+            return r
+
+        def risks(levels):
+            return np.array([risk(v) for v in levels])
+
+        level, steps = _bisect_level(risks, hi, target)
+        if risk(hi) > target:
+            assert (level, steps) == (None, 0)
+            return
+        lo, top, n_steps = 0.0, hi, 0
+        while top - lo > PL_TOLERANCE_M:
+            mid = 0.5 * (lo + top)
+            if risk(mid) > target:
+                lo = mid
+            else:
+                top = mid
+            n_steps += 1
+        assert (level, steps) == (top, n_steps)

@@ -292,6 +292,35 @@ class TestDowndate:
         assert ok.all()
 
 
+class TestModeRowMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(model=geometries, axis=st.integers(0, 2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_slices_equal_fresh_rows(self, model, axis, seed):
+        # Rows kept from earlier calls are the rows a fresh SolutionOps
+        # builds for the modes asked for now, whatever the grouping.
+        rng = np.random.default_rng(seed)
+        modes = [frozenset(c) for size in (1, 2, 3)
+                 for c in combinations(range(model.n), size)]
+        modes += [frozenset(i for i, c in enumerate(model.const_of)
+                            if c == tag) for tag in model.constellations]
+        ops = SolutionOps(model)
+        first = [modes[k] for k in rng.permutation(len(modes))[:40]]
+        ops.mode_rows(first, axis)
+        for _ in range(3):
+            ask = [modes[k] for k in
+                   rng.choice(len(modes), int(rng.integers(1, 30)))]
+            got = ops.mode_rows(ask, axis)
+            fresh = SolutionOps(model).mode_rows(ask, axis)
+            for a, b in zip(got, fresh):
+                np.testing.assert_array_equal(a, b)
+
+    def test_empty_request(self, rng):
+        model = random_geometry(rng, n=8, m=4)
+        ok, Q, C = SolutionOps(model).mode_rows([], 2)
+        assert ok.shape == (0,) and Q.shape == C.shape == (0, model.n)
+
+
 class TestSharedFrame:
     @settings(max_examples=40, deadline=None)
     @given(lat=st.floats(-89.9, 89.9), lon=st.floats(-180.0, 180.0),

@@ -127,7 +127,7 @@ class TestScenario:
                             lambda self, rng: 0.0)
         records = sim.run_scenario(self.coarse_config())
         for r in records:
-            if r.error is None:
+            if not r.error:
                 assert r.vpe == 0.0
 
     def test_determinism_bitwise(self):
