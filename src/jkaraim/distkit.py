@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import dct
 from scipy.special import ndtr, ndtri
 
 from .errors import GridOverflow, TailUnresolved
@@ -28,7 +29,12 @@ _UNDERFLOW_Z = 39.0
 
 
 def _norm_pdf(x, sigma):
-    return np.exp(-0.5 * (x / sigma) ** 2) / (sigma * _SQRT_2PI)
+    z = np.asarray(x / sigma)
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    z /= sigma * _SQRT_2PI
+    return z[()]
 
 
 class ErrorDistribution:
@@ -304,31 +310,29 @@ class PairedBound:
 
 
 class GridDistribution:
-    """Numeric distribution on a uniform symmetric grid with a conservative
-    analytic Gaussian continuation beyond +-L."""
+    """One row of a GridBatch: a numeric distribution on a uniform
+    symmetric grid with a conservative analytic Gaussian continuation
+    beyond +-L. Its cdf and quantile are those of the one-row batch."""
 
     def __init__(self, x: np.ndarray, pdf: np.ndarray, tail_sigma: float,
                  support_extra: float = 0.0):
-        self.x = np.asarray(x, dtype=float)
-        self.h = float(self.x[1] - self.x[0])
-        pdf_grid, cdf_grid = _normalise(np.asarray(pdf, dtype=float)[None, :],
-                                        self.h)
-        self.pdf_grid, self.cdf_grid = pdf_grid[0], cdf_grid[0]
-        self.tail_sigma = float(tail_sigma)
-        self._support_extra = float(support_extra)
-        self._tail_scale = _continuation_scale(self.pdf_grid[0], self.x[0],
-                                               self.tail_sigma)
+        self._view(GridBatch(x, np.asarray(pdf, dtype=float)[None, :],
+                             [tail_sigma], [support_extra]), 0)
 
     @classmethod
     def _row(cls, batch, i):
         """Row i of a GridBatch, sharing its arrays."""
         self = cls.__new__(cls)
+        self._view(batch, i)
+        return self
+
+    def _view(self, batch, i):
+        self._one = batch._take(i)
         self.x, self.h = batch.x, batch.h
         self.pdf_grid, self.cdf_grid = batch.pdf_grid[i], batch.cdf_grid[i]
         self.tail_sigma = float(batch.tail_sigma[i])
         self._support_extra = float(batch.support_extra[i])
         self._tail_scale = float(batch.tail_scale[i])
-        return self
 
     @property
     def support_extra(self) -> float:
@@ -362,41 +366,12 @@ class GridDistribution:
         return self.tail_sigma
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = np.interp(x, self.x, self.cdf_grid)
-        lo = self._tail_scale * ndtr(np.minimum(x, self.x[0]) / self.tail_sigma)
-        hi = 1.0 - self._tail_scale * ndtr(-np.maximum(x, self.x[-1])
-                                           / self.tail_sigma)
-        out = np.where(x < self.x[0], lo, np.where(x > self.x[-1], hi, inside))
-        return out
+        return self._one.cdf(np.asarray(x, dtype=float)[..., None])[..., 0]
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        scalar = p.ndim == 0
-        p = np.atleast_1d(p)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ValueError("p must lie strictly inside (0, 1)")
-        out = np.empty_like(p)
-        p_lo = float(self.cdf_grid[1])
-        p_hi = float(self.cdf_grid[-2])
-        mid = (p >= p_lo) & (p <= p_hi)
-        out[mid] = np.interp(p[mid], self.cdf_grid, self.x)
-        for mask, sign in ((p < p_lo, -1.0), (p > p_hi, 1.0)):
-            if not np.any(mask):
-                continue
-            q = np.where(sign < 0, p[mask], 1.0 - p[mask])
-            if self._tail_scale <= 0.0 or np.any(q <= 0.0):
-                raise TailUnresolved(
-                    "tail probability below resolvable mass of the grid")
-            arg = q / self._tail_scale
-            if np.any(arg <= 0.0) or np.any(arg >= 1.0):
-                raise TailUnresolved(
-                    "tail probability below resolvable mass of the grid")
-            out[mask] = sign * (-self.tail_sigma * ndtri(arg))
-        return float(out[0]) if scalar else out
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.quantile(rng.random(size))
+        out = self._one.quantile(p[..., None])[..., 0]
+        return float(out) if p.ndim == 0 else out
 
 
 def _normalise(pdf, h):
@@ -470,7 +445,8 @@ class DistBatch:
         raise NotImplementedError
 
     def quantile(self, p):
-        """Quantile of row i at p, a scalar or one probability per row."""
+        """Quantile of row i at p[..., i]: a scalar, one probability per
+        row, or several (along the leading axes)."""
         raise NotImplementedError
 
     def tail_prob(self, x):
@@ -504,7 +480,10 @@ class GaussianBatch(DistBatch):
 class GridBatch(DistBatch):
     """Grid rows on one shared symmetric grid x: a rows x points matrix of
     densities and one of CDFs, each row with its own Gaussian tail
-    continuation (tail_sigma, tail_scale) as in GridDistribution."""
+    continuation tail_scale * N(0, tail_sigma) beyond +-L, matched to the
+    row's edge density. The continuation carries edge_mass = tail_scale *
+    Phi(-L / tail_sigma) beyond each edge, so the CDF is edge_mass + (1 -
+    2 edge_mass) * cdf_grid inside the grid, without a jump at +-L."""
 
     def __init__(self, x, pdf, tail_sigma, support_extra):
         self.x = np.asarray(x, dtype=float)
@@ -516,6 +495,7 @@ class GridBatch(DistBatch):
         self.tail_scale = np.array(
             [_continuation_scale(p0, self.x[0], s) for p0, s in
              zip(self.pdf_grid[:, 0], self.tail_sigma.tolist())])
+        self.edge_mass = self.tail_scale * ndtr(self.x[0] / self.tail_sigma)
 
     def __len__(self):
         return len(self.pdf_grid)
@@ -523,37 +503,54 @@ class GridBatch(DistBatch):
     def __getitem__(self, i):
         return GridDistribution._row(self, i)
 
+    def _take(self, i):
+        """Row i as a one-row GridBatch sharing the arrays."""
+        one = GridBatch.__new__(GridBatch)
+        one.x, one.h = self.x, self.h
+        for name in ("pdf_grid", "cdf_grid", "tail_sigma", "support_extra",
+                     "tail_scale", "edge_mass"):
+            setattr(one, name, getattr(self, name)[i:i + 1])
+        return one
+
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         lo_x, hi_x = self.x[0], self.x[-1]
-        inside = _interp_rows(np.clip(x, lo_x, hi_x), self.x, self.cdf_grid)
+        m = self.edge_mass
+        inside = m + (1.0 - 2.0 * m) * _interp_rows(np.clip(x, lo_x, hi_x),
+                                                    self.x, self.cdf_grid)
         lo = self.tail_scale * ndtr(np.minimum(x, lo_x) / self.tail_sigma)
         hi = 1.0 - self.tail_scale * ndtr(-np.maximum(x, hi_x)
                                           / self.tail_sigma)
         return np.where(x < lo_x, lo, np.where(x > hi_x, hi, inside))
 
     def quantile(self, p):
-        p = np.broadcast_to(np.asarray(p, dtype=float), (len(self),))
+        p, row = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                     np.arange(len(self)))
         if np.any(p <= 0.0) or np.any(p >= 1.0):
             raise ValueError("p must lie strictly inside (0, 1)")
-        out = np.empty(len(self))
-        p_lo, p_hi = self.cdf_grid[:, 1], self.cdf_grid[:, -2]
+        out = np.empty(p.shape)
+        m, scale = self.edge_mass[row], self.tail_scale[row]
+        # Without a continuation the grid resolves no tail below the mass
+        # of its first cell.
+        cont = scale > 0.0
+        p_lo = np.where(cont, m, self.cdf_grid[row, 1])
+        p_hi = np.where(cont, 1.0 - m, self.cdf_grid[row, -2])
         mid = (p >= p_lo) & (p <= p_hi)
         if mid.any():
-            out[mid] = _interp_rows(p[mid], self.cdf_grid[mid], self.x)
+            out[mid] = _interp_rows((p[mid] - m[mid]) / (1.0 - 2.0 * m[mid]),
+                                    self.cdf_grid[row[mid]], self.x)
         for mask, sign in ((p < p_lo, -1.0), (p > p_hi, 1.0)):
             if not np.any(mask):
                 continue
             q = p[mask] if sign < 0 else 1.0 - p[mask]
-            scale = self.tail_scale[mask]
-            if np.any(scale <= 0.0) or np.any(q <= 0.0):
+            if np.any(scale[mask] <= 0.0) or np.any(q <= 0.0):
                 raise TailUnresolved(
                     "tail probability below resolvable mass of the grid")
-            arg = q / scale
+            arg = q / scale[mask]
             if np.any(arg <= 0.0) or np.any(arg >= 1.0):
                 raise TailUnresolved(
                     "tail probability below resolvable mass of the grid")
-            out[mask] = sign * (-self.tail_sigma[mask] * ndtri(arg))
+            out[mask] = sign * (-self.tail_sigma[row[mask]] * ndtri(arg))
         return out
 
 
@@ -572,17 +569,6 @@ def _bisect_quantile(cdf, p, scale, iters=80):
     return out if out.size > 1 else float(out[0])
 
 
-def _support_halfwidth(coeffs, dists, n_sigmas=12.0):
-    var = 0.0
-    extra = 0.0
-    for c, d in zip(coeffs, dists):
-        if c == 0.0:
-            continue
-        var += c * c * d.variance()
-        extra += abs(c) * d.support_extra
-    return n_sigmas * np.sqrt(var) + extra
-
-
 def _tail_sigma(coeffs, dists):
     var = 0.0
     for c, d in zip(coeffs, dists):
@@ -591,105 +577,68 @@ def _tail_sigma(coeffs, dists):
     return np.sqrt(var)
 
 
-def _wrapped_grid(n_points):
-    """Index grid in FFT (wrap-around) order; index 0 maps to x=0."""
-    n_half = n_points // 2
-    padded = 2 * n_points
-    m = np.arange(padded)
-    idx = ((m + padded // 2) % padded) - padded // 2
-    return idx, n_half, padded
-
-
 def scaled_convolve(coeffs, dists, n_points=DEFAULT_GRID_POINTS,
                     force_grid=False, n_sigmas=12.0):
-    """Distribution of sum_j coeffs[j] * eps_j for independent eps_j.
-
-    Gaussian-only inputs short-circuit to the closed-form variance sum
-    unless force_grid is set. Returns a GridDistribution on a symmetric
-    grid of n_points+1 samples.
+    """Distribution of sum_j coeffs[j] * eps_j for independent eps_j: the
+    one-row case of convolve_batch, over the components whose coefficient
+    is nonzero. Returns a Gaussian (Gaussian-only inputs, unless
+    force_grid is set) or a GridDistribution on a symmetric grid of
+    n_points+1 samples.
     """
-    coeffs = [float(c) for c in coeffs]
     if len(coeffs) != len(dists):
         raise ValueError("coeffs and dists must have equal length")
-    active = [(c, d) for c, d in zip(coeffs, dists) if c != 0.0]
+    active = [(float(c), d) for c, d in zip(coeffs, dists) if c != 0.0]
     if not active:
         raise ValueError("at least one coefficient must be nonzero")
-    coeffs = [c for c, _ in active]
-    dists = [d for _, d in active]
-
-    if not force_grid and all(isinstance(d, Gaussian) for d in dists):
-        return Gaussian(float(np.sqrt(sum((c * d.sigma) ** 2
-                                          for c, d in zip(coeffs, dists)))))
-
-    L = _support_halfwidth(coeffs, dists, n_sigmas)
-    if L > MAX_GRID_HALFWIDTH:
-        raise GridOverflow(f"requested half-width {L:.3g} m exceeds maximum")
-    h = 2.0 * L / n_points
-    idx, n_half, padded = _wrapped_grid(n_points)
-    xw = idx * h
-
-    spec = None
-    for c, d in zip(coeffs, dists):
-        vals = d.pdf(xw / abs(c)) / abs(c)
-        f = np.fft.rfft(vals)
-        spec = f if spec is None else spec * f
-    pdf_w = np.fft.irfft(spec * (h ** (len(coeffs) - 1)), n=padded)
-    # Back to linear order, keep the central symmetric n_points+1 samples.
-    lin = np.fft.fftshift(pdf_w)
-    center = padded // 2
-    sl = slice(center - n_half, center + n_half + 1)
-    x = (np.arange(-n_half, n_half + 1)) * h
-    extra = sum(abs(c) * d.support_extra for c, d in zip(coeffs, dists))
-    return GridDistribution(x, lin[sl], _tail_sigma(coeffs, dists), extra)
+    coeffs, dists = zip(*active)
+    return convolve_batch([coeffs], dists, n_points=n_points,
+                          n_sigmas=n_sigmas, force_grid=force_grid)[0]
 
 
-def _scaled_pdf(d, xw, a):
-    """d.pdf(xw / a) / a for each coefficient magnitude a[i] (a column)
-    over the wrapped grid xw = idx * h of _wrapped_grid, bit for bit.
+def _scaled_pdf(d, n, h, a):
+    """d.pdf(k * h / a) / a for k = 0..n and each coefficient magnitude
+    a[i] (a column), bit for bit: the half of the even sequence on the
+    grid x = k * h that convolve_batch transforms.
 
-    A grid component is evaluated only for |idx| <= k_max, past which it
-    is zero on every row: beyond its grid edge and beyond _UNDERFLOW_Z tail
-    sigmas of its continuation (at the edge already when the continuation's
-    scale is zero). Both signs of idx share |x| = (|idx| h) / a, and the
-    continuation, even in x, is computed once for both.
+    A grid component is evaluated only for k <= k_max, past which it is
+    zero on every row: beyond its grid edge and beyond _UNDERFLOW_Z tail
+    sigmas of its continuation (at the edge already when the
+    continuation's scale is zero).
     """
     if not isinstance(d, GridDistribution):
-        return d.pdf(xw[None, :] / a) / a
-    padded = len(xw)
-    n = padded // 2
-    h = xw[1]            # xw = idx * h and idx[1] = 1
+        return d.pdf(np.arange(n + 1) * h / a) / a
     edge = float(d.x[-1])
-    reach = edge
-    if d._tail_scale > 0.0:
-        reach = max(edge, _UNDERFLOW_Z * d.tail_sigma)
-    k_max = min(n, int(reach * float(a.max()) / h) + 2)
+    lim = _UNDERFLOW_Z * d.tail_sigma if d._tail_scale > 0.0 else edge
+    k_max = min(n, int(max(edge, lim) * float(a.max()) / h) + 2)
     u = np.arange(k_max + 1) * h / a
+    vals = np.zeros((len(a), n + 1))
+    out = vals[:, :k_max + 1]
     inside = u <= edge
-    pos = np.zeros(u.shape)
-    neg = np.zeros(u.shape)
-    ui = u[inside]
-    pos[inside] = np.interp(ui, d.x, d.pdf_grid)
-    neg[inside] = np.interp(-ui, d.x, d.pdf_grid)
-    if d._tail_scale > 0.0:
-        tail = ~inside & (u < _UNDERFLOW_Z * d.tail_sigma)
-        cont = d._tail_scale * _norm_pdf(u[tail], d.tail_sigma)
-        pos[tail] = cont
-        neg[tail] = cont
-    vals = np.zeros((len(a), padded))
-    top = min(k_max, n - 1)
-    vals[:, :top + 1] = pos[:, :top + 1] / a
-    vals[:, padded - k_max:] = neg[:, k_max:0:-1] / a
+    out[inside] = np.interp(u[inside], d.x, d.pdf_grid)
+    if lim > edge:
+        tail = ~inside & (u < lim)
+        out[tail] = d._tail_scale * _norm_pdf(u[tail], d.tail_sigma)
+    out /= a
     return vals
 
 
 def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
                    force_grid=False):
-    """scaled_convolve for many coefficient rows over one set of component
-    distributions, on a shared grid.
+    """Distributions of sum_j C[i, j] eps_j for every coefficient row i
+    over one set of independent zero-mean symmetric components, on a
+    shared grid.
 
     Returns one DistBatch: a GaussianBatch when every component is
     Gaussian (closed-form variance sums) unless force_grid is set, else a
-    GridBatch.
+    GridBatch on the grid x = k * h, |k| <= n_points / 2.
+
+    Every component density is even, so every sequence transformed is
+    even and its DFT is real (symmetric convolution, Martucci 1994): each
+    component is sampled at x = k * h for k = 0..n_points only, its
+    type-I DCT is the DFT of the even sequence of period 2 * n_points, the
+    spectra multiply as real arrays, and one inverse DCT-I (the forward
+    one divided by 2 * n_points) gives the half of the convolution that is
+    mirrored into an exactly symmetric output row.
     """
     C = np.asarray(coeff_matrix, dtype=float)
     if C.ndim != 2 or C.shape[1] != len(dists):
@@ -704,27 +653,26 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
     if L > MAX_GRID_HALFWIDTH:
         raise GridOverflow(f"requested half-width {L:.3g} m exceeds maximum")
     h = 2.0 * L / n_points
-    idx, n_half, padded = _wrapped_grid(n_points)
-    xw = idx * h
     tail = [_tail_sigma(row, dists) for row in C]
 
-    spec = np.ones((C.shape[0], padded // 2 + 1), dtype=complex)
+    spec = np.ones((C.shape[0], n_points + 1))
     hpow = np.full(C.shape[0], 1.0)
     for j, d in enumerate(dists):
         cj = C[:, j]
         nz = cj != 0.0
         if not np.any(nz):
             continue
-        vals = _scaled_pdf(d, xw, np.abs(cj[nz])[:, None])
+        f = dct(_scaled_pdf(d, n_points, h, np.abs(cj[nz])[:, None]),
+                type=1, axis=1, overwrite_x=True)
         if nz.all():
-            spec *= np.fft.rfft(vals, axis=1)
+            spec *= f
         else:
-            spec[nz] *= np.fft.rfft(vals, axis=1)
+            spec[nz] *= f
         hpow[nz] *= h
-    hpow /= h  # h^(n_active - 1)
-    pdf_w = np.fft.irfft(spec * hpow[:, None], n=padded, axis=1)
-    lin = np.fft.fftshift(pdf_w, axes=1)
-    center = padded // 2
-    sl = slice(center - n_half, center + n_half + 1)
+    hpow /= h * (2 * n_points)  # h^(n_active - 1), and the inverse's scale
+    n_half = n_points // 2
+    spec *= hpow[:, None]
+    half = dct(spec, type=1, axis=1, overwrite_x=True)[:, :n_half + 1]
     x = np.arange(-n_half, n_half + 1) * h
-    return GridBatch(x, lin[:, sl], tail, np.abs(C) @ extra)
+    return GridBatch(x, np.concatenate((half[:, :0:-1], half), axis=1),
+                     tail, np.abs(C) @ extra)

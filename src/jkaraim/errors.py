@@ -48,5 +48,9 @@ class KeplerNonConvergence(JkAraimError):
     """Kepler's equation iteration failed to converge."""
 
 
+class AlmanacOutOfRange(JkAraimError):
+    """Propagation time too far from the almanac's time of applicability."""
+
+
 class UnknownSatellite(JkAraimError):
     """Satellite id missing from the bound table."""

@@ -11,8 +11,8 @@ from scipy.special import ndtr, ndtri
 
 from . import distkit
 from .errors import SubsetRankDeficient
-from .model_core import (AXIS_UP, LinearModel, SolutionOps, _solution_matrix,
-                         bias_projection, q_vector)
+from .model_core import (AXIS_UP, LinearModel, SolutionOps, bias_projection,
+                         q_vector)
 from .threat import ThreatModel
 
 
@@ -65,6 +65,14 @@ PL_TOLERANCE_M = 1e-3
 
 # Bisection steps whose midpoints, on every branch, one risk call takes.
 _BISECT_DEPTH = 4
+_BISECT_POINTS = 2 ** _BISECT_DEPTH
+# A risk call's levels: the dyadic points 0 < j < _BISECT_POINTS of [lo,
+# hi] as (j, j - s, j + s), j the midpoint of its neighbours one level up,
+# breadth first (the order a step-by-step bisection meets them).
+_BISECT_TREE = tuple((j, j - s, j + s)
+                     for s in (_BISECT_POINTS >> d
+                               for d in range(1, _BISECT_DEPTH + 1))
+                     for j in range(s, _BISECT_POINTS, 2 * s))
 
 
 def _bisect_level(risk, hi: float, target: float):
@@ -74,31 +82,30 @@ def _bisect_level(risk, hi: float, target: float):
 
     risk maps an array of levels to their risks. Each call takes the
     midpoints of the next _BISECT_DEPTH steps on every branch (the first
-    call hi as well); walking that tree takes the decisions of a
-    step-by-step bisection at the same midpoints, so the level is the same.
+    call hi as well), computed by the same 0.5 * (a + b) steps; walking
+    them takes the decisions of a step-by-step bisection at the same
+    midpoints, so the level is the same.
     """
     lo, steps = 0.0, 0
     start = [hi]
     while True:
-        brackets, mids = [(lo, hi)], []
-        for node in range(2 ** _BISECT_DEPTH - 1):
-            a, b = brackets[node]
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            brackets += [(a, mid), (mid, b)]
-        r = risk(np.array(start + mids)).tolist()
+        pts = [lo] * _BISECT_POINTS + [hi]
+        for j, a, b in _BISECT_TREE:
+            pts[j] = 0.5 * (pts[a] + pts[b])
+        r = risk(np.array(start + pts[1:-1])).tolist()
         if start:
             if r.pop(0) > target:
                 return None, 0
             start = []
-        node = 0
+        j, s = _BISECT_POINTS // 2, _BISECT_POINTS // 4
         for _ in range(_BISECT_DEPTH):
             if not hi - lo > PL_TOLERANCE_M:
                 return hi, steps
-            if r[node] > target:
-                lo, node = mids[node], 2 * node + 2
+            if r[j - 1] > target:
+                lo, j = pts[j], j + s
             else:
-                hi, node = mids[node], 2 * node + 1
+                hi, j = pts[j], j - s
+            s //= 2
             steps += 1
 
 
@@ -107,23 +114,12 @@ def constellation_ss(model: LinearModel, ops: SolutionOps, const_mode,
     """Subset-solution sigma and solution-separation threshold for a
     whole-constellation fault mode.
 
-    The excluded constellation's clock state is dropped from the subset
-    solve; position axes are unaffected by the missing clock. c_alloc is
-    the per-mode, per-tail continuity probability.
+    The mode's subset solution is ops.reduced(const_mode.excluded), kept
+    on ops: the excluded constellation's clock state is dropped from the
+    subset solve. c_alloc is the per-mode, per-tail continuity
+    probability.
     """
-    excluded = sorted(const_mode.excluded)
-    keep = np.ones(model.n, dtype=bool)
-    keep[excluded] = False
-    if keep.sum() == 0:
-        raise SubsetRankDeficient("no measurements remain")
-    # Identify clock columns that lose all support.
-    live_cols = [c for c in range(model.m)
-                 if c < 3 or np.any(model.G[keep, c] != 0.0)]
-    G_red = model.G[np.ix_(keep, live_cols)]
-    S_red = _solution_matrix(G_red, model.W[keep], err=SubsetRankDeficient)
-    Sk = np.zeros((model.m, model.n))
-    Sk[np.ix_(live_cols, np.flatnonzero(keep))] = S_red
-
+    Sk = ops.reduced(const_mode.excluded)
     var = np.asarray(gaussian_sigmas, dtype=float) ** 2
     sigma_vk = float(np.sqrt(np.sum(Sk[axis] ** 2 * var)))
     diff = Sk[axis] - ops.S[axis]

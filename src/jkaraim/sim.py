@@ -15,8 +15,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import distkit, jackknife, model_core, overbound, threat
-from .errors import (InsufficientRedundancy, KeplerNonConvergence,
-                     SubsetRankDeficient, UnknownSatellite)
+from .errors import (AlmanacOutOfRange, InsufficientRedundancy, JkAraimError,
+                     KeplerNonConvergence, SubsetRankDeficient,
+                     UnknownSatellite)
 from .integrity import (IntegrityBudget, baseline_araim_pl, constellation_ss,
                         pl_solve)
 from .model_core import AXIS_UP, SolutionOps
@@ -169,7 +170,8 @@ def default_almanac(constellations=("GPS", "GAL")):
 def propagate(alm: AlmanacEntry, t: float, rotating=True) -> np.ndarray:
     """ECEF position (m) of the almanac satellite at GPS time-of-week t."""
     if abs(t - alm.toa) >= 7 * 86400.0:
-        raise ValueError("propagation time too far from time of applicability")
+        raise AlmanacOutOfRange(
+            "propagation time too far from time of applicability")
     a = alm.sqrt_a ** 2
     n = math.sqrt(GM_EARTH / a ** 3)
     dt = t - alm.toa
@@ -283,6 +285,10 @@ class ScenarioConfig:
             raise ValueError("grid step must divide 360")
         if self.epoch_step_s <= 0:
             raise ValueError("epoch step must be positive")
+        if self.flavor not in ("gaussian", "pgo"):
+            raise ValueError(f"unknown bound flavor {self.flavor!r}")
+        if self.algorithm not in ("jk", "baseline"):
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.budget is None:
             # A lone constellation cannot be cross-checked, so its
             # whole-constellation fault is excluded by assertion; otherwise
@@ -395,7 +401,7 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
             if config.detect:
                 rec.alert = _baseline_alert(geom, ops, tm, sig_acc, budget)
             pl = res.pl
-        elif config.algorithm == "jk":
+        else:   # "jk", the other algorithm ScenarioConfig accepts
             acc = [m.acc_bound for m in models]
             i_alloc = (budget.i_req_axis(AXIS_UP) * max(deflate, 0.0)
                        / tm.n_fault_modes)
@@ -424,9 +430,7 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
                                     axis=axis, ops=ops,
                                     gaussian_sigmas=sig_acc,
                                     n_points=config.n_points)
-        else:
-            raise ValueError(f"unknown algorithm {config.algorithm!r}")
-    except Exception as exc:
+    except JkAraimError as exc:
         rec.error = str(exc)
         return rec
 
@@ -470,7 +474,8 @@ def _baseline_alert(model, ops, tm, sigmas, budget, modes=None,
 def run_scenario(config: ScenarioConfig, almanac=None, table=None,
                  progress=None):
     """All (location, epoch) records for a scenario; deterministic in the
-    seed. Per-cell failures are recorded in-row, never raised.
+    seed. Per-cell failures of the package's own kinds (JkAraimError) are
+    recorded in-row; any other exception is a bug and propagates.
 
     Satellites are propagated once per epoch, on the first location that
     needs the epoch; a propagation failure is recorded in every record of
@@ -491,7 +496,7 @@ def run_scenario(config: ScenarioConfig, almanac=None, table=None,
                     positions[epoch_id] = satellite_positions(sats, t)
                 rec = evaluate_epoch(config, sats, positions[epoch_id],
                                      table, lat, lon, t, loc_id, epoch_id)
-            except Exception as exc:
+            except JkAraimError as exc:
                 rec = EpochRecord(lat, lon, t, 0, error=str(exc))
             records.append(rec)
         if progress is not None:

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtri
+from scipy import integrate
+from scipy.special import ndtr, ndtri
 
 from jkaraim.distkit import (Gaussian, GridBatch, GridDistribution,
                              PairedBound, Pgo, _norm_pdf, _scaled_pdf,
-                             _wrapped_grid, convolve_batch, scaled_convolve)
+                             convolve_batch, scaled_convolve)
 from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
+from jkaraim.sim import cnmp_sigma, error_model, tropo_sigma
 
 
 SVN63 = None
@@ -216,8 +220,37 @@ def row_points(batch, rng):
     return np.where(kind == 2, 0.0, x)
 
 
+def reference_cdf(d, x):
+    """A grid row's CDF through np.interp, the form GridBatch reproduces
+    bit for bit."""
+    m = d._tail_scale * ndtr(d.x[0] / d.tail_sigma)
+    inside = m + (1.0 - 2.0 * m) * np.interp(x, d.x, d.cdf_grid)
+    lo = d._tail_scale * ndtr(np.minimum(x, d.x[0]) / d.tail_sigma)
+    hi = 1.0 - d._tail_scale * ndtr(-np.maximum(x, d.x[-1]) / d.tail_sigma)
+    return np.where(x < d.x[0], lo, np.where(x > d.x[-1], hi, inside))
+
+
+def reference_quantile(d, p):
+    """A grid row's quantile at a scalar p through np.interp."""
+    m = d._tail_scale * ndtr(d.x[0] / d.tail_sigma)
+    if d._tail_scale > 0.0:
+        p_lo, p_hi = m, 1.0 - m
+    else:
+        p_lo, p_hi = d.cdf_grid[1], d.cdf_grid[-2]
+    if p_lo <= p <= p_hi:
+        return float(np.interp((p - m) / (1.0 - 2.0 * m), d.cdf_grid, d.x))
+    if d._tail_scale <= 0.0:
+        raise TailUnresolved("reference")
+    arg = (p if p < p_lo else 1.0 - p) / d._tail_scale
+    if not 0.0 < arg < 1.0:
+        raise TailUnresolved("reference")
+    x = -d.tail_sigma * ndtri(arg)
+    return float(-x if p < p_lo else x)
+
+
 class TestBatch:
-    """Batch evaluation against the same call on each row."""
+    """Batch evaluation against the same call on each row, and grid rows
+    against their np.interp reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=batches())
@@ -233,6 +266,11 @@ class TestBatch:
         tails = [[1.0 if v <= 0 else 2.0 * float(d.cdf(-v))
                   for d, v in zip(batch, row)] for row in levels]
         np.testing.assert_array_equal(batch.tail_prob(levels), tails)
+        if isinstance(batch, GridBatch):
+            np.testing.assert_array_equal(
+                batch.cdf(levels),
+                [[float(reference_cdf(d, v)) for d, v in zip(batch, row)]
+                 for row in levels])
 
     @settings(max_examples=60, deadline=None)
     @given(case=batches(), p=st.sampled_from(
@@ -246,10 +284,23 @@ class TestBatch:
                 batch.quantile(p)
         else:
             np.testing.assert_array_equal(batch.quantile(p), expect)
+        if isinstance(batch, GridBatch):
+            try:
+                ref = [reference_quantile(d, p) for d in batch]
+            except TailUnresolved:
+                with pytest.raises(TailUnresolved):
+                    batch.quantile(p)
+            else:
+                np.testing.assert_array_equal(batch.quantile(p), ref)
         per_row = 10.0 ** rng.uniform(-9.5, -0.5, len(batch))
         np.testing.assert_array_equal(
             batch.quantile(per_row),
             [float(d.quantile(q)) for d, q in zip(batch, per_row)])
+        several = np.stack([per_row, 1.0 - per_row])
+        np.testing.assert_array_equal(
+            batch.quantile(several),
+            [[float(d.quantile(q)) for d, q in zip(batch, row)]
+             for row in several])
 
     def test_grid_rows_match_grid_distribution(self, rng):
         # The batch normalises each row as GridDistribution does.
@@ -282,20 +333,96 @@ class TestWindowedKernel:
                                                0.0, d.pdf_grid),
                                  d.tail_sigma, d.support_extra)
             assert d._tail_scale == 0.0
-        idx, _, _ = _wrapped_grid(n_points)
         h = rng.uniform(0.5, 4.0) * d.tail_sigma / n_points
-        xw = idx * h
         a = 10.0 ** rng.uniform(-3.0, 1.0, (int(rng.integers(1, 6)), 1))
-        np.testing.assert_array_equal(_scaled_pdf(d, xw, a),
-                                      d.pdf(xw[None, :] / a) / a)
+        u = np.arange(n_points + 1) * h
+        np.testing.assert_array_equal(_scaled_pdf(d, n_points, h, a),
+                                      d.pdf(u[None, :] / a) / a)
 
     def test_gaussian_component_unchanged(self):
-        idx, _, _ = _wrapped_grid(128)
-        xw = idx * 0.05
+        u = np.arange(129) * 0.05
         a = np.array([[0.3], [1.7]])
         np.testing.assert_array_equal(
-            _scaled_pdf(Gaussian(0.8), xw, a),
-            _norm_pdf(xw[None, :] / a, 0.8) / a)
+            _scaled_pdf(Gaussian(0.8), 128, 0.05, a),
+            _norm_pdf(u[None, :] / a, 0.8) / a)
+
+
+def pgo_noise_density(pgo, s):
+    """Closed-form density of PGO (+) N(0, s^2) at |x|, and its widest
+    Gaussian sigma. The truncated-Gaussian and slab terms are differences
+    of ndtr, written at |x| so that no term cancels in the far tail."""
+    s1, s2, xr = pgo.sigma1, pgo.sigma2, pgo.x_rp
+    big1, big2 = math.hypot(s1, s), math.hypot(s2, s)
+    t1, t2 = s1 * s / big1, s2 * s / big2
+
+    def phi(a, sigma):
+        return math.exp(-0.5 * (a / sigma) ** 2) / (sigma
+                                                    * math.sqrt(2 * math.pi))
+
+    def f(x):
+        a = abs(x)
+        m1, m2 = a * (s1 / big1) ** 2, a * (s2 / big2) ** 2
+        core = pgo.p1 * phi(a, big1) * (ndtr((xr - m1) / t1)
+                                        - ndtr((-xr - m1) / t1))
+        slab = pgo.c_offset * (ndtr((xr - a) / s) - ndtr((-xr - a) / s))
+        tail = pgo.tail_coeff * phi(a, big2) * (ndtr((m2 - xr) / t2)
+                                                + ndtr((-xr - m2) / t2))
+        return core + slab + tail
+
+    return f, max(big1, big2)
+
+
+DEEP_TAIL_ELEVATIONS = (5.5, 15.0, 45.0, 90.0)
+
+
+class TestDeepTail:
+    """The grid engine against an independent reference at the tail
+    probabilities integrity uses."""
+
+    def test_pgo_accuracy_bound_quantiles_against_exact(self):
+        # Each satellite's PGO accuracy bound (PGO (+) tropo (+) user noise
+        # on a grid) at its p-quantile must leave an exact tail of p:
+        # below 0.99 p is needlessly loose, above 1.001 p unsafe.
+        table = default_table()
+        worst = []
+        for svn in sorted(table.svns()):
+            entry = table[svn]
+            for el in DEEP_TAIL_ELEVATIONS:
+                acc = error_model(svn, el, table, "pgo").acc_bound
+                s = math.hypot(float(tropo_sigma(el)),
+                               float(cnmp_sigma(entry.constellation, el)))
+                f, wide = pgo_noise_density(entry.pgo(), s)
+                for p in (1e-7, 1e-9, 1e-10):
+                    a = abs(float(acc.quantile(p)))
+                    exact, _ = integrate.quad(f, a, a + 40.0 * wide,
+                                              epsabs=0.0, epsrel=1e-10,
+                                              limit=200)
+                    worst.append((exact / p, svn, el, p))
+        assert len(worst) == 3 * len(DEEP_TAIL_ELEVATIONS) * 54
+        assert min(worst)[0] >= 0.99, min(worst)
+        assert max(worst)[0] <= 1.001, max(worst)
+
+    def test_batch_cdf_continuous_across_grid_edges(self):
+        table = default_table()
+        checked = 0
+        for svn in sorted(table.svns()):
+            entry = table[svn]
+            for el in DEEP_TAIL_ELEVATIONS:
+                batch = convolve_batch(
+                    [[1.0, 1.0, 1.0]],
+                    [entry.pgo(), Gaussian(float(tropo_sigma(el))),
+                     Gaussian(float(cnmp_sigma(entry.constellation, el)))],
+                    force_grid=True)
+                edge, h = batch.x[-1], batch.h
+                x = np.array([-edge - h, -edge * (1 + 1e-9), -edge,
+                              -edge + h, edge - h, edge, edge * (1 + 1e-9),
+                              edge + h])
+                cdf = batch.cdf(x[:, None])[:, 0]
+                assert np.all(np.diff(cdf) >= 0.0), (svn, el, cdf)
+                checked += batch.edge_mass[0] > 1e-12
+        # The check means something only where the continuation carries
+        # mass beyond the edges.
+        assert checked > 50
 
 
 pgo_params = st.builds(

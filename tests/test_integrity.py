@@ -7,6 +7,7 @@ from scipy.special import ndtr, ndtri
 
 from jkaraim import jackknife
 from jkaraim.distkit import Gaussian, PairedBound
+from jkaraim.errors import SubsetRankDeficient
 from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
                                _bisect_level, baseline_araim_pl,
                                constellation_ss, hmi_risk_eval, pl_solve)
@@ -134,6 +135,31 @@ class TestConstellationSS:
         eps = sigmas[:, None] * rng.standard_normal((12, 10 ** 6))
         emp = np.std(Sk[2] @ eps)
         assert emp == pytest.approx(sigma_vk, rel=5e-3)
+
+    def test_reduced_solve_kept_per_excluded_set(self):
+        # Every consumer of a constellation mode reads one stored S_k.
+        model, tm = self.duplicate_geometry()
+        ops = SolutionOps(model)
+        mode = tm.constellation_modes()[0]
+        _, _, first = constellation_ss(model, ops, mode, np.ones(12), 1e-7,
+                                       axis=2)
+        _, _, second = constellation_ss(model, ops, mode, np.ones(12), 1e-5,
+                                        axis=0)
+        assert second is first
+        assert ops.reduced(sorted(mode.excluded, reverse=True)) is first
+        assert not first.flags.writeable
+        keep = np.setdiff1d(np.arange(12), sorted(mode.excluded))
+        np.testing.assert_allclose(first @ model.G[:, :3],
+                                   np.eye(model.m)[:, :3], atol=1e-12)
+        assert not first[:, sorted(mode.excluded)].any()
+        assert first[:, keep].any()
+
+    def test_rank_deficient_reduced_solve_raises_each_call(self):
+        model, _ = self.duplicate_geometry()
+        ops = SolutionOps(model)
+        for _ in range(2):
+            with pytest.raises(SubsetRankDeficient):
+                ops.reduced(range(12))
 
 
 class TestBaselineAraim:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from jkaraim import sim
-from jkaraim.errors import SubsetRankDeficient
+from jkaraim.errors import (AlmanacOutOfRange, JkAraimError,
+                            SubsetRankDeficient, TailUnresolved)
 from jkaraim.sim import (ScenarioConfig, aggregate, cnmp_sigma,
                          default_almanac, parse_yuma, propagate,
                          stanford_class, tropo_sigma, write_records_csv,
@@ -121,6 +122,41 @@ class TestScenario:
         config = self.coarse_config()
         records = sim.run_scenario(config)
         assert len(records) == len(config.grid()) * len(config.epochs())
+
+    def test_unknown_flavor_or_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="flavor"):
+            self.coarse_config(flavor="laplace")
+        with pytest.raises(ValueError, match="algorithm"):
+            self.coarse_config(algorithm="raim")
+
+    def test_package_error_recorded_in_its_row(self, monkeypatch):
+        def unresolved(*args, **kwargs):
+            raise TailUnresolved("tail probability below resolvable mass")
+
+        monkeypatch.setattr(sim, "pl_solve", unresolved)
+        config = self.coarse_config(epoch_step_s=86400.0)
+        records = sim.run_scenario(config)
+        assert len(records) == len(config.grid())
+        solved = [r for r in records if r.n_visible >= 5]
+        assert solved
+        for r in solved:
+            assert r.error == "tail probability below resolvable mass"
+            assert math.isnan(r.vpl) and r.stanford == "SU"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        # A bug recorded as a failed row would pass for an unavailable PL.
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(sim, "pl_solve", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            sim.run_scenario(self.coarse_config(epoch_step_s=86400.0))
+
+    def test_propagation_range_is_a_package_error(self):
+        alm = default_almanac(("GPS",))[0]
+        with pytest.raises(AlmanacOutOfRange):
+            propagate(alm, alm.toa + 7 * 86400.0)
+        assert issubclass(AlmanacOutOfRange, JkAraimError)
 
     def test_zero_noise_zero_vpe(self, monkeypatch):
         monkeypatch.setattr(sim.SatErrorModel, "draw",
