@@ -49,7 +49,7 @@ acc = [m.acc_bound for m in models]
 
 target = 0
 print(f"\ninjecting a bias on {geom.sat_ids[target]} "
-      f"(elevation {geom.elevations[target]:.0f} deg):")
+      f"(elevation {vis[target][2]:.0f} deg):")
 print(f"{'bias (m)':>9} {'worst stat/threshold':>21} {'alert':>6}")
 for bias in (0.0, 2.0, 4.0, 8.0, 16.0):
     y = nominal.copy()

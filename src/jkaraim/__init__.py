@@ -16,7 +16,7 @@ from .model_core import (AXIS_EAST, AXIS_NORTH, AXIS_UP, LinearModel,
                          ecef_to_geodetic, elevation_azimuth,
                          geodetic_to_ecef, q_vector)
 from .overbound import (OverboundReport, SatelliteBound, SatelliteBoundTable,
-                        apply_paired, build_pgo, default_partition_point,
+                        build_pgo, default_partition_point,
                         default_table, fit_bgmm, fit_gaussian_overbound,
                         verify_overbound)
 from .sim import (AlmanacEntry, EpochRecord, SatErrorModel, ScenarioConfig,
@@ -38,7 +38,7 @@ __all__ = [
     "SatErrorModel", "SatelliteBound", "SatelliteBoundTable",
     "ScenarioConfig", "SolutionOps", "SubsetRankDeficient", "ThreatModel",
     "UnknownSatellite",
-    "aggregate", "apply_paired", "assemble_geometry", "baseline_araim_pl",
+    "aggregate", "assemble_geometry", "baseline_araim_pl",
     "bias_projection", "build_pgo", "cnmp_sigma", "combined_stat",
     "constellation_ss", "convolve_batch", "default_almanac",
     "default_partition_point", "default_table", "determine_kmax",

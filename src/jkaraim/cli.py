@@ -188,7 +188,7 @@ def cmd_pl(args) -> int:
         dists, _ = jackknife.stat_distributions(model, ops, tm, acc,
                                                 axis=axis)
         thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
-        bounds = [overbound.apply_paired(a, budget.b_nom) for a in acc]
+        bounds = [distkit.PairedBound(a, budget.b_nom) for a in acc]
         pl, binding = pl_solve(model, tm, bounds, thresh, budget,
                                axis=axis, ops=ops, gaussian_sigmas=sigmas,
                                return_binding=True)

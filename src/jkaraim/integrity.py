@@ -11,8 +11,7 @@ from scipy.special import ndtr, ndtri
 
 from . import distkit
 from .errors import SubsetRankDeficient
-from .model_core import (AXIS_UP, LinearModel, SolutionOps, bias_projection,
-                         q_vector)
+from .model_core import AXIS_UP, LinearModel, SolutionOps, bias_projection
 from .threat import ThreatModel
 
 
@@ -41,6 +40,37 @@ class IntegrityBudget:
 
     def i_req_axis(self, axis: int) -> float:
         return self.i_req_vert if axis == AXIS_UP else 0.5 * self.i_req_horiz
+
+
+def allocate(budget: IntegrityBudget, threat: ThreatModel, axis: int):
+    """Integrity and continuity allocations of one axis, the only place
+    they are made. Returns (target, i_alloc, c_alloc, c_alloc_axis):
+
+    - target = I_req,axis (1 - P_nm / I_req), the axis's integrity budget
+      deflated by the unmonitored mass; not positive when P_nm takes the
+      whole budget, and then no finite PL exists;
+    - i_alloc = target / N, the equal per-mode integrity allocation;
+    - c_alloc = C_req,FA / (2 N P_H0), the per-mode, per-tail split of the
+      whole false-alarm budget. The jackknife thresholds, both
+      solution-separation detectors and the jk PL's constellation terms
+      use it;
+    - c_alloc_axis, the same split of the axis's own false-alarm budget
+      (C_req,FA,vert, or half of C_req,FA,horiz). The baseline PL uses it:
+      it is the smaller probability, so the separation thresholds the
+      baseline PL assumes are never below the ones its detector tests
+      with.
+    """
+    n_modes = threat.n_fault_modes
+    target = budget.i_req_axis(axis) * (
+        1.0 - threat.p_not_monitored / budget.i_req_total)
+    c_axis = (budget.c_req_fa_vert if axis == AXIS_UP
+              else 0.5 * budget.c_req_fa_horiz)
+
+    def split(c_req):
+        return c_req / (2.0 * n_modes * threat.p_h0)
+
+    return (target, target / n_modes, split(budget.c_req_fa_total),
+            split(c_axis))
 
 
 @dataclass
@@ -128,6 +158,133 @@ def constellation_ss(model: LinearModel, ops: SolutionOps, const_mode,
     return sigma_vk, d_kv, Sk
 
 
+@dataclass
+class ModeTerms:
+    """The fault modes mode_terms keeps on one axis, with their terms."""
+
+    sat: list               # kept satellite-subset modes
+    Q: np.ndarray           # their S_k rows (q vectors), one per mode
+    bias: np.ndarray        # their worst-case bias projections |Q| . b_nom
+    const: list = field(default_factory=list)   # kept constellation modes
+    const_sigma: list = field(default_factory=list)     # their sigma_vk,
+    const_offset: list = field(default_factory=list)    # d_kv + bias
+    const_row: list = field(default_factory=list)       # and S_k rows
+    skipped_mass: float = 0.0
+    unmonitorable: object = None    # first mode that voids the PL
+
+
+def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, sigmas,
+               c_alloc: float, i_alloc: float, p_thres: float) -> ModeTerms:
+    """The modes one integrity sum keeps, by one rule, in mode order:
+
+    - a mode whose prior is at most i_alloc is skipped and budgeted at its
+      prior;
+    - a rank-deficient mode with prior above p_thres is unmonitorable: no
+      finite PL exists, and the first such mode is reported;
+    - any other rank-deficient mode is skipped and budgeted at
+      min(prior, i_alloc).
+
+    Every other mode is kept. A satellite-subset mode comes with its S_k
+    row and its bias |S_k row| . b_nom; a constellation mode with the
+    sigma_vk and separation threshold d_kv of constellation_ss (at
+    c_alloc, from the accuracy sigmas), d_kv plus its bias projection, and
+    its S_k row.
+    """
+    sat = [m for m in modes if m.kind == "sat_subset" and m.prior > i_alloc]
+    ok, Q, _ = ops.mode_rows([m.excluded for m in sat], axis)
+    bias = np.abs(Q) @ b_nom
+    terms = ModeTerms([m for m, good in zip(sat, ok) if good], Q[ok],
+                      bias[ok])
+    sat_ok = iter(ok.tolist())
+    for mode in modes:
+        if mode.prior <= i_alloc:
+            terms.skipped_mass += mode.prior
+            continue
+        if mode.kind == "sat_subset":
+            good = next(sat_ok)
+        else:
+            try:
+                sigma_vk, d_kv, Sk = constellation_ss(
+                    ops.model, ops, mode, sigmas, c_alloc, axis)
+            except SubsetRankDeficient:
+                good = False
+            else:
+                good = True
+                terms.const.append(mode)
+                terms.const_sigma.append(sigma_vk)
+                terms.const_offset.append(
+                    d_kv + bias_projection(Sk, b_nom, axis))
+                terms.const_row.append(Sk[axis])
+        if good:
+            continue
+        if mode.prior > p_thres:
+            if terms.unmonitorable is None:
+                terms.unmonitorable = mode
+        else:
+            terms.skipped_mass += min(mode.prior, i_alloc)
+    return terms
+
+
+def _jk_terms(model, threat, bounds_int, thresholds, budget, axis, ops,
+              gaussian_sigmas, n_points):
+    """The terms of the jk integrity sum on one axis: the fault-free term,
+    the kept satellite modes, then the kept constellation modes.
+
+    Returns (labels, bounds, risk, target, skipped_mass), or the label of
+    the reason no finite PL exists. bounds() gives each term's level at
+    its equal share i_alloc of the budget; risk maps an array of levels to
+    the summed monitored risk at each, term by term in order; target is
+    allocate's deflated axis budget.
+    """
+    if ops is None:
+        ops = SolutionOps(model)
+    b_nom = np.array([b.b_nom for b in bounds_int])
+    target, i_alloc, c_alloc, _ = allocate(budget, threat, axis)
+    if target <= 0.0:
+        return "unmonitored"
+    terms = mode_terms(ops, threat.modes, axis, b_nom, gaussian_sigmas,
+                       c_alloc, i_alloc, budget.p_thres)
+    if terms.unmonitorable is not None:
+        return f"unmonitorable:{terms.unmonitorable.id}"
+
+    offsets = [bias_projection(ops.S, b_nom, axis)]
+    for mode, bias in zip(terms.sat, terms.bias.tolist()):
+        t_k = thresholds[mode.id]
+        if len(mode.excluded) == 1:
+            k = next(iter(mode.excluded))
+            extra = abs(ops.S[axis, k]) * t_k
+        else:
+            extra = t_k
+        offsets.append(extra + bias)
+    offsets = np.array(offsets + terms.const_offset)
+    priors = np.array([threat.p_h0]
+                      + [m.prior for m in terms.sat + terms.const])
+    # Rows of dists are the first n terms, rows of const (if any) the rest.
+    dists = distkit.convolve_batch(np.vstack((ops.S[axis], terms.Q)),
+                                   [b.base for b in bounds_int],
+                                   n_points=n_points)
+    n = len(dists)
+    const = distkit.GaussianBatch(terms.const_sigma) if terms.const else None
+
+    def bounds():
+        p = i_alloc / (2.0 * priors)
+        q = dists.quantile(p[:n])
+        if const is not None:
+            q = np.concatenate((q, const.quantile(p[n:])))
+        return np.abs(q) + offsets
+
+    def risk(levels):
+        x = levels[:, None] - offsets
+        tails = dists.tail_prob(x[:, :n])
+        if const is not None:
+            tails = np.concatenate((tails, const.tail_prob(x[:, n:])), axis=1)
+        return np.cumsum(priors * tails, axis=1)[:, -1]
+
+    labels = (["H0"] + [f"mode:{m.id}" for m in terms.sat]
+              + [f"const:{m.id}" for m in terms.const])
+    return labels, bounds, risk, target, terms.skipped_mass
+
+
 def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
              thresholds, budget: IntegrityBudget, axis: int = AXIS_UP,
              ops: SolutionOps = None, gaussian_sigmas=None,
@@ -138,6 +295,7 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
     skipped low-prior modes leave room inside the deflated budget, the
     level is then tightened by bisecting the summed monitored risk onto
     the budget, which makes the risk bound tight rather than allocated.
+    Allocations come from allocate and the kept modes from mode_terms.
 
     bounds_int is a per-satellite list of PairedBound (accuracy bound plus
     b_nom shift); their bases feed the convolutions and their b_nom feeds
@@ -145,102 +303,16 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
     detector thresholds. Constellation modes additionally need Gaussian
     accuracy sigmas for the solution-separation path.
     """
-    if ops is None:
-        ops = SolutionOps(model)
-    bases = [b.base for b in bounds_int]
-    b_nom = np.array([b.b_nom for b in bounds_int])
-
-    deflate = 1.0 - threat.p_not_monitored / budget.i_req_total
-    if deflate <= 0.0:
-        return (math.inf, "unmonitored") if return_binding else math.inf
-    n_modes = threat.n_fault_modes
-    budget_ax = budget.i_req_axis(axis) * deflate
-    i_alloc = budget_ax / n_modes
-
-    # Convolution rows: H0 position error, then the q vectors of the
-    # jackknife-capable modes that can actually bind (a mode whose prior
-    # fits inside its allocation is bounded by the prior alone).
-    candidates = [m for m in threat.sat_modes() if i_alloc < m.prior]
-    ok, Q, _ = ops.mode_rows([m.excluded for m in candidates], axis)
-    biases = np.abs(Q) @ b_nom
-    rows = [ops.S[axis]]
-    labels = ["H0"]
-    extras = [bias_projection(ops.S, b_nom, axis)]
-    priors = [threat.p_h0]
-    skipped_mass = 0.0
-    candidate = iter(zip(ok, Q, biases.tolist()))
-    for mode in threat.sat_modes():
-        if i_alloc >= mode.prior:
-            skipped_mass += min(mode.prior, i_alloc)
-            continue
-        good, q, bias = next(candidate)
-        if not good:
-            if mode.prior > budget.p_thres:
-                return (math.inf, f"unmonitorable:{mode.id}") \
-                    if return_binding else math.inf
-            skipped_mass += min(mode.prior, i_alloc)
-            continue
-        t_k = thresholds[mode.id]
-        if len(mode.excluded) == 1:
-            k = next(iter(mode.excluded))
-            extra = abs(ops.S[axis, k]) * t_k
-        else:
-            extra = t_k
-        rows.append(q)
-        labels.append(f"mode:{mode.id}")
-        extras.append(extra + bias)
-        priors.append(mode.prior)
-
-    dists = distkit.convolve_batch(np.array(rows), bases, n_points=n_points)
-    extras = np.array(extras)
-    priors = np.array(priors)
-    terms = np.abs(dists.quantile(i_alloc / (2.0 * priors))) + extras
-    k = int(np.argmax(terms))
-    best, best_label = float(terms[k]), labels[k]
-
-    const_terms = []
-    for mode in threat.constellation_modes():
-        if i_alloc >= mode.prior:
-            skipped_mass += min(mode.prior, i_alloc)
-            continue
-        c_alloc = budget.c_req_fa_total / (2.0 * n_modes * threat.p_h0)
-        try:
-            sigma_vk, d_kv, Sk = constellation_ss(
-                model, ops, mode, gaussian_sigmas, c_alloc, axis)
-        except SubsetRankDeficient:
-            if mode.prior > budget.p_thres:
-                return (math.inf, f"unmonitorable:{mode.id}") \
-                    if return_binding else math.inf
-            skipped_mass += min(mode.prior, i_alloc)
-            continue
-        offset = d_kv + bias_projection(Sk, b_nom, axis)
-        term = (sigma_vk * abs(float(ndtri(i_alloc / (2.0 * mode.prior))))
-                + offset)
-        const_terms.append((mode.prior, sigma_vk, offset))
-        if term > best:
-            best, best_label = term, f"const:{mode.id}"
-
-    best = max(best, 0.0)
-    target = budget_ax - skipped_mass
+    terms = _jk_terms(model, threat, bounds_int, thresholds, budget, axis,
+                      ops, gaussian_sigmas, n_points)
+    if isinstance(terms, str):
+        return (math.inf, terms) if return_binding else math.inf
+    labels, bounds, risk, target, skipped_mass = terms
+    values = bounds()
+    k = int(np.argmax(values))
+    best, best_label = max(float(values[k]), 0.0), labels[k]
+    target -= skipped_mass
     if refine and target > 0.0 and best > 0.0:
-        # Summed monitored risk at each level (a column), term by term in
-        # the order H0, satellite modes, constellation modes.
-        if const_terms:
-            c_priors, c_sigmas, c_offsets = np.array(const_terms).T
-            const = distkit.GaussianBatch(c_sigmas)
-            priors = np.concatenate((priors, c_priors))
-
-            def tails(level):
-                return np.concatenate((dists.tail_prob(level - extras),
-                                       const.tail_prob(level - c_offsets)),
-                                      axis=1)
-        else:
-            def tails(level):
-                return dists.tail_prob(level - extras)
-
-        def risk(levels):
-            return np.cumsum(priors * tails(levels[:, None]), axis=1)[:, -1]
-
         level, _ = _bisect_level(risk, best, target)
         if level is not None:
             best = level
@@ -251,56 +323,21 @@ def hmi_risk_eval(model: LinearModel, threat: ThreatModel, bounds_int,
                   thresholds, level: float, budget: IntegrityBudget,
                   axis: int = AXIS_UP, ops: SolutionOps = None,
                   gaussian_sigmas=None, n_points=4096) -> float:
-    """Sum-form integrity-risk bound evaluated at a candidate level.
-
-    Adds the fault-free, satellite-fault and constellation-fault terms of
-    the monitored-mode bound (P_not_monitored excluded).
+    """Integrity risk at a candidate level: the monitored-mode sum that
+    pl_solve bisects (fault-free, satellite-fault and constellation-fault
+    terms) plus the mass budgeted for the modes it skips. P_not_monitored
+    is excluded; the PL is the lowest level whose risk stays within
+    allocate's deflated axis budget. Returns 1.0 where pl_solve returns
+    infinity.
     """
     if level <= 0:
         raise ValueError("level must be positive")
-    if ops is None:
-        ops = SolutionOps(model)
-    bases = [b.base for b in bounds_int]
-    b_nom = np.array([b.b_nom for b in bounds_int])
-
-    def tail_prob(dist, x):
-        if x <= 0:
-            return 1.0
-        return float(2.0 * dist.cdf(-x))
-
-    risk = 0.0
-    dist0 = distkit.scaled_convolve(ops.S[axis], bases, n_points=n_points)
-    risk += threat.p_h0 * tail_prob(
-        dist0, level - bias_projection(ops.S, b_nom, axis))
-
-    for mode in threat.sat_modes():
-        try:
-            Sk, _ = ops.subset(mode.excluded)
-            q = q_vector(model, ops, mode.excluded, axis)
-        except SubsetRankDeficient:
-            continue
-        t_k = thresholds[mode.id]
-        if len(mode.excluded) == 1:
-            k = next(iter(mode.excluded))
-            extra = abs(ops.S[axis, k]) * t_k
-        else:
-            extra = t_k
-        dist = distkit.scaled_convolve(q, bases, n_points=n_points)
-        risk += mode.prior * tail_prob(
-            dist, level - extra - bias_projection(Sk, b_nom, axis))
-
-    for mode in threat.constellation_modes():
-        c_alloc = budget.c_req_fa_total / (2.0 * threat.n_fault_modes
-                                           * threat.p_h0)
-        try:
-            sigma_vk, d_kv, Sk = constellation_ss(
-                model, ops, mode, gaussian_sigmas, c_alloc, axis)
-        except SubsetRankDeficient:
-            continue
-        x = level - d_kv - bias_projection(Sk, b_nom, axis)
-        p = 1.0 if x <= 0 else float(2.0 * ndtr(-x / sigma_vk))
-        risk += mode.prior * p
-    return risk
+    terms = _jk_terms(model, threat, bounds_int, thresholds, budget, axis,
+                      ops, gaussian_sigmas, n_points)
+    if isinstance(terms, str):
+        return 1.0
+    _, _, risk, _, skipped_mass = terms
+    return float(risk(np.array([level]))[0]) + skipped_mass
 
 
 def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
@@ -310,7 +347,10 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
     """Solution-separation protection levels via bisection on total risk.
 
     The comparison benchmark: Gaussian bounds only, two-sided fault-free
-    term, one-sided faulted terms offset by the separation thresholds.
+    term, one-sided faulted terms offset by the separation thresholds at
+    allocate's c_alloc_axis. Every mode that can be monitored is kept
+    (mode_terms with i_alloc 0, which skips only rank-deficient modes of
+    prior at most p_thres, at no cost to the budget).
     """
     if ops is None:
         ops = SolutionOps(model)
@@ -318,56 +358,31 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
     var = sig ** 2
     if b_nom is None:
         b_nom = np.full(model.n, budget.b_nom)
-    deflate = 1.0 - threat.p_not_monitored / budget.i_req_total
-    n_modes = threat.n_fault_modes
 
     pl = np.full(3, np.nan)
     binding = {}
     iters = 0
     for axis in axes:
-        if deflate <= 0.0:
+        target, _, _, c_alloc = allocate(budget, threat, axis)
+        if target <= 0.0:
             pl[axis] = math.inf
             continue
-        target = budget.i_req_axis(axis) * deflate
-        c_ax = (budget.c_req_fa_vert if axis == AXIS_UP
-                else 0.5 * budget.c_req_fa_horiz)
-        c_alloc = c_ax / (2.0 * n_modes * threat.p_h0)
+        terms = mode_terms(ops, threat.modes, axis, b_nom, sig, c_alloc,
+                           0.0, budget.p_thres)
+        if terms.unmonitorable is not None:
+            pl[axis] = math.inf
+            continue
         k_fa = abs(float(ndtri(c_alloc)))
+        sig_vk = np.sqrt((terms.Q ** 2) @ var)
+        d_kv = k_fa * np.sqrt(((terms.Q - ops.S[axis]) ** 2) @ var)
 
-        sigma0 = float(np.sqrt(np.sum(ops.S[axis] ** 2 * var)))
-        b0 = bias_projection(ops.S, b_nom, axis)
-        sat_modes = [m for m in threat.modes if m.kind != "constellation"]
-        ok, Q, _ = ops.mode_rows([m.excluded for m in sat_modes], axis)
-        sig_vk = np.sqrt((Q ** 2) @ var)
-        d_kv = k_fa * np.sqrt(((Q - ops.S[axis]) ** 2) @ var)
-        offsets = d_kv + np.abs(Q) @ b_nom
-        sat_terms = iter(zip(ok, sig_vk.tolist(), offsets.tolist()))
-        terms = []
-        unavailable = False
-        for mode in threat.modes:
-            if mode.kind == "constellation":
-                try:
-                    s_vk, d, Sk = constellation_ss(model, ops, mode, sig,
-                                                   c_alloc, axis)
-                    term = (s_vk, d + bias_projection(Sk, b_nom, axis))
-                except SubsetRankDeficient:
-                    term = None
-            else:
-                good, s_vk, offset = next(sat_terms)
-                term = (s_vk, offset) if good else None
-            if term is None:
-                if mode.prior > budget.p_thres:
-                    unavailable = True
-                    break
-                continue
-            terms.append((mode.prior,) + term)
-        if unavailable:
-            pl[axis] = math.inf
-            continue
-
-        weights = np.array([2.0 * threat.p_h0] + [t[0] for t in terms])
-        sigmas = np.array([sigma0] + [t[1] for t in terms])
-        offsets = np.array([b0] + [t[2] for t in terms])
+        weights = np.array([2.0 * threat.p_h0]
+                           + [m.prior for m in terms.sat + terms.const])
+        sigmas = np.concatenate(
+            ([np.sqrt(np.sum(ops.S[axis] ** 2 * var))], sig_vk,
+             terms.const_sigma))
+        offsets = np.concatenate(([bias_projection(ops.S, b_nom, axis)],
+                                  d_kv + terms.bias, terms.const_offset))
 
         def risk(levels):
             # Fault-free term, then the faulted terms in mode order.
@@ -382,3 +397,24 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
         pl[axis] = level
         binding[axis] = "total-risk"
     return PlResult(pl, binding, iters)
+
+
+def baseline_alert(model: LinearModel, ops: SolutionOps, threat: ThreatModel,
+                   sigmas, budget: IntegrityBudget, modes=None,
+                   axis: int = AXIS_UP) -> bool:
+    """Solution-separation tests |S_k y - S y| >= D_k over the given modes
+    (all of the threat's by default), D_k at allocate's c_alloc.
+
+    Rank-deficient modes cannot be tested and are passed over (mode_terms
+    with p_thres infinite); any other failure propagates."""
+    var = np.asarray(sigmas) ** 2
+    c_alloc = allocate(budget, threat, axis)[2]
+    terms = mode_terms(ops, threat.modes if modes is None else modes, axis,
+                       np.zeros(model.n), sigmas, c_alloc, 0.0, math.inf)
+    full = ops.S[axis] @ model.y
+    diff = terms.Q - ops.S[axis]
+    d_thresh = abs(float(ndtri(c_alloc))) * np.sqrt((diff ** 2) @ var)
+    if np.any(np.abs(diff @ model.y) >= d_thresh):
+        return True
+    return any(abs(float(row @ model.y - full)) >= d
+               for d, row in zip(terms.const_offset, terms.const_row))

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import distkit
 from .errors import SubsetRankDeficient
+from .integrity import IntegrityBudget, allocate
 from .model_core import AXIS_UP, LinearModel, SolutionOps
 from .threat import ThreatModel
 
@@ -100,12 +101,14 @@ def stat_distributions(model: LinearModel, ops: SolutionOps,
 def thresholds(threat: ThreatModel, stat_dists, c_req_fa: float):
     """Continuity-allocated per-mode thresholds T_k.
 
-    T_k is the magnitude of the statistic's quantile at
-    C_REQ,FA / (2 N_fault_modes P_H0), the equal continuity split. A
-    ModeDistributions is evaluated as one batch, any other mapping of mode
-    ids to distributions one distribution at a time.
+    T_k is the magnitude of the statistic's quantile at allocate's c_alloc
+    for a whole false-alarm budget of c_req_fa, the equal continuity split
+    C_REQ,FA / (2 N_fault_modes P_H0). A ModeDistributions is evaluated as
+    one batch, any other mapping of mode ids to distributions one
+    distribution at a time.
     """
-    p = c_req_fa / (2.0 * threat.n_fault_modes * threat.p_h0)
+    p = allocate(IntegrityBudget(c_req_fa_vert=c_req_fa, c_req_fa_horiz=0.0),
+                 threat, AXIS_UP)[2]
     if isinstance(stat_dists, ModeDistributions):
         return dict(zip(stat_dists.ids,
                         np.abs(stat_dists.batch.quantile(p)).tolist()))
@@ -118,11 +121,11 @@ def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds,
                  thresh=None, n_points=4096) -> JkStatistics:
     """Multi-hypothesis jackknife detection for one epoch.
 
-    Rank-deficient modes are skipped and reported; constellation modes are
-    handled by the solution-separation path, not here.
+    y defaults to model.y, which is left as it is. Rank-deficient modes
+    are skipped and reported; constellation modes are handled by the
+    solution-separation path, not here.
     """
-    if y is not None:
-        model.y = np.asarray(y, dtype=float)
+    y = model.y if y is None else np.asarray(y, dtype=float)
     if ops is None:
         ops = SolutionOps(model)
     skipped = []
@@ -141,7 +144,7 @@ def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds,
         ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
         if not ok.all():
             raise SubsetRankDeficient("a thresholded mode is rank deficient")
-        for mode, t in zip(modes, (C @ model.y).tolist()):
+        for mode, t in zip(modes, (C @ y).tolist()):
             stats[mode.id] = t
             alerts[mode.id] = abs(t) >= thresh[mode.id]
     return JkStatistics(stats, thresh, alerts, skipped, tau=c_req_fa)

@@ -376,11 +376,11 @@ def line_of_sight(user_ecef, sat_ecef):
     return u, np.degrees(np.arcsin(u[:, 2]))
 
 
-def model_from_los(u, elevations, consts, sat_ids, weights=None):
-    """Linear model from unit line-of-sight rows, their elevations and
-    constellation tags: the state dimension is 3 + number of distinct
-    constellations, in order of first appearance. Observations are
-    initialized to zero (fill in after error synthesis)."""
+def model_from_los(u, consts, sat_ids, weights=None):
+    """Linear model from unit line-of-sight rows and their constellation
+    tags: the state dimension is 3 + number of distinct constellations, in
+    order of first appearance. Observations are initialized to zero (fill
+    in after error synthesis)."""
     tags = []
     for c in consts:
         if c not in tags:
@@ -393,9 +393,7 @@ def model_from_los(u, elevations, consts, sat_ids, weights=None):
     G[:, :3] = u
     G[np.arange(n), [3 + tags.index(c) for c in consts]] = 1.0
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    model = LinearModel(G, w, np.zeros(n), list(sat_ids), list(consts))
-    model.elevations = np.asarray(elevations, dtype=float)
-    return model
+    return LinearModel(G, w, np.zeros(n), list(sat_ids), list(consts))
 
 
 def assemble_geometry(user_pos, sats, mask_angle=5.0, weights=None,
@@ -410,5 +408,4 @@ def assemble_geometry(user_pos, sats, mask_angle=5.0, weights=None,
     u, el = line_of_sight(user_pos, [pos for pos, _ in sats])
     keep = np.flatnonzero(el > mask_angle)
     ids = [sat_ids[i] if sat_ids is not None else f"s{i}" for i in keep]
-    return model_from_los(u[keep], el[keep], [sats[i][1] for i in keep], ids,
-                          weights)
+    return model_from_los(u[keep], [sats[i][1] for i in keep], ids, weights)

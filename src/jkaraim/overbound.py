@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .distkit import Bgmm, Gaussian, PairedBound, Pgo, _norm_pdf
+from .distkit import Bgmm, Gaussian, Pgo, _norm_pdf
 from .errors import (EmConvergenceFailure, EmptySample, NoValidPartition)
 
 # Empirical CDF levels within this distance of 1/2 are excluded from
@@ -228,12 +228,6 @@ def build_pgo(bgmm, x_rp=None) -> Pgo:
         raise NoValidPartition("core density dips below zero at x_rp")
     return Pgo(p1=p1, sigma1=s1, sigma2=s2, k_gain=float(k),
                c_offset=float(c), x_rp=float(x_rp))
-
-
-def apply_paired(dist, b_nom: float) -> PairedBound:
-    """Paired-overbound shift: symmetric +-b_nom CDF split with a median
-    plateau of width 2*b_nom."""
-    return PairedBound(dist, b_nom)
 
 
 def verify_overbound(candidate, samples) -> OverboundReport:

@@ -12,14 +12,12 @@ from dataclasses import dataclass, field, asdict
 from importlib import resources
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import distkit, jackknife, model_core, overbound, threat
 from .errors import (AlmanacOutOfRange, InsufficientRedundancy, JkAraimError,
-                     KeplerNonConvergence, SubsetRankDeficient,
-                     UnknownSatellite)
-from .integrity import (IntegrityBudget, baseline_araim_pl, constellation_ss,
-                        pl_solve)
+                     KeplerNonConvergence, UnknownSatellite)
+from .integrity import (IntegrityBudget, allocate, baseline_alert,
+                        baseline_araim_pl, pl_solve)
 from .model_core import AXIS_UP, SolutionOps
 
 GM_EARTH = 3.986005e14          # m^3/s^2
@@ -248,7 +246,7 @@ def error_model(svn, elevation, table, flavor, b_nom=0.75,
     else:
         raise ValueError(f"unknown bound flavor {flavor!r}")
     return SatErrorModel(svn, entry.constellation, (pgo, s_tropo, s_user),
-                         acc, overbound.apply_paired(acc, b_nom))
+                         acc, distkit.PairedBound(acc, b_nom))
 
 
 def stanford_class(vpe, vpl, val) -> str:
@@ -364,8 +362,7 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
               for alm, _, el in vis]
     sig_acc = np.array([m.acc_sigma for m in models])
     geom = model_core.model_from_los(
-        los, [el for _, _, el in vis],
-        [alm.constellation for alm, _, _ in vis],
+        los, [alm.constellation for alm, _, _ in vis],
         [alm.svn for alm, _, _ in vis], weights=1.0 / sig_acc ** 2)
     ops = SolutionOps(geom)
 
@@ -392,22 +389,20 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     rec.vpe = float(err[2])
     rec.hpe = float(np.hypot(err[0], err[1]))
 
-    deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
     axes = (0, 1, 2) if config.compute_horizontal else (2,)
     try:
         if config.algorithm == "baseline":
             res = baseline_araim_pl(geom, tm, sig_acc, budget, ops=ops,
                                     axes=axes)
             if config.detect:
-                rec.alert = _baseline_alert(geom, ops, tm, sig_acc, budget)
+                rec.alert = baseline_alert(geom, ops, tm, sig_acc, budget)
             pl = res.pl
         else:   # "jk", the other algorithm ScenarioConfig accepts
             acc = [m.acc_bound for m in models]
-            i_alloc = (budget.i_req_axis(AXIS_UP) * max(deflate, 0.0)
-                       / tm.n_fault_modes)
             if config.detect:
                 needed = None
             else:
+                i_alloc = allocate(budget, tm, AXIS_UP)[1]
                 needed = [m.id for m in tm.sat_modes() if m.prior > i_alloc]
             dists, _ = jackknife.stat_distributions(
                 geom, ops, tm, acc, n_points=config.n_points,
@@ -419,8 +414,8 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
                     geom, tm, acc, ops=ops, stat_dists=dists, thresh=thresh,
                     c_req_fa=budget.c_req_fa_total)
                 rec.alert = det.alert
-                if config.detect and tm.constellation_modes():
-                    rec.alert = rec.alert or _baseline_alert(
+                if tm.constellation_modes():
+                    rec.alert = rec.alert or baseline_alert(
                         geom, ops, tm, sig_acc, budget,
                         modes=tm.constellation_modes())
             bounds = [m.int_bound for m in models]
@@ -439,36 +434,6 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
         rec.hpl = float(np.hypot(pl[0], pl[1]))
     rec.stanford = stanford_class(rec.vpe, rec.vpl, budget.val)
     return rec
-
-
-def _baseline_alert(model, ops, tm, sigmas, budget, modes=None,
-                    axis=AXIS_UP):
-    """Solution-separation tests |d_k| >= D_k over the given modes.
-
-    Rank-deficient modes cannot be tested and are passed over."""
-    var = np.asarray(sigmas) ** 2
-    c_alloc = budget.c_req_fa_total / (2.0 * tm.n_fault_modes * tm.p_h0)
-    k_fa = abs(float(ndtri(c_alloc)))
-    modes = tm.modes if modes is None else modes
-    full = ops.S[axis] @ model.y
-    sat = [m.excluded for m in modes if m.kind != "constellation"]
-    if sat:
-        ok, Q, _ = ops.mode_rows(sat, axis)
-        diff = Q[ok] - ops.S[axis]
-        d_thresh = k_fa * np.sqrt((diff ** 2) @ var)
-        if np.any(np.abs(diff @ model.y) >= d_thresh):
-            return True
-    for mode in modes:
-        if mode.kind != "constellation":
-            continue
-        try:
-            _, d_thresh, Sk = constellation_ss(model, ops, mode, sigmas,
-                                               c_alloc, axis)
-        except SubsetRankDeficient:
-            continue
-        if abs(float(Sk[axis] @ model.y - full)) >= d_thresh:
-            return True
-    return False
 
 
 def run_scenario(config: ScenarioConfig, almanac=None, table=None,

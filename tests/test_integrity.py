@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 from jkaraim import jackknife
-from jkaraim.distkit import Gaussian, PairedBound
+from jkaraim.distkit import Gaussian, PairedBound, scaled_convolve
 from jkaraim.errors import SubsetRankDeficient
 from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
                                _bisect_level, baseline_araim_pl,
                                constellation_ss, hmi_risk_eval, pl_solve)
-from jkaraim.model_core import LinearModel, SolutionOps
+from jkaraim.model_core import (LinearModel, SolutionOps, bias_projection,
+                                q_vector)
 from jkaraim.threat import enumerate_modes
 
 from conftest import gps_epoch_case
@@ -197,31 +198,121 @@ class TestBaselineAraim:
         assert full <= reduced + 1e-6
 
 
-class TestHmiRiskEval:
-    def gps_case(self):
-        case = gps_epoch_case(30.0, -90.0, 7200.0)
-        assert case is not None
-        geom, models, sigmas, tm, budget = case
-        ops = SolutionOps(geom)
-        acc = [m.acc_bound for m in models]
-        bounds = [m.int_bound for m in models]
-        dists, _ = jackknife.stat_distributions(geom, ops, tm, acc,
-                                                axis=2)
-        thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
-        return geom, ops, budget, tm, bounds, thresh, sigmas
+def reference_risk(model, ops, tm, bounds, thresh, level, budget, axis,
+                   sigmas, n_points=4096):
+    """The integrity-risk sum at a level, mode by mode: one subset solve,
+    q vector and scaled_convolve per satellite mode, the constellation
+    separation sigmas written out, and the skip rule's budgeted mass for
+    modes whose prior fits inside the per-mode allocation. The geometries
+    it is used on have no rank-deficient mode."""
+    bases = [b.base for b in bounds]
+    b_nom = np.array([b.b_nom for b in bounds])
+    deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
+    i_alloc = budget.i_req_axis(axis) * deflate / tm.n_fault_modes
+    c_alloc = budget.c_req_fa_total / (2.0 * tm.n_fault_modes * tm.p_h0)
+    var = np.asarray(sigmas) ** 2
 
+    def tail_prob(dist, x):
+        return 1.0 if x <= 0 else float(2.0 * dist.cdf(-x))
+
+    dist0 = scaled_convolve(ops.S[axis], bases, n_points=n_points)
+    risk = tm.p_h0 * tail_prob(dist0, level - bias_projection(ops.S, b_nom,
+                                                              axis))
+    for mode in tm.modes:
+        if mode.prior <= i_alloc:
+            risk += mode.prior
+            continue
+        if mode.kind == "constellation":
+            Sk = ops.reduced(mode.excluded)
+            dist = Gaussian(math.sqrt(np.sum(Sk[axis] ** 2 * var)))
+            extra = (math.sqrt(np.sum((Sk[axis] - ops.S[axis]) ** 2 * var))
+                     * abs(ndtri(c_alloc)))
+        else:
+            Sk, _ = ops.subset(mode.excluded)
+            q = q_vector(model, ops, mode.excluded, axis)
+            dist = scaled_convolve(q, bases, n_points=n_points)
+            extra = thresh[mode.id]
+            if len(mode.excluded) == 1:
+                extra *= abs(ops.S[axis, next(iter(mode.excluded))])
+        risk += mode.prior * tail_prob(
+            dist, level - extra - bias_projection(Sk, b_nom, axis))
+    return risk
+
+
+def epoch_case(flavor="gaussian", constellations=("GPS",)):
+    case = gps_epoch_case(30.0, -90.0, 7200.0, flavor=flavor,
+                          constellations=constellations)
+    assert case is not None
+    geom, models, sigmas, tm, budget = case
+    ops = SolutionOps(geom)
+    acc = [m.acc_bound for m in models]
+    bounds = [m.int_bound for m in models]
+    dists, _ = jackknife.stat_distributions(geom, ops, tm, acc, axis=2)
+    thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
+    return geom, ops, budget, tm, bounds, thresh, sigmas
+
+
+class TestHmiRiskEval:
     def test_fixed_point_at_protection_level(self):
-        geom, ops, budget, tm, bounds, thresh, sigmas = self.gps_case()
+        # The PL is the lowest level, to PL_TOLERANCE_M, whose risk stays
+        # within the deflated budget.
+        geom, ops, budget, tm, bounds, thresh, sigmas = epoch_case()
         pl = pl_solve(geom, tm, bounds, thresh, budget, axis=2, ops=ops,
                       gaussian_sigmas=sigmas)
-        risk = hmi_risk_eval(geom, tm, bounds, thresh, pl, budget,
-                             axis=2, ops=ops, gaussian_sigmas=sigmas)
+
+        def risk(level):
+            return hmi_risk_eval(geom, tm, bounds, thresh, level, budget,
+                                 axis=2, ops=ops, gaussian_sigmas=sigmas)
+
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
-        assert risk == pytest.approx(budget.i_req_vert * deflate,
-                                     rel=1e-3)
+        assert risk(pl) <= budget.i_req_vert * deflate \
+            < risk(pl - PL_TOLERANCE_M)
+
+    @pytest.mark.parametrize("flavor, constellations, rel", [
+        ("gaussian", ("GPS",), 1e-6), ("pgo", ("GPS",), 1e-3),
+        ("gaussian", ("GPS", "GAL"), 1e-6), ("pgo", ("GPS", "GAL"), 1e-3)])
+    def test_matches_reference_at_protection_level(self, flavor,
+                                                   constellations, rel):
+        geom, ops, budget, tm, bounds, thresh, sigmas = epoch_case(
+            flavor, constellations)
+        pl = pl_solve(geom, tm, bounds, thresh, budget, axis=2, ops=ops,
+                      gaussian_sigmas=sigmas)
+        deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
+        for level in (pl, pl - PL_TOLERANCE_M):
+            risk = hmi_risk_eval(geom, tm, bounds, thresh, level, budget,
+                                 axis=2, ops=ops, gaussian_sigmas=sigmas)
+            expect = reference_risk(geom, ops, tm, bounds, thresh, level,
+                                    budget, 2, sigmas)
+            assert risk == pytest.approx(expect, rel=rel)
+            assert (risk <= budget.i_req_vert * deflate) == (level == pl)
+
+    def test_skipped_modes_count_at_their_prior(self):
+        # Both fault priors fit inside the per-mode allocation.
+        model, ops, budget, tm, acc, bounds, thresh = toy_case(p_sat=1e-12)
+        level = 5.0
+        risk = hmi_risk_eval(model, tm, bounds, thresh, level, budget,
+                             axis=0, ops=ops, gaussian_sigmas=np.ones(2))
+        expect = tm.p_h0 * 2 * ndtr(-level / math.sqrt(0.5))
+        expect += sum(mode.prior for mode in tm.modes)
+        assert risk == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("unmonitorable", [False, True])
+    def test_certain_risk_where_no_protection_level(self, unmonitorable):
+        model, ops, budget, tm, acc, bounds, thresh = toy_case()
+        if unmonitorable:
+            # Without satellite a, b alone (G row 0) observes nothing.
+            model = LinearModel(np.array([[1.0], [0.0]]), np.ones(2),
+                                np.zeros(2), ["a", "b"], ["GPS", "GPS"])
+            ops = SolutionOps(model)
+        else:
+            budget.i_req_vert = budget.i_req_horiz = 0.1 * tm.p_not_monitored
+        args = (model, tm, bounds, thresh)
+        kw = dict(axis=0, ops=ops, gaussian_sigmas=np.ones(2))
+        assert pl_solve(*args, budget, **kw) == math.inf
+        assert hmi_risk_eval(*args, 1.0, budget, **kw) == 1.0
 
     def test_vanishes_at_infinity(self):
-        geom, ops, budget, tm, bounds, thresh, sigmas = self.gps_case()
+        geom, ops, budget, tm, bounds, thresh, sigmas = epoch_case()
         risk = hmi_risk_eval(geom, tm, bounds, thresh, 1e6, budget,
                              axis=2, ops=ops, gaussian_sigmas=sigmas)
         assert risk < 1e-300 or risk == 0.0

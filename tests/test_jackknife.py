@@ -164,6 +164,15 @@ class TestRunDetector:
         mode = next(m for m in tm.modes if m.excluded == frozenset({3}))
         assert res.alerts[mode.id]
 
+    def test_observations_argument_leaves_model_alone(self, rng):
+        model, tm, acc = self.make_case(rng)
+        y = rng.standard_normal(model.n)
+        y[3] += 100.0
+        given = run_detector(model, tm, acc, y=y)
+        np.testing.assert_array_equal(model.y, np.zeros(model.n))
+        model.y = y
+        assert run_detector(model, tm, acc).stats == given.stats
+
     def test_family_wise_false_alarm_rate(self, rng):
         model, tm, acc = self.make_case(rng)
         ops = SolutionOps(model)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from jkaraim.distkit import Bgmm, Gaussian, _norm_pdf
-from jkaraim.overbound import (apply_paired, build_pgo, default_table,
-                               fit_bgmm, fit_gaussian_overbound,
-                               verify_overbound)
+from jkaraim.distkit import Bgmm, Gaussian, PairedBound, _norm_pdf
+from jkaraim.overbound import (build_pgo, default_table, fit_bgmm,
+                               fit_gaussian_overbound, verify_overbound)
 
 
 def bgmm_samples(rng, p1, s1, s2, n):
@@ -121,18 +120,18 @@ class TestBuildPgo:
 
 class TestApplyPaired:
     def test_zero_shift_is_identity(self):
-        pb = apply_paired(Gaussian(1.0), 0.0)
+        pb = PairedBound(Gaussian(1.0), 0.0)
         x = np.linspace(-4, 4, 41)
         np.testing.assert_allclose(pb.cdf(x), Gaussian(1.0).cdf(x),
                                    atol=1e-12)
 
     def test_plateau_edges(self):
-        pb = apply_paired(Gaussian(1.0), 0.75)
+        pb = PairedBound(Gaussian(1.0), 0.75)
         assert float(pb.cdf(-0.75)) == pytest.approx(0.5, abs=1e-12)
         assert float(pb.cdf(0.0)) == pytest.approx(0.5, abs=1e-12)
 
     def test_plateau_quantile(self):
-        pb = apply_paired(Gaussian(1.0), 0.75)
+        pb = PairedBound(Gaussian(1.0), 0.75)
         assert pb.quantile(0.5 - 1e-6) <= -0.75
 
 

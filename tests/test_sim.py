@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from jkaraim import sim
+from jkaraim import integrity, sim
 from jkaraim.errors import (AlmanacOutOfRange, JkAraimError,
                             SubsetRankDeficient, TailUnresolved)
 from jkaraim.sim import (ScenarioConfig, aggregate, cnmp_sigma,
@@ -244,8 +244,8 @@ class TestBaselineAlert:
         def rank_deficient(*args, **kwargs):
             raise SubsetRankDeficient("no clock support")
 
-        monkeypatch.setattr(sim, "constellation_ss", rank_deficient)
-        assert not sim._baseline_alert(geom, ops, tm, sigmas, budget)
+        monkeypatch.setattr(integrity, "constellation_ss", rank_deficient)
+        assert not integrity.baseline_alert(geom, ops, tm, sigmas, budget)
 
     def test_other_errors_propagate(self, monkeypatch):
         # A mode skipped on an unexpected error would be a missed alert.
@@ -254,10 +254,10 @@ class TestBaselineAlert:
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(sim, "constellation_ss", broken)
+        monkeypatch.setattr(integrity, "constellation_ss", broken)
         with pytest.raises(RuntimeError):
-            sim._baseline_alert(geom, ops, tm, sigmas, budget)
+            integrity.baseline_alert(geom, ops, tm, sigmas, budget)
         monkeypatch.setattr(ops, "mode_rows", broken)
         with pytest.raises(RuntimeError):
-            sim._baseline_alert(geom, ops, tm, sigmas, budget,
-                                modes=tm.sat_modes())
+            integrity.baseline_alert(geom, ops, tm, sigmas, budget,
+                                     modes=tm.sat_modes())
