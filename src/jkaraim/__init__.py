@@ -2,7 +2,7 @@
 non-Gaussian nominal error bounds."""
 
 from .distkit import (Bgmm, Gaussian, GridDistribution, PairedBound, Pgo,
-                      convolve_batch, scaled_convolve)
+                      convolve_batch, convolve_rows, scaled_convolve)
 from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      InsufficientRedundancy, JkAraimError,
                      KeplerNonConvergence, NoValidPartition,
@@ -21,9 +21,9 @@ from .overbound import (OverboundReport, SatelliteBound, SatelliteBoundTable,
                         verify_overbound)
 from .sim import (AlmanacEntry, EpochRecord, SatErrorModel, ScenarioConfig,
                   aggregate, cnmp_sigma, default_almanac, error_model,
-                  evaluate_epoch, parse_yuma, propagate, read_records_csv,
-                  run_scenario, stanford_class, summary_json, tropo_sigma,
-                  write_records_csv, write_yuma)
+                  error_models, evaluate_epoch, parse_yuma, propagate,
+                  read_records_csv, run_scenario, stanford_class,
+                  summary_json, tropo_sigma, write_records_csv, write_yuma)
 from .threat import FaultMode, ThreatModel, determine_kmax, enumerate_modes
 
 __version__ = "0.1.0"
@@ -40,10 +40,12 @@ __all__ = [
     "UnknownSatellite",
     "aggregate", "assemble_geometry", "baseline_araim_pl",
     "bias_projection", "build_pgo", "cnmp_sigma", "combined_stat",
-    "constellation_ss", "convolve_batch", "default_almanac",
+    "constellation_ss", "convolve_batch", "convolve_rows",
+    "default_almanac",
     "default_partition_point", "default_table", "determine_kmax",
     "ecef_to_geodetic", "elevation_azimuth", "enumerate_modes",
-    "error_model", "evaluate_epoch", "fit_bgmm", "fit_gaussian_overbound",
+    "error_model", "error_models", "evaluate_epoch", "fit_bgmm",
+    "fit_gaussian_overbound",
     "geodetic_to_ecef", "hmi_risk_eval", "parse_yuma",
     "pl_solve", "propagate", "q_vector", "read_records_csv", "residual",
     "run_detector", "run_scenario", "scaled_convolve", "stanford_class",

@@ -142,15 +142,15 @@ def _load_geometry(path, table, flavor, b_nom):
         sats.append((np.asarray(s["ecef"], dtype=float),
                      s["constellation"]))
         svns.append(s["svn"])
-    models = []
-    rows = []
+    rows, els = [], []
     for i, (pos, const) in enumerate(sats):
         el, _ = model_core.elevation_azimuth(user, pos)
         if el <= mask:
             continue
-        models.append(sim.error_model(svns[i], el, table, flavor,
-                                      b_nom=b_nom))
         rows.append((pos, const, svns[i]))
+        els.append(el)
+    models = sim.error_models([v for _, _, v in rows], els, table, flavor,
+                              b_nom=b_nom)
     sigmas = np.array([m.acc_sigma for m in models])
     model = model_core.assemble_geometry(
         user, [(p, c) for p, c, _ in rows], mask_angle=mask,

@@ -22,10 +22,15 @@ MAX_GRID_HALFWIDTH = 1.0e5
 
 DEFAULT_GRID_POINTS = 2 ** 16
 
+# Standard deviations a convolution grid's half-width covers, besides the
+# components' support_extra.
+_GRID_SIGMAS = 12.0
+
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# exp(-z^2 / 2) underflows to exactly 0.0 in float64 for z above 38.6.
-_UNDERFLOW_Z = 39.0
+# exp(-z^2 / 2) underflows to exactly 0.0 in float64 for z above 38.604;
+# the extra 0.006 covers the rounding of z.
+_UNDERFLOW_Z = 38.61
 
 
 def _norm_pdf(x, sigma):
@@ -58,6 +63,13 @@ class ErrorDistribution:
     def support_extra(self) -> float:
         """Non-Gaussian support allowance added to sigma-based grid sizing."""
         return 0.0
+
+    @property
+    def _reach(self) -> float:
+        """|x| past which the density is exactly 0.0 in float64: every
+        Gaussian piece has underflowed there, and every non-Gaussian piece
+        ended."""
+        return _UNDERFLOW_Z * self.dominant_sigma() + self.support_extra
 
     def quantile(self, p):
         """Inverse CDF, valid for 0 < p < 1 (p down to 1e-9)."""
@@ -162,10 +174,14 @@ class Pgo(ErrorDistribution):
         return (1.0 + self.k_gain) * (1.0 - self.p1)
 
     def pdf(self, x):
+        """Density, each Gaussian piece evaluated only on its own side of
+        x_rp."""
         x = np.asarray(x, dtype=float)
-        core = self.p1 * _norm_pdf(x, self.sigma1) + self.c_offset
-        tail = self.tail_coeff * _norm_pdf(x, self.sigma2)
-        return np.where(np.abs(x) <= self.x_rp, core, tail)
+        core = np.abs(x) <= self.x_rp
+        out = np.empty(x.shape)
+        out[core] = self.p1 * _norm_pdf(x[core], self.sigma1) + self.c_offset
+        out[~core] = self.tail_coeff * _norm_pdf(x[~core], self.sigma2)
+        return out
 
     def _cdf_left(self, x):
         # CDF for x <= 0 only.
@@ -327,8 +343,9 @@ class GridDistribution:
         return self
 
     def _view(self, batch, i):
+        self._rows, self._i = batch, i
         self._one = batch._take(i)
-        self.x, self.h = batch.x, batch.h
+        self.x, self.h = self._one.x, self._one.h
         self.pdf_grid, self.cdf_grid = batch.pdf_grid[i], batch.cdf_grid[i]
         self.tail_sigma = float(batch.tail_sigma[i])
         self._support_extra = float(batch.support_extra[i])
@@ -337,6 +354,16 @@ class GridDistribution:
     @property
     def support_extra(self) -> float:
         return self._support_extra
+
+    @property
+    def _reach(self) -> float:
+        """|x| past which the density is exactly 0.0 in float64: the grid
+        edge, or the continuation's _UNDERFLOW_Z tail sigmas when it has
+        a scale."""
+        edge = float(self.x[-1])
+        if self._tail_scale > 0.0:
+            return max(edge, _UNDERFLOW_Z * self.tail_sigma)
+        return edge
 
     def pdf(self, x):
         """Interpolated density; analytic Gaussian continuation outside.
@@ -357,10 +384,7 @@ class GridDistribution:
         return float(-self.x[0])
 
     def variance(self) -> float:
-        if not hasattr(self, "_var"):
-            self._var = float(np.trapezoid(self.x ** 2 * self.pdf_grid,
-                                           dx=self.h))
-        return self._var
+        return float(self._rows._variances[self._i])
 
     def dominant_sigma(self) -> float:
         return self.tail_sigma
@@ -387,23 +411,16 @@ def _normalise(pdf, h):
     return pdf, cdf / cdf[:, -1:]
 
 
-def _continuation_scale(pdf0, x0, tail_sigma):
-    """Scale of the Gaussian continuation that matches the density pdf0 at
-    the grid edge x0; zero when the Gaussian underflows there."""
-    phi0 = _norm_pdf(x0, tail_sigma)
-    return float(pdf0) / phi0 if phi0 > 0 else 0.0
-
-
 def _interp_rows(v, xp, fp):
     """np.interp(v[..., i], xp[i], fp[i]) for every row i, bit for bit, for
-    v inside [xp[i, 0], xp[i, -1]]. A 1-D xp or fp is one grid shared by
-    all rows, and then v may hold several points per row (the rows along
-    its last axis); xp rows must be non-decreasing."""
+    v inside [xp[i, 0], xp[i, -1]]. v may hold several points per row (the
+    rows along its last axis); a 1-D xp or fp is one grid shared by all
+    rows; xp rows must be non-decreasing."""
     n = xp.shape[-1]
     if xp.ndim == 1:
         j = np.searchsorted(xp, v, side="right") - 1
     else:
-        j = np.count_nonzero(xp <= v[:, None], axis=1) - 1
+        j = np.count_nonzero(xp <= v[..., None], axis=-1) - 1
     last = j >= n - 1
     j = np.clip(j, 0, n - 2)
     rows = np.arange(v.shape[-1])
@@ -478,24 +495,36 @@ class GaussianBatch(DistBatch):
 
 
 class GridBatch(DistBatch):
-    """Grid rows on one shared symmetric grid x: a rows x points matrix of
-    densities and one of CDFs, each row with its own Gaussian tail
-    continuation tail_scale * N(0, tail_sigma) beyond +-L, matched to the
-    row's edge density. The continuation carries edge_mass = tail_scale *
-    Phi(-L / tail_sigma) beyond each edge, so the CDF is edge_mass + (1 -
-    2 edge_mass) * cdf_grid inside the grid, without a jump at +-L."""
+    """Grid rows on symmetric grids x, one shared grid (1-D x) or one grid
+    per row (x rows x points): a rows x points matrix of densities and one
+    of CDFs, each row with its own Gaussian tail continuation tail_scale *
+    N(0, tail_sigma) beyond +-L, matched to the row's edge density. The
+    continuation carries edge_mass = tail_scale * Phi(-L / tail_sigma)
+    beyond each edge, so the CDF is edge_mass + (1 - 2 edge_mass) *
+    cdf_grid inside the grid, without a jump at +-L."""
 
     def __init__(self, x, pdf, tail_sigma, support_extra):
         self.x = np.asarray(x, dtype=float)
-        self.h = float(self.x[1] - self.x[0])
+        h = self.x[..., 1] - self.x[..., 0]
+        self.h = float(h) if self.x.ndim == 1 else h
         self.pdf_grid, self.cdf_grid = _normalise(
-            np.asarray(pdf, dtype=float), self.h)
+            np.asarray(pdf, dtype=float), np.reshape(h, (-1, 1)))
         self.tail_sigma = np.array(tail_sigma, dtype=float)
         self.support_extra = np.array(support_extra, dtype=float)
-        self.tail_scale = np.array(
-            [_continuation_scale(p0, self.x[0], s) for p0, s in
-             zip(self.pdf_grid[:, 0], self.tail_sigma.tolist())])
-        self.edge_mass = self.tail_scale * ndtr(self.x[0] / self.tail_sigma)
+        # The continuation matches each row's density at the grid edge x0;
+        # its scale is zero where the Gaussian underflows there.
+        x0 = self.x[..., 0]
+        phi0 = _norm_pdf(x0, self.tail_sigma)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.tail_scale = np.where(phi0 > 0,
+                                       self.pdf_grid[:, 0] / phi0, 0.0)
+        self.edge_mass = self.tail_scale * ndtr(x0 / self.tail_sigma)
+
+    @cached_property
+    def _variances(self):
+        """Row variances: trapezoid integrals of x^2 times the density."""
+        return np.trapezoid(self.x ** 2 * self.pdf_grid,
+                            dx=np.reshape(self.h, (-1, 1)), axis=1)
 
     def __len__(self):
         return len(self.pdf_grid)
@@ -504,9 +533,10 @@ class GridBatch(DistBatch):
         return GridDistribution._row(self, i)
 
     def _take(self, i):
-        """Row i as a one-row GridBatch sharing the arrays."""
+        """Row i as a one-row GridBatch on its grid, sharing the arrays."""
         one = GridBatch.__new__(GridBatch)
-        one.x, one.h = self.x, self.h
+        one.x, one.h = ((self.x, self.h) if self.x.ndim == 1
+                        else (self.x[i], float(self.h[i])))
         for name in ("pdf_grid", "cdf_grid", "tail_sigma", "support_extra",
                      "tail_scale", "edge_mass"):
             setattr(one, name, getattr(self, name)[i:i + 1])
@@ -514,7 +544,7 @@ class GridBatch(DistBatch):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        lo_x, hi_x = self.x[0], self.x[-1]
+        lo_x, hi_x = self.x[..., 0], self.x[..., -1]
         m = self.edge_mass
         inside = m + (1.0 - 2.0 * m) * _interp_rows(np.clip(x, lo_x, hi_x),
                                                     self.x, self.cdf_grid)
@@ -537,8 +567,9 @@ class GridBatch(DistBatch):
         p_hi = np.where(cont, 1.0 - m, self.cdf_grid[row, -2])
         mid = (p >= p_lo) & (p <= p_hi)
         if mid.any():
+            x = self.x if self.x.ndim == 1 else self.x[row[mid]]
             out[mid] = _interp_rows((p[mid] - m[mid]) / (1.0 - 2.0 * m[mid]),
-                                    self.cdf_grid[row[mid]], self.x)
+                                    self.cdf_grid[row[mid]], x)
         for mask, sign in ((p < p_lo, -1.0), (p > p_hi, 1.0)):
             if not np.any(mask):
                 continue
@@ -569,16 +600,13 @@ def _bisect_quantile(cdf, p, scale, iters=80):
     return out if out.size > 1 else float(out[0])
 
 
-def _tail_sigma(coeffs, dists):
-    var = 0.0
-    for c, d in zip(coeffs, dists):
-        if c != 0.0:
-            var += c * c * d.dominant_sigma() ** 2
-    return np.sqrt(var)
+def _row_sums(t):
+    """Sum along each row of t, added left to right."""
+    return np.cumsum(t, axis=1)[:, -1]
 
 
 def scaled_convolve(coeffs, dists, n_points=DEFAULT_GRID_POINTS,
-                    force_grid=False, n_sigmas=12.0):
+                    force_grid=False, n_sigmas=_GRID_SIGMAS):
     """Distribution of sum_j coeffs[j] * eps_j for independent eps_j: the
     one-row case of convolve_batch, over the components whose coefficient
     is nonzero. Returns a Gaussian (Gaussian-only inputs, unless
@@ -598,31 +626,73 @@ def scaled_convolve(coeffs, dists, n_points=DEFAULT_GRID_POINTS,
 def _scaled_pdf(d, n, h, a):
     """d.pdf(k * h / a) / a for k = 0..n and each coefficient magnitude
     a[i] (a column), bit for bit: the half of the even sequence on the
-    grid x = k * h that convolve_batch transforms.
+    grid x = k * h that a convolution transforms.
 
-    A grid component is evaluated only for k <= k_max, past which it is
-    zero on every row: beyond its grid edge and beyond _UNDERFLOW_Z tail
-    sigmas of its continuation (at the edge already when the
-    continuation's scale is zero).
+    d is evaluated only short of its _reach, past which it is zero: an
+    analytic d row by row, each row up to its own k_max; a grid d on every
+    row up to the largest k_max, its continuation only short of _reach
+    and beyond the grid edge. Evaluating exp(-z^2 / 2) where it underflows
+    to 0.0 takes numpy's slow path, tens of times slower per element.
     """
-    if not isinstance(d, GridDistribution):
-        return d.pdf(np.arange(n + 1) * h / a) / a
-    edge = float(d.x[-1])
-    lim = _UNDERFLOW_Z * d.tail_sigma if d._tail_scale > 0.0 else edge
-    k_max = min(n, int(max(edge, lim) * float(a.max()) / h) + 2)
-    u = np.arange(k_max + 1) * h / a
     vals = np.zeros((len(a), n + 1))
+    if not isinstance(d, GridDistribution):
+        for out, ai in zip(vals, a[:, 0]):
+            _sample_row(d, out, h, ai)
+        return vals
+    k_max = min(n, int(d._reach * float(a.max()) / h) + 2)
+    u = np.arange(k_max + 1) * h / a
     out = vals[:, :k_max + 1]
-    inside = u <= edge
+    inside = u <= d.x[-1]
     out[inside] = np.interp(u[inside], d.x, d.pdf_grid)
-    if lim > edge:
-        tail = ~inside & (u < lim)
-        out[tail] = d._tail_scale * _norm_pdf(u[tail], d.tail_sigma)
+    tail = ~inside & (u < d._reach)
+    out[tail] = d._tail_scale * _norm_pdf(u[tail], d.tail_sigma)
     out /= a
     return vals
 
 
-def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
+def _sample_row(d, out, h, a):
+    """out[k] = d.pdf(k * h / a) / a for an analytic d, bit for bit, for k
+    up to d's _reach; past it out keeps its zeros."""
+    k_max = min(len(out) - 1, int(d._reach * a / h) + 2)
+    out[:k_max + 1] = d.pdf(np.arange(k_max + 1) * h / a) / a
+
+
+def _convolve_half(parts, h, n_rows, n_points):
+    """Symmetric convolution of even components sampled on half grids.
+
+    parts gives, for each component, the rows it enters (a boolean mask,
+    or None for every row) and its samples there on x = k * h, k =
+    0..n_points (_scaled_pdf); h is one spacing for every row or one per
+    row. Returns the grid x = k * h, |k| <= n_points / 2 (1-D, or one row
+    per row) and the density rows on it, not yet normalised.
+
+    Every sequence transformed is even, so its DFT is real (symmetric
+    convolution, Martucci 1994): a sample row's type-I DCT is the DFT of
+    its even sequence of period 2 * n_points, the spectra multiply as real
+    arrays, and one inverse DCT-I (the forward one divided by 2 *
+    n_points) gives the half of the convolution that is mirrored into an
+    exactly symmetric output row.
+    """
+    spec = np.ones((n_rows, n_points + 1))
+    hpow = np.ones(n_rows)
+    step = np.broadcast_to(h, n_rows)
+    for rows, samples in parts:
+        f = dct(samples, type=1, axis=1, overwrite_x=True)
+        if rows is None:
+            spec *= f
+            hpow *= step
+        else:
+            spec[rows] *= f
+            hpow[rows] *= step[rows]
+    hpow /= step * (2 * n_points)  # h^(n_active - 1), and the inverse's scale
+    spec *= hpow[:, None]
+    n_half = n_points // 2
+    half = dct(spec, type=1, axis=1, overwrite_x=True)[:, :n_half + 1]
+    x = np.multiply.outer(h, np.arange(-n_half, n_half + 1))
+    return x, np.concatenate((half[:, :0:-1], half), axis=1)
+
+
+def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=_GRID_SIGMAS,
                    force_grid=False):
     """Distributions of sum_j C[i, j] eps_j for every coefficient row i
     over one set of independent zero-mean symmetric components, on a
@@ -630,15 +700,9 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
 
     Returns one DistBatch: a GaussianBatch when every component is
     Gaussian (closed-form variance sums) unless force_grid is set, else a
-    GridBatch on the grid x = k * h, |k| <= n_points / 2.
-
-    Every component density is even, so every sequence transformed is
-    even and its DFT is real (symmetric convolution, Martucci 1994): each
-    component is sampled at x = k * h for k = 0..n_points only, its
-    type-I DCT is the DFT of the even sequence of period 2 * n_points, the
-    spectra multiply as real arrays, and one inverse DCT-I (the forward
-    one divided by 2 * n_points) gives the half of the convolution that is
-    mirrored into an exactly symmetric output row.
+    GridBatch on the grid x = k * h, |k| <= n_points / 2, whose half-width
+    covers n_sigmas standard deviations plus the support_extra of every
+    row.
     """
     C = np.asarray(coeff_matrix, dtype=float)
     if C.ndim != 2 or C.shape[1] != len(dists):
@@ -653,26 +717,54 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=12.0,
     if L > MAX_GRID_HALFWIDTH:
         raise GridOverflow(f"requested half-width {L:.3g} m exceeds maximum")
     h = 2.0 * L / n_points
-    tail = [_tail_sigma(row, dists) for row in C]
 
-    spec = np.ones((C.shape[0], n_points + 1))
-    hpow = np.full(C.shape[0], 1.0)
-    for j, d in enumerate(dists):
-        cj = C[:, j]
-        nz = cj != 0.0
-        if not np.any(nz):
-            continue
-        f = dct(_scaled_pdf(d, n_points, h, np.abs(cj[nz])[:, None]),
-                type=1, axis=1, overwrite_x=True)
-        if nz.all():
-            spec *= f
-        else:
-            spec[nz] *= f
-        hpow[nz] *= h
-    hpow /= h * (2 * n_points)  # h^(n_active - 1), and the inverse's scale
-    n_half = n_points // 2
-    spec *= hpow[:, None]
-    half = dct(spec, type=1, axis=1, overwrite_x=True)[:, :n_half + 1]
-    x = np.arange(-n_half, n_half + 1) * h
-    return GridBatch(x, np.concatenate((half[:, :0:-1], half), axis=1),
-                     tail, np.abs(C) @ extra)
+    def parts():
+        for j, d in enumerate(dists):
+            nz = C[:, j] != 0.0
+            if nz.any():
+                yield (None if nz.all() else nz,
+                       _scaled_pdf(d, n_points, h, np.abs(C[nz, j])[:, None]))
+
+    x, pdf = _convolve_half(parts(), h, C.shape[0], n_points)
+    # The tail sigma of a row sums its nonzero terms left to right.
+    dom = np.array([d.dominant_sigma() ** 2 for d in dists])
+    return GridBatch(x, pdf, np.sqrt(_row_sums(C * C * dom)),
+                     np.abs(C) @ extra)
+
+
+def convolve_rows(rows, n_points=4096):
+    """Distributions of the sums eps_i1 + eps_i2 + ... of independent
+    zero-mean symmetric analytic components, one per row i, each row on
+    its own grid.
+
+    Row i is what scaled_convolve([1, 1, ...], rows[i], n_points,
+    force_grid=True) gives, bit for bit: half-width L_i of 12 standard
+    deviations of the sum (convolve_batch's n_sigmas) plus its components'
+    support_extra, and spacing h_i = 2 L_i / n_points. Each component is
+    sampled on its row's spacing, short of its _reach, and one multi-row
+    DCT-I per component column and one inverse serve all rows.
+
+    Returns a GridBatch whose rows each have their own grid.
+    """
+    rows = [tuple(r) for r in rows]
+    if not rows or len({len(r) for r in rows}) != 1:
+        raise ValueError("rows must be non-empty and of equal length")
+    # Left to right, as convolve_batch's one-row matrix products add them.
+    var = _row_sums([[d.variance() for d in r] for r in rows])
+    extra = _row_sums([[d.support_extra for d in r] for r in rows])
+    L = _GRID_SIGMAS * np.sqrt(var) + extra
+    if np.any(L > MAX_GRID_HALFWIDTH):
+        raise GridOverflow(
+            f"requested half-width {L.max():.3g} m exceeds maximum")
+    h = 2.0 * L / n_points
+
+    def parts():
+        for j in range(len(rows[0])):
+            samples = np.zeros((len(rows), n_points + 1))
+            for r, step, out in zip(rows, h, samples):
+                _sample_row(r[j], out, step, 1.0)
+            yield None, samples
+
+    x, pdf = _convolve_half(parts(), h, len(rows), n_points)
+    dom = _row_sums([[d.dominant_sigma() ** 2 for d in r] for r in rows])
+    return GridBatch(x, pdf, np.sqrt(dom), extra)

@@ -219,34 +219,50 @@ class SatErrorModel:
                 + s_user * rng.standard_normal())
 
 
-def error_model(svn, elevation, table, flavor, b_nom=0.75,
-                n_points=4096) -> SatErrorModel:
-    """Per-satellite nominal error synthesis and bounds for one epoch.
+def error_models(svns, elevations, table, flavor, b_nom=0.75,
+                 n_points=4096) -> list:
+    """Per-satellite nominal error synthesis and bounds for one epoch, one
+    SatErrorModel per (svn, elevation).
 
     The truth sampler always follows the heavy-tailed SISRE surrogate; the
     accuracy/integrity bounds switch between the Gaussian overbound and the
-    exact convolved non-Gaussian form depending on flavor.
+    exact convolved non-Gaussian form depending on flavor. The PGO-flavour
+    accuracy bounds, PGO (+) N(s_tropo) (+) N(s_user) on grids, come from
+    one batched synthesis (distkit.convolve_rows).
     """
-    if not (0.0 < elevation <= 90.0):
-        raise ValueError(f"elevation {elevation} out of range")
-    if svn not in table:
-        raise UnknownSatellite(f"no bound parameters for {svn!r}")
-    entry = table[svn]
-    s_tropo = float(tropo_sigma(elevation))
-    s_user = float(cnmp_sigma(entry.constellation, elevation))
-    pgo = entry.pgo()
-    if flavor == "gaussian":
-        acc = distkit.Gaussian(math.sqrt(entry.gauss_sigma_m ** 2
-                                         + s_tropo ** 2 + s_user ** 2))
-    elif flavor == "pgo":
-        acc = distkit.scaled_convolve(
-            [1.0, 1.0, 1.0],
-            [pgo, distkit.Gaussian(s_tropo), distkit.Gaussian(s_user)],
-            n_points=n_points, force_grid=True)
-    else:
+    if flavor not in ("gaussian", "pgo"):
         raise ValueError(f"unknown bound flavor {flavor!r}")
-    return SatErrorModel(svn, entry.constellation, (pgo, s_tropo, s_user),
-                         acc, distkit.PairedBound(acc, b_nom))
+    entries, noise = [], []
+    for svn, elevation in zip(svns, elevations, strict=True):
+        if not (0.0 < elevation <= 90.0):
+            raise ValueError(f"elevation {elevation} out of range")
+        if svn not in table:
+            raise UnknownSatellite(f"no bound parameters for {svn!r}")
+        entry = table[svn]
+        entries.append(entry)
+        noise.append((float(tropo_sigma(elevation)),
+                      float(cnmp_sigma(entry.constellation, elevation))))
+    if flavor == "gaussian":
+        accs = [distkit.Gaussian(math.sqrt(e.gauss_sigma_m ** 2 + s_tropo ** 2
+                                           + s_user ** 2))
+                for e, (s_tropo, s_user) in zip(entries, noise)]
+    elif entries:
+        accs = distkit.convolve_rows(
+            [(e.pgo(), distkit.Gaussian(s_tropo), distkit.Gaussian(s_user))
+             for e, (s_tropo, s_user) in zip(entries, noise)],
+            n_points=n_points)
+    else:
+        accs = []
+    return [SatErrorModel(e.svn, e.constellation, (e.pgo(), s_tropo, s_user),
+                          acc, distkit.PairedBound(acc, b_nom))
+            for e, (s_tropo, s_user), acc in zip(entries, noise, accs)]
+
+
+def error_model(svn, elevation, table, flavor, b_nom=0.75,
+                n_points=4096) -> SatErrorModel:
+    """error_models for one satellite."""
+    return error_models([svn], [elevation], table, flavor, b_nom=b_nom,
+                        n_points=n_points)[0]
 
 
 def stanford_class(vpe, vpl, val) -> str:
@@ -357,9 +373,9 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
         rec.error = "insufficient geometry"
         return rec
 
-    models = [error_model(alm.svn, el, table, config.flavor,
+    models = error_models([alm.svn for alm, _, _ in vis],
+                          [el for _, _, el in vis], table, config.flavor,
                           b_nom=budget.b_nom, n_points=config.n_points)
-              for alm, _, el in vis]
     sig_acc = np.array([m.acc_sigma for m in models])
     geom = model_core.model_from_los(
         los, [alm.constellation for alm, _, _ in vis],

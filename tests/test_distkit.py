@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
-from jkaraim.distkit import (Gaussian, GridBatch, GridDistribution,
-                             PairedBound, Pgo, _norm_pdf, _scaled_pdf,
-                             convolve_batch, scaled_convolve)
+from jkaraim.distkit import (_UNDERFLOW_Z, Gaussian, GridBatch,
+                             GridDistribution, PairedBound, Pgo, _norm_pdf,
+                             _scaled_pdf, convolve_batch, convolve_rows,
+                             scaled_convolve)
 from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
-from jkaraim.sim import cnmp_sigma, error_model, tropo_sigma
+from jkaraim.sim import cnmp_sigma, error_models, tropo_sigma
 
 
 SVN63 = None
@@ -183,14 +184,23 @@ def grid_components():
 
 
 @st.composite
-def batches(draw, grid=st.booleans()):
+def batches(draw, kind=st.sampled_from(["gaussian", "grid", "rows"])):
     """A convolve_batch result over random coefficient rows, with Gaussian
-    components only or with PGO-grid components among them."""
+    components only or with PGO-grid components among them; or a
+    convolve_rows result, every row on its own grid."""
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     n_rows = draw(st.integers(1, 6))
     n_comp = draw(st.integers(2, 6))
-    if draw(grid):
+    kind = draw(kind)
+    if kind == "rows":
+        pgos = [default_table()[svn].pgo()
+                for svn in sorted(default_table().svns())[::7]]
+        rows = [(pgos[rng.integers(0, len(pgos))],
+                 *(Gaussian(s) for s in rng.uniform(0.05, 2.0, n_comp - 1)))
+                for _ in range(n_rows)]
+        return convolve_rows(rows, n_points=256), rng
+    if kind == "grid":
         pool = grid_components()
         dists = [pool[i] if rng.random() < 0.6
                  else Gaussian(rng.uniform(0.2, 2.0))
@@ -205,18 +215,20 @@ def batches(draw, grid=st.booleans()):
 
 
 def row_points(batch, rng):
-    """One point per row: inside the grid, on grid nodes, at and beyond its
-    edges, and at zero."""
+    """One point per row: inside the row's grid, on its nodes, at and beyond
+    its edges, and at zero."""
+    n = len(batch)
     if isinstance(batch, GridBatch):
-        width, nodes = batch.x[-1], batch.x
+        nodes = np.broadcast_to(batch.x, (n, batch.x.shape[-1]))
+        width = nodes[:, -1]
     else:
         width, nodes = 8.0 * batch.sigma, None
-    x = rng.uniform(-1.5, 1.5, len(batch)) * width
-    kind = rng.integers(0, 4, len(batch))
+    x = rng.uniform(-1.5, 1.5, n) * width
+    kind = rng.integers(0, 4, n)
     if nodes is not None:
-        x = np.where(kind == 0, rng.choice(nodes, len(batch)), x)
-        x = np.where(kind == 1, rng.choice([-1.0, 1.0], len(batch))
-                     * nodes[-1], x)
+        on_node = nodes[np.arange(n), rng.integers(0, nodes.shape[1], n)]
+        x = np.where(kind == 0, on_node, x)
+        x = np.where(kind == 1, rng.choice([-1.0, 1.0], n) * width, x)
     return np.where(kind == 2, 0.0, x)
 
 
@@ -346,6 +358,23 @@ class TestWindowedKernel:
             _scaled_pdf(Gaussian(0.8), 128, 0.05, a),
             _norm_pdf(u[None, :] / a, 0.8) / a)
 
+    def test_underflow_cut_is_where_the_density_is_zero(self):
+        # Past _UNDERFLOW_Z sigmas nothing is evaluated: the density must
+        # be exactly 0.0 there, and subnormal, not zero, a little before.
+        sigma = 0.7
+        z = np.linspace(_UNDERFLOW_Z, 60.0, 20001)
+        assert np.all(_norm_pdf(z * sigma, sigma) == 0.0)
+        assert 0.0 < _norm_pdf(38.6 * sigma, sigma) < np.finfo(float).tiny
+
+    def test_analytic_rows_stop_at_their_own_reach(self):
+        # Rows of small coefficient reach the underflow early and stop
+        # there; the values stay those of evaluating every sample.
+        u = np.arange(2049) * 0.05
+        a = np.array([[0.01], [0.3], [1.0], [2.5]])
+        for d in (Gaussian(0.8), svn63_pgo()):
+            np.testing.assert_array_equal(_scaled_pdf(d, 2048, 0.05, a),
+                                          d.pdf(u[None, :] / a) / a)
+
 
 def pgo_noise_density(pgo, s):
     """Closed-form density of PGO (+) N(0, s^2) at |x|, and its widest
@@ -382,25 +411,29 @@ class TestDeepTail:
     def test_pgo_accuracy_bound_quantiles_against_exact(self):
         # Each satellite's PGO accuracy bound (PGO (+) tropo (+) user noise
         # on a grid) at its p-quantile must leave an exact tail of p:
-        # below 0.99 p is needlessly loose, above 1.001 p unsafe.
+        # below 0.99 p is needlessly loose, above 1.001 p unsafe. 2048
+        # points is the scenario grid size.
         table = default_table()
-        worst = []
-        for svn in sorted(table.svns()):
-            entry = table[svn]
+        svns = sorted(table.svns())
+        for n_points in (2048, 4096):
+            worst = []
             for el in DEEP_TAIL_ELEVATIONS:
-                acc = error_model(svn, el, table, "pgo").acc_bound
-                s = math.hypot(float(tropo_sigma(el)),
-                               float(cnmp_sigma(entry.constellation, el)))
-                f, wide = pgo_noise_density(entry.pgo(), s)
-                for p in (1e-7, 1e-9, 1e-10):
-                    a = abs(float(acc.quantile(p)))
-                    exact, _ = integrate.quad(f, a, a + 40.0 * wide,
-                                              epsabs=0.0, epsrel=1e-10,
-                                              limit=200)
-                    worst.append((exact / p, svn, el, p))
-        assert len(worst) == 3 * len(DEEP_TAIL_ELEVATIONS) * 54
-        assert min(worst)[0] >= 0.99, min(worst)
-        assert max(worst)[0] <= 1.001, max(worst)
+                models = error_models(svns, [el] * len(svns), table, "pgo",
+                                      n_points=n_points)
+                for svn, model in zip(svns, models):
+                    entry, acc = table[svn], model.acc_bound
+                    s = math.hypot(float(tropo_sigma(el)),
+                                   float(cnmp_sigma(entry.constellation, el)))
+                    f, wide = pgo_noise_density(entry.pgo(), s)
+                    for p in (1e-7, 1e-9, 1e-10):
+                        a = abs(float(acc.quantile(p)))
+                        exact, _ = integrate.quad(f, a, a + 40.0 * wide,
+                                                  epsabs=0.0, epsrel=1e-10,
+                                                  limit=200)
+                        worst.append((exact / p, svn, el, p, n_points))
+            assert len(worst) == 3 * len(DEEP_TAIL_ELEVATIONS) * 54
+            assert min(worst)[0] >= 0.99, min(worst)
+            assert max(worst)[0] <= 1.001, max(worst)
 
     def test_batch_cdf_continuous_across_grid_edges(self):
         table = default_table()
@@ -468,3 +501,60 @@ class TestScalarSample:
             np.testing.assert_array_equal(scalar, single)
             assert np.sum(np.abs(scalar) > dist.x_rp) > 0
             assert array.shape == (2000,)
+
+
+class TestPgoPdf:
+    @settings(max_examples=80, deadline=None)
+    @given(params=pgo_params, seed=st.integers(0, 2 ** 32 - 1))
+    def test_pieces_match_both_branch_form(self, params, seed):
+        # pdf evaluates each Gaussian piece only on its own side of x_rp;
+        # it must equal evaluating both pieces everywhere and picking one.
+        pgo = make_pgo(*params)
+        rng = np.random.default_rng(seed)
+        knots = np.array([0.0, pgo.x_rp])
+        knots = np.concatenate([knots, np.nextafter(knots, np.inf),
+                                np.nextafter(knots, -np.inf)])
+        x = np.concatenate([rng.uniform(-45.0, 45.0, 300) * pgo.sigma2,
+                            knots, -knots])
+
+        def both(x):
+            return np.where(np.abs(x) <= pgo.x_rp,
+                            pgo.p1 * _norm_pdf(x, pgo.sigma1) + pgo.c_offset,
+                            pgo.tail_coeff * _norm_pdf(x, pgo.sigma2))
+
+        np.testing.assert_array_equal(pgo.pdf(x.reshape(-1, 2)),
+                                      both(x.reshape(-1, 2)))
+        assert pgo.pdf(0.3).shape == ()
+
+
+class TestBatchedSynthesis:
+    """sim.error_models builds every satellite's PGO accuracy grid in one
+    convolve_rows batch, each row on its own grid; every row must be the
+    one-row scaled_convolve grid, the independent reference, bit for
+    bit."""
+
+    @pytest.mark.parametrize("n_points", [2048, 4096])
+    def test_rows_equal_scaled_convolve(self, n_points):
+        table = default_table()
+        pairs = [(svn, el) for el in DEEP_TAIL_ELEVATIONS
+                 for svn in sorted(table.svns())]
+        models = error_models([s for s, _ in pairs], [e for _, e in pairs],
+                              table, "pgo", n_points=n_points)
+        assert len(models) == 54 * len(DEEP_TAIL_ELEVATIONS)
+        for (svn, el), model in zip(pairs, models):
+            entry = table[svn]
+            ref = scaled_convolve(
+                [1.0, 1.0, 1.0],
+                [entry.pgo(), Gaussian(float(tropo_sigma(el))),
+                 Gaussian(float(cnmp_sigma(entry.constellation, el)))],
+                n_points=n_points, force_grid=True)
+            got = model.acc_bound
+            for name in ("x", "pdf_grid", "cdf_grid"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(ref, name))
+            assert got.h == ref.h
+            assert got.tail_sigma == ref.tail_sigma
+            assert got._tail_scale == ref._tail_scale
+            assert got._one.edge_mass[0] == ref._one.edge_mass[0]
+            assert got.support_extra == ref.support_extra
+            assert got.variance() == ref.variance()

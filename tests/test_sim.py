@@ -7,6 +7,7 @@ import pytest
 from jkaraim import integrity, sim
 from jkaraim.errors import (AlmanacOutOfRange, JkAraimError,
                             SubsetRankDeficient, TailUnresolved)
+from jkaraim.overbound import default_table
 from jkaraim.sim import (ScenarioConfig, aggregate, cnmp_sigma,
                          default_almanac, parse_yuma, propagate,
                          stanford_class, tropo_sigma, write_records_csv,
@@ -54,6 +55,13 @@ class TestErrorModels:
         # Table value at the 5 degree node, before IF inflation.
         assert cnmp_sigma("GAL", 5.0) == \
             pytest.approx(0.4529 * sim.IF_FACTOR_GAL, rel=1e-6)
+
+    def test_no_satellites_no_models(self):
+        # A user with no satellite above the mask gets no models, in
+        # either flavour, before any grid is built.
+        table = default_table()
+        for flavor in ("gaussian", "pgo"):
+            assert sim.error_models([], [], table, flavor) == []
 
 
 class TestYuma:
