@@ -8,65 +8,46 @@ per-satellite error models are heavy tailed.
 Run:  python demos/protection_levels.py
 """
 
-import numpy as np
+from jkaraim import (IntegrityBudget, baseline_araim_pl, default_almanac,
+                     default_table, epoch_setup, geodetic_to_ecef, pl_solve,
+                     stat_distributions, thresholds)
+from jkaraim.model_core import AXIS_UP
+from jkaraim.sim import satellite_positions
 
-from jkaraim import (IntegrityBudget, SolutionOps, assemble_geometry,
-                     baseline_araim_pl, default_almanac, default_table,
-                     determine_kmax, enumerate_modes, error_model,
-                     geodetic_to_ecef, pl_solve, stat_distributions,
-                     thresholds)
-from jkaraim.model_core import AXIS_UP, elevation_azimuth
-from jkaraim.sim import propagate
+BUDGET = IntegrityBudget(p_const=0.0)
 
 
 def epoch_case(lat, lon, t, flavor):
-    budget = IntegrityBudget(p_const=0.0)
-    table = default_table()
-    user = geodetic_to_ecef(lat, lon)
-    vis = []
-    for alm in default_almanac(("GPS",)):
-        pos = propagate(alm, t)
-        el, _ = elevation_azimuth(user, pos)
-        if el > 5.0:
-            vis.append((alm, pos, el))
-    models = [error_model(a.svn, el, table, flavor, b_nom=budget.b_nom)
-              for a, _, el in vis]
-    sigmas = np.array([m.acc_sigma for m in models])
-    geom = assemble_geometry(user, [(p, a.constellation)
-                                    for a, p, _ in vis],
-                             weights=1.0 / sigmas ** 2,
-                             sat_ids=[a.svn for a, _, _ in vis])
-    k_max, _ = determine_kmax([geom.n], budget.p_sat, budget.p_const,
-                              budget.p_thres)
-    tm = enumerate_modes(geom.n, k_max, {"GPS": range(geom.n)},
-                         budget.p_sat, budget.p_const)
-    return geom, models, sigmas, tm, budget
+    almanac = default_almanac(("GPS",))
+    return epoch_setup(geodetic_to_ecef(lat, lon), [a.svn for a in almanac],
+                       [a.constellation for a in almanac],
+                       satellite_positions(almanac, t), default_table(),
+                       BUDGET, flavor=flavor)
 
 
-def jk_vpl(geom, models, sigmas, tm, budget):
-    ops = SolutionOps(geom)
-    acc = [m.acc_bound for m in models]
-    dists, _ = stat_distributions(geom, ops, tm, acc)
-    thresh = thresholds(tm, dists, budget.c_req_fa_total)
-    bounds = [m.int_bound for m in models]
-    return pl_solve(geom, tm, bounds, thresh, budget, axis=AXIS_UP,
-                    ops=ops, gaussian_sigmas=sigmas)
+def jk_vpl(s):
+    dists, _ = stat_distributions(s.geom, s.ops, s.tm,
+                                  [m.acc_bound for m in s.models])
+    thresh = thresholds(s.tm, dists, BUDGET.c_req_fa_total)
+    return pl_solve(s.geom, s.tm, [m.int_bound for m in s.models], thresh,
+                    BUDGET, axis=AXIS_UP, ops=s.ops,
+                    gaussian_sigmas=s.sig_acc)
 
 
 lat, lon, t = 34.0, -118.0, 36000.0
 print(f"user at ({lat}, {lon}), epoch t={t:.0f} s\n")
 
-geom, models, sigmas, tm, budget = epoch_case(lat, lon, t, "gaussian")
-print(f"{geom.n} satellites, {tm.n_fault_modes} fault modes")
+gauss = epoch_case(lat, lon, t, "gaussian")
+print(f"{gauss.geom.n} satellites, {gauss.tm.n_fault_modes} fault modes")
 
-base = baseline_araim_pl(geom, tm, sigmas, budget, axes=(AXIS_UP,)).vpl
+base = baseline_araim_pl(gauss.geom, gauss.tm, gauss.sig_acc, BUDGET,
+                         ops=gauss.ops, axes=(AXIS_UP,)).vpl
 print(f"\nsolution-separation benchmark VPL: {base:7.2f} m")
 
-vpl_g = jk_vpl(geom, models, sigmas, tm, budget)
+vpl_g = jk_vpl(gauss)
 print(f"jackknife VPL, Gaussian bounds:    {vpl_g:7.2f} m "
       f"({100 * (vpl_g - base) / base:+.1f}% vs benchmark)")
 
-geom, models, sigmas, tm, budget = epoch_case(lat, lon, t, "pgo")
-vpl_p = jk_vpl(geom, models, sigmas, tm, budget)
+vpl_p = jk_vpl(epoch_case(lat, lon, t, "pgo"))
 print(f"jackknife VPL, PGO bounds:         {vpl_p:7.2f} m "
       f"({100 * (vpl_p - vpl_g) / vpl_g:+.1f}% vs Gaussian bounds)")

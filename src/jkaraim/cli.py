@@ -117,9 +117,11 @@ def _budget_from_kv(kv) -> IntegrityBudget:
     return IntegrityBudget(**args)
 
 
-def _load_geometry(path, table, flavor, b_nom):
+def _load_geometry(path, table, flavor, budget):
     """Geometry JSON: either a raw linear model (G, weights, sigmas) or a
-    user/satellite description resolved through the bound table."""
+    user/satellite description set up as a scenario epoch is
+    (sim.epoch_setup). Returns (model, ops, threat model, accuracy bounds,
+    accuracy sigmas, axis)."""
     with open(path) as fh:
         doc = json.load(fh)
     if "G" in doc:
@@ -134,52 +136,24 @@ def _load_geometry(path, table, flavor, b_nom):
                                        ids, const_of)
         acc = [distkit.Gaussian(s) for s in sigmas]
         axis = int(doc.get("axis", min(2, G.shape[1] - 1)))
-        return model, acc, sigmas, axis
-    user = model_core.geodetic_to_ecef(*doc["user_llh"])
-    mask = float(doc.get("mask_deg", 5.0))
-    sats, svns = [], []
-    for s in doc["sats"]:
-        sats.append((np.asarray(s["ecef"], dtype=float),
-                     s["constellation"]))
-        svns.append(s["svn"])
-    rows, els = [], []
-    for i, (pos, const) in enumerate(sats):
-        el, _ = model_core.elevation_azimuth(user, pos)
-        if el <= mask:
-            continue
-        rows.append((pos, const, svns[i]))
-        els.append(el)
-    models = sim.error_models([v for _, _, v in rows], els, table, flavor,
-                              b_nom=b_nom)
-    sigmas = np.array([m.acc_sigma for m in models])
-    model = model_core.assemble_geometry(
-        user, [(p, c) for p, c, _ in rows], mask_angle=mask,
-        weights=1.0 / sigmas ** 2, sat_ids=[v for _, _, v in rows])
-    return model, [m.acc_bound for m in models], sigmas, 2
-
-
-def _threat_for(model, budget):
-    parts = {}
-    for i, c in enumerate(model.const_of):
-        parts.setdefault(c, []).append(i)
-    counts = [len(v) for _, v in sorted(parts.items())]
-    k_max, _ = threat.determine_kmax(counts, budget.p_sat, budget.p_const,
-                                     budget.p_thres)
-    k_max = min(k_max, model.n - model.m)
-    if k_max < 1:
-        raise JkAraimError("geometry has no redundancy for fault detection")
-    return threat.enumerate_modes(model.n, k_max, parts, budget.p_sat,
-                                  budget.p_const, m=model.m)
+        return (model, SolutionOps(model), sim.threat_model(model, budget),
+                acc, sigmas, axis)
+    sats = doc["sats"]
+    setup = sim.epoch_setup(
+        model_core.geodetic_to_ecef(*doc["user_llh"]),
+        [s["svn"] for s in sats], [s["constellation"] for s in sats],
+        [s["ecef"] for s in sats], table, budget, flavor=flavor,
+        mask_deg=float(doc.get("mask_deg", 5.0)))
+    return (setup.geom, setup.ops, setup.tm,
+            [m.acc_bound for m in setup.models], setup.sig_acc, 2)
 
 
 def cmd_pl(args) -> int:
     table = overbound.default_table()
     kv = _read_kv_config(args.config) if args.config else {}
     budget = _budget_from_kv(kv)
-    model, acc, sigmas, axis = _load_geometry(
-        args.geometry, table, args.bound, budget.b_nom)
-    ops = SolutionOps(model)
-    tm = _threat_for(model, budget)
+    model, ops, tm, acc, sigmas, axis = _load_geometry(
+        args.geometry, table, args.bound, budget)
     if args.algorithm == "baseline":
         res = baseline_araim_pl(model, tm, sigmas, budget, ops=ops,
                                 axes=(axis,))
@@ -292,16 +266,14 @@ def cmd_detect(args) -> int:
     table = overbound.default_table()
     kv = _read_kv_config(args.config) if args.config else {}
     budget = _budget_from_kv(kv)
-    model, acc, sigmas, axis = _load_geometry(
-        args.geometry, table, args.bound, budget.b_nom)
+    model, ops, tm, acc, sigmas, axis = _load_geometry(
+        args.geometry, table, args.bound, budget)
     with open(args.observations) as fh:
         y = np.asarray(json.load(fh), dtype=float)
     if y.shape != (model.n,):
         print(f"error: expected {model.n} observations, got {y.size}",
               file=sys.stderr)
         return EXIT_PARSE
-    ops = SolutionOps(model)
-    tm = _threat_for(model, budget)
     res = jackknife.run_detector(model, tm, acc, y=y, axis=axis, ops=ops,
                                  c_req_fa=budget.c_req_fa_total)
     doc = {"alert": res.alert,

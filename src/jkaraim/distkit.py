@@ -20,8 +20,6 @@ from .errors import GridOverflow, TailUnresolved
 # Maximum half-width (m) a convolution grid may request.
 MAX_GRID_HALFWIDTH = 1.0e5
 
-DEFAULT_GRID_POINTS = 2 ** 16
-
 # Standard deviations a convolution grid's half-width covers, besides the
 # components' support_extra.
 _GRID_SIGMAS = 12.0
@@ -379,10 +377,6 @@ class GridDistribution:
         out[tail] = self._tail_scale * _norm_pdf(x[tail], self.tail_sigma)
         return out
 
-    @property
-    def half_width(self) -> float:
-        return float(-self.x[0])
-
     def variance(self) -> float:
         return float(self._rows._variances[self._i])
 
@@ -605,24 +599,6 @@ def _row_sums(t):
     return np.cumsum(t, axis=1)[:, -1]
 
 
-def scaled_convolve(coeffs, dists, n_points=DEFAULT_GRID_POINTS,
-                    force_grid=False, n_sigmas=_GRID_SIGMAS):
-    """Distribution of sum_j coeffs[j] * eps_j for independent eps_j: the
-    one-row case of convolve_batch, over the components whose coefficient
-    is nonzero. Returns a Gaussian (Gaussian-only inputs, unless
-    force_grid is set) or a GridDistribution on a symmetric grid of
-    n_points+1 samples.
-    """
-    if len(coeffs) != len(dists):
-        raise ValueError("coeffs and dists must have equal length")
-    active = [(float(c), d) for c, d in zip(coeffs, dists) if c != 0.0]
-    if not active:
-        raise ValueError("at least one coefficient must be nonzero")
-    coeffs, dists = zip(*active)
-    return convolve_batch([coeffs], dists, n_points=n_points,
-                          n_sigmas=n_sigmas, force_grid=force_grid)[0]
-
-
 def _scaled_pdf(d, n, h, a):
     """d.pdf(k * h / a) / a for k = 0..n and each coefficient magnitude
     a[i] (a column), bit for bit: the half of the even sequence on the
@@ -737,8 +713,8 @@ def convolve_rows(rows, n_points=4096):
     zero-mean symmetric analytic components, one per row i, each row on
     its own grid.
 
-    Row i is what scaled_convolve([1, 1, ...], rows[i], n_points,
-    force_grid=True) gives, bit for bit: half-width L_i of 12 standard
+    Row i is what convolve_batch([[1, 1, ...]], rows[i], n_points,
+    force_grid=True)[0] gives, bit for bit: half-width L_i of 12 standard
     deviations of the sum (convolve_batch's n_sigmas) plus its components'
     support_extra, and spacing h_i = 2 L_i / n_points. Each component is
     sampled on its row's spacing, short of its _reach, and one multi-row

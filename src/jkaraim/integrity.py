@@ -76,18 +76,10 @@ def allocate(budget: IntegrityBudget, threat: ThreatModel, axis: int):
 @dataclass
 class PlResult:
     pl: np.ndarray                     # per-axis PL (east, north, up)
-    binding: dict = field(default_factory=dict)  # axis -> binding term label
-    iterations: int = 0
 
     @property
     def vpl(self) -> float:
         return float(self.pl[2])
-
-    @property
-    def hpl(self) -> float:
-        if np.any(np.isnan(self.pl[:2])):
-            return float("nan")
-        return float(np.hypot(self.pl[0], self.pl[1]))
 
 
 # The PL bisections stop once their bracket is at most this wide (m).
@@ -360,8 +352,6 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
         b_nom = np.full(model.n, budget.b_nom)
 
     pl = np.full(3, np.nan)
-    binding = {}
-    iters = 0
     for axis in axes:
         target, _, _, c_alloc = allocate(budget, threat, axis)
         if target <= 0.0:
@@ -389,14 +379,9 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
             return np.cumsum(weights * ndtr((offsets - levels[:, None])
                                             / sigmas), axis=1)[:, -1]
 
-        level, steps = _bisect_level(risk, 1.0e4, target)
-        iters += steps
-        if level is None:
-            pl[axis] = math.inf
-            continue
-        pl[axis] = level
-        binding[axis] = "total-risk"
-    return PlResult(pl, binding, iters)
+        level, _ = _bisect_level(risk, 1.0e4, target)
+        pl[axis] = math.inf if level is None else level
+    return PlResult(pl)
 
 
 def baseline_alert(model: LinearModel, ops: SolutionOps, threat: ThreatModel,

@@ -1,4 +1,4 @@
-"""Jackknife residuals, combined statistics, thresholds and the detector."""
+"""Jackknife statistic distributions, thresholds and the detector."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ class JkStatistics:
     thresholds: dict       # mode id -> threshold (m)
     alerts: dict           # mode id -> bool
     skipped: list          # mode ids with rank-deficient subsets
-    tau: float
 
     @property
     def alert(self) -> bool:
@@ -44,32 +43,6 @@ class ModeDistributions(Mapping):
 
     def __len__(self):
         return len(self.ids)
-
-
-def residual(model: LinearModel, ops: SolutionOps, mode, i: int) -> float:
-    """Jackknife residual t_i = y_i - g_i x_hat_subset for i in the mode's
-    excluded set, in the leave-out form t_I = R[I, I]^-1 r_I."""
-    if i not in mode.excluded:
-        raise ValueError(f"index {i} not excluded by mode {mode.id}")
-    t = ops.leave_out(mode.excluded) @ model.y
-    return float(t[sorted(mode.excluded).index(i)])
-
-
-def stat_coeffs(model: LinearModel, ops: SolutionOps, mode,
-                axis: int = AXIS_UP) -> np.ndarray:
-    """Coefficients c with t* = c . eps under nominal errors.
-
-    Single-exclusion modes use the raw residual row of (I - G S_k);
-    larger modes use the S_{v,i}-weighted combination.
-    """
-    return ops.mode_row(mode.excluded, axis)[1]
-
-
-def combined_stat(model: LinearModel, ops: SolutionOps, mode,
-                  axis: int = AXIS_UP):
-    """Test statistic for one fault mode plus its error coefficients."""
-    coeffs = stat_coeffs(model, ops, mode, axis)
-    return float(coeffs @ model.y), coeffs
 
 
 def stat_distributions(model: LinearModel, ops: SolutionOps,
@@ -147,4 +120,4 @@ def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds,
         for mode, t in zip(modes, (C @ y).tolist()):
             stats[mode.id] = t
             alerts[mode.id] = abs(t) >= thresh[mode.id]
-    return JkStatistics(stats, thresh, alerts, skipped, tau=c_req_fa)
+    return JkStatistics(stats, thresh, alerts, skipped)

@@ -100,12 +100,6 @@ def _solution_matrix(G, w, err=InsufficientGeometry):
     return S - (S @ G - np.eye(G.shape[1])) @ S
 
 
-def wls_solve(model: LinearModel):
-    """Full-set weighted least squares. Returns (state, S)."""
-    S = _solution_matrix(model.G, model.W)
-    return S @ model.y, S
-
-
 def subset_ops(model: LinearModel, excluded):
     """Subset solution matrix and projection for one fault mode.
 
@@ -280,26 +274,6 @@ class SolutionOps:
             ok[ks] = True
         return ok, Q, C
 
-    def mode_row(self, excluded, axis: int):
-        """(q, c) of mode_rows for one non-empty excluded set; raises
-        SubsetRankDeficient for a rank-deficient subset."""
-        ok, Q, C = self.mode_rows([excluded], axis)
-        if not ok[0]:
-            raise SubsetRankDeficient(
-                f"subset without measurements {sorted(excluded)} is rank "
-                "deficient")
-        return Q[0], C[0]
-
-
-def q_vector(model: LinearModel, ops: SolutionOps, excluded, axis: int):
-    """Coefficient vector of the nominal-error part of the position error
-    under the fault mode excluding the given indices: the axis row of S_k,
-    so that S_v eps = q . eps + sum_{j in excluded} S_vj t_j."""
-    if not excluded:
-        return ops.S[axis].copy()
-    return ops.mode_row(excluded, axis)[0]
-
-
 def bias_projection(S_mat, b_nom, axis: int) -> float:
     """Worst-case projection of per-measurement nominal biases onto one
     position axis: sum_i |S[axis, i]| * b_nom[i]."""
@@ -394,18 +368,3 @@ def model_from_los(u, consts, sat_ids, weights=None):
     G[np.arange(n), [3 + tags.index(c) for c in consts]] = 1.0
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     return LinearModel(G, w, np.zeros(n), list(sat_ids), list(consts))
-
-
-def assemble_geometry(user_pos, sats, mask_angle=5.0, weights=None,
-                      sat_ids=None):
-    """Build the linear model from user/satellite ECEF geometry.
-
-    sats is a list of (ecef_position, constellation_tag). Satellites below
-    the mask angle are dropped; the state dimension is 3 + number of
-    distinct constellations among the visible satellites. Observations are
-    initialized to zero (fill in after error synthesis).
-    """
-    u, el = line_of_sight(user_pos, [pos for pos, _ in sats])
-    keep = np.flatnonzero(el > mask_angle)
-    ids = [sat_ids[i] if sat_ids is not None else f"s{i}" for i in keep]
-    return model_from_los(u[keep], [sats[i][1] for i in keep], ids, weights)

@@ -14,7 +14,8 @@ from importlib import resources
 import numpy as np
 
 from . import distkit, jackknife, model_core, overbound, threat
-from .errors import (AlmanacOutOfRange, InsufficientRedundancy, JkAraimError,
+from .errors import (AlmanacOutOfRange, InsufficientGeometry,
+                     InsufficientRedundancy, JkAraimError,
                      KeplerNonConvergence, UnknownSatellite)
 from .integrity import (IntegrityBudget, allocate, baseline_alert,
                         baseline_araim_pl, pl_solve)
@@ -258,13 +259,6 @@ def error_models(svns, elevations, table, flavor, b_nom=0.75,
             for e, (s_tropo, s_user), acc in zip(entries, noise, accs)]
 
 
-def error_model(svn, elevation, table, flavor, b_nom=0.75,
-                n_points=4096) -> SatErrorModel:
-    """error_models for one satellite."""
-    return error_models([svn], [elevation], table, flavor, b_nom=b_nom,
-                        n_points=n_points)[0]
-
-
 def stanford_class(vpe, vpl, val) -> str:
     """Triangle-chart bin for one record; an unavailable PL counts as SU."""
     if vpl is None or not np.isfinite(vpl):
@@ -348,13 +342,68 @@ def satellite_positions(sats, t):
     return np.array([propagate(a, t) for a in sats]).reshape(-1, 3)
 
 
-def _visible_sats(sats, positions, user_ecef, mask_deg):
-    """Satellites above the mask seen from one user, as (entry, position,
-    elevation) triples, and their unit ENU line-of-sight rows."""
+def threat_model(geom, budget: IntegrityBudget):
+    """Fault modes of one geometry: k_max from its satellites per
+    constellation (threat.determine_kmax), then every mode up to it
+    (threat.enumerate_modes), which raises InsufficientRedundancy when
+    k_max exceeds the redundancy n - m."""
+    parts = {}
+    for i, c in enumerate(geom.const_of):
+        parts.setdefault(c, []).append(i)
+    k_max, _ = threat.determine_kmax(
+        [len(parts[c]) for c in sorted(parts)], budget.p_sat, budget.p_const,
+        budget.p_thres)
+    return threat.enumerate_modes(geom.n, k_max, parts, budget.p_sat,
+                                  budget.p_const, m=geom.m)
+
+
+@dataclass
+class EpochSetup:
+    """What one epoch's detector and PLs start from (epoch_setup)."""
+
+    visible: list               # indices of the satellites above the mask
+    elevations: np.ndarray      # their elevations (deg)
+    models: list                # their SatErrorModels
+    sig_acc: np.ndarray         # their accuracy sigmas
+    geom: model_core.LinearModel    # weighted by 1 / sig_acc^2
+    ops: SolutionOps
+    tm: threat.ThreatModel
+
+
+def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
+                budget: IntegrityBudget, flavor="gaussian", mask_deg=5.0,
+                n_points=4096) -> EpochSetup:
+    """One epoch's set-up from the user's ECEF position and the
+    satellites' ids, constellations and ECEF positions: the satellites
+    above mask_deg, their error models (error_models), the linear model
+    weighted by their accuracy sigmas, its SolutionOps and its threat
+    model (threat_model).
+
+    Raises InsufficientGeometry when fewer satellites than states plus one
+    are visible, and InsufficientRedundancy when k_max exceeds n - m; both
+    carry the visible count as n_visible.
+    """
     u, el = model_core.line_of_sight(user_ecef, positions)
-    keep = np.flatnonzero(el > mask_deg)
-    vis = [(sats[i], positions[i], el[i]) for i in keep]
-    return vis, u[keep]
+    vis = np.flatnonzero(el > mask_deg).tolist()
+    u, el = u[vis], el[vis]
+    ids = [sat_ids[i] for i in vis]
+    consts = [constellations[i] for i in vis]
+    if len(vis) < 3 + len(set(consts)) + 1:
+        exc = InsufficientGeometry("insufficient geometry")
+        exc.n_visible = len(vis)
+        raise exc
+    models = error_models(ids, el, table, flavor, b_nom=budget.b_nom,
+                          n_points=n_points)
+    sig_acc = np.array([m.acc_sigma for m in models])
+    geom = model_core.model_from_los(u, consts, ids,
+                                     weights=1.0 / sig_acc ** 2)
+    ops = SolutionOps(geom)
+    try:
+        tm = threat_model(geom, budget)
+    except InsufficientRedundancy as exc:
+        exc.n_visible = len(vis)
+        raise
+    return EpochSetup(vis, el, models, sig_acc, geom, ops, tm)
 
 
 def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
@@ -363,39 +412,24 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     and protection levels.
 
     sats are the scenario's healthy satellites (healthy_satellites) and
-    positions their ECEF positions at t (satellite_positions)."""
+    positions their ECEF positions at t (satellite_positions). An epoch
+    that epoch_setup refuses is recorded with its visible count and the
+    reason; its other errors propagate to run_scenario."""
     budget = config.budget
     user = model_core.geodetic_to_ecef(lat, lon, 0.0)
-    vis, los = _visible_sats(sats, positions, user, config.mask_deg)
-    rec = EpochRecord(lat, lon, t, len(vis))
-    consts = sorted({alm.constellation for alm, _, _ in vis})
-    if len(vis) < 3 + len(consts) + 1:
-        rec.error = "insufficient geometry"
-        return rec
-
-    models = error_models([alm.svn for alm, _, _ in vis],
-                          [el for _, _, el in vis], table, config.flavor,
-                          b_nom=budget.b_nom, n_points=config.n_points)
-    sig_acc = np.array([m.acc_sigma for m in models])
-    geom = model_core.model_from_los(
-        los, [alm.constellation for alm, _, _ in vis],
-        [alm.svn for alm, _, _ in vis], weights=1.0 / sig_acc ** 2)
-    ops = SolutionOps(geom)
-
-    parts = {}
-    counts = {}
-    for i, (alm, _, _) in enumerate(vis):
-        parts.setdefault(alm.constellation, []).append(i)
-        counts[alm.constellation] = counts.get(alm.constellation, 0) + 1
-    k_max, _ = threat.determine_kmax(
-        [counts[c] for c in sorted(counts)], budget.p_sat, budget.p_const,
-        budget.p_thres)
     try:
-        tm = threat.enumerate_modes(geom.n, k_max, parts, budget.p_sat,
-                                    budget.p_const)
-    except InsufficientRedundancy as exc:
-        rec.error = str(exc)
-        return rec
+        setup = epoch_setup(user, [a.svn for a in sats],
+                            [a.constellation for a in sats], positions,
+                            table, budget, flavor=config.flavor,
+                            mask_deg=config.mask_deg,
+                            n_points=config.n_points)
+    except (InsufficientGeometry, InsufficientRedundancy) as exc:
+        if not hasattr(exc, "n_visible"):
+            raise
+        return EpochRecord(lat, lon, t, exc.n_visible, error=str(exc))
+    rec = EpochRecord(lat, lon, t, len(setup.visible))
+    models, sig_acc = setup.models, setup.sig_acc
+    geom, ops, tm = setup.geom, setup.ops, setup.tm
 
     # Synthetic truth, one counter-keyed stream per cell.
     rng = np.random.default_rng([config.seed, loc_id, epoch_id])

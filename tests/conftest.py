@@ -40,41 +40,28 @@ def rng():
 
 def gps_epoch_case(lat, lon, t, flavor="gaussian", budget=None,
                    constellations=("GPS",)):
-    """Geometry, error models and threat model for one almanac epoch.
+    """Geometry, error models and threat model for one almanac epoch, set
+    up as a scenario epoch is (sim.epoch_setup).
 
-    Returns None when fewer satellites than states are visible.
+    Returns None when too few satellites are visible.
     """
-    from jkaraim import sim, threat
+    from jkaraim import sim
+    from jkaraim.errors import InsufficientGeometry
     from jkaraim.integrity import IntegrityBudget
-    from jkaraim.model_core import assemble_geometry, geodetic_to_ecef
+    from jkaraim.model_core import geodetic_to_ecef
     from jkaraim.overbound import default_table
 
     if budget is None:
         budget = IntegrityBudget(
             p_const=0.0 if len(constellations) == 1 else 1e-4)
-    table = default_table()
-    almanac = sim.default_almanac(constellations)
-    user = geodetic_to_ecef(lat, lon)
-    sats = sim.healthy_satellites(almanac, constellations)
-    vis, _ = sim._visible_sats(sats, sim.satellite_positions(sats, t), user,
-                               5.0)
-    models = [sim.error_model(a.svn, el, table, flavor,
-                              b_nom=budget.b_nom)
-              for a, _, el in vis]
-    sigmas = np.array([m.acc_sigma for m in models])
+    sats = sim.healthy_satellites(sim.default_almanac(constellations),
+                                  constellations)
     try:
-        geom = assemble_geometry(
-            user, [(pos, a.constellation) for a, pos, _ in vis],
-            mask_angle=5.0, weights=1.0 / sigmas ** 2,
-            sat_ids=[a.svn for a, _, _ in vis])
-    except Exception:
+        setup = sim.epoch_setup(
+            geodetic_to_ecef(lat, lon), [a.svn for a in sats],
+            [a.constellation for a in sats],
+            sim.satellite_positions(sats, t), default_table(), budget,
+            flavor=flavor)
+    except InsufficientGeometry:
         return None
-    parts = {}
-    for i, (a, _, _) in enumerate(vis):
-        parts.setdefault(a.constellation, []).append(i)
-    k_max, _ = threat.determine_kmax(
-        [len(v) for v in parts.values()], budget.p_sat, budget.p_const,
-        budget.p_thres)
-    tm = threat.enumerate_modes(geom.n, k_max, parts, budget.p_sat,
-                                budget.p_const)
-    return geom, models, sigmas, tm, budget
+    return setup.geom, setup.models, setup.sig_acc, setup.tm, budget

@@ -14,10 +14,11 @@ import pytest
 from scipy.special import ndtri
 
 from jkaraim import jackknife, sim, threat
-from jkaraim.distkit import Gaussian, PairedBound, scaled_convolve
+from jkaraim.distkit import Gaussian, PairedBound, convolve_batch
+from jkaraim.errors import SubsetRankDeficient
 from jkaraim.integrity import IntegrityBudget, baseline_araim_pl, pl_solve
-from jkaraim.jackknife import stat_coeffs, stat_distributions, thresholds
-from jkaraim.model_core import SolutionOps, q_vector
+from jkaraim.jackknife import stat_distributions, thresholds
+from jkaraim.model_core import AXIS_UP, SolutionOps
 from jkaraim.overbound import build_pgo, default_table, verify_overbound
 from jkaraim.sim import ScenarioConfig, cnmp_sigma, tropo_sigma
 
@@ -80,9 +81,10 @@ def test_criterion_1_algebraic_identities(capsys):
         excluded = set(map(int, rng.choice(model.n, size, replace=False)))
         try:
             Sk, _ = ops.subset(excluded)
-            q = q_vector(model, ops, excluded, axis=2)
-        except Exception:
+        except SubsetRankDeficient:
             continue
+        ok, (q,), _ = ops.mode_rows([excluded], 2)
+        assert ok[0]
         total = q @ eps
         for j in excluded:
             t_j = model.y[j] - model.G[j] @ (Sk @ model.y)
@@ -98,15 +100,17 @@ def test_criterion_2_distribution_engine(capsys):
     t0 = time.perf_counter()
     coeffs = [0.5, -1.2, 0.8]
     dists = [Gaussian(1.0), Gaussian(0.7), Gaussian(2.2)]
-    closed = scaled_convolve(coeffs, dists)
-    grid = scaled_convolve(coeffs, dists, force_grid=True)
+    closed = convolve_batch([coeffs], dists)[0]
+    grid = convolve_batch([coeffs], dists, n_points=2 ** 16,
+                          force_grid=True)[0]
     var_rel = abs(grid.variance() - closed.variance()) / closed.variance()
     q_rel = max(abs(grid.quantile(p) - closed.quantile(p))
                 / abs(closed.quantile(p))
                 for p in (1e-2, 1e-4, 1e-7))
 
     pgo = build_pgo((0.9, 1.0, 3.0))
-    conv = scaled_convolve([0.8, 0.6], [pgo, Gaussian(0.9)], n_points=8192)
+    conv = convolve_batch([[0.8, 0.6]], [pgo, Gaussian(0.9)],
+                          n_points=8192)[0]
     rng = np.random.default_rng(202)
     n = 10 ** 7
     x = np.sort(0.8 * pgo.sample(rng, n)
@@ -131,7 +135,7 @@ def test_criterion_3_family_wise_false_alarm(capsys):
     dists, _ = jackknife.stat_distributions(geom, ops, tm, acc)
     thresh = jackknife.thresholds(tm, dists, tau)
     modes = [m for m in tm.sat_modes() if m.id in thresh]
-    C = np.array([stat_coeffs(geom, ops, m) for m in modes])
+    _, _, C = ops.mode_rows([m.excluded for m in modes], AXIS_UP)
     T = np.array([thresh[m.id] for m in modes])
 
     rng = np.random.default_rng(303)

@@ -86,6 +86,63 @@ class TestCmdPl:
         assert main(["--config", cfg, "pl", str(geom)]) == 3
 
 
+def user_sats_geometry(path, sats, positions):
+    """A user/satellite geometry file: the user on the ellipsoid at 30 N,
+    90 W and the given almanac satellites at their ECEF positions."""
+    path.write_text(json.dumps({
+        "user_llh": [30.0, -90.0, 0.0],
+        "sats": [{"svn": a.svn, "constellation": a.constellation,
+                  "ecef": p.tolist()} for a, p in zip(sats, positions)]}))
+    return str(path)
+
+
+class TestUserSatsGeometry:
+    """`pl` on a user/satellite geometry sets the epoch up as the scenario
+    does (sim.epoch_setup)."""
+
+    T = 7200.0
+
+    def gps(self):
+        from jkaraim import sim
+        sats = sim.healthy_satellites(sim.default_almanac(("GPS",)),
+                                      ("GPS",))
+        return sats, sim.satellite_positions(sats, self.T)
+
+    def test_gaussian_pl_equals_scenario_vpl(self, tmp_path, capsys):
+        from jkaraim import sim
+        from jkaraim.overbound import default_table
+        sats, positions = self.gps()
+        geom = user_sats_geometry(tmp_path / "geom.json", sats, positions)
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\n")
+        assert main(["--config", str(cfg), "pl", geom,
+                     "--bound", "gaussian"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rec = sim.evaluate_epoch(sim.ScenarioConfig(), sats, positions,
+                                 default_table(), 30.0, -90.0, self.T)
+        assert doc["axis"] == 2
+        assert doc["pl_m"] == rec.vpl
+
+    def test_kmax_beyond_redundancy_exit_3(self, tmp_path, capsys):
+        # Five visible satellites with p_sat = 1e-4 ask for k_max = 2, one
+        # more than n - m; the PL is refused, not computed at a lower k_max.
+        from jkaraim import sim
+        from jkaraim.model_core import geodetic_to_ecef
+        from jkaraim.overbound import default_table
+        from jkaraim.integrity import IntegrityBudget
+        sats, positions = self.gps()
+        vis = sim.epoch_setup(
+            geodetic_to_ecef(30.0, -90.0), [a.svn for a in sats],
+            ["GPS"] * len(sats), positions, default_table(),
+            IntegrityBudget(p_const=0.0)).visible[:5]
+        geom = user_sats_geometry(tmp_path / "five.json",
+                                  [sats[i] for i in vis], positions[vis])
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\np_sat = 1e-4\n")
+        assert main(["--config", str(cfg), "pl", geom]) == 3
+        assert "exceeds redundancy" in capsys.readouterr().err
+
+
 class TestCmdSim:
     def coarse_cfg(self, tmp_path, **extra):
         lines = ["grid_step_deg = 90", "epoch_step_s = 43200",

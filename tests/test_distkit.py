@@ -8,8 +8,7 @@ from scipy.special import ndtr, ndtri
 
 from jkaraim.distkit import (_UNDERFLOW_Z, Gaussian, GridBatch,
                              GridDistribution, PairedBound, Pgo, _norm_pdf,
-                             _scaled_pdf, convolve_batch, convolve_rows,
-                             scaled_convolve)
+                             _scaled_pdf, convolve_batch, convolve_rows)
 from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
 from jkaraim.sim import cnmp_sigma, error_models, tropo_sigma
@@ -25,19 +24,32 @@ def svn63_pgo():
     return SVN63
 
 
+# The grid size the one-row convolutions below were written for.
+ONE_ROW_POINTS = 2 ** 16
+
+
 class TestScaledConvolve:
+    """Distributions of sum_j c_j eps_j: one convolve_batch row."""
+
     def test_gaussian_difference(self):
-        d = scaled_convolve([1.0, -1.0], [Gaussian(1.0), Gaussian(1.0)])
+        d = convolve_batch([[1.0, -1.0]], [Gaussian(1.0), Gaussian(1.0)])[0]
         assert d.variance() == pytest.approx(2.0, rel=1e-12)
         assert d.quantile(0.025) == pytest.approx(-2.7718, abs=1e-3)
 
     def test_zero_coefficient_passthrough(self):
-        d = scaled_convolve([1.0, 0.0], [Gaussian(2.0), svn63_pgo()])
+        # A component with a zero coefficient leaves the row as it is.
+        d = convolve_batch([[1.0, 0.0]], [Gaussian(2.0), svn63_pgo()],
+                           n_points=ONE_ROW_POINTS)[0]
+        alone = convolve_batch([[1.0]], [Gaussian(2.0)],
+                               n_points=ONE_ROW_POINTS, force_grid=True)[0]
         assert d.variance() == pytest.approx(4.0, rel=1e-9)
+        np.testing.assert_array_equal(d.pdf_grid, alone.pdf_grid)
+        assert d.tail_sigma == alone.tail_sigma
 
     def test_pgo_convolution_vs_monte_carlo(self):
         pgo = svn63_pgo()
-        d = scaled_convolve([0.5, 0.5], [pgo, pgo], force_grid=True)
+        d = convolve_batch([[0.5, 0.5]], [pgo, pgo], n_points=ONE_ROW_POINTS,
+                           force_grid=True)[0]
         rng = np.random.default_rng(11)
         n = 10 ** 6
         samples = 0.5 * pgo.sample(rng, n) + 0.5 * pgo.sample(rng, n)
@@ -51,8 +63,8 @@ class TestScaledConvolve:
         sig = [1.0, 0.5, 2.0]
         closed = Gaussian(np.sqrt(sum((c * s) ** 2
                                       for c, s in zip(coeffs, sig))))
-        grid = scaled_convolve(coeffs, [Gaussian(s) for s in sig],
-                               force_grid=True)
+        grid = convolve_batch([coeffs], [Gaussian(s) for s in sig],
+                              n_points=ONE_ROW_POINTS, force_grid=True)[0]
         assert isinstance(grid, GridDistribution)
         assert grid.variance() == pytest.approx(closed.variance(), rel=1e-6)
         for p in (1e-2, 1e-4, 1e-7):
@@ -67,8 +79,9 @@ class TestQuantile:
 
     def test_median_zero(self):
         for d in (Gaussian(2.0), svn63_pgo(),
-                  scaled_convolve([1, 1], [Gaussian(1), svn63_pgo()],
-                                  force_grid=True)):
+                  convolve_batch([[1, 1]], [Gaussian(1), svn63_pgo()],
+                                 n_points=ONE_ROW_POINTS,
+                                 force_grid=True)[0]):
             assert abs(d.quantile(0.5)) < 1e-6
 
     def test_pgo_quantile_bracketed_by_components(self):
@@ -83,15 +96,15 @@ class TestQuantile:
         assert lo < q <= hi + 1e-9
 
     def test_round_trip(self):
-        d = scaled_convolve([1.0, 0.5], [svn63_pgo(), Gaussian(0.3)],
-                            force_grid=True)
+        d = convolve_batch([[1.0, 0.5]], [svn63_pgo(), Gaussian(0.3)],
+                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
         for p in (1e-9, 1e-7, 1e-4, 1e-2, 0.3, 0.5):
             x = d.quantile(p)
             assert abs(float(d.cdf(x)) - p) <= max(1e-9, 1e-3 * p)
 
     def test_antisymmetry(self):
-        d = scaled_convolve([1.0, 1.0], [svn63_pgo(), Gaussian(0.3)],
-                            force_grid=True)
+        d = convolve_batch([[1.0, 1.0]], [svn63_pgo(), Gaussian(0.3)],
+                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
         for p in (1e-6, 1e-3, 0.2):
             assert d.quantile(p) == pytest.approx(-d.quantile(1.0 - p),
                                                   rel=1e-6, abs=1e-9)
@@ -127,11 +140,12 @@ class TestSample:
 
 class TestMassAndSymmetry:
     def test_convolution_mass(self):
-        d = scaled_convolve([1.0, 1.0, 1.0],
-                            [svn63_pgo(), Gaussian(0.2), Gaussian(1.0)],
-                            force_grid=True)
-        mass = float(d.cdf(d.half_width) - d.cdf(-d.half_width))
-        tail = 1.0 - float(d.cdf(d.half_width))
+        d = convolve_batch([[1.0, 1.0, 1.0]],
+                           [svn63_pgo(), Gaussian(0.2), Gaussian(1.0)],
+                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
+        edge = float(d.x[-1])
+        mass = float(d.cdf(edge) - d.cdf(-edge))
+        tail = 1.0 - float(d.cdf(edge))
         assert mass + 2 * tail == pytest.approx(1.0, abs=1e-9)
 
     def test_pdf_matches_unpruned_evaluation(self):
@@ -139,8 +153,8 @@ class TestMassAndSymmetry:
         # where it underflows; the values must equal evaluating both
         # everywhere.
         from jkaraim.distkit import _norm_pdf
-        d = scaled_convolve([1.0, 1.0], [svn63_pgo(), Gaussian(0.3)],
-                            force_grid=True)
+        d = convolve_batch([[1.0, 1.0]], [svn63_pgo(), Gaussian(0.3)],
+                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
         x = np.linspace(-60.0, 60.0, 24001) * d.tail_sigma
         expect = np.interp(x, d.x, d.pdf_grid)
         far = np.abs(x) > d.x[-1]
@@ -148,8 +162,8 @@ class TestMassAndSymmetry:
         np.testing.assert_array_equal(d.pdf(x), expect)
 
     def test_grid_symmetry(self):
-        d = scaled_convolve([1.0, -1.0], [svn63_pgo(), svn63_pgo()],
-                            force_grid=True)
+        d = convolve_batch([[1.0, -1.0]], [svn63_pgo(), svn63_pgo()],
+                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
         x = np.linspace(0.1, 5.0, 50)
         np.testing.assert_allclose(d.pdf(x), d.pdf(-x), atol=1e-9)
 
@@ -164,11 +178,11 @@ class TestMassAndSymmetry:
 
 
 def pgo_grid(pgo, s_tropo, s_user, n_points=512):
-    """A satellite's PGO accuracy bound on a grid, as sim.error_model
-    builds it."""
-    return scaled_convolve([1.0, 1.0, 1.0],
-                           [pgo, Gaussian(s_tropo), Gaussian(s_user)],
-                           n_points=n_points, force_grid=True)
+    """A satellite's PGO accuracy bound on a grid, as one row of
+    sim.error_models is built."""
+    return convolve_batch([[1.0, 1.0, 1.0]],
+                          [pgo, Gaussian(s_tropo), Gaussian(s_user)],
+                          n_points=n_points, force_grid=True)[0]
 
 
 _GRID_COMPONENTS = []
@@ -530,7 +544,7 @@ class TestPgoPdf:
 class TestBatchedSynthesis:
     """sim.error_models builds every satellite's PGO accuracy grid in one
     convolve_rows batch, each row on its own grid; every row must be the
-    one-row scaled_convolve grid, the independent reference, bit for
+    one-row convolve_batch grid, the independent reference, bit for
     bit."""
 
     @pytest.mark.parametrize("n_points", [2048, 4096])
@@ -543,11 +557,11 @@ class TestBatchedSynthesis:
         assert len(models) == 54 * len(DEEP_TAIL_ELEVATIONS)
         for (svn, el), model in zip(pairs, models):
             entry = table[svn]
-            ref = scaled_convolve(
-                [1.0, 1.0, 1.0],
+            ref = convolve_batch(
+                [[1.0, 1.0, 1.0]],
                 [entry.pgo(), Gaussian(float(tropo_sigma(el))),
                  Gaussian(float(cnmp_sigma(entry.constellation, el)))],
-                n_points=n_points, force_grid=True)
+                n_points=n_points, force_grid=True)[0]
             got = model.acc_bound
             for name in ("x", "pdf_grid", "cdf_grid"):
                 np.testing.assert_array_equal(getattr(got, name),

@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 from jkaraim import jackknife
-from jkaraim.distkit import Gaussian, PairedBound, scaled_convolve
+from jkaraim.distkit import Gaussian, PairedBound, convolve_batch
 from jkaraim.errors import SubsetRankDeficient
 from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
                                _bisect_level, baseline_araim_pl,
                                constellation_ss, hmi_risk_eval, pl_solve)
-from jkaraim.model_core import (LinearModel, SolutionOps, bias_projection,
-                                q_vector)
+from jkaraim.model_core import LinearModel, SolutionOps, bias_projection
 from jkaraim.threat import enumerate_modes
 
 from conftest import gps_epoch_case
@@ -200,11 +199,12 @@ class TestBaselineAraim:
 
 def reference_risk(model, ops, tm, bounds, thresh, level, budget, axis,
                    sigmas, n_points=4096):
-    """The integrity-risk sum at a level, mode by mode: one subset solve,
-    q vector and scaled_convolve per satellite mode, the constellation
-    separation sigmas written out, and the skip rule's budgeted mass for
-    modes whose prior fits inside the per-mode allocation. The geometries
-    it is used on have no rank-deficient mode."""
+    """The integrity-risk sum at a level, mode by mode: one subset solve
+    and a one-row convolution of its q vector per satellite mode, the
+    constellation separation sigmas written out, and the skip rule's
+    budgeted mass for modes whose prior fits inside the per-mode
+    allocation. The geometries it is used on have no rank-deficient
+    mode."""
     bases = [b.base for b in bounds]
     b_nom = np.array([b.b_nom for b in bounds])
     deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
@@ -215,7 +215,7 @@ def reference_risk(model, ops, tm, bounds, thresh, level, budget, axis,
     def tail_prob(dist, x):
         return 1.0 if x <= 0 else float(2.0 * dist.cdf(-x))
 
-    dist0 = scaled_convolve(ops.S[axis], bases, n_points=n_points)
+    dist0 = convolve_batch([ops.S[axis]], bases, n_points=n_points)[0]
     risk = tm.p_h0 * tail_prob(dist0, level - bias_projection(ops.S, b_nom,
                                                               axis))
     for mode in tm.modes:
@@ -229,8 +229,7 @@ def reference_risk(model, ops, tm, bounds, thresh, level, budget, axis,
                      * abs(ndtri(c_alloc)))
         else:
             Sk, _ = ops.subset(mode.excluded)
-            q = q_vector(model, ops, mode.excluded, axis)
-            dist = scaled_convolve(q, bases, n_points=n_points)
+            dist = convolve_batch([Sk[axis]], bases, n_points=n_points)[0]
             extra = thresh[mode.id]
             if len(mode.excluded) == 1:
                 extra *= abs(ops.S[axis, next(iter(mode.excluded))])

@@ -3,8 +3,7 @@ import pytest
 from scipy.special import ndtri
 
 from jkaraim.distkit import Gaussian
-from jkaraim.jackknife import (combined_stat, residual, run_detector,
-                               stat_coeffs, stat_distributions, thresholds)
+from jkaraim.jackknife import run_detector, stat_distributions, thresholds
 from jkaraim.model_core import LinearModel, SolutionOps
 from jkaraim.threat import enumerate_modes
 
@@ -21,13 +20,34 @@ def toy_threat(n, k_max=1):
     return enumerate_modes(n, k_max, {"GPS": range(n)}, 1e-5, 1e-4, m=1)
 
 
+def residual(ops, mode, i):
+    """Jackknife residual t_i = y_i - g_i x_hat_subset for i in the mode's
+    excluded set, in the leave-out form t_I = R[I, I]^-1 r_I."""
+    t = ops.leave_out(mode.excluded) @ ops.model.y
+    return float(t[sorted(mode.excluded).index(i)])
+
+
+def stat_coeffs(ops, mode, axis=2):
+    """Coefficients c with t* = c . eps: the mode's row C of mode_rows."""
+    ok, _, C = ops.mode_rows([mode.excluded], axis)
+    assert ok[0]
+    return C[0]
+
+
+def detector_stat(model, ops, tm, mode, axis):
+    """The statistic run_detector reports for one mode."""
+    det = run_detector(model, tm, [Gaussian(1.0)] * model.n, axis=axis,
+                       ops=ops)
+    return det.stats[mode.id]
+
+
 class TestResidual:
     def test_toy_hand_value(self):
         model = toy_model(y=(1.0, 3.0))
         ops = SolutionOps(model)
         mode = toy_threat(2).modes[1]
         assert mode.excluded == frozenset({1})
-        assert residual(model, ops, mode, 1) == pytest.approx(2.0)
+        assert residual(ops, mode, 1) == pytest.approx(2.0)
 
     def test_zero_errors_zero_residual(self, rng):
         model = random_geometry(rng)
@@ -40,7 +60,7 @@ class TestResidual:
                               for c in model.constellations}, 1e-5, 1e-4,
                              m=model.m)
         mode = tm.modes[0]
-        assert abs(residual(model, ops, mode, 0)) < 1e-9
+        assert abs(residual(ops, mode, 0)) < 1e-9
 
     def test_injected_bias_passes_through(self, rng):
         model = random_geometry(rng, n=10, m=4)
@@ -51,7 +71,7 @@ class TestResidual:
         tm = enumerate_modes(model.n, 1, {"C0": range(model.n)},
                              1e-5, 1e-4, m=model.m)
         mode = tm.modes[4]
-        assert residual(model, ops, mode, 4) == pytest.approx(100.0,
+        assert residual(ops, mode, 4) == pytest.approx(100.0,
                                                               abs=1e-9)
 
 
@@ -63,8 +83,8 @@ class TestCombinedStat:
         tm = enumerate_modes(model.n, 1, {"C": range(model.n)}, 1e-5,
                              1e-4, m=model.m)
         mode = tm.modes[2]
-        t, _ = combined_stat(model, ops, mode, axis=2)
-        assert t == pytest.approx(residual(model, ops, mode, 2))
+        t = detector_stat(model, ops, tm, mode, axis=2)
+        assert t == pytest.approx(residual(ops, mode, 2))
 
     def test_coefficient_variance_matches_closed_form(self, rng):
         model = random_geometry(rng, n=9, m=4)
@@ -73,7 +93,7 @@ class TestCombinedStat:
                              1e-4, m=model.m)
         sigmas = rng.uniform(0.5, 2.0, model.n)
         for mode in tm.modes[:12]:
-            coeffs = stat_coeffs(model, ops, mode, axis=2)
+            coeffs = stat_coeffs(ops, mode)
             var_coeff = float(np.sum(coeffs ** 2 * sigmas ** 2))
             # Oracle: covariance propagation through the raw definition.
             Sk, Pt = ops.subset(mode.excluded)
@@ -97,8 +117,9 @@ class TestCombinedStat:
         for _ in range(20):
             eps = rng.standard_normal(4)
             model.y = eps
-            t, coeffs = combined_stat(model, ops, mode, axis=0)
-            raw = sum(ops.S[0, i] * residual(model, ops, mode, i)
+            t = detector_stat(model, ops, tm, mode, axis=0)
+            coeffs = stat_coeffs(ops, mode, axis=0)
+            raw = sum(ops.S[0, i] * residual(ops, mode, i)
                       for i in (1, 3))
             assert t == pytest.approx(raw, abs=1e-9)
             assert t == pytest.approx(float(coeffs @ eps), abs=1e-9)
@@ -181,8 +202,7 @@ class TestRunDetector:
         # Bonferroni split: per-mode two-sided level tau/N.
         thresh = {mid: abs(ndtri(tau / (2 * tm.n_fault_modes)))
                   * np.sqrt(d.variance()) for mid, d in dists.items()}
-        rows = np.array([stat_coeffs(model, ops, m, axis=2)
-                         for m in tm.modes])
+        rows = np.array([stat_coeffs(ops, m) for m in tm.modes])
         trials = 20000
         eps = rng.standard_normal((model.n, trials))
         stats = rows @ eps
@@ -200,7 +220,7 @@ class TestRunDetector:
         acc = [pgo] * model.n
         dists, _ = stat_distributions(model, ops, tm, acc, axis=2)
         mode = tm.modes[0]
-        coeffs = stat_coeffs(model, ops, mode, axis=2)
+        coeffs = stat_coeffs(ops, mode)
         n_trials = 10 ** 6
         draws = np.zeros(n_trials)
         for c in coeffs:

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from jkaraim import sim
 from jkaraim.errors import InsufficientGeometry, SubsetRankDeficient
-from jkaraim.jackknife import residual
+from jkaraim.integrity import IntegrityBudget
 from jkaraim.model_core import (LinearModel, SolutionOps, _solution_matrix,
-                                assemble_geometry, bias_projection,
-                                elevation_azimuth, geodetic_to_ecef,
-                                line_of_sight, q_vector, subset_ops,
-                                wls_solve)
+                                bias_projection, elevation_azimuth,
+                                geodetic_to_ecef, line_of_sight, subset_ops)
+from jkaraim.overbound import default_table
 from jkaraim.threat import enumerate_modes
 
 from conftest import random_geometry
@@ -22,54 +21,71 @@ def toy_model(w=(1.0, 1.0), y=(0.0, 0.0)):
                        np.array(y), ["a", "b"], ["GPS", "GPS"])
 
 
+def gps_setup(user, positions):
+    """sim.epoch_setup of GPS satellites (ids from the shipped almanac) at
+    the given ECEF positions."""
+    ids = [a.svn for a in sim.default_almanac(("GPS",))][:len(positions)]
+    return sim.epoch_setup(user, ids, ["GPS"] * len(ids), positions,
+                           default_table(), IntegrityBudget(p_const=0.0))
+
+
 class TestAssembleGeometry:
+    """The linear model that sim.epoch_setup assembles."""
+
     def test_zenith_satellite_row(self):
         user = geodetic_to_ecef(0.0, 0.0)
         up = user / np.linalg.norm(user)
-        zenith = user + 20.2e6 * up
-        sats = [(zenith, "GPS")]
+        positions = [user + 20.2e6 * up]
         # Pad with off-zenith satellites so the model is solvable.
         east = np.array([0.0, 1.0, 0.0])
         north = np.array([0.0, 0.0, 1.0])
         for d in (east, -east, north, -north):
-            sats.append((user + 20.2e6 * (0.6 * d + 0.8 * up), "GPS"))
-        model = assemble_geometry(user, sats)
-        np.testing.assert_allclose(model.G[0], [0, 0, 1, 1], atol=1e-9)
+            positions.append(user + 20.2e6 * (0.6 * d + 0.8 * up))
+        setup = gps_setup(user, positions)
+        np.testing.assert_allclose(setup.geom.G[0], [0, 0, 1, 1], atol=1e-9)
+        assert setup.elevations[0] == pytest.approx(90.0)
 
     def test_gps_almanac_visibility(self):
         almanac = sim.default_almanac(("GPS",))
         user = geodetic_to_ecef(0.0, 0.0)
-        sats = [(sim.propagate(a, 0.0), a.constellation) for a in almanac]
-        model = assemble_geometry(user, sats, mask_angle=5.0)
-        assert 8 <= model.n <= 12
+        setup = gps_setup(user, [sim.propagate(a, 0.0) for a in almanac])
+        assert 8 <= setup.geom.n <= 12
+        assert setup.geom.n == len(setup.visible) == len(setup.models)
+        assert np.all(setup.elevations > 5.0)
 
     def test_coplanar_rank_deficient(self):
+        # Every line of sight in the east-up plane: the north coordinate
+        # is unobservable, however many satellites are visible.
         user = geodetic_to_ecef(0.0, 0.0)
         up = user / np.linalg.norm(user)
         east = np.array([0.0, 1.0, 0.0])
-        sats = [(user + 2e7 * (c * east + 0.8 * up), "GPS")
-                for c in (0.3, 0.45, 0.6)]
-        with pytest.raises(InsufficientGeometry):
-            assemble_geometry(user, sats)
+        positions = [user + 2e7 * (c * east + 0.8 * up)
+                     for c in (-0.6, -0.3, 0.0, 0.3, 0.45, 0.6)]
+        with pytest.raises(InsufficientGeometry, match="rank deficient"):
+            gps_setup(user, positions)
 
 
 class TestWlsSolve:
+    """The full-set weighted least-squares solution S y of SolutionOps."""
+
     def test_equal_weight_average(self):
-        state, S = wls_solve(toy_model(y=(1.0, 3.0)))
-        np.testing.assert_allclose(state, [2.0])
+        model = toy_model(y=(1.0, 3.0))
+        S = SolutionOps(model).S
+        np.testing.assert_allclose(S @ model.y, [2.0])
         np.testing.assert_allclose(S, [[0.5, 0.5]])
 
     def test_weighted_average(self):
-        state, S = wls_solve(toy_model(w=(3.0, 1.0), y=(1.0, 3.0)))
-        np.testing.assert_allclose(state, [1.5])
+        model = toy_model(w=(3.0, 1.0), y=(1.0, 3.0))
+        S = SolutionOps(model).S
+        np.testing.assert_allclose(S @ model.y, [1.5])
         np.testing.assert_allclose(S, [[0.75, 0.25]])
 
     def test_exact_consistency(self, rng):
         model = random_geometry(rng)
         x0 = rng.standard_normal(model.m)
         model.y = model.G @ x0
-        state, _ = wls_solve(model)
-        np.testing.assert_allclose(state, x0, atol=1e-12)
+        np.testing.assert_allclose(SolutionOps(model).S @ model.y, x0,
+                                   atol=1e-12)
 
 
 class TestSubsetOps:
@@ -80,7 +96,7 @@ class TestSubsetOps:
 
     def test_empty_exclusion_is_full_solution(self, rng):
         model = random_geometry(rng)
-        _, S = wls_solve(model)
+        S = _solution_matrix(model.G, model.W)
         Sk, _ = subset_ops(model, set())
         np.testing.assert_allclose(Sk, S, atol=1e-12)
 
@@ -91,18 +107,25 @@ class TestSubsetOps:
             subset_ops(model, idx_b)
 
 
+def q_vector(ops, excluded, axis):
+    """The q vector of one mode: its row Q of SolutionOps.mode_rows."""
+    ok, Q, _ = ops.mode_rows([excluded], axis)
+    assert ok[0]
+    return Q[0]
+
+
 class TestQVector:
     def test_toy_q(self):
-        model = toy_model()
-        ops = SolutionOps(model)
-        q = q_vector(model, ops, {1}, axis=0)
-        np.testing.assert_allclose(q, [1.0, 0.0], atol=1e-12)
+        ops = SolutionOps(toy_model())
+        np.testing.assert_allclose(q_vector(ops, {1}, axis=0), [1.0, 0.0],
+                                   atol=1e-12)
 
     def test_empty_mode_is_solution_row(self, rng):
+        # The fault-free term's q vector is the axis row of S itself.
         model = random_geometry(rng)
         ops = SolutionOps(model)
-        q = q_vector(model, ops, set(), axis=2)
-        np.testing.assert_allclose(q, ops.S[2], atol=1e-12)
+        Sk, _ = ops.subset(set())
+        np.testing.assert_allclose(Sk[2], ops.S[2], atol=1e-12)
 
     def test_error_decomposition_identity(self, rng):
         # q.eps plus the S-weighted jackknife residuals reproduces the
@@ -114,7 +137,7 @@ class TestQVector:
             eps[2] += 50.0
             model.y = eps
             for excluded in ({2}, {2, 5}):
-                q = q_vector(model, ops, excluded, axis=2)
+                q = q_vector(ops, excluded, axis=2)
                 Sk, Pt = ops.subset(excluded)
                 total = q @ eps
                 for j in excluded:
@@ -242,7 +265,6 @@ class TestDowndate:
             _assert_close(Sk, ref)
             _assert_close(Pt, model.G @ ref)
             _assert_close(Q[k], ref[axis])
-            _assert_close(q_vector(model, ops, excluded, axis), ref[axis])
             _assert_close(C[k], ref_c)
 
     @settings(max_examples=60, deadline=None)
@@ -265,7 +287,7 @@ class TestDowndate:
                 continue
             if _reference_condition(model, mode.excluded) > 30.0:
                 continue
-            t = residual(model, ops, mode, i)
+            (t,) = ops.leave_out(mode.excluded) @ model.y
             assert t == pytest.approx(r[i] / ops.R[i, i], abs=1e-9)
             loo = model.y[i] - model.G[i] @ (ref @ model.y)
             assert t == pytest.approx(loo, abs=1e-9)

@@ -1,12 +1,15 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jkaraim import integrity, sim
-from jkaraim.errors import (AlmanacOutOfRange, JkAraimError,
+from jkaraim.errors import (AlmanacOutOfRange, InsufficientGeometry,
+                            InsufficientRedundancy, JkAraimError,
                             SubsetRankDeficient, TailUnresolved)
+from jkaraim.integrity import IntegrityBudget
 from jkaraim.overbound import default_table
 from jkaraim.sim import (ScenarioConfig, aggregate, cnmp_sigma,
                          default_almanac, parse_yuma, propagate,
@@ -160,6 +163,25 @@ class TestScenario:
         with pytest.raises(RuntimeError, match="bug"):
             sim.run_scenario(self.coarse_config(epoch_step_s=86400.0))
 
+    def test_detect_off_keeps_vpls_and_raises_no_alert(self):
+        kw = dict(grid_step_deg=60.0, epoch_step_s=21600.0)
+        on = sim.run_scenario(self.coarse_config(**kw))
+        off = sim.run_scenario(self.coarse_config(detect=False, **kw))
+        assert len(off) == len(on) == 72
+        assert [r.vpl for r in off] == [r.vpl for r in on]
+        assert all(np.isfinite(r.vpl) for r in off)
+        assert not any(r.alert for r in off)
+
+    def test_horizontal_pls_leave_vpls_unchanged(self):
+        kw = dict(grid_step_deg=60.0, epoch_step_s=21600.0)
+        vert = sim.run_scenario(self.coarse_config(**kw))
+        both = sim.run_scenario(self.coarse_config(compute_horizontal=True,
+                                                   **kw))
+        assert len(both) == 72
+        assert [r.vpl for r in both] == [r.vpl for r in vert]
+        assert all(math.isnan(r.hpl) for r in vert)
+        assert all(np.isfinite(r.hpl) and r.hpl > 0.0 for r in both)
+
     def test_propagation_range_is_a_package_error(self):
         alm = default_almanac(("GPS",))[0]
         with pytest.raises(AlmanacOutOfRange):
@@ -269,3 +291,83 @@ class TestBaselineAlert:
         with pytest.raises(RuntimeError):
             integrity.baseline_alert(geom, ops, tm, sigmas, budget,
                                      modes=tm.sat_modes())
+
+
+class TestEpochSetup:
+    """sim.epoch_setup, the set-up of every scenario record, and how
+    evaluate_epoch records the epochs it refuses."""
+
+    LAT, LON, T = 30.0, -90.0, 7200.0
+
+    def healthy(self):
+        """The healthy GPS satellites and their positions at T."""
+        sats = sim.healthy_satellites(default_almanac(("GPS",)), ("GPS",))
+        return sats, sim.satellite_positions(sats, self.T)
+
+    def setup(self, sats, positions, **budget):
+        user = sim.model_core.geodetic_to_ecef(self.LAT, self.LON)
+        return sim.epoch_setup(user, [a.svn for a in sats],
+                               [a.constellation for a in sats], positions,
+                               default_table(),
+                               IntegrityBudget(p_const=0.0, **budget))
+
+    def visible(self):
+        """The healthy GPS satellites above the mask, and their
+        positions."""
+        sats, positions = self.healthy()
+        vis = self.setup(sats, positions).visible
+        return [sats[i] for i in vis], positions[vis]
+
+    def record(self, sats, positions, **budget):
+        config = ScenarioConfig(
+            budget=IntegrityBudget(p_const=0.0, **budget) if budget
+            else None)
+        return sim.evaluate_epoch(config, sats, positions, default_table(),
+                                  self.LAT, self.LON, self.T)
+
+    def test_refusals_carry_the_visible_count(self):
+        sats, positions = self.visible()
+        with pytest.raises(InsufficientGeometry) as exc:
+            self.setup(sats[:4], positions[:4])
+        assert exc.value.n_visible == 4
+        # p_sat = 1e-4 asks for k_max = 2 of five satellites, n - m = 1.
+        with pytest.raises(InsufficientRedundancy) as exc:
+            self.setup(sats[:5], positions[:5], p_sat=1e-4)
+        assert exc.value.n_visible == 5
+
+    def test_refused_epochs_recorded_in_their_row(self):
+        sats, positions = self.visible()
+        rec = self.record(sats[:4], positions[:4])
+        assert (rec.n_visible, rec.error) == (4, "insufficient geometry")
+        rec = self.record(sats[:5], positions[:5], p_sat=1e-4)
+        assert rec.n_visible == 5
+        assert rec.error == "k_max=2 exceeds redundancy n-m=1"
+        assert math.isnan(rec.vpl) and rec.stanford == "SU"
+        assert not self.record(sats, positions).error
+
+    def test_rank_deficient_geometry_propagates(self):
+        # Every line of sight in one vertical plane leaves a horizontal
+        # coordinate unobservable. That is no refusal: evaluate_epoch
+        # raises, and run_scenario records it as any other package error.
+        sats, _ = self.visible()
+        user = sim.model_core.geodetic_to_ecef(0.0, 0.0)
+        up = user / np.linalg.norm(user)
+        east = np.array([0.0, 1.0, 0.0])
+        positions = np.array([user + 2e7 * (c * east + 0.8 * up)
+                              for c in (-0.6, -0.3, 0.0, 0.3, 0.6)])
+        with pytest.raises(InsufficientGeometry, match="rank deficient"):
+            sim.evaluate_epoch(ScenarioConfig(), sats[:5], positions,
+                               default_table(), 0.0, 0.0, 0.0)
+
+    def test_readme_quick_start(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("## Quick start", 1)[1]
+        snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(snippet, scope)
+        expect = self.record(*self.healthy())
+        assert scope["vpl"] == expect.vpl
+        assert capsys.readouterr().out == (
+            f"{expect.n_visible} satellites, "
+            f"{scope['setup'].tm.n_fault_modes} fault modes, "
+            f"VPL {expect.vpl:.2f} m\n")
