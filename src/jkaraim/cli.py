@@ -117,14 +117,20 @@ def _budget_from_kv(kv) -> IntegrityBudget:
     return IntegrityBudget(**args)
 
 
+# The scenario's grid size: a PGO PL here is the scenario record's VPL.
+_N_POINTS = sim.ScenarioConfig.n_points
+
+
 def _load_geometry(path, table, flavor, budget):
-    """Geometry JSON: either a raw linear model (G, weights, sigmas) or a
-    user/satellite description set up as a scenario epoch is
-    (sim.epoch_setup). Returns (model, ops, threat model, accuracy bounds,
-    accuracy sigmas, axis)."""
+    """Geometry JSON: either a raw linear model (G, weights, sigmas; Gaussian
+    bounds only) or a user/satellite description set up as a scenario epoch
+    is (sim.epoch_setup). Returns (model, ops, threat model, accuracy
+    bounds, accuracy sigmas, axis)."""
     with open(path) as fh:
         doc = json.load(fh)
     if "G" in doc:
+        if flavor == "pgo":
+            raise ValueError("--bound pgo needs a user/sats geometry")
         G = np.asarray(doc["G"], dtype=float)
         sigmas = np.asarray(doc.get(
             "sigmas", np.ones(G.shape[0])), dtype=float)
@@ -143,7 +149,7 @@ def _load_geometry(path, table, flavor, budget):
         model_core.geodetic_to_ecef(*doc["user_llh"]),
         [s["svn"] for s in sats], [s["constellation"] for s in sats],
         [s["ecef"] for s in sats], table, budget, flavor=flavor,
-        mask_deg=float(doc.get("mask_deg", 5.0)))
+        mask_deg=float(doc.get("mask_deg", 5.0)), n_points=_N_POINTS)
     return (setup.geom, setup.ops, setup.tm,
             [m.acc_bound for m in setup.models], setup.sig_acc, 2)
 
@@ -160,12 +166,12 @@ def cmd_pl(args) -> int:
         pl, binding, thresh = float(res.pl[axis]), "total-risk", {}
     else:
         dists, _ = jackknife.stat_distributions(model, ops, tm, acc,
-                                                axis=axis)
+                                                axis=axis, n_points=_N_POINTS)
         thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
         bounds = [distkit.PairedBound(a, budget.b_nom) for a in acc]
         pl, binding = pl_solve(model, tm, bounds, thresh, budget,
                                axis=axis, ops=ops, gaussian_sigmas=sigmas,
-                               return_binding=True)
+                               n_points=_N_POINTS, return_binding=True)
     doc = {"pl_m": pl, "axis": axis, "binding": binding,
            "algorithm": args.algorithm, "bound": args.bound,
            "thresholds": {str(k): v for k, v in thresh.items()},
@@ -275,7 +281,8 @@ def cmd_detect(args) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     res = jackknife.run_detector(model, tm, acc, y=y, axis=axis, ops=ops,
-                                 c_req_fa=budget.c_req_fa_total)
+                                 c_req_fa=budget.c_req_fa_total,
+                                 n_points=_N_POINTS)
     doc = {"alert": res.alert,
            "stats": {str(k): v for k, v in res.stats.items()},
            "thresholds": {str(k): v for k, v in res.thresholds.items()},

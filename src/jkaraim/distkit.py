@@ -30,6 +30,12 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # the extra 0.006 covers the rounding of z.
 _UNDERFLOW_Z = 38.61
 
+# A convolution samples each density only where it is at least _TAU times
+# its peak (a Gaussian out to _TAU_Z = 21.46 sigmas): a transform rounds at
+# about 1e-16 of the peak, 80 orders of magnitude above what is left out.
+_TAU = 1e-100
+_TAU_Z = float(np.sqrt(-2.0 * np.log(_TAU)))
+
 
 def _norm_pdf(x, sigma):
     z = np.asarray(x / sigma)
@@ -64,10 +70,10 @@ class ErrorDistribution:
 
     @property
     def _reach(self) -> float:
-        """|x| past which the density is exactly 0.0 in float64: every
-        Gaussian piece has underflowed there, and every non-Gaussian piece
-        ended."""
-        return _UNDERFLOW_Z * self.dominant_sigma() + self.support_extra
+        """|x| past which the density is below _TAU times its peak: every
+        Gaussian piece is over _TAU_Z of its sigmas out, and every
+        non-Gaussian piece has ended."""
+        return _TAU_Z * self.dominant_sigma() + self.support_extra
 
     def quantile(self, p):
         """Inverse CDF, valid for 0 < p < 1 (p down to 1e-9)."""
@@ -353,15 +359,13 @@ class GridDistribution:
     def support_extra(self) -> float:
         return self._support_extra
 
-    @property
+    @cached_property
     def _reach(self) -> float:
-        """|x| past which the density is exactly 0.0 in float64: the grid
-        edge, or the continuation's _UNDERFLOW_Z tail sigmas when it has
-        a scale."""
-        edge = float(self.x[-1])
-        if self._tail_scale > 0.0:
-            return max(edge, _UNDERFLOW_Z * self.tail_sigma)
-        return edge
+        """|x| past which the density is below _TAU times its peak: the grid
+        edge, or where the continuation falls to that level, if further."""
+        level = _TAU * self.pdf_grid.max() * self.tail_sigma * _SQRT_2PI
+        return max(float(self.x[-1]), self.tail_sigma * float(
+            np.sqrt(2.0 * np.log(max(self._tail_scale / level, 1.0)))))
 
     def pdf(self, x):
         """Interpolated density; analytic Gaussian continuation outside.
@@ -394,15 +398,16 @@ class GridDistribution:
 
 def _normalise(pdf, h):
     """Density rows (rows x points) clipped at zero and scaled to unit
-    trapezoid mass, and their trapezoid CDF rows, ending at exactly 1."""
-    pdf = np.clip(pdf, 0.0, None)
+    trapezoid mass in place, and their trapezoid CDF rows, which end at 1."""
+    np.clip(pdf, 0.0, None, out=pdf)
     mass = np.trapezoid(pdf, dx=h, axis=1)
     if np.any(mass <= 0):
         raise ValueError("grid carries no probability mass")
-    pdf = pdf / mass[:, None]
+    pdf /= mass[:, None]
     cdf = np.zeros(pdf.shape)
     np.cumsum(0.5 * (pdf[:, 1:] + pdf[:, :-1]) * h, axis=1, out=cdf[:, 1:])
-    return pdf, cdf / cdf[:, -1:]
+    cdf /= cdf[:, -1:]
+    return pdf, cdf
 
 
 def _interp_rows(v, xp, fp):
@@ -502,7 +507,7 @@ class GridBatch(DistBatch):
         h = self.x[..., 1] - self.x[..., 0]
         self.h = float(h) if self.x.ndim == 1 else h
         self.pdf_grid, self.cdf_grid = _normalise(
-            np.asarray(pdf, dtype=float), np.reshape(h, (-1, 1)))
+            np.array(pdf, dtype=float), np.reshape(h, (-1, 1)))
         self.tail_sigma = np.array(tail_sigma, dtype=float)
         self.support_extra = np.array(support_extra, dtype=float)
         # The continuation matches each row's density at the grid edge x0;
@@ -599,48 +604,52 @@ def _row_sums(t):
     return np.cumsum(t, axis=1)[:, -1]
 
 
-def _scaled_pdf(d, n, h, a):
-    """d.pdf(k * h / a) / a for k = 0..n and each coefficient magnitude
-    a[i] (a column), bit for bit: the half of the even sequence on the
-    grid x = k * h that a convolution transforms.
+def _scaled_pdf(d, out, h, a):
+    """Fills out (rows x n + 1) with d.pdf(k * h / a) / a for k = 0..n and
+    each coefficient magnitude a[i] (a column), bit for bit where d is at
+    least _TAU times its peak, and returns it: the half of the even
+    sequence on the grid x = k * h that a convolution transforms.
 
-    d is evaluated only short of its _reach, past which it is zero: an
-    analytic d row by row, each row up to its own k_max; a grid d on every
-    row up to the largest k_max, its continuation only short of _reach
-    and beyond the grid edge. Evaluating exp(-z^2 / 2) where it underflows
-    to 0.0 takes numpy's slow path, tens of times slower per element.
+    Each row is evaluated up to two samples past d's _reach and is 0
+    beyond: an analytic d row by row, each row up to its own k_max; a grid
+    d on every row up to the largest k_max, its continuation only beyond
+    the grid edge and short of _reach. Where exp(-z^2 / 2) is subnormal,
+    numpy takes a slow path, about a hundred times slower per element.
     """
-    vals = np.zeros((len(a), n + 1))
     if not isinstance(d, GridDistribution):
-        for out, ai in zip(vals, a[:, 0]):
-            _sample_row(d, out, h, ai)
-        return vals
-    k_max = min(n, int(d._reach * float(a.max()) / h) + 2)
+        for row, ai in zip(out, a[:, 0]):
+            _sample_row(d, row, h, ai)
+        return out
+    reach = d._reach
+    k_max = min(out.shape[1] - 1, int(reach * float(a.max()) / h) + 2)
     u = np.arange(k_max + 1) * h / a
-    out = vals[:, :k_max + 1]
+    out.fill(0.0)
+    win = out[:, :k_max + 1]
     inside = u <= d.x[-1]
-    out[inside] = np.interp(u[inside], d.x, d.pdf_grid)
-    tail = ~inside & (u < d._reach)
-    out[tail] = d._tail_scale * _norm_pdf(u[tail], d.tail_sigma)
-    out /= a
-    return vals
+    win[inside] = np.interp(u[inside], d.x, d.pdf_grid)
+    tail = ~inside & (u < reach)
+    win[tail] = d._tail_scale * _norm_pdf(u[tail], d.tail_sigma)
+    win /= a
+    return out
 
 
 def _sample_row(d, out, h, a):
     """out[k] = d.pdf(k * h / a) / a for an analytic d, bit for bit, for k
-    up to d's _reach; past it out keeps its zeros."""
+    up to two samples past d's _reach, and 0 beyond."""
     k_max = min(len(out) - 1, int(d._reach * a / h) + 2)
     out[:k_max + 1] = d.pdf(np.arange(k_max + 1) * h / a) / a
+    out[k_max + 1:] = 0.0
 
 
-def _convolve_half(parts, h, n_rows, n_points):
+def _convolve_half(parts, h, work):
     """Symmetric convolution of even components sampled on half grids.
 
     parts gives, for each component, the rows it enters (a boolean mask,
     or None for every row) and its samples there on x = k * h, k =
-    0..n_points (_scaled_pdf); h is one spacing for every row or one per
+    0..n_points (_scaled_pdf), in the leading rows of work (rows x n_points
+    + 1), transformed in place; h is one spacing for every row or one per
     row. Returns the grid x = k * h, |k| <= n_points / 2 (1-D, or one row
-    per row) and the density rows on it, not yet normalised.
+    per row) and the density rows on it, not yet normalised, in work.
 
     Every sequence transformed is even, so its DFT is real (symmetric
     convolution, Martucci 1994): a sample row's type-I DCT is the DFT of
@@ -649,7 +658,8 @@ def _convolve_half(parts, h, n_rows, n_points):
     n_points) gives the half of the convolution that is mirrored into an
     exactly symmetric output row.
     """
-    spec = np.ones((n_rows, n_points + 1))
+    n_rows, n_points = work.shape[0], work.shape[1] - 1
+    spec = np.ones(work.shape)
     hpow = np.ones(n_rows)
     step = np.broadcast_to(h, n_rows)
     for rows, samples in parts:
@@ -665,7 +675,8 @@ def _convolve_half(parts, h, n_rows, n_points):
     n_half = n_points // 2
     half = dct(spec, type=1, axis=1, overwrite_x=True)[:, :n_half + 1]
     x = np.multiply.outer(h, np.arange(-n_half, n_half + 1))
-    return x, np.concatenate((half[:, :0:-1], half), axis=1)
+    return x, np.concatenate((half[:, :0:-1], half), axis=1,
+                             out=work[:, :2 * n_half + 1])
 
 
 def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=_GRID_SIGMAS,
@@ -693,15 +704,17 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=_GRID_SIGMAS,
     if L > MAX_GRID_HALFWIDTH:
         raise GridOverflow(f"requested half-width {L:.3g} m exceeds maximum")
     h = 2.0 * L / n_points
+    work = np.empty((C.shape[0], n_points + 1))
 
     def parts():
         for j, d in enumerate(dists):
             nz = C[:, j] != 0.0
             if nz.any():
+                a = np.abs(C[nz, j])[:, None]
                 yield (None if nz.all() else nz,
-                       _scaled_pdf(d, n_points, h, np.abs(C[nz, j])[:, None]))
+                       _scaled_pdf(d, work[:len(a)], h, a))
 
-    x, pdf = _convolve_half(parts(), h, C.shape[0], n_points)
+    x, pdf = _convolve_half(parts(), h, work)
     # The tail sigma of a row sums its nonzero terms left to right.
     dom = np.array([d.dominant_sigma() ** 2 for d in dists])
     return GridBatch(x, pdf, np.sqrt(_row_sums(C * C * dom)),
@@ -733,14 +746,14 @@ def convolve_rows(rows, n_points=4096):
         raise GridOverflow(
             f"requested half-width {L.max():.3g} m exceeds maximum")
     h = 2.0 * L / n_points
+    work = np.empty((len(rows), n_points + 1))
 
     def parts():
-        for j in range(len(rows[0])):
-            samples = np.zeros((len(rows), n_points + 1))
-            for r, step, out in zip(rows, h, samples):
-                _sample_row(r[j], out, step, 1.0)
-            yield None, samples
+        for column in zip(*rows):
+            for d, step, out in zip(column, h, work):
+                _sample_row(d, out, step, 1.0)
+            yield None, work
 
-    x, pdf = _convolve_half(parts(), h, len(rows), n_points)
+    x, pdf = _convolve_half(parts(), h, work)
     dom = _row_sums([[d.dominant_sigma() ** 2 for d in r] for r in rows])
     return GridBatch(x, pdf, np.sqrt(dom), extra)

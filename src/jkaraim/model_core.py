@@ -6,7 +6,7 @@ are addressed with 0-based indices 0=east, 1=north, 2=up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .distkit import Bgmm, Gaussian, Pgo, _norm_pdf
+from .distkit import Gaussian, Pgo, _norm_pdf
 from .errors import (EmConvergenceFailure, EmptySample, NoValidPartition)
 
 # Empirical CDF levels within this distance of 1/2 are excluded from

@@ -4,11 +4,10 @@ users, synthetic nominal errors, detection and protection levels."""
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from importlib import resources
 
 import numpy as np

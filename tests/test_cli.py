@@ -77,6 +77,14 @@ class TestCmdPl:
         assert main(["--config", cfg, "pl", "/nonexistent/geom.json"]) == 2
         assert "geom.json" in capsys.readouterr().err
 
+    def test_raw_g_with_pgo_bound_exit_2(self, toy_files, capsys):
+        # A raw G file carries only Gaussian sigmas; a PGO PL is refused,
+        # not computed from Gaussian bounds under a "pgo" label.
+        geom, cfg = toy_files
+        assert main(["--config", cfg, "pl", geom, "--bound", "pgo"]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and "user/sats" in err.err
+
     def test_no_redundancy_exit_3(self, tmp_path, toy_files, capsys):
         _, cfg = toy_files
         geom = tmp_path / "square.json"
@@ -121,6 +129,23 @@ class TestUserSatsGeometry:
         rec = sim.evaluate_epoch(sim.ScenarioConfig(), sats, positions,
                                  default_table(), 30.0, -90.0, self.T)
         assert doc["axis"] == 2
+        assert doc["pl_m"] == rec.vpl
+
+    def test_pgo_pl_equals_scenario_vpl(self, tmp_path, capsys):
+        # The PGO bounds are built on the scenario's grid size, so the PL
+        # is the scenario record's VPL exactly.
+        from jkaraim import sim
+        from jkaraim.overbound import default_table
+        sats, positions = self.gps()
+        geom = user_sats_geometry(tmp_path / "geom.json", sats, positions)
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\n")
+        assert main(["--config", str(cfg), "pl", geom, "--bound", "pgo"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rec = sim.evaluate_epoch(sim.ScenarioConfig(flavor="pgo"), sats,
+                                 positions, default_table(), 30.0, -90.0,
+                                 self.T)
+        assert doc["bound"] == "pgo"
         assert doc["pl_m"] == rec.vpl
 
     def test_kmax_beyond_redundancy_exit_3(self, tmp_path, capsys):
@@ -225,6 +250,16 @@ class TestCmdDetect:
         obs.write_text("[0.0, 100.0]")
         assert main(["--config", cfg, "detect", geom, str(obs)]) == 0
         assert json.loads(capsys.readouterr().out)["alert"]
+
+    def test_raw_g_with_pgo_bound_exit_2(self, toy_files, tmp_path,
+                                         capsys):
+        geom, cfg = toy_files
+        obs = tmp_path / "obs.json"
+        obs.write_text("[1.0, 3.0]")
+        assert main(["--config", cfg, "detect", geom, str(obs),
+                     "--bound", "pgo"]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and "user/sats" in err.err
 
     def test_wrong_observation_count_exit_2(self, toy_files, tmp_path,
                                             capsys):

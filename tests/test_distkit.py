@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
-from jkaraim.distkit import (_UNDERFLOW_Z, Gaussian, GridBatch,
+from jkaraim.distkit import (_TAU, _TAU_Z, _UNDERFLOW_Z, Gaussian, GridBatch,
                              GridDistribution, PairedBound, Pgo, _norm_pdf,
                              _scaled_pdf, convolve_batch, convolve_rows)
+from jkaraim import distkit
 from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
 from jkaraim.sim import cnmp_sigma, error_models, tropo_sigma
@@ -346,7 +347,26 @@ class TestBatch:
         assert batch[1]._tail_scale == 0.0
 
 
+def assert_reach_rule(samples, full, u, step, reach):
+    """samples against the full evaluation full of the same density on the
+    points u, one row per coefficient and step the rows' spacing: bit-equal
+    wherever the density is at least _TAU times its peak, 0 from two
+    samples past the density's reach on, and every value dropped below
+    _TAU times the peak (up to the rounding of the reach's formula)."""
+    level = _TAU * full.max(axis=1, keepdims=True)
+    big = full >= level
+    np.testing.assert_array_equal(samples[big], full[big])
+    assert np.all(samples[u > reach + 2.0 * step] == 0.0)
+    dropped = samples != full
+    assert np.all(full[dropped] <= level.repeat(full.shape[1], 1)[dropped]
+                  * (1.0 + 1e-12))
+    assert not np.any(big & (u > reach))
+
+
 class TestWindowedKernel:
+    """_scaled_pdf samples a density only where it is at least _TAU times
+    its peak (its _reach); past that it leaves zeros."""
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), zero_tail=st.booleans(),
            n_points=st.sampled_from([64, 256, 1024]))
@@ -359,18 +379,26 @@ class TestWindowedKernel:
                                                0.0, d.pdf_grid),
                                  d.tail_sigma, d.support_extra)
             assert d._tail_scale == 0.0
+            assert d._reach == d.x[-1]
         h = rng.uniform(0.5, 4.0) * d.tail_sigma / n_points
         a = 10.0 ** rng.uniform(-3.0, 1.0, (int(rng.integers(1, 6)), 1))
-        u = np.arange(n_points + 1) * h
-        np.testing.assert_array_equal(_scaled_pdf(d, n_points, h, a),
-                                      d.pdf(u[None, :] / a) / a)
+        u = np.arange(n_points + 1) * h / a
+        samples = _scaled_pdf(d, np.full((len(a), n_points + 1), np.nan),
+                              h, a)
+        assert_reach_rule(samples, d.pdf(u) / a, u, h / a, d._reach)
 
     def test_gaussian_component_unchanged(self):
-        u = np.arange(129) * 0.05
+        # The first row runs out to 26.7 sigmas: the samples stop at _TAU_Z
+        # sigmas, and are exactly the closed form short of it.
         a = np.array([[0.3], [1.7]])
-        np.testing.assert_array_equal(
-            _scaled_pdf(Gaussian(0.8), 128, 0.05, a),
-            _norm_pdf(u[None, :] / a, 0.8) / a)
+        u = np.arange(129) * 0.05 / a
+        samples = _scaled_pdf(Gaussian(0.8), np.full((2, 129), np.nan),
+                              0.05, a)
+        full = _norm_pdf(u, 0.8) / a
+        assert_reach_rule(samples, full, u, 0.05 / a, _TAU_Z * 0.8)
+        near = u < _TAU_Z * 0.8
+        np.testing.assert_array_equal(samples[near], full[near])
+        assert np.count_nonzero(samples[0] == 0.0) > 0
 
     def test_underflow_cut_is_where_the_density_is_zero(self):
         # Past _UNDERFLOW_Z sigmas nothing is evaluated: the density must
@@ -381,13 +409,16 @@ class TestWindowedKernel:
         assert 0.0 < _norm_pdf(38.6 * sigma, sigma) < np.finfo(float).tiny
 
     def test_analytic_rows_stop_at_their_own_reach(self):
-        # Rows of small coefficient reach the underflow early and stop
-        # there; the values stay those of evaluating every sample.
-        u = np.arange(2049) * 0.05
+        # Rows of small coefficient reach _TAU of the peak early and stop
+        # there; every row keeps the values of evaluating every sample
+        # where the density is at least _TAU times its peak.
         a = np.array([[0.01], [0.3], [1.0], [2.5]])
+        u = np.arange(2049) * 0.05 / a
         for d in (Gaussian(0.8), svn63_pgo()):
-            np.testing.assert_array_equal(_scaled_pdf(d, 2048, 0.05, a),
-                                          d.pdf(u[None, :] / a) / a)
+            samples = _scaled_pdf(d, np.full((4, 2049), np.nan), 0.05, a)
+            assert_reach_rule(samples, d.pdf(u) / a, u, 0.05 / a, d._reach)
+            assert d._reach == _TAU_Z * d.dominant_sigma() + d.support_extra
+            assert np.all(samples[u <= d._reach] != 0.0)
 
 
 def pgo_noise_density(pgo, s):
@@ -572,3 +603,55 @@ class TestBatchedSynthesis:
             assert got._one.edge_mass[0] == ref._one.edge_mass[0]
             assert got.support_extra == ref.support_extra
             assert got.variance() == ref.variance()
+
+
+def full_sampler(d, out, h, a):
+    """Every sample d.pdf(k * h / a) / a, however small: the engine's
+    samples without the reach rule."""
+    out[...] = d.pdf(np.arange(out.shape[-1]) * h / a) / a
+    return out
+
+
+def assert_same_batch(got, ref):
+    for name in ("x", "pdf_grid", "cdf_grid", "tail_scale", "edge_mass",
+                 "_variances"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+
+class TestReachLeavesTransformsUnchanged:
+    """What the reach rule leaves out lies below _TAU times a density's
+    peak, far under the rounding of any transform: every grid must be bit
+    for bit the grid of samples evaluated everywhere."""
+
+    @pytest.mark.parametrize("n_points", [2048, 4096])
+    def test_satellite_grids(self, n_points, monkeypatch):
+        table = default_table()
+        pairs = [(svn, el) for el in DEEP_TAIL_ELEVATIONS
+                 for svn in sorted(table.svns())]
+        args = ([s for s, _ in pairs], [e for _, e in pairs], table, "pgo")
+        got = error_models(*args, n_points=n_points)[0].acc_bound._rows
+        monkeypatch.setattr(distkit, "_sample_row", full_sampler)
+        ref = error_models(*args, n_points=n_points)[0].acc_bound._rows
+        assert len(got) == 54 * len(DEEP_TAIL_ELEVATIONS)
+        assert_same_batch(got, ref)
+
+    def test_pgo_epoch_batches(self, monkeypatch):
+        from jkaraim import sim
+        consts = ("GPS", "GAL")
+        sats = sim.healthy_satellites(sim.default_almanac(consts), consts)
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs, convolve_batch(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(distkit, "convolve_batch", record)
+        rec = sim.evaluate_epoch(
+            sim.ScenarioConfig(constellations=consts, flavor="pgo"), sats,
+            sim.satellite_positions(sats, 7200.0), default_table(), 30.0,
+            -90.0, 7200.0)
+        assert not rec.error and len(calls) == 2
+        monkeypatch.setattr(distkit, "_scaled_pdf", full_sampler)
+        for args, kwargs, got in calls:
+            assert isinstance(got, GridBatch)
+            assert_same_batch(got, convolve_batch(*args, **kwargs))

@@ -1,0 +1,53 @@
+"""Every name a library module imports is used in it.
+
+No linter is part of the toolchain, so this parses each module of
+src/jkaraim and fails on an imported name that the module never refers to.
+The package's __init__.py (whose imports are its exports) and __future__
+imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import jkaraim
+
+MODULES = sorted(p for p in Path(jkaraim.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """(line, name) of each name imported by source and never used."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_modules_found():
+    assert {"distkit.py", "sim.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detects_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import io\nimport os.path\n"
+              "from dataclasses import dataclass, field\n"
+              "@dataclass\nclass A:\n    x: int\n"
+              "print(os.path.sep)\n")
+    assert unused_imports(source) == [(2, "io"), (4, "field")]
