@@ -81,7 +81,7 @@ _SCENARIO_KEYS = {
     "grid_step_deg": float, "epoch_step_s": float, "duration_s": float,
     "mask_deg": float, "flavor": str, "algorithm": str, "seed": int,
     "val": float, "hal": float, "compute_horizontal": _parse_bool,
-    "detect": _parse_bool, "n_points": int,
+    "detect": _parse_bool,
     "constellations": lambda s: tuple(t.strip() for t in s.split(",")),
 }
 
@@ -117,10 +117,6 @@ def _budget_from_kv(kv) -> IntegrityBudget:
     return IntegrityBudget(**args)
 
 
-# The scenario's grid size: a PGO PL here is the scenario record's VPL.
-_N_POINTS = sim.ScenarioConfig.n_points
-
-
 def _load_geometry(path, table, flavor, budget):
     """Geometry JSON: either a raw linear model (G, weights, sigmas; Gaussian
     bounds only) or a user/satellite description set up as a scenario epoch
@@ -149,7 +145,7 @@ def _load_geometry(path, table, flavor, budget):
         model_core.geodetic_to_ecef(*doc["user_llh"]),
         [s["svn"] for s in sats], [s["constellation"] for s in sats],
         [s["ecef"] for s in sats], table, budget, flavor=flavor,
-        mask_deg=float(doc.get("mask_deg", 5.0)), n_points=_N_POINTS)
+        mask_deg=float(doc.get("mask_deg", 5.0)))
     return (setup.geom, setup.ops, setup.tm,
             [m.acc_bound for m in setup.models], setup.sig_acc, 2)
 
@@ -165,13 +161,12 @@ def cmd_pl(args) -> int:
                                 axes=(axis,))
         pl, binding, thresh = float(res.pl[axis]), "total-risk", {}
     else:
-        dists, _ = jackknife.stat_distributions(model, ops, tm, acc,
-                                                axis=axis, n_points=_N_POINTS)
+        dists, _ = jackknife.stat_distributions(model, ops, tm, acc, axis)
         thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
         bounds = [distkit.PairedBound(a, budget.b_nom) for a in acc]
         pl, binding = pl_solve(model, tm, bounds, thresh, budget,
                                axis=axis, ops=ops, gaussian_sigmas=sigmas,
-                               n_points=_N_POINTS, return_binding=True)
+                               return_binding=True)
     doc = {"pl_m": pl, "axis": axis, "binding": binding,
            "algorithm": args.algorithm, "bound": args.bound,
            "thresholds": {str(k): v for k, v in thresh.items()},
@@ -281,8 +276,7 @@ def cmd_detect(args) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     res = jackknife.run_detector(model, tm, acc, y=y, axis=axis, ops=ops,
-                                 c_req_fa=budget.c_req_fa_total,
-                                 n_points=_N_POINTS)
+                                 c_req_fa=budget.c_req_fa_total)
     doc = {"alert": res.alert,
            "stats": {str(k): v for k, v in res.stats.items()},
            "thresholds": {str(k): v for k, v in res.thresholds.items()},

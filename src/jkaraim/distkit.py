@@ -20,6 +20,10 @@ from .errors import GridOverflow, TailUnresolved
 # Maximum half-width (m) a convolution grid may request.
 MAX_GRID_HALFWIDTH = 1.0e5
 
+# Grid intervals of every convolution the library runs: the resolution of
+# the accuracy bounds, the statistic distributions and the PL terms.
+GRID_POINTS = 2048
+
 # Standard deviations a convolution grid's half-width covers, besides the
 # components' support_extra.
 _GRID_SIGMAS = 12.0
@@ -679,7 +683,7 @@ def _convolve_half(parts, h, work):
                              out=work[:, :2 * n_half + 1])
 
 
-def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=_GRID_SIGMAS,
+def convolve_batch(coeff_matrix, dists, n_points=GRID_POINTS,
                    force_grid=False):
     """Distributions of sum_j C[i, j] eps_j for every coefficient row i
     over one set of independent zero-mean symmetric components, on a
@@ -688,8 +692,8 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=_GRID_SIGMAS,
     Returns one DistBatch: a GaussianBatch when every component is
     Gaussian (closed-form variance sums) unless force_grid is set, else a
     GridBatch on the grid x = k * h, |k| <= n_points / 2, whose half-width
-    covers n_sigmas standard deviations plus the support_extra of every
-    row.
+    covers _GRID_SIGMAS standard deviations plus the support_extra of
+    every row.
     """
     C = np.asarray(coeff_matrix, dtype=float)
     if C.ndim != 2 or C.shape[1] != len(dists):
@@ -699,7 +703,7 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=_GRID_SIGMAS,
         return GaussianBatch(np.sqrt((C ** 2) @ var))
     var = np.array([d.variance() for d in dists])
     extra = np.array([d.support_extra for d in dists])
-    L = float(np.max(n_sigmas * np.sqrt((C ** 2) @ var)
+    L = float(np.max(_GRID_SIGMAS * np.sqrt((C ** 2) @ var)
                      + np.abs(C) @ extra))
     if L > MAX_GRID_HALFWIDTH:
         raise GridOverflow(f"requested half-width {L:.3g} m exceeds maximum")
@@ -721,17 +725,17 @@ def convolve_batch(coeff_matrix, dists, n_points=4096, n_sigmas=_GRID_SIGMAS,
                      np.abs(C) @ extra)
 
 
-def convolve_rows(rows, n_points=4096):
+def convolve_rows(rows, n_points=GRID_POINTS):
     """Distributions of the sums eps_i1 + eps_i2 + ... of independent
     zero-mean symmetric analytic components, one per row i, each row on
     its own grid.
 
     Row i is what convolve_batch([[1, 1, ...]], rows[i], n_points,
-    force_grid=True)[0] gives, bit for bit: half-width L_i of 12 standard
-    deviations of the sum (convolve_batch's n_sigmas) plus its components'
-    support_extra, and spacing h_i = 2 L_i / n_points. Each component is
-    sampled on its row's spacing, short of its _reach, and one multi-row
-    DCT-I per component column and one inverse serve all rows.
+    force_grid=True)[0] gives, bit for bit: half-width L_i of _GRID_SIGMAS
+    standard deviations of the sum plus its components' support_extra, and
+    spacing h_i = 2 L_i / n_points. Each component is sampled on its row's
+    spacing, short of its _reach, and one multi-row DCT-I per component
+    column and one inverse serve all rows.
 
     Returns a GridBatch whose rows each have their own grid.
     """

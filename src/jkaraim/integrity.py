@@ -218,7 +218,7 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, sigmas,
 
 
 def _jk_terms(model, threat, bounds_int, thresholds, budget, axis, ops,
-              gaussian_sigmas, n_points):
+              gaussian_sigmas):
     """The terms of the jk integrity sum on one axis: the fault-free term,
     the kept satellite modes, then the kept constellation modes.
 
@@ -253,8 +253,7 @@ def _jk_terms(model, threat, bounds_int, thresholds, budget, axis, ops,
                       + [m.prior for m in terms.sat + terms.const])
     # Rows of dists are the first n terms, rows of const (if any) the rest.
     dists = distkit.convolve_batch(np.vstack((ops.S[axis], terms.Q)),
-                                   [b.base for b in bounds_int],
-                                   n_points=n_points)
+                                   [b.base for b in bounds_int])
     n = len(dists)
     const = distkit.GaussianBatch(terms.const_sigma) if terms.const else None
 
@@ -279,8 +278,8 @@ def _jk_terms(model, threat, bounds_int, thresholds, budget, axis, ops,
 
 def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
              thresholds, budget: IntegrityBudget, axis: int = AXIS_UP,
-             ops: SolutionOps = None, gaussian_sigmas=None,
-             n_points=4096, refine=True, return_binding=False):
+             ops: SolutionOps = None, *, gaussian_sigmas, refine=True,
+             return_binding=False):
     """Protection level for one axis.
 
     The equal-allocation per-mode max bound is computed first. When the
@@ -292,11 +291,12 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
     bounds_int is a per-satellite list of PairedBound (accuracy bound plus
     b_nom shift); their bases feed the convolutions and their b_nom feeds
     the worst-case bias projections. thresholds maps satellite-mode ids to
-    detector thresholds. Constellation modes additionally need Gaussian
-    accuracy sigmas for the solution-separation path.
+    detector thresholds. gaussian_sigmas, the per-satellite accuracy
+    sigmas, set the constellation modes' solution-separation terms; they
+    are required, as omitting them would void every such term.
     """
     terms = _jk_terms(model, threat, bounds_int, thresholds, budget, axis,
-                      ops, gaussian_sigmas, n_points)
+                      ops, gaussian_sigmas)
     if isinstance(terms, str):
         return (math.inf, terms) if return_binding else math.inf
     labels, bounds, risk, target, skipped_mass = terms
@@ -313,8 +313,8 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
 
 def hmi_risk_eval(model: LinearModel, threat: ThreatModel, bounds_int,
                   thresholds, level: float, budget: IntegrityBudget,
-                  axis: int = AXIS_UP, ops: SolutionOps = None,
-                  gaussian_sigmas=None, n_points=4096) -> float:
+                  axis: int = AXIS_UP, ops: SolutionOps = None, *,
+                  gaussian_sigmas) -> float:
     """Integrity risk at a candidate level: the monitored-mode sum that
     pl_solve bisects (fault-free, satellite-fault and constellation-fault
     terms) plus the mass budgeted for the modes it skips. P_not_monitored
@@ -325,7 +325,7 @@ def hmi_risk_eval(model: LinearModel, threat: ThreatModel, bounds_int,
     if level <= 0:
         raise ValueError("level must be positive")
     terms = _jk_terms(model, threat, bounds_int, thresholds, budget, axis,
-                      ops, gaussian_sigmas, n_points)
+                      ops, gaussian_sigmas)
     if isinstance(terms, str):
         return 1.0
     _, _, risk, _, skipped_mass = terms
@@ -334,7 +334,7 @@ def hmi_risk_eval(model: LinearModel, threat: ThreatModel, bounds_int,
 
 def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
                       gaussian_sigmas, budget: IntegrityBudget,
-                      ops: SolutionOps = None, b_nom=None,
+                      ops: SolutionOps = None,
                       axes=(0, 1, 2)) -> PlResult:
     """Solution-separation protection levels via bisection on total risk.
 
@@ -348,8 +348,7 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
         ops = SolutionOps(model)
     sig = np.asarray(gaussian_sigmas, dtype=float)
     var = sig ** 2
-    if b_nom is None:
-        b_nom = np.full(model.n, budget.b_nom)
+    b_nom = np.full(model.n, budget.b_nom)
 
     pl = np.full(3, np.nan)
     for axis in axes:

@@ -47,7 +47,7 @@ class ModeDistributions(Mapping):
 
 def stat_distributions(model: LinearModel, ops: SolutionOps,
                        threat: ThreatModel, acc_bounds,
-                       axis: int = AXIS_UP, n_points=4096, mode_ids=None):
+                       axis: int = AXIS_UP, mode_ids=None):
     """Nominal distributions of every computable mode statistic.
 
     Returns (dists, skipped) where dists is a ModeDistributions (mode id
@@ -67,7 +67,7 @@ def stat_distributions(model: LinearModel, ops: SolutionOps,
     skipped = [m.id for m, good in zip(modes, ok) if not good]
     if not ids:
         return {}, skipped
-    batch = distkit.convolve_batch(C[ok], acc_bounds, n_points=n_points)
+    batch = distkit.convolve_batch(C[ok], acc_bounds)
     return ModeDistributions(ids, batch), skipped
 
 
@@ -91,7 +91,7 @@ def thresholds(threat: ThreatModel, stat_dists, c_req_fa: float):
 def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds,
                  y=None, axis: int = AXIS_UP, c_req_fa: float = 3.99e-6,
                  ops: SolutionOps = None, stat_dists=None,
-                 thresh=None, n_points=4096) -> JkStatistics:
+                 thresh=None) -> JkStatistics:
     """Multi-hypothesis jackknife detection for one epoch.
 
     y defaults to model.y, which is left as it is. Rank-deficient modes
@@ -104,7 +104,7 @@ def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds,
     skipped = []
     if stat_dists is None:
         stat_dists, skipped = stat_distributions(
-            model, ops, threat, acc_bounds, axis, n_points)
+            model, ops, threat, acc_bounds, axis)
     if thresh is None:
         thresh = thresholds(threat, stat_dists, c_req_fa)
 

@@ -219,8 +219,7 @@ class SatErrorModel:
                 + s_user * rng.standard_normal())
 
 
-def error_models(svns, elevations, table, flavor, b_nom=0.75,
-                 n_points=4096) -> list:
+def error_models(svns, elevations, table, flavor, b_nom=0.75) -> list:
     """Per-satellite nominal error synthesis and bounds for one epoch, one
     SatErrorModel per (svn, elevation).
 
@@ -249,8 +248,7 @@ def error_models(svns, elevations, table, flavor, b_nom=0.75,
     elif entries:
         accs = distkit.convolve_rows(
             [(e.pgo(), distkit.Gaussian(s_tropo), distkit.Gaussian(s_user))
-             for e, (s_tropo, s_user) in zip(entries, noise)],
-            n_points=n_points)
+             for e, (s_tropo, s_user) in zip(entries, noise)])
     else:
         accs = []
     return [SatErrorModel(e.svn, e.constellation, (e.pgo(), s_tropo, s_user),
@@ -284,7 +282,6 @@ class ScenarioConfig:
     hal: float = 40.0
     compute_horizontal: bool = False
     detect: bool = True
-    n_points: int = 2048
     budget: IntegrityBudget = None
 
     def __post_init__(self):
@@ -370,8 +367,8 @@ class EpochSetup:
 
 
 def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
-                budget: IntegrityBudget, flavor="gaussian", mask_deg=5.0,
-                n_points=4096) -> EpochSetup:
+                budget: IntegrityBudget, flavor="gaussian",
+                mask_deg=5.0) -> EpochSetup:
     """One epoch's set-up from the user's ECEF position and the
     satellites' ids, constellations and ECEF positions: the satellites
     above mask_deg, their error models (error_models), the linear model
@@ -391,8 +388,7 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
         exc = InsufficientGeometry("insufficient geometry")
         exc.n_visible = len(vis)
         raise exc
-    models = error_models(ids, el, table, flavor, b_nom=budget.b_nom,
-                          n_points=n_points)
+    models = error_models(ids, el, table, flavor, b_nom=budget.b_nom)
     sig_acc = np.array([m.acc_sigma for m in models])
     geom = model_core.model_from_los(u, consts, ids,
                                      weights=1.0 / sig_acc ** 2)
@@ -420,8 +416,7 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
         setup = epoch_setup(user, [a.svn for a in sats],
                             [a.constellation for a in sats], positions,
                             table, budget, flavor=config.flavor,
-                            mask_deg=config.mask_deg,
-                            n_points=config.n_points)
+                            mask_deg=config.mask_deg)
     except (InsufficientGeometry, InsufficientRedundancy) as exc:
         if not hasattr(exc, "n_visible"):
             raise
@@ -453,9 +448,8 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
             else:
                 i_alloc = allocate(budget, tm, AXIS_UP)[1]
                 needed = [m.id for m in tm.sat_modes() if m.prior > i_alloc]
-            dists, _ = jackknife.stat_distributions(
-                geom, ops, tm, acc, n_points=config.n_points,
-                mode_ids=needed)
+            dists, _ = jackknife.stat_distributions(geom, ops, tm, acc,
+                                                    mode_ids=needed)
             thresh = jackknife.thresholds(tm, dists,
                                           budget.c_req_fa_total)
             if config.detect:
@@ -472,8 +466,7 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
             for axis in axes:
                 pl[axis] = pl_solve(geom, tm, bounds, thresh, budget,
                                     axis=axis, ops=ops,
-                                    gaussian_sigmas=sig_acc,
-                                    n_points=config.n_points)
+                                    gaussian_sigmas=sig_acc)
     except JkAraimError as exc:
         rec.error = str(exc)
         return rec

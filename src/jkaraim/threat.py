@@ -68,19 +68,23 @@ def determine_kmax(n_sats_per_const, p_sat, p_const, p_thres):
                  p_sat, p_const, p_thres)
 
 
+def _p_not_monitored(n, n_const, p_sat, p_const, k_max):
+    """Prior mass of the faults no mode covers: more than k_max of the n
+    satellites, plus the constellation events left unmonitored."""
+    residual = _binom_tail(n, p_sat, k_max)
+    if n_const <= 1:
+        return residual + p_const * n_const
+    # Single-constellation faults are monitored by solution separation;
+    # only simultaneous constellation faults remain unmonitored.
+    return residual + _binom_tail(n_const, p_const, 1)
+
+
 @lru_cache(maxsize=4096)
 def _kmax(n, n_const, p_sat, p_const, p_thres):
     k_max = 1
     while k_max < n and _binom_tail(n, p_sat, k_max) > p_thres:
         k_max += 1
-    residual = _binom_tail(n, p_sat, k_max)
-    if n_const <= 1:
-        const_term = p_const * n_const
-    else:
-        # Single-constellation faults are monitored by solution separation;
-        # only simultaneous constellation faults remain unmonitored.
-        const_term = _binom_tail(n_const, p_const, 1)
-    return k_max, residual + const_term
+    return k_max, _p_not_monitored(n, n_const, p_sat, p_const, k_max)
 
 
 def enumerate_modes(n, k_max, const_partition, p_sat, p_const, m=None):
@@ -119,9 +123,6 @@ def enumerate_modes(n, k_max, const_partition, p_sat, p_const, m=None):
             mode_id += 1
 
     p_h0 = (1.0 - p_sat) ** n * (1.0 - p_const) ** n_const
-    p_nm = _binom_tail(n, p_sat, k_max)
-    if n_const <= 1:
-        p_nm += p_const * n_const
-    else:
-        p_nm += _binom_tail(n_const, p_const, 1)
-    return ThreatModel(modes, p_h0, p_nm, k_max)
+    return ThreatModel(modes, p_h0,
+                       _p_not_monitored(n, n_const, p_sat, p_const, k_max),
+                       k_max)

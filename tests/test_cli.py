@@ -205,6 +205,13 @@ class TestCmdSim:
         summary = json.loads((tmp_path / "dual.json").read_text())
         assert summary["mode_count_max"] == 1178
 
+    def test_grid_size_key_exit_2(self, tmp_path, capsys):
+        # The grid resolution is the library's (distkit.GRID_POINTS), not a
+        # scenario setting.
+        cfg = self.coarse_cfg(tmp_path, n_points=4096)
+        assert main(["--quiet", "sim", cfg, "-o", str(tmp_path / "r")]) == 2
+        assert "unknown config key 'n_points'" in capsys.readouterr().err
+
 
 class TestCmdFit:
     def test_standard_normal_sigma(self, tmp_path, capsys):

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
-from jkaraim.distkit import (_TAU, _TAU_Z, _UNDERFLOW_Z, Gaussian, GridBatch,
-                             GridDistribution, PairedBound, Pgo, _norm_pdf,
-                             _scaled_pdf, convolve_batch, convolve_rows)
+from jkaraim.distkit import (_TAU, _TAU_Z, _UNDERFLOW_Z, GRID_POINTS,
+                             Gaussian, GridBatch, GridDistribution,
+                             PairedBound, Pgo, _norm_pdf, _scaled_pdf,
+                             convolve_batch, convolve_rows)
 from jkaraim import distkit
 from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
@@ -449,6 +450,23 @@ def pgo_noise_density(pgo, s):
 DEEP_TAIL_ELEVATIONS = (5.5, 15.0, 45.0, 90.0)
 
 
+def satellite_rows(table, pairs):
+    """The PGO (+) N(s_tropo) (+) N(s_user) components of each (svn,
+    elevation) pair's accuracy bound, as sim.error_models synthesises
+    them."""
+    rows = []
+    for svn, el in pairs:
+        entry = table[svn]
+        rows.append((entry.pgo(), Gaussian(float(tropo_sigma(el))),
+                     Gaussian(float(cnmp_sigma(entry.constellation, el)))))
+    return rows
+
+
+def deep_tail_pairs(table):
+    return [(svn, el) for el in DEEP_TAIL_ELEVATIONS
+            for svn in sorted(table.svns())]
+
+
 class TestDeepTail:
     """The grid engine against an independent reference at the tail
     probabilities integrity uses."""
@@ -456,31 +474,32 @@ class TestDeepTail:
     def test_pgo_accuracy_bound_quantiles_against_exact(self):
         # Each satellite's PGO accuracy bound (PGO (+) tropo (+) user noise
         # on a grid) at its p-quantile must leave an exact tail of p:
-        # below 0.99 p is needlessly loose, above 1.001 p unsafe. 2048
-        # points is the scenario grid size.
+        # below 0.99 p is needlessly loose, above 1.001 p unsafe. The
+        # library's grid (error_models' bounds) and one twice as fine.
         table = default_table()
-        svns = sorted(table.svns())
-        for n_points in (2048, 4096):
+        pairs = deep_tail_pairs(table)
+        rows = satellite_rows(table, pairs)
+        for n_points in (GRID_POINTS, 2 * GRID_POINTS):
             worst = []
-            for el in DEEP_TAIL_ELEVATIONS:
-                models = error_models(svns, [el] * len(svns), table, "pgo",
-                                      n_points=n_points)
-                for svn, model in zip(svns, models):
-                    entry, acc = table[svn], model.acc_bound
-                    s = math.hypot(float(tropo_sigma(el)),
-                                   float(cnmp_sigma(entry.constellation, el)))
-                    f, wide = pgo_noise_density(entry.pgo(), s)
-                    for p in (1e-7, 1e-9, 1e-10):
-                        a = abs(float(acc.quantile(p)))
-                        exact, _ = integrate.quad(f, a, a + 40.0 * wide,
-                                                  epsabs=0.0, epsrel=1e-10,
-                                                  limit=200)
-                        worst.append((exact / p, svn, el, p, n_points))
+            accs = convolve_rows(rows, n_points=n_points)
+            for (svn, el), row, acc in zip(pairs, rows, accs):
+                s = math.hypot(row[1].sigma, row[2].sigma)
+                f, wide = pgo_noise_density(row[0], s)
+                for p in (1e-7, 1e-9, 1e-10):
+                    a = abs(float(acc.quantile(p)))
+                    exact, _ = integrate.quad(f, a, a + 40.0 * wide,
+                                              epsabs=0.0, epsrel=1e-10,
+                                              limit=200)
+                    worst.append((exact / p, svn, el, p, n_points))
             assert len(worst) == 3 * len(DEEP_TAIL_ELEVATIONS) * 54
             assert min(worst)[0] >= 0.99, min(worst)
             assert max(worst)[0] <= 1.001, max(worst)
 
     def test_batch_cdf_continuous_across_grid_edges(self):
+        # On the grid this was written for. On GRID_POINTS, two of the 216
+        # rows fall by one ulp of 1.0 across the upper edge (m + (1 - 2 m)
+        # rounds to 1.0 where the continuation gives 1 - m); tail_prob
+        # reads the CDF below zero only.
         table = default_table()
         checked = 0
         for svn in sorted(table.svns()):
@@ -490,7 +509,7 @@ class TestDeepTail:
                     [[1.0, 1.0, 1.0]],
                     [entry.pgo(), Gaussian(float(tropo_sigma(el))),
                      Gaussian(float(cnmp_sigma(entry.constellation, el)))],
-                    force_grid=True)
+                    n_points=2 * GRID_POINTS, force_grid=True)
                 edge, h = batch.x[-1], batch.h
                 x = np.array([-edge - h, -edge * (1 + 1e-9), -edge,
                               -edge + h, edge - h, edge, edge * (1 + 1e-9),
@@ -578,22 +597,22 @@ class TestBatchedSynthesis:
     one-row convolve_batch grid, the independent reference, bit for
     bit."""
 
+    def test_error_models_are_convolve_rows(self):
+        table = default_table()
+        pairs = deep_tail_pairs(table)
+        models = error_models([s for s, _ in pairs], [e for _, e in pairs],
+                              table, "pgo")
+        assert len(models) == 54 * len(DEEP_TAIL_ELEVATIONS)
+        assert_same_batch(models[0].acc_bound._rows,
+                          convolve_rows(satellite_rows(table, pairs)))
+
     @pytest.mark.parametrize("n_points", [2048, 4096])
     def test_rows_equal_scaled_convolve(self, n_points):
         table = default_table()
-        pairs = [(svn, el) for el in DEEP_TAIL_ELEVATIONS
-                 for svn in sorted(table.svns())]
-        models = error_models([s for s, _ in pairs], [e for _, e in pairs],
-                              table, "pgo", n_points=n_points)
-        assert len(models) == 54 * len(DEEP_TAIL_ELEVATIONS)
-        for (svn, el), model in zip(pairs, models):
-            entry = table[svn]
-            ref = convolve_batch(
-                [[1.0, 1.0, 1.0]],
-                [entry.pgo(), Gaussian(float(tropo_sigma(el))),
-                 Gaussian(float(cnmp_sigma(entry.constellation, el)))],
-                n_points=n_points, force_grid=True)[0]
-            got = model.acc_bound
+        rows = satellite_rows(table, deep_tail_pairs(table))
+        for row, got in zip(rows, convolve_rows(rows, n_points=n_points)):
+            ref = convolve_batch([[1.0, 1.0, 1.0]], row, n_points=n_points,
+                                 force_grid=True)[0]
             for name in ("x", "pdf_grid", "cdf_grid"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(ref, name))
@@ -626,12 +645,10 @@ class TestReachLeavesTransformsUnchanged:
     @pytest.mark.parametrize("n_points", [2048, 4096])
     def test_satellite_grids(self, n_points, monkeypatch):
         table = default_table()
-        pairs = [(svn, el) for el in DEEP_TAIL_ELEVATIONS
-                 for svn in sorted(table.svns())]
-        args = ([s for s, _ in pairs], [e for _, e in pairs], table, "pgo")
-        got = error_models(*args, n_points=n_points)[0].acc_bound._rows
+        rows = satellite_rows(table, deep_tail_pairs(table))
+        got = convolve_rows(rows, n_points=n_points)
         monkeypatch.setattr(distkit, "_sample_row", full_sampler)
-        ref = error_models(*args, n_points=n_points)[0].acc_bound._rows
+        ref = convolve_rows(rows, n_points=n_points)
         assert len(got) == 54 * len(DEEP_TAIL_ELEVATIONS)
         assert_same_batch(got, ref)
 

@@ -174,7 +174,7 @@ class TestBaselineAraim:
     def test_vanishing_fault_priors_leave_h0_term(self):
         model, ops, budget, tm, acc, bounds, thresh = toy_case(p_sat=1e-15)
         res = baseline_araim_pl(model, tm, np.ones(2), budget, ops=ops,
-                                b_nom=np.zeros(2), axes=(0,))
+                                axes=(0,))
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         target = 1e-7 * deflate
         expect = math.sqrt(0.5) * abs(ndtri(target / (2 * tm.p_h0)))
@@ -198,7 +198,7 @@ class TestBaselineAraim:
 
 
 def reference_risk(model, ops, tm, bounds, thresh, level, budget, axis,
-                   sigmas, n_points=4096):
+                   sigmas):
     """The integrity-risk sum at a level, mode by mode: one subset solve
     and a one-row convolution of its q vector per satellite mode, the
     constellation separation sigmas written out, and the skip rule's
@@ -215,7 +215,7 @@ def reference_risk(model, ops, tm, bounds, thresh, level, budget, axis,
     def tail_prob(dist, x):
         return 1.0 if x <= 0 else float(2.0 * dist.cdf(-x))
 
-    dist0 = convolve_batch([ops.S[axis]], bases, n_points=n_points)[0]
+    dist0 = convolve_batch([ops.S[axis]], bases)[0]
     risk = tm.p_h0 * tail_prob(dist0, level - bias_projection(ops.S, b_nom,
                                                               axis))
     for mode in tm.modes:
@@ -229,7 +229,7 @@ def reference_risk(model, ops, tm, bounds, thresh, level, budget, axis,
                      * abs(ndtri(c_alloc)))
         else:
             Sk, _ = ops.subset(mode.excluded)
-            dist = convolve_batch([Sk[axis]], bases, n_points=n_points)[0]
+            dist = convolve_batch([Sk[axis]], bases)[0]
             extra = thresh[mode.id]
             if len(mode.excluded) == 1:
                 extra *= abs(ops.S[axis, next(iter(mode.excluded))])
@@ -309,6 +309,20 @@ class TestHmiRiskEval:
         kw = dict(axis=0, ops=ops, gaussian_sigmas=np.ones(2))
         assert pl_solve(*args, budget, **kw) == math.inf
         assert hmi_risk_eval(*args, 1.0, budget, **kw) == 1.0
+
+    def test_accuracy_sigmas_required(self):
+        # The constellation-mode terms come from the accuracy sigmas; a
+        # call without them must not give a PL.
+        geom, ops, budget, tm, bounds, thresh, sigmas = epoch_case(
+            "pgo", ("GPS", "GAL"))
+        assert tm.constellation_modes()
+        args = (geom, tm, bounds, thresh)
+        with pytest.raises(TypeError, match="gaussian_sigmas"):
+            pl_solve(*args, budget, axis=2, ops=ops)
+        with pytest.raises(TypeError, match="gaussian_sigmas"):
+            hmi_risk_eval(*args, 30.0, budget, axis=2, ops=ops)
+        assert math.isfinite(pl_solve(*args, budget, axis=2, ops=ops,
+                                      gaussian_sigmas=sigmas))
 
     def test_vanishes_at_infinity(self):
         geom, ops, budget, tm, bounds, thresh, sigmas = epoch_case()

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jkaraim import integrity, sim
+from jkaraim import integrity, jackknife, sim
 from jkaraim.errors import (AlmanacOutOfRange, InsufficientGeometry,
                             InsufficientRedundancy, JkAraimError,
                             SubsetRankDeficient, TailUnresolved)
@@ -291,6 +291,33 @@ class TestBaselineAlert:
         with pytest.raises(RuntimeError):
             integrity.baseline_alert(geom, ops, tm, sigmas, budget,
                                      modes=tm.sat_modes())
+
+
+class TestGridResolution:
+    """Every convolution runs on distkit.GRID_POINTS, so the library's
+    calls with their defaults give the scenario record."""
+
+    def test_library_chain_equals_scenario_vpl(self):
+        # The epoch of demos/protection_levels.py.
+        lat, lon, t = 34.0, -118.0, 36000.0
+        sats = sim.healthy_satellites(default_almanac(("GPS",)), ("GPS",))
+        positions = sim.satellite_positions(sats, t)
+        config = ScenarioConfig(flavor="pgo")
+        rec = sim.evaluate_epoch(config, sats, positions, default_table(),
+                                 lat, lon, t)
+        budget = config.budget
+        s = sim.epoch_setup(sim.model_core.geodetic_to_ecef(lat, lon),
+                            [a.svn for a in sats],
+                            [a.constellation for a in sats], positions,
+                            default_table(), budget, flavor="pgo")
+        dists, _ = jackknife.stat_distributions(
+            s.geom, s.ops, s.tm, [m.acc_bound for m in s.models])
+        thresh = jackknife.thresholds(s.tm, dists, budget.c_req_fa_total)
+        vpl = integrity.pl_solve(s.geom, s.tm,
+                                 [m.int_bound for m in s.models], thresh,
+                                 budget, ops=s.ops, gaussian_sigmas=s.sig_acc)
+        assert not rec.error
+        assert vpl == rec.vpl
 
 
 class TestEpochSetup:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from jkaraim.errors import InsufficientRedundancy
@@ -64,3 +65,14 @@ class TestThreatModelInvariants:
         for m in tm.modes:
             assert 0 < m.prior < 1
             assert len(m.excluded) >= 1
+
+
+class TestNotMonitoredMass:
+    @pytest.mark.parametrize("counts", [[24], [24, 24]])
+    def test_enumerate_modes_matches_determine_kmax(self, counts):
+        k_max, p_nm = determine_kmax(counts, 1e-5, 1e-4, 9e-8)
+        start = np.cumsum([0] + counts)
+        parts = {f"C{i}": range(start[i], start[i + 1])
+                 for i in range(len(counts))}
+        tm = enumerate_modes(sum(counts), k_max, parts, 1e-5, 1e-4)
+        assert tm.p_not_monitored == p_nm
