@@ -25,13 +25,16 @@ def epoch_case(lat, lon, t, flavor):
                        BUDGET, flavor=flavor)
 
 
+def accuracy_bounds(s):
+    return [m.acc_bound for m in s.models]
+
+
 def jk_vpl(s):
-    dists, _ = stat_distributions(s.geom, s.ops, s.tm,
-                                  [m.acc_bound for m in s.models])
+    acc = accuracy_bounds(s)
+    dists, _ = stat_distributions(s.geom, s.ops, s.tm, acc)
     thresh = thresholds(s.tm, dists, BUDGET.c_req_fa_total)
-    return pl_solve(s.geom, s.tm, [m.int_bound for m in s.models], thresh,
-                    BUDGET, axis=AXIS_UP, ops=s.ops,
-                    gaussian_sigmas=s.sig_acc)
+    return pl_solve(s.geom, s.tm, acc, thresh, BUDGET, axis=AXIS_UP,
+                    ops=s.ops)
 
 
 lat, lon, t = 34.0, -118.0, 36000.0
@@ -40,8 +43,8 @@ print(f"user at ({lat}, {lon}), epoch t={t:.0f} s\n")
 gauss = epoch_case(lat, lon, t, "gaussian")
 print(f"{gauss.geom.n} satellites, {gauss.tm.n_fault_modes} fault modes")
 
-base = baseline_araim_pl(gauss.geom, gauss.tm, gauss.sig_acc, BUDGET,
-                         ops=gauss.ops, axes=(AXIS_UP,)).vpl
+base = baseline_araim_pl(gauss.geom, gauss.tm, accuracy_bounds(gauss),
+                         BUDGET, ops=gauss.ops, axes=(AXIS_UP,)).vpl
 print(f"\nsolution-separation benchmark VPL: {base:7.2f} m")
 
 vpl_g = jk_vpl(gauss)

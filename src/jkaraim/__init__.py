@@ -1,8 +1,8 @@
 """Jackknife-based advanced RAIM for multi-constellation GNSS with
 non-Gaussian nominal error bounds."""
 
-from .distkit import (Bgmm, Gaussian, GridDistribution, PairedBound, Pgo,
-                      convolve_batch, convolve_rows)
+from .distkit import (Bgmm, Gaussian, GridDistribution, Pgo, convolve_batch,
+                      convolve_rows)
 from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      InsufficientRedundancy, JkAraimError,
                      KeplerNonConvergence, NoValidPartition,
@@ -34,7 +34,7 @@ __all__ = [
     "EpochRecord", "EpochSetup", "FaultMode", "Gaussian", "GridDistribution",
     "InsufficientGeometry", "InsufficientRedundancy", "IntegrityBudget",
     "JkAraimError", "JkStatistics", "KeplerNonConvergence", "LinearModel",
-    "NoValidPartition", "OverboundReport", "PairedBound", "Pgo", "PlResult",
+    "NoValidPartition", "OverboundReport", "Pgo", "PlResult",
     "SatErrorModel", "SatelliteBound", "SatelliteBoundTable",
     "ScenarioConfig", "SolutionOps", "SubsetRankDeficient", "ThreatModel",
     "UnknownSatellite",

@@ -80,7 +80,7 @@ def _parse_bool(s):
 _SCENARIO_KEYS = {
     "grid_step_deg": float, "epoch_step_s": float, "duration_s": float,
     "mask_deg": float, "flavor": str, "algorithm": str, "seed": int,
-    "val": float, "hal": float, "compute_horizontal": _parse_bool,
+    "val": float, "compute_horizontal": _parse_bool,
     "detect": _parse_bool,
     "constellations": lambda s: tuple(t.strip() for t in s.split(",")),
 }
@@ -88,7 +88,7 @@ _SCENARIO_KEYS = {
 _BUDGET_KEYS = {
     "i_req_vert": float, "i_req_horiz": float, "c_req_fa_vert": float,
     "c_req_fa_horiz": float, "p_sat": float, "p_const": float,
-    "p_thres": float, "b_nom": float, "val": float, "hal": float,
+    "p_thres": float, "b_nom": float,
 }
 
 
@@ -121,7 +121,7 @@ def _load_geometry(path, table, flavor, budget):
     """Geometry JSON: either a raw linear model (G, weights, sigmas; Gaussian
     bounds only) or a user/satellite description set up as a scenario epoch
     is (sim.epoch_setup). Returns (model, ops, threat model, accuracy
-    bounds, accuracy sigmas, axis)."""
+    bounds, axis)."""
     with open(path) as fh:
         doc = json.load(fh)
     if "G" in doc:
@@ -139,7 +139,7 @@ def _load_geometry(path, table, flavor, budget):
         acc = [distkit.Gaussian(s) for s in sigmas]
         axis = int(doc.get("axis", min(2, G.shape[1] - 1)))
         return (model, SolutionOps(model), sim.threat_model(model, budget),
-                acc, sigmas, axis)
+                acc, axis)
     sats = doc["sats"]
     setup = sim.epoch_setup(
         model_core.geodetic_to_ecef(*doc["user_llh"]),
@@ -147,26 +147,24 @@ def _load_geometry(path, table, flavor, budget):
         [s["ecef"] for s in sats], table, budget, flavor=flavor,
         mask_deg=float(doc.get("mask_deg", 5.0)))
     return (setup.geom, setup.ops, setup.tm,
-            [m.acc_bound for m in setup.models], setup.sig_acc, 2)
+            [m.acc_bound for m in setup.models], 2)
 
 
 def cmd_pl(args) -> int:
     table = overbound.default_table()
     kv = _read_kv_config(args.config) if args.config else {}
     budget = _budget_from_kv(kv)
-    model, ops, tm, acc, sigmas, axis = _load_geometry(
+    model, ops, tm, acc, axis = _load_geometry(
         args.geometry, table, args.bound, budget)
     if args.algorithm == "baseline":
-        res = baseline_araim_pl(model, tm, sigmas, budget, ops=ops,
+        res = baseline_araim_pl(model, tm, acc, budget, ops=ops,
                                 axes=(axis,))
         pl, binding, thresh = float(res.pl[axis]), "total-risk", {}
     else:
         dists, _ = jackknife.stat_distributions(model, ops, tm, acc, axis)
         thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
-        bounds = [distkit.PairedBound(a, budget.b_nom) for a in acc]
-        pl, binding = pl_solve(model, tm, bounds, thresh, budget,
-                               axis=axis, ops=ops, gaussian_sigmas=sigmas,
-                               return_binding=True)
+        pl, binding = pl_solve(model, tm, acc, thresh, budget, axis=axis,
+                               ops=ops, return_binding=True)
     doc = {"pl_m": pl, "axis": axis, "binding": binding,
            "algorithm": args.algorithm, "bound": args.bound,
            "thresholds": {str(k): v for k, v in thresh.items()},
@@ -267,7 +265,7 @@ def cmd_detect(args) -> int:
     table = overbound.default_table()
     kv = _read_kv_config(args.config) if args.config else {}
     budget = _budget_from_kv(kv)
-    model, ops, tm, acc, sigmas, axis = _load_geometry(
+    model, ops, tm, acc, axis = _load_geometry(
         args.geometry, table, args.bound, budget)
     with open(args.observations) as fh:
         y = np.asarray(json.load(fh), dtype=float)

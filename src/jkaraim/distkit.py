@@ -304,35 +304,6 @@ class Pgo(ErrorDistribution):
         return out.reshape(size)
 
 
-@dataclass(frozen=True)
-class PairedBound:
-    """Symmetric +-b_nom shift of a base bound's CDF branches, producing a
-    median plateau of width 2*b_nom."""
-
-    base: ErrorDistribution
-    b_nom: float
-
-    def __post_init__(self):
-        if self.b_nom < 0:
-            raise ValueError("b_nom must be non-negative")
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        lo = self.base.cdf(x + self.b_nom)
-        hi = self.base.cdf(x - self.b_nom)
-        out = np.where(lo < 0.5, lo, np.where(hi > 0.5, hi, 0.5))
-        return out
-
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        q = self.base.quantile(p)
-        return np.where(p < 0.5, q - self.b_nom,
-                        np.where(p > 0.5, q + self.b_nom, 0.0))
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.quantile(rng.random(size))
-
-
 class GridDistribution:
     """One row of a GridBatch: a numeric distribution on a uniform
     symmetric grid with a conservative analytic Gaussian continuation
@@ -761,3 +732,9 @@ def convolve_rows(rows, n_points=GRID_POINTS):
     x, pdf = _convolve_half(parts(), h, work)
     dom = _row_sums([[d.dominant_sigma() ** 2 for d in r] for r in rows])
     return GridBatch(x, pdf, np.sqrt(dom), extra)
+
+
+def bound_sigmas(bounds) -> np.ndarray:
+    """The Gaussian sigma of each bound, the square root of its variance:
+    the WLS weights and the Gaussian solution-separation terms."""
+    return np.sqrt([b.variance() for b in bounds])

@@ -27,8 +27,6 @@ class IntegrityBudget:
     p_const: float = 1e-4
     p_thres: float = 9e-8
     b_nom: float = 0.75
-    val: float = 35.0
-    hal: float = 40.0
 
     @property
     def i_req_total(self) -> float:
@@ -131,10 +129,11 @@ def _bisect_level(risk, hi: float, target: float):
             steps += 1
 
 
-def constellation_ss(model: LinearModel, ops: SolutionOps, const_mode,
-                     gaussian_sigmas, c_alloc: float, axis: int = AXIS_UP):
+def constellation_ss(ops: SolutionOps, const_mode, sigmas, c_alloc: float,
+                     axis: int = AXIS_UP):
     """Subset-solution sigma and solution-separation threshold for a
-    whole-constellation fault mode.
+    whole-constellation fault mode, from the accuracy bounds' sigmas
+    (distkit.bound_sigmas).
 
     The mode's subset solution is ops.reduced(const_mode.excluded), kept
     on ops: the excluded constellation's clock state is dropped from the
@@ -142,7 +141,7 @@ def constellation_ss(model: LinearModel, ops: SolutionOps, const_mode,
     probability.
     """
     Sk = ops.reduced(const_mode.excluded)
-    var = np.asarray(gaussian_sigmas, dtype=float) ** 2
+    var = np.asarray(sigmas, dtype=float) ** 2
     sigma_vk = float(np.sqrt(np.sum(Sk[axis] ** 2 * var)))
     diff = Sk[axis] - ops.S[axis]
     sigma_ss = float(np.sqrt(np.sum(diff ** 2 * var)))
@@ -196,8 +195,8 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, sigmas,
             good = next(sat_ok)
         else:
             try:
-                sigma_vk, d_kv, Sk = constellation_ss(
-                    ops.model, ops, mode, sigmas, c_alloc, axis)
+                sigma_vk, d_kv, Sk = constellation_ss(ops, mode, sigmas,
+                                                      c_alloc, axis)
             except SubsetRankDeficient:
                 good = False
             else:
@@ -217,8 +216,7 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, sigmas,
     return terms
 
 
-def _jk_terms(model, threat, bounds_int, thresholds, budget, axis, ops,
-              gaussian_sigmas):
+def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
     """The terms of the jk integrity sum on one axis: the fault-free term,
     the kept satellite modes, then the kept constellation modes.
 
@@ -230,12 +228,13 @@ def _jk_terms(model, threat, bounds_int, thresholds, budget, axis, ops,
     """
     if ops is None:
         ops = SolutionOps(model)
-    b_nom = np.array([b.b_nom for b in bounds_int])
+    b_nom = np.full(model.n, budget.b_nom)
     target, i_alloc, c_alloc, _ = allocate(budget, threat, axis)
     if target <= 0.0:
         return "unmonitored"
-    terms = mode_terms(ops, threat.modes, axis, b_nom, gaussian_sigmas,
-                       c_alloc, i_alloc, budget.p_thres)
+    terms = mode_terms(ops, threat.modes, axis, b_nom,
+                       distkit.bound_sigmas(acc_bounds), c_alloc, i_alloc,
+                       budget.p_thres)
     if terms.unmonitorable is not None:
         return f"unmonitorable:{terms.unmonitorable.id}"
 
@@ -253,7 +252,7 @@ def _jk_terms(model, threat, bounds_int, thresholds, budget, axis, ops,
                       + [m.prior for m in terms.sat + terms.const])
     # Rows of dists are the first n terms, rows of const (if any) the rest.
     dists = distkit.convolve_batch(np.vstack((ops.S[axis], terms.Q)),
-                                   [b.base for b in bounds_int])
+                                   acc_bounds)
     n = len(dists)
     const = distkit.GaussianBatch(terms.const_sigma) if terms.const else None
 
@@ -276,10 +275,9 @@ def _jk_terms(model, threat, bounds_int, thresholds, budget, axis, ops,
     return labels, bounds, risk, target, terms.skipped_mass
 
 
-def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
+def pl_solve(model: LinearModel, threat: ThreatModel, acc_bounds,
              thresholds, budget: IntegrityBudget, axis: int = AXIS_UP,
-             ops: SolutionOps = None, *, gaussian_sigmas, refine=True,
-             return_binding=False):
+             ops: SolutionOps = None, *, refine=True, return_binding=False):
     """Protection level for one axis.
 
     The equal-allocation per-mode max bound is computed first. When the
@@ -288,15 +286,15 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
     the budget, which makes the risk bound tight rather than allocated.
     Allocations come from allocate and the kept modes from mode_terms.
 
-    bounds_int is a per-satellite list of PairedBound (accuracy bound plus
-    b_nom shift); their bases feed the convolutions and their b_nom feeds
-    the worst-case bias projections. thresholds maps satellite-mode ids to
-    detector thresholds. gaussian_sigmas, the per-satellite accuracy
-    sigmas, set the constellation modes' solution-separation terms; they
-    are required, as omitting them would void every such term.
+    acc_bounds holds each satellite's accuracy bound: the bounds feed the
+    convolutions and their sigmas (distkit.bound_sigmas) the constellation
+    modes' solution-separation terms. Each satellite's nominal bias is the
+    budget's b_nom, a paired overbound, in the worst-case bias
+    projections. thresholds maps satellite-mode ids to detector
+    thresholds.
     """
-    terms = _jk_terms(model, threat, bounds_int, thresholds, budget, axis,
-                      ops, gaussian_sigmas)
+    terms = _jk_terms(model, threat, acc_bounds, thresholds, budget, axis,
+                      ops)
     if isinstance(terms, str):
         return (math.inf, terms) if return_binding else math.inf
     labels, bounds, risk, target, skipped_mass = terms
@@ -311,10 +309,9 @@ def pl_solve(model: LinearModel, threat: ThreatModel, bounds_int,
     return (best, best_label) if return_binding else best
 
 
-def hmi_risk_eval(model: LinearModel, threat: ThreatModel, bounds_int,
+def hmi_risk_eval(model: LinearModel, threat: ThreatModel, acc_bounds,
                   thresholds, level: float, budget: IntegrityBudget,
-                  axis: int = AXIS_UP, ops: SolutionOps = None, *,
-                  gaussian_sigmas) -> float:
+                  axis: int = AXIS_UP, ops: SolutionOps = None) -> float:
     """Integrity risk at a candidate level: the monitored-mode sum that
     pl_solve bisects (fault-free, satellite-fault and constellation-fault
     terms) plus the mass budgeted for the modes it skips. P_not_monitored
@@ -324,29 +321,29 @@ def hmi_risk_eval(model: LinearModel, threat: ThreatModel, bounds_int,
     """
     if level <= 0:
         raise ValueError("level must be positive")
-    terms = _jk_terms(model, threat, bounds_int, thresholds, budget, axis,
-                      ops, gaussian_sigmas)
+    terms = _jk_terms(model, threat, acc_bounds, thresholds, budget, axis,
+                      ops)
     if isinstance(terms, str):
         return 1.0
     _, _, risk, _, skipped_mass = terms
     return float(risk(np.array([level]))[0]) + skipped_mass
 
 
-def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
-                      gaussian_sigmas, budget: IntegrityBudget,
-                      ops: SolutionOps = None,
+def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
+                      budget: IntegrityBudget, ops: SolutionOps = None,
                       axes=(0, 1, 2)) -> PlResult:
     """Solution-separation protection levels via bisection on total risk.
 
-    The comparison benchmark: Gaussian bounds only, two-sided fault-free
-    term, one-sided faulted terms offset by the separation thresholds at
-    allocate's c_alloc_axis. Every mode that can be monitored is kept
+    The comparison benchmark: each accuracy bound taken as the Gaussian of
+    its sigma (distkit.bound_sigmas), two-sided fault-free term, one-sided
+    faulted terms offset by the separation thresholds at allocate's
+    c_alloc_axis. Every mode that can be monitored is kept
     (mode_terms with i_alloc 0, which skips only rank-deficient modes of
     prior at most p_thres, at no cost to the budget).
     """
     if ops is None:
         ops = SolutionOps(model)
-    sig = np.asarray(gaussian_sigmas, dtype=float)
+    sig = distkit.bound_sigmas(acc_bounds)
     var = sig ** 2
     b_nom = np.full(model.n, budget.b_nom)
 
@@ -383,22 +380,31 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel,
     return PlResult(pl)
 
 
-def baseline_alert(model: LinearModel, ops: SolutionOps, threat: ThreatModel,
-                   sigmas, budget: IntegrityBudget, modes=None,
-                   axis: int = AXIS_UP) -> bool:
-    """Solution-separation tests |S_k y - S y| >= D_k over the given modes
-    (all of the threat's by default), D_k at allocate's c_alloc.
+def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
+                     y, axis: int = AXIS_UP) -> dict:
+    """Solution-separation statistics S_k y - S y and thresholds D_k of the
+    given modes, D_k at c_alloc from the accuracy bounds' sigmas: mode id
+    -> (statistic, threshold), satellite-subset modes first.
 
-    Rank-deficient modes cannot be tested and are passed over (mode_terms
+    Rank-deficient modes cannot be tested and are left out (mode_terms
     with p_thres infinite); any other failure propagates."""
-    var = np.asarray(sigmas) ** 2
-    c_alloc = allocate(budget, threat, axis)[2]
-    terms = mode_terms(ops, threat.modes if modes is None else modes, axis,
-                       np.zeros(model.n), sigmas, c_alloc, 0.0, math.inf)
-    full = ops.S[axis] @ model.y
+    sigmas = distkit.bound_sigmas(acc_bounds)
+    terms = mode_terms(ops, modes, axis, np.zeros(len(sigmas)), sigmas,
+                       c_alloc, 0.0, math.inf)
+    full = ops.S[axis] @ y
     diff = terms.Q - ops.S[axis]
-    d_thresh = abs(float(ndtri(c_alloc))) * np.sqrt((diff ** 2) @ var)
-    if np.any(np.abs(diff @ model.y) >= d_thresh):
-        return True
-    return any(abs(float(row @ model.y - full)) >= d
-               for d, row in zip(terms.const_offset, terms.const_row))
+    d_sat = abs(float(ndtri(c_alloc))) * np.sqrt((diff ** 2) @ sigmas ** 2)
+    stats = ((diff @ y).tolist()
+             + [float(row @ y - full) for row in terms.const_row])
+    return dict(zip([m.id for m in terms.sat + terms.const],
+                    zip(stats, d_sat.tolist() + terms.const_offset)))
+
+
+def baseline_alert(model: LinearModel, ops: SolutionOps, threat: ThreatModel,
+                   acc_bounds, budget: IntegrityBudget,
+                   axis: int = AXIS_UP) -> bool:
+    """Solution-separation tests |S_k y - S y| >= D_k over every mode of
+    the threat (separation_tests), D_k at allocate's c_alloc."""
+    tests = separation_tests(ops, threat.modes, acc_bounds,
+                             allocate(budget, threat, axis)[2], model.y, axis)
+    return any(abs(stat) >= d for stat, d in tests.values())

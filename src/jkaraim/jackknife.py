@@ -9,7 +9,7 @@ import numpy as np
 
 from . import distkit
 from .errors import SubsetRankDeficient
-from .integrity import IntegrityBudget, allocate
+from .integrity import IntegrityBudget, allocate, separation_tests
 from .model_core import AXIS_UP, LinearModel, SolutionOps
 from .threat import ThreatModel
 
@@ -71,6 +71,13 @@ def stat_distributions(model: LinearModel, ops: SolutionOps,
     return ModeDistributions(ids, batch), skipped
 
 
+def _c_alloc(threat: ThreatModel, c_req_fa: float) -> float:
+    """allocate's per-mode, per-tail c_alloc for a whole false-alarm
+    budget of c_req_fa."""
+    return allocate(IntegrityBudget(c_req_fa_vert=c_req_fa,
+                                    c_req_fa_horiz=0.0), threat, AXIS_UP)[2]
+
+
 def thresholds(threat: ThreatModel, stat_dists, c_req_fa: float):
     """Continuity-allocated per-mode thresholds T_k.
 
@@ -80,8 +87,7 @@ def thresholds(threat: ThreatModel, stat_dists, c_req_fa: float):
     one batch, any other mapping of mode ids to distributions one
     distribution at a time.
     """
-    p = allocate(IntegrityBudget(c_req_fa_vert=c_req_fa, c_req_fa_horiz=0.0),
-                 threat, AXIS_UP)[2]
+    p = _c_alloc(threat, c_req_fa)
     if isinstance(stat_dists, ModeDistributions):
         return dict(zip(stat_dists.ids,
                         np.abs(stat_dists.batch.quantile(p)).tolist()))
@@ -92,11 +98,15 @@ def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds,
                  y=None, axis: int = AXIS_UP, c_req_fa: float = 3.99e-6,
                  ops: SolutionOps = None, stat_dists=None,
                  thresh=None) -> JkStatistics:
-    """Multi-hypothesis jackknife detection for one epoch.
+    """Multi-hypothesis detection for one epoch over every mode of the
+    threat: the jackknife statistic against thresh for the satellite-subset
+    modes, and the solution-separation test (integrity.separation_tests)
+    for the constellation modes, both at the c_alloc of a false-alarm
+    budget of c_req_fa.
 
     y defaults to model.y, which is left as it is. Rank-deficient modes
-    are skipped and reported; constellation modes are handled by the
-    solution-separation path, not here.
+    are skipped and reported. thresh is left as it is; the returned
+    thresholds add the constellation modes' separation thresholds.
     """
     y = model.y if y is None else np.asarray(y, dtype=float)
     if ops is None:
@@ -112,12 +122,18 @@ def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds,
     for mode in threat.sat_modes():
         if mode.id not in thresh and mode.id not in skipped:
             skipped.append(mode.id)
-    stats, alerts = {}, {}
+    stats, thresh = {}, dict(thresh)
     if modes:
         ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
         if not ok.all():
             raise SubsetRankDeficient("a thresholded mode is rank deficient")
-        for mode, t in zip(modes, (C @ y).tolist()):
-            stats[mode.id] = t
-            alerts[mode.id] = abs(t) >= thresh[mode.id]
+        stats.update(zip([m.id for m in modes], (C @ y).tolist()))
+    const = threat.constellation_modes()
+    if const:
+        tests = separation_tests(ops, const, acc_bounds,
+                                 _c_alloc(threat, c_req_fa), y, axis)
+        skipped += [m.id for m in const if m.id not in tests]
+        for mid, (stat, d) in tests.items():
+            stats[mid], thresh[mid] = stat, d
+    alerts = {mid: abs(stat) >= thresh[mid] for mid, stat in stats.items()}
     return JkStatistics(stats, thresh, alerts, skipped)

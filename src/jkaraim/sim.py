@@ -206,11 +206,6 @@ class SatErrorModel:
     constellation: str
     truth_components: tuple     # (sisre dist, tropo sigma, cnmp sigma)
     acc_bound: object
-    int_bound: distkit.PairedBound
-
-    @property
-    def acc_sigma(self) -> float:
-        return math.sqrt(self.acc_bound.variance())
 
     def draw(self, rng: np.random.Generator) -> float:
         sisre, s_tropo, s_user = self.truth_components
@@ -219,13 +214,13 @@ class SatErrorModel:
                 + s_user * rng.standard_normal())
 
 
-def error_models(svns, elevations, table, flavor, b_nom=0.75) -> list:
+def error_models(svns, elevations, table, flavor) -> list:
     """Per-satellite nominal error synthesis and bounds for one epoch, one
     SatErrorModel per (svn, elevation).
 
     The truth sampler always follows the heavy-tailed SISRE surrogate; the
-    accuracy/integrity bounds switch between the Gaussian overbound and the
-    exact convolved non-Gaussian form depending on flavor. The PGO-flavour
+    accuracy bounds switch between the Gaussian overbound and the exact
+    convolved non-Gaussian form depending on flavor. The PGO-flavour
     accuracy bounds, PGO (+) N(s_tropo) (+) N(s_user) on grids, come from
     one batched synthesis (distkit.convolve_rows).
     """
@@ -252,7 +247,7 @@ def error_models(svns, elevations, table, flavor, b_nom=0.75) -> list:
     else:
         accs = []
     return [SatErrorModel(e.svn, e.constellation, (e.pgo(), s_tropo, s_user),
-                          acc, distkit.PairedBound(acc, b_nom))
+                          acc)
             for e, (s_tropo, s_user), acc in zip(entries, noise, accs)]
 
 
@@ -279,7 +274,6 @@ class ScenarioConfig:
     algorithm: str = "jk"
     seed: int = 0
     val: float = 35.0
-    hal: float = 40.0
     compute_horizontal: bool = False
     detect: bool = True
     budget: IntegrityBudget = None
@@ -299,8 +293,7 @@ class ScenarioConfig:
             # the unmonitored mass exceeds the budget and no finite PL
             # exists.
             p_const = 0.0 if len(self.constellations) == 1 else 1e-4
-            self.budget = IntegrityBudget(p_const=p_const,
-                                          val=self.val, hal=self.hal)
+            self.budget = IntegrityBudget(p_const=p_const)
 
     def grid(self):
         lons = np.arange(-180.0, 180.0, self.grid_step_deg)
@@ -360,8 +353,7 @@ class EpochSetup:
     visible: list               # indices of the satellites above the mask
     elevations: np.ndarray      # their elevations (deg)
     models: list                # their SatErrorModels
-    sig_acc: np.ndarray         # their accuracy sigmas
-    geom: model_core.LinearModel    # weighted by 1 / sig_acc^2
+    geom: model_core.LinearModel    # weighted by 1 / sigma^2 of each bound
     ops: SolutionOps
     tm: threat.ThreatModel
 
@@ -372,8 +364,8 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     """One epoch's set-up from the user's ECEF position and the
     satellites' ids, constellations and ECEF positions: the satellites
     above mask_deg, their error models (error_models), the linear model
-    weighted by their accuracy sigmas, its SolutionOps and its threat
-    model (threat_model).
+    weighted by their bounds' sigmas (distkit.bound_sigmas), its
+    SolutionOps and its threat model (threat_model).
 
     Raises InsufficientGeometry when fewer satellites than states plus one
     are visible, and InsufficientRedundancy when k_max exceeds n - m; both
@@ -388,17 +380,17 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
         exc = InsufficientGeometry("insufficient geometry")
         exc.n_visible = len(vis)
         raise exc
-    models = error_models(ids, el, table, flavor, b_nom=budget.b_nom)
-    sig_acc = np.array([m.acc_sigma for m in models])
+    models = error_models(ids, el, table, flavor)
+    sigmas = distkit.bound_sigmas([m.acc_bound for m in models])
     geom = model_core.model_from_los(u, consts, ids,
-                                     weights=1.0 / sig_acc ** 2)
+                                     weights=1.0 / sigmas ** 2)
     ops = SolutionOps(geom)
     try:
         tm = threat_model(geom, budget)
     except InsufficientRedundancy as exc:
         exc.n_visible = len(vis)
         raise
-    return EpochSetup(vis, el, models, sig_acc, geom, ops, tm)
+    return EpochSetup(vis, el, models, geom, ops, tm)
 
 
 def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
@@ -422,8 +414,8 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
             raise
         return EpochRecord(lat, lon, t, exc.n_visible, error=str(exc))
     rec = EpochRecord(lat, lon, t, len(setup.visible))
-    models, sig_acc = setup.models, setup.sig_acc
-    geom, ops, tm = setup.geom, setup.ops, setup.tm
+    models, geom, ops, tm = setup.models, setup.geom, setup.ops, setup.tm
+    acc = [m.acc_bound for m in models]
 
     # Synthetic truth, one counter-keyed stream per cell.
     rng = np.random.default_rng([config.seed, loc_id, epoch_id])
@@ -436,13 +428,11 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     axes = (0, 1, 2) if config.compute_horizontal else (2,)
     try:
         if config.algorithm == "baseline":
-            res = baseline_araim_pl(geom, tm, sig_acc, budget, ops=ops,
-                                    axes=axes)
+            pl = baseline_araim_pl(geom, tm, acc, budget, ops=ops,
+                                   axes=axes).pl
             if config.detect:
-                rec.alert = baseline_alert(geom, ops, tm, sig_acc, budget)
-            pl = res.pl
+                rec.alert = baseline_alert(geom, ops, tm, acc, budget)
         else:   # "jk", the other algorithm ScenarioConfig accepts
-            acc = [m.acc_bound for m in models]
             if config.detect:
                 needed = None
             else:
@@ -453,20 +443,13 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
             thresh = jackknife.thresholds(tm, dists,
                                           budget.c_req_fa_total)
             if config.detect:
-                det = jackknife.run_detector(
+                rec.alert = jackknife.run_detector(
                     geom, tm, acc, ops=ops, stat_dists=dists, thresh=thresh,
-                    c_req_fa=budget.c_req_fa_total)
-                rec.alert = det.alert
-                if tm.constellation_modes():
-                    rec.alert = rec.alert or baseline_alert(
-                        geom, ops, tm, sig_acc, budget,
-                        modes=tm.constellation_modes())
-            bounds = [m.int_bound for m in models]
+                    c_req_fa=budget.c_req_fa_total).alert
             pl = np.full(3, math.nan)
             for axis in axes:
-                pl[axis] = pl_solve(geom, tm, bounds, thresh, budget,
-                                    axis=axis, ops=ops,
-                                    gaussian_sigmas=sig_acc)
+                pl[axis] = pl_solve(geom, tm, acc, thresh, budget,
+                                    axis=axis, ops=ops)
     except JkAraimError as exc:
         rec.error = str(exc)
         return rec
@@ -474,7 +457,7 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     rec.vpl = float(pl[2])
     if config.compute_horizontal:
         rec.hpl = float(np.hypot(pl[0], pl[1]))
-    rec.stanford = stanford_class(rec.vpe, rec.vpl, budget.val)
+    rec.stanford = stanford_class(rec.vpe, rec.vpl, config.val)
     return rec
 
 

@@ -64,4 +64,5 @@ def gps_epoch_case(lat, lon, t, flavor="gaussian", budget=None,
             flavor=flavor)
     except InsufficientGeometry:
         return None
-    return setup.geom, setup.models, setup.sig_acc, setup.tm, budget
+    return (setup.geom, setup.models, [m.acc_bound for m in setup.models],
+            setup.tm, budget)

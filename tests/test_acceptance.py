@@ -14,7 +14,7 @@ import pytest
 from scipy.special import ndtri
 
 from jkaraim import jackknife, sim, threat
-from jkaraim.distkit import Gaussian, PairedBound, convolve_batch
+from jkaraim.distkit import Gaussian, bound_sigmas, convolve_batch
 from jkaraim.errors import SubsetRankDeficient
 from jkaraim.integrity import IntegrityBudget, baseline_araim_pl, pl_solve
 from jkaraim.jackknife import stat_distributions, thresholds
@@ -128,9 +128,8 @@ def test_criterion_2_distribution_engine(capsys):
 
 def test_criterion_3_family_wise_false_alarm(capsys):
     t0 = time.perf_counter()
-    geom, models, sigmas, tm, budget = gps_epoch_case(45.0, 10.0, 3600.0)
+    geom, models, acc, tm, budget = gps_epoch_case(45.0, 10.0, 3600.0)
     ops = SolutionOps(geom)
-    acc = [m.acc_bound for m in models]
     tau = 0.01
     dists, _ = jackknife.stat_distributions(geom, ops, tm, acc)
     thresh = jackknife.thresholds(tm, dists, tau)
@@ -140,7 +139,7 @@ def test_criterion_3_family_wise_false_alarm(capsys):
 
     rng = np.random.default_rng(303)
     trials = 10 ** 5
-    eps = rng.standard_normal((trials, geom.n)) * sigmas
+    eps = rng.standard_normal((trials, geom.n)) * bound_sigmas(acc)
     alarms = np.any(np.abs(eps @ C.T) >= T, axis=1)
     fwer = float(np.mean(alarms))
     bound = tau + 3.0 * math.sqrt(tau * (1.0 - tau) / trials)
@@ -171,15 +170,12 @@ def test_criterion_5_baseline_equivalence(capsys):
         case = gps_epoch_case(lat, lon, t)
         if case is None:
             continue
-        geom, models, sigmas, tm, budget = case
+        geom, models, acc, tm, budget = case
         ops = SolutionOps(geom)
-        acc = [m.acc_bound for m in models]
         dists, _ = stat_distributions(geom, ops, tm, acc)
         thresh = thresholds(tm, dists, budget.c_req_fa_total)
-        bounds = [m.int_bound for m in models]
-        jk = pl_solve(geom, tm, bounds, thresh, budget, axis=2, ops=ops,
-                      gaussian_sigmas=sigmas)
-        base = baseline_araim_pl(geom, tm, sigmas, budget, ops=ops,
+        jk = pl_solve(geom, tm, acc, thresh, budget, axis=2, ops=ops)
+        base = baseline_araim_pl(geom, tm, acc, budget, ops=ops,
                                  axes=(2,)).vpl
         if not (np.isfinite(jk) and np.isfinite(base)):
             assert np.isfinite(jk) == np.isfinite(base)

@@ -42,7 +42,7 @@ class TestCmdPl:
         doc = json.loads(capsys.readouterr().out)
 
         from jkaraim import jackknife
-        from jkaraim.distkit import Gaussian, PairedBound
+        from jkaraim.distkit import Gaussian
         from jkaraim.integrity import IntegrityBudget, pl_solve
         from jkaraim.model_core import LinearModel, SolutionOps
         from jkaraim.threat import enumerate_modes
@@ -58,9 +58,7 @@ class TestCmdPl:
         dists, _ = jackknife.stat_distributions(model, ops, tm, acc,
                                                 axis=0)
         thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
-        bounds = [PairedBound(a, 0.0) for a in acc]
-        expect = pl_solve(model, tm, bounds, thresh, budget, axis=0,
-                          ops=ops, gaussian_sigmas=np.ones(2))
+        expect = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops)
         assert doc["pl_m"] == pytest.approx(expect, abs=1e-6)
 
     def test_jk_and_baseline_agree(self, toy_files, capsys):
@@ -213,6 +211,26 @@ class TestCmdSim:
         assert "unknown config key 'n_points'" in capsys.readouterr().err
 
 
+    def test_val_key_sets_the_stanford_classes(self, tmp_path):
+        # The scenario's one val classifies every record, also when the
+        # file sets a budget key.
+        from jkaraim import sim
+        cfg = self.coarse_cfg(tmp_path, val=50, p_const=0)
+        out = str(tmp_path / "val")
+        assert main(["--quiet", "sim", cfg, "-o", out]) == 0
+        with open(out + ".csv") as fh:
+            records = sim.read_records_csv(fh)
+        assert any(35.0 < r.vpl <= 50.0 for r in records)
+        for r in records:
+            assert r.stanford == sim.stanford_class(r.vpe, r.vpl, 50.0)
+
+    def test_hal_key_exit_2(self, tmp_path, capsys):
+        # No horizontal alert limit is read anywhere.
+        cfg = self.coarse_cfg(tmp_path, hal=40)
+        assert main(["--quiet", "sim", cfg, "-o", str(tmp_path / "r")]) == 2
+        assert "unknown config key 'hal'" in capsys.readouterr().err
+
+
 class TestCmdFit:
     def test_standard_normal_sigma(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -274,3 +292,80 @@ class TestCmdDetect:
         obs = tmp_path / "obs.json"
         obs.write_text("[1.0, 2.0, 3.0]")
         assert main(["--config", cfg, "detect", geom, str(obs)]) == 2
+
+
+class TestDualConstellation:
+    """`pl` and `detect` on the GPS+GAL user/satellite geometry at 30 N,
+    90 W, t = 7200 s, with the default budget (p_const = 1e-4)."""
+
+    T = 7200.0
+    CONSTS = ("GPS", "GAL")
+
+    def geometry(self, tmp_path):
+        from jkaraim import sim
+        sats = sim.healthy_satellites(sim.default_almanac(self.CONSTS),
+                                      self.CONSTS)
+        positions = sim.satellite_positions(sats, self.T)
+        return (sats, positions,
+                user_sats_geometry(tmp_path / "dual.json", sats, positions))
+
+    @pytest.mark.parametrize("bound, algorithm, vpl", [
+        ("gaussian", "jk", 95.79741255229096),
+        ("pgo", "jk", 34.444877228087485),
+        ("gaussian", "baseline", 93.71399879455566),
+        ("pgo", "baseline", 33.736228942871094)],
+        ids=["gaussian-jk", "pgo-jk", "gaussian-baseline", "pgo-baseline"])
+    def test_pl_equals_scenario_record(self, tmp_path, capsys, bound,
+                                       algorithm, vpl):
+        # The constellation terms bind the jk PL here: they are built from
+        # the accuracy bounds the CLI passes, as in the scenario.
+        from jkaraim import sim
+        from jkaraim.overbound import default_table
+        sats, positions, geom = self.geometry(tmp_path)
+        assert main(["pl", geom, "--bound", bound,
+                     "--algorithm", algorithm]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        config = sim.ScenarioConfig(constellations=self.CONSTS, flavor=bound,
+                                    algorithm=algorithm)
+        rec = sim.evaluate_epoch(config, sats, positions, default_table(),
+                                 30.0, -90.0, self.T)
+        assert doc["pl_m"] == rec.vpl == vpl
+        if algorithm == "jk":
+            assert doc["binding"] == "const:18"
+
+    def test_detect_runs_the_constellation_tests(self, tmp_path, capsys):
+        # A vertical shift seen by every Galileo satellite only: no
+        # satellite-mode statistic reaches its threshold, and a
+        # constellation mode's separation test alerts, as the scenario's
+        # alert does.
+        from jkaraim import sim
+        from jkaraim.integrity import IntegrityBudget, separation_tests
+        from jkaraim.model_core import geodetic_to_ecef
+        from jkaraim.overbound import default_table
+        sats, positions, geom = self.geometry(tmp_path)
+        budget = IntegrityBudget()
+        s = sim.epoch_setup(geodetic_to_ecef(30.0, -90.0),
+                            [a.svn for a in sats],
+                            [a.constellation for a in sats], positions,
+                            default_table(), budget)
+        gal = np.array(s.geom.const_of) == "GAL"
+        y = np.where(gal, 40.0 * s.geom.G[:, 2], 0.0)
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps(y.tolist()))
+        assert main(["detect", geom, str(obs)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+
+        acc = [m.acc_bound for m in s.models]
+        c_alloc = budget.c_req_fa_total / (
+            2.0 * s.tm.n_fault_modes * s.tm.p_h0)
+        const = separation_tests(s.ops, s.tm.constellation_modes(), acc,
+                                 c_alloc, y)
+        assert sorted(const) == [18, 19]
+        for mid, (stat, d) in const.items():
+            assert (doc["stats"][str(mid)], doc["thresholds"][str(mid)]) \
+                == (stat, d)
+        sat_ids = [str(m.id) for m in s.tm.sat_modes()]
+        assert all(abs(doc["stats"][k]) < doc["thresholds"][k]
+                   for k in sat_ids)
+        assert any(abs(stat) >= d for stat, d in const.values())
+        assert doc["alert"]

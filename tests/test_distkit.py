@@ -7,9 +7,9 @@ from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from jkaraim.distkit import (_TAU, _TAU_Z, _UNDERFLOW_Z, GRID_POINTS,
-                             Gaussian, GridBatch, GridDistribution,
-                             PairedBound, Pgo, _norm_pdf, _scaled_pdf,
-                             convolve_batch, convolve_rows)
+                             Gaussian, GridBatch, GridDistribution, Pgo,
+                             _norm_pdf, _scaled_pdf, convolve_batch,
+                             convolve_rows)
 from jkaraim import distkit
 from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
@@ -117,13 +117,6 @@ class TestSample:
         rng = np.random.default_rng(5)
         s = Gaussian(1.0).sample(rng, 10 ** 6)
         assert np.std(s) == pytest.approx(1.0, abs=3e-3)
-
-    def test_paired_bound_envelope(self):
-        rng = np.random.default_rng(6)
-        pb = PairedBound(Gaussian(1.0), 0.75)
-        s = pb.sample(rng, 10 ** 5)
-        mc_sigma = np.std(s) / np.sqrt(s.size)
-        assert abs(np.mean(s)) <= 0.75 + 3 * mc_sigma
 
     def test_determinism(self):
         a = svn63_pgo().sample(np.random.default_rng(9), 1000)

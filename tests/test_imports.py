@@ -1,12 +1,16 @@
-"""Every name a library module imports is used in it.
+"""Every name a library module imports is used in it, and every export
+of the package resolves.
 
 No linter is part of the toolchain, so this parses each module of
 src/jkaraim and fails on an imported name that the module never refers to.
 The package's __init__.py (whose imports are its exports) and __future__
-imports are exempt.
+imports are exempt; its __all__ is checked instead: every name in it must
+resolve and appear once.
 """
 
 import ast
+import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,23 @@ def test_detects_an_unused_import():
               "@dataclass\nclass A:\n    x: int\n"
               "print(os.path.sep)\n")
     assert unused_imports(source) == [(2, "io"), (4, "field")]
+
+
+def stale_exports(module):
+    """Names in module.__all__ that do not resolve, and names listed more
+    than once."""
+    names = list(module.__all__)
+    missing = [n for n in names if not hasattr(module, n)]
+    repeated = [n for n, k in Counter(names).items() if k > 1]
+    return missing, repeated
+
+
+def test_all_exports_resolve_once():
+    assert stale_exports(jkaraim) == ([], [])
+
+
+def test_detects_a_stale_export():
+    module = types.ModuleType("m")
+    module.a = 1
+    module.__all__ = ["a", "b", "a"]
+    assert stale_exports(module) == (["b"], ["a"])

@@ -1,17 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 from jkaraim import jackknife
-from jkaraim.distkit import Gaussian, PairedBound, convolve_batch
+from jkaraim.distkit import Gaussian, convolve_batch
 from jkaraim.errors import SubsetRankDeficient
 from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
-                               _bisect_level, baseline_araim_pl,
+                               _bisect_level, allocate, baseline_araim_pl,
                                constellation_ss, hmi_risk_eval, pl_solve)
-from jkaraim.model_core import LinearModel, SolutionOps, bias_projection
+from jkaraim.model_core import (AXIS_UP, LinearModel, SolutionOps,
+                                bias_projection)
 from jkaraim.threat import enumerate_modes
 
 from conftest import gps_epoch_case
@@ -33,15 +35,14 @@ def toy_case(p_sat=1e-5, b_nom=0.0, sigma=1.0):
     acc = [Gaussian(sigma)] * 2
     dists, _ = jackknife.stat_distributions(model, ops, tm, acc, axis=0)
     thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
-    bounds = [PairedBound(a, b_nom) for a in acc]
-    return model, ops, budget, tm, acc, bounds, thresh
+    return model, ops, budget, tm, acc, thresh
 
 
 class TestPlSolveToy:
     def test_matches_hand_computed_max(self):
-        model, ops, budget, tm, acc, bounds, thresh = toy_case()
-        pl = pl_solve(model, tm, bounds, thresh, budget, axis=0, ops=ops,
-                      gaussian_sigmas=np.ones(2), refine=False)
+        model, ops, budget, tm, acc, thresh = toy_case()
+        pl = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops,
+                      refine=False)
 
         # Hand expansion of the equal-allocation max form.
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
@@ -57,32 +58,28 @@ class TestPlSolveToy:
         assert pl == pytest.approx(max(terms), abs=1e-3)
 
     def test_refinement_never_exceeds_max_form(self):
-        model, ops, budget, tm, acc, bounds, thresh = toy_case()
-        loose = pl_solve(model, tm, bounds, thresh, budget, axis=0,
-                         ops=ops, gaussian_sigmas=np.ones(2), refine=False)
-        tight = pl_solve(model, tm, bounds, thresh, budget, axis=0,
-                         ops=ops, gaussian_sigmas=np.ones(2))
+        model, ops, budget, tm, acc, thresh = toy_case()
+        loose = pl_solve(model, tm, acc, thresh, budget, axis=0,
+                         ops=ops, refine=False)
+        tight = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops)
         assert tight <= loose + 1e-9
 
     def test_bias_additivity_when_h0_binds(self):
         pls = []
         for b in (0.0, 0.75):
-            model, ops, budget, tm, acc, bounds, thresh = \
+            model, ops, budget, tm, acc, thresh = \
                 toy_case(p_sat=1e-12, b_nom=b)
-            pls.append(pl_solve(model, tm, bounds, thresh, budget, axis=0,
-                                ops=ops, gaussian_sigmas=np.ones(2),
-                                refine=False))
+            pls.append(pl_solve(model, tm, acc, thresh, budget, axis=0,
+                                ops=ops, refine=False))
         assert pls[1] - pls[0] == pytest.approx(0.75, abs=2e-3)
 
     def test_h0_homogeneity_in_sigma(self):
         pls = {}
         for sigma in (1.0, 0.1):
-            model, ops, budget, tm, acc, bounds, thresh = \
+            model, ops, budget, tm, acc, thresh = \
                 toy_case(p_sat=1e-12, sigma=sigma)
-            pls[sigma] = pl_solve(model, tm, bounds, thresh, budget,
-                                  axis=0, ops=ops,
-                                  gaussian_sigmas=np.full(2, sigma),
-                                  refine=False)
+            pls[sigma] = pl_solve(model, tm, acc, thresh, budget,
+                                  axis=0, ops=ops, refine=False)
         assert pls[0.1] == pytest.approx(pls[1.0] / 10.0, abs=2e-3)
 
 
@@ -110,18 +107,18 @@ class TestConstellationSS:
         ops = SolutionOps(model)
         sigma0 = float(np.sqrt(np.sum(ops.S[2] ** 2)))
         mode = tm.constellation_modes()[0]
-        sigma_vk, _, _ = constellation_ss(model, ops, mode, np.ones(12),
-                                          1e-7, axis=2)
+        sigma_vk, _, _ = constellation_ss(ops, mode, np.ones(12), 1e-7,
+                                          axis=2)
         assert sigma_vk == pytest.approx(math.sqrt(2) * sigma0, rel=1e-9)
 
     def test_threshold_monotone_in_continuity_allocation(self):
         model, tm = self.duplicate_geometry()
         ops = SolutionOps(model)
         mode = tm.constellation_modes()[0]
-        _, d_small, _ = constellation_ss(model, ops, mode, np.ones(12),
-                                         1e-9, axis=2)
-        _, d_large, _ = constellation_ss(model, ops, mode, np.ones(12),
-                                         1e-5, axis=2)
+        _, d_small, _ = constellation_ss(ops, mode, np.ones(12), 1e-9,
+                                         axis=2)
+        _, d_large, _ = constellation_ss(ops, mode, np.ones(12), 1e-5,
+                                         axis=2)
         assert d_large < d_small
 
     def test_subset_sigma_matches_monte_carlo(self):
@@ -130,8 +127,7 @@ class TestConstellationSS:
         rng = np.random.default_rng(3)
         sigmas = rng.uniform(0.5, 2.0, 12)
         mode = tm.constellation_modes()[0]
-        sigma_vk, _, Sk = constellation_ss(model, ops, mode, sigmas, 1e-7,
-                                           axis=2)
+        sigma_vk, _, Sk = constellation_ss(ops, mode, sigmas, 1e-7, axis=2)
         eps = sigmas[:, None] * rng.standard_normal((12, 10 ** 6))
         emp = np.std(Sk[2] @ eps)
         assert emp == pytest.approx(sigma_vk, rel=5e-3)
@@ -141,10 +137,8 @@ class TestConstellationSS:
         model, tm = self.duplicate_geometry()
         ops = SolutionOps(model)
         mode = tm.constellation_modes()[0]
-        _, _, first = constellation_ss(model, ops, mode, np.ones(12), 1e-7,
-                                       axis=2)
-        _, _, second = constellation_ss(model, ops, mode, np.ones(12), 1e-5,
-                                        axis=0)
+        _, _, first = constellation_ss(ops, mode, np.ones(12), 1e-7, axis=2)
+        _, _, second = constellation_ss(ops, mode, np.ones(12), 1e-5, axis=0)
         assert second is first
         assert ops.reduced(sorted(mode.excluded, reverse=True)) is first
         assert not first.flags.writeable
@@ -164,16 +158,15 @@ class TestConstellationSS:
 
 class TestBaselineAraim:
     def test_toy_matches_jackknife_within_5_percent(self):
-        model, ops, budget, tm, acc, bounds, thresh = toy_case()
-        jk = pl_solve(model, tm, bounds, thresh, budget, axis=0, ops=ops,
-                      gaussian_sigmas=np.ones(2))
-        base = baseline_araim_pl(model, tm, np.ones(2), budget, ops=ops,
+        model, ops, budget, tm, acc, thresh = toy_case()
+        jk = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops)
+        base = baseline_araim_pl(model, tm, acc, budget, ops=ops,
                                  axes=(0,)).pl[0]
         assert jk == pytest.approx(base, rel=0.05)
 
     def test_vanishing_fault_priors_leave_h0_term(self):
-        model, ops, budget, tm, acc, bounds, thresh = toy_case(p_sat=1e-15)
-        res = baseline_araim_pl(model, tm, np.ones(2), budget, ops=ops,
+        model, ops, budget, tm, acc, thresh = toy_case(p_sat=1e-15)
+        res = baseline_araim_pl(model, tm, acc, budget, ops=ops,
                                 axes=(0,))
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         target = 1e-7 * deflate
@@ -183,8 +176,8 @@ class TestBaselineAraim:
     def test_nested_geometry_monotonicity(self):
         case = gps_epoch_case(45.0, 10.0, 3600.0)
         assert case is not None
-        geom, models, sigmas, tm, budget = case
-        full = baseline_araim_pl(geom, tm, sigmas, budget,
+        geom, models, acc, tm, budget = case
+        full = baseline_araim_pl(geom, tm, acc, budget,
                                  axes=(2,)).pl[2]
         # Drop the last satellite: nested subset of the same geometry.
         sub = LinearModel(geom.G[:-1], geom.W[:-1], geom.y[:-1],
@@ -192,30 +185,28 @@ class TestBaselineAraim:
         tm_sub = enumerate_modes(sub.n, tm.k_max,
                                  {"GPS": range(sub.n)}, budget.p_sat,
                                  budget.p_const)
-        reduced = baseline_araim_pl(sub, tm_sub, sigmas[:-1], budget,
+        reduced = baseline_araim_pl(sub, tm_sub, acc[:-1], budget,
                                     axes=(2,)).pl[2]
         assert full <= reduced + 1e-6
 
 
-def reference_risk(model, ops, tm, bounds, thresh, level, budget, axis,
-                   sigmas):
+def reference_risk(model, ops, tm, acc, thresh, level, budget, axis):
     """The integrity-risk sum at a level, mode by mode: one subset solve
     and a one-row convolution of its q vector per satellite mode, the
-    constellation separation sigmas written out, and the skip rule's
-    budgeted mass for modes whose prior fits inside the per-mode
-    allocation. The geometries it is used on have no rank-deficient
-    mode."""
-    bases = [b.base for b in bounds]
-    b_nom = np.array([b.b_nom for b in bounds])
+    constellation separation sigmas written out from the bounds'
+    variances, and the skip rule's budgeted mass for modes whose prior
+    fits inside the per-mode allocation. The geometries it is used on have
+    no rank-deficient mode."""
+    b_nom = np.full(model.n, budget.b_nom)
     deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
     i_alloc = budget.i_req_axis(axis) * deflate / tm.n_fault_modes
     c_alloc = budget.c_req_fa_total / (2.0 * tm.n_fault_modes * tm.p_h0)
-    var = np.asarray(sigmas) ** 2
+    var = np.array([b.variance() for b in acc])
 
     def tail_prob(dist, x):
         return 1.0 if x <= 0 else float(2.0 * dist.cdf(-x))
 
-    dist0 = convolve_batch([ops.S[axis]], bases)[0]
+    dist0 = convolve_batch([ops.S[axis]], acc)[0]
     risk = tm.p_h0 * tail_prob(dist0, level - bias_projection(ops.S, b_nom,
                                                               axis))
     for mode in tm.modes:
@@ -229,7 +220,7 @@ def reference_risk(model, ops, tm, bounds, thresh, level, budget, axis,
                      * abs(ndtri(c_alloc)))
         else:
             Sk, _ = ops.subset(mode.excluded)
-            dist = convolve_batch([Sk[axis]], bases)[0]
+            dist = convolve_batch([Sk[axis]], acc)[0]
             extra = thresh[mode.id]
             if len(mode.excluded) == 1:
                 extra *= abs(ops.S[axis, next(iter(mode.excluded))])
@@ -242,26 +233,23 @@ def epoch_case(flavor="gaussian", constellations=("GPS",)):
     case = gps_epoch_case(30.0, -90.0, 7200.0, flavor=flavor,
                           constellations=constellations)
     assert case is not None
-    geom, models, sigmas, tm, budget = case
+    geom, models, acc, tm, budget = case
     ops = SolutionOps(geom)
-    acc = [m.acc_bound for m in models]
-    bounds = [m.int_bound for m in models]
     dists, _ = jackknife.stat_distributions(geom, ops, tm, acc, axis=2)
     thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
-    return geom, ops, budget, tm, bounds, thresh, sigmas
+    return geom, ops, budget, tm, acc, thresh
 
 
 class TestHmiRiskEval:
     def test_fixed_point_at_protection_level(self):
         # The PL is the lowest level, to PL_TOLERANCE_M, whose risk stays
         # within the deflated budget.
-        geom, ops, budget, tm, bounds, thresh, sigmas = epoch_case()
-        pl = pl_solve(geom, tm, bounds, thresh, budget, axis=2, ops=ops,
-                      gaussian_sigmas=sigmas)
+        geom, ops, budget, tm, acc, thresh = epoch_case()
+        pl = pl_solve(geom, tm, acc, thresh, budget, axis=2, ops=ops)
 
         def risk(level):
-            return hmi_risk_eval(geom, tm, bounds, thresh, level, budget,
-                                 axis=2, ops=ops, gaussian_sigmas=sigmas)
+            return hmi_risk_eval(geom, tm, acc, thresh, level, budget,
+                                 axis=2, ops=ops)
 
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         assert risk(pl) <= budget.i_req_vert * deflate \
@@ -272,32 +260,31 @@ class TestHmiRiskEval:
         ("gaussian", ("GPS", "GAL"), 1e-6), ("pgo", ("GPS", "GAL"), 1e-3)])
     def test_matches_reference_at_protection_level(self, flavor,
                                                    constellations, rel):
-        geom, ops, budget, tm, bounds, thresh, sigmas = epoch_case(
+        geom, ops, budget, tm, acc, thresh = epoch_case(
             flavor, constellations)
-        pl = pl_solve(geom, tm, bounds, thresh, budget, axis=2, ops=ops,
-                      gaussian_sigmas=sigmas)
+        pl = pl_solve(geom, tm, acc, thresh, budget, axis=2, ops=ops)
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         for level in (pl, pl - PL_TOLERANCE_M):
-            risk = hmi_risk_eval(geom, tm, bounds, thresh, level, budget,
-                                 axis=2, ops=ops, gaussian_sigmas=sigmas)
-            expect = reference_risk(geom, ops, tm, bounds, thresh, level,
-                                    budget, 2, sigmas)
+            risk = hmi_risk_eval(geom, tm, acc, thresh, level, budget,
+                                 axis=2, ops=ops)
+            expect = reference_risk(geom, ops, tm, acc, thresh, level,
+                                    budget, 2)
             assert risk == pytest.approx(expect, rel=rel)
             assert (risk <= budget.i_req_vert * deflate) == (level == pl)
 
     def test_skipped_modes_count_at_their_prior(self):
         # Both fault priors fit inside the per-mode allocation.
-        model, ops, budget, tm, acc, bounds, thresh = toy_case(p_sat=1e-12)
+        model, ops, budget, tm, acc, thresh = toy_case(p_sat=1e-12)
         level = 5.0
-        risk = hmi_risk_eval(model, tm, bounds, thresh, level, budget,
-                             axis=0, ops=ops, gaussian_sigmas=np.ones(2))
+        risk = hmi_risk_eval(model, tm, acc, thresh, level, budget,
+                             axis=0, ops=ops)
         expect = tm.p_h0 * 2 * ndtr(-level / math.sqrt(0.5))
         expect += sum(mode.prior for mode in tm.modes)
         assert risk == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("unmonitorable", [False, True])
     def test_certain_risk_where_no_protection_level(self, unmonitorable):
-        model, ops, budget, tm, acc, bounds, thresh = toy_case()
+        model, ops, budget, tm, acc, thresh = toy_case()
         if unmonitorable:
             # Without satellite a, b alone (G row 0) observes nothing.
             model = LinearModel(np.array([[1.0], [0.0]]), np.ones(2),
@@ -305,36 +292,22 @@ class TestHmiRiskEval:
             ops = SolutionOps(model)
         else:
             budget.i_req_vert = budget.i_req_horiz = 0.1 * tm.p_not_monitored
-        args = (model, tm, bounds, thresh)
-        kw = dict(axis=0, ops=ops, gaussian_sigmas=np.ones(2))
+        args = (model, tm, acc, thresh)
+        kw = dict(axis=0, ops=ops)
         assert pl_solve(*args, budget, **kw) == math.inf
         assert hmi_risk_eval(*args, 1.0, budget, **kw) == 1.0
 
-    def test_accuracy_sigmas_required(self):
-        # The constellation-mode terms come from the accuracy sigmas; a
-        # call without them must not give a PL.
-        geom, ops, budget, tm, bounds, thresh, sigmas = epoch_case(
-            "pgo", ("GPS", "GAL"))
-        assert tm.constellation_modes()
-        args = (geom, tm, bounds, thresh)
-        with pytest.raises(TypeError, match="gaussian_sigmas"):
-            pl_solve(*args, budget, axis=2, ops=ops)
-        with pytest.raises(TypeError, match="gaussian_sigmas"):
-            hmi_risk_eval(*args, 30.0, budget, axis=2, ops=ops)
-        assert math.isfinite(pl_solve(*args, budget, axis=2, ops=ops,
-                                      gaussian_sigmas=sigmas))
-
     def test_vanishes_at_infinity(self):
-        geom, ops, budget, tm, bounds, thresh, sigmas = epoch_case()
-        risk = hmi_risk_eval(geom, tm, bounds, thresh, 1e6, budget,
-                             axis=2, ops=ops, gaussian_sigmas=sigmas)
+        geom, ops, budget, tm, acc, thresh = epoch_case()
+        risk = hmi_risk_eval(geom, tm, acc, thresh, 1e6, budget,
+                             axis=2, ops=ops)
         assert risk < 1e-300 or risk == 0.0
 
     def test_toy_matches_closed_form_tail_sum(self):
-        model, ops, budget, tm, acc, bounds, thresh = toy_case()
+        model, ops, budget, tm, acc, thresh = toy_case()
         level = 5.0
-        risk = hmi_risk_eval(model, tm, bounds, thresh, level, budget,
-                             axis=0, ops=ops, gaussian_sigmas=np.ones(2))
+        risk = hmi_risk_eval(model, tm, acc, thresh, level, budget,
+                             axis=0, ops=ops)
         sigma0 = math.sqrt(0.5)
         expect = tm.p_h0 * 2 * ndtr(-level / sigma0)
         for mode in tm.modes:
@@ -378,3 +351,54 @@ class TestBisectLevel:
                 top = mid
             n_steps += 1
         assert (level, steps) == (top, n_steps)
+
+
+class TestLooserIntegrityBudget:
+    """A looser vertical integrity requirement does not raise a PL, on
+    random geometries (one or two constellations, 6 to 12 satellites,
+    unequal Gaussian bounds), to the bisection tolerance PL_TOLERANCE_M.
+
+    The jk PL is checked where the looser budget skips the same modes as
+    the tighter one. A mode newly skipped (prior at most the larger
+    i_alloc) is budgeted at its whole prior, which can cost more than the
+    looser budget gives, and the jk PL can then rise."""
+
+    @staticmethod
+    def case(seed, i_req_vert):
+        from conftest import random_geometry
+        from jkaraim.errors import InsufficientRedundancy
+        from jkaraim.sim import threat_model
+        rng = np.random.default_rng(seed)
+        model = random_geometry(rng, n=int(rng.integers(6, 13)))
+        acc = [Gaussian(s) for s in np.sqrt(1.0 / model.W)]
+        p_const = 1e-4 if len(set(model.const_of)) > 1 else 0.0
+        budget = IntegrityBudget(i_req_vert=i_req_vert, p_const=p_const,
+                                 p_sat=float(10.0 ** rng.uniform(-6, -4)))
+        try:
+            tm = threat_model(model, budget)
+        except InsufficientRedundancy:
+            return None
+        return model, SolutionOps(model), tm, acc, budget
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           log_i_req=st.floats(-8.0, -4.0), log_factor=st.floats(0.0, 2.0))
+    def test_pl_does_not_increase(self, seed, log_i_req, log_factor):
+        case = self.case(seed, 10.0 ** log_i_req)
+        assume(case is not None)
+        model, ops, tm, acc, budget = case
+        looser = dataclasses.replace(
+            budget, i_req_vert=budget.i_req_vert * 10.0 ** log_factor)
+        base = [baseline_araim_pl(model, tm, acc, b, ops=ops, axes=(2,)).vpl
+                for b in (budget, looser)]
+        assert base[1] <= base[0] + PL_TOLERANCE_M
+
+        skipped = [{m.id for m in tm.modes
+                    if m.prior <= allocate(b, tm, AXIS_UP)[1]}
+                   for b in (budget, looser)]
+        if skipped[0] == skipped[1]:
+            dists, _ = jackknife.stat_distributions(model, ops, tm, acc)
+            thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
+            jk = [pl_solve(model, tm, acc, thresh, b, ops=ops)
+                  for b in (budget, looser)]
+            assert jk[1] <= jk[0] + PL_TOLERANCE_M

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from jkaraim.distkit import Bgmm, Gaussian, PairedBound, _norm_pdf
+from jkaraim.distkit import Bgmm, Gaussian, _norm_pdf
 from jkaraim.overbound import (build_pgo, default_table, fit_bgmm,
                                fit_gaussian_overbound, verify_overbound)
 
@@ -116,23 +116,6 @@ class TestBuildPgo:
         x = np.linspace(1e-9, 30.0, 20000)
         assert np.all(pgo.cdf(x) <= bg.cdf(x) + 1e-12)
         assert np.all(pgo.cdf(-x) >= bg.cdf(-x) - 1e-12)
-
-
-class TestApplyPaired:
-    def test_zero_shift_is_identity(self):
-        pb = PairedBound(Gaussian(1.0), 0.0)
-        x = np.linspace(-4, 4, 41)
-        np.testing.assert_allclose(pb.cdf(x), Gaussian(1.0).cdf(x),
-                                   atol=1e-12)
-
-    def test_plateau_edges(self):
-        pb = PairedBound(Gaussian(1.0), 0.75)
-        assert float(pb.cdf(-0.75)) == pytest.approx(0.5, abs=1e-12)
-        assert float(pb.cdf(0.0)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_plateau_quantile(self):
-        pb = PairedBound(Gaussian(1.0), 0.75)
-        assert pb.quantile(0.5 - 1e-6) <= -0.75
 
 
 class TestVerifyOverbound:

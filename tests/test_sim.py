@@ -262,35 +262,35 @@ class TestBaselineAlert:
     def dual_case(self):
         from conftest import gps_epoch_case
         from jkaraim.model_core import SolutionOps
-        geom, models, sigmas, tm, budget = gps_epoch_case(
+        geom, models, acc, tm, budget = gps_epoch_case(
             45.0, 10.0, 3600.0, constellations=("GPS", "GAL"))
         geom.y = np.zeros(geom.n)
-        return geom, SolutionOps(geom), tm, sigmas, budget
+        return geom, SolutionOps(geom), tm, acc, budget
 
     def test_rank_deficient_mode_is_passed_over(self, monkeypatch):
-        geom, ops, tm, sigmas, budget = self.dual_case()
+        geom, ops, tm, acc, budget = self.dual_case()
         assert tm.constellation_modes()
 
         def rank_deficient(*args, **kwargs):
             raise SubsetRankDeficient("no clock support")
 
         monkeypatch.setattr(integrity, "constellation_ss", rank_deficient)
-        assert not integrity.baseline_alert(geom, ops, tm, sigmas, budget)
+        assert not integrity.baseline_alert(geom, ops, tm, acc, budget)
 
     def test_other_errors_propagate(self, monkeypatch):
         # A mode skipped on an unexpected error would be a missed alert.
-        geom, ops, tm, sigmas, budget = self.dual_case()
+        geom, ops, tm, acc, budget = self.dual_case()
 
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(integrity, "constellation_ss", broken)
         with pytest.raises(RuntimeError):
-            integrity.baseline_alert(geom, ops, tm, sigmas, budget)
+            integrity.baseline_alert(geom, ops, tm, acc, budget)
         monkeypatch.setattr(ops, "mode_rows", broken)
         with pytest.raises(RuntimeError):
-            integrity.baseline_alert(geom, ops, tm, sigmas, budget,
-                                     modes=tm.sat_modes())
+            integrity.separation_tests(ops, tm.sat_modes(), acc, 1e-7,
+                                       geom.y)
 
 
 class TestGridResolution:
@@ -314,8 +314,8 @@ class TestGridResolution:
             s.geom, s.ops, s.tm, [m.acc_bound for m in s.models])
         thresh = jackknife.thresholds(s.tm, dists, budget.c_req_fa_total)
         vpl = integrity.pl_solve(s.geom, s.tm,
-                                 [m.int_bound for m in s.models], thresh,
-                                 budget, ops=s.ops, gaussian_sigmas=s.sig_acc)
+                                 [m.acc_bound for m in s.models], thresh,
+                                 budget, ops=s.ops)
         assert not rec.error
         assert vpl == rec.vpl
 
