@@ -8,6 +8,7 @@ to tail probabilities of 1e-9.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -475,7 +476,8 @@ class GridBatch(DistBatch):
     N(0, tail_sigma) beyond +-L, matched to the row's edge density. The
     continuation carries edge_mass = tail_scale * Phi(-L / tail_sigma)
     beyond each edge, so the CDF is edge_mass + (1 - 2 edge_mass) *
-    cdf_grid inside the grid, without a jump at +-L."""
+    cdf_grid inside the grid's lower half, without a jump at -L, and
+    1 - F(-x) above zero."""
 
     def __init__(self, x, pdf, tail_sigma, support_extra):
         self.x = np.asarray(x, dtype=float)
@@ -517,15 +519,17 @@ class GridBatch(DistBatch):
         return one
 
     def cdf(self, x):
+        """F(x) for x <= 0, and 1 - F(-x) above: the rows are symmetric, and
+        the one form for both edges keeps the CDF monotone across +L too."""
         x = np.asarray(x, dtype=float)
-        lo_x, hi_x = self.x[..., 0], self.x[..., -1]
+        y = -np.abs(x)
+        lo_x = self.x[..., 0]
         m = self.edge_mass
-        inside = m + (1.0 - 2.0 * m) * _interp_rows(np.clip(x, lo_x, hi_x),
+        inside = m + (1.0 - 2.0 * m) * _interp_rows(np.maximum(y, lo_x),
                                                     self.x, self.cdf_grid)
-        lo = self.tail_scale * ndtr(np.minimum(x, lo_x) / self.tail_sigma)
-        hi = 1.0 - self.tail_scale * ndtr(-np.maximum(x, hi_x)
-                                          / self.tail_sigma)
-        return np.where(x < lo_x, lo, np.where(x > hi_x, hi, inside))
+        lo = self.tail_scale * ndtr(np.minimum(y, lo_x) / self.tail_sigma)
+        left = np.where(y < lo_x, lo, inside)
+        return np.where(x > 0, 1.0 - left, left)
 
     def quantile(self, p):
         p, row = np.broadcast_arrays(np.asarray(p, dtype=float),
@@ -616,15 +620,32 @@ def _sample_row(d, out, h, a):
     out[k_max + 1:] = 0.0
 
 
-def _convolve_half(parts, h, work):
+# Each thread's grid-engine buffers, reused by every convolution it runs.
+_workspace = threading.local()
+
+
+def _buffers(rows, cols):
+    """This thread's sample and spectrum buffers as two C-contiguous rows x
+    cols arrays, leading views of flat buffers grown to the largest size
+    asked for. The next convolution in the thread overwrites them, so
+    nothing returned may alias them: GridBatch copies its density rows."""
+    size = rows * cols
+    if getattr(_workspace, "size", 0) < size:
+        _workspace.size = size
+        _workspace.flat = (np.empty(size), np.empty(size))
+    return tuple(b[:size].reshape(rows, cols) for b in _workspace.flat)
+
+
+def _convolve_half(parts, h, work, spec):
     """Symmetric convolution of even components sampled on half grids.
 
     parts gives, for each component, the rows it enters (a boolean mask,
     or None for every row) and its samples there on x = k * h, k =
     0..n_points (_scaled_pdf), in the leading rows of work (rows x n_points
-    + 1), transformed in place; h is one spacing for every row or one per
-    row. Returns the grid x = k * h, |k| <= n_points / 2 (1-D, or one row
-    per row) and the density rows on it, not yet normalised, in work.
+    + 1), transformed in place; spec (the same shape) takes the product of
+    the spectra; h is one spacing for every row or one per row. Returns
+    the grid x = k * h, |k| <= n_points / 2 (1-D, or one row per row) and
+    the density rows on it, not yet normalised, in work.
 
     Every sequence transformed is even, so its DFT is real (symmetric
     convolution, Martucci 1994): a sample row's type-I DCT is the DFT of
@@ -634,7 +655,7 @@ def _convolve_half(parts, h, work):
     exactly symmetric output row.
     """
     n_rows, n_points = work.shape[0], work.shape[1] - 1
-    spec = np.ones(work.shape)
+    spec.fill(1.0)
     hpow = np.ones(n_rows)
     step = np.broadcast_to(h, n_rows)
     for rows, samples in parts:
@@ -679,7 +700,7 @@ def convolve_batch(coeff_matrix, dists, n_points=GRID_POINTS,
     if L > MAX_GRID_HALFWIDTH:
         raise GridOverflow(f"requested half-width {L:.3g} m exceeds maximum")
     h = 2.0 * L / n_points
-    work = np.empty((C.shape[0], n_points + 1))
+    work, spec = _buffers(C.shape[0], n_points + 1)
 
     def parts():
         for j, d in enumerate(dists):
@@ -689,7 +710,7 @@ def convolve_batch(coeff_matrix, dists, n_points=GRID_POINTS,
                 yield (None if nz.all() else nz,
                        _scaled_pdf(d, work[:len(a)], h, a))
 
-    x, pdf = _convolve_half(parts(), h, work)
+    x, pdf = _convolve_half(parts(), h, work, spec)
     # The tail sigma of a row sums its nonzero terms left to right.
     dom = np.array([d.dominant_sigma() ** 2 for d in dists])
     return GridBatch(x, pdf, np.sqrt(_row_sums(C * C * dom)),
@@ -721,7 +742,7 @@ def convolve_rows(rows, n_points=GRID_POINTS):
         raise GridOverflow(
             f"requested half-width {L.max():.3g} m exceeds maximum")
     h = 2.0 * L / n_points
-    work = np.empty((len(rows), n_points + 1))
+    work, spec = _buffers(len(rows), n_points + 1)
 
     def parts():
         for column in zip(*rows):
@@ -729,7 +750,7 @@ def convolve_rows(rows, n_points=GRID_POINTS):
                 _sample_row(d, out, step, 1.0)
             yield None, work
 
-    x, pdf = _convolve_half(parts(), h, work)
+    x, pdf = _convolve_half(parts(), h, work, spec)
     dom = _row_sums([[d.dominant_sigma() ** 2 for d in r] for r in rows])
     return GridBatch(x, pdf, np.sqrt(dom), extra)
 

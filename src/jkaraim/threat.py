@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from scipy.stats import binom
+from scipy.special import betainc
 
 from .errors import InsufficientRedundancy
 
@@ -48,10 +48,15 @@ class ThreatModel:
 @lru_cache(maxsize=4096)
 def _binom_tail(n, p, k):
     """P(more than k of n independent events); memoised, as a scenario
-    asks for the same few (n, p, k) at every record."""
-    if p <= 0.0:
+    asks for the same few (n, p, k) at every record.
+
+    The binomial survival function as the regularised incomplete beta
+    I_p(k + 1, n - k), the identity scipy.stats.binom.sf evaluates through
+    the same Boost routine, without importing scipy.stats (over half of
+    the package's import time)."""
+    if p <= 0.0 or k >= n:
         return 0.0
-    return float(binom.sf(k, n, p))
+    return float(betainc(k + 1, n - k, p))
 
 
 def determine_kmax(n_sats_per_const, p_sat, p_const, p_thres):

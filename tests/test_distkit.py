@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -243,12 +247,15 @@ def row_points(batch, rng):
 
 def reference_cdf(d, x):
     """A grid row's CDF through np.interp, the form GridBatch reproduces
-    bit for bit."""
+    bit for bit: F(x) below zero, 1 - F(-x) above."""
     m = d._tail_scale * ndtr(d.x[0] / d.tail_sigma)
-    inside = m + (1.0 - 2.0 * m) * np.interp(x, d.x, d.cdf_grid)
-    lo = d._tail_scale * ndtr(np.minimum(x, d.x[0]) / d.tail_sigma)
-    hi = 1.0 - d._tail_scale * ndtr(-np.maximum(x, d.x[-1]) / d.tail_sigma)
-    return np.where(x < d.x[0], lo, np.where(x > d.x[-1], hi, inside))
+
+    def left(y):
+        if y < d.x[0]:
+            return d._tail_scale * ndtr(y / d.tail_sigma)
+        return m + (1.0 - 2.0 * m) * np.interp(y, d.x, d.cdf_grid)
+
+    return 1.0 - left(-x) if x > 0 else left(x)
 
 
 def reference_quantile(d, p):
@@ -489,10 +496,6 @@ class TestDeepTail:
             assert max(worst)[0] <= 1.001, max(worst)
 
     def test_batch_cdf_continuous_across_grid_edges(self):
-        # On the grid this was written for. On GRID_POINTS, two of the 216
-        # rows fall by one ulp of 1.0 across the upper edge (m + (1 - 2 m)
-        # rounds to 1.0 where the continuation gives 1 - m); tail_prob
-        # reads the CDF below zero only.
         table = default_table()
         checked = 0
         for svn in sorted(table.svns()):
@@ -502,7 +505,7 @@ class TestDeepTail:
                     [[1.0, 1.0, 1.0]],
                     [entry.pgo(), Gaussian(float(tropo_sigma(el))),
                      Gaussian(float(cnmp_sigma(entry.constellation, el)))],
-                    n_points=2 * GRID_POINTS, force_grid=True)
+                    force_grid=True)
                 edge, h = batch.x[-1], batch.h
                 x = np.array([-edge - h, -edge * (1 + 1e-9), -edge,
                               -edge + h, edge - h, edge, edge * (1 + 1e-9),
@@ -665,3 +668,69 @@ class TestReachLeavesTransformsUnchanged:
         for args, kwargs, got in calls:
             assert isinstance(got, GridBatch)
             assert_same_batch(got, convolve_batch(*args, **kwargs))
+
+
+def workspace_calls():
+    """Grid convolutions of several shapes (rows, components, points),
+    through both entry points."""
+    table = default_table()
+    pgos = [table[svn].pgo() for svn in sorted(table.svns())[::9]]
+    rng = np.random.default_rng(5)
+    calls = []
+    for n_rows, n_points in ((3, 256), (9, 512), (1, 128), (6, 1024)):
+        C = rng.uniform(-1.0, 1.0, (n_rows, 3))
+        calls.append(partial(convolve_batch, C,
+                             [pgos[0], Gaussian(0.4), pgos[1]],
+                             n_points=n_points))
+        rows = [(pgos[i % len(pgos)], Gaussian(0.2 + 0.1 * i))
+                for i in range(n_rows)]
+        calls.append(partial(convolve_rows, rows, n_points=n_points))
+    return calls
+
+
+def batch_arrays(batch):
+    return {name: np.copy(getattr(batch, name))
+            for name in ("x", "pdf_grid", "cdf_grid", "tail_scale",
+                         "edge_mass")}
+
+
+class TestWorkspace:
+    """Each thread's convolutions share one set of buffers: no result may
+    alias them, and no two threads may share them."""
+
+    def test_results_survive_later_calls(self):
+        calls = workspace_calls()
+        for i, call in enumerate(calls):
+            batch = call()
+            before = batch_arrays(batch)
+            for later in calls[i + 1:] + calls[:i]:
+                later()
+            for name, value in before.items():
+                np.testing.assert_array_equal(getattr(batch, name), value)
+
+    def test_threads_give_the_serial_results(self):
+        # More threads than this suite's 2-core hosts have, switching often.
+        calls = workspace_calls()
+        serial = [batch_arrays(call()) for call in calls]
+        n_threads = 4
+        start = threading.Barrier(n_threads, timeout=60)
+
+        def run(shift):
+            start.wait()
+            order = [(i + shift) % len(calls) for i in range(len(calls))]
+            return [(i, batch_arrays(calls[i]())) for _ in range(2)
+                    for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                futures = [pool.submit(run, 3 * k) for k in range(n_threads)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert len(result) == 2 * len(calls)
+            for i, arrays in result:
+                for name, value in arrays.items():
+                    np.testing.assert_array_equal(value, serial[i][name])

@@ -1,14 +1,19 @@
-"""Every name a library module imports is used in it, and every export
-of the package resolves.
+"""Every name a library module imports is used in it, every export of
+the package resolves, and the package never loads scipy.stats.
 
 No linter is part of the toolchain, so this parses each module of
 src/jkaraim and fails on an imported name that the module never refers to.
 The package's __init__.py (whose imports are its exports) and __future__
 imports are exempt; its __all__ is checked instead: every name in it must
 resolve and appear once.
+
+scipy.stats takes about half a second to import, more than the rest of the
+package together; the library uses scipy.special and scipy.fft only.
 """
 
 import ast
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -75,3 +80,46 @@ def test_detects_a_stale_export():
     module.a = 1
     module.__all__ = ["a", "b", "a"]
     assert stale_exports(module) == (["b"], ["a"])
+
+
+def stats_imports(source):
+    """Lines of source that import scipy.stats or anything from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.stats" or n.startswith("scipy.stats.")
+               for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(jkaraim.__file__).parent.rglob("*.py")),
+    ids=lambda p: p.name)
+def test_no_scipy_stats_import(path):
+    assert stats_imports(path.read_text()) == []
+
+
+def test_detects_a_scipy_stats_import():
+    source = ("import scipy.special\nimport scipy.stats\n"
+              "from scipy import stats\nfrom scipy.stats import binom\n"
+              "from scipy.stats.distributions import norm\n"
+              "from scipy import fft\n")
+    assert stats_imports(source) == [2, 3, 4, 5]
+
+
+def test_fresh_import_loads_no_scipy_stats():
+    src = str(Path(jkaraim.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import jkaraim, jkaraim.cli\n"
+            "print('\\n'.join(m for m in sys.modules\n"
+            "                  if m.startswith('scipy.stats')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []

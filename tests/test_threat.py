@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from jkaraim.errors import InsufficientRedundancy
-from jkaraim.threat import determine_kmax, enumerate_modes
+from jkaraim.threat import _binom_tail, determine_kmax, enumerate_modes
 
 
 class TestDetermineKmax:
@@ -76,3 +77,14 @@ class TestNotMonitoredMass:
                  for i in range(len(counts))}
         tm = enumerate_modes(sum(counts), k_max, parts, 1e-5, 1e-4)
         assert tm.p_not_monitored == p_nm
+
+
+class TestBinomialTail:
+    @pytest.mark.parametrize("p", [0.0, 1e-8, 1e-5, 1e-4, 1e-3, 1e-2])
+    def test_equals_scipy_stats_binom_sf(self, p):
+        # The library computes the tail without scipy.stats; it must be
+        # the same double, including 0 for k >= n.
+        for n in range(1, 65):
+            for k in range(n + 3):
+                assert _binom_tail(n, p, k) == float(binom.sf(k, n, p)), \
+                    (n, k, p)
