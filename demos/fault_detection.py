@@ -14,7 +14,7 @@ import numpy as np
 
 from jkaraim import (AXIS_UP, IntegrityBudget, default_almanac,
                      default_table, epoch_setup, geodetic_to_ecef,
-                     run_detector)
+                     run_detector, stat_distributions, thresholds)
 from jkaraim.sim import satellite_positions
 
 budget = IntegrityBudget()
@@ -30,6 +30,8 @@ print(f"k_max={tm.k_max}, {tm.n_fault_modes} fault modes")
 rng = np.random.default_rng(3)
 nominal = np.array([m.draw(rng) for m in models])
 acc = [m.acc_bound for m in models]
+dists, _ = stat_distributions(ops, tm, acc)
+thresh = thresholds(tm, dists, budget)
 const_ids = [m.id for m in tm.constellation_modes()]
 
 
@@ -39,8 +41,8 @@ def show(fault_of, biases):
     print(f"{'bias (m)':>9} {'satellite modes':>16} "
           f"{'constellation modes':>20} {'alert':>6}")
     for bias in biases:
-        det = run_detector(geom, tm, acc, y=nominal + bias * fault_of,
-                           ops=ops, c_req_fa=budget.c_req_fa_total)
+        det = run_detector(geom, tm, acc, thresh, budget,
+                           y=nominal + bias * fault_of, ops=ops)
         ratios = {i: abs(det.stats[i]) / det.thresholds[i]
                   for i in det.stats}
         sat = max(r for i, r in ratios.items() if i not in const_ids)

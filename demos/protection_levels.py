@@ -31,8 +31,8 @@ def accuracy_bounds(s):
 
 def jk_vpl(s):
     acc = accuracy_bounds(s)
-    dists, _ = stat_distributions(s.geom, s.ops, s.tm, acc)
-    thresh = thresholds(s.tm, dists, BUDGET.c_req_fa_total)
+    dists, _ = stat_distributions(s.ops, s.tm, acc)
+    thresh = thresholds(s.tm, dists, BUDGET)
     return pl_solve(s.geom, s.tm, acc, thresh, BUDGET, axis=AXIS_UP,
                     ops=s.ops)
 

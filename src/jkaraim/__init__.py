@@ -5,10 +5,10 @@ from .distkit import (Bgmm, Gaussian, GridDistribution, Pgo, convolve_batch,
                       convolve_rows)
 from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      InsufficientRedundancy, JkAraimError,
-                     KeplerNonConvergence, NoValidPartition,
-                     SubsetRankDeficient, UnknownSatellite)
+                     KeplerNonConvergence, NonGaussianBound,
+                     NoValidPartition, SubsetRankDeficient, UnknownSatellite)
 from .integrity import (IntegrityBudget, PlResult, baseline_araim_pl,
-                        constellation_ss, hmi_risk_eval, pl_solve)
+                        hmi_risk_eval, pl_solve)
 from .jackknife import (JkStatistics, run_detector, stat_distributions,
                         thresholds)
 from .model_core import (AXIS_EAST, AXIS_NORTH, AXIS_UP, LinearModel,
@@ -34,13 +34,14 @@ __all__ = [
     "EpochRecord", "EpochSetup", "FaultMode", "Gaussian", "GridDistribution",
     "InsufficientGeometry", "InsufficientRedundancy", "IntegrityBudget",
     "JkAraimError", "JkStatistics", "KeplerNonConvergence", "LinearModel",
-    "NoValidPartition", "OverboundReport", "Pgo", "PlResult",
+    "NonGaussianBound", "NoValidPartition", "OverboundReport", "Pgo",
+    "PlResult",
     "SatErrorModel", "SatelliteBound", "SatelliteBoundTable",
     "ScenarioConfig", "SolutionOps", "SubsetRankDeficient", "ThreatModel",
     "UnknownSatellite",
     "aggregate", "baseline_araim_pl",
     "bias_projection", "build_pgo", "cnmp_sigma",
-    "constellation_ss", "convolve_batch", "convolve_rows",
+    "convolve_batch", "convolve_rows",
     "default_almanac",
     "default_partition_point", "default_table", "determine_kmax",
     "ecef_to_geodetic", "elevation_azimuth", "enumerate_modes",

@@ -151,6 +151,8 @@ def _load_geometry(path, table, flavor, budget):
 
 
 def cmd_pl(args) -> int:
+    if args.algorithm == "baseline" and args.bound != "gaussian":
+        raise ValueError("--algorithm baseline takes --bound gaussian only")
     table = overbound.default_table()
     kv = _read_kv_config(args.config) if args.config else {}
     budget = _budget_from_kv(kv)
@@ -161,8 +163,8 @@ def cmd_pl(args) -> int:
                                 axes=(axis,))
         pl, binding, thresh = float(res.pl[axis]), "total-risk", {}
     else:
-        dists, _ = jackknife.stat_distributions(model, ops, tm, acc, axis)
-        thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
+        dists, _ = jackknife.stat_distributions(ops, tm, acc, axis)
+        thresh = jackknife.thresholds(tm, dists, budget)
         pl, binding = pl_solve(model, tm, acc, thresh, budget, axis=axis,
                                ops=ops, return_binding=True)
     doc = {"pl_m": pl, "axis": axis, "binding": binding,
@@ -273,8 +275,10 @@ def cmd_detect(args) -> int:
         print(f"error: expected {model.n} observations, got {y.size}",
               file=sys.stderr)
         return EXIT_PARSE
-    res = jackknife.run_detector(model, tm, acc, y=y, axis=axis, ops=ops,
-                                 c_req_fa=budget.c_req_fa_total)
+    dists, _ = jackknife.stat_distributions(ops, tm, acc, axis)
+    thresh = jackknife.thresholds(tm, dists, budget)
+    res = jackknife.run_detector(model, tm, acc, thresh, budget, y=y,
+                                 axis=axis, ops=ops)
     doc = {"alert": res.alert,
            "stats": {str(k): v for k, v in res.stats.items()},
            "thresholds": {str(k): v for k, v in res.thresholds.items()},

@@ -31,10 +31,6 @@ class EmptySample(JkAraimError):
     """An empty (or too small) sample array was passed to a fitting routine."""
 
 
-class NonOverboundable(JkAraimError):
-    """No finite-sigma Gaussian can dominate the empirical CDF."""
-
-
 class EmConvergenceFailure(JkAraimError):
     """EM iteration did not converge within the iteration limit."""
 
@@ -50,6 +46,11 @@ class KeplerNonConvergence(JkAraimError):
 
 class AlmanacOutOfRange(JkAraimError):
     """Propagation time too far from the almanac's time of applicability."""
+
+
+class NonGaussianBound(JkAraimError):
+    """An accuracy bound other than a Gaussian was given to the
+    solution-separation baseline, which takes Gaussian bounds only."""
 
 
 class UnknownSatellite(JkAraimError):

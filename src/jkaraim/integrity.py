@@ -1,16 +1,18 @@
 """Protection levels from the integrity-risk bounds, plus the
-solution-separation benchmark."""
+solution-separation benchmark. Both PLs, the risk sum and both detectors
+take their budget splits from allocate and their fault-mode rows from
+mode_terms (Gaussian separation terms: ModeTerms.gaussian_terms)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import distkit
-from .errors import SubsetRankDeficient
+from .errors import NonGaussianBound, SubsetRankDeficient
 from .model_core import AXIS_UP, LinearModel, SolutionOps, bias_projection
 from .threat import ThreatModel
 
@@ -27,6 +29,17 @@ class IntegrityBudget:
     p_const: float = 1e-4
     p_thres: float = 9e-8
     b_nom: float = 0.75
+
+    def __post_init__(self):
+        # b_nom lies in [0, inf), every other field in [0, 1); the vertical
+        # requirements, p_sat and p_thres are positive. NaN fails each check.
+        for name, value in vars(self).items():
+            positive = name in ("i_req_vert", "c_req_fa_vert", "p_sat",
+                                "p_thres")
+            top = math.inf if name == "b_nom" else 1.0
+            if not ((0.0 < value if positive else 0.0 <= value)
+                    and value < top):
+                raise ValueError(f"budget {name} = {value!r} is out of range")
 
     @property
     def i_req_total(self) -> float:
@@ -129,43 +142,34 @@ def _bisect_level(risk, hi: float, target: float):
             steps += 1
 
 
-def constellation_ss(ops: SolutionOps, const_mode, sigmas, c_alloc: float,
-                     axis: int = AXIS_UP):
-    """Subset-solution sigma and solution-separation threshold for a
-    whole-constellation fault mode, from the accuracy bounds' sigmas
-    (distkit.bound_sigmas).
-
-    The mode's subset solution is ops.reduced(const_mode.excluded), kept
-    on ops: the excluded constellation's clock state is dropped from the
-    subset solve. c_alloc is the per-mode, per-tail continuity
-    probability.
-    """
-    Sk = ops.reduced(const_mode.excluded)
-    var = np.asarray(sigmas, dtype=float) ** 2
-    sigma_vk = float(np.sqrt(np.sum(Sk[axis] ** 2 * var)))
-    diff = Sk[axis] - ops.S[axis]
-    sigma_ss = float(np.sqrt(np.sum(diff ** 2 * var)))
-    d_kv = sigma_ss * abs(float(ndtri(c_alloc)))
-    return sigma_vk, d_kv, Sk
-
-
 @dataclass
 class ModeTerms:
-    """The fault modes mode_terms keeps on one axis, with their terms."""
+    """The fault modes mode_terms keeps on one axis, with their rows."""
 
-    sat: list               # kept satellite-subset modes
-    Q: np.ndarray           # their S_k rows (q vectors), one per mode
+    modes: list             # kept satellite-subset modes, then constellation
+    n_sat: int              # how many of modes are satellite-subset modes
+    Q: np.ndarray           # their S_k rows on the axis, one per mode
     bias: np.ndarray        # their worst-case bias projections |Q| . b_nom
-    const: list = field(default_factory=list)   # kept constellation modes
-    const_sigma: list = field(default_factory=list)     # their sigma_vk,
-    const_offset: list = field(default_factory=list)    # d_kv + bias
-    const_row: list = field(default_factory=list)       # and S_k rows
     skipped_mass: float = 0.0
     unmonitorable: object = None    # first mode that voids the PL
 
+    def gaussian_terms(self, s_row, sigmas, start: int = 0):
+        """(sigma_vk, sigma_ss) of the kept modes from index start on:
+        sqrt(Q^2 . sigma^2) and sqrt((Q - S)^2 . sigma^2), S = s_row.
+        Satellite rows reduce as one matrix product, constellation rows
+        each as its own sum (they differ in the last bit)."""
+        var = np.asarray(sigmas, dtype=float) ** 2
+        n = max(start, self.n_sat)
+        sat, const = self.Q[start:n], self.Q[n:]
+        sums = ((sat ** 2) @ var, ((sat - s_row) ** 2) @ var)
+        if len(const):
+            sums = [np.concatenate((a, np.sum(b * var, axis=1)))
+                    for a, b in zip(sums, (const ** 2, (const - s_row) ** 2))]
+        return np.sqrt(sums[0]), np.sqrt(sums[1])
 
-def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, sigmas,
-               c_alloc: float, i_alloc: float, p_thres: float) -> ModeTerms:
+
+def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, i_alloc: float,
+               p_thres: float) -> ModeTerms:
     """The modes one integrity sum keeps, by one rule, in mode order:
 
     - a mode whose prior is at most i_alloc is skipped and budgeted at its
@@ -175,17 +179,17 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, sigmas,
     - any other rank-deficient mode is skipped and budgeted at
       min(prior, i_alloc).
 
-    Every other mode is kept. A satellite-subset mode comes with its S_k
-    row and its bias |S_k row| . b_nom; a constellation mode with the
-    sigma_vk and separation threshold d_kv of constellation_ss (at
-    c_alloc, from the accuracy sigmas), d_kv plus its bias projection, and
-    its S_k row.
+    Every other mode is kept, with its S_k row on the axis and its bias
+    |S_k row| . b_nom: a satellite-subset mode's row from ops.mode_rows, a
+    constellation mode's from ops.reduced (the solve without the excluded
+    constellation's measurements and clock).
     """
     sat = [m for m in modes if m.kind == "sat_subset" and m.prior > i_alloc]
     ok, Q, _ = ops.mode_rows([m.excluded for m in sat], axis)
     bias = np.abs(Q) @ b_nom
-    terms = ModeTerms([m for m, good in zip(sat, ok) if good], Q[ok],
-                      bias[ok])
+    kept = [m for m, good in zip(sat, ok) if good]
+    terms = ModeTerms(kept, len(kept), Q[ok], bias[ok])
+    rows = []
     sat_ok = iter(ok.tolist())
     for mode in modes:
         if mode.prior <= i_alloc:
@@ -195,17 +199,12 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, sigmas,
             good = next(sat_ok)
         else:
             try:
-                sigma_vk, d_kv, Sk = constellation_ss(ops, mode, sigmas,
-                                                      c_alloc, axis)
+                rows.append(ops.reduced(mode.excluded)[axis])
             except SubsetRankDeficient:
                 good = False
             else:
                 good = True
-                terms.const.append(mode)
-                terms.const_sigma.append(sigma_vk)
-                terms.const_offset.append(
-                    d_kv + bias_projection(Sk, b_nom, axis))
-                terms.const_row.append(Sk[axis])
+                terms.modes.append(mode)
         if good:
             continue
         if mode.prior > p_thres:
@@ -213,6 +212,10 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, sigmas,
                 terms.unmonitorable = mode
         else:
             terms.skipped_mass += min(mode.prior, i_alloc)
+    if rows:
+        terms.Q = np.vstack((terms.Q, rows))
+        terms.bias = np.concatenate(
+            (terms.bias, [float(np.abs(row) @ b_nom) for row in rows]))
     return terms
 
 
@@ -232,14 +235,14 @@ def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
     target, i_alloc, c_alloc, _ = allocate(budget, threat, axis)
     if target <= 0.0:
         return "unmonitored"
-    terms = mode_terms(ops, threat.modes, axis, b_nom,
-                       distkit.bound_sigmas(acc_bounds), c_alloc, i_alloc,
+    terms = mode_terms(ops, threat.modes, axis, b_nom, i_alloc,
                        budget.p_thres)
     if terms.unmonitorable is not None:
         return f"unmonitorable:{terms.unmonitorable.id}"
 
+    n_sat = terms.n_sat
     offsets = [bias_projection(ops.S, b_nom, axis)]
-    for mode, bias in zip(terms.sat, terms.bias.tolist()):
+    for mode, bias in zip(terms.modes[:n_sat], terms.bias.tolist()):
         t_k = thresholds[mode.id]
         if len(mode.excluded) == 1:
             k = next(iter(mode.excluded))
@@ -247,14 +250,21 @@ def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
         else:
             extra = t_k
         offsets.append(extra + bias)
-    offsets = np.array(offsets + terms.const_offset)
-    priors = np.array([threat.p_h0]
-                      + [m.prior for m in terms.sat + terms.const])
+    # The constellation terms are Gaussians of the bounds' sigmas, offset
+    # by their separation thresholds at c_alloc.
+    const = None
+    if len(terms.modes) > n_sat:
+        sigma_vk, sigma_ss = terms.gaussian_terms(
+            ops.S[axis], distkit.bound_sigmas(acc_bounds), n_sat)
+        offsets += (abs(float(ndtri(c_alloc))) * sigma_ss
+                    + terms.bias[n_sat:]).tolist()
+        const = distkit.GaussianBatch(sigma_vk)
+    offsets = np.array(offsets)
+    priors = np.array([threat.p_h0] + [m.prior for m in terms.modes])
     # Rows of dists are the first n terms, rows of const (if any) the rest.
-    dists = distkit.convolve_batch(np.vstack((ops.S[axis], terms.Q)),
-                                   acc_bounds)
+    dists = distkit.convolve_batch(
+        np.vstack((ops.S[axis], terms.Q[:n_sat])), acc_bounds)
     n = len(dists)
-    const = distkit.GaussianBatch(terms.const_sigma) if terms.const else None
 
     def bounds():
         p = i_alloc / (2.0 * priors)
@@ -270,8 +280,8 @@ def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
             tails = np.concatenate((tails, const.tail_prob(x[:, n:])), axis=1)
         return np.cumsum(priors * tails, axis=1)[:, -1]
 
-    labels = (["H0"] + [f"mode:{m.id}" for m in terms.sat]
-              + [f"const:{m.id}" for m in terms.const])
+    labels = ["H0"] + [f"mode:{m.id}" if m.kind == "sat_subset"
+                       else f"const:{m.id}" for m in terms.modes]
     return labels, bounds, risk, target, terms.skipped_mass
 
 
@@ -329,22 +339,32 @@ def hmi_risk_eval(model: LinearModel, threat: ThreatModel, acc_bounds,
     return float(risk(np.array([level]))[0]) + skipped_mass
 
 
+def _require_gaussian(acc_bounds):
+    """The baseline's terms are Gaussians of the bounds' sigmas, which
+    understate a heavier-tailed bound's tails: refuse any other bound."""
+    if not all(isinstance(b, distkit.Gaussian) for b in acc_bounds):
+        raise NonGaussianBound(
+            "the solution-separation baseline takes Gaussian accuracy "
+            "bounds only")
+
+
 def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
                       budget: IntegrityBudget, ops: SolutionOps = None,
                       axes=(0, 1, 2)) -> PlResult:
     """Solution-separation protection levels via bisection on total risk.
 
-    The comparison benchmark: each accuracy bound taken as the Gaussian of
-    its sigma (distkit.bound_sigmas), two-sided fault-free term, one-sided
-    faulted terms offset by the separation thresholds at allocate's
-    c_alloc_axis. Every mode that can be monitored is kept
-    (mode_terms with i_alloc 0, which skips only rank-deficient modes of
-    prior at most p_thres, at no cost to the budget).
+    The comparison benchmark, on Gaussian accuracy bounds only
+    (NonGaussianBound otherwise): two-sided fault-free term, one-sided
+    faulted terms (ModeTerms.gaussian_terms) offset by the separation
+    thresholds at allocate's c_alloc_axis. Every mode that can be
+    monitored is kept (mode_terms with i_alloc 0, which skips only
+    rank-deficient modes of prior at most p_thres, at no cost to the
+    budget).
     """
+    _require_gaussian(acc_bounds)
     if ops is None:
         ops = SolutionOps(model)
     sig = distkit.bound_sigmas(acc_bounds)
-    var = sig ** 2
     b_nom = np.full(model.n, budget.b_nom)
 
     pl = np.full(3, np.nan)
@@ -353,22 +373,19 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
         if target <= 0.0:
             pl[axis] = math.inf
             continue
-        terms = mode_terms(ops, threat.modes, axis, b_nom, sig, c_alloc,
-                           0.0, budget.p_thres)
+        terms = mode_terms(ops, threat.modes, axis, b_nom, 0.0,
+                           budget.p_thres)
         if terms.unmonitorable is not None:
             pl[axis] = math.inf
             continue
-        k_fa = abs(float(ndtri(c_alloc)))
-        sig_vk = np.sqrt((terms.Q ** 2) @ var)
-        d_kv = k_fa * np.sqrt(((terms.Q - ops.S[axis]) ** 2) @ var)
-
+        sigma_vk, sigma_ss = terms.gaussian_terms(ops.S[axis], sig)
         weights = np.array([2.0 * threat.p_h0]
-                           + [m.prior for m in terms.sat + terms.const])
+                           + [m.prior for m in terms.modes])
         sigmas = np.concatenate(
-            ([np.sqrt(np.sum(ops.S[axis] ** 2 * var))], sig_vk,
-             terms.const_sigma))
-        offsets = np.concatenate(([bias_projection(ops.S, b_nom, axis)],
-                                  d_kv + terms.bias, terms.const_offset))
+            ([np.sqrt(np.sum(ops.S[axis] ** 2 * sig ** 2))], sigma_vk))
+        offsets = np.concatenate((
+            [bias_projection(ops.S, b_nom, axis)],
+            abs(float(ndtri(c_alloc))) * sigma_ss + terms.bias))
 
         def risk(levels):
             # Fault-free term, then the faulted terms in mode order.
@@ -383,28 +400,31 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
 def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
                      y, axis: int = AXIS_UP) -> dict:
     """Solution-separation statistics S_k y - S y and thresholds D_k of the
-    given modes, D_k at c_alloc from the accuracy bounds' sigmas: mode id
-    -> (statistic, threshold), satellite-subset modes first.
+    given modes, D_k at c_alloc from the accuracy bounds' sigmas
+    (ModeTerms.gaussian_terms): mode id -> (statistic, threshold),
+    satellite-subset modes first.
 
     Rank-deficient modes cannot be tested and are left out (mode_terms
     with p_thres infinite); any other failure propagates."""
     sigmas = distkit.bound_sigmas(acc_bounds)
-    terms = mode_terms(ops, modes, axis, np.zeros(len(sigmas)), sigmas,
-                       c_alloc, 0.0, math.inf)
+    terms = mode_terms(ops, modes, axis, np.zeros(len(sigmas)), 0.0,
+                       math.inf)
+    _, sigma_ss = terms.gaussian_terms(ops.S[axis], sigmas)
+    n = terms.n_sat
     full = ops.S[axis] @ y
-    diff = terms.Q - ops.S[axis]
-    d_sat = abs(float(ndtri(c_alloc))) * np.sqrt((diff ** 2) @ sigmas ** 2)
-    stats = ((diff @ y).tolist()
-             + [float(row @ y - full) for row in terms.const_row])
-    return dict(zip([m.id for m in terms.sat + terms.const],
-                    zip(stats, d_sat.tolist() + terms.const_offset)))
+    stats = (((terms.Q[:n] - ops.S[axis]) @ y).tolist()
+             + [float(row @ y - full) for row in terms.Q[n:]])
+    d = abs(float(ndtri(c_alloc))) * sigma_ss
+    return dict(zip([m.id for m in terms.modes], zip(stats, d.tolist())))
 
 
 def baseline_alert(model: LinearModel, ops: SolutionOps, threat: ThreatModel,
                    acc_bounds, budget: IntegrityBudget,
                    axis: int = AXIS_UP) -> bool:
     """Solution-separation tests |S_k y - S y| >= D_k over every mode of
-    the threat (separation_tests), D_k at allocate's c_alloc."""
+    the threat (separation_tests), D_k at allocate's c_alloc, on Gaussian
+    accuracy bounds only (NonGaussianBound otherwise)."""
+    _require_gaussian(acc_bounds)
     tests = separation_tests(ops, threat.modes, acc_bounds,
                              allocate(budget, threat, axis)[2], model.y, axis)
     return any(abs(stat) >= d for stat, d in tests.values())

@@ -16,9 +16,9 @@ from . import distkit, jackknife, model_core, overbound, threat
 from .errors import (AlmanacOutOfRange, InsufficientGeometry,
                      InsufficientRedundancy, JkAraimError,
                      KeplerNonConvergence, UnknownSatellite)
-from .integrity import (IntegrityBudget, allocate, baseline_alert,
-                        baseline_araim_pl, pl_solve)
-from .model_core import AXIS_UP, SolutionOps
+from .integrity import (IntegrityBudget, baseline_alert, baseline_araim_pl,
+                        pl_solve)
+from .model_core import SolutionOps
 
 GM_EARTH = 3.986005e14          # m^3/s^2
 OMEGA_EARTH = 7.2921151467e-5   # rad/s
@@ -287,6 +287,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown bound flavor {self.flavor!r}")
         if self.algorithm not in ("jk", "baseline"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.algorithm == "baseline" and self.flavor != "gaussian":
+            raise ValueError("the baseline algorithm takes Gaussian bounds "
+                             f"only, not flavor {self.flavor!r}")
         if self.budget is None:
             # A lone constellation cannot be cross-checked, so its
             # whole-constellation fault is excluded by assertion; otherwise
@@ -433,19 +436,11 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
             if config.detect:
                 rec.alert = baseline_alert(geom, ops, tm, acc, budget)
         else:   # "jk", the other algorithm ScenarioConfig accepts
+            dists, _ = jackknife.stat_distributions(ops, tm, acc)
+            thresh = jackknife.thresholds(tm, dists, budget)
             if config.detect:
-                needed = None
-            else:
-                i_alloc = allocate(budget, tm, AXIS_UP)[1]
-                needed = [m.id for m in tm.sat_modes() if m.prior > i_alloc]
-            dists, _ = jackknife.stat_distributions(geom, ops, tm, acc,
-                                                    mode_ids=needed)
-            thresh = jackknife.thresholds(tm, dists,
-                                          budget.c_req_fa_total)
-            if config.detect:
-                rec.alert = jackknife.run_detector(
-                    geom, tm, acc, ops=ops, stat_dists=dists, thresh=thresh,
-                    c_req_fa=budget.c_req_fa_total).alert
+                rec.alert = jackknife.run_detector(geom, tm, acc, thresh,
+                                                   budget, ops=ops).alert
             pl = np.full(3, math.nan)
             for axis in axes:
                 pl[axis] = pl_solve(geom, tm, acc, thresh, budget,

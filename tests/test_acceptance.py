@@ -131,8 +131,9 @@ def test_criterion_3_family_wise_false_alarm(capsys):
     geom, models, acc, tm, budget = gps_epoch_case(45.0, 10.0, 3600.0)
     ops = SolutionOps(geom)
     tau = 0.01
-    dists, _ = jackknife.stat_distributions(geom, ops, tm, acc)
-    thresh = jackknife.thresholds(tm, dists, tau)
+    dists, _ = jackknife.stat_distributions(ops, tm, acc)
+    thresh = jackknife.thresholds(
+        tm, dists, IntegrityBudget(c_req_fa_vert=tau, c_req_fa_horiz=0.0))
     modes = [m for m in tm.sat_modes() if m.id in thresh]
     _, _, C = ops.mode_rows([m.excluded for m in modes], AXIS_UP)
     T = np.array([thresh[m.id] for m in modes])
@@ -172,8 +173,8 @@ def test_criterion_5_baseline_equivalence(capsys):
             continue
         geom, models, acc, tm, budget = case
         ops = SolutionOps(geom)
-        dists, _ = stat_distributions(geom, ops, tm, acc)
-        thresh = thresholds(tm, dists, budget.c_req_fa_total)
+        dists, _ = stat_distributions(ops, tm, acc)
+        thresh = thresholds(tm, dists, budget)
         jk = pl_solve(geom, tm, acc, thresh, budget, axis=2, ops=ops)
         base = baseline_araim_pl(geom, tm, acc, budget, ops=ops,
                                  axes=(2,)).vpl

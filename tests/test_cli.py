@@ -55,9 +55,8 @@ class TestCmdPl:
                                  p_const=0.0, b_nom=0.0)
         tm = enumerate_modes(2, 1, {"GPS": range(2)}, 1e-5, 0.0, m=1)
         acc = [Gaussian(1.0)] * 2
-        dists, _ = jackknife.stat_distributions(model, ops, tm, acc,
-                                                axis=0)
-        thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
+        dists, _ = jackknife.stat_distributions(ops, tm, acc, axis=0)
+        thresh = jackknife.thresholds(tm, dists, budget)
         expect = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops)
         assert doc["pl_m"] == pytest.approx(expect, abs=1e-6)
 
@@ -82,6 +81,19 @@ class TestCmdPl:
         assert main(["--config", cfg, "pl", geom, "--bound", "pgo"]) == 2
         err = capsys.readouterr()
         assert err.out == "" and "user/sats" in err.err
+
+    @pytest.mark.parametrize("algorithm", ["jk", "baseline"])
+    def test_out_of_range_budget_exit_2(self, tmp_path, toy_files, capsys,
+                                        algorithm):
+        # A false-alarm budget outside [0, 1) is refused before any PL is
+        # computed (a negative one would give NaN thresholds).
+        geom, _ = toy_files
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("c_req_fa_vert = -1e-6\n")
+        assert main(["--config", str(cfg), "pl", geom,
+                     "--algorithm", algorithm]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and "c_req_fa_vert" in err.err
 
     def test_no_redundancy_exit_3(self, tmp_path, toy_files, capsys):
         _, cfg = toy_files
@@ -203,6 +215,13 @@ class TestCmdSim:
         summary = json.loads((tmp_path / "dual.json").read_text())
         assert summary["mode_count_max"] == 1178
 
+    def test_out_of_range_budget_exit_2(self, tmp_path, capsys):
+        cfg = self.coarse_cfg(tmp_path, c_req_fa_vert=-1e-6)
+        out = tmp_path / "r"
+        assert main(["--quiet", "sim", cfg, "-o", str(out)]) == 2
+        assert "c_req_fa_vert" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_grid_size_key_exit_2(self, tmp_path, capsys):
         # The grid resolution is the library's (distkit.GRID_POINTS), not a
         # scenario setting.
@@ -313,17 +332,25 @@ class TestDualConstellation:
         ("gaussian", "jk", 95.79741255229096),
         ("pgo", "jk", 34.444877228087485),
         ("gaussian", "baseline", 93.71399879455566),
-        ("pgo", "baseline", 33.736228942871094)],
+        ("pgo", "baseline", None)],
         ids=["gaussian-jk", "pgo-jk", "gaussian-baseline", "pgo-baseline"])
     def test_pl_equals_scenario_record(self, tmp_path, capsys, bound,
                                        algorithm, vpl):
         # The constellation terms bind the jk PL here: they are built from
-        # the accuracy bounds the CLI passes, as in the scenario.
+        # the accuracy bounds the CLI passes, as in the scenario. The
+        # baseline takes Gaussian bounds only: with PGO bounds both refuse.
         from jkaraim import sim
         from jkaraim.overbound import default_table
         sats, positions, geom = self.geometry(tmp_path)
-        assert main(["pl", geom, "--bound", bound,
-                     "--algorithm", algorithm]) == 0
+        argv = ["pl", geom, "--bound", bound, "--algorithm", algorithm]
+        if vpl is None:
+            assert main(argv) == 2
+            assert "gaussian only" in capsys.readouterr().err
+            with pytest.raises(ValueError, match="Gaussian bounds only"):
+                sim.ScenarioConfig(constellations=self.CONSTS, flavor=bound,
+                                   algorithm=algorithm)
+            return
+        assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         config = sim.ScenarioConfig(constellations=self.CONSTS, flavor=bound,
                                     algorithm=algorithm)

@@ -123,3 +123,42 @@ def test_fresh_import_loads_no_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == []
+
+
+def unused_errors(errors_source, sources):
+    """Names of the JkAraimError subclasses defined in errors_source that no
+    source raises (raise X or raise X(...)) or catches (except X or
+    except (X, ...))."""
+    defined = [node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(b, ast.Name) and b.id == "JkAraimError"
+                       for b in node.bases)]
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                used.update(n.id for n in ast.walk(exc)
+                            if isinstance(n, ast.Name))
+            elif isinstance(node, ast.ExceptHandler) and node.type:
+                used.update(n.id for n in ast.walk(node.type)
+                            if isinstance(n, ast.Name))
+    return [name for name in defined if name not in used]
+
+
+def test_every_error_is_raised_or_caught():
+    errors = Path(jkaraim.__file__).parent / "errors.py"
+    assert unused_errors(errors.read_text(),
+                         [p.read_text() for p in MODULES]) == []
+
+
+def test_detects_an_unused_error():
+    errors = ("class JkAraimError(Exception): pass\n"
+              "class A(JkAraimError): pass\n"
+              "class B(JkAraimError): pass\n"
+              "class C(JkAraimError): pass\n"
+              "class D(JkAraimError): pass\n")
+    source = ("try:\n    raise A('x')\nexcept (B, KeyError):\n    pass\n"
+              "raise C\n")
+    assert unused_errors(errors, [source]) == ["D"]

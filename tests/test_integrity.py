@@ -8,13 +8,15 @@ from scipy.special import ndtr, ndtri
 
 from jkaraim import jackknife
 from jkaraim.distkit import Gaussian, convolve_batch
-from jkaraim.errors import SubsetRankDeficient
+from jkaraim.errors import NonGaussianBound, SubsetRankDeficient
 from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
-                               _bisect_level, allocate, baseline_araim_pl,
-                               constellation_ss, hmi_risk_eval, pl_solve)
+                               _bisect_level, allocate, baseline_alert,
+                               baseline_araim_pl, hmi_risk_eval, mode_terms,
+                               pl_solve, separation_tests)
 from jkaraim.model_core import (AXIS_UP, LinearModel, SolutionOps,
                                 bias_projection)
-from jkaraim.threat import enumerate_modes
+from jkaraim.overbound import default_table
+from jkaraim.threat import FaultMode, enumerate_modes
 
 from conftest import gps_epoch_case
 
@@ -33,9 +35,25 @@ def toy_case(p_sat=1e-5, b_nom=0.0, sigma=1.0):
     budget = toy_budget(p_sat=p_sat, b_nom=b_nom)
     tm = enumerate_modes(2, 1, {"GPS": range(2)}, p_sat, 0.0, m=1)
     acc = [Gaussian(sigma)] * 2
-    dists, _ = jackknife.stat_distributions(model, ops, tm, acc, axis=0)
-    thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
+    dists, _ = jackknife.stat_distributions(ops, tm, acc, axis=0)
+    thresh = jackknife.thresholds(tm, dists, budget)
     return model, ops, budget, tm, acc, thresh
+
+
+class TestIntegrityBudget:
+    @pytest.mark.parametrize("field, value", [
+        (f, v) for f in ("i_req_vert", "c_req_fa_vert", "p_sat", "p_thres")
+        for v in (0.0, -1e-6, 1.0, 2.0, math.nan)] + [
+        (f, v) for f in ("i_req_horiz", "c_req_fa_horiz", "p_const")
+        for v in (-1e-6, 1.0, math.nan)] + [
+        ("b_nom", v) for v in (-0.1, math.inf, math.nan)])
+    def test_out_of_range_value_raises(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegrityBudget(**{field: value})
+
+    def test_edges_of_the_ranges_are_accepted(self):
+        IntegrityBudget(i_req_horiz=0.0, c_req_fa_horiz=0.0, p_const=0.0,
+                        b_nom=0.0)
 
 
 class TestPlSolveToy:
@@ -102,24 +120,36 @@ class TestConstellationSS:
                              1e-5, 1e-4)
         return model, tm
 
+    @staticmethod
+    def terms(ops, mode, axis=2):
+        """mode_terms of one constellation mode: its S_k row kept, no bias,
+        nothing skipped."""
+        terms = mode_terms(ops, [mode], axis, np.zeros(ops.model.n), 0.0,
+                           math.inf)
+        assert terms.modes == [mode] and terms.n_sat == 0
+        return terms
+
     def test_duplicate_constellation_variance_doubles(self):
         model, tm = self.duplicate_geometry()
         ops = SolutionOps(model)
         sigma0 = float(np.sqrt(np.sum(ops.S[2] ** 2)))
         mode = tm.constellation_modes()[0]
-        sigma_vk, _, _ = constellation_ss(ops, mode, np.ones(12), 1e-7,
-                                          axis=2)
-        assert sigma_vk == pytest.approx(math.sqrt(2) * sigma0, rel=1e-9)
+        sigma_vk, _ = self.terms(ops, mode).gaussian_terms(ops.S[2],
+                                                            np.ones(12))
+        assert sigma_vk[0] == pytest.approx(math.sqrt(2) * sigma0, rel=1e-9)
 
     def test_threshold_monotone_in_continuity_allocation(self):
         model, tm = self.duplicate_geometry()
         ops = SolutionOps(model)
         mode = tm.constellation_modes()[0]
-        _, d_small, _ = constellation_ss(ops, mode, np.ones(12), 1e-9,
-                                         axis=2)
-        _, d_large, _ = constellation_ss(ops, mode, np.ones(12), 1e-5,
-                                         axis=2)
+        _, sigma_ss = self.terms(ops, mode).gaussian_terms(ops.S[2],
+                                                            np.ones(12))
+        acc = [Gaussian(1.0)] * 12
+        d_small, d_large = (
+            separation_tests(ops, [mode], acc, c, np.zeros(12),
+                             axis=2)[mode.id][1] for c in (1e-9, 1e-5))
         assert d_large < d_small
+        assert d_large == abs(ndtri(1e-5)) * sigma_ss[0]
 
     def test_subset_sigma_matches_monte_carlo(self):
         model, tm = self.duplicate_geometry()
@@ -127,20 +157,23 @@ class TestConstellationSS:
         rng = np.random.default_rng(3)
         sigmas = rng.uniform(0.5, 2.0, 12)
         mode = tm.constellation_modes()[0]
-        sigma_vk, _, Sk = constellation_ss(ops, mode, sigmas, 1e-7, axis=2)
+        terms = self.terms(ops, mode)
+        sigma_vk, _ = terms.gaussian_terms(ops.S[2], sigmas)
         eps = sigmas[:, None] * rng.standard_normal((12, 10 ** 6))
-        emp = np.std(Sk[2] @ eps)
-        assert emp == pytest.approx(sigma_vk, rel=5e-3)
+        emp = np.std(terms.Q[0] @ eps)
+        assert emp == pytest.approx(sigma_vk[0], rel=5e-3)
 
     def test_reduced_solve_kept_per_excluded_set(self):
         # Every consumer of a constellation mode reads one stored S_k.
         model, tm = self.duplicate_geometry()
         ops = SolutionOps(model)
         mode = tm.constellation_modes()[0]
-        _, _, first = constellation_ss(ops, mode, np.ones(12), 1e-7, axis=2)
-        _, _, second = constellation_ss(ops, mode, np.ones(12), 1e-5, axis=0)
-        assert second is first
-        assert ops.reduced(sorted(mode.excluded, reverse=True)) is first
+        rows = [self.terms(ops, mode, axis).Q[0] for axis in (2, 0)]
+        first = ops.reduced(sorted(mode.excluded, reverse=True))
+        assert ops.reduced(mode.excluded) is first
+        assert len(ops._reduced) == 1
+        np.testing.assert_array_equal(rows[0], first[2])
+        np.testing.assert_array_equal(rows[1], first[0])
         assert not first.flags.writeable
         keep = np.setdiff1d(np.arange(12), sorted(mode.excluded))
         np.testing.assert_allclose(first @ model.G[:, :3],
@@ -154,6 +187,14 @@ class TestConstellationSS:
         for _ in range(2):
             with pytest.raises(SubsetRankDeficient):
                 ops.reduced(range(12))
+        # mode_terms keeps no such mode: with a prior above p_thres it
+        # voids the PL, below it is skipped at min(prior, i_alloc).
+        mode = FaultMode(0, "constellation", frozenset(range(12)), 1e-4)
+        for p_thres, voided, mass in ((1e-5, mode, 0.0), (1e-3, None, 1e-5)):
+            terms = mode_terms(ops, [mode], 2, np.zeros(12), 1e-5, p_thres)
+            assert terms.modes == [] and terms.unmonitorable is voided
+            assert terms.skipped_mass == mass
+            assert terms.gaussian_terms(ops.S[2], np.ones(12))[0].size == 0
 
 
 class TestBaselineAraim:
@@ -172,6 +213,22 @@ class TestBaselineAraim:
         target = 1e-7 * deflate
         expect = math.sqrt(0.5) * abs(ndtri(target / (2 * tm.p_h0)))
         assert res.pl[0] == pytest.approx(expect, abs=2e-3)
+
+    @pytest.mark.parametrize("flavor", ["pgo", "grid"])
+    def test_non_gaussian_bounds_refused(self, flavor):
+        # The Gaussian of a heavier-tailed bound's variance understates its
+        # tails, so the baseline's risk would be understated.
+        geom, ops, budget, tm, acc, _ = epoch_case(
+            "pgo", constellations=("GPS", "GAL"))
+        if flavor == "pgo":
+            acc = [default_table()[svn].pgo() for svn in geom.sat_ids]
+        with pytest.raises(NonGaussianBound):
+            baseline_araim_pl(geom, tm, acc, budget, ops=ops, axes=(2,))
+        with pytest.raises(NonGaussianBound):
+            baseline_alert(geom, ops, tm, acc, budget)
+        # The detector's constellation tests still take grid bounds.
+        assert sorted(separation_tests(
+            ops, tm.constellation_modes(), acc, 1e-7, geom.y)) == [18, 19]
 
     def test_nested_geometry_monotonicity(self):
         case = gps_epoch_case(45.0, 10.0, 3600.0)
@@ -235,8 +292,8 @@ def epoch_case(flavor="gaussian", constellations=("GPS",)):
     assert case is not None
     geom, models, acc, tm, budget = case
     ops = SolutionOps(geom)
-    dists, _ = jackknife.stat_distributions(geom, ops, tm, acc, axis=2)
-    thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
+    dists, _ = jackknife.stat_distributions(ops, tm, acc, axis=2)
+    thresh = jackknife.thresholds(tm, dists, budget)
     return geom, ops, budget, tm, acc, thresh
 
 
@@ -397,8 +454,8 @@ class TestLooserIntegrityBudget:
                     if m.prior <= allocate(b, tm, AXIS_UP)[1]}
                    for b in (budget, looser)]
         if skipped[0] == skipped[1]:
-            dists, _ = jackknife.stat_distributions(model, ops, tm, acc)
-            thresh = jackknife.thresholds(tm, dists, budget.c_req_fa_total)
+            dists, _ = jackknife.stat_distributions(ops, tm, acc)
+            thresh = jackknife.thresholds(tm, dists, budget)
             jk = [pl_solve(model, tm, acc, thresh, b, ops=ops)
                   for b in (budget, looser)]
             assert jk[1] <= jk[0] + PL_TOLERANCE_M

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtri
 
 from jkaraim.distkit import Gaussian
+from jkaraim.integrity import IntegrityBudget
 from jkaraim.jackknife import run_detector, stat_distributions, thresholds
 from jkaraim.model_core import LinearModel, SolutionOps
 from jkaraim.threat import enumerate_modes
@@ -34,10 +35,19 @@ def stat_coeffs(ops, mode, axis=2):
     return C[0]
 
 
+def detect(model, tm, acc, y=None, axis=2, ops=None):
+    """run_detector at the default budget, with the thresholds of every
+    satellite mode, as a scenario record runs it."""
+    budget = IntegrityBudget()
+    ops = SolutionOps(model) if ops is None else ops
+    dists, _ = stat_distributions(ops, tm, acc, axis)
+    return run_detector(model, tm, acc, thresholds(tm, dists, budget),
+                        budget, y=y, axis=axis, ops=ops)
+
+
 def detector_stat(model, ops, tm, mode, axis):
     """The statistic run_detector reports for one mode."""
-    det = run_detector(model, tm, [Gaussian(1.0)] * model.n, axis=axis,
-                       ops=ops)
+    det = detect(model, tm, [Gaussian(1.0)] * model.n, axis=axis, ops=ops)
     return det.stats[mode.id]
 
 
@@ -129,7 +139,7 @@ class TestThresholds:
     def test_unit_gaussian_closed_form(self):
         tm = enumerate_modes(8, 1, {"GPS": range(8)}, 1e-7, 1e-4, m=4)
         dists = {m.id: Gaussian(1.0) for m in tm.modes}
-        T = thresholds(tm, dists, 3.99e-6)
+        T = thresholds(tm, dists, IntegrityBudget())
         expect = abs(ndtri(3.99e-6 / (2 * 8 * tm.p_h0)))
         assert expect == pytest.approx(5.02, abs=0.01)
         for v in T.values():
@@ -139,9 +149,9 @@ class TestThresholds:
         tm8 = enumerate_modes(8, 1, {"GPS": range(8)}, 1e-7, 1e-4, m=4)
         tm16 = enumerate_modes(16, 1, {"GPS": range(16)}, 1e-7, 1e-4, m=4)
         t8 = thresholds(tm8, {m.id: Gaussian(1.0) for m in tm8.modes},
-                        3.99e-6)
+                        IntegrityBudget())
         t16 = thresholds(tm16, {m.id: Gaussian(1.0) for m in tm16.modes},
-                         3.99e-6)
+                         IntegrityBudget())
         assert min(t16.values()) > max(t8.values())
 
     def test_pgo_threshold_not_larger_when_sharper(self):
@@ -152,9 +162,9 @@ class TestThresholds:
         pgo_q = abs(entry.pgo().quantile(p))
         gauss_q = abs(Gaussian(entry.gauss_sigma_m).quantile(p))
         t_pgo = thresholds(tm, {m.id: entry.pgo() for m in tm.modes},
-                           3.99e-6)
+                           IntegrityBudget())
         t_g = thresholds(tm, {m.id: Gaussian(entry.gauss_sigma_m)
-                              for m in tm.modes}, 3.99e-6)
+                              for m in tm.modes}, IntegrityBudget())
         for mid in t_pgo:
             if pgo_q <= gauss_q:
                 assert t_pgo[mid] <= t_g[mid] + 1e-9
@@ -172,15 +182,14 @@ class TestRunDetector:
 
     def test_fault_free_no_alert(self, rng):
         model, tm, acc = self.make_case(rng)
-        res = run_detector(model, tm, acc,
-                           y=1e-3 * rng.standard_normal(model.n))
+        res = detect(model, tm, acc, y=1e-3 * rng.standard_normal(model.n))
         assert not res.alert
 
     def test_large_bias_detected_on_matching_mode(self, rng):
         model, tm, acc = self.make_case(rng)
         y = np.zeros(model.n)
         y[3] = 100.0
-        res = run_detector(model, tm, acc, y=y)
+        res = detect(model, tm, acc, y=y)
         assert res.alert
         mode = next(m for m in tm.modes if m.excluded == frozenset({3}))
         assert res.alerts[mode.id]
@@ -189,16 +198,16 @@ class TestRunDetector:
         model, tm, acc = self.make_case(rng)
         y = rng.standard_normal(model.n)
         y[3] += 100.0
-        given = run_detector(model, tm, acc, y=y)
+        given = detect(model, tm, acc, y=y)
         np.testing.assert_array_equal(model.y, np.zeros(model.n))
         model.y = y
-        assert run_detector(model, tm, acc).stats == given.stats
+        assert detect(model, tm, acc).stats == given.stats
 
     def test_family_wise_false_alarm_rate(self, rng):
         model, tm, acc = self.make_case(rng)
         ops = SolutionOps(model)
         tau = 0.01
-        dists, _ = stat_distributions(model, ops, tm, acc, axis=2)
+        dists, _ = stat_distributions(ops, tm, acc, axis=2)
         # Bonferroni split: per-mode two-sided level tau/N.
         thresh = {mid: abs(ndtri(tau / (2 * tm.n_fault_modes)))
                   * np.sqrt(d.variance()) for mid, d in dists.items()}
@@ -218,7 +227,7 @@ class TestRunDetector:
         ops = SolutionOps(model)
         pgo = default_table()["SVN63"].pgo()
         acc = [pgo] * model.n
-        dists, _ = stat_distributions(model, ops, tm, acc, axis=2)
+        dists, _ = stat_distributions(ops, tm, acc, axis=2)
         mode = tm.modes[0]
         coeffs = stat_coeffs(ops, mode)
         n_trials = 10 ** 6

@@ -140,6 +140,10 @@ class TestScenario:
         with pytest.raises(ValueError, match="algorithm"):
             self.coarse_config(algorithm="raim")
 
+    def test_baseline_takes_gaussian_bounds_only(self):
+        with pytest.raises(ValueError, match="Gaussian bounds only"):
+            self.coarse_config(algorithm="baseline", flavor="pgo")
+
     def test_package_error_recorded_in_its_row(self, monkeypatch):
         def unresolved(*args, **kwargs):
             raise TailUnresolved("tail probability below resolvable mass")
@@ -171,6 +175,18 @@ class TestScenario:
         assert [r.vpl for r in off] == [r.vpl for r in on]
         assert all(np.isfinite(r.vpl) for r in off)
         assert not any(r.alert for r in off)
+
+    def test_detect_off_keeps_pgo_vpls_with_skipped_modes(self):
+        # With p_sat 1e-4 and i_req_vert 1e-6 the pair modes fall under
+        # i_alloc and no PL term reads their thresholds; the statistic
+        # batch still holds them, so its grid, and every VPL, is the same
+        # with or without detection.
+        budget = IntegrityBudget(p_sat=1e-4, i_req_vert=1e-6, p_const=0.0)
+        vpls = [[r.vpl for r in sim.run_scenario(self.coarse_config(
+            flavor="pgo", detect=detect, budget=budget))]
+            for detect in (True, False)]
+        assert all(np.isfinite(vpls[0]))
+        assert vpls[1] == vpls[0]
 
     def test_horizontal_pls_leave_vpls_unchanged(self):
         kw = dict(grid_step_deg=60.0, epoch_step_s=21600.0)
@@ -274,7 +290,7 @@ class TestBaselineAlert:
         def rank_deficient(*args, **kwargs):
             raise SubsetRankDeficient("no clock support")
 
-        monkeypatch.setattr(integrity, "constellation_ss", rank_deficient)
+        monkeypatch.setattr(ops, "reduced", rank_deficient)
         assert not integrity.baseline_alert(geom, ops, tm, acc, budget)
 
     def test_other_errors_propagate(self, monkeypatch):
@@ -284,7 +300,7 @@ class TestBaselineAlert:
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(integrity, "constellation_ss", broken)
+        monkeypatch.setattr(ops, "reduced", broken)
         with pytest.raises(RuntimeError):
             integrity.baseline_alert(geom, ops, tm, acc, budget)
         monkeypatch.setattr(ops, "mode_rows", broken)
@@ -311,8 +327,8 @@ class TestGridResolution:
                             [a.constellation for a in sats], positions,
                             default_table(), budget, flavor="pgo")
         dists, _ = jackknife.stat_distributions(
-            s.geom, s.ops, s.tm, [m.acc_bound for m in s.models])
-        thresh = jackknife.thresholds(s.tm, dists, budget.c_req_fa_total)
+            s.ops, s.tm, [m.acc_bound for m in s.models])
+        thresh = jackknife.thresholds(s.tm, dists, budget)
         vpl = integrity.pl_solve(s.geom, s.tm,
                                  [m.acc_bound for m in s.models], thresh,
                                  budget, ops=s.ops)
