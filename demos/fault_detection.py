@@ -14,7 +14,7 @@ import numpy as np
 
 from jkaraim import (AXIS_UP, IntegrityBudget, default_almanac,
                      default_table, epoch_setup, geodetic_to_ecef,
-                     run_detector, stat_distributions, thresholds)
+                     run_detector, thresholds)
 from jkaraim.sim import satellite_positions
 
 budget = IntegrityBudget()
@@ -30,8 +30,7 @@ print(f"k_max={tm.k_max}, {tm.n_fault_modes} fault modes")
 rng = np.random.default_rng(3)
 nominal = np.array([m.draw(rng) for m in models])
 acc = [m.acc_bound for m in models]
-dists, _ = stat_distributions(ops, tm, acc)
-thresh = thresholds(tm, dists, budget)
+thresh = thresholds(ops, tm, acc, budget)
 const_ids = [m.id for m in tm.constellation_modes()]
 
 

@@ -10,7 +10,7 @@ Run:  python demos/protection_levels.py
 
 from jkaraim import (IntegrityBudget, baseline_araim_pl, default_almanac,
                      default_table, epoch_setup, geodetic_to_ecef, pl_solve,
-                     stat_distributions, thresholds)
+                     thresholds)
 from jkaraim.model_core import AXIS_UP
 from jkaraim.sim import satellite_positions
 
@@ -31,8 +31,7 @@ def accuracy_bounds(s):
 
 def jk_vpl(s):
     acc = accuracy_bounds(s)
-    dists, _ = stat_distributions(s.ops, s.tm, acc)
-    thresh = thresholds(s.tm, dists, BUDGET)
+    thresh = thresholds(s.ops, s.tm, acc, BUDGET)
     return pl_solve(s.geom, s.tm, acc, thresh, BUDGET, axis=AXIS_UP,
                     ops=s.ops)
 
@@ -44,7 +43,7 @@ gauss = epoch_case(lat, lon, t, "gaussian")
 print(f"{gauss.geom.n} satellites, {gauss.tm.n_fault_modes} fault modes")
 
 base = baseline_araim_pl(gauss.geom, gauss.tm, accuracy_bounds(gauss),
-                         BUDGET, ops=gauss.ops, axes=(AXIS_UP,)).vpl
+                         BUDGET, axis=AXIS_UP, ops=gauss.ops)
 print(f"\nsolution-separation benchmark VPL: {base:7.2f} m")
 
 vpl_g = jk_vpl(gauss)

@@ -7,10 +7,9 @@ from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      InsufficientRedundancy, JkAraimError,
                      KeplerNonConvergence, NonGaussianBound,
                      NoValidPartition, SubsetRankDeficient, UnknownSatellite)
-from .integrity import (IntegrityBudget, PlResult, baseline_araim_pl,
-                        hmi_risk_eval, pl_solve)
-from .jackknife import (JkStatistics, run_detector, stat_distributions,
-                        thresholds)
+from .integrity import (IntegrityBudget, baseline_araim_pl, hmi_risk_eval,
+                        pl_solve)
+from .jackknife import JkStatistics, run_detector, thresholds
 from .model_core import (AXIS_EAST, AXIS_NORTH, AXIS_UP, LinearModel,
                          SolutionOps, bias_projection, ecef_to_geodetic,
                          elevation_azimuth, geodetic_to_ecef)
@@ -35,7 +34,6 @@ __all__ = [
     "InsufficientGeometry", "InsufficientRedundancy", "IntegrityBudget",
     "JkAraimError", "JkStatistics", "KeplerNonConvergence", "LinearModel",
     "NonGaussianBound", "NoValidPartition", "OverboundReport", "Pgo",
-    "PlResult",
     "SatErrorModel", "SatelliteBound", "SatelliteBoundTable",
     "ScenarioConfig", "SolutionOps", "SubsetRankDeficient", "ThreatModel",
     "UnknownSatellite",
@@ -50,6 +48,6 @@ __all__ = [
     "geodetic_to_ecef", "hmi_risk_eval", "parse_yuma",
     "pl_solve", "propagate", "read_records_csv",
     "run_detector", "run_scenario", "stanford_class",
-    "stat_distributions", "summary_json", "threat_model", "thresholds",
+    "summary_json", "threat_model", "thresholds",
     "tropo_sigma", "verify_overbound", "write_records_csv", "write_yuma",
 ]

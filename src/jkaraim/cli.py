@@ -159,12 +159,10 @@ def cmd_pl(args) -> int:
     model, ops, tm, acc, axis = _load_geometry(
         args.geometry, table, args.bound, budget)
     if args.algorithm == "baseline":
-        res = baseline_araim_pl(model, tm, acc, budget, ops=ops,
-                                axes=(axis,))
-        pl, binding, thresh = float(res.pl[axis]), "total-risk", {}
+        pl = baseline_araim_pl(model, tm, acc, budget, axis=axis, ops=ops)
+        binding, thresh = "total-risk", {}
     else:
-        dists, _ = jackknife.stat_distributions(ops, tm, acc, axis)
-        thresh = jackknife.thresholds(tm, dists, budget)
+        thresh = jackknife.thresholds(ops, tm, acc, budget, axis)
         pl, binding = pl_solve(model, tm, acc, thresh, budget, axis=axis,
                                ops=ops, return_binding=True)
     doc = {"pl_m": pl, "axis": axis, "binding": binding,
@@ -275,8 +273,7 @@ def cmd_detect(args) -> int:
         print(f"error: expected {model.n} observations, got {y.size}",
               file=sys.stderr)
         return EXIT_PARSE
-    dists, _ = jackknife.stat_distributions(ops, tm, acc, axis)
-    thresh = jackknife.thresholds(tm, dists, budget)
+    thresh = jackknife.thresholds(ops, tm, acc, budget, axis)
     res = jackknife.run_detector(model, tm, acc, thresh, budget, y=y,
                                  axis=axis, ops=ops)
     doc = {"alert": res.alert,
@@ -333,10 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except JkAraimError as exc:

@@ -17,7 +17,7 @@ from .model_core import AXIS_UP, LinearModel, SolutionOps, bias_projection
 from .threat import ThreatModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegrityBudget:
     """Requirement parameters (defaults follow the LPV-200 style budget)."""
 
@@ -84,15 +84,6 @@ def allocate(budget: IntegrityBudget, threat: ThreatModel, axis: int):
             split(c_axis))
 
 
-@dataclass
-class PlResult:
-    pl: np.ndarray                     # per-axis PL (east, north, up)
-
-    @property
-    def vpl(self) -> float:
-        return float(self.pl[2])
-
-
 # The PL bisections stop once their bracket is at most this wide (m).
 PL_TOLERANCE_M = 1e-3
 
@@ -154,18 +145,17 @@ class ModeTerms:
     unmonitorable: object = None    # first mode that voids the PL
 
     def gaussian_terms(self, s_row, sigmas, start: int = 0):
-        """(sigma_vk, sigma_ss) of the kept modes from index start on:
-        sqrt(Q^2 . sigma^2) and sqrt((Q - S)^2 . sigma^2), S = s_row.
-        Satellite rows reduce as one matrix product, constellation rows
-        each as its own sum (they differ in the last bit)."""
+        """sqrt((Q - s_row)^2 . sigma^2) of the kept modes from index start
+        on: sigma_vk for s_row 0, sigma_ss for s_row the full solution's
+        row S. Satellite rows reduce as one matrix product, constellation
+        rows each as its own sum (they differ in the last bit)."""
         var = np.asarray(sigmas, dtype=float) ** 2
         n = max(start, self.n_sat)
-        sat, const = self.Q[start:n], self.Q[n:]
-        sums = ((sat ** 2) @ var, ((sat - s_row) ** 2) @ var)
-        if len(const):
-            sums = [np.concatenate((a, np.sum(b * var, axis=1)))
-                    for a, b in zip(sums, (const ** 2, (const - s_row) ** 2))]
-        return np.sqrt(sums[0]), np.sqrt(sums[1])
+        sums = ((self.Q[start:n] - s_row) ** 2) @ var
+        if n < len(self.Q):
+            sums = np.concatenate(
+                (sums, np.sum((self.Q[n:] - s_row) ** 2 * var, axis=1)))
+        return np.sqrt(sums)
 
 
 def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, i_alloc: float,
@@ -254,11 +244,12 @@ def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
     # by their separation thresholds at c_alloc.
     const = None
     if len(terms.modes) > n_sat:
-        sigma_vk, sigma_ss = terms.gaussian_terms(
-            ops.S[axis], distkit.bound_sigmas(acc_bounds), n_sat)
-        offsets += (abs(float(ndtri(c_alloc))) * sigma_ss
+        sigmas = distkit.bound_sigmas(acc_bounds)
+        offsets += (abs(float(ndtri(c_alloc)))
+                    * terms.gaussian_terms(ops.S[axis], sigmas, n_sat)
                     + terms.bias[n_sat:]).tolist()
-        const = distkit.GaussianBatch(sigma_vk)
+        const = distkit.GaussianBatch(terms.gaussian_terms(0.0, sigmas,
+                                                           n_sat))
     offsets = np.array(offsets)
     priors = np.array([threat.p_h0] + [m.prior for m in terms.modes])
     # Rows of dists are the first n terms, rows of const (if any) the rest.
@@ -349,9 +340,10 @@ def _require_gaussian(acc_bounds):
 
 
 def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
-                      budget: IntegrityBudget, ops: SolutionOps = None,
-                      axes=(0, 1, 2)) -> PlResult:
-    """Solution-separation protection levels via bisection on total risk.
+                      budget: IntegrityBudget, axis: int = AXIS_UP,
+                      ops: SolutionOps = None) -> float:
+    """Solution-separation protection level for one axis, by bisection on
+    the total risk.
 
     The comparison benchmark, on Gaussian accuracy bounds only
     (NonGaussianBound otherwise): two-sided fault-free term, one-sided
@@ -364,37 +356,29 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
     _require_gaussian(acc_bounds)
     if ops is None:
         ops = SolutionOps(model)
-    sig = distkit.bound_sigmas(acc_bounds)
+    target, _, _, c_alloc = allocate(budget, threat, axis)
+    if target <= 0.0:
+        return math.inf
     b_nom = np.full(model.n, budget.b_nom)
+    terms = mode_terms(ops, threat.modes, axis, b_nom, 0.0, budget.p_thres)
+    if terms.unmonitorable is not None:
+        return math.inf
+    sig = distkit.bound_sigmas(acc_bounds)
+    weights = np.array([2.0 * threat.p_h0] + [m.prior for m in terms.modes])
+    sigmas = np.concatenate(([np.sqrt(np.sum(ops.S[axis] ** 2 * sig ** 2))],
+                             terms.gaussian_terms(0.0, sig)))
+    offsets = np.concatenate((
+        [bias_projection(ops.S, b_nom, axis)],
+        abs(float(ndtri(c_alloc))) * terms.gaussian_terms(ops.S[axis], sig)
+        + terms.bias))
 
-    pl = np.full(3, np.nan)
-    for axis in axes:
-        target, _, _, c_alloc = allocate(budget, threat, axis)
-        if target <= 0.0:
-            pl[axis] = math.inf
-            continue
-        terms = mode_terms(ops, threat.modes, axis, b_nom, 0.0,
-                           budget.p_thres)
-        if terms.unmonitorable is not None:
-            pl[axis] = math.inf
-            continue
-        sigma_vk, sigma_ss = terms.gaussian_terms(ops.S[axis], sig)
-        weights = np.array([2.0 * threat.p_h0]
-                           + [m.prior for m in terms.modes])
-        sigmas = np.concatenate(
-            ([np.sqrt(np.sum(ops.S[axis] ** 2 * sig ** 2))], sigma_vk))
-        offsets = np.concatenate((
-            [bias_projection(ops.S, b_nom, axis)],
-            abs(float(ndtri(c_alloc))) * sigma_ss + terms.bias))
+    def risk(levels):
+        # Fault-free term, then the faulted terms in mode order.
+        return np.cumsum(weights * ndtr((offsets - levels[:, None])
+                                        / sigmas), axis=1)[:, -1]
 
-        def risk(levels):
-            # Fault-free term, then the faulted terms in mode order.
-            return np.cumsum(weights * ndtr((offsets - levels[:, None])
-                                            / sigmas), axis=1)[:, -1]
-
-        level, _ = _bisect_level(risk, 1.0e4, target)
-        pl[axis] = math.inf if level is None else level
-    return PlResult(pl)
+    level, _ = _bisect_level(risk, 1.0e4, target)
+    return math.inf if level is None else level
 
 
 def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
@@ -409,12 +393,11 @@ def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
     sigmas = distkit.bound_sigmas(acc_bounds)
     terms = mode_terms(ops, modes, axis, np.zeros(len(sigmas)), 0.0,
                        math.inf)
-    _, sigma_ss = terms.gaussian_terms(ops.S[axis], sigmas)
     n = terms.n_sat
     full = ops.S[axis] @ y
     stats = (((terms.Q[:n] - ops.S[axis]) @ y).tolist()
              + [float(row @ y - full) for row in terms.Q[n:]])
-    d = abs(float(ndtri(c_alloc))) * sigma_ss
+    d = abs(float(ndtri(c_alloc))) * terms.gaussian_terms(ops.S[axis], sigmas)
     return dict(zip([m.id for m in terms.modes], zip(stats, d.tolist())))
 
 

@@ -1,9 +1,8 @@
-"""Jackknife statistic distributions, thresholds and the detector, at the
-false-alarm split integrity.allocate makes of an IntegrityBudget."""
+"""Jackknife thresholds and the detector, at the false-alarm split
+integrity.allocate makes of an IntegrityBudget."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,58 +26,26 @@ class JkStatistics:
         return any(self.alerts.values())
 
 
-class ModeDistributions(Mapping):
-    """Mode id -> nominal distribution of the mode's statistic: a keyed
-    view of one convolve_batch result whose rows follow ids."""
+def thresholds(ops: SolutionOps, threat: ThreatModel, acc_bounds,
+               budget: IntegrityBudget, axis: int = AXIS_UP) -> dict:
+    """Continuity-allocated thresholds of the satellite-subset modes: mode
+    id -> T_k, the magnitude of the mode's nominal statistic's quantile at
+    allocate's c_alloc, the equal continuity split C_REQ,FA /
+    (2 N_fault_modes P_H0) of the budget's whole false-alarm budget.
 
-    def __init__(self, ids, batch):
-        self.ids = list(ids)
-        self.batch = batch
-        self._row = {mid: k for k, mid in enumerate(self.ids)}
-
-    def __getitem__(self, mid):
-        return self.batch[self._row[mid]]
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __len__(self):
-        return len(self.ids)
-
-
-def stat_distributions(ops: SolutionOps, threat: ThreatModel, acc_bounds,
-                       axis: int = AXIS_UP):
-    """Nominal distributions of every computable mode statistic.
-
-    Returns (dists, skipped) where dists is a ModeDistributions (mode id
-    -> Gaussian or GridDistribution, all rows of one batch) and skipped
-    lists rank-deficient (untestable) satellite-subset modes.
-    Constellation modes are never jackknife-testable and are not included.
+    The statistics of every mode that is not rank deficient are convolved
+    from acc_bounds as one batch; a rank-deficient mode is untestable and
+    gets no threshold. Constellation modes are never jackknife-testable and
+    are not included.
     """
     modes = threat.sat_modes()
     ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
-    ids = [m.id for m, good in zip(modes, ok) if good]
-    skipped = [m.id for m, good in zip(modes, ok) if not good]
-    if not ids:
-        return {}, skipped
+    if not ok.any():
+        return {}
     batch = distkit.convolve_batch(C[ok], acc_bounds)
-    return ModeDistributions(ids, batch), skipped
-
-
-def thresholds(threat: ThreatModel, stat_dists, budget: IntegrityBudget):
-    """Continuity-allocated per-mode thresholds T_k.
-
-    T_k is the magnitude of the statistic's quantile at allocate's
-    c_alloc, the equal continuity split C_REQ,FA / (2 N_fault_modes P_H0)
-    of the budget's whole false-alarm budget. A ModeDistributions is
-    evaluated as one batch, any other mapping of mode ids to distributions
-    one distribution at a time.
-    """
-    p = allocate(budget, threat, AXIS_UP)[2]
-    if isinstance(stat_dists, ModeDistributions):
-        return dict(zip(stat_dists.ids,
-                        np.abs(stat_dists.batch.quantile(p)).tolist()))
-    return {mid: abs(float(d.quantile(p))) for mid, d in stat_dists.items()}
+    p = allocate(budget, threat, axis)[2]
+    return dict(zip([m.id for m, good in zip(modes, ok) if good],
+                    np.abs(batch.quantile(p)).tolist()))
 
 
 def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds, thresh,

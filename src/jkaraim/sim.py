@@ -429,19 +429,19 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     rec.hpe = float(np.hypot(err[0], err[1]))
 
     axes = (0, 1, 2) if config.compute_horizontal else (2,)
+    pl = np.full(3, math.nan)
     try:
         if config.algorithm == "baseline":
-            pl = baseline_araim_pl(geom, tm, acc, budget, ops=ops,
-                                   axes=axes).pl
+            for axis in axes:
+                pl[axis] = baseline_araim_pl(geom, tm, acc, budget,
+                                             axis=axis, ops=ops)
             if config.detect:
                 rec.alert = baseline_alert(geom, ops, tm, acc, budget)
         else:   # "jk", the other algorithm ScenarioConfig accepts
-            dists, _ = jackknife.stat_distributions(ops, tm, acc)
-            thresh = jackknife.thresholds(tm, dists, budget)
+            thresh = jackknife.thresholds(ops, tm, acc, budget)
             if config.detect:
                 rec.alert = jackknife.run_detector(geom, tm, acc, thresh,
                                                    budget, ops=ops).alert
-            pl = np.full(3, math.nan)
             for axis in axes:
                 pl[axis] = pl_solve(geom, tm, acc, thresh, budget,
                                     axis=axis, ops=ops)

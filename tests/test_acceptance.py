@@ -17,7 +17,7 @@ from jkaraim import jackknife, sim, threat
 from jkaraim.distkit import Gaussian, bound_sigmas, convolve_batch
 from jkaraim.errors import SubsetRankDeficient
 from jkaraim.integrity import IntegrityBudget, baseline_araim_pl, pl_solve
-from jkaraim.jackknife import stat_distributions, thresholds
+from jkaraim.jackknife import thresholds
 from jkaraim.model_core import AXIS_UP, SolutionOps
 from jkaraim.overbound import build_pgo, default_table, verify_overbound
 from jkaraim.sim import ScenarioConfig, cnmp_sigma, tropo_sigma
@@ -131,9 +131,8 @@ def test_criterion_3_family_wise_false_alarm(capsys):
     geom, models, acc, tm, budget = gps_epoch_case(45.0, 10.0, 3600.0)
     ops = SolutionOps(geom)
     tau = 0.01
-    dists, _ = jackknife.stat_distributions(ops, tm, acc)
     thresh = jackknife.thresholds(
-        tm, dists, IntegrityBudget(c_req_fa_vert=tau, c_req_fa_horiz=0.0))
+        ops, tm, acc, IntegrityBudget(c_req_fa_vert=tau, c_req_fa_horiz=0.0))
     modes = [m for m in tm.sat_modes() if m.id in thresh]
     _, _, C = ops.mode_rows([m.excluded for m in modes], AXIS_UP)
     T = np.array([thresh[m.id] for m in modes])
@@ -173,11 +172,9 @@ def test_criterion_5_baseline_equivalence(capsys):
             continue
         geom, models, acc, tm, budget = case
         ops = SolutionOps(geom)
-        dists, _ = stat_distributions(ops, tm, acc)
-        thresh = thresholds(tm, dists, budget)
+        thresh = thresholds(ops, tm, acc, budget)
         jk = pl_solve(geom, tm, acc, thresh, budget, axis=2, ops=ops)
-        base = baseline_araim_pl(geom, tm, acc, budget, ops=ops,
-                                 axes=(2,)).vpl
+        base = baseline_araim_pl(geom, tm, acc, budget, axis=2, ops=ops)
         if not (np.isfinite(jk) and np.isfinite(base)):
             assert np.isfinite(jk) == np.isfinite(base)
             continue

@@ -55,8 +55,7 @@ class TestCmdPl:
                                  p_const=0.0, b_nom=0.0)
         tm = enumerate_modes(2, 1, {"GPS": range(2)}, 1e-5, 0.0, m=1)
         acc = [Gaussian(1.0)] * 2
-        dists, _ = jackknife.stat_distributions(ops, tm, acc, axis=0)
-        thresh = jackknife.thresholds(tm, dists, budget)
+        thresh = jackknife.thresholds(ops, tm, acc, budget, axis=0)
         expect = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops)
         assert doc["pl_m"] == pytest.approx(expect, abs=1e-6)
 

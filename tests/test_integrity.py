@@ -35,8 +35,7 @@ def toy_case(p_sat=1e-5, b_nom=0.0, sigma=1.0):
     budget = toy_budget(p_sat=p_sat, b_nom=b_nom)
     tm = enumerate_modes(2, 1, {"GPS": range(2)}, p_sat, 0.0, m=1)
     acc = [Gaussian(sigma)] * 2
-    dists, _ = jackknife.stat_distributions(ops, tm, acc, axis=0)
-    thresh = jackknife.thresholds(tm, dists, budget)
+    thresh = jackknife.thresholds(ops, tm, acc, budget, axis=0)
     return model, ops, budget, tm, acc, thresh
 
 
@@ -54,6 +53,16 @@ class TestIntegrityBudget:
     def test_edges_of_the_ranges_are_accepted(self):
         IntegrityBudget(i_req_horiz=0.0, c_req_fa_horiz=0.0, p_const=0.0,
                         b_nom=0.0)
+
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(IntegrityBudget)])
+    def test_fields_cannot_be_reassigned(self, field):
+        # The range checks run at construction only; a later assignment
+        # (a zero false-alarm budget, say) would bypass them.
+        budget = IntegrityBudget()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(budget, field, 0.0)
+        assert budget == IntegrityBudget()
 
 
 class TestPlSolveToy:
@@ -134,16 +143,15 @@ class TestConstellationSS:
         ops = SolutionOps(model)
         sigma0 = float(np.sqrt(np.sum(ops.S[2] ** 2)))
         mode = tm.constellation_modes()[0]
-        sigma_vk, _ = self.terms(ops, mode).gaussian_terms(ops.S[2],
-                                                            np.ones(12))
+        sigma_vk = self.terms(ops, mode).gaussian_terms(0.0, np.ones(12))
         assert sigma_vk[0] == pytest.approx(math.sqrt(2) * sigma0, rel=1e-9)
 
     def test_threshold_monotone_in_continuity_allocation(self):
         model, tm = self.duplicate_geometry()
         ops = SolutionOps(model)
         mode = tm.constellation_modes()[0]
-        _, sigma_ss = self.terms(ops, mode).gaussian_terms(ops.S[2],
-                                                            np.ones(12))
+        sigma_ss = self.terms(ops, mode).gaussian_terms(ops.S[2],
+                                                        np.ones(12))
         acc = [Gaussian(1.0)] * 12
         d_small, d_large = (
             separation_tests(ops, [mode], acc, c, np.zeros(12),
@@ -158,7 +166,7 @@ class TestConstellationSS:
         sigmas = rng.uniform(0.5, 2.0, 12)
         mode = tm.constellation_modes()[0]
         terms = self.terms(ops, mode)
-        sigma_vk, _ = terms.gaussian_terms(ops.S[2], sigmas)
+        sigma_vk = terms.gaussian_terms(0.0, sigmas)
         eps = sigmas[:, None] * rng.standard_normal((12, 10 ** 6))
         emp = np.std(terms.Q[0] @ eps)
         assert emp == pytest.approx(sigma_vk[0], rel=5e-3)
@@ -194,25 +202,23 @@ class TestConstellationSS:
             terms = mode_terms(ops, [mode], 2, np.zeros(12), 1e-5, p_thres)
             assert terms.modes == [] and terms.unmonitorable is voided
             assert terms.skipped_mass == mass
-            assert terms.gaussian_terms(ops.S[2], np.ones(12))[0].size == 0
+            assert terms.gaussian_terms(ops.S[2], np.ones(12)).size == 0
 
 
 class TestBaselineAraim:
     def test_toy_matches_jackknife_within_5_percent(self):
         model, ops, budget, tm, acc, thresh = toy_case()
         jk = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops)
-        base = baseline_araim_pl(model, tm, acc, budget, ops=ops,
-                                 axes=(0,)).pl[0]
+        base = baseline_araim_pl(model, tm, acc, budget, axis=0, ops=ops)
         assert jk == pytest.approx(base, rel=0.05)
 
     def test_vanishing_fault_priors_leave_h0_term(self):
         model, ops, budget, tm, acc, thresh = toy_case(p_sat=1e-15)
-        res = baseline_araim_pl(model, tm, acc, budget, ops=ops,
-                                axes=(0,))
+        pl = baseline_araim_pl(model, tm, acc, budget, axis=0, ops=ops)
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         target = 1e-7 * deflate
         expect = math.sqrt(0.5) * abs(ndtri(target / (2 * tm.p_h0)))
-        assert res.pl[0] == pytest.approx(expect, abs=2e-3)
+        assert pl == pytest.approx(expect, abs=2e-3)
 
     @pytest.mark.parametrize("flavor", ["pgo", "grid"])
     def test_non_gaussian_bounds_refused(self, flavor):
@@ -223,7 +229,7 @@ class TestBaselineAraim:
         if flavor == "pgo":
             acc = [default_table()[svn].pgo() for svn in geom.sat_ids]
         with pytest.raises(NonGaussianBound):
-            baseline_araim_pl(geom, tm, acc, budget, ops=ops, axes=(2,))
+            baseline_araim_pl(geom, tm, acc, budget, ops=ops)
         with pytest.raises(NonGaussianBound):
             baseline_alert(geom, ops, tm, acc, budget)
         # The detector's constellation tests still take grid bounds.
@@ -234,16 +240,14 @@ class TestBaselineAraim:
         case = gps_epoch_case(45.0, 10.0, 3600.0)
         assert case is not None
         geom, models, acc, tm, budget = case
-        full = baseline_araim_pl(geom, tm, acc, budget,
-                                 axes=(2,)).pl[2]
+        full = baseline_araim_pl(geom, tm, acc, budget)
         # Drop the last satellite: nested subset of the same geometry.
         sub = LinearModel(geom.G[:-1], geom.W[:-1], geom.y[:-1],
                           geom.sat_ids[:-1], geom.const_of[:-1])
         tm_sub = enumerate_modes(sub.n, tm.k_max,
                                  {"GPS": range(sub.n)}, budget.p_sat,
                                  budget.p_const)
-        reduced = baseline_araim_pl(sub, tm_sub, acc[:-1], budget,
-                                    axes=(2,)).pl[2]
+        reduced = baseline_araim_pl(sub, tm_sub, acc[:-1], budget)
         assert full <= reduced + 1e-6
 
 
@@ -292,8 +296,7 @@ def epoch_case(flavor="gaussian", constellations=("GPS",)):
     assert case is not None
     geom, models, acc, tm, budget = case
     ops = SolutionOps(geom)
-    dists, _ = jackknife.stat_distributions(ops, tm, acc, axis=2)
-    thresh = jackknife.thresholds(tm, dists, budget)
+    thresh = jackknife.thresholds(ops, tm, acc, budget)
     return geom, ops, budget, tm, acc, thresh
 
 
@@ -348,7 +351,9 @@ class TestHmiRiskEval:
                                 np.zeros(2), ["a", "b"], ["GPS", "GPS"])
             ops = SolutionOps(model)
         else:
-            budget.i_req_vert = budget.i_req_horiz = 0.1 * tm.p_not_monitored
+            budget = dataclasses.replace(
+                budget, i_req_vert=0.1 * tm.p_not_monitored,
+                i_req_horiz=0.1 * tm.p_not_monitored)
         args = (model, tm, acc, thresh)
         kw = dict(axis=0, ops=ops)
         assert pl_solve(*args, budget, **kw) == math.inf
@@ -446,7 +451,7 @@ class TestLooserIntegrityBudget:
         model, ops, tm, acc, budget = case
         looser = dataclasses.replace(
             budget, i_req_vert=budget.i_req_vert * 10.0 ** log_factor)
-        base = [baseline_araim_pl(model, tm, acc, b, ops=ops, axes=(2,)).vpl
+        base = [baseline_araim_pl(model, tm, acc, b, ops=ops)
                 for b in (budget, looser)]
         assert base[1] <= base[0] + PL_TOLERANCE_M
 
@@ -454,8 +459,7 @@ class TestLooserIntegrityBudget:
                     if m.prior <= allocate(b, tm, AXIS_UP)[1]}
                    for b in (budget, looser)]
         if skipped[0] == skipped[1]:
-            dists, _ = jackknife.stat_distributions(ops, tm, acc)
-            thresh = jackknife.thresholds(tm, dists, budget)
+            thresh = jackknife.thresholds(ops, tm, acc, budget)
             jk = [pl_solve(model, tm, acc, thresh, b, ops=ops)
                   for b in (budget, looser)]
             assert jk[1] <= jk[0] + PL_TOLERANCE_M

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from jkaraim.distkit import Gaussian
-from jkaraim.integrity import IntegrityBudget
-from jkaraim.jackknife import run_detector, stat_distributions, thresholds
-from jkaraim.model_core import LinearModel, SolutionOps
+from jkaraim.distkit import Gaussian, bound_sigmas, convolve_batch
+from jkaraim.integrity import IntegrityBudget, allocate
+from jkaraim.jackknife import run_detector, thresholds
+from jkaraim.model_core import AXIS_UP, LinearModel, SolutionOps
 from jkaraim.threat import enumerate_modes
 
-from conftest import random_geometry
+from conftest import gps_epoch_case, random_geometry
 
 
 def toy_model(y=(0.0, 0.0)):
@@ -40,8 +40,8 @@ def detect(model, tm, acc, y=None, axis=2, ops=None):
     satellite mode, as a scenario record runs it."""
     budget = IntegrityBudget()
     ops = SolutionOps(model) if ops is None else ops
-    dists, _ = stat_distributions(ops, tm, acc, axis)
-    return run_detector(model, tm, acc, thresholds(tm, dists, budget),
+    return run_detector(model, tm, acc,
+                        thresholds(ops, tm, acc, budget, axis),
                         budget, y=y, axis=axis, ops=ops)
 
 
@@ -135,41 +135,79 @@ class TestCombinedStat:
             assert t == pytest.approx(float(coeffs @ eps), abs=1e-9)
 
 
+def epoch_case(flavor="gaussian", constellations=("GPS",)):
+    """The GPS or GPS+GAL epoch at 30 N, 90 W, t = 7200 s, default
+    budget (p_const 0 for GPS alone)."""
+    case = gps_epoch_case(30.0, -90.0, 7200.0, flavor=flavor,
+                          constellations=constellations)
+    assert case is not None
+    geom, _, acc, tm, budget = case
+    return geom, SolutionOps(geom), tm, acc, budget
+
+
+def stat_sigmas(ops, tm, sigmas, axis=AXIS_UP):
+    """Mode id -> sqrt(C_k^2 . sigma^2), the sigma of each testable
+    satellite mode's statistic under Gaussian bounds of the given sigmas."""
+    modes = tm.sat_modes()
+    ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
+    return {m.id: float(np.sqrt(np.sum(c ** 2 * sigmas ** 2)))
+            for m, good, c in zip(modes, ok, C) if good}
+
+
 class TestThresholds:
     def test_unit_gaussian_closed_form(self):
-        tm = enumerate_modes(8, 1, {"GPS": range(8)}, 1e-7, 1e-4, m=4)
-        dists = {m.id: Gaussian(1.0) for m in tm.modes}
-        T = thresholds(tm, dists, IntegrityBudget())
-        expect = abs(ndtri(3.99e-6 / (2 * 8 * tm.p_h0)))
-        assert expect == pytest.approx(5.02, abs=0.01)
-        for v in T.values():
-            assert v == pytest.approx(expect, abs=1e-9)
+        # T_k = |ndtri(c_alloc)| sqrt(C_k^2 . sigma^2), for unit bounds and
+        # for the table's Gaussian bounds of a real GPS epoch.
+        geom, ops, tm, acc, budget = epoch_case()
+        c_alloc = budget.c_req_fa_total / (2 * tm.n_fault_modes * tm.p_h0)
+        assert c_alloc == allocate(budget, tm, AXIS_UP)[2]
+        for bounds in ([Gaussian(1.0)] * geom.n, acc):
+            T = thresholds(ops, tm, bounds, budget)
+            sigma = stat_sigmas(ops, tm, bound_sigmas(bounds))
+            assert T.keys() == sigma.keys() and len(T) == tm.n_fault_modes
+            for mid, t_k in T.items():
+                assert t_k == pytest.approx(abs(ndtri(c_alloc)) * sigma[mid],
+                                            rel=1e-12)
 
     def test_more_modes_raise_thresholds(self):
-        tm8 = enumerate_modes(8, 1, {"GPS": range(8)}, 1e-7, 1e-4, m=4)
-        tm16 = enumerate_modes(16, 1, {"GPS": range(16)}, 1e-7, 1e-4, m=4)
-        t8 = thresholds(tm8, {m.id: Gaussian(1.0) for m in tm8.modes},
-                        IntegrityBudget())
-        t16 = thresholds(tm16, {m.id: Gaussian(1.0) for m in tm16.modes},
-                         IntegrityBudget())
-        assert min(t16.values()) > max(t8.values())
+        # Pairs of satellites as well: more modes split the false-alarm
+        # budget finer, so every T_k / sigma_k rises.
+        geom, ops, tm, acc, budget = epoch_case()
+        tm2 = enumerate_modes(geom.n, tm.k_max + 1, {"GPS": range(geom.n)},
+                              budget.p_sat, budget.p_const, m=geom.m)
+        assert tm2.n_fault_modes > tm.n_fault_modes
+        ratios = []
+        for threat in (tm, tm2):
+            T = thresholds(ops, threat, acc, budget)
+            sigma = stat_sigmas(ops, threat, bound_sigmas(acc))
+            ratios.append([T[mid] / sigma[mid] for mid in T])
+        assert min(ratios[1]) > max(ratios[0])
 
-    def test_pgo_threshold_not_larger_when_sharper(self):
-        from jkaraim.overbound import default_table
-        tm = enumerate_modes(8, 1, {"GPS": range(8)}, 1e-7, 1e-4, m=4)
-        entry = default_table()["SVN63"]
-        p = 3.99e-6 / (2 * 8 * tm.p_h0)
-        pgo_q = abs(entry.pgo().quantile(p))
-        gauss_q = abs(Gaussian(entry.gauss_sigma_m).quantile(p))
-        t_pgo = thresholds(tm, {m.id: entry.pgo() for m in tm.modes},
-                           IntegrityBudget())
-        t_g = thresholds(tm, {m.id: Gaussian(entry.gauss_sigma_m)
-                              for m in tm.modes}, IntegrityBudget())
-        for mid in t_pgo:
-            if pgo_q <= gauss_q:
-                assert t_pgo[mid] <= t_g[mid] + 1e-9
-            else:
-                assert t_pgo[mid] >= t_g[mid] - 1e-9
+    @pytest.mark.parametrize("flavor, constellations", [
+        ("gaussian", ("GPS",)), ("pgo", ("GPS", "GAL"))],
+        ids=["gps-gaussian", "dual-pgo"])
+    def test_thresholds_are_batch_quantiles(self, flavor, constellations):
+        # Bit for bit the magnitudes of one batch's quantiles at c_alloc,
+        # row by row, from rows built by an independent SolutionOps.
+        geom, ops, tm, acc, budget = epoch_case(flavor, constellations)
+        T = thresholds(ops, tm, acc, budget)
+        modes = tm.sat_modes()
+        ok, _, C = SolutionOps(geom).mode_rows([m.excluded for m in modes],
+                                               AXIS_UP)
+        q = convolve_batch(C[ok], acc).quantile(
+            allocate(budget, tm, AXIS_UP)[2])
+        ids = [m.id for m, good in zip(modes, ok) if good]
+        assert list(T) == ids
+        assert list(T.values()) == np.abs(q).tolist()
+
+    def test_no_testable_mode_gives_no_thresholds(self):
+        # Two states, two satellites: every one-satellite subset is rank
+        # deficient, so no mode gets a threshold.
+        model = LinearModel(np.eye(2), np.ones(2), np.zeros(2), ["a", "b"],
+                            ["GPS", "GPS"])
+        assert thresholds(SolutionOps(model), toy_threat(2),
+                          [Gaussian(1.0)] * 2, IntegrityBudget(),
+                          axis=0) == {}
 
 
 class TestRunDetector:
@@ -207,11 +245,11 @@ class TestRunDetector:
         model, tm, acc = self.make_case(rng)
         ops = SolutionOps(model)
         tau = 0.01
-        dists, _ = stat_distributions(ops, tm, acc, axis=2)
-        # Bonferroni split: per-mode two-sided level tau/N.
-        thresh = {mid: abs(ndtri(tau / (2 * tm.n_fault_modes)))
-                  * np.sqrt(d.variance()) for mid, d in dists.items()}
         rows = np.array([stat_coeffs(ops, m) for m in tm.modes])
+        # Bonferroni split: per-mode two-sided level tau/N.
+        thresh = {m.id: abs(ndtri(tau / (2 * tm.n_fault_modes)))
+                  * np.sqrt(d.variance())
+                  for m, d in zip(tm.modes, convolve_batch(rows, acc))}
         trials = 20000
         eps = rng.standard_normal((model.n, trials))
         stats = rows @ eps
@@ -227,9 +265,9 @@ class TestRunDetector:
         ops = SolutionOps(model)
         pgo = default_table()["SVN63"].pgo()
         acc = [pgo] * model.n
-        dists, _ = stat_distributions(ops, tm, acc, axis=2)
         mode = tm.modes[0]
         coeffs = stat_coeffs(ops, mode)
+        dist = convolve_batch(coeffs[None, :], acc)[0]
         n_trials = 10 ** 6
         draws = np.zeros(n_trials)
         for c in coeffs:
@@ -237,5 +275,5 @@ class TestRunDetector:
                 draws += c * pgo.sample(rng, n_trials)
         draws.sort()
         emp = (np.arange(1, n_trials + 1) - 0.5) / n_trials
-        ks = float(np.max(np.abs(dists[mode.id].cdf(draws) - emp)))
+        ks = float(np.max(np.abs(dist.cdf(draws) - emp)))
         assert ks < 2e-3

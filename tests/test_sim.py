@@ -326,9 +326,8 @@ class TestGridResolution:
                             [a.svn for a in sats],
                             [a.constellation for a in sats], positions,
                             default_table(), budget, flavor="pgo")
-        dists, _ = jackknife.stat_distributions(
-            s.ops, s.tm, [m.acc_bound for m in s.models])
-        thresh = jackknife.thresholds(s.tm, dists, budget)
+        thresh = jackknife.thresholds(
+            s.ops, s.tm, [m.acc_bound for m in s.models], budget)
         vpl = integrity.pl_solve(s.geom, s.tm,
                                  [m.acc_bound for m in s.models], thresh,
                                  budget, ops=s.ops)
