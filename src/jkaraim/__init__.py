@@ -1,7 +1,7 @@
 """Jackknife-based advanced RAIM for multi-constellation GNSS with
 non-Gaussian nominal error bounds."""
 
-from .distkit import (Bgmm, Gaussian, GridDistribution, Pgo, convolve_batch,
+from .distkit import (Gaussian, GridDistribution, Pgo, convolve_batch,
                       convolve_rows)
 from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      InsufficientRedundancy, JkAraimError,
@@ -11,7 +11,7 @@ from .integrity import (IntegrityBudget, baseline_araim_pl, hmi_risk_eval,
                         pl_solve)
 from .jackknife import JkStatistics, run_detector, thresholds
 from .model_core import (AXIS_EAST, AXIS_NORTH, AXIS_UP, LinearModel,
-                         SolutionOps, bias_projection, ecef_to_geodetic,
+                         SolutionOps, ecef_to_geodetic,
                          elevation_azimuth, geodetic_to_ecef)
 from .overbound import (OverboundReport, SatelliteBound, SatelliteBoundTable,
                         build_pgo, default_partition_point,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXIS_EAST", "AXIS_NORTH", "AXIS_UP",
-    "AlmanacEntry", "Bgmm", "EmConvergenceFailure", "EmptySample",
+    "AlmanacEntry", "EmConvergenceFailure", "EmptySample",
     "EpochRecord", "EpochSetup", "FaultMode", "Gaussian", "GridDistribution",
     "InsufficientGeometry", "InsufficientRedundancy", "IntegrityBudget",
     "JkAraimError", "JkStatistics", "KeplerNonConvergence", "LinearModel",
@@ -38,7 +38,7 @@ __all__ = [
     "ScenarioConfig", "SolutionOps", "SubsetRankDeficient", "ThreatModel",
     "UnknownSatellite",
     "aggregate", "baseline_araim_pl",
-    "bias_projection", "build_pgo", "cnmp_sigma",
+    "build_pgo", "cnmp_sigma",
     "convolve_batch", "convolve_rows",
     "default_almanac",
     "default_partition_point", "default_table", "determine_kmax",

@@ -210,10 +210,8 @@ def _full_mode_count(almanac, config):
         if a.health == 0 and a.constellation in config.constellations:
             counts[a.constellation] = counts.get(a.constellation, 0) + 1
     n = sum(counts.values())
-    budget = config.budget
-    k_max, _ = threat.determine_kmax(
-        sorted(counts.values()), budget.p_sat, budget.p_const,
-        budget.p_thres)
+    k_max = threat.determine_kmax(n, config.budget.p_sat,
+                                  config.budget.p_thres)
     total = sum(math.comb(n, s) for s in range(1, k_max + 1))
     if len(counts) >= 2:
         total += len(counts)

@@ -1,7 +1,7 @@
 """Zero-mean 1-D error distributions and exact-shape linear combinations.
 
-Provides analytic distributions (Gaussian, bimodal Gaussian mixture, and the
-piecewise Principal-Gaussian form), a numeric grid carrier for the
+Provides analytic distributions (Gaussian and the piecewise
+Principal-Gaussian form), a numeric grid carrier for the
 distribution of weighted sums of independent errors, and CDF inversion down
 to tail probabilities of 1e-9.
 """
@@ -113,47 +113,6 @@ class Gaussian(ErrorDistribution):
 
     def quantile(self, p):
         return self.sigma * ndtri(np.asarray(p, dtype=float))
-
-
-@dataclass(frozen=True)
-class Bgmm(ErrorDistribution):
-    """Zero-mean two-component Gaussian mixture, sigma1 <= sigma2."""
-
-    p1: float
-    sigma1: float
-    sigma2: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p1 < 1.0):
-            raise ValueError("p1 must lie in (0, 1)")
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise ValueError("sigmas must be positive")
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.p1 * _norm_pdf(x, self.sigma1)
-                + (1.0 - self.p1) * _norm_pdf(x, self.sigma2))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.p1 * ndtr(x / self.sigma1)
-                + (1.0 - self.p1) * ndtr(x / self.sigma2))
-
-    def variance(self):
-        return self.p1 * self.sigma1 ** 2 + (1.0 - self.p1) * self.sigma2 ** 2
-
-    def dominant_sigma(self):
-        return max(self.sigma1, self.sigma2)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        # Component-wise sampling is exact and fast for a plain mixture.
-        n = int(np.prod(size)) if size is not None else 1
-        pick1 = rng.random(n) < self.p1
-        z = rng.standard_normal(n)
-        out = np.where(pick1, z * self.sigma1, z * self.sigma2)
-        if size is None:
-            return float(out[0])
-        return out.reshape(size)
 
 
 @dataclass(frozen=True)

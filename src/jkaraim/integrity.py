@@ -13,7 +13,7 @@ from scipy.special import ndtr, ndtri
 
 from . import distkit
 from .errors import NonGaussianBound, SubsetRankDeficient
-from .model_core import AXIS_UP, LinearModel, SolutionOps, bias_projection
+from .model_core import AXIS_UP, LinearModel, SolutionOps
 from .threat import ThreatModel
 
 
@@ -140,26 +140,20 @@ class ModeTerms:
     modes: list             # kept satellite-subset modes, then constellation
     n_sat: int              # how many of modes are satellite-subset modes
     Q: np.ndarray           # their S_k rows on the axis, one per mode
-    bias: np.ndarray        # their worst-case bias projections |Q| . b_nom
-    skipped_mass: float = 0.0
-    unmonitorable: object = None    # first mode that voids the PL
+    bias: np.ndarray        # their worst-case biases b_nom * sum |Q row|
+    skipped_mass: float
+    unmonitorable: object   # first mode that voids the PL, or None
 
     def gaussian_terms(self, s_row, sigmas, start: int = 0):
         """sqrt((Q - s_row)^2 . sigma^2) of the kept modes from index start
         on: sigma_vk for s_row 0, sigma_ss for s_row the full solution's
-        row S. Satellite rows reduce as one matrix product, constellation
-        rows each as its own sum (they differ in the last bit)."""
+        row S."""
         var = np.asarray(sigmas, dtype=float) ** 2
-        n = max(start, self.n_sat)
-        sums = ((self.Q[start:n] - s_row) ** 2) @ var
-        if n < len(self.Q):
-            sums = np.concatenate(
-                (sums, np.sum((self.Q[n:] - s_row) ** 2 * var, axis=1)))
-        return np.sqrt(sums)
+        return np.sqrt(((self.Q[start:] - s_row) ** 2) @ var)
 
 
-def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, i_alloc: float,
-               p_thres: float) -> ModeTerms:
+def mode_terms(ops: SolutionOps, modes, axis: int, b_nom: float,
+               i_alloc: float, p_thres: float) -> ModeTerms:
     """The modes one integrity sum keeps, by one rule, in mode order:
 
     - a mode whose prior is at most i_alloc is skipped and budgeted at its
@@ -170,20 +164,21 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, i_alloc: float,
       min(prior, i_alloc).
 
     Every other mode is kept, with its S_k row on the axis and its bias
-    |S_k row| . b_nom: a satellite-subset mode's row from ops.mode_rows, a
-    constellation mode's from ops.reduced (the solve without the excluded
-    constellation's measurements and clock).
+    b_nom sum_i |S_k row_i| (b_nom each measurement's nominal bias): a
+    satellite-subset mode's row from ops.mode_rows, a constellation mode's
+    from ops.reduced (the solve without the excluded constellation's
+    measurements and clock).
     """
     sat = [m for m in modes if m.kind == "sat_subset" and m.prior > i_alloc]
     ok, Q, _ = ops.mode_rows([m.excluded for m in sat], axis)
-    bias = np.abs(Q) @ b_nom
     kept = [m for m, good in zip(sat, ok) if good]
-    terms = ModeTerms(kept, len(kept), Q[ok], bias[ok])
-    rows = []
+    n_sat = len(kept)
+    rows = [Q[ok]]
+    skipped_mass, unmonitorable = 0.0, None
     sat_ok = iter(ok.tolist())
     for mode in modes:
         if mode.prior <= i_alloc:
-            terms.skipped_mass += mode.prior
+            skipped_mass += mode.prior
             continue
         if mode.kind == "sat_subset":
             good = next(sat_ok)
@@ -194,19 +189,17 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom, i_alloc: float,
                 good = False
             else:
                 good = True
-                terms.modes.append(mode)
+                kept.append(mode)
         if good:
             continue
         if mode.prior > p_thres:
-            if terms.unmonitorable is None:
-                terms.unmonitorable = mode
+            if unmonitorable is None:
+                unmonitorable = mode
         else:
-            terms.skipped_mass += min(mode.prior, i_alloc)
-    if rows:
-        terms.Q = np.vstack((terms.Q, rows))
-        terms.bias = np.concatenate(
-            (terms.bias, [float(np.abs(row) @ b_nom) for row in rows]))
-    return terms
+            skipped_mass += min(mode.prior, i_alloc)
+    Q = np.vstack(rows)
+    return ModeTerms(kept, n_sat, Q, b_nom * np.abs(Q).sum(axis=1),
+                     skipped_mass, unmonitorable)
 
 
 def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
@@ -221,17 +214,16 @@ def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
     """
     if ops is None:
         ops = SolutionOps(model)
-    b_nom = np.full(model.n, budget.b_nom)
     target, i_alloc, c_alloc, _ = allocate(budget, threat, axis)
     if target <= 0.0:
         return "unmonitored"
-    terms = mode_terms(ops, threat.modes, axis, b_nom, i_alloc,
+    terms = mode_terms(ops, threat.modes, axis, budget.b_nom, i_alloc,
                        budget.p_thres)
     if terms.unmonitorable is not None:
         return f"unmonitorable:{terms.unmonitorable.id}"
 
     n_sat = terms.n_sat
-    offsets = [bias_projection(ops.S, b_nom, axis)]
+    offsets = [budget.b_nom * np.abs(ops.S[axis]).sum()]
     for mode, bias in zip(terms.modes[:n_sat], terms.bias.tolist()):
         t_k = thresholds[mode.id]
         if len(mode.excluded) == 1:
@@ -359,8 +351,8 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
     target, _, _, c_alloc = allocate(budget, threat, axis)
     if target <= 0.0:
         return math.inf
-    b_nom = np.full(model.n, budget.b_nom)
-    terms = mode_terms(ops, threat.modes, axis, b_nom, 0.0, budget.p_thres)
+    terms = mode_terms(ops, threat.modes, axis, budget.b_nom, 0.0,
+                       budget.p_thres)
     if terms.unmonitorable is not None:
         return math.inf
     sig = distkit.bound_sigmas(acc_bounds)
@@ -368,7 +360,7 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
     sigmas = np.concatenate(([np.sqrt(np.sum(ops.S[axis] ** 2 * sig ** 2))],
                              terms.gaussian_terms(0.0, sig)))
     offsets = np.concatenate((
-        [bias_projection(ops.S, b_nom, axis)],
+        [budget.b_nom * np.abs(ops.S[axis]).sum()],
         abs(float(ndtri(c_alloc))) * terms.gaussian_terms(ops.S[axis], sig)
         + terms.bias))
 
@@ -383,22 +375,19 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
 
 def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
                      y, axis: int = AXIS_UP) -> dict:
-    """Solution-separation statistics S_k y - S y and thresholds D_k of the
-    given modes, D_k at c_alloc from the accuracy bounds' sigmas
+    """Solution-separation statistics (S_k - S) y and thresholds D_k of
+    the given modes, D_k at c_alloc from the accuracy bounds' sigmas
     (ModeTerms.gaussian_terms): mode id -> (statistic, threshold),
     satellite-subset modes first.
 
     Rank-deficient modes cannot be tested and are left out (mode_terms
     with p_thres infinite); any other failure propagates."""
-    sigmas = distkit.bound_sigmas(acc_bounds)
-    terms = mode_terms(ops, modes, axis, np.zeros(len(sigmas)), 0.0,
-                       math.inf)
-    n = terms.n_sat
-    full = ops.S[axis] @ y
-    stats = (((terms.Q[:n] - ops.S[axis]) @ y).tolist()
-             + [float(row @ y - full) for row in terms.Q[n:]])
-    d = abs(float(ndtri(c_alloc))) * terms.gaussian_terms(ops.S[axis], sigmas)
-    return dict(zip([m.id for m in terms.modes], zip(stats, d.tolist())))
+    terms = mode_terms(ops, modes, axis, 0.0, 0.0, math.inf)
+    stats = (terms.Q - ops.S[axis]) @ y
+    d = abs(float(ndtri(c_alloc))) * terms.gaussian_terms(
+        ops.S[axis], distkit.bound_sigmas(acc_bounds))
+    return dict(zip([m.id for m in terms.modes],
+                    zip(stats.tolist(), d.tolist())))
 
 
 def baseline_alert(model: LinearModel, ops: SolutionOps, threat: ThreatModel,

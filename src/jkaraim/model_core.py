@@ -274,15 +274,6 @@ class SolutionOps:
             ok[ks] = True
         return ok, Q, C
 
-def bias_projection(S_mat, b_nom, axis: int) -> float:
-    """Worst-case projection of per-measurement nominal biases onto one
-    position axis: sum_i |S[axis, i]| * b_nom[i]."""
-    b = np.asarray(b_nom, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("b_nom entries must be non-negative")
-    return float(np.abs(S_mat[axis]) @ b)
-
-
 def geodetic_to_ecef(lat_deg, lon_deg, height=0.0):
     lat = np.radians(lat_deg)
     lon = np.radians(lon_deg)

@@ -279,8 +279,13 @@ class ScenarioConfig:
     budget: IntegrityBudget = None
 
     def __post_init__(self):
-        if 360.0 % self.grid_step_deg != 0.0:
-            raise ValueError("grid step must divide 360")
+        if not (0.0 < self.grid_step_deg <= 360.0
+                and 360.0 % self.grid_step_deg == 0.0):
+            raise ValueError(f"grid_step_deg = {self.grid_step_deg!r} must "
+                             "lie in (0, 360] and divide 360")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s = {self.duration_s!r} must be "
+                             "positive and finite")
         if self.epoch_step_s <= 0:
             raise ValueError("epoch step must be positive")
         if self.flavor not in ("gaussian", "pgo"):
@@ -335,16 +340,14 @@ def satellite_positions(sats, t):
 
 
 def threat_model(geom, budget: IntegrityBudget):
-    """Fault modes of one geometry: k_max from its satellites per
-    constellation (threat.determine_kmax), then every mode up to it
+    """Fault modes of one geometry: k_max from its satellite count
+    (threat.determine_kmax), then every mode up to it
     (threat.enumerate_modes), which raises InsufficientRedundancy when
     k_max exceeds the redundancy n - m."""
     parts = {}
     for i, c in enumerate(geom.const_of):
         parts.setdefault(c, []).append(i)
-    k_max, _ = threat.determine_kmax(
-        [len(parts[c]) for c in sorted(parts)], budget.p_sat, budget.p_const,
-        budget.p_thres)
+    k_max = threat.determine_kmax(geom.n, budget.p_sat, budget.p_thres)
     return threat.enumerate_modes(geom.n, k_max, parts, budget.p_sat,
                                   budget.p_const, m=geom.m)
 

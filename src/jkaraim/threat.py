@@ -59,37 +59,19 @@ def _binom_tail(n, p, k):
     return float(betainc(k + 1, n - k, p))
 
 
-def determine_kmax(n_sats_per_const, p_sat, p_const, p_thres):
-    """Smallest k_max whose residual simultaneous-fault probability fits
-    under the unmonitored-risk threshold, plus that residual mass.
-
-    Unmonitored constellation events (the whole-constellation fault for a
-    single constellation, simultaneous multi-constellation faults
-    otherwise) are folded into p_not_monitored. The result depends only
-    on the total satellite count and the number of constellations, and is
-    memoised on them.
-    """
-    return _kmax(int(sum(n_sats_per_const)), len(n_sats_per_const),
-                 p_sat, p_const, p_thres)
-
-
-def _p_not_monitored(n, n_const, p_sat, p_const, k_max):
-    """Prior mass of the faults no mode covers: more than k_max of the n
-    satellites, plus the constellation events left unmonitored."""
-    residual = _binom_tail(n, p_sat, k_max)
-    if n_const <= 1:
-        return residual + p_const * n_const
-    # Single-constellation faults are monitored by solution separation;
-    # only simultaneous constellation faults remain unmonitored.
-    return residual + _binom_tail(n_const, p_const, 1)
-
-
 @lru_cache(maxsize=4096)
-def _kmax(n, n_const, p_sat, p_const, p_thres):
+def determine_kmax(n, p_sat, p_thres) -> int:
+    """Smallest k_max (at least 1) whose probability of more than k_max
+    simultaneous faults among the n satellites is at most p_thres.
+
+    It depends on the satellite count only, not on how the satellites
+    split into constellations, and is memoised on it; the unmonitored mass
+    at that k_max is enumerate_modes'.
+    """
     k_max = 1
     while k_max < n and _binom_tail(n, p_sat, k_max) > p_thres:
         k_max += 1
-    return k_max, _p_not_monitored(n, n_const, p_sat, p_const, k_max)
+    return k_max
 
 
 def enumerate_modes(n, k_max, const_partition, p_sat, p_const, m=None):
@@ -128,6 +110,10 @@ def enumerate_modes(n, k_max, const_partition, p_sat, p_const, m=None):
             mode_id += 1
 
     p_h0 = (1.0 - p_sat) ** n * (1.0 - p_const) ** n_const
-    return ThreatModel(modes, p_h0,
-                       _p_not_monitored(n, n_const, p_sat, p_const, k_max),
-                       k_max)
+    # Unmonitored: more than k_max satellite faults, plus the constellation
+    # faults no mode covers (a lone constellation's own fault; with two or
+    # more, only simultaneous ones, as each single one is a mode).
+    p_nm = _binom_tail(n, p_sat, k_max) + (
+        p_const * n_const if n_const <= 1
+        else _binom_tail(n_const, p_const, 1))
+    return ThreatModel(modes, p_h0, p_nm, k_max)

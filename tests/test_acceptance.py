@@ -152,8 +152,8 @@ def test_criterion_3_family_wise_false_alarm(capsys):
 
 def test_criterion_4_kmax_reproduction(capsys):
     b = IntegrityBudget()
-    k24, _ = threat.determine_kmax([24], b.p_sat, b.p_const, b.p_thres)
-    k48, _ = threat.determine_kmax([24, 24], b.p_sat, b.p_const, b.p_thres)
+    k24 = threat.determine_kmax(24, b.p_sat, b.p_thres)
+    k48 = threat.determine_kmax(48, b.p_sat, b.p_thres)
     ok = k24 == 1 and k48 == 2
     _report(capsys, 4, ok, f"k_max 24 sats = {k24}, 48 sats = {k48}")
 

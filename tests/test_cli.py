@@ -221,6 +221,15 @@ class TestCmdSim:
         assert "c_req_fa_vert" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid_step_deg", 0), ("grid_step_deg", -15), ("duration_s", 0)])
+    def test_non_positive_grid_step_or_duration_exit_2(self, tmp_path,
+                                                       capsys, key, value):
+        cfg = self.coarse_cfg(tmp_path, **{key: value})
+        assert main(["--quiet", "sim", cfg, "-o", str(tmp_path / "r")]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+
     def test_grid_size_key_exit_2(self, tmp_path, capsys):
         # The grid resolution is the library's (distkit.GRID_POINTS), not a
         # scenario setting.

@@ -13,8 +13,7 @@ from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
                                _bisect_level, allocate, baseline_alert,
                                baseline_araim_pl, hmi_risk_eval, mode_terms,
                                pl_solve, separation_tests)
-from jkaraim.model_core import (AXIS_UP, LinearModel, SolutionOps,
-                                bias_projection)
+from jkaraim.model_core import AXIS_UP, LinearModel, SolutionOps
 from jkaraim.overbound import default_table
 from jkaraim.threat import FaultMode, enumerate_modes
 
@@ -133,8 +132,7 @@ class TestConstellationSS:
     def terms(ops, mode, axis=2):
         """mode_terms of one constellation mode: its S_k row kept, no bias,
         nothing skipped."""
-        terms = mode_terms(ops, [mode], axis, np.zeros(ops.model.n), 0.0,
-                           math.inf)
+        terms = mode_terms(ops, [mode], axis, 0.0, 0.0, math.inf)
         assert terms.modes == [mode] and terms.n_sat == 0
         return terms
 
@@ -199,10 +197,62 @@ class TestConstellationSS:
         # voids the PL, below it is skipped at min(prior, i_alloc).
         mode = FaultMode(0, "constellation", frozenset(range(12)), 1e-4)
         for p_thres, voided, mass in ((1e-5, mode, 0.0), (1e-3, None, 1e-5)):
-            terms = mode_terms(ops, [mode], 2, np.zeros(12), 1e-5, p_thres)
+            terms = mode_terms(ops, [mode], 2, 0.0, 1e-5, p_thres)
             assert terms.modes == [] and terms.unmonitorable is voided
             assert terms.skipped_mass == mass
             assert terms.gaussian_terms(ops.S[2], np.ones(12)).size == 0
+
+
+class TestOneRowForm:
+    """Every mode that separation_tests and mode_terms keep, satellite and
+    constellation alike, against its direct solve ops.reduced (no
+    downdate)."""
+
+    @staticmethod
+    def two_constellations(rng, n_a, n_b):
+        n = n_a + n_b
+        el = np.radians(rng.uniform(5.0, 90.0, n))
+        az = rng.uniform(0.0, 2.0 * np.pi, n)
+        G = np.zeros((n, 5))
+        G[:, :3] = np.column_stack([np.cos(el) * np.sin(az),
+                                    np.cos(el) * np.cos(az), np.sin(el)])
+        G[:n_a, 3] = G[n_a:, 4] = 1.0
+        model = LinearModel(G, rng.uniform(0.5, 4.0, n),
+                            rng.normal(0.0, 3.0, n),
+                            [f"s{i}" for i in range(n)],
+                            ["A"] * n_a + ["B"] * n_b)
+        tm = enumerate_modes(n, 2, {"A": range(n_a), "B": range(n_a, n)},
+                             1e-5, 1e-4)
+        return model, tm
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_a=st.integers(5, 8),
+           n_b=st.integers(5, 8), axis=st.sampled_from([0, 1, 2]),
+           log_c=st.floats(-9.0, -5.0), b_nom=st.floats(0.0, 2.0))
+    def test_rows_match_direct_solves(self, seed, n_a, n_b, axis, log_c,
+                                      b_nom):
+        rng = np.random.default_rng(seed)
+        model, tm = self.two_constellations(rng, n_a, n_b)
+        ops = SolutionOps(model)
+        sigmas = rng.uniform(0.3, 3.0, model.n)
+        c_alloc = 10.0 ** log_c
+        tests = separation_tests(ops, tm.modes, [Gaussian(s) for s in sigmas],
+                                 c_alloc, model.y, axis)
+        terms = mode_terms(ops, tm.modes, axis, b_nom, 0.0, math.inf)
+        assert list(tests) == [m.id for m in terms.modes]
+        assert {m.kind for m in terms.modes} == {"sat_subset",
+                                                 "constellation"}
+        for mode, bias in zip(terms.modes, terms.bias.tolist()):
+            row = ops.reduced(mode.excluded)[axis]
+            diff = row - ops.S[axis]
+            stat, d = tests[mode.id]
+            assert abs(stat - diff @ model.y) <= \
+                1e-9 * (np.abs(diff) @ np.abs(model.y))
+            assert d == pytest.approx(
+                abs(ndtri(c_alloc)) * math.sqrt(diff ** 2 @ sigmas ** 2),
+                rel=1e-9)
+            assert bias == pytest.approx(b_nom * np.abs(row).sum(),
+                                         rel=1e-9)
 
 
 class TestBaselineAraim:
@@ -258,7 +308,6 @@ def reference_risk(model, ops, tm, acc, thresh, level, budget, axis):
     variances, and the skip rule's budgeted mass for modes whose prior
     fits inside the per-mode allocation. The geometries it is used on have
     no rank-deficient mode."""
-    b_nom = np.full(model.n, budget.b_nom)
     deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
     i_alloc = budget.i_req_axis(axis) * deflate / tm.n_fault_modes
     c_alloc = budget.c_req_fa_total / (2.0 * tm.n_fault_modes * tm.p_h0)
@@ -268,8 +317,8 @@ def reference_risk(model, ops, tm, acc, thresh, level, budget, axis):
         return 1.0 if x <= 0 else float(2.0 * dist.cdf(-x))
 
     dist0 = convolve_batch([ops.S[axis]], acc)[0]
-    risk = tm.p_h0 * tail_prob(dist0, level - bias_projection(ops.S, b_nom,
-                                                              axis))
+    risk = tm.p_h0 * tail_prob(
+        dist0, level - budget.b_nom * np.abs(ops.S[axis]).sum())
     for mode in tm.modes:
         if mode.prior <= i_alloc:
             risk += mode.prior
@@ -286,7 +335,7 @@ def reference_risk(model, ops, tm, acc, thresh, level, budget, axis):
             if len(mode.excluded) == 1:
                 extra *= abs(ops.S[axis, next(iter(mode.excluded))])
         risk += mode.prior * tail_prob(
-            dist, level - extra - bias_projection(Sk, b_nom, axis))
+            dist, level - extra - budget.b_nom * np.abs(Sk[axis]).sum())
     return risk
 
 

@@ -8,8 +8,8 @@ from jkaraim import sim
 from jkaraim.errors import InsufficientGeometry, SubsetRankDeficient
 from jkaraim.integrity import IntegrityBudget
 from jkaraim.model_core import (LinearModel, SolutionOps, _solution_matrix,
-                                bias_projection, elevation_azimuth,
-                                geodetic_to_ecef, line_of_sight, subset_ops)
+                                elevation_azimuth, geodetic_to_ecef,
+                                line_of_sight, subset_ops)
 from jkaraim.overbound import default_table
 from jkaraim.threat import enumerate_modes
 
@@ -145,22 +145,6 @@ class TestQVector:
                     total += ops.S[2, j] * t_j
                 err = (ops.S @ eps)[2]
                 assert abs(total - err) < 1e-9
-
-
-class TestBiasProjection:
-    def test_subset_row(self):
-        assert bias_projection(np.array([[1.0, 0.0]]),
-                               np.array([0.75, 0.75]), 0) == 0.75
-
-    def test_zero_bias(self, rng):
-        model = random_geometry(rng)
-        ops = SolutionOps(model)
-        assert bias_projection(ops.S, np.zeros(model.n), 2) == 0.0
-
-    def test_full_row(self):
-        assert bias_projection(np.array([[0.5, 0.5]]),
-                               np.array([0.75, 0.75]), 0) == \
-            pytest.approx(0.75)
 
 
 class TestInvariants:

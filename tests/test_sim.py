@@ -140,6 +140,15 @@ class TestScenario:
         with pytest.raises(ValueError, match="algorithm"):
             self.coarse_config(algorithm="raim")
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid_step_deg", 0.0), ("grid_step_deg", -15.0),
+        ("grid_step_deg", 720.0), ("grid_step_deg", math.nan),
+        ("duration_s", 0.0), ("duration_s", -600.0),
+        ("duration_s", math.inf), ("duration_s", math.nan)])
+    def test_non_positive_grid_step_or_duration_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            self.coarse_config(**{field: value})
+
     def test_baseline_takes_gaussian_bounds_only(self):
         with pytest.raises(ValueError, match="Gaussian bounds only"):
             self.coarse_config(algorithm="baseline", flavor="pgo")

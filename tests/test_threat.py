@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from scipy.stats import binom
 
@@ -10,20 +9,23 @@ from jkaraim.threat import _binom_tail, determine_kmax, enumerate_modes
 
 class TestDetermineKmax:
     def test_single_constellation_24(self):
-        k_max, p_nm = determine_kmax([24], 1e-5, 1e-4, 9e-8)
+        k_max = determine_kmax(24, 1e-5, 9e-8)
         assert k_max == 1
         # Residual two-or-more-fault mass is about C(24,2) * 1e-10.
-        assert p_nm == pytest.approx(1e-4 + math.comb(24, 2) * 1e-10,
-                                     rel=1e-2)
+        tm = enumerate_modes(24, k_max, {"GPS": range(24)}, 1e-5, 1e-4)
+        assert tm.p_not_monitored == pytest.approx(
+            1e-4 + math.comb(24, 2) * 1e-10, rel=1e-2)
 
     def test_dual_constellation_48(self):
-        k_max, _ = determine_kmax([24, 24], 1e-5, 1e-4, 9e-8)
-        assert k_max == 2
+        assert determine_kmax(48, 1e-5, 9e-8) == 2
 
     def test_no_satellite_faults(self):
-        k_max, p_nm = determine_kmax([24], 0.0, 1e-4, 9e-8)
+        k_max = determine_kmax(24, 0.0, 9e-8)
         assert k_max == 1
-        assert p_nm == pytest.approx(1e-4)
+        # A fault mode needs a positive prior, so the unmonitored mass is
+        # taken in the limit: only the constellation fault is left.
+        tm = enumerate_modes(24, k_max, {"GPS": range(24)}, 1e-30, 1e-4)
+        assert tm.p_not_monitored == pytest.approx(1e-4)
 
 
 class TestEnumerateModes:
@@ -66,17 +68,6 @@ class TestThreatModelInvariants:
         for m in tm.modes:
             assert 0 < m.prior < 1
             assert len(m.excluded) >= 1
-
-
-class TestNotMonitoredMass:
-    @pytest.mark.parametrize("counts", [[24], [24, 24]])
-    def test_enumerate_modes_matches_determine_kmax(self, counts):
-        k_max, p_nm = determine_kmax(counts, 1e-5, 1e-4, 9e-8)
-        start = np.cumsum([0] + counts)
-        parts = {f"C{i}": range(start[i], start[i + 1])
-                 for i in range(len(counts))}
-        tm = enumerate_modes(sum(counts), k_max, parts, 1e-5, 1e-4)
-        assert tm.p_not_monitored == p_nm
 
 
 class TestBinomialTail:
