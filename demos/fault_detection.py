@@ -23,8 +23,9 @@ setup = epoch_setup(geodetic_to_ecef(47.0, 8.5), [a.svn for a in almanac],
                     [a.constellation for a in almanac],
                     satellite_positions(almanac, 7200.0), default_table(),
                     budget)
-geom, ops, tm, models = setup.geom, setup.ops, setup.tm, setup.models
-print(f"{geom.n} satellites above the mask at the chosen epoch")
+ops, tm, models = setup.ops, setup.tm, setup.models
+geom = ops.model
+print(f"{ops.n} satellites above the mask at the chosen epoch")
 print(f"k_max={tm.k_max}, {tm.n_fault_modes} fault modes")
 
 rng = np.random.default_rng(3)
@@ -40,8 +41,8 @@ def show(fault_of, biases):
     print(f"{'bias (m)':>9} {'satellite modes':>16} "
           f"{'constellation modes':>20} {'alert':>6}")
     for bias in biases:
-        det = run_detector(geom, tm, acc, thresh, budget,
-                           y=nominal + bias * fault_of, ops=ops)
+        det = run_detector(ops, tm, acc, thresh, budget,
+                           nominal + bias * fault_of)
         ratios = {i: abs(det.stats[i]) / det.thresholds[i]
                   for i in det.stats}
         sat = max(r for i, r in ratios.items() if i not in const_ids)
@@ -53,7 +54,7 @@ target = 0
 print(f"\nbias on {geom.sat_ids[target]} "
       f"(elevation {setup.elevations[target]:.0f} deg), statistic over "
       "threshold:")
-show(np.eye(geom.n)[target], (0.0, 4.0, 8.0, 16.0))
+show(np.eye(ops.n)[target], (0.0, 4.0, 8.0, 16.0))
 
 gal = np.array([c == "GAL" for c in geom.const_of])
 print("\nvertical shift seen by every Galileo satellite, statistic over "

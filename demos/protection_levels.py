@@ -32,18 +32,17 @@ def accuracy_bounds(s):
 def jk_vpl(s):
     acc = accuracy_bounds(s)
     thresh = thresholds(s.ops, s.tm, acc, BUDGET)
-    return pl_solve(s.geom, s.tm, acc, thresh, BUDGET, axis=AXIS_UP,
-                    ops=s.ops)
+    return pl_solve(s.ops, s.tm, acc, thresh, BUDGET, axis=AXIS_UP)
 
 
 lat, lon, t = 34.0, -118.0, 36000.0
 print(f"user at ({lat}, {lon}), epoch t={t:.0f} s\n")
 
 gauss = epoch_case(lat, lon, t, "gaussian")
-print(f"{gauss.geom.n} satellites, {gauss.tm.n_fault_modes} fault modes")
+print(f"{gauss.ops.n} satellites, {gauss.tm.n_fault_modes} fault modes")
 
-base = baseline_araim_pl(gauss.geom, gauss.tm, accuracy_bounds(gauss),
-                         BUDGET, axis=AXIS_UP, ops=gauss.ops)
+base = baseline_araim_pl(gauss.ops, gauss.tm, accuracy_bounds(gauss),
+                         BUDGET, axis=AXIS_UP)
 print(f"\nsolution-separation benchmark VPL: {base:7.2f} m")
 
 vpl_g = jk_vpl(gauss)

@@ -120,8 +120,8 @@ def _budget_from_kv(kv) -> IntegrityBudget:
 def _load_geometry(path, table, flavor, budget):
     """Geometry JSON: either a raw linear model (G, weights, sigmas; Gaussian
     bounds only) or a user/satellite description set up as a scenario epoch
-    is (sim.epoch_setup). Returns (model, ops, threat model, accuracy
-    bounds, axis)."""
+    is (sim.epoch_setup). Returns (ops, threat model, accuracy bounds,
+    axis), ops the geometry's SolutionOps."""
     with open(path) as fh:
         doc = json.load(fh)
     if "G" in doc:
@@ -134,20 +134,18 @@ def _load_geometry(path, table, flavor, budget):
                              dtype=float)
         const_of = doc.get("constellations", ["GPS"] * G.shape[0])
         ids = doc.get("sat_ids", [f"s{i}" for i in range(G.shape[0])])
-        model = model_core.LinearModel(G, weights, np.zeros(G.shape[0]),
-                                       ids, const_of)
+        model = model_core.LinearModel(G, weights, ids, const_of)
         acc = [distkit.Gaussian(s) for s in sigmas]
         axis = int(doc.get("axis", min(2, G.shape[1] - 1)))
-        return (model, SolutionOps(model), sim.threat_model(model, budget),
-                acc, axis)
+        return (SolutionOps(model), sim.threat_model(model, budget), acc,
+                axis)
     sats = doc["sats"]
     setup = sim.epoch_setup(
         model_core.geodetic_to_ecef(*doc["user_llh"]),
         [s["svn"] for s in sats], [s["constellation"] for s in sats],
         [s["ecef"] for s in sats], table, budget, flavor=flavor,
         mask_deg=float(doc.get("mask_deg", 5.0)))
-    return (setup.geom, setup.ops, setup.tm,
-            [m.acc_bound for m in setup.models], 2)
+    return setup.ops, setup.tm, [m.acc_bound for m in setup.models], 2
 
 
 def cmd_pl(args) -> int:
@@ -156,15 +154,15 @@ def cmd_pl(args) -> int:
     table = overbound.default_table()
     kv = _read_kv_config(args.config) if args.config else {}
     budget = _budget_from_kv(kv)
-    model, ops, tm, acc, axis = _load_geometry(
-        args.geometry, table, args.bound, budget)
+    ops, tm, acc, axis = _load_geometry(args.geometry, table, args.bound,
+                                        budget)
     if args.algorithm == "baseline":
-        pl = baseline_araim_pl(model, tm, acc, budget, axis=axis, ops=ops)
+        pl = baseline_araim_pl(ops, tm, acc, budget, axis=axis)
         binding, thresh = "total-risk", {}
     else:
         thresh = jackknife.thresholds(ops, tm, acc, budget, axis)
-        pl, binding = pl_solve(model, tm, acc, thresh, budget, axis=axis,
-                               ops=ops, return_binding=True)
+        pl, binding = pl_solve(ops, tm, acc, thresh, budget, axis=axis,
+                               return_binding=True)
     doc = {"pl_m": pl, "axis": axis, "binding": binding,
            "algorithm": args.algorithm, "bound": args.bound,
            "thresholds": {str(k): v for k, v in thresh.items()},
@@ -263,17 +261,16 @@ def cmd_detect(args) -> int:
     table = overbound.default_table()
     kv = _read_kv_config(args.config) if args.config else {}
     budget = _budget_from_kv(kv)
-    model, ops, tm, acc, axis = _load_geometry(
-        args.geometry, table, args.bound, budget)
+    ops, tm, acc, axis = _load_geometry(args.geometry, table, args.bound,
+                                        budget)
     with open(args.observations) as fh:
         y = np.asarray(json.load(fh), dtype=float)
-    if y.shape != (model.n,):
-        print(f"error: expected {model.n} observations, got {y.size}",
+    if y.shape != (ops.n,):
+        print(f"error: expected {ops.n} observations, got {y.size}",
               file=sys.stderr)
         return EXIT_PARSE
     thresh = jackknife.thresholds(ops, tm, acc, budget, axis)
-    res = jackknife.run_detector(model, tm, acc, thresh, budget, y=y,
-                                 axis=axis, ops=ops)
+    res = jackknife.run_detector(ops, tm, acc, thresh, budget, y, axis=axis)
     doc = {"alert": res.alert,
            "stats": {str(k): v for k, v in res.stats.items()},
            "thresholds": {str(k): v for k, v in res.thresholds.items()},

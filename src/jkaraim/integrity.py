@@ -13,7 +13,7 @@ from scipy.special import ndtr, ndtri
 
 from . import distkit
 from .errors import NonGaussianBound, SubsetRankDeficient
-from .model_core import AXIS_UP, LinearModel, SolutionOps
+from .model_core import AXIS_UP, SolutionOps
 from .threat import ThreatModel
 
 
@@ -202,7 +202,7 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom: float,
                      skipped_mass, unmonitorable)
 
 
-def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
+def _jk_terms(ops, threat, acc_bounds, thresholds, budget, axis):
     """The terms of the jk integrity sum on one axis: the fault-free term,
     the kept satellite modes, then the kept constellation modes.
 
@@ -212,8 +212,6 @@ def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
     the summed monitored risk at each, term by term in order; target is
     allocate's deflated axis budget.
     """
-    if ops is None:
-        ops = SolutionOps(model)
     target, i_alloc, c_alloc, _ = allocate(budget, threat, axis)
     if target <= 0.0:
         return "unmonitored"
@@ -268,10 +266,10 @@ def _jk_terms(model, threat, acc_bounds, thresholds, budget, axis, ops):
     return labels, bounds, risk, target, terms.skipped_mass
 
 
-def pl_solve(model: LinearModel, threat: ThreatModel, acc_bounds,
-             thresholds, budget: IntegrityBudget, axis: int = AXIS_UP,
-             ops: SolutionOps = None, *, refine=True, return_binding=False):
-    """Protection level for one axis.
+def pl_solve(ops: SolutionOps, threat: ThreatModel, acc_bounds,
+             thresholds, budget: IntegrityBudget, axis: int = AXIS_UP, *,
+             refine=True, return_binding=False):
+    """Protection level for one axis of the geometry ops.
 
     The equal-allocation per-mode max bound is computed first. When the
     skipped low-prior modes leave room inside the deflated budget, the
@@ -286,8 +284,7 @@ def pl_solve(model: LinearModel, threat: ThreatModel, acc_bounds,
     projections. thresholds maps satellite-mode ids to detector
     thresholds.
     """
-    terms = _jk_terms(model, threat, acc_bounds, thresholds, budget, axis,
-                      ops)
+    terms = _jk_terms(ops, threat, acc_bounds, thresholds, budget, axis)
     if isinstance(terms, str):
         return (math.inf, terms) if return_binding else math.inf
     labels, bounds, risk, target, skipped_mass = terms
@@ -302,20 +299,19 @@ def pl_solve(model: LinearModel, threat: ThreatModel, acc_bounds,
     return (best, best_label) if return_binding else best
 
 
-def hmi_risk_eval(model: LinearModel, threat: ThreatModel, acc_bounds,
+def hmi_risk_eval(ops: SolutionOps, threat: ThreatModel, acc_bounds,
                   thresholds, level: float, budget: IntegrityBudget,
-                  axis: int = AXIS_UP, ops: SolutionOps = None) -> float:
-    """Integrity risk at a candidate level: the monitored-mode sum that
-    pl_solve bisects (fault-free, satellite-fault and constellation-fault
-    terms) plus the mass budgeted for the modes it skips. P_not_monitored
-    is excluded; the PL is the lowest level whose risk stays within
-    allocate's deflated axis budget. Returns 1.0 where pl_solve returns
-    infinity.
+                  axis: int = AXIS_UP) -> float:
+    """Integrity risk of the geometry ops at a candidate level: the
+    monitored-mode sum that pl_solve bisects (fault-free, satellite-fault
+    and constellation-fault terms) plus the mass budgeted for the modes it
+    skips. P_not_monitored is excluded; the PL is the lowest level whose
+    risk stays within allocate's deflated axis budget. Returns 1.0 where
+    pl_solve returns infinity.
     """
     if level <= 0:
         raise ValueError("level must be positive")
-    terms = _jk_terms(model, threat, acc_bounds, thresholds, budget, axis,
-                      ops)
+    terms = _jk_terms(ops, threat, acc_bounds, thresholds, budget, axis)
     if isinstance(terms, str):
         return 1.0
     _, _, risk, _, skipped_mass = terms
@@ -331,11 +327,10 @@ def _require_gaussian(acc_bounds):
             "bounds only")
 
 
-def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
-                      budget: IntegrityBudget, axis: int = AXIS_UP,
-                      ops: SolutionOps = None) -> float:
-    """Solution-separation protection level for one axis, by bisection on
-    the total risk.
+def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
+                      budget: IntegrityBudget, axis: int = AXIS_UP) -> float:
+    """Solution-separation protection level for one axis of the geometry
+    ops, by bisection on the total risk.
 
     The comparison benchmark, on Gaussian accuracy bounds only
     (NonGaussianBound otherwise): two-sided fault-free term, one-sided
@@ -346,8 +341,6 @@ def baseline_araim_pl(model: LinearModel, threat: ThreatModel, acc_bounds,
     budget).
     """
     _require_gaussian(acc_bounds)
-    if ops is None:
-        ops = SolutionOps(model)
     target, _, _, c_alloc = allocate(budget, threat, axis)
     if target <= 0.0:
         return math.inf
@@ -390,13 +383,13 @@ def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
                     zip(stats.tolist(), d.tolist())))
 
 
-def baseline_alert(model: LinearModel, ops: SolutionOps, threat: ThreatModel,
-                   acc_bounds, budget: IntegrityBudget,
-                   axis: int = AXIS_UP) -> bool:
-    """Solution-separation tests |S_k y - S y| >= D_k over every mode of
-    the threat (separation_tests), D_k at allocate's c_alloc, on Gaussian
-    accuracy bounds only (NonGaussianBound otherwise)."""
+def baseline_alert(ops: SolutionOps, threat: ThreatModel, acc_bounds,
+                   budget: IntegrityBudget, y, axis: int = AXIS_UP) -> bool:
+    """Solution-separation tests |S_k y - S y| >= D_k of the observations
+    y over every mode of the threat (separation_tests), D_k at allocate's
+    c_alloc, on Gaussian accuracy bounds only (NonGaussianBound
+    otherwise)."""
     _require_gaussian(acc_bounds)
     tests = separation_tests(ops, threat.modes, acc_bounds,
-                             allocate(budget, threat, axis)[2], model.y, axis)
+                             allocate(budget, threat, axis)[2], y, axis)
     return any(abs(stat) >= d for stat, d in tests.values())

@@ -10,7 +10,7 @@ import numpy as np
 from . import distkit
 from .errors import SubsetRankDeficient
 from .integrity import IntegrityBudget, allocate, separation_tests
-from .model_core import AXIS_UP, LinearModel, SolutionOps
+from .model_core import AXIS_UP, SolutionOps
 from .threat import ThreatModel
 
 
@@ -48,23 +48,21 @@ def thresholds(ops: SolutionOps, threat: ThreatModel, acc_bounds,
                     np.abs(batch.quantile(p)).tolist()))
 
 
-def run_detector(model: LinearModel, threat: ThreatModel, acc_bounds, thresh,
-                 budget: IntegrityBudget, y=None, axis: int = AXIS_UP,
-                 ops: SolutionOps = None) -> JkStatistics:
-    """Multi-hypothesis detection for one epoch over every mode of the
-    threat: the jackknife statistic against thresh (thresholds) for the
+def run_detector(ops: SolutionOps, threat: ThreatModel, acc_bounds, thresh,
+                 budget: IntegrityBudget, y,
+                 axis: int = AXIS_UP) -> JkStatistics:
+    """Multi-hypothesis detection of the observations y (one per
+    measurement of the geometry ops) over every mode of the threat: the
+    jackknife statistic against thresh (thresholds) for the
     satellite-subset modes, and the solution-separation test
     (integrity.separation_tests) at allocate's c_alloc for the
     constellation modes.
 
-    y defaults to model.y, which is left as it is. The satellite modes
-    without a threshold, then the untestable constellation modes, are
-    reported as skipped. The returned thresholds are thresh plus the
-    constellation modes' separation thresholds.
+    The satellite modes without a threshold, then the untestable
+    constellation modes, are reported as skipped. The returned thresholds
+    are thresh plus the constellation modes' separation thresholds.
     """
-    y = model.y if y is None else np.asarray(y, dtype=float)
-    if ops is None:
-        ops = SolutionOps(model)
+    y = np.asarray(y, dtype=float)
     modes = [m for m in threat.sat_modes() if m.id in thresh]
     skipped = [m.id for m in threat.sat_modes() if m.id not in thresh]
     ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)

@@ -34,7 +34,9 @@ WGS84_E2 = 6.69437999014e-3
 
 @dataclass
 class LinearModel:
-    """Geometry matrix, weights and linearized observations for one epoch.
+    """Geometry matrix and weights of one epoch's measurements. The
+    observations are not part of it: they are an argument of each
+    detector.
 
     G rows are ENU unit line-of-sight components toward each satellite plus
     one 0/1 clock-indicator column per constellation. A rank-deficient G
@@ -44,14 +46,12 @@ class LinearModel:
 
     G: np.ndarray
     W: np.ndarray
-    y: np.ndarray
     sat_ids: list
     const_of: list
 
     def __post_init__(self):
         self.G = np.asarray(self.G, dtype=float)
         self.W = np.asarray(self.W, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
         n, m = self.G.shape
         if n < m:
             raise InsufficientGeometry(f"{n} rows for {m} states")
@@ -71,14 +71,6 @@ class LinearModel:
     @property
     def m(self) -> int:
         return self.G.shape[1]
-
-    @property
-    def constellations(self) -> list:
-        seen = []
-        for c in self.const_of:
-            if c not in seen:
-                seen.append(c)
-        return seen
 
 
 def _solution_matrix(G, w, err=InsufficientGeometry):
@@ -136,8 +128,9 @@ class SolutionOps:
 
     def __init__(self, model: LinearModel):
         self.model = model
+        self.n = model.n      # measurement count
         self.S = _solution_matrix(model.G, model.W)
-        self.R = np.eye(model.n) - model.G @ self.S
+        self.R = np.eye(self.n) - model.G @ self.S
         self._rows = {}   # axis -> (row of each excluded set, ok, Q, C)
         self._reduced = {}   # excluded set -> reduced S_k, None if deficient
 
@@ -147,10 +140,10 @@ class SolutionOps:
         rank deficient and L holds their rows R[I, I]^-1 R[I, :] as a
         (ok.sum(), s, n) array."""
         R = self.R
-        if self.model.n - idx.shape[1] < self.model.m:
+        if self.n - idx.shape[1] < self.model.m:
             # Too few measurements remain to observe every state.
             return (np.zeros(len(idx), dtype=bool),
-                    np.zeros((0, idx.shape[1], self.model.n)))
+                    np.zeros((0, idx.shape[1], self.n)))
         if idx.shape[1] == 1:
             i = idx[:, 0]
             d = R[i, i]
@@ -198,7 +191,7 @@ class SolutionOps:
         return self._reduced[key]
 
     def _reduced_solve(self, excluded):
-        keep = np.ones(self.model.n, dtype=bool)
+        keep = np.ones(self.n, dtype=bool)
         keep[excluded] = False
         G = self.model.G
         live = [c for c in range(self.model.m)
@@ -231,7 +224,7 @@ class SolutionOps:
         returns slices of the rows already built.
         """
         if not excluded_sets:
-            n = self.model.n
+            n = self.n
             return np.zeros(0, dtype=bool), np.zeros((0, n)), np.zeros((0, n))
         keys = [frozenset(e) for e in excluded_sets]
         index, *rows = self._rows.get(axis, ({}, None, None, None))
@@ -251,7 +244,7 @@ class SolutionOps:
 
     def _build_rows(self, excluded_sets, axis: int):
         """mode_rows computed afresh, vectorised per mode size."""
-        n = self.model.n
+        n = self.n
         ok = np.zeros(len(excluded_sets), dtype=bool)
         Q = np.zeros((len(excluded_sets), n))
         C = np.zeros((len(excluded_sets), n))
@@ -344,8 +337,7 @@ def line_of_sight(user_ecef, sat_ecef):
 def model_from_los(u, consts, sat_ids, weights=None):
     """Linear model from unit line-of-sight rows and their constellation
     tags: the state dimension is 3 + number of distinct constellations, in
-    order of first appearance. Observations are initialized to zero (fill
-    in after error synthesis)."""
+    order of first appearance."""
     tags = []
     for c in consts:
         if c not in tags:
@@ -358,4 +350,4 @@ def model_from_los(u, consts, sat_ids, weights=None):
     G[:, :3] = u
     G[np.arange(n), [3 + tags.index(c) for c in consts]] = 1.0
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    return LinearModel(G, w, np.zeros(n), list(sat_ids), list(consts))
+    return LinearModel(G, w, list(sat_ids), list(consts))

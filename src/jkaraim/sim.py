@@ -165,7 +165,7 @@ def default_almanac(constellations=("GPS", "GAL")):
     return entries
 
 
-def propagate(alm: AlmanacEntry, t: float, rotating=True) -> np.ndarray:
+def propagate(alm: AlmanacEntry, t: float) -> np.ndarray:
     """ECEF position (m) of the almanac satellite at GPS time-of-week t."""
     if abs(t - alm.toa) >= 7 * 86400.0:
         raise AlmanacOutOfRange(
@@ -188,11 +188,8 @@ def propagate(alm: AlmanacEntry, t: float, rotating=True) -> np.ndarray:
     r = a * (1.0 - alm.e * math.cos(ecc))
     u = alm.omega + nu
     x_orb, y_orb = r * math.cos(u), r * math.sin(u)
-    if rotating:
-        node = alm.omega0 + (alm.omega_dot - OMEGA_EARTH) * dt \
-            - OMEGA_EARTH * alm.toa
-    else:
-        node = alm.omega0 + alm.omega_dot * dt
+    node = alm.omega0 + (alm.omega_dot - OMEGA_EARTH) * dt \
+        - OMEGA_EARTH * alm.toa
     cn, sn = math.cos(node), math.sin(node)
     ci, si = math.cos(alm.i0), math.sin(alm.i0)
     return np.array([x_orb * cn - y_orb * ci * sn,
@@ -286,8 +283,15 @@ class ScenarioConfig:
         if not 0.0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s = {self.duration_s!r} must be "
                              "positive and finite")
-        if self.epoch_step_s <= 0:
-            raise ValueError("epoch step must be positive")
+        if not 0.0 < self.epoch_step_s:
+            raise ValueError(f"epoch_step_s = {self.epoch_step_s!r} must be "
+                             "positive")
+        if not 0.0 <= self.mask_deg < 90.0:
+            raise ValueError(f"mask_deg = {self.mask_deg!r} must lie in "
+                             "[0, 90)")
+        if not 0.0 < self.val < math.inf:
+            raise ValueError(f"val = {self.val!r} must be positive and "
+                             "finite")
         if self.flavor not in ("gaussian", "pgo"):
             raise ValueError(f"unknown bound flavor {self.flavor!r}")
         if self.algorithm not in ("jk", "baseline"):
@@ -354,12 +358,13 @@ def threat_model(geom, budget: IntegrityBudget):
 
 @dataclass
 class EpochSetup:
-    """What one epoch's detector and PLs start from (epoch_setup)."""
+    """What one epoch's detector and PLs start from (epoch_setup). The
+    geometry is ops, whose model is weighted by 1 / sigma^2 of each
+    satellite's bound."""
 
     visible: list               # indices of the satellites above the mask
     elevations: np.ndarray      # their elevations (deg)
     models: list                # their SatErrorModels
-    geom: model_core.LinearModel    # weighted by 1 / sigma^2 of each bound
     ops: SolutionOps
     tm: threat.ThreatModel
 
@@ -370,8 +375,8 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     """One epoch's set-up from the user's ECEF position and the
     satellites' ids, constellations and ECEF positions: the satellites
     above mask_deg, their error models (error_models), the linear model
-    weighted by their bounds' sigmas (distkit.bound_sigmas), its
-    SolutionOps and its threat model (threat_model).
+    weighted by their bounds' sigmas (distkit.bound_sigmas) as a
+    SolutionOps, and its threat model (threat_model).
 
     Raises InsufficientGeometry when fewer satellites than states plus one
     are visible, and InsufficientRedundancy when k_max exceeds n - m; both
@@ -388,15 +393,14 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
         raise exc
     models = error_models(ids, el, table, flavor)
     sigmas = distkit.bound_sigmas([m.acc_bound for m in models])
-    geom = model_core.model_from_los(u, consts, ids,
-                                     weights=1.0 / sigmas ** 2)
-    ops = SolutionOps(geom)
+    ops = SolutionOps(model_core.model_from_los(u, consts, ids,
+                                                weights=1.0 / sigmas ** 2))
     try:
-        tm = threat_model(geom, budget)
+        tm = threat_model(ops.model, budget)
     except InsufficientRedundancy as exc:
         exc.n_visible = len(vis)
         raise
-    return EpochSetup(vis, el, models, geom, ops, tm)
+    return EpochSetup(vis, el, models, ops, tm)
 
 
 def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
@@ -420,13 +424,12 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
             raise
         return EpochRecord(lat, lon, t, exc.n_visible, error=str(exc))
     rec = EpochRecord(lat, lon, t, len(setup.visible))
-    models, geom, ops, tm = setup.models, setup.geom, setup.ops, setup.tm
+    models, ops, tm = setup.models, setup.ops, setup.tm
     acc = [m.acc_bound for m in models]
 
     # Synthetic truth, one counter-keyed stream per cell.
     rng = np.random.default_rng([config.seed, loc_id, epoch_id])
     eps = np.array([m.draw(rng) for m in models])
-    geom.y = eps
     err = ops.S @ eps
     rec.vpe = float(err[2])
     rec.hpe = float(np.hypot(err[0], err[1]))
@@ -436,18 +439,16 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     try:
         if config.algorithm == "baseline":
             for axis in axes:
-                pl[axis] = baseline_araim_pl(geom, tm, acc, budget,
-                                             axis=axis, ops=ops)
+                pl[axis] = baseline_araim_pl(ops, tm, acc, budget, axis=axis)
             if config.detect:
-                rec.alert = baseline_alert(geom, ops, tm, acc, budget)
+                rec.alert = baseline_alert(ops, tm, acc, budget, eps)
         else:   # "jk", the other algorithm ScenarioConfig accepts
             thresh = jackknife.thresholds(ops, tm, acc, budget)
             if config.detect:
-                rec.alert = jackknife.run_detector(geom, tm, acc, thresh,
-                                                   budget, ops=ops).alert
+                rec.alert = jackknife.run_detector(ops, tm, acc, thresh,
+                                                   budget, eps).alert
             for axis in axes:
-                pl[axis] = pl_solve(geom, tm, acc, thresh, budget,
-                                    axis=axis, ops=ops)
+                pl[axis] = pl_solve(ops, tm, acc, thresh, budget, axis=axis)
     except JkAraimError as exc:
         rec.error = str(exc)
         return rec

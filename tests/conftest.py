@@ -29,8 +29,7 @@ def random_geometry(rng, n=None, m=None, min_elev=5.0):
             break
     w = rng.uniform(0.5, 4.0, n)
     consts = [f"C{t}" for t in tags]
-    return LinearModel(G, w, np.zeros(n), [f"s{i}" for i in range(n)],
-                       consts)
+    return LinearModel(G, w, [f"s{i}" for i in range(n)], consts)
 
 
 @pytest.fixture(scope="session")
@@ -40,8 +39,9 @@ def rng():
 
 def gps_epoch_case(lat, lon, t, flavor="gaussian", budget=None,
                    constellations=("GPS",)):
-    """Geometry, error models and threat model for one almanac epoch, set
-    up as a scenario epoch is (sim.epoch_setup).
+    """Geometry (SolutionOps), error models, accuracy bounds, threat model
+    and budget for one almanac epoch, set up as a scenario epoch is
+    (sim.epoch_setup).
 
     Returns None when too few satellites are visible.
     """
@@ -64,5 +64,5 @@ def gps_epoch_case(lat, lon, t, flavor="gaussian", budget=None,
             flavor=flavor)
     except InsufficientGeometry:
         return None
-    return (setup.geom, setup.models, [m.acc_bound for m in setup.models],
+    return (setup.ops, setup.models, [m.acc_bound for m in setup.models],
             setup.tm, budget)

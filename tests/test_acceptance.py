@@ -64,19 +64,18 @@ def test_criterion_1_algebraic_identities(capsys):
         ops = SolutionOps(model)
         eps = rng.standard_normal(model.n)
         x0 = rng.standard_normal(model.m)
-        model.y = model.G @ x0 + eps
+        y = model.G @ x0 + eps
 
         # Jackknife residual equals the residual-operator row applied to
         # the nominal errors alone.
         k = int(rng.integers(model.n))
         Sk, Pt = ops.subset({k})
-        t = model.y[k] - model.G[k] @ (Sk @ model.y)
+        t = y[k] - model.G[k] @ (Sk @ y)
         expansion = (np.eye(model.n) - Pt)[k] @ eps
         worst = max(worst, abs(t - expansion))
 
         # Position error decomposes into the q-vector part plus the
         # S-weighted jackknife residuals of the excluded set.
-        model.y = eps
         size = int(rng.integers(1, 3))
         excluded = set(map(int, rng.choice(model.n, size, replace=False)))
         try:
@@ -87,7 +86,7 @@ def test_criterion_1_algebraic_identities(capsys):
         assert ok[0]
         total = q @ eps
         for j in excluded:
-            t_j = model.y[j] - model.G[j] @ (Sk @ model.y)
+            t_j = eps[j] - model.G[j] @ (Sk @ eps)
             total += ops.S[2, j] * t_j
         worst = max(worst, abs(total - (ops.S @ eps)[2]))
     elapsed = time.perf_counter() - t0
@@ -128,8 +127,7 @@ def test_criterion_2_distribution_engine(capsys):
 
 def test_criterion_3_family_wise_false_alarm(capsys):
     t0 = time.perf_counter()
-    geom, models, acc, tm, budget = gps_epoch_case(45.0, 10.0, 3600.0)
-    ops = SolutionOps(geom)
+    ops, models, acc, tm, budget = gps_epoch_case(45.0, 10.0, 3600.0)
     tau = 0.01
     thresh = jackknife.thresholds(
         ops, tm, acc, IntegrityBudget(c_req_fa_vert=tau, c_req_fa_horiz=0.0))
@@ -139,7 +137,7 @@ def test_criterion_3_family_wise_false_alarm(capsys):
 
     rng = np.random.default_rng(303)
     trials = 10 ** 5
-    eps = rng.standard_normal((trials, geom.n)) * bound_sigmas(acc)
+    eps = rng.standard_normal((trials, ops.n)) * bound_sigmas(acc)
     alarms = np.any(np.abs(eps @ C.T) >= T, axis=1)
     fwer = float(np.mean(alarms))
     bound = tau + 3.0 * math.sqrt(tau * (1.0 - tau) / trials)
@@ -170,11 +168,10 @@ def test_criterion_5_baseline_equivalence(capsys):
         case = gps_epoch_case(lat, lon, t)
         if case is None:
             continue
-        geom, models, acc, tm, budget = case
-        ops = SolutionOps(geom)
+        ops, models, acc, tm, budget = case
         thresh = thresholds(ops, tm, acc, budget)
-        jk = pl_solve(geom, tm, acc, thresh, budget, axis=2, ops=ops)
-        base = baseline_araim_pl(geom, tm, acc, budget, axis=2, ops=ops)
+        jk = pl_solve(ops, tm, acc, thresh, budget, axis=2)
+        base = baseline_araim_pl(ops, tm, acc, budget, axis=2)
         if not (np.isfinite(jk) and np.isfinite(base)):
             assert np.isfinite(jk) == np.isfinite(base)
             continue

@@ -47,16 +47,15 @@ class TestCmdPl:
         from jkaraim.model_core import LinearModel, SolutionOps
         from jkaraim.threat import enumerate_modes
 
-        model = LinearModel(np.array([[1.0], [1.0]]), np.ones(2),
-                            np.zeros(2), ["a", "b"], ["GPS", "GPS"])
-        ops = SolutionOps(model)
+        ops = SolutionOps(LinearModel(np.array([[1.0], [1.0]]), np.ones(2),
+                                      ["a", "b"], ["GPS", "GPS"]))
         budget = IntegrityBudget(i_req_vert=1e-7, i_req_horiz=2e-7,
                                  c_req_fa_vert=5e-8, c_req_fa_horiz=5e-8,
                                  p_const=0.0, b_nom=0.0)
         tm = enumerate_modes(2, 1, {"GPS": range(2)}, 1e-5, 0.0, m=1)
         acc = [Gaussian(1.0)] * 2
         thresh = jackknife.thresholds(ops, tm, acc, budget, axis=0)
-        expect = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops)
+        expect = pl_solve(ops, tm, acc, thresh, budget, axis=0)
         assert doc["pl_m"] == pytest.approx(expect, abs=1e-6)
 
     def test_jk_and_baseline_agree(self, toy_files, capsys):
@@ -222,7 +221,8 @@ class TestCmdSim:
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("grid_step_deg", 0), ("grid_step_deg", -15), ("duration_s", 0)])
+        ("grid_step_deg", 0), ("grid_step_deg", -15), ("duration_s", 0),
+        ("epoch_step_s", "nan"), ("mask_deg", -10), ("val", -1)])
     def test_non_positive_grid_step_or_duration_exit_2(self, tmp_path,
                                                        capsys, key, value):
         cfg = self.coarse_cfg(tmp_path, **{key: value})
@@ -383,8 +383,8 @@ class TestDualConstellation:
                             [a.svn for a in sats],
                             [a.constellation for a in sats], positions,
                             default_table(), budget)
-        gal = np.array(s.geom.const_of) == "GAL"
-        y = np.where(gal, 40.0 * s.geom.G[:, 2], 0.0)
+        gal = np.array(s.ops.model.const_of) == "GAL"
+        y = np.where(gal, 40.0 * s.ops.model.G[:, 2], 0.0)
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps(y.tolist()))
         assert main(["detect", geom, str(obs)]) == 0

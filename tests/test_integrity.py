@@ -28,14 +28,14 @@ def toy_budget(p_sat=1e-5, b_nom=0.0):
 
 
 def toy_case(p_sat=1e-5, b_nom=0.0, sigma=1.0):
-    model = LinearModel(np.array([[1.0], [1.0]]), np.ones(2) / sigma ** 2,
-                        np.zeros(2), ["a", "b"], ["GPS", "GPS"])
-    ops = SolutionOps(model)
+    ops = SolutionOps(LinearModel(np.array([[1.0], [1.0]]),
+                                  np.ones(2) / sigma ** 2, ["a", "b"],
+                                  ["GPS", "GPS"]))
     budget = toy_budget(p_sat=p_sat, b_nom=b_nom)
     tm = enumerate_modes(2, 1, {"GPS": range(2)}, p_sat, 0.0, m=1)
     acc = [Gaussian(sigma)] * 2
     thresh = jackknife.thresholds(ops, tm, acc, budget, axis=0)
-    return model, ops, budget, tm, acc, thresh
+    return ops, budget, tm, acc, thresh
 
 
 class TestIntegrityBudget:
@@ -66,9 +66,8 @@ class TestIntegrityBudget:
 
 class TestPlSolveToy:
     def test_matches_hand_computed_max(self):
-        model, ops, budget, tm, acc, thresh = toy_case()
-        pl = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops,
-                      refine=False)
+        ops, budget, tm, acc, thresh = toy_case()
+        pl = pl_solve(ops, tm, acc, thresh, budget, axis=0, refine=False)
 
         # Hand expansion of the equal-allocation max form.
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
@@ -84,28 +83,27 @@ class TestPlSolveToy:
         assert pl == pytest.approx(max(terms), abs=1e-3)
 
     def test_refinement_never_exceeds_max_form(self):
-        model, ops, budget, tm, acc, thresh = toy_case()
-        loose = pl_solve(model, tm, acc, thresh, budget, axis=0,
-                         ops=ops, refine=False)
-        tight = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops)
+        ops, budget, tm, acc, thresh = toy_case()
+        loose = pl_solve(ops, tm, acc, thresh, budget, axis=0, refine=False)
+        tight = pl_solve(ops, tm, acc, thresh, budget, axis=0)
         assert tight <= loose + 1e-9
 
     def test_bias_additivity_when_h0_binds(self):
         pls = []
         for b in (0.0, 0.75):
-            model, ops, budget, tm, acc, thresh = \
+            ops, budget, tm, acc, thresh = \
                 toy_case(p_sat=1e-12, b_nom=b)
-            pls.append(pl_solve(model, tm, acc, thresh, budget, axis=0,
-                                ops=ops, refine=False))
+            pls.append(pl_solve(ops, tm, acc, thresh, budget, axis=0,
+                                refine=False))
         assert pls[1] - pls[0] == pytest.approx(0.75, abs=2e-3)
 
     def test_h0_homogeneity_in_sigma(self):
         pls = {}
         for sigma in (1.0, 0.1):
-            model, ops, budget, tm, acc, thresh = \
+            ops, budget, tm, acc, thresh = \
                 toy_case(p_sat=1e-12, sigma=sigma)
-            pls[sigma] = pl_solve(model, tm, acc, thresh, budget,
-                                  axis=0, ops=ops, refine=False)
+            pls[sigma] = pl_solve(ops, tm, acc, thresh, budget, axis=0,
+                                  refine=False)
         assert pls[0.1] == pytest.approx(pls[1.0] / 10.0, abs=2e-3)
 
 
@@ -122,11 +120,11 @@ class TestConstellationSS:
         G[:6, 3] = 1.0
         G[6:, 4] = 1.0
         consts = ["A"] * 6 + ["B"] * 6
-        model = LinearModel(G, np.ones(12), np.zeros(12),
-                            [f"s{i}" for i in range(12)], consts)
+        model = LinearModel(G, np.ones(12), [f"s{i}" for i in range(12)],
+                            consts)
         tm = enumerate_modes(12, 1, {"A": range(6), "B": range(6, 12)},
                              1e-5, 1e-4)
-        return model, tm
+        return SolutionOps(model), tm
 
     @staticmethod
     def terms(ops, mode, axis=2):
@@ -137,16 +135,14 @@ class TestConstellationSS:
         return terms
 
     def test_duplicate_constellation_variance_doubles(self):
-        model, tm = self.duplicate_geometry()
-        ops = SolutionOps(model)
+        ops, tm = self.duplicate_geometry()
         sigma0 = float(np.sqrt(np.sum(ops.S[2] ** 2)))
         mode = tm.constellation_modes()[0]
         sigma_vk = self.terms(ops, mode).gaussian_terms(0.0, np.ones(12))
         assert sigma_vk[0] == pytest.approx(math.sqrt(2) * sigma0, rel=1e-9)
 
     def test_threshold_monotone_in_continuity_allocation(self):
-        model, tm = self.duplicate_geometry()
-        ops = SolutionOps(model)
+        ops, tm = self.duplicate_geometry()
         mode = tm.constellation_modes()[0]
         sigma_ss = self.terms(ops, mode).gaussian_terms(ops.S[2],
                                                         np.ones(12))
@@ -158,8 +154,7 @@ class TestConstellationSS:
         assert d_large == abs(ndtri(1e-5)) * sigma_ss[0]
 
     def test_subset_sigma_matches_monte_carlo(self):
-        model, tm = self.duplicate_geometry()
-        ops = SolutionOps(model)
+        ops, tm = self.duplicate_geometry()
         rng = np.random.default_rng(3)
         sigmas = rng.uniform(0.5, 2.0, 12)
         mode = tm.constellation_modes()[0]
@@ -171,8 +166,7 @@ class TestConstellationSS:
 
     def test_reduced_solve_kept_per_excluded_set(self):
         # Every consumer of a constellation mode reads one stored S_k.
-        model, tm = self.duplicate_geometry()
-        ops = SolutionOps(model)
+        ops, tm = self.duplicate_geometry()
         mode = tm.constellation_modes()[0]
         rows = [self.terms(ops, mode, axis).Q[0] for axis in (2, 0)]
         first = ops.reduced(sorted(mode.excluded, reverse=True))
@@ -182,14 +176,13 @@ class TestConstellationSS:
         np.testing.assert_array_equal(rows[1], first[0])
         assert not first.flags.writeable
         keep = np.setdiff1d(np.arange(12), sorted(mode.excluded))
-        np.testing.assert_allclose(first @ model.G[:, :3],
-                                   np.eye(model.m)[:, :3], atol=1e-12)
+        np.testing.assert_allclose(first @ ops.model.G[:, :3],
+                                   np.eye(ops.model.m)[:, :3], atol=1e-12)
         assert not first[:, sorted(mode.excluded)].any()
         assert first[:, keep].any()
 
     def test_rank_deficient_reduced_solve_raises_each_call(self):
-        model, _ = self.duplicate_geometry()
-        ops = SolutionOps(model)
+        ops, _ = self.duplicate_geometry()
         for _ in range(2):
             with pytest.raises(SubsetRankDeficient):
                 ops.reduced(range(12))
@@ -217,13 +210,12 @@ class TestOneRowForm:
         G[:, :3] = np.column_stack([np.cos(el) * np.sin(az),
                                     np.cos(el) * np.cos(az), np.sin(el)])
         G[:n_a, 3] = G[n_a:, 4] = 1.0
-        model = LinearModel(G, rng.uniform(0.5, 4.0, n),
-                            rng.normal(0.0, 3.0, n),
-                            [f"s{i}" for i in range(n)],
+        w, y = rng.uniform(0.5, 4.0, n), rng.normal(0.0, 3.0, n)
+        model = LinearModel(G, w, [f"s{i}" for i in range(n)],
                             ["A"] * n_a + ["B"] * n_b)
         tm = enumerate_modes(n, 2, {"A": range(n_a), "B": range(n_a, n)},
                              1e-5, 1e-4)
-        return model, tm
+        return SolutionOps(model), tm, y
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_a=st.integers(5, 8),
@@ -232,12 +224,11 @@ class TestOneRowForm:
     def test_rows_match_direct_solves(self, seed, n_a, n_b, axis, log_c,
                                       b_nom):
         rng = np.random.default_rng(seed)
-        model, tm = self.two_constellations(rng, n_a, n_b)
-        ops = SolutionOps(model)
-        sigmas = rng.uniform(0.3, 3.0, model.n)
+        ops, tm, y = self.two_constellations(rng, n_a, n_b)
+        sigmas = rng.uniform(0.3, 3.0, ops.n)
         c_alloc = 10.0 ** log_c
         tests = separation_tests(ops, tm.modes, [Gaussian(s) for s in sigmas],
-                                 c_alloc, model.y, axis)
+                                 c_alloc, y, axis)
         terms = mode_terms(ops, tm.modes, axis, b_nom, 0.0, math.inf)
         assert list(tests) == [m.id for m in terms.modes]
         assert {m.kind for m in terms.modes} == {"sat_subset",
@@ -246,8 +237,7 @@ class TestOneRowForm:
             row = ops.reduced(mode.excluded)[axis]
             diff = row - ops.S[axis]
             stat, d = tests[mode.id]
-            assert abs(stat - diff @ model.y) <= \
-                1e-9 * (np.abs(diff) @ np.abs(model.y))
+            assert abs(stat - diff @ y) <= 1e-9 * (np.abs(diff) @ np.abs(y))
             assert d == pytest.approx(
                 abs(ndtri(c_alloc)) * math.sqrt(diff ** 2 @ sigmas ** 2),
                 rel=1e-9)
@@ -257,14 +247,14 @@ class TestOneRowForm:
 
 class TestBaselineAraim:
     def test_toy_matches_jackknife_within_5_percent(self):
-        model, ops, budget, tm, acc, thresh = toy_case()
-        jk = pl_solve(model, tm, acc, thresh, budget, axis=0, ops=ops)
-        base = baseline_araim_pl(model, tm, acc, budget, axis=0, ops=ops)
+        ops, budget, tm, acc, thresh = toy_case()
+        jk = pl_solve(ops, tm, acc, thresh, budget, axis=0)
+        base = baseline_araim_pl(ops, tm, acc, budget, axis=0)
         assert jk == pytest.approx(base, rel=0.05)
 
     def test_vanishing_fault_priors_leave_h0_term(self):
-        model, ops, budget, tm, acc, thresh = toy_case(p_sat=1e-15)
-        pl = baseline_araim_pl(model, tm, acc, budget, axis=0, ops=ops)
+        ops, budget, tm, acc, thresh = toy_case(p_sat=1e-15)
+        pl = baseline_araim_pl(ops, tm, acc, budget, axis=0)
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         target = 1e-7 * deflate
         expect = math.sqrt(0.5) * abs(ndtri(target / (2 * tm.p_h0)))
@@ -274,26 +264,28 @@ class TestBaselineAraim:
     def test_non_gaussian_bounds_refused(self, flavor):
         # The Gaussian of a heavier-tailed bound's variance understates its
         # tails, so the baseline's risk would be understated.
-        geom, ops, budget, tm, acc, _ = epoch_case(
+        ops, budget, tm, acc, _ = epoch_case(
             "pgo", constellations=("GPS", "GAL"))
         if flavor == "pgo":
-            acc = [default_table()[svn].pgo() for svn in geom.sat_ids]
+            acc = [default_table()[svn].pgo() for svn in ops.model.sat_ids]
+        y = np.zeros(ops.n)
         with pytest.raises(NonGaussianBound):
-            baseline_araim_pl(geom, tm, acc, budget, ops=ops)
+            baseline_araim_pl(ops, tm, acc, budget)
         with pytest.raises(NonGaussianBound):
-            baseline_alert(geom, ops, tm, acc, budget)
+            baseline_alert(ops, tm, acc, budget, y)
         # The detector's constellation tests still take grid bounds.
         assert sorted(separation_tests(
-            ops, tm.constellation_modes(), acc, 1e-7, geom.y)) == [18, 19]
+            ops, tm.constellation_modes(), acc, 1e-7, y)) == [18, 19]
 
     def test_nested_geometry_monotonicity(self):
         case = gps_epoch_case(45.0, 10.0, 3600.0)
         assert case is not None
-        geom, models, acc, tm, budget = case
-        full = baseline_araim_pl(geom, tm, acc, budget)
+        ops, models, acc, tm, budget = case
+        full = baseline_araim_pl(ops, tm, acc, budget)
         # Drop the last satellite: nested subset of the same geometry.
-        sub = LinearModel(geom.G[:-1], geom.W[:-1], geom.y[:-1],
-                          geom.sat_ids[:-1], geom.const_of[:-1])
+        geom = ops.model
+        sub = SolutionOps(LinearModel(geom.G[:-1], geom.W[:-1],
+                                      geom.sat_ids[:-1], geom.const_of[:-1]))
         tm_sub = enumerate_modes(sub.n, tm.k_max,
                                  {"GPS": range(sub.n)}, budget.p_sat,
                                  budget.p_const)
@@ -301,7 +293,7 @@ class TestBaselineAraim:
         assert full <= reduced + 1e-6
 
 
-def reference_risk(model, ops, tm, acc, thresh, level, budget, axis):
+def reference_risk(ops, tm, acc, thresh, level, budget, axis):
     """The integrity-risk sum at a level, mode by mode: one subset solve
     and a one-row convolution of its q vector per satellite mode, the
     constellation separation sigmas written out from the bounds'
@@ -343,22 +335,20 @@ def epoch_case(flavor="gaussian", constellations=("GPS",)):
     case = gps_epoch_case(30.0, -90.0, 7200.0, flavor=flavor,
                           constellations=constellations)
     assert case is not None
-    geom, models, acc, tm, budget = case
-    ops = SolutionOps(geom)
+    ops, models, acc, tm, budget = case
     thresh = jackknife.thresholds(ops, tm, acc, budget)
-    return geom, ops, budget, tm, acc, thresh
+    return ops, budget, tm, acc, thresh
 
 
 class TestHmiRiskEval:
     def test_fixed_point_at_protection_level(self):
         # The PL is the lowest level, to PL_TOLERANCE_M, whose risk stays
         # within the deflated budget.
-        geom, ops, budget, tm, acc, thresh = epoch_case()
-        pl = pl_solve(geom, tm, acc, thresh, budget, axis=2, ops=ops)
+        ops, budget, tm, acc, thresh = epoch_case()
+        pl = pl_solve(ops, tm, acc, thresh, budget, axis=2)
 
         def risk(level):
-            return hmi_risk_eval(geom, tm, acc, thresh, level, budget,
-                                 axis=2, ops=ops)
+            return hmi_risk_eval(ops, tm, acc, thresh, level, budget, axis=2)
 
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         assert risk(pl) <= budget.i_req_vert * deflate \
@@ -369,56 +359,50 @@ class TestHmiRiskEval:
         ("gaussian", ("GPS", "GAL"), 1e-6), ("pgo", ("GPS", "GAL"), 1e-3)])
     def test_matches_reference_at_protection_level(self, flavor,
                                                    constellations, rel):
-        geom, ops, budget, tm, acc, thresh = epoch_case(
+        ops, budget, tm, acc, thresh = epoch_case(
             flavor, constellations)
-        pl = pl_solve(geom, tm, acc, thresh, budget, axis=2, ops=ops)
+        pl = pl_solve(ops, tm, acc, thresh, budget, axis=2)
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         for level in (pl, pl - PL_TOLERANCE_M):
-            risk = hmi_risk_eval(geom, tm, acc, thresh, level, budget,
-                                 axis=2, ops=ops)
-            expect = reference_risk(geom, ops, tm, acc, thresh, level,
-                                    budget, 2)
+            risk = hmi_risk_eval(ops, tm, acc, thresh, level, budget, axis=2)
+            expect = reference_risk(ops, tm, acc, thresh, level, budget, 2)
             assert risk == pytest.approx(expect, rel=rel)
             assert (risk <= budget.i_req_vert * deflate) == (level == pl)
 
     def test_skipped_modes_count_at_their_prior(self):
         # Both fault priors fit inside the per-mode allocation.
-        model, ops, budget, tm, acc, thresh = toy_case(p_sat=1e-12)
+        ops, budget, tm, acc, thresh = toy_case(p_sat=1e-12)
         level = 5.0
-        risk = hmi_risk_eval(model, tm, acc, thresh, level, budget,
-                             axis=0, ops=ops)
+        risk = hmi_risk_eval(ops, tm, acc, thresh, level, budget, axis=0)
         expect = tm.p_h0 * 2 * ndtr(-level / math.sqrt(0.5))
         expect += sum(mode.prior for mode in tm.modes)
         assert risk == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("unmonitorable", [False, True])
     def test_certain_risk_where_no_protection_level(self, unmonitorable):
-        model, ops, budget, tm, acc, thresh = toy_case()
+        ops, budget, tm, acc, thresh = toy_case()
         if unmonitorable:
             # Without satellite a, b alone (G row 0) observes nothing.
-            model = LinearModel(np.array([[1.0], [0.0]]), np.ones(2),
-                                np.zeros(2), ["a", "b"], ["GPS", "GPS"])
-            ops = SolutionOps(model)
+            ops = SolutionOps(LinearModel(np.array([[1.0], [0.0]]),
+                                          np.ones(2), ["a", "b"],
+                                          ["GPS", "GPS"]))
         else:
             budget = dataclasses.replace(
                 budget, i_req_vert=0.1 * tm.p_not_monitored,
                 i_req_horiz=0.1 * tm.p_not_monitored)
-        args = (model, tm, acc, thresh)
-        kw = dict(axis=0, ops=ops)
-        assert pl_solve(*args, budget, **kw) == math.inf
-        assert hmi_risk_eval(*args, 1.0, budget, **kw) == 1.0
+        args = (ops, tm, acc, thresh)
+        assert pl_solve(*args, budget, axis=0) == math.inf
+        assert hmi_risk_eval(*args, 1.0, budget, axis=0) == 1.0
 
     def test_vanishes_at_infinity(self):
-        geom, ops, budget, tm, acc, thresh = epoch_case()
-        risk = hmi_risk_eval(geom, tm, acc, thresh, 1e6, budget,
-                             axis=2, ops=ops)
+        ops, budget, tm, acc, thresh = epoch_case()
+        risk = hmi_risk_eval(ops, tm, acc, thresh, 1e6, budget, axis=2)
         assert risk < 1e-300 or risk == 0.0
 
     def test_toy_matches_closed_form_tail_sum(self):
-        model, ops, budget, tm, acc, thresh = toy_case()
+        ops, budget, tm, acc, thresh = toy_case()
         level = 5.0
-        risk = hmi_risk_eval(model, tm, acc, thresh, level, budget,
-                             axis=0, ops=ops)
+        risk = hmi_risk_eval(ops, tm, acc, thresh, level, budget, axis=0)
         sigma0 = math.sqrt(0.5)
         expect = tm.p_h0 * 2 * ndtr(-level / sigma0)
         for mode in tm.modes:
@@ -489,7 +473,7 @@ class TestLooserIntegrityBudget:
             tm = threat_model(model, budget)
         except InsufficientRedundancy:
             return None
-        return model, SolutionOps(model), tm, acc, budget
+        return SolutionOps(model), tm, acc, budget
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -497,10 +481,10 @@ class TestLooserIntegrityBudget:
     def test_pl_does_not_increase(self, seed, log_i_req, log_factor):
         case = self.case(seed, 10.0 ** log_i_req)
         assume(case is not None)
-        model, ops, tm, acc, budget = case
+        ops, tm, acc, budget = case
         looser = dataclasses.replace(
             budget, i_req_vert=budget.i_req_vert * 10.0 ** log_factor)
-        base = [baseline_araim_pl(model, tm, acc, b, ops=ops)
+        base = [baseline_araim_pl(ops, tm, acc, b)
                 for b in (budget, looser)]
         assert base[1] <= base[0] + PL_TOLERANCE_M
 
@@ -509,6 +493,6 @@ class TestLooserIntegrityBudget:
                    for b in (budget, looser)]
         if skipped[0] == skipped[1]:
             thresh = jackknife.thresholds(ops, tm, acc, budget)
-            jk = [pl_solve(model, tm, acc, thresh, b, ops=ops)
+            jk = [pl_solve(ops, tm, acc, thresh, b)
                   for b in (budget, looser)]
             assert jk[1] <= jk[0] + PL_TOLERANCE_M

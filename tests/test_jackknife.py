@@ -11,9 +11,8 @@ from jkaraim.threat import enumerate_modes
 from conftest import gps_epoch_case, random_geometry
 
 
-def toy_model(y=(0.0, 0.0)):
-    return LinearModel(np.array([[1.0], [1.0]]), np.ones(2),
-                       np.array(y, dtype=float), ["a", "b"],
+def toy_model():
+    return LinearModel(np.array([[1.0], [1.0]]), np.ones(2), ["a", "b"],
                        ["GPS", "GPS"])
 
 
@@ -21,10 +20,11 @@ def toy_threat(n, k_max=1):
     return enumerate_modes(n, k_max, {"GPS": range(n)}, 1e-5, 1e-4, m=1)
 
 
-def residual(ops, mode, i):
-    """Jackknife residual t_i = y_i - g_i x_hat_subset for i in the mode's
-    excluded set, in the leave-out form t_I = R[I, I]^-1 r_I."""
-    t = ops.leave_out(mode.excluded) @ ops.model.y
+def residual(ops, mode, i, y):
+    """Jackknife residual t_i = y_i - g_i x_hat_subset of the observations
+    y for i in the mode's excluded set, in the leave-out form
+    t_I = R[I, I]^-1 r_I."""
+    t = ops.leave_out(mode.excluded) @ y
     return float(t[sorted(mode.excluded).index(i)])
 
 
@@ -35,66 +35,60 @@ def stat_coeffs(ops, mode, axis=2):
     return C[0]
 
 
-def detect(model, tm, acc, y=None, axis=2, ops=None):
+def detect(ops, tm, acc, y, axis=2):
     """run_detector at the default budget, with the thresholds of every
     satellite mode, as a scenario record runs it."""
     budget = IntegrityBudget()
-    ops = SolutionOps(model) if ops is None else ops
-    return run_detector(model, tm, acc,
-                        thresholds(ops, tm, acc, budget, axis),
-                        budget, y=y, axis=axis, ops=ops)
+    return run_detector(ops, tm, acc, thresholds(ops, tm, acc, budget, axis),
+                        budget, y, axis=axis)
 
 
-def detector_stat(model, ops, tm, mode, axis):
+def detector_stat(ops, tm, mode, y, axis):
     """The statistic run_detector reports for one mode."""
-    det = detect(model, tm, [Gaussian(1.0)] * model.n, axis=axis, ops=ops)
+    det = detect(ops, tm, [Gaussian(1.0)] * ops.n, y, axis=axis)
     return det.stats[mode.id]
 
 
 class TestResidual:
     def test_toy_hand_value(self):
-        model = toy_model(y=(1.0, 3.0))
-        ops = SolutionOps(model)
+        ops = SolutionOps(toy_model())
         mode = toy_threat(2).modes[1]
         assert mode.excluded == frozenset({1})
-        assert residual(ops, mode, 1) == pytest.approx(2.0)
+        assert residual(ops, mode, 1, [1.0, 3.0]) == pytest.approx(2.0)
 
     def test_zero_errors_zero_residual(self, rng):
         model = random_geometry(rng)
         ops = SolutionOps(model)
         x0 = rng.standard_normal(model.m)
-        model.y = model.G @ x0
         tm = enumerate_modes(model.n, 1,
                              {c: [i for i, t in enumerate(model.const_of)
                                   if t == c]
-                              for c in model.constellations}, 1e-5, 1e-4,
-                             m=model.m)
+                              for c in dict.fromkeys(model.const_of)},
+                             1e-5, 1e-4, m=model.m)
         mode = tm.modes[0]
-        assert abs(residual(ops, mode, 0)) < 1e-9
+        assert abs(residual(ops, mode, 0, model.G @ x0)) < 1e-9
 
     def test_injected_bias_passes_through(self, rng):
         model = random_geometry(rng, n=10, m=4)
         ops = SolutionOps(model)
         y = np.zeros(model.n)
         y[4] = 100.0
-        model.y = y
         tm = enumerate_modes(model.n, 1, {"C0": range(model.n)},
                              1e-5, 1e-4, m=model.m)
         mode = tm.modes[4]
-        assert residual(ops, mode, 4) == pytest.approx(100.0,
-                                                              abs=1e-9)
+        assert residual(ops, mode, 4, y) == pytest.approx(100.0, abs=1e-9)
 
 
 class TestCombinedStat:
     def test_single_mode_equals_residual(self, rng):
         model = random_geometry(rng)
         ops = SolutionOps(model)
-        model.y = rng.standard_normal(model.n)
+        y = rng.standard_normal(model.n)
         tm = enumerate_modes(model.n, 1, {"C": range(model.n)}, 1e-5,
                              1e-4, m=model.m)
         mode = tm.modes[2]
-        t = detector_stat(model, ops, tm, mode, axis=2)
-        assert t == pytest.approx(residual(ops, mode, 2))
+        t = detector_stat(ops, tm, mode, y, axis=2)
+        assert t == pytest.approx(residual(ops, mode, 2, y))
 
     def test_coefficient_variance_matches_closed_form(self, rng):
         model = random_geometry(rng, n=9, m=4)
@@ -118,18 +112,16 @@ class TestCombinedStat:
 
     def test_two_fault_mode_matches_raw_definition(self, rng):
         G = np.ones((4, 1))
-        model = LinearModel(G, np.ones(4), np.zeros(4),
-                            list("abcd"), ["GPS"] * 4)
-        ops = SolutionOps(model)
+        ops = SolutionOps(LinearModel(G, np.ones(4), list("abcd"),
+                                      ["GPS"] * 4))
         tm = toy_threat(4, k_max=2)
         mode = next(m for m in tm.modes
                     if m.excluded == frozenset({1, 3}))
         for _ in range(20):
             eps = rng.standard_normal(4)
-            model.y = eps
-            t = detector_stat(model, ops, tm, mode, axis=0)
+            t = detector_stat(ops, tm, mode, eps, axis=0)
             coeffs = stat_coeffs(ops, mode, axis=0)
-            raw = sum(ops.S[0, i] * residual(ops, mode, i)
+            raw = sum(ops.S[0, i] * residual(ops, mode, i, eps)
                       for i in (1, 3))
             assert t == pytest.approx(raw, abs=1e-9)
             assert t == pytest.approx(float(coeffs @ eps), abs=1e-9)
@@ -141,8 +133,8 @@ def epoch_case(flavor="gaussian", constellations=("GPS",)):
     case = gps_epoch_case(30.0, -90.0, 7200.0, flavor=flavor,
                           constellations=constellations)
     assert case is not None
-    geom, _, acc, tm, budget = case
-    return geom, SolutionOps(geom), tm, acc, budget
+    ops, _, acc, tm, budget = case
+    return ops, tm, acc, budget
 
 
 def stat_sigmas(ops, tm, sigmas, axis=AXIS_UP):
@@ -158,10 +150,10 @@ class TestThresholds:
     def test_unit_gaussian_closed_form(self):
         # T_k = |ndtri(c_alloc)| sqrt(C_k^2 . sigma^2), for unit bounds and
         # for the table's Gaussian bounds of a real GPS epoch.
-        geom, ops, tm, acc, budget = epoch_case()
+        ops, tm, acc, budget = epoch_case()
         c_alloc = budget.c_req_fa_total / (2 * tm.n_fault_modes * tm.p_h0)
         assert c_alloc == allocate(budget, tm, AXIS_UP)[2]
-        for bounds in ([Gaussian(1.0)] * geom.n, acc):
+        for bounds in ([Gaussian(1.0)] * ops.n, acc):
             T = thresholds(ops, tm, bounds, budget)
             sigma = stat_sigmas(ops, tm, bound_sigmas(bounds))
             assert T.keys() == sigma.keys() and len(T) == tm.n_fault_modes
@@ -172,9 +164,9 @@ class TestThresholds:
     def test_more_modes_raise_thresholds(self):
         # Pairs of satellites as well: more modes split the false-alarm
         # budget finer, so every T_k / sigma_k rises.
-        geom, ops, tm, acc, budget = epoch_case()
-        tm2 = enumerate_modes(geom.n, tm.k_max + 1, {"GPS": range(geom.n)},
-                              budget.p_sat, budget.p_const, m=geom.m)
+        ops, tm, acc, budget = epoch_case()
+        tm2 = enumerate_modes(ops.n, tm.k_max + 1, {"GPS": range(ops.n)},
+                              budget.p_sat, budget.p_const, m=ops.model.m)
         assert tm2.n_fault_modes > tm.n_fault_modes
         ratios = []
         for threat in (tm, tm2):
@@ -189,11 +181,11 @@ class TestThresholds:
     def test_thresholds_are_batch_quantiles(self, flavor, constellations):
         # Bit for bit the magnitudes of one batch's quantiles at c_alloc,
         # row by row, from rows built by an independent SolutionOps.
-        geom, ops, tm, acc, budget = epoch_case(flavor, constellations)
+        ops, tm, acc, budget = epoch_case(flavor, constellations)
         T = thresholds(ops, tm, acc, budget)
         modes = tm.sat_modes()
-        ok, _, C = SolutionOps(geom).mode_rows([m.excluded for m in modes],
-                                               AXIS_UP)
+        ok, _, C = SolutionOps(ops.model).mode_rows(
+            [m.excluded for m in modes], AXIS_UP)
         q = convolve_batch(C[ok], acc).quantile(
             allocate(budget, tm, AXIS_UP)[2])
         ids = [m.id for m, good in zip(modes, ok) if good]
@@ -203,7 +195,7 @@ class TestThresholds:
     def test_no_testable_mode_gives_no_thresholds(self):
         # Two states, two satellites: every one-satellite subset is rank
         # deficient, so no mode gets a threshold.
-        model = LinearModel(np.eye(2), np.ones(2), np.zeros(2), ["a", "b"],
+        model = LinearModel(np.eye(2), np.ones(2), ["a", "b"],
                             ["GPS", "GPS"])
         assert thresholds(SolutionOps(model), toy_threat(2),
                           [Gaussian(1.0)] * 2, IntegrityBudget(),
@@ -216,34 +208,42 @@ class TestRunDetector:
         tm = enumerate_modes(model.n, 1, {"C0": range(model.n)},
                              1e-5, 1e-4, m=model.m)
         acc = [Gaussian(1.0)] * model.n
-        return model, tm, acc
+        return SolutionOps(model), tm, acc
 
     def test_fault_free_no_alert(self, rng):
-        model, tm, acc = self.make_case(rng)
-        res = detect(model, tm, acc, y=1e-3 * rng.standard_normal(model.n))
+        ops, tm, acc = self.make_case(rng)
+        res = detect(ops, tm, acc, 1e-3 * rng.standard_normal(ops.n))
         assert not res.alert
 
     def test_large_bias_detected_on_matching_mode(self, rng):
-        model, tm, acc = self.make_case(rng)
-        y = np.zeros(model.n)
+        ops, tm, acc = self.make_case(rng)
+        y = np.zeros(ops.n)
         y[3] = 100.0
-        res = detect(model, tm, acc, y=y)
+        res = detect(ops, tm, acc, y)
         assert res.alert
         mode = next(m for m in tm.modes if m.excluded == frozenset({3}))
         assert res.alerts[mode.id]
 
     def test_observations_argument_leaves_model_alone(self, rng):
-        model, tm, acc = self.make_case(rng)
-        y = rng.standard_normal(model.n)
+        # The observations are an argument of each run, never state of the
+        # geometry: runs on one SolutionOps do not see each other's y, and
+        # the y passed in is not written to.
+        ops, tm, acc = self.make_case(rng)
+        G, W = ops.model.G.copy(), ops.model.W.copy()
+        y = rng.standard_normal(ops.n)
         y[3] += 100.0
-        given = detect(model, tm, acc, y=y)
-        np.testing.assert_array_equal(model.y, np.zeros(model.n))
-        model.y = y
-        assert detect(model, tm, acc).stats == given.stats
+        y_in = y.copy()
+        given = detect(ops, tm, acc, y)
+        assert given.alert
+        assert not detect(ops, tm, acc, np.zeros(ops.n)).alert
+        assert detect(ops, tm, acc, y).stats == given.stats
+        np.testing.assert_array_equal(y, y_in)
+        np.testing.assert_array_equal(ops.model.G, G)
+        np.testing.assert_array_equal(ops.model.W, W)
+        assert not hasattr(ops.model, "y")
 
     def test_family_wise_false_alarm_rate(self, rng):
-        model, tm, acc = self.make_case(rng)
-        ops = SolutionOps(model)
+        ops, tm, acc = self.make_case(rng)
         tau = 0.01
         rows = np.array([stat_coeffs(ops, m) for m in tm.modes])
         # Bonferroni split: per-mode two-sided level tau/N.
@@ -251,7 +251,7 @@ class TestRunDetector:
                   * np.sqrt(d.variance())
                   for m, d in zip(tm.modes, convolve_batch(rows, acc))}
         trials = 20000
-        eps = rng.standard_normal((model.n, trials))
+        eps = rng.standard_normal((ops.n, trials))
         stats = rows @ eps
         lims = np.array([thresh[m.id] for m in tm.modes])
         fam = np.any(np.abs(stats) >= lims[:, None], axis=0)
@@ -261,10 +261,9 @@ class TestRunDetector:
 
     def test_statistic_distribution_matches_convolution(self, rng):
         from jkaraim.overbound import default_table
-        model, tm, _ = self.make_case(rng, n=8)
-        ops = SolutionOps(model)
+        ops, tm, _ = self.make_case(rng, n=8)
         pgo = default_table()["SVN63"].pgo()
-        acc = [pgo] * model.n
+        acc = [pgo] * ops.n
         mode = tm.modes[0]
         coeffs = stat_coeffs(ops, mode)
         dist = convolve_batch(coeffs[None, :], acc)[0]

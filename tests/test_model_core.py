@@ -16,9 +16,9 @@ from jkaraim.threat import enumerate_modes
 from conftest import random_geometry
 
 
-def toy_model(w=(1.0, 1.0), y=(0.0, 0.0)):
-    return LinearModel(np.array([[1.0], [1.0]]), np.array(w),
-                       np.array(y), ["a", "b"], ["GPS", "GPS"])
+def toy_model(w=(1.0, 1.0)):
+    return LinearModel(np.array([[1.0], [1.0]]), np.array(w), ["a", "b"],
+                       ["GPS", "GPS"])
 
 
 def gps_setup(user, positions):
@@ -42,15 +42,16 @@ class TestAssembleGeometry:
         for d in (east, -east, north, -north):
             positions.append(user + 20.2e6 * (0.6 * d + 0.8 * up))
         setup = gps_setup(user, positions)
-        np.testing.assert_allclose(setup.geom.G[0], [0, 0, 1, 1], atol=1e-9)
+        np.testing.assert_allclose(setup.ops.model.G[0], [0, 0, 1, 1],
+                                   atol=1e-9)
         assert setup.elevations[0] == pytest.approx(90.0)
 
     def test_gps_almanac_visibility(self):
         almanac = sim.default_almanac(("GPS",))
         user = geodetic_to_ecef(0.0, 0.0)
         setup = gps_setup(user, [sim.propagate(a, 0.0) for a in almanac])
-        assert 8 <= setup.geom.n <= 12
-        assert setup.geom.n == len(setup.visible) == len(setup.models)
+        assert 8 <= setup.ops.n <= 12
+        assert setup.ops.n == len(setup.visible) == len(setup.models)
         assert np.all(setup.elevations > 5.0)
 
     def test_coplanar_rank_deficient(self):
@@ -69,22 +70,19 @@ class TestWlsSolve:
     """The full-set weighted least-squares solution S y of SolutionOps."""
 
     def test_equal_weight_average(self):
-        model = toy_model(y=(1.0, 3.0))
-        S = SolutionOps(model).S
-        np.testing.assert_allclose(S @ model.y, [2.0])
+        S = SolutionOps(toy_model()).S
+        np.testing.assert_allclose(S @ [1.0, 3.0], [2.0])
         np.testing.assert_allclose(S, [[0.5, 0.5]])
 
     def test_weighted_average(self):
-        model = toy_model(w=(3.0, 1.0), y=(1.0, 3.0))
-        S = SolutionOps(model).S
-        np.testing.assert_allclose(S @ model.y, [1.5])
+        S = SolutionOps(toy_model(w=(3.0, 1.0))).S
+        np.testing.assert_allclose(S @ [1.0, 3.0], [1.5])
         np.testing.assert_allclose(S, [[0.75, 0.25]])
 
     def test_exact_consistency(self, rng):
         model = random_geometry(rng)
         x0 = rng.standard_normal(model.m)
-        model.y = model.G @ x0
-        np.testing.assert_allclose(SolutionOps(model).S @ model.y, x0,
+        np.testing.assert_allclose(SolutionOps(model).S @ (model.G @ x0), x0,
                                    atol=1e-12)
 
 
@@ -135,13 +133,12 @@ class TestQVector:
             ops = SolutionOps(model)
             eps = rng.standard_normal(model.n)
             eps[2] += 50.0
-            model.y = eps
             for excluded in ({2}, {2, 5}):
                 q = q_vector(ops, excluded, axis=2)
                 Sk, Pt = ops.subset(excluded)
                 total = q @ eps
                 for j in excluded:
-                    t_j = model.y[j] - model.G[j] @ (Sk @ model.y)
+                    t_j = eps[j] - model.G[j] @ (Sk @ eps)
                     total += ops.S[2, j] * t_j
                 err = (ops.S @ eps)[2]
                 assert abs(total - err) < 1e-9
@@ -168,22 +165,22 @@ class TestInvariants:
             ops = SolutionOps(model)
             eps = rng.standard_normal(model.n)
             x0 = rng.standard_normal(model.m)
-            model.y = model.G @ x0 + eps
+            y = model.G @ x0 + eps
             k = int(rng.integers(model.n))
             Sk, Pt = ops.subset({k})
-            t = model.y[k] - model.G[k] @ (Sk @ model.y)
+            t = y[k] - model.G[k] @ (Sk @ y)
             expansion = (np.eye(model.n) - Pt)[k] @ eps
             assert abs(t - expansion) < 1e-9
 
     def test_excluded_measurement_insensitivity(self, rng):
         model = random_geometry(rng)
         ops = SolutionOps(model)
-        model.y = rng.standard_normal(model.n)
+        y = rng.standard_normal(model.n)
         k = int(rng.integers(model.n))
         Sk, _ = ops.subset({k})
-        before = Sk @ model.y
-        model.y[k] += 1e6
-        np.testing.assert_allclose(Sk @ model.y, before, atol=1e-6)
+        before = Sk @ y
+        y[k] += 1e6
+        np.testing.assert_allclose(Sk @ y, before, atol=1e-6)
 
 
 def _svd_subset(model, excluded):
@@ -226,7 +223,8 @@ class TestDowndate:
         modes = [frozenset(c) for size in (1, 2)
                  for c in combinations(range(model.n), size)]
         modes += [frozenset(i for i, c in enumerate(model.const_of)
-                            if c == tag) for tag in model.constellations]
+                            if c == tag)
+                  for tag in dict.fromkeys(model.const_of)]
         ok, Q, C = ops.mode_rows(modes, axis)
         for k, excluded in enumerate(modes):
             try:
@@ -257,10 +255,10 @@ class TestDowndate:
         # t_i = r_i / R_ii: the leave-one-out residual from the full-set
         # residual, equal to y_i - g_i S_k y of the SVD reference.
         rng = np.random.default_rng(seed)
-        model.y = model.G @ rng.standard_normal(model.m) \
+        y = model.G @ rng.standard_normal(model.m) \
             + rng.standard_normal(model.n)
         ops = SolutionOps(model)
-        r = model.y - model.G @ (ops.S @ model.y)
+        r = y - model.G @ (ops.S @ y)
         tm = enumerate_modes(model.n, 1, {"all": range(model.n)}, 1e-5,
                              1e-4, m=model.m)
         for mode in tm.modes:
@@ -271,9 +269,9 @@ class TestDowndate:
                 continue
             if _reference_condition(model, mode.excluded) > 30.0:
                 continue
-            (t,) = ops.leave_out(mode.excluded) @ model.y
+            (t,) = ops.leave_out(mode.excluded) @ y
             assert t == pytest.approx(r[i] / ops.R[i, i], abs=1e-9)
-            loo = model.y[i] - model.G[i] @ (ref @ model.y)
+            loo = y[i] - model.G[i] @ (ref @ y)
             assert t == pytest.approx(loo, abs=1e-9)
 
     def test_sole_clock_satellite_and_whole_constellation_raise(self, rng):
@@ -283,7 +281,7 @@ class TestDowndate:
         G[4, 3:] = [0.0, 1.0]          # the only satellite of C1
         const_of = ["C0"] * model.n
         const_of[4] = "C1"
-        model = LinearModel(G, model.W, model.y, model.sat_ids, const_of)
+        model = LinearModel(G, model.W, model.sat_ids, const_of)
         ops = SolutionOps(model)
         for excluded in ({4}, {4, 7}):
             with pytest.raises(SubsetRankDeficient):
@@ -309,7 +307,8 @@ class TestModeRowMemo:
         modes = [frozenset(c) for size in (1, 2, 3)
                  for c in combinations(range(model.n), size)]
         modes += [frozenset(i for i, c in enumerate(model.const_of)
-                            if c == tag) for tag in model.constellations]
+                            if c == tag)
+                  for tag in dict.fromkeys(model.const_of)]
         ops = SolutionOps(model)
         first = [modes[k] for k in rng.permutation(len(modes))[:40]]
         ops.mode_rows(first, axis)

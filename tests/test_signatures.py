@@ -1,0 +1,63 @@
+"""One geometry handle: the PLs, the risk sum and the detectors take one
+epoch's geometry as its SolutionOps, and the observations as an argument.
+
+This parses integrity.py and jackknife.py and fails on a function with a
+model parameter (a LinearModel next to its own SolutionOps), or with an ops
+or y parameter that defaults to None (a SolutionOps rebuilt inside, or
+observations read from somewhere else). Observations are no field of
+LinearModel, and EpochSetup holds the geometry once, as ops.
+"""
+
+import ast
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+import jkaraim
+from jkaraim.model_core import LinearModel
+from jkaraim.sim import EpochSetup
+
+MODULES = [Path(jkaraim.__file__).parent / name
+           for name in ("integrity.py", "jackknife.py")]
+
+
+def second_handles(source):
+    """(function, parameter) pairs in source (<lambda> for a lambda) that
+    take a model parameter, or an ops or y parameter defaulting to None."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        defaults = ([None] * (len(positional) - len(a.defaults))
+                    + list(a.defaults) + list(a.kw_defaults))
+        for param, default in zip(positional + a.kwonlyargs, defaults):
+            none_default = (isinstance(default, ast.Constant)
+                            and default.value is None)
+            if param.arg == "model" or (param.arg in ("ops", "y")
+                                        and none_default):
+                out.append((getattr(node, "name", "<lambda>"), param.arg))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_geometry_handle(path):
+    assert second_handles(path.read_text()) == []
+
+
+def test_observations_are_no_field_of_the_geometry():
+    assert "y" not in {f.name for f in fields(LinearModel)}
+    assert "geom" not in {f.name for f in fields(EpochSetup)}
+
+
+def test_detects_a_second_handle():
+    source = ("def f(model, threat):\n    pass\n"
+              "def g(a, ops=None, *, y=None):\n    pass\n"
+              "class A:\n    def h(self, ops, y, axis=None):\n        pass\n"
+              "k = lambda ops, model=None: 0\n"
+              "def m(models, y=0.0, ops_list=None):\n    pass\n")
+    assert second_handles(source) == [("<lambda>", "model"), ("f", "model"),
+                                      ("g", "ops"), ("g", "y")]

@@ -31,11 +31,21 @@ class TestPropagate:
             assert abs(r - 26560e3) < 200e3
 
     def test_period_repeat_nonrotating(self):
+        # The ECEF node is the inertial one less OMEGA_EARTH t, so turning
+        # the ECEF position by OMEGA_EARTH t about z gives the inertial
+        # position, which repeats after one orbital period.
         alm = default_almanac(("GPS",))[3]
         a = alm.sqrt_a ** 2
         period = 2 * math.pi * math.sqrt(a ** 3 / sim.GM_EARTH)
-        p0 = propagate(alm, 1000.0, rotating=False)
-        p1 = propagate(alm, 1000.0 + period, rotating=False)
+
+        def inertial(t):
+            x, y, z = propagate(alm, t)
+            turn = sim.OMEGA_EARTH * t
+            c, s = math.cos(turn), math.sin(turn)
+            return np.array([c * x - s * y, s * x + c * y, z])
+
+        p0 = inertial(1000.0)
+        p1 = inertial(1000.0 + period)
         assert np.linalg.norm(p1 - p0) < 10.0
 
 
@@ -144,8 +154,14 @@ class TestScenario:
         ("grid_step_deg", 0.0), ("grid_step_deg", -15.0),
         ("grid_step_deg", 720.0), ("grid_step_deg", math.nan),
         ("duration_s", 0.0), ("duration_s", -600.0),
-        ("duration_s", math.inf), ("duration_s", math.nan)])
+        ("duration_s", math.inf), ("duration_s", math.nan),
+        ("epoch_step_s", 0.0), ("epoch_step_s", -600.0),
+        ("epoch_step_s", math.nan), ("mask_deg", -10.0),
+        ("mask_deg", 90.0), ("mask_deg", math.nan), ("val", 0.0),
+        ("val", -1.0), ("val", math.inf), ("val", math.nan)])
     def test_non_positive_grid_step_or_duration_rejected(self, field, value):
+        # And an epoch step that is not positive, a mask outside [0, 90)
+        # and a val that is not positive and finite.
         with pytest.raises(ValueError, match=field):
             self.coarse_config(**{field: value})
 
@@ -286,36 +302,35 @@ class TestAggregate:
 class TestBaselineAlert:
     def dual_case(self):
         from conftest import gps_epoch_case
-        from jkaraim.model_core import SolutionOps
-        geom, models, acc, tm, budget = gps_epoch_case(
+        ops, models, acc, tm, budget = gps_epoch_case(
             45.0, 10.0, 3600.0, constellations=("GPS", "GAL"))
-        geom.y = np.zeros(geom.n)
-        return geom, SolutionOps(geom), tm, acc, budget
+        return ops, tm, acc, budget
 
     def test_rank_deficient_mode_is_passed_over(self, monkeypatch):
-        geom, ops, tm, acc, budget = self.dual_case()
+        ops, tm, acc, budget = self.dual_case()
         assert tm.constellation_modes()
 
         def rank_deficient(*args, **kwargs):
             raise SubsetRankDeficient("no clock support")
 
         monkeypatch.setattr(ops, "reduced", rank_deficient)
-        assert not integrity.baseline_alert(geom, ops, tm, acc, budget)
+        assert not integrity.baseline_alert(ops, tm, acc, budget,
+                                            np.zeros(ops.n))
 
     def test_other_errors_propagate(self, monkeypatch):
         # A mode skipped on an unexpected error would be a missed alert.
-        geom, ops, tm, acc, budget = self.dual_case()
+        ops, tm, acc, budget = self.dual_case()
+        y = np.zeros(ops.n)
 
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(ops, "reduced", broken)
         with pytest.raises(RuntimeError):
-            integrity.baseline_alert(geom, ops, tm, acc, budget)
+            integrity.baseline_alert(ops, tm, acc, budget, y)
         monkeypatch.setattr(ops, "mode_rows", broken)
         with pytest.raises(RuntimeError):
-            integrity.separation_tests(ops, tm.sat_modes(), acc, 1e-7,
-                                       geom.y)
+            integrity.separation_tests(ops, tm.sat_modes(), acc, 1e-7, y)
 
 
 class TestGridResolution:
@@ -337,9 +352,9 @@ class TestGridResolution:
                             default_table(), budget, flavor="pgo")
         thresh = jackknife.thresholds(
             s.ops, s.tm, [m.acc_bound for m in s.models], budget)
-        vpl = integrity.pl_solve(s.geom, s.tm,
+        vpl = integrity.pl_solve(s.ops, s.tm,
                                  [m.acc_bound for m in s.models], thresh,
-                                 budget, ops=s.ops)
+                                 budget)
         assert not rec.error
         assert vpl == rec.vpl
 
