@@ -6,6 +6,8 @@ a growing bias on one satellite, and watches the jackknife statistics
 cross their continuity-allocated thresholds; and a growing vertical shift
 seen by every Galileo satellite (a whole-constellation fault), which the
 detector's solution-separation test of the constellation mode catches.
+Both kinds of test are rows of one detector table (thresholds), run on
+each observation vector as one product (run_detector).
 
 Run:  python demos/fault_detection.py
 """
@@ -31,8 +33,10 @@ print(f"k_max={tm.k_max}, {tm.n_fault_modes} fault modes")
 rng = np.random.default_rng(3)
 nominal = np.array([m.draw(rng) for m in models])
 acc = [m.acc_bound for m in models]
-thresh = thresholds(ops, tm, acc, budget)
+tests = thresholds(ops, tm, acc, budget, AXIS_UP)
 const_ids = [m.id for m in tm.constellation_modes()]
+print(f"{len(tests.ids)} vertical tests, {len(tests.skipped)} modes "
+      "untestable")
 
 
 def show(fault_of, biases):
@@ -41,8 +45,7 @@ def show(fault_of, biases):
     print(f"{'bias (m)':>9} {'satellite modes':>16} "
           f"{'constellation modes':>20} {'alert':>6}")
     for bias in biases:
-        det = run_detector(ops, tm, acc, thresh, budget,
-                           nominal + bias * fault_of)
+        det = run_detector(tests, nominal + bias * fault_of)
         ratios = {i: abs(det.stats[i]) / det.thresholds[i]
                   for i in det.stats}
         sat = max(r for i, r in ratios.items() if i not in const_ids)

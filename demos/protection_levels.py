@@ -30,9 +30,11 @@ def accuracy_bounds(s):
 
 
 def jk_vpl(s):
+    """The jk VPL, each fault term offset by the threshold of its mode's
+    vertical test."""
     acc = accuracy_bounds(s)
-    thresh = thresholds(s.ops, s.tm, acc, BUDGET)
-    return pl_solve(s.ops, s.tm, acc, thresh, BUDGET, axis=AXIS_UP)
+    tests = thresholds(s.ops, s.tm, acc, BUDGET, AXIS_UP)
+    return pl_solve(s.ops, s.tm, acc, tests, BUDGET)
 
 
 lat, lon, t = 34.0, -118.0, 36000.0

@@ -7,12 +7,11 @@ from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      InsufficientRedundancy, JkAraimError,
                      KeplerNonConvergence, NonGaussianBound,
                      NoValidPartition, SubsetRankDeficient, UnknownSatellite)
-from .integrity import (IntegrityBudget, baseline_araim_pl, hmi_risk_eval,
+from .integrity import (DetectorTable, IntegrityBudget, baseline_araim_pl,
                         pl_solve)
 from .jackknife import JkStatistics, run_detector, thresholds
 from .model_core import (AXIS_EAST, AXIS_NORTH, AXIS_UP, LinearModel,
-                         SolutionOps, ecef_to_geodetic,
-                         elevation_azimuth, geodetic_to_ecef)
+                         SolutionOps, ecef_to_geodetic, geodetic_to_ecef)
 from .overbound import (OverboundReport, SatelliteBound, SatelliteBoundTable,
                         build_pgo, default_partition_point,
                         default_table, fit_bgmm, fit_gaussian_overbound,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXIS_EAST", "AXIS_NORTH", "AXIS_UP",
-    "AlmanacEntry", "EmConvergenceFailure", "EmptySample",
+    "AlmanacEntry", "DetectorTable", "EmConvergenceFailure", "EmptySample",
     "EpochRecord", "EpochSetup", "FaultMode", "Gaussian", "GridDistribution",
     "InsufficientGeometry", "InsufficientRedundancy", "IntegrityBudget",
     "JkAraimError", "JkStatistics", "KeplerNonConvergence", "LinearModel",
@@ -42,10 +41,10 @@ __all__ = [
     "convolve_batch", "convolve_rows",
     "default_almanac",
     "default_partition_point", "default_table", "determine_kmax",
-    "ecef_to_geodetic", "elevation_azimuth", "enumerate_modes",
+    "ecef_to_geodetic", "enumerate_modes",
     "epoch_setup", "error_models", "evaluate_epoch", "fit_bgmm",
     "fit_gaussian_overbound",
-    "geodetic_to_ecef", "hmi_risk_eval", "parse_yuma",
+    "geodetic_to_ecef", "parse_yuma",
     "pl_solve", "propagate", "read_records_csv",
     "run_detector", "run_scenario", "stanford_class",
     "summary_json", "threat_model", "thresholds",

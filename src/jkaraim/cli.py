@@ -158,14 +158,15 @@ def cmd_pl(args) -> int:
                                         budget)
     if args.algorithm == "baseline":
         pl = baseline_araim_pl(ops, tm, acc, budget, axis=axis)
-        binding, thresh = "total-risk", {}
+        binding, held = "total-risk", {}
     else:
-        thresh = jackknife.thresholds(ops, tm, acc, budget, axis)
-        pl, binding = pl_solve(ops, tm, acc, thresh, budget, axis=axis,
+        tests = jackknife.thresholds(ops, tm, acc, budget, axis)
+        pl, binding = pl_solve(ops, tm, acc, tests, budget,
                                return_binding=True)
+        held = dict(zip(map(str, tests.ids), tests.thresholds.tolist()))
     doc = {"pl_m": pl, "axis": axis, "binding": binding,
            "algorithm": args.algorithm, "bound": args.bound,
-           "thresholds": {str(k): v for k, v in thresh.items()},
+           "thresholds": held,
            "n_fault_modes": tm.n_fault_modes}
     print(json.dumps(doc, indent=2))
     return 0
@@ -269,8 +270,8 @@ def cmd_detect(args) -> int:
         print(f"error: expected {ops.n} observations, got {y.size}",
               file=sys.stderr)
         return EXIT_PARSE
-    thresh = jackknife.thresholds(ops, tm, acc, budget, axis)
-    res = jackknife.run_detector(ops, tm, acc, thresh, budget, y, axis=axis)
+    res = jackknife.run_detector(
+        jackknife.thresholds(ops, tm, acc, budget, axis), y)
     doc = {"alert": res.alert,
            "stats": {str(k): v for k, v in res.stats.items()},
            "thresholds": {str(k): v for k, v in res.thresholds.items()},

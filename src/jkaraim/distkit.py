@@ -634,22 +634,20 @@ def _convolve_half(parts, h, work, spec):
                              out=work[:, :2 * n_half + 1])
 
 
-def convolve_batch(coeff_matrix, dists, n_points=GRID_POINTS,
-                   force_grid=False):
+def convolve_batch(coeff_matrix, dists, n_points=GRID_POINTS):
     """Distributions of sum_j C[i, j] eps_j for every coefficient row i
     over one set of independent zero-mean symmetric components, on a
     shared grid.
 
     Returns one DistBatch: a GaussianBatch when every component is
-    Gaussian (closed-form variance sums) unless force_grid is set, else a
-    GridBatch on the grid x = k * h, |k| <= n_points / 2, whose half-width
-    covers _GRID_SIGMAS standard deviations plus the support_extra of
-    every row.
+    Gaussian (closed-form variance sums), else a GridBatch on the grid
+    x = k * h, |k| <= n_points / 2, whose half-width covers _GRID_SIGMAS
+    standard deviations plus the support_extra of every row.
     """
     C = np.asarray(coeff_matrix, dtype=float)
     if C.ndim != 2 or C.shape[1] != len(dists):
         raise ValueError("coefficient matrix shape mismatch")
-    if not force_grid and all(isinstance(d, Gaussian) for d in dists):
+    if all(isinstance(d, Gaussian) for d in dists):
         var = np.array([d.sigma ** 2 for d in dists])
         return GaussianBatch(np.sqrt((C ** 2) @ var))
     var = np.array([d.variance() for d in dists])
@@ -681,12 +679,13 @@ def convolve_rows(rows, n_points=GRID_POINTS):
     zero-mean symmetric analytic components, one per row i, each row on
     its own grid.
 
-    Row i is what convolve_batch([[1, 1, ...]], rows[i], n_points,
-    force_grid=True)[0] gives, bit for bit: half-width L_i of _GRID_SIGMAS
-    standard deviations of the sum plus its components' support_extra, and
-    spacing h_i = 2 L_i / n_points. Each component is sampled on its row's
-    spacing, short of its _reach, and one multi-row DCT-I per component
-    column and one inverse serve all rows.
+    Row i is, bit for bit, the grid row convolve_batch([[1, 1, ...]],
+    rows[i], n_points)[0] builds, as it does unless every component is
+    Gaussian: half-width L_i of _GRID_SIGMAS standard deviations of the sum
+    plus its components' support_extra, and spacing h_i = 2 L_i / n_points.
+    Each component is sampled on its row's spacing, short of its _reach,
+    and one multi-row DCT-I per component column and one inverse serve all
+    rows.
 
     Returns a GridBatch whose rows each have their own grid.
     """

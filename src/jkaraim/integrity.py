@@ -1,7 +1,8 @@
 """Protection levels from the integrity-risk bounds, plus the
-solution-separation benchmark. Both PLs, the risk sum and both detectors
-take their budget splits from allocate and their fault-mode rows from
-mode_terms (Gaussian separation terms: ModeTerms.gaussian_terms)."""
+solution-separation benchmark. Both PLs and both detectors take their
+budget splits from allocate and their fault-mode rows from mode_terms; the
+jk PL reads each mode's threshold from the DetectorTable its detector
+runs."""
 
 from __future__ import annotations
 
@@ -133,6 +134,20 @@ def _bisect_level(risk, hi: float, target: float):
             steps += 1
 
 
+@dataclass(frozen=True, eq=False)
+class DetectorTable:
+    """The tests of one axis's detector: mode ids[i] alerts on the
+    observations y when |rows[i] . y| >= thresholds[i] (run_detector).
+    The jk PL of the axis offsets each fault term by its mode's
+    threshold."""
+
+    axis: int
+    ids: tuple
+    rows: np.ndarray        # one statistic row per id
+    thresholds: np.ndarray  # one threshold (m) per id
+    skipped: tuple          # modes left untested, being rank deficient
+
+
 @dataclass
 class ModeTerms:
     """The fault modes mode_terms keeps on one axis, with their rows."""
@@ -143,13 +158,6 @@ class ModeTerms:
     bias: np.ndarray        # their worst-case biases b_nom * sum |Q row|
     skipped_mass: float
     unmonitorable: object   # first mode that voids the PL, or None
-
-    def gaussian_terms(self, s_row, sigmas, start: int = 0):
-        """sqrt((Q - s_row)^2 . sigma^2) of the kept modes from index start
-        on: sigma_vk for s_row 0, sigma_ss for s_row the full solution's
-        row S."""
-        var = np.asarray(sigmas, dtype=float) ** 2
-        return np.sqrt(((self.Q[start:] - s_row) ** 2) @ var)
 
 
 def mode_terms(ops: SolutionOps, modes, axis: int, b_nom: float,
@@ -202,17 +210,20 @@ def mode_terms(ops: SolutionOps, modes, axis: int, b_nom: float,
                      skipped_mass, unmonitorable)
 
 
-def _jk_terms(ops, threat, acc_bounds, thresholds, budget, axis):
-    """The terms of the jk integrity sum on one axis: the fault-free term,
-    the kept satellite modes, then the kept constellation modes.
+def _jk_terms(ops, threat, acc_bounds, tests, budget):
+    """The terms of the jk integrity sum on the axis of the detector table
+    tests: the fault-free term, the kept satellite modes, then the kept
+    constellation modes, each fault term offset by its mode's threshold in
+    tests (T_k |S_vk| for one satellite, T_k for more, D_k).
 
-    Returns (labels, bounds, risk, target, skipped_mass), or the label of
-    the reason no finite PL exists. bounds() gives each term's level at
-    its equal share i_alloc of the budget; risk maps an array of levels to
-    the summed monitored risk at each, term by term in order; target is
-    allocate's deflated axis budget.
+    Returns (labels, offsets, bounds, risk, target, skipped_mass), or the
+    label of the reason no finite PL exists. offsets are the thresholds
+    plus the biases; bounds() gives each term's level at its share i_alloc
+    of the budget; risk maps an array of levels to the summed monitored
+    risk at each; target is allocate's deflated axis budget.
     """
-    target, i_alloc, c_alloc, _ = allocate(budget, threat, axis)
+    axis = tests.axis
+    target, i_alloc, _, _ = allocate(budget, threat, axis)
     if target <= 0.0:
         return "unmonitored"
     terms = mode_terms(ops, threat.modes, axis, budget.b_nom, i_alloc,
@@ -221,31 +232,25 @@ def _jk_terms(ops, threat, acc_bounds, thresholds, budget, axis):
         return f"unmonitorable:{terms.unmonitorable.id}"
 
     n_sat = terms.n_sat
-    offsets = [budget.b_nom * np.abs(ops.S[axis]).sum()]
-    for mode, bias in zip(terms.modes[:n_sat], terms.bias.tolist()):
-        t_k = thresholds[mode.id]
-        if len(mode.excluded) == 1:
-            k = next(iter(mode.excluded))
-            extra = abs(ops.S[axis, k]) * t_k
-        else:
-            extra = t_k
-        offsets.append(extra + bias)
-    # The constellation terms are Gaussians of the bounds' sigmas, offset
-    # by their separation thresholds at c_alloc.
-    const = None
-    if len(terms.modes) > n_sat:
-        sigmas = distkit.bound_sigmas(acc_bounds)
-        offsets += (abs(float(ndtri(c_alloc)))
-                    * terms.gaussian_terms(ops.S[axis], sigmas, n_sat)
-                    + terms.bias[n_sat:]).tolist()
-        const = distkit.GaussianBatch(terms.gaussian_terms(0.0, sigmas,
-                                                           n_sat))
+    s_row = ops.S[axis]
+    held = dict(zip(tests.ids, tests.thresholds.tolist()))
+    offsets = [budget.b_nom * np.abs(s_row).sum()]
+    for mode, bias in zip(terms.modes, terms.bias.tolist()):
+        t_k = held[mode.id]
+        if mode.kind == "sat_subset" and len(mode.excluded) == 1:
+            t_k *= abs(s_row[next(iter(mode.excluded))])
+        offsets.append(t_k + bias)
     offsets = np.array(offsets)
     priors = np.array([threat.p_h0] + [m.prior for m in terms.modes])
-    # Rows of dists are the first n terms, rows of const (if any) the rest.
-    dists = distkit.convolve_batch(
-        np.vstack((ops.S[axis], terms.Q[:n_sat])), acc_bounds)
+    # Rows of dists are the first n terms; the constellation terms (if
+    # any) are Gaussians of the bounds' sigmas.
+    dists = distkit.convolve_batch(np.vstack((s_row, terms.Q[:n_sat])),
+                                   acc_bounds)
     n = len(dists)
+    const = None
+    if len(terms.modes) > n_sat:
+        var = distkit.bound_sigmas(acc_bounds) ** 2
+        const = distkit.GaussianBatch(np.sqrt((terms.Q[n_sat:] ** 2) @ var))
 
     def bounds():
         p = i_alloc / (2.0 * priors)
@@ -263,59 +268,38 @@ def _jk_terms(ops, threat, acc_bounds, thresholds, budget, axis):
 
     labels = ["H0"] + [f"mode:{m.id}" if m.kind == "sat_subset"
                        else f"const:{m.id}" for m in terms.modes]
-    return labels, bounds, risk, target, terms.skipped_mass
+    return labels, offsets, bounds, risk, target, terms.skipped_mass
 
 
 def pl_solve(ops: SolutionOps, threat: ThreatModel, acc_bounds,
-             thresholds, budget: IntegrityBudget, axis: int = AXIS_UP, *,
-             refine=True, return_binding=False):
-    """Protection level for one axis of the geometry ops.
+             tests: DetectorTable, budget: IntegrityBudget, *,
+             return_binding=False):
+    """Protection level of the geometry ops on the axis of the detector
+    table tests (jackknife.thresholds), whose thresholds offset the
+    fault-mode terms (_jk_terms).
 
     The equal-allocation per-mode max bound is computed first. When the
     skipped low-prior modes leave room inside the deflated budget, the
     level is then tightened by bisecting the summed monitored risk onto
     the budget, which makes the risk bound tight rather than allocated.
-    Allocations come from allocate and the kept modes from mode_terms.
 
     acc_bounds holds each satellite's accuracy bound: the bounds feed the
     convolutions and their sigmas (distkit.bound_sigmas) the constellation
-    modes' solution-separation terms. Each satellite's nominal bias is the
-    budget's b_nom, a paired overbound, in the worst-case bias
-    projections. thresholds maps satellite-mode ids to detector
-    thresholds.
+    modes' terms. Each satellite's nominal bias is the budget's b_nom.
     """
-    terms = _jk_terms(ops, threat, acc_bounds, thresholds, budget, axis)
+    terms = _jk_terms(ops, threat, acc_bounds, tests, budget)
     if isinstance(terms, str):
         return (math.inf, terms) if return_binding else math.inf
-    labels, bounds, risk, target, skipped_mass = terms
+    labels, _, bounds, risk, target, skipped_mass = terms
     values = bounds()
     k = int(np.argmax(values))
     best, best_label = max(float(values[k]), 0.0), labels[k]
     target -= skipped_mass
-    if refine and target > 0.0 and best > 0.0:
+    if target > 0.0 and best > 0.0:
         level, _ = _bisect_level(risk, best, target)
         if level is not None:
             best = level
     return (best, best_label) if return_binding else best
-
-
-def hmi_risk_eval(ops: SolutionOps, threat: ThreatModel, acc_bounds,
-                  thresholds, level: float, budget: IntegrityBudget,
-                  axis: int = AXIS_UP) -> float:
-    """Integrity risk of the geometry ops at a candidate level: the
-    monitored-mode sum that pl_solve bisects (fault-free, satellite-fault
-    and constellation-fault terms) plus the mass budgeted for the modes it
-    skips. P_not_monitored is excluded; the PL is the lowest level whose
-    risk stays within allocate's deflated axis budget. Returns 1.0 where
-    pl_solve returns infinity.
-    """
-    if level <= 0:
-        raise ValueError("level must be positive")
-    terms = _jk_terms(ops, threat, acc_bounds, thresholds, budget, axis)
-    if isinstance(terms, str):
-        return 1.0
-    _, _, risk, _, skipped_mass = terms
-    return float(risk(np.array([level]))[0]) + skipped_mass
 
 
 def _require_gaussian(acc_bounds):
@@ -334,9 +318,9 @@ def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
 
     The comparison benchmark, on Gaussian accuracy bounds only
     (NonGaussianBound otherwise): two-sided fault-free term, one-sided
-    faulted terms (ModeTerms.gaussian_terms) offset by the separation
-    thresholds at allocate's c_alloc_axis. Every mode that can be
-    monitored is kept (mode_terms with i_alloc 0, which skips only
+    faulted terms, Gaussians of the bounds' sigmas, offset by the
+    separation thresholds at allocate's c_alloc_axis. Every mode that can
+    be monitored is kept (mode_terms with i_alloc 0, which skips only
     rank-deficient modes of prior at most p_thres, at no cost to the
     budget).
     """
@@ -348,14 +332,14 @@ def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
                        budget.p_thres)
     if terms.unmonitorable is not None:
         return math.inf
-    sig = distkit.bound_sigmas(acc_bounds)
+    var = distkit.bound_sigmas(acc_bounds) ** 2
     weights = np.array([2.0 * threat.p_h0] + [m.prior for m in terms.modes])
-    sigmas = np.concatenate(([np.sqrt(np.sum(ops.S[axis] ** 2 * sig ** 2))],
-                             terms.gaussian_terms(0.0, sig)))
+    sigmas = np.sqrt(np.concatenate(([np.sum(ops.S[axis] ** 2 * var)],
+                                     (terms.Q ** 2) @ var)))
     offsets = np.concatenate((
         [budget.b_nom * np.abs(ops.S[axis]).sum()],
-        abs(float(ndtri(c_alloc))) * terms.gaussian_terms(ops.S[axis], sig)
-        + terms.bias))
+        abs(float(ndtri(c_alloc)))
+        * np.sqrt(((terms.Q - ops.S[axis]) ** 2) @ var) + terms.bias))
 
     def risk(levels):
         # Fault-free term, then the faulted terms in mode order.
@@ -367,29 +351,17 @@ def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
 
 
 def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
-                     y, axis: int = AXIS_UP) -> dict:
-    """Solution-separation statistics (S_k - S) y and thresholds D_k of
-    the given modes, D_k at c_alloc from the accuracy bounds' sigmas
-    (ModeTerms.gaussian_terms): mode id -> (statistic, threshold),
-    satellite-subset modes first.
-
-    Rank-deficient modes cannot be tested and are left out (mode_terms
-    with p_thres infinite); any other failure propagates."""
+                     axis: int = AXIS_UP) -> DetectorTable:
+    """The solution-separation tests of the given modes on one axis, in
+    mode order: rows S_k - S against D_k = |Phi^-1(c_alloc)| sigma_ss,k,
+    sigma_ss,k the separation's sigma under Gaussians of the accuracy
+    bounds' sigmas (distkit.bound_sigmas). Rank-deficient modes are skipped
+    (mode_terms with p_thres infinite); any other failure propagates."""
     terms = mode_terms(ops, modes, axis, 0.0, 0.0, math.inf)
-    stats = (terms.Q - ops.S[axis]) @ y
-    d = abs(float(ndtri(c_alloc))) * terms.gaussian_terms(
-        ops.S[axis], distkit.bound_sigmas(acc_bounds))
-    return dict(zip([m.id for m in terms.modes],
-                    zip(stats.tolist(), d.tolist())))
-
-
-def baseline_alert(ops: SolutionOps, threat: ThreatModel, acc_bounds,
-                   budget: IntegrityBudget, y, axis: int = AXIS_UP) -> bool:
-    """Solution-separation tests |S_k y - S y| >= D_k of the observations
-    y over every mode of the threat (separation_tests), D_k at allocate's
-    c_alloc, on Gaussian accuracy bounds only (NonGaussianBound
-    otherwise)."""
-    _require_gaussian(acc_bounds)
-    tests = separation_tests(ops, threat.modes, acc_bounds,
-                             allocate(budget, threat, axis)[2], y, axis)
-    return any(abs(stat) >= d for stat, d in tests.values())
+    rows = terms.Q - ops.S[axis]
+    var = distkit.bound_sigmas(acc_bounds) ** 2
+    kept = tuple(m.id for m in terms.modes)
+    return DetectorTable(
+        axis, kept, rows,
+        abs(float(ndtri(c_alloc))) * np.sqrt((rows ** 2) @ var),
+        tuple(m.id for m in modes if m.id not in kept))

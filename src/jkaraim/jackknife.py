@@ -1,5 +1,6 @@
 """Jackknife thresholds and the detector, at the false-alarm split
-integrity.allocate makes of an IntegrityBudget."""
+integrity.allocate makes of an IntegrityBudget. One axis's tests form one
+DetectorTable, run as one product with the observations."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distkit
-from .errors import SubsetRankDeficient
-from .integrity import IntegrityBudget, allocate, separation_tests
+from .integrity import (DetectorTable, IntegrityBudget, _require_gaussian,
+                        allocate, separation_tests)
 from .model_core import AXIS_UP, SolutionOps
 from .threat import ThreatModel
 
@@ -20,62 +21,56 @@ class JkStatistics:
     thresholds: dict       # mode id -> threshold (m)
     alerts: dict           # mode id -> bool
     skipped: list          # mode ids left untested
-
-    @property
-    def alert(self) -> bool:
-        return any(self.alerts.values())
+    alert: bool            # whether any test alerts
 
 
 def thresholds(ops: SolutionOps, threat: ThreatModel, acc_bounds,
-               budget: IntegrityBudget, axis: int = AXIS_UP) -> dict:
-    """Continuity-allocated thresholds of the satellite-subset modes: mode
-    id -> T_k, the magnitude of the mode's nominal statistic's quantile at
-    allocate's c_alloc, the equal continuity split C_REQ,FA /
-    (2 N_fault_modes P_H0) of the budget's whole false-alarm budget.
-
-    The statistics of every mode that is not rank deficient are convolved
-    from acc_bounds as one batch; a rank-deficient mode is untestable and
-    gets no threshold. Constellation modes are never jackknife-testable and
-    are not included.
+               budget: IntegrityBudget,
+               axis: int = AXIS_UP) -> DetectorTable:
+    """The detector table of one axis, every test at allocate's c_alloc,
+    the equal continuity split C_REQ,FA / (2 N_fault_modes P_H0) of the
+    whole false-alarm budget: first the satellite-subset modes' jackknife
+    rows C_k (ops.mode_rows), each against T_k, the magnitude of its row's
+    quantile at c_alloc in one batch convolved from acc_bounds; then the
+    constellation modes' separation tests (integrity.separation_tests).
+    A rank-deficient mode is untestable and is listed as skipped.
     """
+    c_alloc = allocate(budget, threat, axis)[2]
     modes = threat.sat_modes()
     ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
-    if not ok.any():
-        return {}
-    batch = distkit.convolve_batch(C[ok], acc_bounds)
-    p = allocate(budget, threat, axis)[2]
-    return dict(zip([m.id for m, good in zip(modes, ok) if good],
-                    np.abs(batch.quantile(p)).tolist()))
-
-
-def run_detector(ops: SolutionOps, threat: ThreatModel, acc_bounds, thresh,
-                 budget: IntegrityBudget, y,
-                 axis: int = AXIS_UP) -> JkStatistics:
-    """Multi-hypothesis detection of the observations y (one per
-    measurement of the geometry ops) over every mode of the threat: the
-    jackknife statistic against thresh (thresholds) for the
-    satellite-subset modes, and the solution-separation test
-    (integrity.separation_tests) at allocate's c_alloc for the
-    constellation modes.
-
-    The satellite modes without a threshold, then the untestable
-    constellation modes, are reported as skipped. The returned thresholds
-    are thresh plus the constellation modes' separation thresholds.
-    """
-    y = np.asarray(y, dtype=float)
-    modes = [m for m in threat.sat_modes() if m.id in thresh]
-    skipped = [m.id for m in threat.sat_modes() if m.id not in thresh]
-    ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
-    if not ok.all():
-        raise SubsetRankDeficient("a thresholded mode is rank deficient")
-    stats = dict(zip([m.id for m in modes], (C @ y).tolist()))
-    thresh = dict(thresh)
+    ids = [m.id for m, good in zip(modes, ok) if good]
+    skipped = [m.id for m, good in zip(modes, ok) if not good]
+    rows = C[ok]
+    held = (np.abs(distkit.convolve_batch(rows, acc_bounds).quantile(c_alloc))
+            if ids else np.zeros(0))
     const = threat.constellation_modes()
     if const:
-        tests = separation_tests(ops, const, acc_bounds,
-                                 allocate(budget, threat, axis)[2], y, axis)
-        skipped += [m.id for m in const if m.id not in tests]
-        for mid, (stat, d) in tests.items():
-            stats[mid], thresh[mid] = stat, d
-    alerts = {mid: abs(stat) >= thresh[mid] for mid, stat in stats.items()}
-    return JkStatistics(stats, thresh, alerts, skipped)
+        sep = separation_tests(ops, const, acc_bounds, c_alloc, axis)
+        ids += sep.ids
+        skipped += sep.skipped
+        rows = np.vstack((rows, sep.rows))
+        held = np.concatenate((held, sep.thresholds))
+    return DetectorTable(axis, tuple(ids), rows, held, tuple(skipped))
+
+
+def run_detector(tests: DetectorTable, y) -> JkStatistics:
+    """Multi-hypothesis detection of the observations y (one per
+    measurement): every statistic of the table tests at once, rows . y,
+    each against its threshold."""
+    stats = tests.rows @ np.asarray(y, dtype=float)
+    alerts = np.abs(stats) >= tests.thresholds
+    return JkStatistics(dict(zip(tests.ids, stats.tolist())),
+                        dict(zip(tests.ids, tests.thresholds.tolist())),
+                        dict(zip(tests.ids, alerts.tolist())),
+                        list(tests.skipped), bool(alerts.any()))
+
+
+def baseline_alert(ops: SolutionOps, threat: ThreatModel, acc_bounds,
+                   budget: IntegrityBudget, y, axis: int = AXIS_UP) -> bool:
+    """The solution-separation detector: run_detector on the separation
+    tests of every mode of the threat at allocate's c_alloc, on Gaussian
+    accuracy bounds only (NonGaussianBound otherwise)."""
+    _require_gaussian(acc_bounds)
+    tests = separation_tests(ops, threat.modes, acc_bounds,
+                             allocate(budget, threat, axis)[2], axis)
+    return run_detector(tests, y).alert

@@ -304,25 +304,13 @@ def enu_rotation(lat_deg, lon_deg):
     ])
 
 
-def elevation_azimuth(user_ecef, sat_ecef):
-    """Elevation and azimuth (degrees) of a satellite seen from a user."""
-    lat, lon, _ = ecef_to_geodetic(user_ecef)
-    R = enu_rotation(lat, lon)
-    los = R @ (np.asarray(sat_ecef, dtype=float) - np.asarray(user_ecef,
-                                                             dtype=float))
-    rng = np.linalg.norm(los)
-    el = np.degrees(np.arcsin(los[2] / rng))
-    az = np.degrees(np.arctan2(los[0], los[1])) % 360.0
-    return el, az
-
-
 def line_of_sight(user_ecef, sat_ecef):
     """Unit ENU line-of-sight rows (n x 3) and elevations (degrees) of n
     satellites seen from one user.
 
     The user's geodetic position and ENU rotation are computed once for
     all satellites. The per-satellite products are stacked matmuls, which
-    round exactly like elevation_azimuth's one-satellite R @ d and norm.
+    round exactly like a one-satellite R @ d and its norm.
     """
     user = np.asarray(user_ecef, dtype=float)
     lat, lon, _ = ecef_to_geodetic(user)

@@ -16,8 +16,7 @@ from . import distkit, jackknife, model_core, overbound, threat
 from .errors import (AlmanacOutOfRange, InsufficientGeometry,
                      InsufficientRedundancy, JkAraimError,
                      KeplerNonConvergence, UnknownSatellite)
-from .integrity import (IntegrityBudget, baseline_alert, baseline_araim_pl,
-                        pl_solve)
+from .integrity import IntegrityBudget, baseline_araim_pl, pl_solve
 from .model_core import SolutionOps
 
 GM_EARTH = 3.986005e14          # m^3/s^2
@@ -260,6 +259,12 @@ def stanford_class(vpe, vpl, val) -> str:
     return "SU" if ae <= vpl else "SU&MI"
 
 
+def check_mask_deg(mask_deg):
+    """Refuse an elevation mask outside [0, 90) degrees, NaN included."""
+    if not 0.0 <= mask_deg < 90.0:
+        raise ValueError(f"mask_deg = {mask_deg!r} must lie in [0, 90)")
+
+
 @dataclass
 class ScenarioConfig:
     grid_step_deg: float = 15.0
@@ -286,9 +291,7 @@ class ScenarioConfig:
         if not 0.0 < self.epoch_step_s:
             raise ValueError(f"epoch_step_s = {self.epoch_step_s!r} must be "
                              "positive")
-        if not 0.0 <= self.mask_deg < 90.0:
-            raise ValueError(f"mask_deg = {self.mask_deg!r} must lie in "
-                             "[0, 90)")
+        check_mask_deg(self.mask_deg)
         if not 0.0 < self.val < math.inf:
             raise ValueError(f"val = {self.val!r} must be positive and "
                              "finite")
@@ -378,10 +381,12 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     weighted by their bounds' sigmas (distkit.bound_sigmas) as a
     SolutionOps, and its threat model (threat_model).
 
-    Raises InsufficientGeometry when fewer satellites than states plus one
-    are visible, and InsufficientRedundancy when k_max exceeds n - m; both
+    Raises ValueError for a mask_deg outside [0, 90) (check_mask_deg),
+    InsufficientGeometry when fewer satellites than states plus one are
+    visible, and InsufficientRedundancy when k_max exceeds n - m; both
     carry the visible count as n_visible.
     """
+    check_mask_deg(mask_deg)
     u, el = model_core.line_of_sight(user_ecef, positions)
     vis = np.flatnonzero(el > mask_deg).tolist()
     u, el = u[vis], el[vis]
@@ -434,21 +439,22 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     rec.vpe = float(err[2])
     rec.hpe = float(np.hypot(err[0], err[1]))
 
+    # Each axis's PL offsets its fault terms by the thresholds of that
+    # axis's tests, so the detector runs on every axis with a PL.
     axes = (0, 1, 2) if config.compute_horizontal else (2,)
     pl = np.full(3, math.nan)
     try:
-        if config.algorithm == "baseline":
-            for axis in axes:
+        for axis in axes:
+            if config.algorithm == "baseline":
                 pl[axis] = baseline_araim_pl(ops, tm, acc, budget, axis=axis)
-            if config.detect:
-                rec.alert = baseline_alert(ops, tm, acc, budget, eps)
-        else:   # "jk", the other algorithm ScenarioConfig accepts
-            thresh = jackknife.thresholds(ops, tm, acc, budget)
-            if config.detect:
-                rec.alert = jackknife.run_detector(ops, tm, acc, thresh,
-                                                   budget, eps).alert
-            for axis in axes:
-                pl[axis] = pl_solve(ops, tm, acc, thresh, budget, axis=axis)
+                if config.detect:
+                    rec.alert |= jackknife.baseline_alert(ops, tm, acc,
+                                                          budget, eps, axis)
+            else:   # "jk", the other algorithm ScenarioConfig accepts
+                tests = jackknife.thresholds(ops, tm, acc, budget, axis)
+                if config.detect:
+                    rec.alert |= jackknife.run_detector(tests, eps).alert
+                pl[axis] = pl_solve(ops, tm, acc, tests, budget)
     except JkAraimError as exc:
         rec.error = str(exc)
         return rec

@@ -1,7 +1,25 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from jkaraim.distkit import ErrorDistribution, Gaussian
 from jkaraim.model_core import LinearModel
+
+
+@dataclass(frozen=True)
+class GridGaussian(ErrorDistribution):
+    """A Gaussian that is not a distkit.Gaussian, so convolve_batch takes
+    it through the grid engine rather than the closed form: it samples it
+    through Gaussian's own density, reach and variance, the arithmetic a
+    PGO bound's Gaussian pieces go through."""
+
+    sigma: float
+    pdf = Gaussian.pdf
+    cdf = Gaussian.cdf
+    variance = Gaussian.variance
+    dominant_sigma = Gaussian.dominant_sigma
+    quantile = Gaussian.quantile
 
 
 def random_geometry(rng, n=None, m=None, min_elev=5.0):

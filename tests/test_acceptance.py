@@ -22,7 +22,7 @@ from jkaraim.model_core import AXIS_UP, SolutionOps
 from jkaraim.overbound import build_pgo, default_table, verify_overbound
 from jkaraim.sim import ScenarioConfig, cnmp_sigma, tropo_sigma
 
-from conftest import gps_epoch_case, random_geometry
+from conftest import GridGaussian, gps_epoch_case, random_geometry
 
 
 def _report(capsys, num, ok, detail):
@@ -100,8 +100,8 @@ def test_criterion_2_distribution_engine(capsys):
     coeffs = [0.5, -1.2, 0.8]
     dists = [Gaussian(1.0), Gaussian(0.7), Gaussian(2.2)]
     closed = convolve_batch([coeffs], dists)[0]
-    grid = convolve_batch([coeffs], dists, n_points=2 ** 16,
-                          force_grid=True)[0]
+    grid = convolve_batch([coeffs], [GridGaussian(d.sigma) for d in dists],
+                          n_points=2 ** 16)[0]
     var_rel = abs(grid.variance() - closed.variance()) / closed.variance()
     q_rel = max(abs(grid.quantile(p) - closed.quantile(p))
                 / abs(closed.quantile(p))
@@ -129,11 +129,12 @@ def test_criterion_3_family_wise_false_alarm(capsys):
     t0 = time.perf_counter()
     ops, models, acc, tm, budget = gps_epoch_case(45.0, 10.0, 3600.0)
     tau = 0.01
-    thresh = jackknife.thresholds(
+    tests = jackknife.thresholds(
         ops, tm, acc, IntegrityBudget(c_req_fa_vert=tau, c_req_fa_horiz=0.0))
-    modes = [m for m in tm.sat_modes() if m.id in thresh]
+    modes = [m for m in tm.sat_modes() if m.id in tests.ids]
     _, _, C = ops.mode_rows([m.excluded for m in modes], AXIS_UP)
-    T = np.array([thresh[m.id] for m in modes])
+    T = tests.thresholds
+    assert tests.ids == tuple(m.id for m in modes)
 
     rng = np.random.default_rng(303)
     trials = 10 ** 5
@@ -169,8 +170,7 @@ def test_criterion_5_baseline_equivalence(capsys):
         if case is None:
             continue
         ops, models, acc, tm, budget = case
-        thresh = thresholds(ops, tm, acc, budget)
-        jk = pl_solve(ops, tm, acc, thresh, budget, axis=2)
+        jk = pl_solve(ops, tm, acc, thresholds(ops, tm, acc, budget), budget)
         base = baseline_araim_pl(ops, tm, acc, budget, axis=2)
         if not (np.isfinite(jk) and np.isfinite(base)):
             assert np.isfinite(jk) == np.isfinite(base)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,8 +55,8 @@ class TestCmdPl:
                                  p_const=0.0, b_nom=0.0)
         tm = enumerate_modes(2, 1, {"GPS": range(2)}, 1e-5, 0.0, m=1)
         acc = [Gaussian(1.0)] * 2
-        thresh = jackknife.thresholds(ops, tm, acc, budget, axis=0)
-        expect = pl_solve(ops, tm, acc, thresh, budget, axis=0)
+        tests = jackknife.thresholds(ops, tm, acc, budget, axis=0)
+        expect = pl_solve(ops, tm, acc, tests, budget)
         assert doc["pl_m"] == pytest.approx(expect, abs=1e-6)
 
     def test_jk_and_baseline_agree(self, toy_files, capsys):
@@ -174,6 +175,28 @@ class TestUserSatsGeometry:
         cfg.write_text("p_const = 0\np_sat = 1e-4\n")
         assert main(["--config", str(cfg), "pl", geom]) == 3
         assert "exceeds redundancy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pl", "detect"])
+    @pytest.mark.parametrize("mask", [-10.0, math.nan, 95.0],
+                             ids=["negative", "nan", "above-zenith"])
+    def test_out_of_range_mask_exit_2(self, tmp_path, capsys, command,
+                                      mask):
+        # The geometry file's mask takes ScenarioConfig's [0, 90) rule
+        # (sim.check_mask_deg) and names itself when refused.
+        sats, positions = self.gps()
+        path = tmp_path / "geom.json"
+        user_sats_geometry(path, sats, positions)
+        doc = json.loads(path.read_text())
+        doc["mask_deg"] = mask
+        path.write_text(json.dumps(doc))
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([0.0] * len(sats)))
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\n")
+        argv = ["--config", str(cfg), command, str(path)]
+        assert main(argv + ([str(obs)] if command == "detect" else [])) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and "mask_deg" in err.err
 
 
 class TestCmdSim:
@@ -367,13 +390,16 @@ class TestDualConstellation:
         assert doc["pl_m"] == rec.vpl == vpl
         if algorithm == "jk":
             assert doc["binding"] == "const:18"
+            # The thresholds the PL read: satellite modes, then both
+            # constellation modes.
+            assert list(doc["thresholds"])[-2:] == ["18", "19"]
 
     def test_detect_runs_the_constellation_tests(self, tmp_path, capsys):
         # A vertical shift seen by every Galileo satellite only: no
         # satellite-mode statistic reaches its threshold, and a
         # constellation mode's separation test alerts, as the scenario's
         # alert does.
-        from jkaraim import sim
+        from jkaraim import jackknife, sim
         from jkaraim.integrity import IntegrityBudget, separation_tests
         from jkaraim.model_core import geodetic_to_ecef
         from jkaraim.overbound import default_table
@@ -393,14 +419,14 @@ class TestDualConstellation:
         acc = [m.acc_bound for m in s.models]
         c_alloc = budget.c_req_fa_total / (
             2.0 * s.tm.n_fault_modes * s.tm.p_h0)
-        const = separation_tests(s.ops, s.tm.constellation_modes(), acc,
-                                 c_alloc, y)
-        assert sorted(const) == [18, 19]
-        for mid, (stat, d) in const.items():
+        const = jackknife.run_detector(separation_tests(
+            s.ops, s.tm.constellation_modes(), acc, c_alloc), y)
+        assert sorted(const.stats) == [18, 19]
+        for mid, stat in const.stats.items():
             assert (doc["stats"][str(mid)], doc["thresholds"][str(mid)]) \
-                == (stat, d)
+                == (stat, const.thresholds[mid])
         sat_ids = [str(m.id) for m in s.tm.sat_modes()]
         assert all(abs(doc["stats"][k]) < doc["thresholds"][k]
                    for k in sat_ids)
-        assert any(abs(stat) >= d for stat, d in const.values())
+        assert const.alert
         assert doc["alert"]

@@ -19,6 +19,8 @@ from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
 from jkaraim.sim import cnmp_sigma, error_models, tropo_sigma
 
+from conftest import GridGaussian
+
 
 SVN63 = None
 
@@ -46,16 +48,16 @@ class TestScaledConvolve:
         # A component with a zero coefficient leaves the row as it is.
         d = convolve_batch([[1.0, 0.0]], [Gaussian(2.0), svn63_pgo()],
                            n_points=ONE_ROW_POINTS)[0]
-        alone = convolve_batch([[1.0]], [Gaussian(2.0)],
-                               n_points=ONE_ROW_POINTS, force_grid=True)[0]
+        alone = convolve_batch([[1.0]], [GridGaussian(2.0)],
+                               n_points=ONE_ROW_POINTS)[0]
         assert d.variance() == pytest.approx(4.0, rel=1e-9)
         np.testing.assert_array_equal(d.pdf_grid, alone.pdf_grid)
         assert d.tail_sigma == alone.tail_sigma
 
     def test_pgo_convolution_vs_monte_carlo(self):
         pgo = svn63_pgo()
-        d = convolve_batch([[0.5, 0.5]], [pgo, pgo], n_points=ONE_ROW_POINTS,
-                           force_grid=True)[0]
+        d = convolve_batch([[0.5, 0.5]], [pgo, pgo],
+                           n_points=ONE_ROW_POINTS)[0]
         rng = np.random.default_rng(11)
         n = 10 ** 6
         samples = 0.5 * pgo.sample(rng, n) + 0.5 * pgo.sample(rng, n)
@@ -69,8 +71,8 @@ class TestScaledConvolve:
         sig = [1.0, 0.5, 2.0]
         closed = Gaussian(np.sqrt(sum((c * s) ** 2
                                       for c, s in zip(coeffs, sig))))
-        grid = convolve_batch([coeffs], [Gaussian(s) for s in sig],
-                              n_points=ONE_ROW_POINTS, force_grid=True)[0]
+        grid = convolve_batch([coeffs], [GridGaussian(s) for s in sig],
+                              n_points=ONE_ROW_POINTS)[0]
         assert isinstance(grid, GridDistribution)
         assert grid.variance() == pytest.approx(closed.variance(), rel=1e-6)
         for p in (1e-2, 1e-4, 1e-7):
@@ -86,8 +88,7 @@ class TestQuantile:
     def test_median_zero(self):
         for d in (Gaussian(2.0), svn63_pgo(),
                   convolve_batch([[1, 1]], [Gaussian(1), svn63_pgo()],
-                                 n_points=ONE_ROW_POINTS,
-                                 force_grid=True)[0]):
+                                 n_points=ONE_ROW_POINTS)[0]):
             assert abs(d.quantile(0.5)) < 1e-6
 
     def test_pgo_quantile_bracketed_by_components(self):
@@ -103,14 +104,14 @@ class TestQuantile:
 
     def test_round_trip(self):
         d = convolve_batch([[1.0, 0.5]], [svn63_pgo(), Gaussian(0.3)],
-                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
+                           n_points=ONE_ROW_POINTS)[0]
         for p in (1e-9, 1e-7, 1e-4, 1e-2, 0.3, 0.5):
             x = d.quantile(p)
             assert abs(float(d.cdf(x)) - p) <= max(1e-9, 1e-3 * p)
 
     def test_antisymmetry(self):
         d = convolve_batch([[1.0, 1.0]], [svn63_pgo(), Gaussian(0.3)],
-                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
+                           n_points=ONE_ROW_POINTS)[0]
         for p in (1e-6, 1e-3, 0.2):
             assert d.quantile(p) == pytest.approx(-d.quantile(1.0 - p),
                                                   rel=1e-6, abs=1e-9)
@@ -141,7 +142,7 @@ class TestMassAndSymmetry:
     def test_convolution_mass(self):
         d = convolve_batch([[1.0, 1.0, 1.0]],
                            [svn63_pgo(), Gaussian(0.2), Gaussian(1.0)],
-                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
+                           n_points=ONE_ROW_POINTS)[0]
         edge = float(d.x[-1])
         mass = float(d.cdf(edge) - d.cdf(-edge))
         tail = 1.0 - float(d.cdf(edge))
@@ -153,7 +154,7 @@ class TestMassAndSymmetry:
         # everywhere.
         from jkaraim.distkit import _norm_pdf
         d = convolve_batch([[1.0, 1.0]], [svn63_pgo(), Gaussian(0.3)],
-                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
+                           n_points=ONE_ROW_POINTS)[0]
         x = np.linspace(-60.0, 60.0, 24001) * d.tail_sigma
         expect = np.interp(x, d.x, d.pdf_grid)
         far = np.abs(x) > d.x[-1]
@@ -162,7 +163,7 @@ class TestMassAndSymmetry:
 
     def test_grid_symmetry(self):
         d = convolve_batch([[1.0, -1.0]], [svn63_pgo(), svn63_pgo()],
-                           n_points=ONE_ROW_POINTS, force_grid=True)[0]
+                           n_points=ONE_ROW_POINTS)[0]
         x = np.linspace(0.1, 5.0, 50)
         np.testing.assert_allclose(d.pdf(x), d.pdf(-x), atol=1e-9)
 
@@ -181,7 +182,7 @@ def pgo_grid(pgo, s_tropo, s_user, n_points=512):
     sim.error_models is built."""
     return convolve_batch([[1.0, 1.0, 1.0]],
                           [pgo, Gaussian(s_tropo), Gaussian(s_user)],
-                          n_points=n_points, force_grid=True)[0]
+                          n_points=n_points)[0]
 
 
 _GRID_COMPONENTS = []
@@ -504,8 +505,7 @@ class TestDeepTail:
                 batch = convolve_batch(
                     [[1.0, 1.0, 1.0]],
                     [entry.pgo(), Gaussian(float(tropo_sigma(el))),
-                     Gaussian(float(cnmp_sigma(entry.constellation, el)))],
-                    force_grid=True)
+                     Gaussian(float(cnmp_sigma(entry.constellation, el)))])
                 edge, h = batch.x[-1], batch.h
                 x = np.array([-edge - h, -edge * (1 + 1e-9), -edge,
                               -edge + h, edge - h, edge, edge * (1 + 1e-9),
@@ -607,8 +607,7 @@ class TestBatchedSynthesis:
         table = default_table()
         rows = satellite_rows(table, deep_tail_pairs(table))
         for row, got in zip(rows, convolve_rows(rows, n_points=n_points)):
-            ref = convolve_batch([[1.0, 1.0, 1.0]], row, n_points=n_points,
-                                 force_grid=True)[0]
+            ref = convolve_batch([[1.0, 1.0, 1.0]], row, n_points=n_points)[0]
             for name in ("x", "pdf_grid", "cdf_grid"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(ref, name))

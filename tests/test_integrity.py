@@ -10,9 +10,10 @@ from jkaraim import jackknife
 from jkaraim.distkit import Gaussian, convolve_batch
 from jkaraim.errors import NonGaussianBound, SubsetRankDeficient
 from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
-                               _bisect_level, allocate, baseline_alert,
-                               baseline_araim_pl, hmi_risk_eval, mode_terms,
-                               pl_solve, separation_tests)
+                               _bisect_level, _jk_terms, allocate,
+                               baseline_araim_pl, mode_terms, pl_solve,
+                               separation_tests)
+from jkaraim.jackknife import baseline_alert, run_detector
 from jkaraim.model_core import AXIS_UP, LinearModel, SolutionOps
 from jkaraim.overbound import default_table
 from jkaraim.threat import FaultMode, enumerate_modes
@@ -34,8 +35,31 @@ def toy_case(p_sat=1e-5, b_nom=0.0, sigma=1.0):
     budget = toy_budget(p_sat=p_sat, b_nom=b_nom)
     tm = enumerate_modes(2, 1, {"GPS": range(2)}, p_sat, 0.0, m=1)
     acc = [Gaussian(sigma)] * 2
-    thresh = jackknife.thresholds(ops, tm, acc, budget, axis=0)
-    return ops, budget, tm, acc, thresh
+    tests = jackknife.thresholds(ops, tm, acc, budget, axis=0)
+    return ops, budget, tm, acc, tests
+
+
+def held(tests):
+    """Mode id -> threshold of a detector table."""
+    return dict(zip(tests.ids, tests.thresholds.tolist()))
+
+
+def max_form(ops, tm, acc, tests, budget):
+    """The equal-allocation max bound pl_solve starts its bisection from:
+    the largest of _jk_terms' per-term bounds, at least 0."""
+    _, _, bounds, _, _, _ = _jk_terms(ops, tm, acc, tests, budget)
+    return max(float(np.max(bounds())), 0.0)
+
+
+def risk_at(ops, tm, acc, tests, level, budget):
+    """Integrity risk at a level: the monitored sum pl_solve bisects
+    (_jk_terms' risk) plus the mass budgeted for the modes it skips;
+    P_not_monitored is excluded. 1.0 where pl_solve returns infinity."""
+    terms = _jk_terms(ops, tm, acc, tests, budget)
+    if isinstance(terms, str):
+        return 1.0
+    _, _, _, risk, _, skipped_mass = terms
+    return float(risk(np.array([level]))[0]) + skipped_mass
 
 
 class TestIntegrityBudget:
@@ -66,8 +90,9 @@ class TestIntegrityBudget:
 
 class TestPlSolveToy:
     def test_matches_hand_computed_max(self):
-        ops, budget, tm, acc, thresh = toy_case()
-        pl = pl_solve(ops, tm, acc, thresh, budget, axis=0, refine=False)
+        ops, budget, tm, acc, tests = toy_case()
+        pl = max_form(ops, tm, acc, tests, budget)
+        thresh = held(tests)
 
         # Hand expansion of the equal-allocation max form.
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
@@ -83,27 +108,25 @@ class TestPlSolveToy:
         assert pl == pytest.approx(max(terms), abs=1e-3)
 
     def test_refinement_never_exceeds_max_form(self):
-        ops, budget, tm, acc, thresh = toy_case()
-        loose = pl_solve(ops, tm, acc, thresh, budget, axis=0, refine=False)
-        tight = pl_solve(ops, tm, acc, thresh, budget, axis=0)
+        ops, budget, tm, acc, tests = toy_case()
+        loose = max_form(ops, tm, acc, tests, budget)
+        tight = pl_solve(ops, tm, acc, tests, budget)
         assert tight <= loose + 1e-9
 
     def test_bias_additivity_when_h0_binds(self):
         pls = []
         for b in (0.0, 0.75):
-            ops, budget, tm, acc, thresh = \
+            ops, budget, tm, acc, tests = \
                 toy_case(p_sat=1e-12, b_nom=b)
-            pls.append(pl_solve(ops, tm, acc, thresh, budget, axis=0,
-                                refine=False))
+            pls.append(max_form(ops, tm, acc, tests, budget))
         assert pls[1] - pls[0] == pytest.approx(0.75, abs=2e-3)
 
     def test_h0_homogeneity_in_sigma(self):
         pls = {}
         for sigma in (1.0, 0.1):
-            ops, budget, tm, acc, thresh = \
+            ops, budget, tm, acc, tests = \
                 toy_case(p_sat=1e-12, sigma=sigma)
-            pls[sigma] = pl_solve(ops, tm, acc, thresh, budget, axis=0,
-                                  refine=False)
+            pls[sigma] = max_form(ops, tm, acc, tests, budget)
         assert pls[0.1] == pytest.approx(pls[1.0] / 10.0, abs=2e-3)
 
 
@@ -138,18 +161,18 @@ class TestConstellationSS:
         ops, tm = self.duplicate_geometry()
         sigma0 = float(np.sqrt(np.sum(ops.S[2] ** 2)))
         mode = tm.constellation_modes()[0]
-        sigma_vk = self.terms(ops, mode).gaussian_terms(0.0, np.ones(12))
+        sigma_vk = np.sqrt(self.terms(ops, mode).Q ** 2 @ np.ones(12))
         assert sigma_vk[0] == pytest.approx(math.sqrt(2) * sigma0, rel=1e-9)
 
     def test_threshold_monotone_in_continuity_allocation(self):
         ops, tm = self.duplicate_geometry()
         mode = tm.constellation_modes()[0]
-        sigma_ss = self.terms(ops, mode).gaussian_terms(ops.S[2],
-                                                        np.ones(12))
+        diff = self.terms(ops, mode).Q - ops.S[2]
+        sigma_ss = np.sqrt((diff ** 2) @ np.ones(12))
         acc = [Gaussian(1.0)] * 12
         d_small, d_large = (
-            separation_tests(ops, [mode], acc, c, np.zeros(12),
-                             axis=2)[mode.id][1] for c in (1e-9, 1e-5))
+            separation_tests(ops, [mode], acc, c, axis=2).thresholds[0]
+            for c in (1e-9, 1e-5))
         assert d_large < d_small
         assert d_large == abs(ndtri(1e-5)) * sigma_ss[0]
 
@@ -159,7 +182,7 @@ class TestConstellationSS:
         sigmas = rng.uniform(0.5, 2.0, 12)
         mode = tm.constellation_modes()[0]
         terms = self.terms(ops, mode)
-        sigma_vk = terms.gaussian_terms(0.0, sigmas)
+        sigma_vk = np.sqrt(terms.Q ** 2 @ sigmas ** 2)
         eps = sigmas[:, None] * rng.standard_normal((12, 10 ** 6))
         emp = np.std(terms.Q[0] @ eps)
         assert emp == pytest.approx(sigma_vk[0], rel=5e-3)
@@ -193,7 +216,7 @@ class TestConstellationSS:
             terms = mode_terms(ops, [mode], 2, 0.0, 1e-5, p_thres)
             assert terms.modes == [] and terms.unmonitorable is voided
             assert terms.skipped_mass == mass
-            assert terms.gaussian_terms(ops.S[2], np.ones(12)).size == 0
+            assert terms.Q.shape == (0, 12)
 
 
 class TestOneRowForm:
@@ -228,15 +251,16 @@ class TestOneRowForm:
         sigmas = rng.uniform(0.3, 3.0, ops.n)
         c_alloc = 10.0 ** log_c
         tests = separation_tests(ops, tm.modes, [Gaussian(s) for s in sigmas],
-                                 c_alloc, y, axis)
+                                 c_alloc, axis)
+        res = run_detector(tests, y)
         terms = mode_terms(ops, tm.modes, axis, b_nom, 0.0, math.inf)
-        assert list(tests) == [m.id for m in terms.modes]
+        assert list(tests.ids) == [m.id for m in terms.modes]
         assert {m.kind for m in terms.modes} == {"sat_subset",
                                                  "constellation"}
         for mode, bias in zip(terms.modes, terms.bias.tolist()):
             row = ops.reduced(mode.excluded)[axis]
             diff = row - ops.S[axis]
-            stat, d = tests[mode.id]
+            stat, d = res.stats[mode.id], res.thresholds[mode.id]
             assert abs(stat - diff @ y) <= 1e-9 * (np.abs(diff) @ np.abs(y))
             assert d == pytest.approx(
                 abs(ndtri(c_alloc)) * math.sqrt(diff ** 2 @ sigmas ** 2),
@@ -247,13 +271,13 @@ class TestOneRowForm:
 
 class TestBaselineAraim:
     def test_toy_matches_jackknife_within_5_percent(self):
-        ops, budget, tm, acc, thresh = toy_case()
-        jk = pl_solve(ops, tm, acc, thresh, budget, axis=0)
+        ops, budget, tm, acc, tests = toy_case()
+        jk = pl_solve(ops, tm, acc, tests, budget)
         base = baseline_araim_pl(ops, tm, acc, budget, axis=0)
         assert jk == pytest.approx(base, rel=0.05)
 
     def test_vanishing_fault_priors_leave_h0_term(self):
-        ops, budget, tm, acc, thresh = toy_case(p_sat=1e-15)
+        ops, budget, tm, acc, _ = toy_case(p_sat=1e-15)
         pl = baseline_araim_pl(ops, tm, acc, budget, axis=0)
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         target = 1e-7 * deflate
@@ -274,8 +298,8 @@ class TestBaselineAraim:
         with pytest.raises(NonGaussianBound):
             baseline_alert(ops, tm, acc, budget, y)
         # The detector's constellation tests still take grid bounds.
-        assert sorted(separation_tests(
-            ops, tm.constellation_modes(), acc, 1e-7, y)) == [18, 19]
+        assert separation_tests(ops, tm.constellation_modes(), acc,
+                                1e-7).ids == (18, 19)
 
     def test_nested_geometry_monotonicity(self):
         case = gps_epoch_case(45.0, 10.0, 3600.0)
@@ -293,13 +317,14 @@ class TestBaselineAraim:
         assert full <= reduced + 1e-6
 
 
-def reference_risk(ops, tm, acc, thresh, level, budget, axis):
+def reference_risk(ops, tm, acc, tests, level, budget):
     """The integrity-risk sum at a level, mode by mode: one subset solve
     and a one-row convolution of its q vector per satellite mode, the
     constellation separation sigmas written out from the bounds'
     variances, and the skip rule's budgeted mass for modes whose prior
     fits inside the per-mode allocation. The geometries it is used on have
     no rank-deficient mode."""
+    axis, thresh = tests.axis, held(tests)
     deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
     i_alloc = budget.i_req_axis(axis) * deflate / tm.n_fault_modes
     c_alloc = budget.c_req_fa_total / (2.0 * tm.n_fault_modes * tm.p_h0)
@@ -336,19 +361,21 @@ def epoch_case(flavor="gaussian", constellations=("GPS",)):
                           constellations=constellations)
     assert case is not None
     ops, models, acc, tm, budget = case
-    thresh = jackknife.thresholds(ops, tm, acc, budget)
-    return ops, budget, tm, acc, thresh
+    tests = jackknife.thresholds(ops, tm, acc, budget)
+    return ops, budget, tm, acc, tests
 
 
 class TestHmiRiskEval:
+    """The integrity risk that pl_solve bisects (risk_at, from _jk_terms)."""
+
     def test_fixed_point_at_protection_level(self):
         # The PL is the lowest level, to PL_TOLERANCE_M, whose risk stays
         # within the deflated budget.
-        ops, budget, tm, acc, thresh = epoch_case()
-        pl = pl_solve(ops, tm, acc, thresh, budget, axis=2)
+        ops, budget, tm, acc, tests = epoch_case()
+        pl = pl_solve(ops, tm, acc, tests, budget)
 
         def risk(level):
-            return hmi_risk_eval(ops, tm, acc, thresh, level, budget, axis=2)
+            return risk_at(ops, tm, acc, tests, level, budget)
 
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         assert risk(pl) <= budget.i_req_vert * deflate \
@@ -359,28 +386,28 @@ class TestHmiRiskEval:
         ("gaussian", ("GPS", "GAL"), 1e-6), ("pgo", ("GPS", "GAL"), 1e-3)])
     def test_matches_reference_at_protection_level(self, flavor,
                                                    constellations, rel):
-        ops, budget, tm, acc, thresh = epoch_case(
+        ops, budget, tm, acc, tests = epoch_case(
             flavor, constellations)
-        pl = pl_solve(ops, tm, acc, thresh, budget, axis=2)
+        pl = pl_solve(ops, tm, acc, tests, budget)
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         for level in (pl, pl - PL_TOLERANCE_M):
-            risk = hmi_risk_eval(ops, tm, acc, thresh, level, budget, axis=2)
-            expect = reference_risk(ops, tm, acc, thresh, level, budget, 2)
+            risk = risk_at(ops, tm, acc, tests, level, budget)
+            expect = reference_risk(ops, tm, acc, tests, level, budget)
             assert risk == pytest.approx(expect, rel=rel)
             assert (risk <= budget.i_req_vert * deflate) == (level == pl)
 
     def test_skipped_modes_count_at_their_prior(self):
         # Both fault priors fit inside the per-mode allocation.
-        ops, budget, tm, acc, thresh = toy_case(p_sat=1e-12)
+        ops, budget, tm, acc, tests = toy_case(p_sat=1e-12)
         level = 5.0
-        risk = hmi_risk_eval(ops, tm, acc, thresh, level, budget, axis=0)
+        risk = risk_at(ops, tm, acc, tests, level, budget)
         expect = tm.p_h0 * 2 * ndtr(-level / math.sqrt(0.5))
         expect += sum(mode.prior for mode in tm.modes)
         assert risk == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("unmonitorable", [False, True])
     def test_certain_risk_where_no_protection_level(self, unmonitorable):
-        ops, budget, tm, acc, thresh = toy_case()
+        ops, budget, tm, acc, tests = toy_case()
         if unmonitorable:
             # Without satellite a, b alone (G row 0) observes nothing.
             ops = SolutionOps(LinearModel(np.array([[1.0], [0.0]]),
@@ -390,25 +417,88 @@ class TestHmiRiskEval:
             budget = dataclasses.replace(
                 budget, i_req_vert=0.1 * tm.p_not_monitored,
                 i_req_horiz=0.1 * tm.p_not_monitored)
-        args = (ops, tm, acc, thresh)
-        assert pl_solve(*args, budget, axis=0) == math.inf
-        assert hmi_risk_eval(*args, 1.0, budget, axis=0) == 1.0
+        args = (ops, tm, acc, tests)
+        assert pl_solve(*args, budget) == math.inf
+        assert risk_at(*args, 1.0, budget) == 1.0
 
     def test_vanishes_at_infinity(self):
-        ops, budget, tm, acc, thresh = epoch_case()
-        risk = hmi_risk_eval(ops, tm, acc, thresh, 1e6, budget, axis=2)
+        ops, budget, tm, acc, tests = epoch_case()
+        risk = risk_at(ops, tm, acc, tests, 1e6, budget)
         assert risk < 1e-300 or risk == 0.0
 
     def test_toy_matches_closed_form_tail_sum(self):
-        ops, budget, tm, acc, thresh = toy_case()
+        ops, budget, tm, acc, tests = toy_case()
         level = 5.0
-        risk = hmi_risk_eval(ops, tm, acc, thresh, level, budget, axis=0)
+        risk = risk_at(ops, tm, acc, tests, level, budget)
         sigma0 = math.sqrt(0.5)
         expect = tm.p_h0 * 2 * ndtr(-level / sigma0)
         for mode in tm.modes:
-            x = level - 0.5 * thresh[mode.id]
+            x = level - 0.5 * held(tests)[mode.id]
             expect += mode.prior * 2 * ndtr(-x / 1.0)
         assert risk == pytest.approx(expect, rel=1e-6)
+
+
+class TestPlReadsTheDetectorTable:
+    """Each fault term of the jk PL is offset by exactly the threshold the
+    detector of its axis holds the mode under, and the detector's
+    statistics are the jackknife and separation statistics of direct
+    solves. Two epochs at 30 N, 90 W, t = 7200 s: GPS+GAL with PGO
+    bounds, and GPS with p_sat 1e-4, whose k_max is 2 (a pair mode's row
+    depends on the axis)."""
+
+    @staticmethod
+    def case(kind):
+        if kind == "dual-pgo":
+            case = gps_epoch_case(30.0, -90.0, 7200.0, flavor="pgo",
+                                  constellations=("GPS", "GAL"))
+        else:
+            case = gps_epoch_case(30.0, -90.0, 7200.0,
+                                  budget=IntegrityBudget(p_sat=1e-4,
+                                                         p_const=0.0))
+        ops, _, acc, tm, budget = case
+        assert tm.k_max == (1 if kind == "dual-pgo" else 2)
+        assert bool(tm.constellation_modes()) == (kind == "dual-pgo")
+        return ops, acc, tm, budget
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["dual-pgo", "gps-kmax2"])
+    def test_offsets_are_the_table_thresholds(self, kind, axis):
+        ops, acc, tm, budget = self.case(kind)
+        tests = jackknife.thresholds(ops, tm, acc, budget, axis)
+        assert tests.axis == axis
+        labels, offsets, *_ = _jk_terms(ops, tm, acc, tests, budget)
+        terms = mode_terms(ops, tm.modes, axis, budget.b_nom,
+                           allocate(budget, tm, axis)[1], budget.p_thres)
+        assert len(labels) == len(offsets) == len(terms.modes) + 1
+        assert max(len(m.excluded) for m in terms.modes
+                   if m.kind == "sat_subset") == tm.k_max
+        T = held(tests)
+        for mode, offset, bias in zip(terms.modes, offsets[1:], terms.bias):
+            t_k = T[mode.id]
+            if mode.kind == "sat_subset" and len(mode.excluded) == 1:
+                t_k *= abs(ops.S[axis, next(iter(mode.excluded))])
+            assert offset - bias == pytest.approx(t_k, rel=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["dual-pgo", "gps-kmax2"])
+    def test_statistics_match_direct_solves(self, kind, axis):
+        ops, acc, tm, budget = self.case(kind)
+        tests = jackknife.thresholds(ops, tm, acc, budget, axis)
+        y = np.random.default_rng(5).normal(0.0, 3.0, ops.n)
+        stats = run_detector(tests, y).stats
+        modes = {m.id: m for m in tm.modes}
+        assert sorted(stats) + sorted(tests.skipped) == sorted(modes)
+        for mid, stat in stats.items():
+            idx = sorted(modes[mid].excluded)
+            if modes[mid].kind == "sat_subset":
+                # The jackknife residuals of the excluded measurements,
+                # weighted by S_vj when there are several.
+                _, GSk = ops.subset(idx)
+                t = (y - GSk @ y)[idx]
+                expect = t[0] if len(idx) == 1 else ops.S[axis, idx] @ t
+            else:
+                expect = (ops.reduced(idx)[axis] - ops.S[axis]) @ y
+            assert stat == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
 
 class TestBisectLevel:
@@ -492,7 +582,7 @@ class TestLooserIntegrityBudget:
                     if m.prior <= allocate(b, tm, AXIS_UP)[1]}
                    for b in (budget, looser)]
         if skipped[0] == skipped[1]:
-            thresh = jackknife.thresholds(ops, tm, acc, budget)
-            jk = [pl_solve(ops, tm, acc, thresh, b)
+            tests = jackknife.thresholds(ops, tm, acc, budget)
+            jk = [pl_solve(ops, tm, acc, tests, b)
                   for b in (budget, looser)]
             assert jk[1] <= jk[0] + PL_TOLERANCE_M

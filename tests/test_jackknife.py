@@ -36,11 +36,9 @@ def stat_coeffs(ops, mode, axis=2):
 
 
 def detect(ops, tm, acc, y, axis=2):
-    """run_detector at the default budget, with the thresholds of every
-    satellite mode, as a scenario record runs it."""
-    budget = IntegrityBudget()
-    return run_detector(ops, tm, acc, thresholds(ops, tm, acc, budget, axis),
-                        budget, y, axis=axis)
+    """run_detector at the default budget, on the table of every testable
+    mode of the axis, as a scenario record runs it."""
+    return run_detector(thresholds(ops, tm, acc, IntegrityBudget(), axis), y)
 
 
 def detector_stat(ops, tm, mode, y, axis):
@@ -137,6 +135,11 @@ def epoch_case(flavor="gaussian", constellations=("GPS",)):
     return ops, tm, acc, budget
 
 
+def held(tests):
+    """Mode id -> threshold of a detector table."""
+    return dict(zip(tests.ids, tests.thresholds.tolist()))
+
+
 def stat_sigmas(ops, tm, sigmas, axis=AXIS_UP):
     """Mode id -> sqrt(C_k^2 . sigma^2), the sigma of each testable
     satellite mode's statistic under Gaussian bounds of the given sigmas."""
@@ -154,7 +157,7 @@ class TestThresholds:
         c_alloc = budget.c_req_fa_total / (2 * tm.n_fault_modes * tm.p_h0)
         assert c_alloc == allocate(budget, tm, AXIS_UP)[2]
         for bounds in ([Gaussian(1.0)] * ops.n, acc):
-            T = thresholds(ops, tm, bounds, budget)
+            T = held(thresholds(ops, tm, bounds, budget))
             sigma = stat_sigmas(ops, tm, bound_sigmas(bounds))
             assert T.keys() == sigma.keys() and len(T) == tm.n_fault_modes
             for mid, t_k in T.items():
@@ -170,7 +173,7 @@ class TestThresholds:
         assert tm2.n_fault_modes > tm.n_fault_modes
         ratios = []
         for threat in (tm, tm2):
-            T = thresholds(ops, threat, acc, budget)
+            T = held(thresholds(ops, threat, acc, budget))
             sigma = stat_sigmas(ops, threat, bound_sigmas(acc))
             ratios.append([T[mid] / sigma[mid] for mid in T])
         assert min(ratios[1]) > max(ratios[0])
@@ -180,26 +183,35 @@ class TestThresholds:
         ids=["gps-gaussian", "dual-pgo"])
     def test_thresholds_are_batch_quantiles(self, flavor, constellations):
         # Bit for bit the magnitudes of one batch's quantiles at c_alloc,
-        # row by row, from rows built by an independent SolutionOps.
+        # row by row, from rows built by an independent SolutionOps; the
+        # constellation modes' separation tests follow them.
         ops, tm, acc, budget = epoch_case(flavor, constellations)
-        T = thresholds(ops, tm, acc, budget)
+        tests = thresholds(ops, tm, acc, budget)
         modes = tm.sat_modes()
         ok, _, C = SolutionOps(ops.model).mode_rows(
             [m.excluded for m in modes], AXIS_UP)
         q = convolve_batch(C[ok], acc).quantile(
             allocate(budget, tm, AXIS_UP)[2])
         ids = [m.id for m, good in zip(modes, ok) if good]
-        assert list(T) == ids
-        assert list(T.values()) == np.abs(q).tolist()
+        n = len(ids)
+        assert list(tests.ids[:n]) == ids
+        assert tests.thresholds[:n].tolist() == np.abs(q).tolist()
+        np.testing.assert_array_equal(tests.rows[:n], C[ok])
+        assert tests.ids[n:] == tuple(m.id for m in
+                                      tm.constellation_modes())
 
     def test_no_testable_mode_gives_no_thresholds(self):
         # Two states, two satellites: every one-satellite subset is rank
         # deficient, so no mode gets a threshold.
         model = LinearModel(np.eye(2), np.ones(2), ["a", "b"],
                             ["GPS", "GPS"])
-        assert thresholds(SolutionOps(model), toy_threat(2),
-                          [Gaussian(1.0)] * 2, IntegrityBudget(),
-                          axis=0) == {}
+        tm = toy_threat(2)
+        tests = thresholds(SolutionOps(model), tm, [Gaussian(1.0)] * 2,
+                           IntegrityBudget(), axis=0)
+        assert tests.ids == () and tests.rows.shape == (0, 2)
+        assert tests.skipped == tuple(m.id for m in tm.modes)
+        res = run_detector(tests, [50.0, -50.0])
+        assert not res.alert and res.skipped == list(tests.skipped)
 
 
 class TestRunDetector:

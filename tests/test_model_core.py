@@ -8,8 +8,8 @@ from jkaraim import sim
 from jkaraim.errors import InsufficientGeometry, SubsetRankDeficient
 from jkaraim.integrity import IntegrityBudget
 from jkaraim.model_core import (LinearModel, SolutionOps, _solution_matrix,
-                                elevation_azimuth, geodetic_to_ecef,
-                                line_of_sight, subset_ops)
+                                ecef_to_geodetic, enu_rotation,
+                                geodetic_to_ecef, line_of_sight, subset_ops)
 from jkaraim.overbound import default_table
 from jkaraim.threat import enumerate_modes
 
@@ -324,6 +324,16 @@ class TestModeRowMemo:
         model = random_geometry(rng, n=8, m=4)
         ok, Q, C = SolutionOps(model).mode_rows([], 2)
         assert ok.shape == (0,) and Q.shape == C.shape == (0, model.n)
+
+
+def elevation_azimuth(user_ecef, sat_ecef):
+    """Reference elevation and azimuth (degrees) of one satellite seen from
+    one user, each computed on its own."""
+    lat, lon, _ = ecef_to_geodetic(user_ecef)
+    los = enu_rotation(lat, lon) @ (np.asarray(sat_ecef, dtype=float)
+                                    - np.asarray(user_ecef, dtype=float))
+    el = np.degrees(np.arcsin(los[2] / np.linalg.norm(los)))
+    return el, np.degrees(np.arctan2(los[0], los[1])) % 360.0
 
 
 class TestSharedFrame:

@@ -1,20 +1,31 @@
-"""One geometry handle: the PLs, the risk sum and the detectors take one
-epoch's geometry as its SolutionOps, and the observations as an argument.
+"""One geometry handle and one detector table per axis.
 
-This parses integrity.py and jackknife.py and fails on a function with a
-model parameter (a LinearModel next to its own SolutionOps), or with an ops
-or y parameter that defaults to None (a SolutionOps rebuilt inside, or
-observations read from somewhere else). Observations are no field of
-LinearModel, and EpochSetup holds the geometry once, as ops.
+The PLs and the detectors take one epoch's geometry as its SolutionOps,
+and the observations as an argument. This parses integrity.py and
+jackknife.py and fails on a function with a model parameter (a
+LinearModel next to its own SolutionOps), or with an ops or y parameter
+that defaults to None (a SolutionOps rebuilt inside, or observations read
+from somewhere else). Observations are no field of LinearModel, and
+EpochSetup holds the geometry once, as ops.
+
+Each axis's tests are one DetectorTable: run_detector takes only the table
+and the observations, pl_solve takes its axis from the table it reads its
+offsets from, and the detectors' Gaussian separation threshold
+|Phi^-1(c)| sigma_ss is written in separation_tests alone: of these
+modules' functions, only it and the baseline PL (whose offsets assume the
+thresholds at the axis's own false-alarm split) call ndtri.
 """
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import jkaraim
+from jkaraim.integrity import pl_solve
+from jkaraim.jackknife import run_detector
 from jkaraim.model_core import LinearModel
 from jkaraim.sim import EpochSetup
 
@@ -61,3 +72,22 @@ def test_detects_a_second_handle():
               "def m(models, y=0.0, ops_list=None):\n    pass\n")
     assert second_handles(source) == [("<lambda>", "model"), ("f", "model"),
                                       ("g", "ops"), ("g", "y")]
+
+
+def test_one_detector_table_per_axis():
+    assert list(inspect.signature(run_detector).parameters) == ["tests", "y"]
+    params = inspect.signature(pl_solve).parameters
+    assert list(params)[:5] == ["ops", "threat", "acc_bounds", "tests",
+                                "budget"]
+    assert "axis" not in params and "refine" not in params
+
+
+def test_detector_separation_threshold_written_once():
+    callers = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(n, ast.Name) and n.id == "ndtri"
+                    for n in ast.walk(node)):
+                callers.add(node.name)
+    assert callers == {"separation_tests", "baseline_araim_pl"}

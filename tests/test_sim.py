@@ -314,7 +314,7 @@ class TestBaselineAlert:
             raise SubsetRankDeficient("no clock support")
 
         monkeypatch.setattr(ops, "reduced", rank_deficient)
-        assert not integrity.baseline_alert(ops, tm, acc, budget,
+        assert not jackknife.baseline_alert(ops, tm, acc, budget,
                                             np.zeros(ops.n))
 
     def test_other_errors_propagate(self, monkeypatch):
@@ -327,10 +327,61 @@ class TestBaselineAlert:
 
         monkeypatch.setattr(ops, "reduced", broken)
         with pytest.raises(RuntimeError):
-            integrity.baseline_alert(ops, tm, acc, budget, y)
+            jackknife.baseline_alert(ops, tm, acc, budget, y)
         monkeypatch.setattr(ops, "mode_rows", broken)
         with pytest.raises(RuntimeError):
-            integrity.separation_tests(ops, tm.sat_modes(), acc, 1e-7, y)
+            integrity.separation_tests(ops, tm.sat_modes(), acc, 1e-7)
+
+
+class TestHorizontalDetection:
+    """With compute_horizontal each axis's PL offsets its fault terms by
+    the thresholds of that axis's tests, so the record alerts when the
+    tests of any axis with a PL do."""
+
+    LAT, LON, T = 30.0, -90.0, 7200.0
+    CONSTS = ("GPS", "GAL")
+
+    def test_east_separation_alerts_under_quiet_vertical_tests(
+            self, monkeypatch):
+        from scipy.optimize import linprog
+        from jkaraim.model_core import AXIS_EAST, geodetic_to_ecef
+        sats = sim.healthy_satellites(default_almanac(self.CONSTS),
+                                      self.CONSTS)
+        positions = sim.satellite_positions(sats, self.T)
+        configs = [ScenarioConfig(constellations=self.CONSTS,
+                                  compute_horizontal=horizontal)
+                   for horizontal in (False, True)]
+        budget = configs[0].budget
+        s = sim.epoch_setup(geodetic_to_ecef(self.LAT, self.LON),
+                            [a.svn for a in sats],
+                            [a.constellation for a in sats], positions,
+                            default_table(), budget)
+        acc = [m.acc_bound for m in s.models]
+        up = jackknife.thresholds(s.ops, s.tm, acc, budget)
+        east = jackknife.thresholds(s.ops, s.tm, acc, budget, AXIS_EAST)
+        k = east.ids.index(18)
+        # Observations that keep every vertical statistic within 0.99 of
+        # its threshold and push constellation mode 18's east separation
+        # as far as they can.
+        lp = linprog(-east.rows[k], A_ub=np.vstack((up.rows, -up.rows)),
+                     b_ub=np.tile(0.99 * up.thresholds, 2),
+                     bounds=(None, None), method="highs")
+        assert lp.status == 0
+        y = lp.x
+        assert not jackknife.run_detector(up, y).alert
+        assert east.rows[k] @ y >= 1.5 * east.thresholds[k]
+
+        truth = dict(zip([m.svn for m in s.models], y.tolist()))
+        monkeypatch.setattr(sim.SatErrorModel, "draw",
+                            lambda model, rng: truth[model.svn])
+        vert, both = (sim.evaluate_epoch(c, sats, positions,
+                                         default_table(), self.LAT,
+                                         self.LON, self.T)
+                      for c in configs)
+        assert not vert.error and not both.error
+        assert both.vpl == vert.vpl and np.isfinite(both.hpl)
+        assert not vert.alert
+        assert both.alert
 
 
 class TestGridResolution:
@@ -350,10 +401,10 @@ class TestGridResolution:
                             [a.svn for a in sats],
                             [a.constellation for a in sats], positions,
                             default_table(), budget, flavor="pgo")
-        thresh = jackknife.thresholds(
+        tests = jackknife.thresholds(
             s.ops, s.tm, [m.acc_bound for m in s.models], budget)
         vpl = integrity.pl_solve(s.ops, s.tm,
-                                 [m.acc_bound for m in s.models], thresh,
+                                 [m.acc_bound for m in s.models], tests,
                                  budget)
         assert not rec.error
         assert vpl == rec.vpl
