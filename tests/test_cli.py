@@ -361,7 +361,7 @@ class TestDualConstellation:
 
     @pytest.mark.parametrize("bound, algorithm, vpl", [
         ("gaussian", "jk", 95.79741255229096),
-        ("pgo", "jk", 34.444877228087485),
+        ("pgo", "jk", 34.444877228087826),
         ("gaussian", "baseline", 93.71399879455566),
         ("pgo", "baseline", None)],
         ids=["gaussian-jk", "pgo-jk", "gaussian-baseline", "pgo-baseline"])
