@@ -15,8 +15,8 @@ Run:  python demos/fault_detection.py
 import numpy as np
 
 from jkaraim import (AXIS_UP, IntegrityBudget, default_almanac,
-                     default_table, epoch_setup, geodetic_to_ecef,
-                     run_detector, thresholds)
+                     default_table, draw_errors, epoch_setup,
+                     geodetic_to_ecef, run_detector, thresholds)
 from jkaraim.sim import satellite_positions
 
 budget = IntegrityBudget()
@@ -25,14 +25,13 @@ setup = epoch_setup(geodetic_to_ecef(47.0, 8.5), [a.svn for a in almanac],
                     [a.constellation for a in almanac],
                     satellite_positions(almanac, 7200.0), default_table(),
                     budget)
-ops, tm, models = setup.ops, setup.tm, setup.models
+ops, tm, acc = setup.ops, setup.tm, setup.acc_bounds
 geom = ops.model
 print(f"{ops.n} satellites above the mask at the chosen epoch")
 print(f"k_max={tm.k_max}, {tm.n_fault_modes} fault modes")
 
 rng = np.random.default_rng(3)
-nominal = np.array([m.draw(rng) for m in models])
-acc = [m.acc_bound for m in models]
+nominal = draw_errors(setup.truth, rng)
 tests = thresholds(ops, tm, acc, budget, AXIS_UP)
 const_ids = [m.id for m in tm.constellation_modes()]
 print(f"{len(tests.ids)} vertical tests, {len(tests.skipped)} modes "

@@ -25,16 +25,11 @@ def epoch_case(lat, lon, t, flavor):
                        BUDGET, flavor=flavor)
 
 
-def accuracy_bounds(s):
-    return [m.acc_bound for m in s.models]
-
-
 def jk_vpl(s):
     """The jk VPL, each fault term offset by the threshold of its mode's
     vertical test."""
-    acc = accuracy_bounds(s)
-    tests = thresholds(s.ops, s.tm, acc, BUDGET, AXIS_UP)
-    return pl_solve(s.ops, s.tm, acc, tests, BUDGET)
+    tests = thresholds(s.ops, s.tm, s.acc_bounds, BUDGET, AXIS_UP)
+    return pl_solve(s.ops, s.tm, s.acc_bounds, tests, BUDGET)
 
 
 lat, lon, t = 34.0, -118.0, 36000.0
@@ -43,7 +38,7 @@ print(f"user at ({lat}, {lon}), epoch t={t:.0f} s\n")
 gauss = epoch_case(lat, lon, t, "gaussian")
 print(f"{gauss.ops.n} satellites, {gauss.tm.n_fault_modes} fault modes")
 
-base = baseline_araim_pl(gauss.ops, gauss.tm, accuracy_bounds(gauss),
+base = baseline_araim_pl(gauss.ops, gauss.tm, gauss.acc_bounds,
                          BUDGET, axis=AXIS_UP)
 print(f"\nsolution-separation benchmark VPL: {base:7.2f} m")
 

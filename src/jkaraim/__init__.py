@@ -16,8 +16,8 @@ from .overbound import (OverboundReport, SatelliteBound, SatelliteBoundTable,
                         build_pgo, default_partition_point,
                         default_table, fit_bgmm, fit_gaussian_overbound,
                         verify_overbound)
-from .sim import (AlmanacEntry, EpochRecord, EpochSetup, SatErrorModel,
-                  ScenarioConfig, aggregate, cnmp_sigma, default_almanac,
+from .sim import (AlmanacEntry, EpochRecord, EpochSetup, ScenarioConfig,
+                  aggregate, cnmp_sigma, default_almanac, draw_errors,
                   epoch_setup, error_models, evaluate_epoch, parse_yuma,
                   propagate, read_records_csv, run_scenario, stanford_class,
                   summary_json, threat_model, tropo_sigma, write_records_csv,
@@ -33,13 +33,13 @@ __all__ = [
     "InsufficientGeometry", "InsufficientRedundancy", "IntegrityBudget",
     "JkAraimError", "JkStatistics", "KeplerNonConvergence", "LinearModel",
     "NonGaussianBound", "NoValidPartition", "OverboundReport", "Pgo",
-    "SatErrorModel", "SatelliteBound", "SatelliteBoundTable",
+    "SatelliteBound", "SatelliteBoundTable",
     "ScenarioConfig", "SolutionOps", "SubsetRankDeficient", "ThreatModel",
     "UnknownSatellite",
     "aggregate", "baseline_araim_pl",
     "build_pgo", "cnmp_sigma",
     "convolve_batch", "convolve_rows",
-    "default_almanac",
+    "default_almanac", "draw_errors",
     "default_partition_point", "default_table", "determine_kmax",
     "ecef_to_geodetic", "enumerate_modes",
     "epoch_setup", "error_models", "evaluate_epoch", "fit_bgmm",

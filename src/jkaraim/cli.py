@@ -136,7 +136,11 @@ def _load_geometry(path, table, flavor, budget):
         ids = doc.get("sat_ids", [f"s{i}" for i in range(G.shape[0])])
         model = model_core.LinearModel(G, weights, ids, const_of)
         acc = [distkit.Gaussian(s) for s in sigmas]
-        axis = int(doc.get("axis", min(2, G.shape[1] - 1)))
+        n_axes = min(3, G.shape[1])
+        axis = doc.get("axis", n_axes - 1)
+        if type(axis) is not int or not 0 <= axis < n_axes:
+            raise ValueError(f"axis = {axis!r} must be an integer position "
+                             f"index in [0, {n_axes})")
         return (SolutionOps(model), sim.threat_model(model, budget), acc,
                 axis)
     sats = doc["sats"]
@@ -145,7 +149,7 @@ def _load_geometry(path, table, flavor, budget):
         [s["svn"] for s in sats], [s["constellation"] for s in sats],
         [s["ecef"] for s in sats], table, budget, flavor=flavor,
         mask_deg=float(doc.get("mask_deg", 5.0)))
-    return setup.ops, setup.tm, [m.acc_bound for m in setup.models], 2
+    return setup.ops, setup.tm, setup.acc_bounds, 2
 
 
 def cmd_pl(args) -> int:

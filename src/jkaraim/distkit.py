@@ -94,11 +94,6 @@ class ErrorDistribution:
         return _bisect_quantile(self.cdf, np.asarray(p, dtype=float),
                                 self.dominant_sigma())
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-CDF sampling; reproducible for a seeded generator."""
-        u = rng.random(size)
-        return self.quantile(u)
-
 
 @dataclass(frozen=True)
 class Gaussian(ErrorDistribution):
@@ -127,6 +122,9 @@ class Gaussian(ErrorDistribution):
 
     def quantile(self, p):
         return self.sigma * ndtri(np.asarray(p, dtype=float))
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return self.sigma * rng.standard_normal(size)
 
 
 @dataclass(frozen=True)

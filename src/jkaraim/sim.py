@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, asdict
 from importlib import resources
@@ -154,12 +155,15 @@ def write_yuma(entries, fh):
         fh.write(f"SVN:                        {a.svn}\n\n")
 
 
+# The nominal 24-satellite almanac the package ships per constellation.
+ALMANAC_FILES = {"GPS": "gps_nominal24.yuma", "GAL": "galileo_nominal24.yuma"}
+
+
 def default_almanac(constellations=("GPS", "GAL")):
     """Nominal 24-satellite almanacs shipped with the package."""
-    names = {"GPS": "gps_nominal24.yuma", "GAL": "galileo_nominal24.yuma"}
     entries = []
     for c in constellations:
-        ref = resources.files("jkaraim.data").joinpath(names[c])
+        ref = resources.files("jkaraim.data").joinpath(ALMANAC_FILES[c])
         entries.extend(parse_yuma(ref.read_text()))
     return entries
 
@@ -196,33 +200,19 @@ def propagate(alm: AlmanacEntry, t: float) -> np.ndarray:
                      y_orb * si])
 
 
-@dataclass
-class SatErrorModel:
-    svn: str
-    constellation: str
-    truth_components: tuple     # (sisre dist, tropo sigma, cnmp sigma)
-    acc_bound: object
+def error_models(svns, elevations, table, flavor):
+    """Nominal errors of one epoch's satellites and their accuracy bounds,
+    (truth, acc_bounds), one of each per (svn, elevation).
 
-    def draw(self, rng: np.random.Generator) -> float:
-        sisre, s_tropo, s_user = self.truth_components
-        return (float(sisre.sample(rng))
-                + s_tropo * rng.standard_normal()
-                + s_user * rng.standard_normal())
-
-
-def error_models(svns, elevations, table, flavor) -> list:
-    """Per-satellite nominal error synthesis and bounds for one epoch, one
-    SatErrorModel per (svn, elevation).
-
-    The truth sampler always follows the heavy-tailed SISRE surrogate; the
-    accuracy bounds switch between the Gaussian overbound and the exact
-    convolved non-Gaussian form depending on flavor. The PGO-flavour
-    accuracy bounds, PGO (+) N(s_tropo) (+) N(s_user) on grids, come from
-    one batched synthesis (distkit.convolve_rows).
+    truth[i] is a row of independent components, (heavy-tailed SISRE PGO,
+    Gaussian(s_tropo), Gaussian(s_user)), which draw_errors samples. The
+    PGO flavour's acc_bounds[i] is that row's convolution (one
+    distkit.convolve_rows batch for the epoch); the Gaussian flavour's is
+    the Gaussian of sigma sqrt(sigma_G^2 + s_tropo^2 + s_user^2).
     """
     if flavor not in ("gaussian", "pgo"):
         raise ValueError(f"unknown bound flavor {flavor!r}")
-    entries, noise = [], []
+    entries, truth = [], []
     for svn, elevation in zip(svns, elevations, strict=True):
         if not (0.0 < elevation <= 90.0):
             raise ValueError(f"elevation {elevation} out of range")
@@ -230,21 +220,22 @@ def error_models(svns, elevations, table, flavor) -> list:
             raise UnknownSatellite(f"no bound parameters for {svn!r}")
         entry = table[svn]
         entries.append(entry)
-        noise.append((float(tropo_sigma(elevation)),
-                      float(cnmp_sigma(entry.constellation, elevation))))
-    if flavor == "gaussian":
-        accs = [distkit.Gaussian(math.sqrt(e.gauss_sigma_m ** 2 + s_tropo ** 2
-                                           + s_user ** 2))
-                for e, (s_tropo, s_user) in zip(entries, noise)]
-    elif entries:
-        accs = distkit.convolve_rows(
-            [(e.pgo(), distkit.Gaussian(s_tropo), distkit.Gaussian(s_user))
-             for e, (s_tropo, s_user) in zip(entries, noise)])
-    else:
-        accs = []
-    return [SatErrorModel(e.svn, e.constellation, (e.pgo(), s_tropo, s_user),
-                          acc)
-            for e, (s_tropo, s_user), acc in zip(entries, noise, accs)]
+        truth.append((
+            entry.pgo(), distkit.Gaussian(float(tropo_sigma(elevation))),
+            distkit.Gaussian(float(cnmp_sigma(entry.constellation,
+                                              elevation)))))
+    if flavor == "pgo":
+        return truth, list(distkit.convolve_rows(truth)) if truth else []
+    return truth, [distkit.Gaussian(math.sqrt(e.gauss_sigma_m ** 2
+                                              + tropo.sigma ** 2
+                                              + user.sigma ** 2))
+                   for e, (_, tropo, user) in zip(entries, truth)]
+
+
+def draw_errors(truth, rng: np.random.Generator) -> np.ndarray:
+    """One draw of each truth row's error (error_models): every component
+    samples itself from rng in turn, and the samples add left to right."""
+    return np.array([sum(c.sample(rng) for c in row) for row in truth])
 
 
 def stanford_class(vpe, vpl, val) -> str:
@@ -292,6 +283,15 @@ class ScenarioConfig:
             raise ValueError(f"epoch_step_s = {self.epoch_step_s!r} must be "
                              "positive")
         check_mask_deg(self.mask_deg)
+        consts = self.constellations
+        if (not consts or len(set(consts)) < len(consts)
+                or not set(consts) <= ALMANAC_FILES.keys()):
+            raise ValueError(
+                f"constellations = {self.constellations!r} must be one or "
+                f"more distinct names out of {sorted(ALMANAC_FILES)}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed = {self.seed!r} must be a non-negative "
+                             "integer")
         if not 0.0 < self.val < math.inf:
             raise ValueError(f"val = {self.val!r} must be positive and "
                              "finite")
@@ -367,7 +367,8 @@ class EpochSetup:
 
     visible: list               # indices of the satellites above the mask
     elevations: np.ndarray      # their elevations (deg)
-    models: list                # their SatErrorModels
+    truth: list                 # their error component rows (error_models)
+    acc_bounds: list            # and those errors' accuracy bounds
     ops: SolutionOps
     tm: threat.ThreatModel
 
@@ -377,7 +378,7 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
                 mask_deg=5.0) -> EpochSetup:
     """One epoch's set-up from the user's ECEF position and the
     satellites' ids, constellations and ECEF positions: the satellites
-    above mask_deg, their error models (error_models), the linear model
+    above mask_deg, their errors and bounds (error_models), the linear model
     weighted by their bounds' sigmas (distkit.bound_sigmas) as a
     SolutionOps, and its threat model (threat_model).
 
@@ -396,8 +397,8 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
         exc = InsufficientGeometry("insufficient geometry")
         exc.n_visible = len(vis)
         raise exc
-    models = error_models(ids, el, table, flavor)
-    sigmas = distkit.bound_sigmas([m.acc_bound for m in models])
+    truth, acc = error_models(ids, el, table, flavor)
+    sigmas = distkit.bound_sigmas(acc)
     ops = SolutionOps(model_core.model_from_los(u, consts, ids,
                                                 weights=1.0 / sigmas ** 2))
     try:
@@ -405,7 +406,7 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     except InsufficientRedundancy as exc:
         exc.n_visible = len(vis)
         raise
-    return EpochSetup(vis, el, models, ops, tm)
+    return EpochSetup(vis, el, truth, acc, ops, tm)
 
 
 def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
@@ -429,12 +430,11 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
             raise
         return EpochRecord(lat, lon, t, exc.n_visible, error=str(exc))
     rec = EpochRecord(lat, lon, t, len(setup.visible))
-    models, ops, tm = setup.models, setup.ops, setup.tm
-    acc = [m.acc_bound for m in models]
+    ops, tm, acc = setup.ops, setup.tm, setup.acc_bounds
 
     # Synthetic truth, one counter-keyed stream per cell.
     rng = np.random.default_rng([config.seed, loc_id, epoch_id])
-    eps = np.array([m.draw(rng) for m in models])
+    eps = draw_errors(setup.truth, rng)
     err = ops.S @ eps
     rec.vpe = float(err[2])
     rec.hpe = float(np.hypot(err[0], err[1]))

@@ -57,7 +57,7 @@ def rng():
 
 def gps_epoch_case(lat, lon, t, flavor="gaussian", budget=None,
                    constellations=("GPS",)):
-    """Geometry (SolutionOps), error models, accuracy bounds, threat model
+    """Geometry (SolutionOps), truth rows, accuracy bounds, threat model
     and budget for one almanac epoch, set up as a scenario epoch is
     (sim.epoch_setup).
 
@@ -82,5 +82,4 @@ def gps_epoch_case(lat, lon, t, flavor="gaussian", budget=None,
             flavor=flavor)
     except InsufficientGeometry:
         return None
-    return (setup.ops, setup.models, [m.acc_bound for m in setup.models],
-            setup.tm, budget)
+    return setup.ops, setup.truth, setup.acc_bounds, setup.tm, budget

@@ -94,6 +94,26 @@ class TestCmdPl:
         err = capsys.readouterr()
         assert err.out == "" and "c_req_fa_vert" in err.err
 
+    @pytest.mark.parametrize("axis", [3, -1, 7, 1.5])
+    def test_axis_outside_the_position_states_exit_2(self, tmp_path,
+                                                      toy_files, capsys,
+                                                      axis):
+        # A raw G's axis indexes its east, north and up columns only:
+        # axis 3 of this geometry is the receiver clock, -1 the last
+        # column, 7 no column at all.
+        _, cfg = toy_files
+        sky = [(90, 0), (45, 0), (45, 90), (45, 180), (45, 270),
+               (15, 45), (15, 135), (15, 225)]
+        G = [[math.cos(math.radians(el)) * math.sin(math.radians(az)),
+              math.cos(math.radians(el)) * math.cos(math.radians(az)),
+              math.sin(math.radians(el)), 1.0] for el, az in sky]
+        geom = tmp_path / "sky.json"
+        geom.write_text(json.dumps({"G": G, "sigmas": [1.0] * len(G),
+                                    "axis": axis}))
+        assert main(["--config", cfg, "pl", str(geom)]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and "axis" in err.err
+
     def test_no_redundancy_exit_3(self, tmp_path, toy_files, capsys):
         _, cfg = toy_files
         geom = tmp_path / "square.json"
@@ -245,7 +265,9 @@ class TestCmdSim:
 
     @pytest.mark.parametrize("key, value", [
         ("grid_step_deg", 0), ("grid_step_deg", -15), ("duration_s", 0),
-        ("epoch_step_s", "nan"), ("mask_deg", -10), ("val", -1)])
+        ("epoch_step_s", "nan"), ("mask_deg", -10), ("val", -1),
+        ("constellations", "GPS,GPS"), ("constellations", "GPS,GLO"),
+        ("constellations", ""), ("seed", -1)])
     def test_non_positive_grid_step_or_duration_exit_2(self, tmp_path,
                                                        capsys, key, value):
         cfg = self.coarse_cfg(tmp_path, **{key: value})
@@ -416,11 +438,10 @@ class TestDualConstellation:
         assert main(["detect", geom, str(obs)]) == 0
         doc = json.loads(capsys.readouterr().out)
 
-        acc = [m.acc_bound for m in s.models]
         c_alloc = budget.c_req_fa_total / (
             2.0 * s.tm.n_fault_modes * s.tm.p_h0)
         const = jackknife.run_detector(separation_tests(
-            s.ops, s.tm.constellation_modes(), acc, c_alloc), y)
+            s.ops, s.tm.constellation_modes(), s.acc_bounds, c_alloc), y)
         assert sorted(const.stats) == [18, 19]
         for mid, stat in const.stats.items():
             assert (doc["stats"][str(mid)], doc["thresholds"][str(mid)]) \

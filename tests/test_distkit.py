@@ -17,7 +17,7 @@ from jkaraim.distkit import (_TAU, _TAU_Z, _UNDERFLOW_Z, GRID_POINTS,
 from jkaraim import distkit
 from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
-from jkaraim.sim import cnmp_sigma, error_models, tropo_sigma
+from jkaraim.sim import cnmp_sigma, draw_errors, error_models, tropo_sigma
 
 from conftest import GridGaussian
 
@@ -594,13 +594,40 @@ class TestBatchedSynthesis:
     bit."""
 
     def test_error_models_are_convolve_rows(self):
+        # One component row per satellite: the truth that draw_errors
+        # samples, and the rows both flavours' bounds are built on.
         table = default_table()
         pairs = deep_tail_pairs(table)
-        models = error_models([s for s, _ in pairs], [e for _, e in pairs],
-                              table, "pgo")
-        assert len(models) == 54 * len(DEEP_TAIL_ELEVATIONS)
-        assert_same_batch(models[0].acc_bound._rows,
-                          convolve_rows(satellite_rows(table, pairs)))
+        svns, elevations = [s for s, _ in pairs], [e for _, e in pairs]
+        truth, pgo_acc = error_models(svns, elevations, table, "pgo")
+        assert len(truth) == len(pgo_acc) == 54 * len(DEEP_TAIL_ELEVATIONS)
+        assert truth == satellite_rows(table, pairs)
+        assert_same_batch(pgo_acc[0]._rows, convolve_rows(truth))
+        assert all(a._rows is pgo_acc[0]._rows for a in pgo_acc)
+
+        gauss_truth, gauss_acc = error_models(svns, elevations, table,
+                                              "gaussian")
+        assert gauss_truth == truth
+        for svn, (_, tropo, user), acc in zip(svns, truth, gauss_acc):
+            assert type(acc) is Gaussian
+            assert acc.sigma == math.sqrt(table[svn].gauss_sigma_m ** 2
+                                          + tropo.sigma ** 2
+                                          + user.sigma ** 2)
+
+        # The draw scenario records have always made, pgo + s_tropo z1 +
+        # s_user z2 from one stream: value for value, and the stream's
+        # final state.
+        for seed in (0, 1, 2):
+            got_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            got = draw_errors(truth, got_rng)
+            want = [float(pgo.sample(ref_rng))
+                    + tropo.sigma * ref_rng.standard_normal()
+                    + user.sigma * ref_rng.standard_normal()
+                    for pgo, tropo, user in truth]
+            np.testing.assert_array_equal(got, want)
+            assert got_rng.bit_generator.state \
+                == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("n_points", [2048, 4096])
     def test_rows_equal_scaled_convolve(self, n_points):

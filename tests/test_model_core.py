@@ -51,7 +51,7 @@ class TestAssembleGeometry:
         user = geodetic_to_ecef(0.0, 0.0)
         setup = gps_setup(user, [sim.propagate(a, 0.0) for a in almanac])
         assert 8 <= setup.ops.n <= 12
-        assert setup.ops.n == len(setup.visible) == len(setup.models)
+        assert setup.ops.n == len(setup.visible) == len(setup.truth)
         assert np.all(setup.elevations > 5.0)
 
     def test_coplanar_rank_deficient(self):

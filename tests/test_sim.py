@@ -70,11 +70,11 @@ class TestErrorModels:
             pytest.approx(0.4529 * sim.IF_FACTOR_GAL, rel=1e-6)
 
     def test_no_satellites_no_models(self):
-        # A user with no satellite above the mask gets no models, in
-        # either flavour, before any grid is built.
+        # A user with no satellite above the mask gets no truth rows and
+        # no bounds, in either flavour, before any grid is built.
         table = default_table()
         for flavor in ("gaussian", "pgo"):
-            assert sim.error_models([], [], table, flavor) == []
+            assert sim.error_models([], [], table, flavor) == ([], [])
 
 
 class TestYuma:
@@ -158,10 +158,16 @@ class TestScenario:
         ("epoch_step_s", 0.0), ("epoch_step_s", -600.0),
         ("epoch_step_s", math.nan), ("mask_deg", -10.0),
         ("mask_deg", 90.0), ("mask_deg", math.nan), ("val", 0.0),
-        ("val", -1.0), ("val", math.inf), ("val", math.nan)])
+        ("val", -1.0), ("val", math.inf), ("val", math.nan),
+        ("constellations", ()), ("constellations", ("GPS", "GPS")),
+        ("constellations", ("GPS", "GLO")), ("constellations", ("",)),
+        ("seed", -1), ("seed", 1.5), ("seed", "3")])
     def test_non_positive_grid_step_or_duration_rejected(self, field, value):
-        # And an epoch step that is not positive, a mask outside [0, 90)
-        # and a val that is not positive and finite.
+        # And an epoch step that is not positive, a mask outside [0, 90),
+        # a val that is not positive and finite, constellations that are
+        # not distinct names of shipped almanacs (a repeated one would put
+        # every satellite in twice) and a seed that is not a non-negative
+        # integer.
         with pytest.raises(ValueError, match=field):
             self.coarse_config(**{field: value})
 
@@ -230,8 +236,8 @@ class TestScenario:
         assert issubclass(AlmanacOutOfRange, JkAraimError)
 
     def test_zero_noise_zero_vpe(self, monkeypatch):
-        monkeypatch.setattr(sim.SatErrorModel, "draw",
-                            lambda self, rng: 0.0)
+        monkeypatch.setattr(sim, "draw_errors",
+                            lambda truth, rng: np.zeros(len(truth)))
         records = sim.run_scenario(self.coarse_config())
         for r in records:
             if not r.error:
@@ -356,7 +362,7 @@ class TestHorizontalDetection:
                             [a.svn for a in sats],
                             [a.constellation for a in sats], positions,
                             default_table(), budget)
-        acc = [m.acc_bound for m in s.models]
+        acc = s.acc_bounds
         up = jackknife.thresholds(s.ops, s.tm, acc, budget)
         east = jackknife.thresholds(s.ops, s.tm, acc, budget, AXIS_EAST)
         k = east.ids.index(18)
@@ -371,9 +377,7 @@ class TestHorizontalDetection:
         assert not jackknife.run_detector(up, y).alert
         assert east.rows[k] @ y >= 1.5 * east.thresholds[k]
 
-        truth = dict(zip([m.svn for m in s.models], y.tolist()))
-        monkeypatch.setattr(sim.SatErrorModel, "draw",
-                            lambda model, rng: truth[model.svn])
+        monkeypatch.setattr(sim, "draw_errors", lambda truth, rng: y)
         vert, both = (sim.evaluate_epoch(c, sats, positions,
                                          default_table(), self.LAT,
                                          self.LON, self.T)
@@ -401,11 +405,8 @@ class TestGridResolution:
                             [a.svn for a in sats],
                             [a.constellation for a in sats], positions,
                             default_table(), budget, flavor="pgo")
-        tests = jackknife.thresholds(
-            s.ops, s.tm, [m.acc_bound for m in s.models], budget)
-        vpl = integrity.pl_solve(s.ops, s.tm,
-                                 [m.acc_bound for m in s.models], tests,
-                                 budget)
+        tests = jackknife.thresholds(s.ops, s.tm, s.acc_bounds, budget)
+        vpl = integrity.pl_solve(s.ops, s.tm, s.acc_bounds, tests, budget)
         assert not rec.error
         assert vpl == rec.vpl
 
