@@ -10,7 +10,7 @@ Run:  python demos/protection_levels.py
 
 from jkaraim import (IntegrityBudget, baseline_araim_pl, default_almanac,
                      default_table, epoch_setup, geodetic_to_ecef, pl_solve,
-                     thresholds)
+                     separation_table, thresholds)
 from jkaraim.model_core import AXIS_UP
 from jkaraim.sim import satellite_positions
 
@@ -38,8 +38,9 @@ print(f"user at ({lat}, {lon}), epoch t={t:.0f} s\n")
 gauss = epoch_case(lat, lon, t, "gaussian")
 print(f"{gauss.ops.n} satellites, {gauss.tm.n_fault_modes} fault modes")
 
-base = baseline_araim_pl(gauss.ops, gauss.tm, gauss.acc_bounds,
-                         BUDGET, axis=AXIS_UP)
+sep = separation_table(gauss.ops, gauss.tm, gauss.acc_bounds, BUDGET,
+                       AXIS_UP)
+base = baseline_araim_pl(gauss.ops, gauss.tm, gauss.acc_bounds, sep, BUDGET)
 print(f"\nsolution-separation benchmark VPL: {base:7.2f} m")
 
 vpl_g = jk_vpl(gauss)

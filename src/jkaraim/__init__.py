@@ -9,7 +9,8 @@ from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      NoValidPartition, SubsetRankDeficient, UnknownSatellite)
 from .integrity import (DetectorTable, IntegrityBudget, baseline_araim_pl,
                         pl_solve)
-from .jackknife import JkStatistics, run_detector, thresholds
+from .jackknife import (JkStatistics, run_detector, separation_table,
+                        thresholds)
 from .model_core import (AXIS_EAST, AXIS_NORTH, AXIS_UP, LinearModel,
                          SolutionOps, ecef_to_geodetic, geodetic_to_ecef)
 from .overbound import (OverboundReport, SatelliteBound, SatelliteBoundTable,
@@ -46,7 +47,7 @@ __all__ = [
     "fit_gaussian_overbound",
     "geodetic_to_ecef", "parse_yuma",
     "pl_solve", "propagate", "read_records_csv",
-    "run_detector", "run_scenario", "stanford_class",
+    "run_detector", "run_scenario", "separation_table", "stanford_class",
     "summary_json", "threat_model", "thresholds",
     "tropo_sigma", "verify_overbound", "write_records_csv", "write_yuma",
 ]

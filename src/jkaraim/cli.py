@@ -121,20 +121,33 @@ def _load_geometry(path, table, flavor, budget):
     """Geometry JSON: either a raw linear model (G, weights, sigmas; Gaussian
     bounds only) or a user/satellite description set up as a scenario epoch
     is (sim.epoch_setup). Returns (ops, threat model, accuracy bounds,
-    axis), ops the geometry's SolutionOps."""
+    axis), ops the geometry's SolutionOps.
+
+    A raw model's per-row lists (sigmas, weights, constellations, sat_ids)
+    each hold one entry per row of G. Weights default to 1 / sigma^2 and
+    sigmas to 1 / sqrt(weight), both to 1 when neither is given."""
     with open(path) as fh:
         doc = json.load(fh)
     if "G" in doc:
         if flavor == "pgo":
             raise ValueError("--bound pgo needs a user/sats geometry")
         G = np.asarray(doc["G"], dtype=float)
-        sigmas = np.asarray(doc.get(
-            "sigmas", np.ones(G.shape[0])), dtype=float)
-        weights = np.asarray(doc.get("weights", 1.0 / sigmas ** 2),
-                             dtype=float)
-        const_of = doc.get("constellations", ["GPS"] * G.shape[0])
-        ids = doc.get("sat_ids", [f"s{i}" for i in range(G.shape[0])])
+        n = G.shape[0]
+        for field in ("sigmas", "weights", "constellations", "sat_ids"):
+            if field in doc and not (type(doc[field]) is list
+                                     and len(doc[field]) == n):
+                raise ValueError(f"{field} must be a list of one entry per "
+                                 f"row of G ({n} rows)")
+        sigmas = doc.get("sigmas")
+        if sigmas is not None:
+            sigmas = np.asarray(sigmas, dtype=float)
+        weights = doc.get("weights", np.ones(n) if sigmas is None
+                          else 1.0 / sigmas ** 2)
+        const_of = doc.get("constellations", ["GPS"] * n)
+        ids = doc.get("sat_ids", [f"s{i}" for i in range(n)])
         model = model_core.LinearModel(G, weights, ids, const_of)
+        if sigmas is None:
+            sigmas = 1.0 / np.sqrt(model.W)
         acc = [distkit.Gaussian(s) for s in sigmas]
         n_axes = min(3, G.shape[1])
         axis = doc.get("axis", n_axes - 1)
@@ -161,16 +174,17 @@ def cmd_pl(args) -> int:
     ops, tm, acc, axis = _load_geometry(args.geometry, table, args.bound,
                                         budget)
     if args.algorithm == "baseline":
-        pl = baseline_araim_pl(ops, tm, acc, budget, axis=axis)
-        binding, held = "total-risk", {}
+        tests = jackknife.separation_table(ops, tm, acc, budget, axis)
+        pl = baseline_araim_pl(ops, tm, acc, tests, budget)
+        binding = "total-risk"
     else:
         tests = jackknife.thresholds(ops, tm, acc, budget, axis)
         pl, binding = pl_solve(ops, tm, acc, tests, budget,
                                return_binding=True)
-        held = dict(zip(map(str, tests.ids), tests.thresholds.tolist()))
     doc = {"pl_m": pl, "axis": axis, "binding": binding,
            "algorithm": args.algorithm, "bound": args.bound,
-           "thresholds": held,
+           "thresholds": dict(zip(map(str, tests.ids),
+                                  tests.thresholds.tolist())),
            "n_fault_modes": tm.n_fault_modes}
     print(json.dumps(doc, indent=2))
     return 0

@@ -1,8 +1,8 @@
 """Protection levels from the integrity-risk bounds, plus the
 solution-separation benchmark. Both PLs and both detectors take their
-budget splits from allocate and their fault-mode rows from mode_terms; the
-jk PL reads each mode's threshold from the DetectorTable its detector
-runs."""
+budget splits from allocate. Each axis has one mode table (DetectorTable):
+its detector runs the table, and its PL reads the table's S_k rows, with
+the modes kept_modes keeps."""
 
 from __future__ import annotations
 
@@ -136,85 +136,67 @@ def _bisect_level(risk, hi: float, target: float):
 
 @dataclass(frozen=True, eq=False)
 class DetectorTable:
-    """The tests of one axis's detector: mode ids[i] alerts on the
-    observations y when |rows[i] . y| >= thresholds[i] (run_detector).
-    The jk PL of the axis offsets each fault term by its mode's
+    """One axis's mode table: the tests of its detector and the rows both
+    PLs of the axis read. Each tested fault mode, in mode order, has its
+    S_k row Q on the axis, a statistic row and a threshold; modes[i]
+    alerts on the observations y when |rows[i] . y| >= thresholds[i]
+    (run_detector). The jk PL offsets each fault term by its mode's
     threshold."""
 
     axis: int
-    ids: tuple
-    rows: np.ndarray        # one statistic row per id
-    thresholds: np.ndarray  # one threshold (m) per id
-    skipped: tuple          # modes left untested, being rank deficient
-
-
-@dataclass
-class ModeTerms:
-    """The fault modes mode_terms keeps on one axis, with their rows."""
-
-    modes: list             # kept satellite-subset modes, then constellation
-    n_sat: int              # how many of modes are satellite-subset modes
+    modes: tuple            # the tested FaultModes, in mode order
     Q: np.ndarray           # their S_k rows on the axis, one per mode
-    bias: np.ndarray        # their worst-case biases b_nom * sum |Q row|
-    skipped_mass: float
-    unmonitorable: object   # first mode that voids the PL, or None
+    rows: np.ndarray        # one statistic row per mode
+    thresholds: np.ndarray  # one threshold (m) per mode
+    skipped: tuple          # ids of untested (rank-deficient) modes
+
+    @property
+    def ids(self) -> tuple:
+        # From a list, not a generator: tuple() reallocates a tuple grown
+        # from a generator, and at a few calls per record that churn
+        # raised the benchmark's peak RSS by about 1 MB.
+        return tuple([m.id for m in self.modes])
 
 
-def mode_terms(ops: SolutionOps, modes, axis: int, b_nom: float,
-               i_alloc: float, p_thres: float) -> ModeTerms:
-    """The modes one integrity sum keeps, by one rule, in mode order:
+def kept_modes(threat: ThreatModel, tests: DetectorTable, i_alloc: float,
+               p_thres: float):
+    """Which modes of the threat one integrity sum keeps, by one rule, in
+    mode order:
 
     - a mode whose prior is at most i_alloc is skipped and budgeted at its
       prior;
-    - a rank-deficient mode with prior above p_thres is unmonitorable: no
-      finite PL exists, and the first such mode is reported;
-    - any other rank-deficient mode is skipped and budgeted at
+    - a mode the table tests is kept;
+    - an untested (rank-deficient) mode with prior above p_thres is
+      unmonitorable: no finite PL exists, and the first such mode is
+      reported;
+    - any other untested mode is skipped and budgeted at
       min(prior, i_alloc).
 
-    Every other mode is kept, with its S_k row on the axis and its bias
-    b_nom sum_i |S_k row_i| (b_nom each measurement's nominal bias): a
-    satellite-subset mode's row from ops.mode_rows, a constellation mode's
-    from ops.reduced (the solve without the excluded constellation's
-    measurements and clock).
+    Returns (keep, skipped_mass, unmonitorable): keep flags the kept modes
+    among tests.modes.
     """
-    sat = [m for m in modes if m.kind == "sat_subset" and m.prior > i_alloc]
-    ok, Q, _ = ops.mode_rows([m.excluded for m in sat], axis)
-    kept = [m for m, good in zip(sat, ok) if good]
-    n_sat = len(kept)
-    rows = [Q[ok]]
+    tested = set(tests.ids)
     skipped_mass, unmonitorable = 0.0, None
-    sat_ok = iter(ok.tolist())
-    for mode in modes:
+    for mode in threat.modes:
         if mode.prior <= i_alloc:
             skipped_mass += mode.prior
+        elif mode.id in tested:
             continue
-        if mode.kind == "sat_subset":
-            good = next(sat_ok)
-        else:
-            try:
-                rows.append(ops.reduced(mode.excluded)[axis])
-            except SubsetRankDeficient:
-                good = False
-            else:
-                good = True
-                kept.append(mode)
-        if good:
-            continue
-        if mode.prior > p_thres:
+        elif mode.prior > p_thres:
             if unmonitorable is None:
                 unmonitorable = mode
         else:
             skipped_mass += min(mode.prior, i_alloc)
-    Q = np.vstack(rows)
-    return ModeTerms(kept, n_sat, Q, b_nom * np.abs(Q).sum(axis=1),
-                     skipped_mass, unmonitorable)
+    keep = np.array([m.prior > i_alloc for m in tests.modes], dtype=bool)
+    return keep, skipped_mass, unmonitorable
 
 
 def _jk_terms(ops, threat, acc_bounds, tests, budget):
-    """The terms of the jk integrity sum on the axis of the detector table
-    tests: the fault-free term, the kept satellite modes, then the kept
-    constellation modes, each fault term offset by its mode's threshold in
-    tests (T_k |S_vk| for one satellite, T_k for more, D_k).
+    """The terms of the jk integrity sum on the axis of the mode table
+    tests: the fault-free term, then the modes kept_modes keeps (satellite
+    modes, then constellation modes), each fault term offset by its mode's
+    threshold in tests (T_k |S_vk| for one satellite, T_k for more, D_k)
+    plus its bias b_nom sum_i |S_k row_i|.
 
     Returns (labels, offsets, bounds, risk, target, skipped_mass), or the
     label of the reason no finite PL exists. offsets are the thresholds
@@ -226,31 +208,30 @@ def _jk_terms(ops, threat, acc_bounds, tests, budget):
     target, i_alloc, _, _ = allocate(budget, threat, axis)
     if target <= 0.0:
         return "unmonitored"
-    terms = mode_terms(ops, threat.modes, axis, budget.b_nom, i_alloc,
-                       budget.p_thres)
-    if terms.unmonitorable is not None:
-        return f"unmonitorable:{terms.unmonitorable.id}"
+    keep, skipped_mass, unmonitorable = kept_modes(threat, tests, i_alloc,
+                                                   budget.p_thres)
+    if unmonitorable is not None:
+        return f"unmonitorable:{unmonitorable.id}"
 
-    n_sat = terms.n_sat
+    modes = [m for m, k in zip(tests.modes, keep.tolist()) if k]
+    n_sat = sum(m.kind == "sat_subset" for m in modes)
+    Q = tests.Q[keep]
     s_row = ops.S[axis]
-    held = dict(zip(tests.ids, tests.thresholds.tolist()))
-    offsets = [budget.b_nom * np.abs(s_row).sum()]
-    for mode, bias in zip(terms.modes, terms.bias.tolist()):
-        t_k = held[mode.id]
-        if mode.kind == "sat_subset" and len(mode.excluded) == 1:
-            t_k *= abs(s_row[next(iter(mode.excluded))])
-        offsets.append(t_k + bias)
-    offsets = np.array(offsets)
-    priors = np.array([threat.p_h0] + [m.prior for m in terms.modes])
+    scale = [abs(s_row[next(iter(m.excluded))])
+             if m.kind == "sat_subset" and len(m.excluded) == 1 else 1.0
+             for m in modes]
+    offsets = np.concatenate((
+        [budget.b_nom * np.abs(s_row).sum()],
+        tests.thresholds[keep] * scale + budget.b_nom * np.abs(Q).sum(axis=1)))
+    priors = np.array([threat.p_h0] + [m.prior for m in modes])
     # Rows of dists are the first n terms; the constellation terms (if
     # any) are Gaussians of the bounds' sigmas.
-    dists = distkit.convolve_batch(np.vstack((s_row, terms.Q[:n_sat])),
-                                   acc_bounds)
+    dists = distkit.convolve_batch(np.vstack((s_row, Q[:n_sat])), acc_bounds)
     n = len(dists)
     const = None
-    if len(terms.modes) > n_sat:
+    if len(modes) > n_sat:
         var = distkit.bound_sigmas(acc_bounds) ** 2
-        const = distkit.GaussianBatch(np.sqrt((terms.Q[n_sat:] ** 2) @ var))
+        const = distkit.GaussianBatch(np.sqrt((Q[n_sat:] ** 2) @ var))
 
     def bounds():
         p = i_alloc / (2.0 * priors)
@@ -267,8 +248,8 @@ def _jk_terms(ops, threat, acc_bounds, tests, budget):
         return np.cumsum(priors * tails, axis=1)[:, -1]
 
     labels = ["H0"] + [f"mode:{m.id}" if m.kind == "sat_subset"
-                       else f"const:{m.id}" for m in terms.modes]
-    return labels, offsets, bounds, risk, target, terms.skipped_mass
+                       else f"const:{m.id}" for m in modes]
+    return labels, offsets, bounds, risk, target, skipped_mass
 
 
 def pl_solve(ops: SolutionOps, threat: ThreatModel, acc_bounds,
@@ -312,34 +293,33 @@ def _require_gaussian(acc_bounds):
 
 
 def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
-                      budget: IntegrityBudget, axis: int = AXIS_UP) -> float:
-    """Solution-separation protection level for one axis of the geometry
-    ops, by bisection on the total risk.
+                      tests: DetectorTable, budget: IntegrityBudget) -> float:
+    """Solution-separation protection level of the geometry ops on the
+    axis of the separation table tests (jackknife.separation_table), by
+    bisection on the total risk.
 
     The comparison benchmark, on Gaussian accuracy bounds only
     (NonGaussianBound otherwise): two-sided fault-free term, one-sided
-    faulted terms, Gaussians of the bounds' sigmas, offset by the
-    separation thresholds at allocate's c_alloc_axis. Every mode that can
-    be monitored is kept (mode_terms with i_alloc 0, which skips only
-    rank-deficient modes of prior at most p_thres, at no cost to the
-    budget).
+    faulted terms, Gaussians of the bounds' sigmas. Each fault term reads
+    its mode's S_k row (tests.Q) and is offset by the separation threshold
+    of its row S_k - S (tests.rows) at allocate's c_alloc_axis, not by the
+    table's thresholds. Every tested mode is kept (kept_modes with i_alloc
+    0); an untested mode of prior above p_thres makes the PL infinite.
     """
     _require_gaussian(acc_bounds)
+    axis = tests.axis
     target, _, _, c_alloc = allocate(budget, threat, axis)
-    if target <= 0.0:
-        return math.inf
-    terms = mode_terms(ops, threat.modes, axis, budget.b_nom, 0.0,
-                       budget.p_thres)
-    if terms.unmonitorable is not None:
+    if (target <= 0.0
+            or kept_modes(threat, tests, 0.0, budget.p_thres)[2] is not None):
         return math.inf
     var = distkit.bound_sigmas(acc_bounds) ** 2
-    weights = np.array([2.0 * threat.p_h0] + [m.prior for m in terms.modes])
+    weights = np.array([2.0 * threat.p_h0] + [m.prior for m in tests.modes])
     sigmas = np.sqrt(np.concatenate(([np.sum(ops.S[axis] ** 2 * var)],
-                                     (terms.Q ** 2) @ var)))
+                                     (tests.Q ** 2) @ var)))
     offsets = np.concatenate((
         [budget.b_nom * np.abs(ops.S[axis]).sum()],
-        abs(float(ndtri(c_alloc)))
-        * np.sqrt(((terms.Q - ops.S[axis]) ** 2) @ var) + terms.bias))
+        abs(float(ndtri(c_alloc))) * np.sqrt((tests.rows ** 2) @ var)
+        + budget.b_nom * np.abs(tests.Q).sum(axis=1)))
 
     def risk(levels):
         # Fault-free term, then the faulted terms in mode order.
@@ -352,16 +332,31 @@ def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
 
 def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
                      axis: int = AXIS_UP) -> DetectorTable:
-    """The solution-separation tests of the given modes on one axis, in
+    """The solution-separation tests of the given modes on one axis, the
+    satellite-subset modes first, then the constellation modes, each in
     mode order: rows S_k - S against D_k = |Phi^-1(c_alloc)| sigma_ss,k,
     sigma_ss,k the separation's sigma under Gaussians of the accuracy
-    bounds' sigmas (distkit.bound_sigmas). Rank-deficient modes are skipped
-    (mode_terms with p_thres infinite); any other failure propagates."""
-    terms = mode_terms(ops, modes, axis, 0.0, 0.0, math.inf)
-    rows = terms.Q - ops.S[axis]
+    bounds' sigmas (distkit.bound_sigmas). A satellite-subset mode's S_k
+    row comes from ops.mode_rows, a constellation mode's from ops.reduced
+    (the solve without the excluded constellation's measurements and
+    clock). Rank-deficient modes are left untested; any other failure
+    propagates."""
+    sat = [m for m in modes if m.kind == "sat_subset"]
+    ok, Q, _ = ops.mode_rows([m.excluded for m in sat], axis)
+    tested = [m for m, good in zip(sat, ok.tolist()) if good]
+    parts = [Q[ok]]
+    for mode in modes:
+        if mode.kind == "constellation":
+            try:
+                parts.append(ops.reduced(mode.excluded)[axis])
+            except SubsetRankDeficient:
+                continue
+            tested.append(mode)
+    Q = np.vstack(parts)
+    rows = Q - ops.S[axis]
     var = distkit.bound_sigmas(acc_bounds) ** 2
-    kept = tuple(m.id for m in terms.modes)
+    ids = {m.id for m in tested}
     return DetectorTable(
-        axis, kept, rows,
+        axis, tuple(tested), Q, rows,
         abs(float(ndtri(c_alloc))) * np.sqrt((rows ** 2) @ var),
-        tuple(m.id for m in modes if m.id not in kept))
+        tuple(m.id for m in modes if m.id not in ids))

@@ -1,6 +1,7 @@
-"""Jackknife thresholds and the detector, at the false-alarm split
-integrity.allocate makes of an IntegrityBudget. One axis's tests form one
-DetectorTable, run as one product with the observations."""
+"""Jackknife thresholds, the baseline's separation table and the
+detector, at the false-alarm split integrity.allocate makes of an
+IntegrityBudget. One axis's tests form one DetectorTable, run as one
+product with the observations and read by the PL of that axis."""
 
 from __future__ import annotations
 
@@ -27,50 +28,54 @@ class JkStatistics:
 def thresholds(ops: SolutionOps, threat: ThreatModel, acc_bounds,
                budget: IntegrityBudget,
                axis: int = AXIS_UP) -> DetectorTable:
-    """The detector table of one axis, every test at allocate's c_alloc,
+    """The jk mode table of one axis, every test at allocate's c_alloc,
     the equal continuity split C_REQ,FA / (2 N_fault_modes P_H0) of the
-    whole false-alarm budget: first the satellite-subset modes' jackknife
-    rows C_k (ops.mode_rows), each against T_k, the magnitude of its row's
-    quantile at c_alloc in one batch convolved from acc_bounds; then the
-    constellation modes' separation tests (integrity.separation_tests).
-    A rank-deficient mode is untestable and is listed as skipped.
+    whole false-alarm budget: first the satellite-subset modes, with their
+    S_k rows Q_k and jackknife rows C_k (ops.mode_rows), each C_k against
+    T_k, the magnitude of its row's quantile at c_alloc in one batch
+    convolved from acc_bounds; then the constellation modes' separation
+    tests (integrity.separation_tests). A rank-deficient mode is
+    untestable and is listed as skipped.
     """
     c_alloc = allocate(budget, threat, axis)[2]
     modes = threat.sat_modes()
-    ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
-    ids = [m.id for m, good in zip(modes, ok) if good]
-    skipped = [m.id for m, good in zip(modes, ok) if not good]
-    rows = C[ok]
+    ok, Q, C = ops.mode_rows([m.excluded for m in modes], axis)
+    tested = [m for m, good in zip(modes, ok.tolist()) if good]
+    skipped = [m.id for m, good in zip(modes, ok.tolist()) if not good]
+    Q, rows = Q[ok], C[ok]
     held = (np.abs(distkit.convolve_batch(rows, acc_bounds).quantile(c_alloc))
-            if ids else np.zeros(0))
+            if tested else np.zeros(0))
     const = threat.constellation_modes()
     if const:
         sep = separation_tests(ops, const, acc_bounds, c_alloc, axis)
-        ids += sep.ids
+        tested += sep.modes
         skipped += sep.skipped
+        Q = np.vstack((Q, sep.Q))
         rows = np.vstack((rows, sep.rows))
         held = np.concatenate((held, sep.thresholds))
-    return DetectorTable(axis, tuple(ids), rows, held, tuple(skipped))
+    return DetectorTable(axis, tuple(tested), Q, rows, held, tuple(skipped))
+
+
+def separation_table(ops: SolutionOps, threat: ThreatModel, acc_bounds,
+                     budget: IntegrityBudget,
+                     axis: int = AXIS_UP) -> DetectorTable:
+    """The solution-separation baseline's mode table of one axis: the
+    separation tests of every mode of the threat at allocate's c_alloc
+    (integrity.separation_tests), on Gaussian accuracy bounds only
+    (NonGaussianBound otherwise)."""
+    _require_gaussian(acc_bounds)
+    return separation_tests(ops, threat.modes, acc_bounds,
+                            allocate(budget, threat, axis)[2], axis)
 
 
 def run_detector(tests: DetectorTable, y) -> JkStatistics:
     """Multi-hypothesis detection of the observations y (one per
     measurement): every statistic of the table tests at once, rows . y,
     each against its threshold."""
+    ids = tests.ids
     stats = tests.rows @ np.asarray(y, dtype=float)
     alerts = np.abs(stats) >= tests.thresholds
-    return JkStatistics(dict(zip(tests.ids, stats.tolist())),
-                        dict(zip(tests.ids, tests.thresholds.tolist())),
-                        dict(zip(tests.ids, alerts.tolist())),
+    return JkStatistics(dict(zip(ids, stats.tolist())),
+                        dict(zip(ids, tests.thresholds.tolist())),
+                        dict(zip(ids, alerts.tolist())),
                         list(tests.skipped), bool(alerts.any()))
-
-
-def baseline_alert(ops: SolutionOps, threat: ThreatModel, acc_bounds,
-                   budget: IntegrityBudget, y, axis: int = AXIS_UP) -> bool:
-    """The solution-separation detector: run_detector on the separation
-    tests of every mode of the threat at allocate's c_alloc, on Gaussian
-    accuracy bounds only (NonGaussianBound otherwise)."""
-    _require_gaussian(acc_bounds)
-    tests = separation_tests(ops, threat.modes, acc_bounds,
-                             allocate(budget, threat, axis)[2], axis)
-    return run_detector(tests, y).alert

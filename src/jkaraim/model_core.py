@@ -131,7 +131,6 @@ class SolutionOps:
         self.n = model.n      # measurement count
         self.S = _solution_matrix(model.G, model.W)
         self.R = np.eye(self.n) - model.G @ self.S
-        self._rows = {}   # axis -> (row of each excluded set, ok, Q, C)
         self._reduced = {}   # excluded set -> reduced S_k, None if deficient
 
     def _leave_out(self, idx):
@@ -210,40 +209,16 @@ class SolutionOps:
 
     def mode_rows(self, excluded_sets, axis: int):
         """Per-mode rows for one position axis, over many non-empty
-        excluded sets at once.
+        excluded sets at once, vectorised per mode size.
 
         Returns (ok, Q, C): ok flags the modes that are not rank
         deficient; Q[k] is the axis row of S_k (the q vector of the error
         decomposition S_v eps = q . eps + sum_{j in I} S_vj t_j); C[k] holds
         the coefficients of the mode's test statistic, t_i = C[k] . eps for
         one excluded measurement i and sum_{j in I} S_vj t_j for more.
-        Rows of rank-deficient modes are zero.
-
-        Each mode's rows are computed once per axis and kept: they do not
-        depend on which modes are asked for together, so a later call
-        returns slices of the rows already built.
+        Rows of rank-deficient modes are zero. A mode's rows do not depend
+        on which modes are asked for together.
         """
-        if not excluded_sets:
-            n = self.n
-            return np.zeros(0, dtype=bool), np.zeros((0, n)), np.zeros((0, n))
-        keys = [frozenset(e) for e in excluded_sets]
-        index, *rows = self._rows.get(axis, ({}, None, None, None))
-        new = [k for k in keys if k not in index]
-        if new:
-            new = list(dict.fromkeys(new))
-            built = self._build_rows(new, axis)
-            if index:
-                built = [np.concatenate(pair) for pair in zip(rows, built)]
-            start = len(index)
-            index.update((k, start + i) for i, k in enumerate(new))
-            rows = built
-            self._rows[axis] = (index, *rows)
-        sel = np.array([index[k] for k in keys])
-        ok, Q, C = rows
-        return ok.take(sel), Q.take(sel, axis=0), C.take(sel, axis=0)
-
-    def _build_rows(self, excluded_sets, axis: int):
-        """mode_rows computed afresh, vectorised per mode size."""
         n = self.n
         ok = np.zeros(len(excluded_sets), dtype=bool)
         Q = np.zeros((len(excluded_sets), n))
@@ -266,6 +241,7 @@ class SolutionOps:
             Q[ks[:, None], idx] = 0.0
             ok[ks] = True
         return ok, Q, C
+
 
 def geodetic_to_ecef(lat_deg, lon_deg, height=0.0):
     lat = np.radians(lat_deg)

@@ -439,22 +439,20 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     rec.vpe = float(err[2])
     rec.hpe = float(np.hypot(err[0], err[1]))
 
-    # Each axis's PL offsets its fault terms by the thresholds of that
-    # axis's tests, so the detector runs on every axis with a PL.
+    # Each axis has one mode table: its detector runs it and its PL reads
+    # it, so the detector runs on every axis with a PL.
+    if config.algorithm == "baseline":
+        build, solve = jackknife.separation_table, baseline_araim_pl
+    else:   # "jk", the other algorithm ScenarioConfig accepts
+        build, solve = jackknife.thresholds, pl_solve
     axes = (0, 1, 2) if config.compute_horizontal else (2,)
     pl = np.full(3, math.nan)
     try:
         for axis in axes:
-            if config.algorithm == "baseline":
-                pl[axis] = baseline_araim_pl(ops, tm, acc, budget, axis=axis)
-                if config.detect:
-                    rec.alert |= jackknife.baseline_alert(ops, tm, acc,
-                                                          budget, eps, axis)
-            else:   # "jk", the other algorithm ScenarioConfig accepts
-                tests = jackknife.thresholds(ops, tm, acc, budget, axis)
-                if config.detect:
-                    rec.alert |= jackknife.run_detector(tests, eps).alert
-                pl[axis] = pl_solve(ops, tm, acc, tests, budget)
+            tests = build(ops, tm, acc, budget, axis)
+            if config.detect:
+                rec.alert |= jackknife.run_detector(tests, eps).alert
+            pl[axis] = solve(ops, tm, acc, tests, budget)
     except JkAraimError as exc:
         rec.error = str(exc)
         return rec

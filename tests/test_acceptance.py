@@ -17,7 +17,7 @@ from jkaraim import jackknife, sim, threat
 from jkaraim.distkit import Gaussian, bound_sigmas, convolve_batch
 from jkaraim.errors import SubsetRankDeficient
 from jkaraim.integrity import IntegrityBudget, baseline_araim_pl, pl_solve
-from jkaraim.jackknife import thresholds
+from jkaraim.jackknife import separation_table, thresholds
 from jkaraim.model_core import AXIS_UP, SolutionOps
 from jkaraim.overbound import build_pgo, default_table, verify_overbound
 from jkaraim.sim import ScenarioConfig, cnmp_sigma, tropo_sigma
@@ -171,7 +171,8 @@ def test_criterion_5_baseline_equivalence(capsys):
             continue
         ops, models, acc, tm, budget = case
         jk = pl_solve(ops, tm, acc, thresholds(ops, tm, acc, budget), budget)
-        base = baseline_araim_pl(ops, tm, acc, budget, axis=2)
+        base = baseline_araim_pl(
+            ops, tm, acc, separation_table(ops, tm, acc, budget), budget)
         if not (np.isfinite(jk) and np.isfinite(base)):
             assert np.isfinite(jk) == np.isfinite(base)
             continue

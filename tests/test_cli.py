@@ -27,6 +27,15 @@ b_nom = 0
 """
 
 
+# The eight-satellite GPS sky of the CI smoke: east, north, up and clock
+# columns.
+SKY = [(90, 0), (45, 0), (45, 90), (45, 180), (45, 270),
+       (15, 45), (15, 135), (15, 225)]
+SKY_G = [[math.cos(math.radians(el)) * math.sin(math.radians(az)),
+          math.cos(math.radians(el)) * math.cos(math.radians(az)),
+          math.sin(math.radians(el)), 1.0] for el, az in SKY]
+
+
 @pytest.fixture
 def toy_files(tmp_path):
     geom = tmp_path / "geom.json"
@@ -60,13 +69,39 @@ class TestCmdPl:
         assert doc["pl_m"] == pytest.approx(expect, abs=1e-6)
 
     def test_jk_and_baseline_agree(self, toy_files, capsys):
+        # Each algorithm prints the thresholds of the mode table its PL
+        # read: the jackknife table, or the baseline's separation table.
+        from jkaraim import jackknife
+        from jkaraim.distkit import Gaussian
+        from jkaraim.integrity import IntegrityBudget
+        from jkaraim.model_core import LinearModel, SolutionOps
+        from jkaraim.threat import enumerate_modes
+
         geom, cfg = toy_files
         assert main(["--config", cfg, "pl", geom]) == 0
-        jk = json.loads(capsys.readouterr().out)["pl_m"]
+        jk = json.loads(capsys.readouterr().out)
         assert main(["--config", cfg, "pl", geom,
                      "--algorithm", "baseline"]) == 0
-        base = json.loads(capsys.readouterr().out)["pl_m"]
-        assert jk == pytest.approx(base, rel=0.05)
+        base = json.loads(capsys.readouterr().out)
+        assert jk["pl_m"] == pytest.approx(base["pl_m"], rel=0.05)
+
+        ops = SolutionOps(LinearModel(np.array([[1.0], [1.0]]), np.ones(2),
+                                      ["a", "b"], ["GPS", "GPS"]))
+        budget = IntegrityBudget(i_req_vert=1e-7, i_req_horiz=2e-7,
+                                 c_req_fa_vert=5e-8, c_req_fa_horiz=5e-8,
+                                 p_const=0.0, b_nom=0.0)
+        tm = enumerate_modes(2, 1, {"GPS": range(2)}, 1e-5, 0.0, m=1)
+        acc = [Gaussian(1.0)] * 2
+        for doc, table in ((jk, jackknife.thresholds),
+                           (base, jackknife.separation_table)):
+            tests = table(ops, tm, acc, budget, axis=0)
+            assert doc["thresholds"] == {
+                str(i): t for i, t in zip(tests.ids,
+                                          tests.thresholds.tolist())}
+            assert list(doc["thresholds"]) == ["1", "2"]
+        # The two tables test the same modes at different thresholds: the
+        # baseline's separations S_k - S are half the jackknife residuals.
+        assert base["thresholds"] != jk["thresholds"]
 
     def test_missing_file_exit_2(self, toy_files, capsys):
         _, cfg = toy_files
@@ -102,17 +137,50 @@ class TestCmdPl:
         # axis 3 of this geometry is the receiver clock, -1 the last
         # column, 7 no column at all.
         _, cfg = toy_files
-        sky = [(90, 0), (45, 0), (45, 90), (45, 180), (45, 270),
-               (15, 45), (15, 135), (15, 225)]
-        G = [[math.cos(math.radians(el)) * math.sin(math.radians(az)),
-              math.cos(math.radians(el)) * math.cos(math.radians(az)),
-              math.sin(math.radians(el)), 1.0] for el, az in sky]
         geom = tmp_path / "sky.json"
-        geom.write_text(json.dumps({"G": G, "sigmas": [1.0] * len(G),
+        geom.write_text(json.dumps({"G": SKY_G, "sigmas": [1.0] * len(SKY_G),
                                     "axis": axis}))
         assert main(["--config", cfg, "pl", str(geom)]) == 2
         err = capsys.readouterr()
         assert err.out == "" and "axis" in err.err
+
+    @pytest.mark.parametrize("algorithm", ["jk", "baseline"])
+    def test_weights_alone_bound_at_the_sigmas_they_imply(self, tmp_path,
+                                                          capsys, algorithm):
+        # "weights": 4 gives the WLS weights of "sigmas": 0.5, so it must
+        # give the same bounds too, not unit-sigma ones.
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\n")
+        pls = {}
+        for field, value in (("sigmas", 0.5), ("weights", 4.0),
+                             ("sigmas", 1.0)):
+            geom = tmp_path / "sky.json"
+            geom.write_text(json.dumps({"G": SKY_G,
+                                        field: [value] * len(SKY_G),
+                                        "axis": 2}))
+            assert main(["--config", str(cfg), "pl", str(geom),
+                         "--algorithm", algorithm]) == 0
+            pls[field, value] = json.loads(capsys.readouterr().out)["pl_m"]
+        assert pls["weights", 4.0] == pls["sigmas", 0.5]
+        assert pls["sigmas", 0.5] < pls["sigmas", 1.0] < math.inf
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigmas", [1.0] * 5), ("weights", [1.0] * 9),
+        ("constellations", ["GPS"] * 3), ("sat_ids", ["a"]),
+        ("sigmas", 1.0)])
+    def test_per_row_list_of_another_length_exit_2(self, tmp_path, capsys,
+                                                   field, value):
+        # Each per-row list holds one entry per row of G; a shorter or
+        # longer one (or no list) is refused, naming the field.
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\n")
+        geom = tmp_path / "sky.json"
+        geom.write_text(json.dumps({"G": SKY_G, field: value, "axis": 2}))
+        for command in (["pl", str(geom)], ["detect", str(geom), "y.json"]):
+            assert main(["--config", str(cfg)] + command) == 2
+            err = capsys.readouterr()
+            assert err.out == ""
+            assert err.err.startswith(f"error: {field} must be a list")
 
     def test_no_redundancy_exit_3(self, tmp_path, toy_files, capsys):
         _, cfg = toy_files

@@ -11,12 +11,12 @@ from jkaraim.distkit import Gaussian, convolve_batch
 from jkaraim.errors import NonGaussianBound, SubsetRankDeficient
 from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
                                _bisect_level, _jk_terms, allocate,
-                               baseline_araim_pl, mode_terms, pl_solve,
+                               baseline_araim_pl, kept_modes, pl_solve,
                                separation_tests)
-from jkaraim.jackknife import baseline_alert, run_detector
+from jkaraim.jackknife import run_detector, separation_table
 from jkaraim.model_core import AXIS_UP, LinearModel, SolutionOps
 from jkaraim.overbound import default_table
-from jkaraim.threat import FaultMode, enumerate_modes
+from jkaraim.threat import FaultMode, ThreatModel, enumerate_modes
 
 from conftest import gps_epoch_case
 
@@ -37,6 +37,13 @@ def toy_case(p_sat=1e-5, b_nom=0.0, sigma=1.0):
     acc = [Gaussian(sigma)] * 2
     tests = jackknife.thresholds(ops, tm, acc, budget, axis=0)
     return ops, budget, tm, acc, tests
+
+
+def baseline_pl(ops, tm, acc, budget, axis=AXIS_UP):
+    """The baseline PL of one axis, read from that axis's separation
+    table."""
+    tests = separation_table(ops, tm, acc, budget, axis)
+    return baseline_araim_pl(ops, tm, acc, tests, budget)
 
 
 def held(tests):
@@ -151,11 +158,12 @@ class TestConstellationSS:
 
     @staticmethod
     def terms(ops, mode, axis=2):
-        """mode_terms of one constellation mode: its S_k row kept, no bias,
-        nothing skipped."""
-        terms = mode_terms(ops, [mode], axis, 0.0, 0.0, math.inf)
-        assert terms.modes == [mode] and terms.n_sat == 0
-        return terms
+        """The separation table of one constellation mode: its S_k row
+        tested, nothing skipped."""
+        tests = separation_tests(ops, [mode], [Gaussian(1.0)] * ops.n, 1e-7,
+                                 axis)
+        assert tests.modes == (mode,) and tests.skipped == ()
+        return tests
 
     def test_duplicate_constellation_variance_doubles(self):
         ops, tm = self.duplicate_geometry()
@@ -209,20 +217,25 @@ class TestConstellationSS:
         for _ in range(2):
             with pytest.raises(SubsetRankDeficient):
                 ops.reduced(range(12))
-        # mode_terms keeps no such mode: with a prior above p_thres it
-        # voids the PL, below it is skipped at min(prior, i_alloc).
+        # The table leaves such a mode untested, and kept_modes keeps
+        # none: with a prior above p_thres it voids the PL, below it is
+        # skipped at min(prior, i_alloc).
         mode = FaultMode(0, "constellation", frozenset(range(12)), 1e-4)
+        tests = separation_tests(ops, [mode], [Gaussian(1.0)] * 12, 1e-7, 2)
+        assert tests.modes == () and tests.skipped == (0,)
+        assert tests.Q.shape == tests.rows.shape == (0, 12)
+        threat = ThreatModel([mode], 1.0 - 1e-4, 0.0, 1)
         for p_thres, voided, mass in ((1e-5, mode, 0.0), (1e-3, None, 1e-5)):
-            terms = mode_terms(ops, [mode], 2, 0.0, 1e-5, p_thres)
-            assert terms.modes == [] and terms.unmonitorable is voided
-            assert terms.skipped_mass == mass
-            assert terms.Q.shape == (0, 12)
+            keep, skipped_mass, unmonitorable = kept_modes(threat, tests,
+                                                           1e-5, p_thres)
+            assert keep.shape == (0,) and unmonitorable is voided
+            assert skipped_mass == mass
 
 
 class TestOneRowForm:
-    """Every mode that separation_tests and mode_terms keep, satellite and
-    constellation alike, against its direct solve ops.reduced (no
-    downdate)."""
+    """Every mode that separation_tests keeps, satellite and constellation
+    alike: its S_k row, statistic and threshold against its direct solve
+    ops.reduced (no downdate)."""
 
     @staticmethod
     def two_constellations(rng, n_a, n_b):
@@ -253,11 +266,10 @@ class TestOneRowForm:
         tests = separation_tests(ops, tm.modes, [Gaussian(s) for s in sigmas],
                                  c_alloc, axis)
         res = run_detector(tests, y)
-        terms = mode_terms(ops, tm.modes, axis, b_nom, 0.0, math.inf)
-        assert list(tests.ids) == [m.id for m in terms.modes]
-        assert {m.kind for m in terms.modes} == {"sat_subset",
+        assert sorted(tests.ids + tests.skipped) == [m.id for m in tm.modes]
+        assert {m.kind for m in tests.modes} == {"sat_subset",
                                                  "constellation"}
-        for mode, bias in zip(terms.modes, terms.bias.tolist()):
+        for mode, q in zip(tests.modes, tests.Q):
             row = ops.reduced(mode.excluded)[axis]
             diff = row - ops.S[axis]
             stat, d = res.stats[mode.id], res.thresholds[mode.id]
@@ -265,20 +277,21 @@ class TestOneRowForm:
             assert d == pytest.approx(
                 abs(ndtri(c_alloc)) * math.sqrt(diff ** 2 @ sigmas ** 2),
                 rel=1e-9)
-            assert bias == pytest.approx(b_nom * np.abs(row).sum(),
-                                         rel=1e-9)
+            # The bias both PLs add to the mode's term.
+            assert b_nom * np.abs(q).sum() == pytest.approx(
+                b_nom * np.abs(row).sum(), rel=1e-9)
 
 
 class TestBaselineAraim:
     def test_toy_matches_jackknife_within_5_percent(self):
         ops, budget, tm, acc, tests = toy_case()
         jk = pl_solve(ops, tm, acc, tests, budget)
-        base = baseline_araim_pl(ops, tm, acc, budget, axis=0)
+        base = baseline_pl(ops, tm, acc, budget, axis=0)
         assert jk == pytest.approx(base, rel=0.05)
 
     def test_vanishing_fault_priors_leave_h0_term(self):
         ops, budget, tm, acc, _ = toy_case(p_sat=1e-15)
-        pl = baseline_araim_pl(ops, tm, acc, budget, axis=0)
+        pl = baseline_pl(ops, tm, acc, budget, axis=0)
         deflate = 1.0 - tm.p_not_monitored / budget.i_req_total
         target = 1e-7 * deflate
         expect = math.sqrt(0.5) * abs(ndtri(target / (2 * tm.p_h0)))
@@ -292,20 +305,21 @@ class TestBaselineAraim:
             "pgo", constellations=("GPS", "GAL"))
         if flavor == "pgo":
             acc = [default_table()[svn].pgo() for svn in ops.model.sat_ids]
-        y = np.zeros(ops.n)
         with pytest.raises(NonGaussianBound):
-            baseline_araim_pl(ops, tm, acc, budget)
-        with pytest.raises(NonGaussianBound):
-            baseline_alert(ops, tm, acc, budget, y)
-        # The detector's constellation tests still take grid bounds.
+            separation_table(ops, tm, acc, budget)
+        # The detector's separation tests still take grid bounds, but the
+        # baseline PL refuses them whatever table it reads.
         assert separation_tests(ops, tm.constellation_modes(), acc,
                                 1e-7).ids == (18, 19)
+        tests = separation_tests(ops, tm.modes, acc, 1e-7)
+        with pytest.raises(NonGaussianBound):
+            baseline_araim_pl(ops, tm, acc, tests, budget)
 
     def test_nested_geometry_monotonicity(self):
         case = gps_epoch_case(45.0, 10.0, 3600.0)
         assert case is not None
         ops, models, acc, tm, budget = case
-        full = baseline_araim_pl(ops, tm, acc, budget)
+        full = baseline_pl(ops, tm, acc, budget)
         # Drop the last satellite: nested subset of the same geometry.
         geom = ops.model
         sub = SolutionOps(LinearModel(geom.G[:-1], geom.W[:-1],
@@ -313,7 +327,7 @@ class TestBaselineAraim:
         tm_sub = enumerate_modes(sub.n, tm.k_max,
                                  {"GPS": range(sub.n)}, budget.p_sat,
                                  budget.p_const)
-        reduced = baseline_araim_pl(sub, tm_sub, acc[:-1], budget)
+        reduced = baseline_pl(sub, tm_sub, acc[:-1], budget)
         assert full <= reduced + 1e-6
 
 
@@ -409,10 +423,13 @@ class TestHmiRiskEval:
     def test_certain_risk_where_no_protection_level(self, unmonitorable):
         ops, budget, tm, acc, tests = toy_case()
         if unmonitorable:
-            # Without satellite a, b alone (G row 0) observes nothing.
+            # Without satellite a, b alone (G row 0) observes nothing, so
+            # the table of this geometry leaves that mode untested.
             ops = SolutionOps(LinearModel(np.array([[1.0], [0.0]]),
                                           np.ones(2), ["a", "b"],
                                           ["GPS", "GPS"]))
+            tests = jackknife.thresholds(ops, tm, acc, budget, axis=0)
+            assert tests.skipped == (1,)
         else:
             budget = dataclasses.replace(
                 budget, i_req_vert=0.1 * tm.p_not_monitored,
@@ -467,16 +484,21 @@ class TestPlReadsTheDetectorTable:
         tests = jackknife.thresholds(ops, tm, acc, budget, axis)
         assert tests.axis == axis
         labels, offsets, *_ = _jk_terms(ops, tm, acc, tests, budget)
-        terms = mode_terms(ops, tm.modes, axis, budget.b_nom,
-                           allocate(budget, tm, axis)[1], budget.p_thres)
-        assert len(labels) == len(offsets) == len(terms.modes) + 1
-        assert max(len(m.excluded) for m in terms.modes
+        keep, _, _ = kept_modes(tm, tests, allocate(budget, tm, axis)[1],
+                                budget.p_thres)
+        modes = [m for m, k in zip(tests.modes, keep) if k]
+        assert len(labels) == len(offsets) == len(modes) + 1
+        assert labels[1:] == [
+            f"{'mode' if m.kind == 'sat_subset' else 'const'}:{m.id}"
+            for m in modes]
+        assert max(len(m.excluded) for m in modes
                    if m.kind == "sat_subset") == tm.k_max
         T = held(tests)
-        for mode, offset, bias in zip(terms.modes, offsets[1:], terms.bias):
+        for mode, offset, q in zip(modes, offsets[1:], tests.Q[keep]):
             t_k = T[mode.id]
             if mode.kind == "sat_subset" and len(mode.excluded) == 1:
                 t_k *= abs(ops.S[axis, next(iter(mode.excluded))])
+            bias = budget.b_nom * np.abs(q).sum()
             assert offset - bias == pytest.approx(t_k, rel=1e-12)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -574,7 +596,8 @@ class TestLooserIntegrityBudget:
         ops, tm, acc, budget = case
         looser = dataclasses.replace(
             budget, i_req_vert=budget.i_req_vert * 10.0 ** log_factor)
-        base = [baseline_araim_pl(ops, tm, acc, b)
+        sep = separation_table(ops, tm, acc, budget)
+        base = [baseline_araim_pl(ops, tm, acc, sep, b)
                 for b in (budget, looser)]
         assert base[1] <= base[0] + PL_TOLERANCE_M
 

@@ -9,8 +9,9 @@ from somewhere else). Observations are no field of LinearModel, and
 EpochSetup holds the geometry once, as ops.
 
 Each axis's tests are one DetectorTable: run_detector takes only the table
-and the observations, pl_solve takes its axis from the table it reads its
-offsets from, and the detectors' Gaussian separation threshold
+and the observations, and both PLs take the same first five parameters,
+(ops, threat, acc_bounds, tests, budget), with their axis from the table
+they read their rows from. The detectors' Gaussian separation threshold
 |Phi^-1(c)| sigma_ss is written in separation_tests alone: of these
 modules' functions, only it and the baseline PL (whose offsets assume the
 thresholds at the axis's own false-alarm split) call ndtri.
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import jkaraim
-from jkaraim.integrity import pl_solve
+from jkaraim.integrity import baseline_araim_pl, pl_solve
 from jkaraim.jackknife import run_detector
 from jkaraim.model_core import LinearModel
 from jkaraim.sim import EpochSetup
@@ -76,10 +77,11 @@ def test_detects_a_second_handle():
 
 def test_one_detector_table_per_axis():
     assert list(inspect.signature(run_detector).parameters) == ["tests", "y"]
-    params = inspect.signature(pl_solve).parameters
-    assert list(params)[:5] == ["ops", "threat", "acc_bounds", "tests",
-                                "budget"]
-    assert "axis" not in params and "refine" not in params
+    for pl in (pl_solve, baseline_araim_pl):
+        params = inspect.signature(pl).parameters
+        assert list(params)[:5] == ["ops", "threat", "acc_bounds", "tests",
+                                    "budget"]
+        assert "axis" not in params and "refine" not in params
 
 
 def test_detector_separation_threshold_written_once():

@@ -198,8 +198,12 @@ class TestScenario:
         with pytest.raises(RuntimeError, match="bug"):
             sim.run_scenario(self.coarse_config(epoch_step_s=86400.0))
 
-    def test_detect_off_keeps_vpls_and_raises_no_alert(self):
-        kw = dict(grid_step_deg=60.0, epoch_step_s=21600.0)
+    @pytest.mark.parametrize("algorithm", ["jk", "baseline"])
+    def test_detect_off_keeps_vpls_and_raises_no_alert(self, algorithm):
+        # Both algorithms build each axis's mode table whether or not
+        # they run its detector, and the PL reads the same table.
+        kw = dict(grid_step_deg=60.0, epoch_step_s=21600.0,
+                  algorithm=algorithm)
         on = sim.run_scenario(self.coarse_config(**kw))
         off = sim.run_scenario(self.coarse_config(detect=False, **kw))
         assert len(off) == len(on) == 72
@@ -306,6 +310,9 @@ class TestAggregate:
 
 
 class TestBaselineAlert:
+    """The baseline's detector: run_detector on the separation table of
+    every mode of the threat (jackknife.separation_table)."""
+
     def dual_case(self):
         from conftest import gps_epoch_case
         ops, models, acc, tm, budget = gps_epoch_case(
@@ -320,8 +327,9 @@ class TestBaselineAlert:
             raise SubsetRankDeficient("no clock support")
 
         monkeypatch.setattr(ops, "reduced", rank_deficient)
-        assert not jackknife.baseline_alert(ops, tm, acc, budget,
-                                            np.zeros(ops.n))
+        tests = jackknife.separation_table(ops, tm, acc, budget)
+        assert tests.skipped == tuple(m.id for m in tm.constellation_modes())
+        assert not jackknife.run_detector(tests, np.zeros(ops.n)).alert
 
     def test_other_errors_propagate(self, monkeypatch):
         # A mode skipped on an unexpected error would be a missed alert.
@@ -333,7 +341,8 @@ class TestBaselineAlert:
 
         monkeypatch.setattr(ops, "reduced", broken)
         with pytest.raises(RuntimeError):
-            jackknife.baseline_alert(ops, tm, acc, budget, y)
+            jackknife.run_detector(
+                jackknife.separation_table(ops, tm, acc, budget), y)
         monkeypatch.setattr(ops, "mode_rows", broken)
         with pytest.raises(RuntimeError):
             integrity.separation_tests(ops, tm.sat_modes(), acc, 1e-7)
