@@ -7,7 +7,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from importlib import metadata
@@ -222,17 +221,14 @@ def cmd_sim(args) -> int:
 
 
 def _full_mode_count(almanac, config):
-    counts = {}
-    for a in almanac:
-        if a.health == 0 and a.constellation in config.constellations:
-            counts[a.constellation] = counts.get(a.constellation, 0) + 1
-    n = sum(counts.values())
-    k_max = threat.determine_kmax(n, config.budget.p_sat,
-                                  config.budget.p_thres)
-    total = sum(math.comb(n, s) for s in range(1, k_max + 1))
-    if len(counts) >= 2:
-        total += len(counts)
-    return total
+    sats = sim.healthy_satellites(almanac, config.constellations)
+    parts = {}
+    for i, a in enumerate(sats):
+        parts.setdefault(a.constellation, []).append(i)
+    budget = config.budget
+    k_max = threat.determine_kmax(len(sats), budget.p_sat, budget.p_thres)
+    return threat.enumerate_modes(len(sats), k_max, parts, budget.p_sat,
+                                  budget.p_const).n_fault_modes
 
 
 def cmd_fit(args) -> int:

@@ -567,14 +567,14 @@ def _scaled_pdf(d, out, h, a):
     sequence on the grid x = k * h that a convolution transforms.
 
     Each row is evaluated up to two samples past d's _reach and is 0
-    beyond: an analytic d row by row, each row up to its own k_max; a grid
-    d on every row up to the largest k_max, its continuation only beyond
-    the grid edge and short of _reach. Where exp(-z^2 / 2) is subnormal,
-    numpy takes a slow path, about a hundred times slower per element.
+    beyond: an analytic d on every row as a column (_sample_column), each
+    row up to its own k_max; a grid d on every row up to the largest
+    k_max, its continuation only beyond the grid edge and short of _reach.
+    Where exp(-z^2 / 2) is subnormal, numpy takes a slow path, about a
+    hundred times slower per element.
     """
     if not isinstance(d, GridDistribution):
-        for row, ai in zip(out, a[:, 0]):
-            _sample_row(d, row, h, ai)
+        _sample_column([d] * len(a), out, h, a)
         return out
     reach = d._reach
     k_max = min(out.shape[1] - 1, int(reach * float(a.max()) / h) + 2)
@@ -589,38 +589,33 @@ def _scaled_pdf(d, out, h, a):
     return out
 
 
-def _sample_row(d, out, h, a):
-    """out[k] = d.pdf(k * h / a) / a for an analytic d, bit for bit, for k
-    up to two samples past d's _reach, and 0 beyond."""
-    k_max = min(len(out) - 1, int(d._reach * a / h) + 2)
-    out[:k_max + 1] = d.pdf(np.arange(k_max + 1) * h / a) / a
-    out[k_max + 1:] = 0.0
-
-
-def _sample_column(column, out, h):
-    """_sample_row(column[i], out[i], h[i], 1.0) for every row i, bit for
-    bit: each component of a convolve_rows column on its row's spacing, up
-    to two samples past its _reach and 0 beyond.
-
-    A column of one kind with a _density over parameter arrays (Gaussian,
-    Pgo) is evaluated in one call, on a rectangle as wide as its longest
-    window: past its own window a row is evaluated at x = 0, where exp is
-    cheap (not subnormal), and cleared. Any other column goes row by row.
-    """
-    kind = type(column[0])
-    if (getattr(kind, "_density", None) is None
-            or any(type(d) is not kind for d in column)):
-        for d, row, step in zip(column, out, h):
-            _sample_row(d, row, step, 1.0)
-        return
-    reach = np.array([d._reach for d in column])
-    k_max = np.minimum(out.shape[1] - 1, (reach / h).astype(np.intp) + 2)
+def _sample_column(column, out, h, a=None):
+    """out[i, k] = column[i].pdf(k * h_i / a_i) / a_i, bit for bit, for k
+    up to two samples past column[i]'s _reach, and 0 beyond (a_i = 1 when
+    a is None). The column is one analytic distribution on every row,
+    evaluated by its pdf, or analytic ones of one kind with a _density
+    over parameter arrays (Gaussian, Pgo); mixed kinds or grids raise
+    ValueError. One call covers a rectangle as wide as the longest window:
+    past its own window a row is evaluated at x = 0, where exp is cheap
+    (not subnormal), and cleared."""
+    d0 = column[0]
+    if (isinstance(d0, GridDistribution)
+            or any(type(d) is not type(d0) for d in column)):
+        raise ValueError("a column holds analytic distributions of one kind")
+    h = np.broadcast_to(h, len(column))[:, None]
+    reach = np.array([d._reach for d in column])[:, None]
+    k_max = np.minimum(out.shape[1] - 1, (
+        (reach if a is None else reach * a) / h).astype(np.intp) + 2)
     k = np.arange(k_max.max() + 1)
-    win = k <= k_max[:, None]
-    x = np.where(win, k * h[:, None], 0.0)
-    params = np.array([d._params() for d in column]).T[:, :, None]
+    win = k <= k_max
+    x = np.where(win, k * h if a is None else k * h / a, 0.0)
+    if all(d is d0 for d in column):
+        pdf = d0.pdf(x)
+    else:
+        pdf = type(d0)._density(
+            x, *np.array([d._params() for d in column]).T[:, :, None])
     out.fill(0.0)
-    np.copyto(out[:, :len(k)], kind._density(x, *params), where=win)
+    np.copyto(out[:, :len(k)], pdf if a is None else pdf / a, where=win)
 
 
 # Each thread's grid-engine buffers, reused by every convolution it runs.

@@ -54,4 +54,5 @@ class NonGaussianBound(JkAraimError):
 
 
 class UnknownSatellite(JkAraimError):
-    """Satellite id missing from the bound table."""
+    """Satellite id missing from the bound table, or held there under
+    another constellation."""

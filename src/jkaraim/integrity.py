@@ -305,9 +305,14 @@ def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
     of its row S_k - S (tests.rows) at allocate's c_alloc_axis, not by the
     table's thresholds. Every tested mode is kept (kept_modes with i_alloc
     0); an untested mode of prior above p_thres makes the PL infinite.
+    Raises ValueError for a table whose rows are not S_k - S, such as the
+    jackknife table of jackknife.thresholds.
     """
     _require_gaussian(acc_bounds)
     axis = tests.axis
+    if not np.array_equal(tests.rows, tests.Q - ops.S[axis]):
+        raise ValueError("baseline_araim_pl reads a separation table "
+                         "(jackknife.separation_table): rows S_k - S")
     target, _, _, c_alloc = allocate(budget, threat, axis)
     if (target <= 0.0
             or kept_modes(threat, tests, 0.0, budget.p_thres)[2] is not None):

@@ -93,14 +93,20 @@ def _solution_matrix(G, w, err=InsufficientGeometry):
 
 
 def subset_ops(model: LinearModel, excluded):
-    """Subset solution matrix and projection for one fault mode.
-
-    Excluded columns of S_k are exactly zero. Raises SubsetRankDeficient
-    when the remaining geometry cannot observe all states (e.g. a whole
-    constellation removed). Factorises the full set first; callers with
-    many modes of one geometry build one SolutionOps instead.
-    """
-    return SolutionOps(model).subset(excluded)
+    """(S_k, G S_k) of one fault mode by a direct weighted solve of the
+    kept measurements, S_k zero in the excluded columns; the full set for
+    an empty mode. Raises SubsetRankDeficient when fewer measurements than
+    states remain or the kept geometry is rank deficient (the RANK_RTOL
+    rule). The library reads its modes from SolutionOps.mode_rows; this
+    is their independent reference."""
+    keep = np.ones(model.n, dtype=bool)
+    keep[list(excluded)] = False
+    if keep.sum() < model.m:
+        raise SubsetRankDeficient("too few measurements remain")
+    Sk = np.zeros((model.m, model.n))
+    Sk[:, keep] = _solution_matrix(model.G[keep], model.W[keep],
+                                   err=SubsetRankDeficient)
+    return Sk, model.G @ Sk
 
 
 class SolutionOps:
@@ -154,25 +160,6 @@ class SolutionOps:
         sym = 0.5 * (sym + sym.transpose(0, 2, 1))
         ok = np.linalg.eigvalsh(sym)[:, 0] > SUBSET_RTOL
         return ok, np.linalg.solve(R_II[ok], R[idx[ok]])
-
-    def leave_out(self, excluded):
-        """R[I, I]^-1 R[I, :] for the sorted excluded indices I; raises
-        SubsetRankDeficient for a rank-deficient subset."""
-        idx = sorted({int(i) for i in excluded})
-        ok, L = self._leave_out(np.array([idx], dtype=int))
-        if not ok[0]:
-            raise SubsetRankDeficient(
-                f"subset without measurements {idx} is rank deficient")
-        return L[0]
-
-    def subset(self, excluded):
-        """(S_k, G S_k) for one mode; the full set for an empty one."""
-        idx = sorted({int(i) for i in excluded})
-        if not idx:
-            return self.S, self.model.G @ self.S
-        Sk = self.S - self.S[:, idx] @ self.leave_out(idx)
-        Sk[:, idx] = 0.0
-        return Sk, self.model.G @ Sk
 
     def reduced(self, excluded):
         """S_k (m x n, zero in the excluded columns) of the solve without

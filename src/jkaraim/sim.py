@@ -200,9 +200,11 @@ def propagate(alm: AlmanacEntry, t: float) -> np.ndarray:
                      y_orb * si])
 
 
-def error_models(svns, elevations, table, flavor):
+def error_models(svns, constellations, elevations, table, flavor):
     """Nominal errors of one epoch's satellites and their accuracy bounds,
-    (truth, acc_bounds), one of each per (svn, elevation).
+    (truth, acc_bounds), one of each per (svn, constellation, elevation).
+    Raises UnknownSatellite for an svn the bound table does not hold or
+    holds under another constellation.
 
     truth[i] is a row of independent components, (heavy-tailed SISRE PGO,
     Gaussian(s_tropo), Gaussian(s_user)), which draw_errors samples. The
@@ -213,12 +215,16 @@ def error_models(svns, elevations, table, flavor):
     if flavor not in ("gaussian", "pgo"):
         raise ValueError(f"unknown bound flavor {flavor!r}")
     entries, truth = [], []
-    for svn, elevation in zip(svns, elevations, strict=True):
+    for svn, const, elevation in zip(svns, constellations, elevations,
+                                     strict=True):
         if not (0.0 < elevation <= 90.0):
             raise ValueError(f"elevation {elevation} out of range")
         if svn not in table:
             raise UnknownSatellite(f"no bound parameters for {svn!r}")
         entry = table[svn]
+        if entry.constellation != const:
+            raise UnknownSatellite(f"{svn!r} is labelled {const!r}, but its "
+                                   f"bounds are {entry.constellation!r}")
         entries.append(entry)
         truth.append((
             entry.pgo(), distkit.Gaussian(float(tropo_sigma(elevation))),
@@ -397,7 +403,7 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
         exc = InsufficientGeometry("insufficient geometry")
         exc.n_visible = len(vis)
         raise exc
-    truth, acc = error_models(ids, el, table, flavor)
+    truth, acc = error_models(ids, consts, el, table, flavor)
     sigmas = distkit.bound_sigmas(acc)
     ops = SolutionOps(model_core.model_from_los(u, consts, ids,
                                                 weights=1.0 / sigmas ** 2))

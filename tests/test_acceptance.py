@@ -18,7 +18,7 @@ from jkaraim.distkit import Gaussian, bound_sigmas, convolve_batch
 from jkaraim.errors import SubsetRankDeficient
 from jkaraim.integrity import IntegrityBudget, baseline_araim_pl, pl_solve
 from jkaraim.jackknife import separation_table, thresholds
-from jkaraim.model_core import AXIS_UP, SolutionOps
+from jkaraim.model_core import AXIS_UP, SolutionOps, subset_ops
 from jkaraim.overbound import build_pgo, default_table, verify_overbound
 from jkaraim.sim import ScenarioConfig, cnmp_sigma, tropo_sigma
 
@@ -66,28 +66,34 @@ def test_criterion_1_algebraic_identities(capsys):
         x0 = rng.standard_normal(model.m)
         y = model.G @ x0 + eps
 
-        # Jackknife residual equals the residual-operator row applied to
-        # the nominal errors alone.
+        # The library's jackknife statistic (its row C) equals the
+        # residual-operator row of the direct subset solve (subset_ops)
+        # applied to the nominal errors alone.
         k = int(rng.integers(model.n))
-        Sk, Pt = ops.subset({k})
-        t = y[k] - model.G[k] @ (Sk @ y)
+        ok, _, (c,) = ops.mode_rows([{k}], 2)
+        assert ok[0]
+        _, Pt = subset_ops(model, {k})
         expansion = (np.eye(model.n) - Pt)[k] @ eps
-        worst = max(worst, abs(t - expansion))
+        worst = max(worst, abs(c @ y - expansion))
 
-        # Position error decomposes into the q-vector part plus the
-        # S-weighted jackknife residuals of the excluded set.
+        # Position error decomposes into the library's q-vector part plus
+        # the S-weighted jackknife residuals of the excluded set, which
+        # its row C sums.
         size = int(rng.integers(1, 3))
         excluded = set(map(int, rng.choice(model.n, size, replace=False)))
         try:
-            Sk, _ = ops.subset(excluded)
+            Sk, _ = subset_ops(model, excluded)
         except SubsetRankDeficient:
             continue
-        ok, (q,), _ = ops.mode_rows([excluded], 2)
+        ok, (q,), (c,) = ops.mode_rows([excluded], 2)
         assert ok[0]
+        t = {j: eps[j] - model.G[j] @ (Sk @ eps) for j in excluded}
+        if size > 1:
+            worst = max(worst, abs(c @ eps - sum(ops.S[2, j] * t[j]
+                                                 for j in excluded)))
         total = q @ eps
         for j in excluded:
-            t_j = eps[j] - model.G[j] @ (Sk @ eps)
-            total += ops.S[2, j] * t_j
+            total += ops.S[2, j] * t[j]
         worst = max(worst, abs(total - (ops.S @ eps)[2]))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 10.0

@@ -245,6 +245,26 @@ class TestUserSatsGeometry:
         assert doc["bound"] == "pgo"
         assert doc["pl_m"] == rec.vpl
 
+    @pytest.mark.parametrize("svn, label", [("SVN99", "GPS"),
+                                            ("SVN45", "GAL")],
+                             ids=["unknown", "mislabelled"])
+    def test_satellite_outside_the_bound_table_exit_3(self, tmp_path,
+                                                      capsys, svn, label):
+        # A satellite the bound table does not hold, or holds under
+        # another constellation, is refused, naming it.
+        sats, positions = self.gps()
+        path = tmp_path / "geom.json"
+        user_sats_geometry(path, sats, positions)
+        doc = json.loads(path.read_text())
+        entry = next(s for s in doc["sats"] if s["svn"] == "SVN45")
+        entry["svn"], entry["constellation"] = svn, label
+        path.write_text(json.dumps(doc))
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\n")
+        assert main(["--config", str(cfg), "pl", str(path)]) == 3
+        err = capsys.readouterr()
+        assert err.out == "" and repr(svn) in err.err
+
     def test_kmax_beyond_redundancy_exit_3(self, tmp_path, capsys):
         # Five visible satellites with p_sat = 1e-4 ask for k_max = 2, one
         # more than n - m; the PL is refused, not computed at a lower k_max.

@@ -599,14 +599,15 @@ class TestBatchedSynthesis:
         table = default_table()
         pairs = deep_tail_pairs(table)
         svns, elevations = [s for s, _ in pairs], [e for _, e in pairs]
-        truth, pgo_acc = error_models(svns, elevations, table, "pgo")
+        consts = [table[svn].constellation for svn in svns]
+        truth, pgo_acc = error_models(svns, consts, elevations, table, "pgo")
         assert len(truth) == len(pgo_acc) == 54 * len(DEEP_TAIL_ELEVATIONS)
         assert truth == satellite_rows(table, pairs)
         assert_same_batch(pgo_acc[0]._rows, convolve_rows(truth))
         assert all(a._rows is pgo_acc[0]._rows for a in pgo_acc)
 
-        gauss_truth, gauss_acc = error_models(svns, elevations, table,
-                                              "gaussian")
+        gauss_truth, gauss_acc = error_models(svns, consts, elevations,
+                                              table, "gaussian")
         assert gauss_truth == truth
         for svn, (_, tropo, user), acc in zip(svns, truth, gauss_acc):
             assert type(acc) is Gaussian
@@ -669,8 +670,16 @@ class TestReachLeavesTransformsUnchanged:
         table = default_table()
         rows = satellite_rows(table, deep_tail_pairs(table))
         got = convolve_rows(rows, n_points=n_points)
-        monkeypatch.setattr(distkit, "_sample_row", full_sampler)
+        calls = []
+
+        def full(column, out, h, a=None):
+            calls.append(len(column))
+            full_column(column, out, h, a)
+
+        monkeypatch.setattr(distkit, "_sample_column", full)
         ref = convolve_rows(rows, n_points=n_points)
+        # The full evaluation ran: once per component column, every row.
+        assert calls == [54 * len(DEEP_TAIL_ELEVATIONS)] * 3
         assert len(got) == 54 * len(DEEP_TAIL_ELEVATIONS)
         assert_same_batch(got, ref)
 
@@ -696,11 +705,13 @@ class TestReachLeavesTransformsUnchanged:
             assert_same_batch(got, convolve_batch(*args, **kwargs))
 
 
-def full_column(column, out, h):
-    """Every sample of every row of a convolve_rows column, however small:
-    _sample_column without the reach rule."""
-    for d, row, step in zip(column, out, h):
-        full_sampler(d, row, step, 1.0)
+def full_column(column, out, h, a=None):
+    """Every sample of every row of a column, however small: _sample_column
+    without the reach rule."""
+    a = np.ones((len(column), 1)) if a is None else a
+    for d, row, step, ai in zip(column, out, np.broadcast_to(h, len(column)),
+                                a[:, 0]):
+        full_sampler(d, row, step, ai)
 
 
 # Samples per row of a GRID_POINTS convolution: k = 0..3 GRID_POINTS / 4.
@@ -709,8 +720,8 @@ SAMPLE_COLS = 3 * GRID_POINTS // 4 + 1
 
 class TestColumnSampler:
     """convolve_rows samples each component column in one evaluation over
-    all rows: bit for bit _sample_row of every row, evaluated only short
-    of each row's reach."""
+    all rows: bit for bit each row's own density on its own spacing,
+    evaluated only short of each row's reach."""
 
     def columns(self):
         table = default_table()
@@ -721,19 +732,32 @@ class TestColumnSampler:
         return list(zip(*rows)), h
 
     def test_equals_row_samples(self):
+        # Each row is its density's pdf(k * h) up to two samples past its
+        # reach and 0 beyond; what that drops is below _TAU of the peak.
         columns, h = self.columns()
-        # A mixed column and one of grids are sampled row by row.
+        for column in columns:
+            got = np.full((len(column), SAMPLE_COLS), np.nan)
+            distkit._sample_column(column, got, h)
+            for d, row, step in zip(column, got, h):
+                u = np.arange(SAMPLE_COLS) * step
+                full = d.pdf(u)
+                k_max = min(SAMPLE_COLS - 1, int(d._reach / step) + 2)
+                np.testing.assert_array_equal(row[:k_max + 1],
+                                              full[:k_max + 1])
+                assert not row[k_max + 1:].any()
+                assert_reach_rule(row[None], full[None], u[None], step,
+                                  d._reach)
+
+    def test_refuses_mixed_and_grid_columns(self):
+        columns, h = self.columns()
         mixed = tuple(c if i % 2 else Gaussian(0.5)
                       for i, c in enumerate(columns[0]))
         grids = tuple(grid_components())
-        cases = [(c, h) for c in columns] + [(mixed, h), (grids, h[:4])]
-        for column, step in cases:
-            got = np.full((len(column), SAMPLE_COLS), np.nan)
-            distkit._sample_column(column, got, step)
-            for d, row, hi in zip(column, got, step):
-                ref = np.full(SAMPLE_COLS, np.nan)
-                distkit._sample_row(d, ref, hi, 1.0)
-                np.testing.assert_array_equal(row, ref)
+        for column in (mixed, grids):
+            with pytest.raises(ValueError, match="one kind"):
+                distkit._sample_column(
+                    column, np.empty((len(column), SAMPLE_COLS)),
+                    h[:len(column)])
 
     def test_evaluates_only_short_of_reach(self, monkeypatch):
         # The density sees each row's points up to its window and x = 0

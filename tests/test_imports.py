@@ -2,7 +2,8 @@
 the package resolves, and the package never loads scipy.stats.
 
 No linter is part of the toolchain, so this parses each module of
-src/jkaraim and fails on an imported name that the module never refers to.
+src/jkaraim, each test module and each demo, and fails on an imported name
+that the file never refers to.
 The package's __init__.py (whose imports are its exports) and __future__
 imports are exempt; its __all__ is checked instead: every name in it must
 resolve and appear once.
@@ -24,6 +25,8 @@ import jkaraim
 
 MODULES = sorted(p for p in Path(jkaraim.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("demos/*.py"))
 
 
 def unused_imports(source):
@@ -46,9 +49,14 @@ def unused_imports(source):
 
 def test_modules_found():
     assert {"distkit.py", "sim.py", "cli.py"} <= {p.name for p in MODULES}
+    assert {"tests/test_imports.py", "demos/protection_levels.py"} \
+        <= {p.relative_to(REPO).as_posix() for p in SCRIPTS}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=lambda p: (p.name if p in MODULES
+                   else p.relative_to(REPO).as_posix()))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

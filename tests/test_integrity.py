@@ -14,7 +14,7 @@ from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
                                baseline_araim_pl, kept_modes, pl_solve,
                                separation_tests)
 from jkaraim.jackknife import run_detector, separation_table
-from jkaraim.model_core import AXIS_UP, LinearModel, SolutionOps
+from jkaraim.model_core import AXIS_UP, LinearModel, SolutionOps, subset_ops
 from jkaraim.overbound import default_table
 from jkaraim.threat import FaultMode, ThreatModel, enumerate_modes
 
@@ -297,6 +297,17 @@ class TestBaselineAraim:
         expect = math.sqrt(0.5) * abs(ndtri(target / (2 * tm.p_h0)))
         assert pl == pytest.approx(expect, abs=2e-3)
 
+    def test_jackknife_table_refused(self):
+        # The jk table's rows are the jackknife C_k, not S_k - S: read as a
+        # separation table it gave a VPL of 22.117 m at this epoch, where
+        # the separation table gives 15.674 m.
+        ops, budget, tm, acc, jk = epoch_case()
+        sep = separation_table(ops, tm, acc, budget)
+        assert baseline_araim_pl(ops, tm, acc, sep, budget) \
+            == pytest.approx(15.674, abs=1e-3)
+        with pytest.raises(ValueError, match="separation_table"):
+            baseline_araim_pl(ops, tm, acc, jk, budget)
+
     @pytest.mark.parametrize("flavor", ["pgo", "grid"])
     def test_non_gaussian_bounds_refused(self, flavor):
         # The Gaussian of a heavier-tailed bound's variance understates its
@@ -360,7 +371,7 @@ def reference_risk(ops, tm, acc, tests, level, budget):
             extra = (math.sqrt(np.sum((Sk[axis] - ops.S[axis]) ** 2 * var))
                      * abs(ndtri(c_alloc)))
         else:
-            Sk, _ = ops.subset(mode.excluded)
+            Sk, _ = subset_ops(ops.model, mode.excluded)
             dist = convolve_batch([Sk[axis]], acc)[0]
             extra = thresh[mode.id]
             if len(mode.excluded) == 1:
@@ -515,7 +526,7 @@ class TestPlReadsTheDetectorTable:
             if modes[mid].kind == "sat_subset":
                 # The jackknife residuals of the excluded measurements,
                 # weighted by S_vj when there are several.
-                _, GSk = ops.subset(idx)
+                _, GSk = subset_ops(ops.model, idx)
                 t = (y - GSk @ y)[idx]
                 expect = t[0] if len(idx) == 1 else ops.S[axis, idx] @ t
             else:

@@ -5,7 +5,7 @@ from scipy.special import ndtri
 from jkaraim.distkit import Gaussian, bound_sigmas, convolve_batch
 from jkaraim.integrity import IntegrityBudget, allocate
 from jkaraim.jackknife import run_detector, thresholds
-from jkaraim.model_core import AXIS_UP, LinearModel, SolutionOps
+from jkaraim.model_core import AXIS_UP, LinearModel, SolutionOps, subset_ops
 from jkaraim.threat import enumerate_modes
 
 from conftest import gps_epoch_case, random_geometry
@@ -22,10 +22,11 @@ def toy_threat(n, k_max=1):
 
 def residual(ops, mode, i, y):
     """Jackknife residual t_i = y_i - g_i x_hat_subset of the observations
-    y for i in the mode's excluded set, in the leave-out form
-    t_I = R[I, I]^-1 r_I."""
-    t = ops.leave_out(mode.excluded) @ y
-    return float(t[sorted(mode.excluded).index(i)])
+    y for i in the mode's excluded set, x_hat_subset the direct solve of
+    the kept measurements (subset_ops)."""
+    _, GSk = subset_ops(ops.model, mode.excluded)
+    y = np.asarray(y, dtype=float)
+    return float(y[i] - GSk[i] @ y)
 
 
 def stat_coeffs(ops, mode, axis=2):
@@ -98,7 +99,7 @@ class TestCombinedStat:
             coeffs = stat_coeffs(ops, mode)
             var_coeff = float(np.sum(coeffs ** 2 * sigmas ** 2))
             # Oracle: covariance propagation through the raw definition.
-            Sk, Pt = ops.subset(mode.excluded)
+            _, Pt = subset_ops(model, mode.excluded)
             idx = sorted(mode.excluded)
             rows = (np.eye(model.n) - Pt)[idx]
             if len(idx) == 1:

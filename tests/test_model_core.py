@@ -122,7 +122,7 @@ class TestQVector:
         # The fault-free term's q vector is the axis row of S itself.
         model = random_geometry(rng)
         ops = SolutionOps(model)
-        Sk, _ = ops.subset(set())
+        Sk, _ = subset_ops(model, set())
         np.testing.assert_allclose(Sk[2], ops.S[2], atol=1e-12)
 
     def test_error_decomposition_identity(self, rng):
@@ -135,7 +135,7 @@ class TestQVector:
             eps[2] += 50.0
             for excluded in ({2}, {2, 5}):
                 q = q_vector(ops, excluded, axis=2)
-                Sk, Pt = ops.subset(excluded)
+                Sk, _ = subset_ops(model, excluded)
                 total = q @ eps
                 for j in excluded:
                     t_j = eps[j] - model.G[j] @ (Sk @ eps)
@@ -146,18 +146,20 @@ class TestQVector:
 
 class TestInvariants:
     def test_solution_matrices_are_left_inverses(self, rng):
+        # S and every testable mode's S_k rows (Q of mode_rows) solve the
+        # states exactly from noiseless measurements.
         for _ in range(100):
             model = random_geometry(rng)
             ops = SolutionOps(model)
             np.testing.assert_allclose(ops.S @ model.G, np.eye(model.m),
                                        atol=1e-10)
-            excl = {int(rng.integers(model.n))}
-            try:
-                Sk, _ = ops.subset(excl)
-            except SubsetRankDeficient:
-                continue
-            np.testing.assert_allclose(Sk @ model.G, np.eye(model.m),
-                                       atol=1e-10)
+            excl = frozenset({int(rng.integers(model.n))})
+            for axis in range(3):
+                ok, Q, _ = ops.mode_rows([excl], axis)
+                if ok[0]:
+                    np.testing.assert_allclose(Q[0] @ model.G,
+                                               np.eye(model.m)[axis],
+                                               atol=1e-10)
 
     def test_jackknife_residual_expansion(self, rng):
         for _ in range(20):
@@ -167,32 +169,23 @@ class TestInvariants:
             x0 = rng.standard_normal(model.m)
             y = model.G @ x0 + eps
             k = int(rng.integers(model.n))
-            Sk, Pt = ops.subset({k})
-            t = y[k] - model.G[k] @ (Sk @ y)
+            # The library's statistic row C against the residual operator
+            # row of the direct solve, applied to the nominal errors alone.
+            ok, _, C = ops.mode_rows([{k}], 2)
+            assert ok[0]
+            _, Pt = subset_ops(model, {k})
             expansion = (np.eye(model.n) - Pt)[k] @ eps
-            assert abs(t - expansion) < 1e-9
+            assert abs(C[0] @ y - expansion) < 1e-9
 
     def test_excluded_measurement_insensitivity(self, rng):
         model = random_geometry(rng)
         ops = SolutionOps(model)
         y = rng.standard_normal(model.n)
         k = int(rng.integers(model.n))
-        Sk, _ = ops.subset({k})
-        before = Sk @ y
+        Q = np.vstack([ops.mode_rows([{k}], axis)[1] for axis in range(3)])
+        before = Q @ y
         y[k] += 1e6
-        np.testing.assert_allclose(Sk @ y, before, atol=1e-6)
-
-
-def _svd_subset(model, excluded):
-    """Reference S_k: an SVD solve of the kept rows, zero-padded."""
-    keep = np.ones(model.n, dtype=bool)
-    keep[list(excluded)] = False
-    if keep.sum() < model.m:
-        raise SubsetRankDeficient("too few measurements remain")
-    Sk = np.zeros((model.m, model.n))
-    Sk[:, keep] = _solution_matrix(model.G[keep], model.W[keep],
-                                   err=SubsetRankDeficient)
-    return Sk
+        np.testing.assert_allclose(Q @ y, before, atol=1e-6)
 
 
 def _assert_close(actual, reference):
@@ -214,7 +207,8 @@ geometries = st.builds(
 
 
 class TestDowndate:
-    """SolutionOps' leave-out downdate against per-mode SVD solves."""
+    """SolutionOps' leave-out downdate against per-mode SVD solves
+    (subset_ops)."""
 
     @settings(max_examples=60, deadline=None)
     @given(model=geometries, axis=st.integers(0, 2))
@@ -228,11 +222,9 @@ class TestDowndate:
         ok, Q, C = ops.mode_rows(modes, axis)
         for k, excluded in enumerate(modes):
             try:
-                ref = _svd_subset(model, excluded)
+                ref, _ = subset_ops(model, excluded)
             except SubsetRankDeficient:
                 assert not ok[k], sorted(excluded)
-                with pytest.raises(SubsetRankDeficient):
-                    ops.subset(excluded)
                 continue
             assert ok[k], sorted(excluded)
             # The downdate's rounding grows with the square of the subset's
@@ -243,9 +235,6 @@ class TestDowndate:
             idx = sorted(excluded)
             resid = (np.eye(model.n) - model.G @ ref)[idx]
             ref_c = resid[0] if len(idx) == 1 else ops.S[axis, idx] @ resid
-            Sk, Pt = ops.subset(excluded)
-            _assert_close(Sk, ref)
-            _assert_close(Pt, model.G @ ref)
             _assert_close(Q[k], ref[axis])
             _assert_close(C[k], ref_c)
 
@@ -264,12 +253,14 @@ class TestDowndate:
         for mode in tm.modes:
             (i,) = mode.excluded
             try:
-                ref = _svd_subset(model, mode.excluded)
+                ref, _ = subset_ops(model, mode.excluded)
             except SubsetRankDeficient:
                 continue
             if _reference_condition(model, mode.excluded) > 30.0:
                 continue
-            (t,) = ops.leave_out(mode.excluded) @ y
+            ok, _, C = ops.mode_rows([mode.excluded], 2)
+            assert ok[0]
+            t = C[0] @ y
             assert t == pytest.approx(r[i] / ops.R[i, i], abs=1e-9)
             loo = y[i] - model.G[i] @ (ref @ y)
             assert t == pytest.approx(loo, abs=1e-9)
@@ -283,15 +274,11 @@ class TestDowndate:
         const_of[4] = "C1"
         model = LinearModel(G, model.W, model.sat_ids, const_of)
         ops = SolutionOps(model)
-        for excluded in ({4}, {4, 7}):
+        for excluded in ({4}, {4, 7}, set(range(model.n)) - {4}):
             with pytest.raises(SubsetRankDeficient):
-                _svd_subset(model, excluded)
-            with pytest.raises(SubsetRankDeficient):
-                ops.subset(excluded)
+                subset_ops(model, excluded)
             ok, _, _ = ops.mode_rows([frozenset(excluded)], 2)
             assert not ok[0]
-        with pytest.raises(SubsetRankDeficient):
-            ops.subset(set(range(model.n)) - {4})
         ok, _, _ = ops.mode_rows([frozenset({3}), frozenset({3, 7})], 2)
         assert ok.all()
 

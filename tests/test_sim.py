@@ -8,7 +8,8 @@ import pytest
 from jkaraim import integrity, jackknife, sim
 from jkaraim.errors import (AlmanacOutOfRange, InsufficientGeometry,
                             InsufficientRedundancy, JkAraimError,
-                            SubsetRankDeficient, TailUnresolved)
+                            SubsetRankDeficient, TailUnresolved,
+                            UnknownSatellite)
 from jkaraim.integrity import IntegrityBudget
 from jkaraim.overbound import default_table
 from jkaraim.sim import (ScenarioConfig, aggregate, cnmp_sigma,
@@ -74,7 +75,7 @@ class TestErrorModels:
         # no bounds, in either flavour, before any grid is built.
         table = default_table()
         for flavor in ("gaussian", "pgo"):
-            assert sim.error_models([], [], table, flavor) == ([], [])
+            assert sim.error_models([], [], [], table, flavor) == ([], [])
 
 
 class TestYuma:
@@ -451,6 +452,21 @@ class TestEpochSetup:
             else None)
         return sim.evaluate_epoch(config, sats, positions, default_table(),
                                   self.LAT, self.LON, self.T)
+
+    def test_mislabelled_satellite_refused(self):
+        # A GPS satellite labelled GAL would get a GAL clock state but the
+        # GPS receiver noise of its bound table entry.
+        consts = ("GPS", "GAL")
+        sats = sim.healthy_satellites(default_almanac(consts), consts)
+        labels = [a.constellation for a in sats]
+        labels[[a.svn for a in sats].index("SVN45")] = "GAL"
+        with pytest.raises(UnknownSatellite, match="'SVN45' is labelled "
+                           "'GAL', but its bounds are 'GPS'"):
+            sim.epoch_setup(sim.model_core.geodetic_to_ecef(self.LAT,
+                                                            self.LON),
+                            [a.svn for a in sats], labels,
+                            sim.satellite_positions(sats, self.T),
+                            default_table(), IntegrityBudget())
 
     def test_refusals_carry_the_visible_count(self):
         sats, positions = self.visible()
