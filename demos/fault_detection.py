@@ -44,12 +44,12 @@ def show(fault_of, biases):
     print(f"{'bias (m)':>9} {'satellite modes':>16} "
           f"{'constellation modes':>20} {'alert':>6}")
     for bias in biases:
-        det = run_detector(tests, nominal + bias * fault_of)
-        ratios = {i: abs(det.stats[i]) / det.thresholds[i]
-                  for i in det.stats}
+        stats, alerts = run_detector(tests, nominal + bias * fault_of)
+        ratios = dict(zip(tests.ids, np.abs(stats) / tests.thresholds))
         sat = max(r for i, r in ratios.items() if i not in const_ids)
         const = max(ratios[i] for i in const_ids)
-        print(f"{bias:9.1f} {sat:16.2f} {const:20.2f} {str(det.alert):>6}")
+        print(f"{bias:9.1f} {sat:16.2f} {const:20.2f} "
+              f"{str(alerts.any()):>6}")
 
 
 target = 0

@@ -9,14 +9,12 @@ from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      NoValidPartition, SubsetRankDeficient, UnknownSatellite)
 from .integrity import (DetectorTable, IntegrityBudget, baseline_araim_pl,
                         pl_solve)
-from .jackknife import (JkStatistics, run_detector, separation_table,
-                        thresholds)
+from .jackknife import run_detector, separation_table, thresholds
 from .model_core import (AXIS_EAST, AXIS_NORTH, AXIS_UP, LinearModel,
                          SolutionOps, ecef_to_geodetic, geodetic_to_ecef)
-from .overbound import (OverboundReport, SatelliteBound, SatelliteBoundTable,
-                        build_pgo, default_partition_point,
-                        default_table, fit_bgmm, fit_gaussian_overbound,
-                        verify_overbound)
+from .overbound import (OverboundReport, SatelliteBound, build_pgo,
+                        default_partition_point, default_table, fit_bgmm,
+                        fit_gaussian_overbound, verify_overbound)
 from .sim import (AlmanacEntry, EpochRecord, EpochSetup, ScenarioConfig,
                   aggregate, cnmp_sigma, default_almanac, draw_errors,
                   epoch_setup, error_models, evaluate_epoch, parse_yuma,
@@ -32,9 +30,9 @@ __all__ = [
     "AlmanacEntry", "DetectorTable", "EmConvergenceFailure", "EmptySample",
     "EpochRecord", "EpochSetup", "FaultMode", "Gaussian", "GridDistribution",
     "InsufficientGeometry", "InsufficientRedundancy", "IntegrityBudget",
-    "JkAraimError", "JkStatistics", "KeplerNonConvergence", "LinearModel",
+    "JkAraimError", "KeplerNonConvergence", "LinearModel",
     "NonGaussianBound", "NoValidPartition", "OverboundReport", "Pgo",
-    "SatelliteBound", "SatelliteBoundTable",
+    "SatelliteBound",
     "ScenarioConfig", "SolutionOps", "SubsetRankDeficient", "ThreatModel",
     "UnknownSatellite",
     "aggregate", "baseline_araim_pl",

@@ -8,7 +8,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import metadata
 
 import numpy as np
@@ -76,30 +76,32 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-_SCENARIO_KEYS = {
-    "grid_step_deg": float, "epoch_step_s": float, "duration_s": float,
-    "mask_deg": float, "flavor": str, "algorithm": str, "seed": int,
-    "val": float, "compute_horizontal": _parse_bool,
-    "detect": _parse_bool,
-    "constellations": lambda s: tuple(t.strip() for t in s.split(",")),
-}
-
-_BUDGET_KEYS = {
-    "i_req_vert": float, "i_req_horiz": float, "c_req_fa_vert": float,
-    "c_req_fa_horiz": float, "p_sat": float, "p_const": float,
-    "p_thres": float, "b_nom": float,
-}
+def _take_fields(cls, kv):
+    """Splits kv into the keys that name fields of the dataclass cls, each
+    value parsed by the type of its field's default (a bool by _parse_bool,
+    a tuple as comma-separated names, any other by the type itself), and
+    the rest. A field whose default is None (ScenarioConfig.budget, which
+    the budget keys set) is no key."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    args, rest = {}, {}
+    for key, text in kv.items():
+        default = defaults.get(key)
+        if default is None:
+            rest[key] = text
+        elif isinstance(default, bool):
+            args[key] = _parse_bool(text)
+        elif isinstance(default, tuple):
+            args[key] = tuple(t.strip() for t in text.split(","))
+        else:
+            args[key] = type(default)(text)
+    return args, rest
 
 
 def _scenario_from_kv(kv, seed_override=None) -> sim.ScenarioConfig:
-    cfg_args, budget_args = {}, {}
-    for key, val in kv.items():
-        if key in _SCENARIO_KEYS:
-            cfg_args[key] = _SCENARIO_KEYS[key](val)
-        elif key in _BUDGET_KEYS:
-            budget_args[key] = _BUDGET_KEYS[key](val)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+    cfg_args, rest = _take_fields(sim.ScenarioConfig, kv)
+    budget_args, rest = _take_fields(IntegrityBudget, rest)
+    if rest:
+        raise ValueError(f"unknown config key {next(iter(rest))!r}")
     if seed_override is not None:
         cfg_args["seed"] = seed_override
     if budget_args:
@@ -108,9 +110,7 @@ def _scenario_from_kv(kv, seed_override=None) -> sim.ScenarioConfig:
 
 
 def _budget_from_kv(kv) -> IntegrityBudget:
-    args = {k: _BUDGET_KEYS[k](v) for k, v in kv.items()
-            if k in _BUDGET_KEYS}
-    unknown = set(kv) - set(_BUDGET_KEYS)
+    args, unknown = _take_fields(IntegrityBudget, kv)
     if unknown:
         raise ValueError(f"unknown budget keys {sorted(unknown)}")
     return IntegrityBudget(**args)
@@ -284,12 +284,13 @@ def cmd_detect(args) -> int:
         print(f"error: expected {ops.n} observations, got {y.size}",
               file=sys.stderr)
         return EXIT_PARSE
-    res = jackknife.run_detector(
-        jackknife.thresholds(ops, tm, acc, budget, axis), y)
-    doc = {"alert": res.alert,
-           "stats": {str(k): v for k, v in res.stats.items()},
-           "thresholds": {str(k): v for k, v in res.thresholds.items()},
-           "skipped_modes": list(res.skipped)}
+    tests = jackknife.thresholds(ops, tm, acc, budget, axis)
+    stats, alerts = jackknife.run_detector(tests, y)
+    ids = [str(i) for i in tests.ids]
+    doc = {"alert": bool(alerts.any()),
+           "stats": dict(zip(ids, stats.tolist())),
+           "thresholds": dict(zip(ids, tests.thresholds.tolist())),
+           "skipped_modes": list(tests.skipped)}
     print(json.dumps(doc, indent=2))
     return 0
 

@@ -599,9 +599,12 @@ def _sample_column(column, out, h, a=None):
     past its own window a row is evaluated at x = 0, where exp is cheap
     (not subnormal), and cleared."""
     d0 = column[0]
+    same = all(d is d0 for d in column)
     if (isinstance(d0, GridDistribution)
+            or not (same or hasattr(type(d0), "_density"))
             or any(type(d) is not type(d0) for d in column)):
-        raise ValueError("a column holds analytic distributions of one kind")
+        raise ValueError("a column holds one analytic distribution, or "
+                         "analytic ones of one kind with a _density")
     h = np.broadcast_to(h, len(column))[:, None]
     reach = np.array([d._reach for d in column])[:, None]
     k_max = np.minimum(out.shape[1] - 1, (
@@ -609,7 +612,7 @@ def _sample_column(column, out, h, a=None):
     k = np.arange(k_max.max() + 1)
     win = k <= k_max
     x = np.where(win, k * h if a is None else k * h / a, 0.0)
-    if all(d is d0 for d in column):
+    if same:
         pdf = d0.pdf(x)
     else:
         pdf = type(d0)._density(

@@ -5,8 +5,6 @@ product with the observations and read by the PL of that axis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import distkit
@@ -14,15 +12,6 @@ from .integrity import (DetectorTable, IntegrityBudget, _require_gaussian,
                         allocate, separation_tests)
 from .model_core import AXIS_UP, SolutionOps
 from .threat import ThreatModel
-
-
-@dataclass
-class JkStatistics:
-    stats: dict            # mode id -> test statistic (m)
-    thresholds: dict       # mode id -> threshold (m)
-    alerts: dict           # mode id -> bool
-    skipped: list          # mode ids left untested
-    alert: bool            # whether any test alerts
 
 
 def thresholds(ops: SolutionOps, threat: ThreatModel, acc_bounds,
@@ -68,14 +57,10 @@ def separation_table(ops: SolutionOps, threat: ThreatModel, acc_bounds,
                             allocate(budget, threat, axis)[2], axis)
 
 
-def run_detector(tests: DetectorTable, y) -> JkStatistics:
+def run_detector(tests: DetectorTable, y):
     """Multi-hypothesis detection of the observations y (one per
     measurement): every statistic of the table tests at once, rows . y,
-    each against its threshold."""
-    ids = tests.ids
+    each against its threshold. Returns (stats, alerts), one per tested
+    mode in the table's order (tests.ids)."""
     stats = tests.rows @ np.asarray(y, dtype=float)
-    alerts = np.abs(stats) >= tests.thresholds
-    return JkStatistics(dict(zip(ids, stats.tolist())),
-                        dict(zip(ids, tests.thresholds.tolist())),
-                        dict(zip(ids, alerts.tolist())),
-                        list(tests.skipped), bool(alerts.any()))
+    return stats, np.abs(stats) >= tests.thresholds

@@ -137,7 +137,6 @@ class SolutionOps:
         self.n = model.n      # measurement count
         self.S = _solution_matrix(model.G, model.W)
         self.R = np.eye(self.n) - model.G @ self.S
-        self._reduced = {}   # excluded set -> reduced S_k, None if deficient
 
     def _leave_out(self, idx):
         """Leave-out rows for g modes of one size s, idx a (g, s) array of
@@ -164,34 +163,20 @@ class SolutionOps:
     def reduced(self, excluded):
         """S_k (m x n, zero in the excluded columns) of the solve without
         the excluded measurements and without the clock states only they
-        observe, such as an excluded constellation's clock. Kept per
-        excluded set, read-only; raises SubsetRankDeficient when the kept
-        geometry cannot support a solution."""
-        key = frozenset(int(i) for i in excluded)
-        if key not in self._reduced:
-            self._reduced[key] = self._reduced_solve(sorted(key))
-        if self._reduced[key] is None:
-            raise SubsetRankDeficient(
-                f"subset without measurements {sorted(key)} and their "
-                "clocks is rank deficient")
-        return self._reduced[key]
-
-    def _reduced_solve(self, excluded):
+        observe, such as an excluded constellation's clock. Raises
+        SubsetRankDeficient when the kept geometry cannot support a
+        solution."""
         keep = np.ones(self.n, dtype=bool)
-        keep[excluded] = False
+        keep[list(excluded)] = False
+        if not keep.any():
+            raise SubsetRankDeficient("no measurements remain")
         G = self.model.G
         live = [c for c in range(self.model.m)
                 if c < 3 or np.any(G[keep, c] != 0.0)]
-        try:
-            if not keep.any():
-                raise SubsetRankDeficient("no measurements remain")
-            S_red = _solution_matrix(G[np.ix_(keep, live)], self.model.W[keep],
-                                     err=SubsetRankDeficient)
-        except SubsetRankDeficient:
-            return None
         Sk = np.zeros(G.shape[::-1])
-        Sk[np.ix_(live, np.flatnonzero(keep))] = S_red
-        Sk.flags.writeable = False
+        Sk[np.ix_(live, np.flatnonzero(keep))] = _solution_matrix(
+            G[np.ix_(keep, live)], self.model.W[keep],
+            err=SubsetRankDeficient)
         return Sk
 
     def mode_rows(self, excluded_sets, axis: int):

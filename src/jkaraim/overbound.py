@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 
@@ -76,48 +76,15 @@ class SatelliteBound:
         return build_pgo((self.p1, self.sigma1_m, self.sigma2_m), self.xrp_m)
 
 
-class SatelliteBoundTable:
-    """Per-satellite Gaussian/PGO bound parameters."""
-
-    def __init__(self, entries):
-        self.entries = {e.svn: e for e in entries}
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __contains__(self, svn):
-        return svn in self.entries
-
-    def __getitem__(self, svn) -> SatelliteBound:
-        return self.entries[svn]
-
-    def svns(self, constellation=None):
-        return [s for s, e in self.entries.items()
-                if constellation is None or e.constellation == constellation]
-
-    @classmethod
-    def from_csv(cls, path_or_file):
-        if hasattr(path_or_file, "read"):
-            rows = list(csv.DictReader(path_or_file))
-        else:
-            with open(path_or_file, newline="") as fh:
-                rows = list(csv.DictReader(fh))
-        entries = []
-        for r in rows:
-            entries.append(SatelliteBound(
-                svn=r["svn"], category=r["category"],
-                mean_cm=float(r["mean_cm"]), std_cm=float(r["std_cm"]),
-                gauss_sigma_m=float(r["gauss_sigma_m"]),
-                sigma1_m=float(r["sigma1_m"]), sigma2_m=float(r["sigma2_m"]),
-                p1=float(r["p1"]), xrp_m=float(r["xrp_m"])))
-        return cls(entries)
-
-
-def default_table() -> SatelliteBoundTable:
-    """Bound table shipped with the package (30 GPS + 24 Galileo entries)."""
+def default_table() -> dict:
+    """Bound table shipped with the package: its 30 GPS and 24 Galileo
+    SatelliteBounds, keyed by svn."""
     ref = resources.files("jkaraim.data").joinpath("satellite_bounds.csv")
+    names = [f.name for f in fields(SatelliteBound)]
     with ref.open(newline="") as fh:
-        return SatelliteBoundTable.from_csv(fh)
+        return {r["svn"]: SatelliteBound(r["svn"], r["category"],
+                                         *(float(r[k]) for k in names[2:]))
+                for r in csv.DictReader(fh)}
 
 
 def _prep_samples(samples, min_count, symmetrize=False):

@@ -14,8 +14,7 @@ from importlib import resources
 import numpy as np
 
 from . import distkit, jackknife, model_core, overbound, threat
-from .errors import (AlmanacOutOfRange, InsufficientGeometry,
-                     InsufficientRedundancy, JkAraimError,
+from .errors import (AlmanacOutOfRange, InsufficientGeometry, JkAraimError,
                      KeplerNonConvergence, UnknownSatellite)
 from .integrity import IntegrityBudget, baseline_araim_pl, pl_solve
 from .model_core import SolutionOps
@@ -274,7 +273,6 @@ class ScenarioConfig:
     seed: int = 0
     val: float = 35.0
     compute_horizontal: bool = False
-    detect: bool = True
     budget: IntegrityBudget = None
 
     def __post_init__(self):
@@ -390,8 +388,9 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
 
     Raises ValueError for a mask_deg outside [0, 90) (check_mask_deg),
     InsufficientGeometry when fewer satellites than states plus one are
-    visible, and InsufficientRedundancy when k_max exceeds n - m; both
-    carry the visible count as n_visible.
+    visible, and InsufficientRedundancy when k_max exceeds n - m. Every
+    JkAraimError raised once the mask has been applied carries the
+    visible count as n_visible.
     """
     check_mask_deg(mask_deg)
     u, el = model_core.line_of_sight(user_ecef, positions)
@@ -399,17 +398,15 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     u, el = u[vis], el[vis]
     ids = [sat_ids[i] for i in vis]
     consts = [constellations[i] for i in vis]
-    if len(vis) < 3 + len(set(consts)) + 1:
-        exc = InsufficientGeometry("insufficient geometry")
-        exc.n_visible = len(vis)
-        raise exc
-    truth, acc = error_models(ids, consts, el, table, flavor)
-    sigmas = distkit.bound_sigmas(acc)
-    ops = SolutionOps(model_core.model_from_los(u, consts, ids,
-                                                weights=1.0 / sigmas ** 2))
     try:
+        if len(vis) < 3 + len(set(consts)) + 1:
+            raise InsufficientGeometry("insufficient geometry")
+        truth, acc = error_models(ids, consts, el, table, flavor)
+        sigmas = distkit.bound_sigmas(acc)
+        ops = SolutionOps(model_core.model_from_los(
+            u, consts, ids, weights=1.0 / sigmas ** 2))
         tm = threat_model(ops.model, budget)
-    except InsufficientRedundancy as exc:
+    except JkAraimError as exc:
         exc.n_visible = len(vis)
         raise
     return EpochSetup(vis, el, truth, acc, ops, tm)
@@ -422,8 +419,8 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
 
     sats are the scenario's healthy satellites (healthy_satellites) and
     positions their ECEF positions at t (satellite_positions). An epoch
-    that epoch_setup refuses is recorded with its visible count and the
-    reason; its other errors propagate to run_scenario."""
+    that epoch_setup refuses (a JkAraimError) is recorded with its visible
+    count and the reason."""
     budget = config.budget
     user = model_core.geodetic_to_ecef(lat, lon, 0.0)
     try:
@@ -431,9 +428,7 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
                             [a.constellation for a in sats], positions,
                             table, budget, flavor=config.flavor,
                             mask_deg=config.mask_deg)
-    except (InsufficientGeometry, InsufficientRedundancy) as exc:
-        if not hasattr(exc, "n_visible"):
-            raise
+    except JkAraimError as exc:
         return EpochRecord(lat, lon, t, exc.n_visible, error=str(exc))
     rec = EpochRecord(lat, lon, t, len(setup.visible))
     ops, tm, acc = setup.ops, setup.tm, setup.acc_bounds
@@ -456,8 +451,7 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     try:
         for axis in axes:
             tests = build(ops, tm, acc, budget, axis)
-            if config.detect:
-                rec.alert |= jackknife.run_detector(tests, eps).alert
+            rec.alert |= bool(jackknife.run_detector(tests, eps)[1].any())
             pl[axis] = solve(ops, tm, acc, tests, budget)
     except JkAraimError as exc:
         rec.error = str(exc)

@@ -235,7 +235,7 @@ def test_criterion_7_no_misleading_information(dual_runs, safety_runs,
 def test_criterion_8_overbound_dominance(capsys):
     table = default_table()
     worst = -math.inf
-    for svn in table.svns():
+    for svn in table:
         e = table[svn]
         # Stratified per-component quantile grid: a deterministic draw
         # from the generating mixture, free of binomial noise on the

@@ -390,6 +390,40 @@ class TestCmdSim:
         assert main(["--quiet", "sim", cfg, "-o", str(tmp_path / "r")]) == 2
         assert "unknown config key 'hal'" in capsys.readouterr().err
 
+    def test_detect_key_exit_2(self, tmp_path, capsys):
+        # Every record runs the detector of each axis with a PL.
+        cfg = self.coarse_cfg(tmp_path, detect="true")
+        assert main(["--quiet", "sim", cfg, "-o", str(tmp_path / "r")]) == 2
+        assert "unknown config key 'detect'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.*"))
+
+    def test_keys_parsed_by_the_type_of_their_default(self, tmp_path):
+        # One key of each kind: float, int, str, a comma-separated tuple,
+        # a bool, and a budget key; the summary echoes the scenario keys.
+        from dataclasses import fields
+        from jkaraim import sim
+        cfg = self.coarse_cfg(tmp_path, flavor="pgo",
+                              constellations="GPS, GAL",
+                              compute_horizontal="yes", p_const=2e-4,
+                              epoch_step_s=86400)
+        out = str(tmp_path / "kinds")
+        assert main(["--quiet", "sim", cfg, "-o", out]) == 0
+        echo = json.loads((tmp_path / "kinds.json").read_text())[
+            "config_echo"]
+        assert list(echo) == [f.name for f in fields(sim.ScenarioConfig)
+                              if f.name != "budget"]
+        expect = {"grid_step_deg": 90.0, "epoch_step_s": 86400.0,
+                  "seed": 3, "flavor": "pgo",
+                  "constellations": ["GPS", "GAL"],
+                  "compute_horizontal": True}
+        assert {k: echo[k] for k in expect} == expect
+        assert type(echo["grid_step_deg"]) is float
+        assert type(echo["seed"]) is int
+        with open(out + ".csv") as fh:
+            records = sim.read_records_csv(fh)
+        assert len(records) == 8
+        assert all(np.isfinite(r.hpl) for r in records if not r.error)
+
 
 class TestCmdFit:
     def test_standard_normal_sigma(self, tmp_path, capsys):
@@ -528,14 +562,16 @@ class TestDualConstellation:
 
         c_alloc = budget.c_req_fa_total / (
             2.0 * s.tm.n_fault_modes * s.tm.p_h0)
-        const = jackknife.run_detector(separation_tests(
-            s.ops, s.tm.constellation_modes(), s.acc_bounds, c_alloc), y)
-        assert sorted(const.stats) == [18, 19]
-        for mid, stat in const.stats.items():
+        const = separation_tests(s.ops, s.tm.constellation_modes(),
+                                 s.acc_bounds, c_alloc)
+        stats, alerts = jackknife.run_detector(const, y)
+        assert sorted(const.ids) == [18, 19]
+        for mid, stat, held in zip(const.ids, stats.tolist(),
+                                   const.thresholds.tolist()):
             assert (doc["stats"][str(mid)], doc["thresholds"][str(mid)]) \
-                == (stat, const.thresholds[mid])
+                == (stat, held)
         sat_ids = [str(m.id) for m in s.tm.sat_modes()]
         assert all(abs(doc["stats"][k]) < doc["thresholds"][k]
                    for k in sat_ids)
-        assert const.alert
+        assert alerts.any()
         assert doc["alert"]

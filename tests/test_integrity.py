@@ -169,8 +169,16 @@ class TestConstellationSS:
         ops, tm = self.duplicate_geometry()
         sigma0 = float(np.sqrt(np.sum(ops.S[2] ** 2)))
         mode = tm.constellation_modes()[0]
-        sigma_vk = np.sqrt(self.terms(ops, mode).Q ** 2 @ np.ones(12))
+        Q = self.terms(ops, mode).Q
+        sigma_vk = np.sqrt(Q ** 2 @ np.ones(12))
         assert sigma_vk[0] == pytest.approx(math.sqrt(2) * sigma0, rel=1e-9)
+        # The row is the axis row of the reduced solve, which is a left
+        # inverse on the position columns and zero in the excluded ones.
+        Sk = ops.reduced(mode.excluded)
+        np.testing.assert_array_equal(Q[0], Sk[2])
+        np.testing.assert_allclose(Sk @ ops.model.G[:, :3],
+                                   np.eye(ops.model.m)[:, :3], atol=1e-12)
+        assert not Sk[:, sorted(mode.excluded)].any()
 
     def test_threshold_monotone_in_continuity_allocation(self):
         ops, tm = self.duplicate_geometry()
@@ -194,23 +202,6 @@ class TestConstellationSS:
         eps = sigmas[:, None] * rng.standard_normal((12, 10 ** 6))
         emp = np.std(terms.Q[0] @ eps)
         assert emp == pytest.approx(sigma_vk[0], rel=5e-3)
-
-    def test_reduced_solve_kept_per_excluded_set(self):
-        # Every consumer of a constellation mode reads one stored S_k.
-        ops, tm = self.duplicate_geometry()
-        mode = tm.constellation_modes()[0]
-        rows = [self.terms(ops, mode, axis).Q[0] for axis in (2, 0)]
-        first = ops.reduced(sorted(mode.excluded, reverse=True))
-        assert ops.reduced(mode.excluded) is first
-        assert len(ops._reduced) == 1
-        np.testing.assert_array_equal(rows[0], first[2])
-        np.testing.assert_array_equal(rows[1], first[0])
-        assert not first.flags.writeable
-        keep = np.setdiff1d(np.arange(12), sorted(mode.excluded))
-        np.testing.assert_allclose(first @ ops.model.G[:, :3],
-                                   np.eye(ops.model.m)[:, :3], atol=1e-12)
-        assert not first[:, sorted(mode.excluded)].any()
-        assert first[:, keep].any()
 
     def test_rank_deficient_reduced_solve_raises_each_call(self):
         ops, _ = self.duplicate_geometry()
@@ -265,14 +256,14 @@ class TestOneRowForm:
         c_alloc = 10.0 ** log_c
         tests = separation_tests(ops, tm.modes, [Gaussian(s) for s in sigmas],
                                  c_alloc, axis)
-        res = run_detector(tests, y)
+        stats, _ = run_detector(tests, y)
         assert sorted(tests.ids + tests.skipped) == [m.id for m in tm.modes]
         assert {m.kind for m in tests.modes} == {"sat_subset",
                                                  "constellation"}
-        for mode, q in zip(tests.modes, tests.Q):
+        for mode, q, stat, d in zip(tests.modes, tests.Q, stats,
+                                    tests.thresholds):
             row = ops.reduced(mode.excluded)[axis]
             diff = row - ops.S[axis]
-            stat, d = res.stats[mode.id], res.thresholds[mode.id]
             assert abs(stat - diff @ y) <= 1e-9 * (np.abs(diff) @ np.abs(y))
             assert d == pytest.approx(
                 abs(ndtri(c_alloc)) * math.sqrt(diff ** 2 @ sigmas ** 2),
@@ -518,7 +509,7 @@ class TestPlReadsTheDetectorTable:
         ops, acc, tm, budget = self.case(kind)
         tests = jackknife.thresholds(ops, tm, acc, budget, axis)
         y = np.random.default_rng(5).normal(0.0, 3.0, ops.n)
-        stats = run_detector(tests, y).stats
+        stats = dict(zip(tests.ids, run_detector(tests, y)[0]))
         modes = {m.id: m for m in tm.modes}
         assert sorted(stats) + sorted(tests.skipped) == sorted(modes)
         for mid, stat in stats.items():

@@ -38,14 +38,16 @@ def stat_coeffs(ops, mode, axis=2):
 
 def detect(ops, tm, acc, y, axis=2):
     """run_detector at the default budget, on the table of every testable
-    mode of the axis, as a scenario record runs it."""
-    return run_detector(thresholds(ops, tm, acc, IntegrityBudget(), axis), y)
+    mode of the axis, as a scenario record runs it: the table's mode ids,
+    then their statistics and alerts."""
+    tests = thresholds(ops, tm, acc, IntegrityBudget(), axis)
+    return (tests.ids, *run_detector(tests, y))
 
 
 def detector_stat(ops, tm, mode, y, axis):
     """The statistic run_detector reports for one mode."""
-    det = detect(ops, tm, [Gaussian(1.0)] * ops.n, y, axis=axis)
-    return det.stats[mode.id]
+    ids, stats, _ = detect(ops, tm, [Gaussian(1.0)] * ops.n, y, axis=axis)
+    return stats[ids.index(mode.id)]
 
 
 class TestResidual:
@@ -211,8 +213,8 @@ class TestThresholds:
                            IntegrityBudget(), axis=0)
         assert tests.ids == () and tests.rows.shape == (0, 2)
         assert tests.skipped == tuple(m.id for m in tm.modes)
-        res = run_detector(tests, [50.0, -50.0])
-        assert not res.alert and res.skipped == list(tests.skipped)
+        stats, alerts = run_detector(tests, [50.0, -50.0])
+        assert stats.shape == alerts.shape == (0,)
 
 
 class TestRunDetector:
@@ -225,17 +227,17 @@ class TestRunDetector:
 
     def test_fault_free_no_alert(self, rng):
         ops, tm, acc = self.make_case(rng)
-        res = detect(ops, tm, acc, 1e-3 * rng.standard_normal(ops.n))
-        assert not res.alert
+        _, _, alerts = detect(ops, tm, acc, 1e-3 * rng.standard_normal(ops.n))
+        assert not alerts.any()
 
     def test_large_bias_detected_on_matching_mode(self, rng):
         ops, tm, acc = self.make_case(rng)
         y = np.zeros(ops.n)
         y[3] = 100.0
-        res = detect(ops, tm, acc, y)
-        assert res.alert
+        ids, _, alerts = detect(ops, tm, acc, y)
+        assert alerts.any()
         mode = next(m for m in tm.modes if m.excluded == frozenset({3}))
-        assert res.alerts[mode.id]
+        assert alerts[ids.index(mode.id)]
 
     def test_observations_argument_leaves_model_alone(self, rng):
         # The observations are an argument of each run, never state of the
@@ -246,10 +248,10 @@ class TestRunDetector:
         y = rng.standard_normal(ops.n)
         y[3] += 100.0
         y_in = y.copy()
-        given = detect(ops, tm, acc, y)
-        assert given.alert
-        assert not detect(ops, tm, acc, np.zeros(ops.n)).alert
-        assert detect(ops, tm, acc, y).stats == given.stats
+        _, given, alerts = detect(ops, tm, acc, y)
+        assert alerts.any()
+        assert not detect(ops, tm, acc, np.zeros(ops.n))[2].any()
+        np.testing.assert_array_equal(detect(ops, tm, acc, y)[1], given)
         np.testing.assert_array_equal(y, y_in)
         np.testing.assert_array_equal(ops.model.G, G)
         np.testing.assert_array_equal(ops.model.W, W)

@@ -93,7 +93,7 @@ class TestBuildPgo:
     def test_all_table_entries_continuous_and_unit_mass(self):
         table = default_table()
         assert len(table) == 54
-        for svn in table.svns():
+        for svn in table:
             pgo = table[svn].pgo()
             core = pgo.p1 * _norm_pdf(pgo.x_rp, pgo.sigma1) + pgo.c_offset
             tail = pgo.tail_coeff * _norm_pdf(pgo.x_rp, pgo.sigma2)
@@ -154,7 +154,7 @@ class TestSharpness:
         # bound, so the comparison is made at the 2% point.
         table = default_table()
         p = 0.02
-        for svn in table.svns():
+        for svn in table:
             e = table[svn]
             if e.category != "T":
                 continue

@@ -199,31 +199,6 @@ class TestScenario:
         with pytest.raises(RuntimeError, match="bug"):
             sim.run_scenario(self.coarse_config(epoch_step_s=86400.0))
 
-    @pytest.mark.parametrize("algorithm", ["jk", "baseline"])
-    def test_detect_off_keeps_vpls_and_raises_no_alert(self, algorithm):
-        # Both algorithms build each axis's mode table whether or not
-        # they run its detector, and the PL reads the same table.
-        kw = dict(grid_step_deg=60.0, epoch_step_s=21600.0,
-                  algorithm=algorithm)
-        on = sim.run_scenario(self.coarse_config(**kw))
-        off = sim.run_scenario(self.coarse_config(detect=False, **kw))
-        assert len(off) == len(on) == 72
-        assert [r.vpl for r in off] == [r.vpl for r in on]
-        assert all(np.isfinite(r.vpl) for r in off)
-        assert not any(r.alert for r in off)
-
-    def test_detect_off_keeps_pgo_vpls_with_skipped_modes(self):
-        # With p_sat 1e-4 and i_req_vert 1e-6 the pair modes fall under
-        # i_alloc and no PL term reads their thresholds; the statistic
-        # batch still holds them, so its grid, and every VPL, is the same
-        # with or without detection.
-        budget = IntegrityBudget(p_sat=1e-4, i_req_vert=1e-6, p_const=0.0)
-        vpls = [[r.vpl for r in sim.run_scenario(self.coarse_config(
-            flavor="pgo", detect=detect, budget=budget))]
-            for detect in (True, False)]
-        assert all(np.isfinite(vpls[0]))
-        assert vpls[1] == vpls[0]
-
     def test_horizontal_pls_leave_vpls_unchanged(self):
         kw = dict(grid_step_deg=60.0, epoch_step_s=21600.0)
         vert = sim.run_scenario(self.coarse_config(**kw))
@@ -330,7 +305,7 @@ class TestBaselineAlert:
         monkeypatch.setattr(ops, "reduced", rank_deficient)
         tests = jackknife.separation_table(ops, tm, acc, budget)
         assert tests.skipped == tuple(m.id for m in tm.constellation_modes())
-        assert not jackknife.run_detector(tests, np.zeros(ops.n)).alert
+        assert not jackknife.run_detector(tests, np.zeros(ops.n))[1].any()
 
     def test_other_errors_propagate(self, monkeypatch):
         # A mode skipped on an unexpected error would be a missed alert.
@@ -384,7 +359,7 @@ class TestHorizontalDetection:
                      bounds=(None, None), method="highs")
         assert lp.status == 0
         y = lp.x
-        assert not jackknife.run_detector(up, y).alert
+        assert not jackknife.run_detector(up, y)[1].any()
         assert east.rows[k] @ y >= 1.5 * east.thresholds[k]
 
         monkeypatch.setattr(sim, "draw_errors", lambda truth, rng: y)
@@ -490,17 +465,54 @@ class TestEpochSetup:
 
     def test_rank_deficient_geometry_propagates(self):
         # Every line of sight in one vertical plane leaves a horizontal
-        # coordinate unobservable. That is no refusal: evaluate_epoch
-        # raises, and run_scenario records it as any other package error.
+        # coordinate unobservable. The weighted solve's error propagates
+        # out of epoch_setup with the visible count, and evaluate_epoch
+        # records it in its row.
         sats, _ = self.visible()
         user = sim.model_core.geodetic_to_ecef(0.0, 0.0)
         up = user / np.linalg.norm(user)
         east = np.array([0.0, 1.0, 0.0])
         positions = np.array([user + 2e7 * (c * east + 0.8 * up)
                               for c in (-0.6, -0.3, 0.0, 0.3, 0.6)])
-        with pytest.raises(InsufficientGeometry, match="rank deficient"):
-            sim.evaluate_epoch(ScenarioConfig(), sats[:5], positions,
-                               default_table(), 0.0, 0.0, 0.0)
+        with pytest.raises(InsufficientGeometry,
+                           match="rank deficient") as exc:
+            sim.epoch_setup(user, [a.svn for a in sats[:5]],
+                            ["GPS"] * 5, positions, default_table(),
+                            IntegrityBudget(p_const=0.0))
+        assert exc.value.n_visible == 5
+        rec = sim.evaluate_epoch(ScenarioConfig(), sats[:5], positions,
+                                 default_table(), 0.0, 0.0, 0.0)
+        assert (rec.n_visible, rec.error) == (
+            5, "weighted geometry is rank deficient")
+
+    @pytest.mark.parametrize("refusal", ["missing_bounds", "grid_overflow"])
+    def test_refused_records_keep_the_visible_count(self, refusal,
+                                                    monkeypatch):
+        # Whatever package error epoch_setup raises after the mask, the
+        # record keeps the visible count of the full run's record at its
+        # cell: a satellite missing from the bound table, or PGO bounds
+        # wider than the grid may be.
+        config = ScenarioConfig(grid_step_deg=90.0, duration_s=600.0,
+                                epoch_step_s=600.0, flavor="pgo")
+        full = sim.run_scenario(config)
+        assert not any(r.error for r in full)
+        table = default_table()
+        if refusal == "missing_bounds":
+            del table["SVN41"]
+        else:
+            monkeypatch.setattr(sim.distkit, "MAX_GRID_HALFWIDTH", 1.0)
+        records = sim.run_scenario(config, table=table)
+        refused = [(r, f) for r, f in zip(records, full) if r.error]
+        if refusal == "missing_bounds":
+            assert [(r.lat, r.lon, r.error) for r, _ in refused] == [
+                (lat, 0.0, "no bound parameters for 'SVN41'")
+                for lat in (-45.0, 45.0)]
+        else:
+            assert len(refused) == len(full)
+            assert all("exceeds maximum" in r.error for r, _ in refused)
+        for r, f in refused:
+            assert (r.lat, r.lon, r.n_visible) == (f.lat, f.lon, f.n_visible)
+            assert r.n_visible >= 7
 
     def test_readme_quick_start(self, capsys):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
