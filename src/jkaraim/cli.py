@@ -164,20 +164,32 @@ def _load_geometry(path, table, flavor, budget):
     return setup.ops, setup.tm, setup.acc_bounds, 2
 
 
-def cmd_pl(args) -> int:
+def _check_algorithm(args):
     if args.algorithm == "baseline" and args.bound != "gaussian":
         raise ValueError("--algorithm baseline takes --bound gaussian only")
+
+
+def _mode_table(args, ops, tm, acc, budget, axis):
+    """The mode table of the chosen algorithm: the jackknife's
+    (jackknife.thresholds) or the baseline's separation tests
+    (jackknife.separation_table)."""
+    build = (jackknife.separation_table if args.algorithm == "baseline"
+             else jackknife.thresholds)
+    return build(ops, tm, acc, budget, axis)
+
+
+def cmd_pl(args) -> int:
+    _check_algorithm(args)
     table = overbound.default_table()
     kv = _read_kv_config(args.config) if args.config else {}
     budget = _budget_from_kv(kv)
     ops, tm, acc, axis = _load_geometry(args.geometry, table, args.bound,
                                         budget)
+    tests = _mode_table(args, ops, tm, acc, budget, axis)
     if args.algorithm == "baseline":
-        tests = jackknife.separation_table(ops, tm, acc, budget, axis)
         pl = baseline_araim_pl(ops, tm, acc, tests, budget)
         binding = "total-risk"
     else:
-        tests = jackknife.thresholds(ops, tm, acc, budget, axis)
         pl, binding = pl_solve(ops, tm, acc, tests, budget,
                                return_binding=True)
     doc = {"pl_m": pl, "axis": axis, "binding": binding,
@@ -273,6 +285,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _check_algorithm(args)
     table = overbound.default_table()
     kv = _read_kv_config(args.config) if args.config else {}
     budget = _budget_from_kv(kv)
@@ -284,7 +297,7 @@ def cmd_detect(args) -> int:
         print(f"error: expected {ops.n} observations, got {y.size}",
               file=sys.stderr)
         return EXIT_PARSE
-    tests = jackknife.thresholds(ops, tm, acc, budget, axis)
+    tests = _mode_table(args, ops, tm, acc, budget, axis)
     stats, alerts = jackknife.run_detector(tests, y)
     ids = [str(i) for i in tests.ids]
     doc = {"alert": bool(alerts.any()),
@@ -330,6 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("detect", help="single-epoch detector run")
     sp.add_argument("geometry", help="geometry JSON file")
     sp.add_argument("observations", help="JSON array of observations (m)")
+    sp.add_argument("--algorithm", choices=("jk", "baseline"),
+                    default="jk")
     sp.add_argument("--bound", choices=("gaussian", "pgo"),
                     default="gaussian")
     sp.set_defaults(func=cmd_detect)

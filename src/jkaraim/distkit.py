@@ -351,14 +351,27 @@ class GridDistribution:
 
 def _normalise(pdf, h):
     """Density rows (rows x points) clipped at zero and scaled to unit
-    trapezoid mass in place, and their trapezoid CDF rows, which end at 1."""
+    trapezoid mass in place, and their trapezoid CDF rows, which end at 1.
+
+    The cell terms are worked out inside the CDF array, with np.trapezoid's
+    and the cumulative sum's arithmetic, so that no temporary of the
+    grid's size is allocated: once the heap's top has been returned to
+    the system, each such temporary touches fresh pages (page faults)."""
     np.clip(pdf, 0.0, None, out=pdf)
-    mass = np.trapezoid(pdf, dx=h, axis=1)
+    cdf = np.empty(pdf.shape)
+    cells = cdf[:, 1:]
+    np.add(pdf[:, 1:], pdf[:, :-1], out=cells)
+    np.multiply(h, cells, out=cells)
+    cells /= 2.0
+    mass = cells.sum(axis=1)
     if np.any(mass <= 0):
         raise ValueError("grid carries no probability mass")
     pdf /= mass[:, None]
-    cdf = np.zeros(pdf.shape)
-    np.cumsum(0.5 * (pdf[:, 1:] + pdf[:, :-1]) * h, axis=1, out=cdf[:, 1:])
+    np.add(pdf[:, 1:], pdf[:, :-1], out=cells)
+    cells *= 0.5
+    cells *= h
+    np.cumsum(cells, axis=1, out=cells)
+    cdf[:, 0] = 0.0
     cdf /= cdf[:, -1:]
     return pdf, cdf
 
@@ -426,7 +439,9 @@ class DistBatch:
 
 
 class GaussianBatch(DistBatch):
-    """Zero-mean Gaussian rows, one sigma each."""
+    """Zero-mean Gaussian rows, one sigma each (last axis), for one record
+    or a stack of records along leading axes. A scenario's stacked
+    Gaussian accuracy bounds are one too: sigma (records, satellites)."""
 
     def __init__(self, sigma):
         self.sigma = np.asarray(sigma, dtype=float)
@@ -444,6 +459,22 @@ class GaussianBatch(DistBatch):
 
     def quantile(self, p):
         return self.sigma * ndtri(np.asarray(p, dtype=float))
+
+
+class OneRecord(DistBatch):
+    """One record's DistBatch as a stack of one record, the record axis
+    second to last: cdf reads x[..., 0, :], and cdf and quantile return
+    the record's values, bit for bit, with that axis of length 1 added."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def cdf(self, x):
+        return self.batch.cdf(np.asarray(x, dtype=float)[..., 0, :])[
+            ..., None, :]
+
+    def quantile(self, p):
+        return self.batch.quantile(p)[..., None, :]
 
 
 class GridBatch(DistBatch):
@@ -703,8 +734,7 @@ def convolve_batch(coeff_matrix, dists, n_points=GRID_POINTS):
     if C.ndim != 2 or C.shape[1] != len(dists):
         raise ValueError("coefficient matrix shape mismatch")
     if all(isinstance(d, Gaussian) for d in dists):
-        var = np.array([d.sigma ** 2 for d in dists])
-        return GaussianBatch(np.sqrt((C ** 2) @ var))
+        return gaussian_rows(C, np.array([d.sigma for d in dists]))
     var = np.array([d.variance() for d in dists])
     extra = np.array([d.support_extra for d in dists])
     L = float(np.max(_GRID_SIGMAS * np.sqrt((C ** 2) @ var)
@@ -767,7 +797,45 @@ def convolve_rows(rows, n_points=GRID_POINTS):
     return GridBatch(x, pdf, np.sqrt(dom), extra)
 
 
+def matvec(A, v):
+    """A (..., k, n) times v (..., n) over the leading axes, (..., k): one
+    matrix-vector product per stacked matrix, each rounded as A[i] @ v[i]
+    is."""
+    return (A @ v[..., None])[..., 0]
+
+
+def gaussian_rows(C, sigma):
+    """The closed form of convolve_batch's all-Gaussian case, for one
+    record or a stack: the GaussianBatch of the rows C (..., K, n) over
+    independent zero-mean Gaussians of sigmas sigma (..., n), sigma_i =
+    sqrt(sum_j C_ij^2 sigma_j^2). Each sigma_j^2 is rounded as
+    Gaussian.variance rounds it (pow, not a product)."""
+    return GaussianBatch(np.sqrt(matvec(np.square(C),
+                                        np.float_power(sigma, 2))))
+
+
+def row_batches(C, bounds):
+    """Distributions of the rows C (..., K, n) over the accuracy bounds
+    of one record or of a stack of records: the closed form gaussian_rows
+    for bounds given as a GaussianBatch of sigmas (..., n); convolve_batch
+    for one record's list of bounds (C 2-D); and for a stack of one
+    record's list ([bounds], C (1, K, n)), that record's convolve_batch as
+    a OneRecord. A scenario stacks grid bounds one record at a time
+    (sim._stacks), as each record's rows need their own grid."""
+    if isinstance(bounds, GaussianBatch):
+        return gaussian_rows(C, bounds.sigma)
+    if C.ndim == 2:
+        return convolve_batch(C, bounds)
+    [c], [b] = C, bounds
+    return OneRecord(convolve_batch(c, b))
+
+
 def bound_sigmas(bounds) -> np.ndarray:
     """The Gaussian sigma of each bound, the square root of its variance:
-    the WLS weights and the Gaussian solution-separation terms."""
-    return np.sqrt([b.variance() for b in bounds])
+    the WLS weights and the Gaussian solution-separation terms. bounds is
+    one record's list, a list of records' lists, or a GaussianBatch of
+    stacked sigmas (whose variances round as Gaussian.variance's)."""
+    if isinstance(bounds, GaussianBatch):
+        return np.sqrt(np.float_power(bounds.sigma, 2))
+    return np.sqrt([[b.variance() for b in r] if isinstance(r, list)
+                    else r.variance() for r in bounds])

@@ -14,6 +14,11 @@ class SubsetRankDeficient(JkAraimError):
     constellation excluded leaves its clock state unobservable)."""
 
 
+class MixedStack(JkAraimError):
+    """The geometries of a stack disagree on which fault modes can be
+    tested, so no one mode table serves them all."""
+
+
 class InsufficientRedundancy(JkAraimError):
     """Requested fault-mode cardinality exceeds the available redundancy."""
 

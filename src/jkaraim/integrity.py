@@ -14,7 +14,7 @@ from scipy.special import ndtr, ndtri
 
 from . import distkit
 from .errors import NonGaussianBound, SubsetRankDeficient
-from .model_core import AXIS_UP, SolutionOps
+from .model_core import AXIS_UP, SolutionOps, _shared
 from .threat import ThreatModel
 
 
@@ -92,46 +92,69 @@ PL_TOLERANCE_M = 1e-3
 _BISECT_DEPTH = 4
 _BISECT_POINTS = 2 ** _BISECT_DEPTH
 # A risk call's levels: the dyadic points 0 < j < _BISECT_POINTS of [lo,
-# hi] as (j, j - s, j + s), j the midpoint of its neighbours one level up,
-# breadth first (the order a step-by-step bisection meets them).
-_BISECT_TREE = tuple((j, j - s, j + s)
+# hi], one tree level at a time (the order a step-by-step bisection meets
+# them), as slices (j, j - s, j + s): each j the midpoint of j - s and
+# j + s one level up.
+_BISECT_TREE = tuple((slice(s, _BISECT_POINTS, 2 * s),
+                      slice(0, _BISECT_POINTS - s, 2 * s),
+                      slice(2 * s, _BISECT_POINTS + 1, 2 * s))
                      for s in (_BISECT_POINTS >> d
-                               for d in range(1, _BISECT_DEPTH + 1))
-                     for j in range(s, _BISECT_POINTS, 2 * s))
+                               for d in range(1, _BISECT_DEPTH + 1)))
+# The width of a bracket before step d of a walk (and after the last), in
+# points.
+_BISECT_SPAN = (_BISECT_POINTS >> np.arange(_BISECT_DEPTH + 1))[:, None]
 
 
-def _bisect_level(risk, hi: float, target: float):
+def _bisect_level(risk, hi, target: float):
     """Bisection on [0, hi] for the lowest level whose risk stays within
-    target, to PL_TOLERANCE_M. Returns (level, steps), or (None, 0) when
-    risk(hi) already exceeds target. risk must not increase with the level.
+    target, to PL_TOLERANCE_M: hi (an array) holds one upper end per
+    record, each record bisecting its own bracket. Returns (level, steps)
+    of hi's shape, level NaN (and steps 0) where risk(hi) already exceeds
+    target. risk must not increase with the level.
 
-    risk maps an array of levels to their risks. Each call takes the
-    midpoints of the next _BISECT_DEPTH steps on every branch (the first
-    call hi as well), computed by the same 0.5 * (a + b) steps; walking
-    them takes the decisions of a step-by-step bisection at the same
-    midpoints, so the level is the same.
+    risk maps levels (P, *hi.shape), P levels per record, to their risks.
+    Each call takes the midpoints of the next _BISECT_DEPTH steps on every
+    branch of every bracket (the first call hi as well), computed by the
+    same 0.5 * (a + b) steps; walking them takes the decisions of a
+    step-by-step bisection at the same midpoints, so each level is the
+    one a record bisected alone gets.
     """
-    lo, steps = 0.0, 0
-    start = [hi]
-    while True:
-        pts = [lo] * _BISECT_POINTS + [hi]
+    top = np.asarray(hi, dtype=float)
+    hi = top.reshape(-1)
+    lo = np.zeros(hi.shape)
+    steps = np.zeros(hi.shape, dtype=int)
+    rec = np.arange(hi.size)
+    pts = np.empty((_BISECT_POINTS + 1, hi.size))
+    first, active = True, np.ones(hi.shape, dtype=bool)
+    while active.any():
+        pts[:-1], pts[-1] = lo, hi
         for j, a, b in _BISECT_TREE:
             pts[j] = 0.5 * (pts[a] + pts[b])
-        r = risk(np.array(start + pts[1:-1])).tolist()
-        if start:
-            if r.pop(0) > target:
-                return None, 0
-            start = []
-        j, s = _BISECT_POINTS // 2, _BISECT_POINTS // 4
-        for _ in range(_BISECT_DEPTH):
-            if not hi - lo > PL_TOLERANCE_M:
-                return hi, steps
-            if r[j - 1] > target:
-                lo, j = pts[j], j + s
-            else:
-                hi, j = pts[j], j - s
-            s //= 2
-            steps += 1
+        mids = pts[1:-1]
+        levels = np.concatenate((hi[None], mids)) if first else mids
+        up = risk(levels.reshape((len(levels),) + top.shape)).reshape(
+            len(levels), -1) > target
+        if first:
+            found = ~up[0]
+            active &= found
+            up, first = up[1:], False
+        # Walk every bracket down the tree: start[d] is the first point of
+        # each bracket before step d, whose midpoint decides the step.
+        start = [np.zeros(hi.shape, dtype=int)]
+        for span in _BISECT_SPAN[1:, 0].tolist():
+            j = start[-1] + span
+            start.append(np.where(up[j - 1, rec], j, start[-1]))
+        start = np.array(start)
+        ends = pts[start + _BISECT_SPAN, rec]
+        wide = ends - pts[start, rec] > PL_TOLERANCE_M
+        # A record steps while its bracket is wider than the tolerance; a
+        # step-by-step bisection stops there too.
+        n = np.where(active, np.logical_and.accumulate(wide[:-1]).sum(0), 0)
+        lo, hi = pts[start[n, rec], rec], ends[n, rec]
+        steps += n
+        active &= wide[n, rec]
+    level = np.where(found, hi, np.nan).reshape(top.shape)
+    return level, np.where(found, steps, 0).reshape(top.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +164,15 @@ class DetectorTable:
     S_k row Q on the axis, a statistic row and a threshold; modes[i]
     alerts on the observations y when |rows[i] . y| >= thresholds[i]
     (run_detector). The jk PL offsets each fault term by its mode's
-    threshold."""
+    threshold. A table of a stack of geometries (model_core.SolutionStack)
+    holds every record's rows and thresholds along leading axes, and the
+    modes they share."""
 
     axis: int
     modes: tuple            # the tested FaultModes, in mode order
-    Q: np.ndarray           # their S_k rows on the axis, one per mode
-    rows: np.ndarray        # one statistic row per mode
-    thresholds: np.ndarray  # one threshold (m) per mode
+    Q: np.ndarray           # their S_k rows on the axis, (..., modes, n)
+    rows: np.ndarray        # one statistic row per mode, (..., modes, n)
+    thresholds: np.ndarray  # one threshold (m) per mode, (..., modes)
     skipped: tuple          # ids of untested (rank-deficient) modes
 
     @property
@@ -196,13 +221,14 @@ def _jk_terms(ops, threat, acc_bounds, tests, budget):
     tests: the fault-free term, then the modes kept_modes keeps (satellite
     modes, then constellation modes), each fault term offset by its mode's
     threshold in tests (T_k |S_vk| for one satellite, T_k for more, D_k)
-    plus its bias b_nom sum_i |S_k row_i|.
+    plus its bias b_nom sum_i |S_k row_i|. One record's terms, or a
+    stack's along leading axes.
 
     Returns (labels, offsets, bounds, risk, target, skipped_mass), or the
     label of the reason no finite PL exists. offsets are the thresholds
     plus the biases; bounds() gives each term's level at its share i_alloc
-    of the budget; risk maps an array of levels to the summed monitored
-    risk at each; target is allocate's deflated axis budget.
+    of the budget; risk maps levels (P, ...), P per record, to the summed
+    monitored risk at each; target is allocate's deflated axis budget.
     """
     axis = tests.axis
     target, i_alloc, _, _ = allocate(budget, threat, axis)
@@ -215,41 +241,78 @@ def _jk_terms(ops, threat, acc_bounds, tests, budget):
 
     modes = [m for m, k in zip(tests.modes, keep.tolist()) if k]
     n_sat = sum(m.kind == "sat_subset" for m in modes)
-    Q = tests.Q[keep]
-    s_row = ops.S[axis]
-    scale = [abs(s_row[next(iter(m.excluded))])
-             if m.kind == "sat_subset" and len(m.excluded) == 1 else 1.0
-             for m in modes]
+    Q = tests.Q[..., keep, :]
+    s_row = ops.S[..., axis, :]
+    single = np.array([m.kind == "sat_subset" and len(m.excluded) == 1
+                       for m in modes], dtype=bool)
+    first = np.array([min(m.excluded) for m in modes], dtype=int)
+    scale = np.where(single, np.abs(s_row[..., first]), 1.0)
     offsets = np.concatenate((
-        [budget.b_nom * np.abs(s_row).sum()],
-        tests.thresholds[keep] * scale + budget.b_nom * np.abs(Q).sum(axis=1)))
+        budget.b_nom * np.abs(s_row).sum(axis=-1)[..., None],
+        tests.thresholds[..., keep] * scale
+        + budget.b_nom * np.abs(Q).sum(axis=-1)), axis=-1)
     priors = np.array([threat.p_h0] + [m.prior for m in modes])
     # Rows of dists are the first n terms; the constellation terms (if
     # any) are Gaussians of the bounds' sigmas.
-    dists = distkit.convolve_batch(np.vstack((s_row, Q[:n_sat])), acc_bounds)
-    n = len(dists)
+    dists = distkit.row_batches(
+        np.concatenate((s_row[..., None, :], Q[..., :n_sat, :]), axis=-2),
+        acc_bounds)
+    n = 1 + n_sat
     const = None
     if len(modes) > n_sat:
         var = distkit.bound_sigmas(acc_bounds) ** 2
-        const = distkit.GaussianBatch(np.sqrt((Q[n_sat:] ** 2) @ var))
+        const = distkit.GaussianBatch(
+            np.sqrt(distkit.matvec(Q[..., n_sat:, :] ** 2, var)))
 
     def bounds():
         p = i_alloc / (2.0 * priors)
         q = dists.quantile(p[:n])
         if const is not None:
-            q = np.concatenate((q, const.quantile(p[n:])))
+            q = np.concatenate((q, const.quantile(p[n:])), axis=-1)
         return np.abs(q) + offsets
 
     def risk(levels):
-        x = levels[:, None] - offsets
-        tails = dists.tail_prob(x[:, :n])
+        x = levels[..., None] - offsets
+        tails = dists.tail_prob(x[..., :n])
         if const is not None:
-            tails = np.concatenate((tails, const.tail_prob(x[:, n:])), axis=1)
-        return np.cumsum(priors * tails, axis=1)[:, -1]
+            tails = np.concatenate((tails, const.tail_prob(x[..., n:])),
+                                   axis=-1)
+        return np.cumsum(priors * tails, axis=-1)[..., -1]
 
     labels = ["H0"] + [f"mode:{m.id}" if m.kind == "sat_subset"
                        else f"const:{m.id}" for m in modes]
     return labels, offsets, bounds, risk, target, skipped_mass
+
+
+def protection_levels(ops, threat: ThreatModel, acc_bounds,
+                      tests: DetectorTable, budget: IntegrityBudget):
+    """The jk protection levels of a stack of geometries (pl_solve of each
+    record, which is this of one record): ops a model_core.SolutionStack,
+    tests its jackknife.thresholds table and acc_bounds its stacked bounds.
+    Returns (levels, binding), each of the stack's leading shape: the PLs
+    and the label of the term that set each before the bisection.
+
+    The equal-allocation per-mode max bound is computed first. When the
+    skipped low-prior modes leave room inside the deflated budget, each
+    level is then tightened by bisecting its summed monitored risk onto
+    the budget (one bracket per record, all in one _bisect_level), which
+    makes the risk bound tight rather than allocated.
+    """
+    shape = ops.S.shape[:-2]
+    terms = _jk_terms(ops, threat, acc_bounds, tests, budget)
+    if isinstance(terms, str):
+        return np.full(shape, math.inf), np.full(shape, terms, dtype=object)
+    labels, _, bounds, risk, target, skipped_mass = terms
+    values = bounds()
+    k = np.argmax(values, axis=-1)
+    best = np.maximum(np.take_along_axis(values, k[..., None], -1)[..., 0],
+                      0.0)
+    target -= skipped_mass
+    if target > 0.0:
+        level = np.reshape(
+            _bisect_level(risk, np.atleast_1d(best), target)[0], shape)
+        best = np.where((best > 0.0) & ~np.isnan(level), level, best)
+    return best, np.array(labels, dtype=object)[k]
 
 
 def pl_solve(ops: SolutionOps, threat: ThreatModel, acc_bounds,
@@ -257,46 +320,36 @@ def pl_solve(ops: SolutionOps, threat: ThreatModel, acc_bounds,
              return_binding=False):
     """Protection level of the geometry ops on the axis of the detector
     table tests (jackknife.thresholds), whose thresholds offset the
-    fault-mode terms (_jk_terms).
-
-    The equal-allocation per-mode max bound is computed first. When the
-    skipped low-prior modes leave room inside the deflated budget, the
-    level is then tightened by bisecting the summed monitored risk onto
-    the budget, which makes the risk bound tight rather than allocated.
+    fault-mode terms (_jk_terms): protection_levels of one record.
 
     acc_bounds holds each satellite's accuracy bound: the bounds feed the
     convolutions and their sigmas (distkit.bound_sigmas) the constellation
     modes' terms. Each satellite's nominal bias is the budget's b_nom.
     """
-    terms = _jk_terms(ops, threat, acc_bounds, tests, budget)
-    if isinstance(terms, str):
-        return (math.inf, terms) if return_binding else math.inf
-    labels, _, bounds, risk, target, skipped_mass = terms
-    values = bounds()
-    k = int(np.argmax(values))
-    best, best_label = max(float(values[k]), 0.0), labels[k]
-    target -= skipped_mass
-    if target > 0.0 and best > 0.0:
-        level, _ = _bisect_level(risk, best, target)
-        if level is not None:
-            best = level
-    return (best, best_label) if return_binding else best
+    level, binding = protection_levels(ops, threat, acc_bounds, tests,
+                                       budget)
+    level, binding = float(level), str(binding)
+    return (level, binding) if return_binding else level
 
 
 def _require_gaussian(acc_bounds):
     """The baseline's terms are Gaussians of the bounds' sigmas, which
-    understate a heavier-tailed bound's tails: refuse any other bound."""
-    if not all(isinstance(b, distkit.Gaussian) for b in acc_bounds):
+    understate a heavier-tailed bound's tails: refuse any other bound. A
+    stack's Gaussian bounds are one GaussianBatch."""
+    if not (isinstance(acc_bounds, distkit.GaussianBatch)
+            or all(isinstance(b, distkit.Gaussian) for b in acc_bounds)):
         raise NonGaussianBound(
             "the solution-separation baseline takes Gaussian accuracy "
             "bounds only")
 
 
 def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
-                      tests: DetectorTable, budget: IntegrityBudget) -> float:
+                      tests: DetectorTable, budget: IntegrityBudget):
     """Solution-separation protection level of the geometry ops on the
     axis of the separation table tests (jackknife.separation_table), by
-    bisection on the total risk.
+    bisection on the total risk: a float for one record, and for a stack
+    of geometries (model_core.SolutionStack, its stacked table and
+    bounds) one level per record, each bisecting its own bracket.
 
     The comparison benchmark, on Gaussian accuracy bounds only
     (NonGaussianBound otherwise): two-sided fault-free term, one-sided
@@ -310,29 +363,36 @@ def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
     """
     _require_gaussian(acc_bounds)
     axis = tests.axis
-    if not np.array_equal(tests.rows, tests.Q - ops.S[axis]):
+    s_row = ops.S[..., axis, :]
+    if not np.array_equal(tests.rows, tests.Q - s_row[..., None, :]):
         raise ValueError("baseline_araim_pl reads a separation table "
                          "(jackknife.separation_table): rows S_k - S")
+    shape = s_row.shape[:-1]
+    level = np.full(shape, math.inf)
     target, _, _, c_alloc = allocate(budget, threat, axis)
-    if (target <= 0.0
-            or kept_modes(threat, tests, 0.0, budget.p_thres)[2] is not None):
-        return math.inf
-    var = distkit.bound_sigmas(acc_bounds) ** 2
-    weights = np.array([2.0 * threat.p_h0] + [m.prior for m in tests.modes])
-    sigmas = np.sqrt(np.concatenate(([np.sum(ops.S[axis] ** 2 * var)],
-                                     (tests.Q ** 2) @ var)))
-    offsets = np.concatenate((
-        [budget.b_nom * np.abs(ops.S[axis]).sum()],
-        abs(float(ndtri(c_alloc))) * np.sqrt((tests.rows ** 2) @ var)
-        + budget.b_nom * np.abs(tests.Q).sum(axis=1)))
+    if (target > 0.0
+            and kept_modes(threat, tests, 0.0, budget.p_thres)[2] is None):
+        var = distkit.bound_sigmas(acc_bounds) ** 2
+        weights = np.array([2.0 * threat.p_h0]
+                           + [m.prior for m in tests.modes])
+        sigmas = np.sqrt(np.concatenate((
+            np.sum(s_row ** 2 * var, axis=-1)[..., None],
+            distkit.matvec(tests.Q ** 2, var)), axis=-1))
+        offsets = np.concatenate((
+            budget.b_nom * np.abs(s_row).sum(axis=-1)[..., None],
+            abs(float(ndtri(c_alloc)))
+            * np.sqrt(distkit.matvec(tests.rows ** 2, var))
+            + budget.b_nom * np.abs(tests.Q).sum(axis=-1)), axis=-1)
 
-    def risk(levels):
-        # Fault-free term, then the faulted terms in mode order.
-        return np.cumsum(weights * ndtr((offsets - levels[:, None])
-                                        / sigmas), axis=1)[:, -1]
+        def risk(levels):
+            # Fault-free term, then the faulted terms in mode order.
+            return np.cumsum(weights * ndtr((offsets - levels[..., None])
+                                            / sigmas), axis=-1)[..., -1]
 
-    level, _ = _bisect_level(risk, 1.0e4, target)
-    return math.inf if level is None else level
+        found = _bisect_level(risk, np.full(shape or (1,), 1.0e4),
+                              target)[0].reshape(shape)
+        level = np.where(np.isnan(found), math.inf, found)
+    return float(level) if level.ndim == 0 else level
 
 
 def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
@@ -345,23 +405,25 @@ def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
     row comes from ops.mode_rows, a constellation mode's from ops.reduced
     (the solve without the excluded constellation's measurements and
     clock). Rank-deficient modes are left untested; any other failure
-    propagates."""
+    propagates. ops may be a stack of geometries that agree on which
+    modes are rank deficient (model_core.SolutionStack.testable)."""
     sat = [m for m in modes if m.kind == "sat_subset"]
     ok, Q, _ = ops.mode_rows([m.excluded for m in sat], axis)
+    ok = _shared(ok)
     tested = [m for m, good in zip(sat, ok.tolist()) if good]
-    parts = [Q[ok]]
+    parts = [Q[..., ok, :]]
     for mode in modes:
         if mode.kind == "constellation":
             try:
-                parts.append(ops.reduced(mode.excluded)[axis])
+                parts.append(ops.reduced(mode.excluded)[..., axis, None, :])
             except SubsetRankDeficient:
                 continue
             tested.append(mode)
-    Q = np.vstack(parts)
-    rows = Q - ops.S[axis]
+    Q = np.concatenate(parts, axis=-2)
+    rows = Q - ops.S[..., axis, None, :]
     var = distkit.bound_sigmas(acc_bounds) ** 2
     ids = {m.id for m in tested}
     return DetectorTable(
         axis, tuple(tested), Q, rows,
-        abs(float(ndtri(c_alloc))) * np.sqrt((rows ** 2) @ var),
+        abs(float(ndtri(c_alloc))) * np.sqrt(distkit.matvec(rows ** 2, var)),
         tuple(m.id for m in modes if m.id not in ids))

@@ -16,7 +16,8 @@ import numpy as np
 from . import distkit, jackknife, model_core, overbound, threat
 from .errors import (AlmanacOutOfRange, InsufficientGeometry, JkAraimError,
                      KeplerNonConvergence, UnknownSatellite)
-from .integrity import IntegrityBudget, baseline_araim_pl, pl_solve
+from .integrity import (IntegrityBudget, baseline_araim_pl,
+                        protection_levels)
 from .model_core import SolutionOps
 
 GM_EARTH = 3.986005e14          # m^3/s^2
@@ -52,7 +53,10 @@ def cnmp_sigma(constellation, elevation_deg):
     if constellation == "GPS":
         noise = 0.15 + 0.43 * np.exp(-el / 6.9)
         mp = 0.13 + 0.53 * np.exp(-el / 10.0)
-        return IF_FACTOR_GPS * np.sqrt(noise ** 2 + mp ** 2)
+        # float_power squares by pow, as a scalar's ** 2 does, so that an
+        # array of elevations gives each the sigma it gives alone.
+        return IF_FACTOR_GPS * np.sqrt(np.float_power(noise, 2)
+                                       + np.float_power(mp, 2))
     if constellation == "GAL":
         user = np.interp(el, _GAL_CNMP_ELEV, _GAL_CNMP_SIGMA)
         return IF_FACTOR_GAL * user
@@ -203,38 +207,69 @@ def error_models(svns, constellations, elevations, table, flavor):
     """Nominal errors of one epoch's satellites and their accuracy bounds,
     (truth, acc_bounds), one of each per (svn, constellation, elevation).
     Raises UnknownSatellite for an svn the bound table does not hold or
-    holds under another constellation.
+    holds under another constellation, and the entry's error (such as
+    NoValidPartition) for one whose PGO cannot be built.
 
     truth[i] is a row of independent components, (heavy-tailed SISRE PGO,
     Gaussian(s_tropo), Gaussian(s_user)), which draw_errors samples. The
     PGO flavour's acc_bounds[i] is that row's convolution (one
     distkit.convolve_rows batch for the epoch); the Gaussian flavour's is
-    the Gaussian of sigma sqrt(sigma_G^2 + s_tropo^2 + s_user^2).
+    the Gaussian of sigma sqrt(sigma_G^2 + s_tropo^2 + s_user^2). The
+    scenario builds a stack of records' models at once (_error_stack),
+    which this is of one record.
     """
     if flavor not in ("gaussian", "pgo"):
         raise ValueError(f"unknown bound flavor {flavor!r}")
-    entries, truth = [], []
-    for svn, const, elevation in zip(svns, constellations, elevations,
-                                     strict=True):
+    entries = _entries(svns, constellations, table)
+    for entry, elevation in zip(entries, elevations, strict=True):
         if not (0.0 < elevation <= 90.0):
             raise ValueError(f"elevation {elevation} out of range")
-        if svn not in table:
-            raise UnknownSatellite(f"no bound parameters for {svn!r}")
-        entry = table[svn]
-        if entry.constellation != const:
-            raise UnknownSatellite(f"{svn!r} is labelled {const!r}, but its "
-                                   f"bounds are {entry.constellation!r}")
-        entries.append(entry)
-        truth.append((
-            entry.pgo(), distkit.Gaussian(float(tropo_sigma(elevation))),
-            distkit.Gaussian(float(cnmp_sigma(entry.constellation,
-                                              elevation)))))
+        if isinstance(entry, JkAraimError):
+            raise entry
+    if not entries:
+        return [], []
+    truth, acc, failed = _error_stack([entries], constellations,
+                                      np.asarray([elevations], dtype=float),
+                                      flavor)
+    if failed:
+        raise failed[0]
     if flavor == "pgo":
-        return truth, list(distkit.convolve_rows(truth)) if truth else []
-    return truth, [distkit.Gaussian(math.sqrt(e.gauss_sigma_m ** 2
-                                              + tropo.sigma ** 2
-                                              + user.sigma ** 2))
-                   for e, (_, tropo, user) in zip(entries, truth)]
+        return truth[0], acc[0]
+    return truth[0], [distkit.Gaussian(s) for s in acc.sigma[0].tolist()]
+
+
+def _error_stack(entries, constellations, elevations, flavor):
+    """error_models of a stack of records whose satellites share their
+    constellation labels: entries[b] holds record b's bound-table entries,
+    each of whose PGO builds (_entries), and elevations (records x n)
+    their elevations. Returns (truth, acc, failed): one list of truth rows
+    per record; the accuracy bounds, a GaussianBatch of every record's
+    sigmas (Gaussian flavour) or one list of grid bounds per record from
+    its own convolve_rows (PGO); and the JkAraimError of each record (by
+    index) whose convolve_rows failed, which has no bounds (None)."""
+    tropo = tropo_sigma(elevations)
+    user = np.empty(elevations.shape)
+    for const in set(constellations):
+        cols = [j for j, c in enumerate(constellations) if c == const]
+        user[:, cols] = cnmp_sigma(const, elevations[:, cols])
+    truth = [[(e.pgo(), distkit.Gaussian(t), distkit.Gaussian(u))
+              for e, t, u in zip(row, ts, us)]
+             for row, ts, us in zip(entries, tropo.tolist(), user.tolist())]
+    failed = {}
+    if flavor == "gaussian":
+        g = np.array([[e.gauss_sigma_m for e in row] for row in entries])
+        # Each square as pow rounds it, as Python floats' ** 2 did.
+        return truth, distkit.GaussianBatch(np.sqrt(
+            np.float_power(g, 2) + np.float_power(tropo, 2)
+            + np.float_power(user, 2))), failed
+    acc = []
+    for b, rows in enumerate(truth):
+        try:
+            acc.append(list(distkit.convolve_rows(rows)))
+        except JkAraimError as exc:
+            failed[b] = exc
+            acc.append(None)
+    return truth, acc, failed
 
 
 def draw_errors(truth, rng: np.random.Generator) -> np.ndarray:
@@ -365,7 +400,11 @@ def threat_model(geom, budget: IntegrityBudget):
 
 @dataclass
 class EpochSetup:
-    """What one epoch's detector and PLs start from (epoch_setup). The
+    """What one epoch's detector and PLs start from (epoch_setup), for one
+    record or, in the scenario, for a stack of records whose visible
+    satellites share their constellation labels (each field then holds
+    every record's along a leading axis: ops a model_core.SolutionStack,
+    acc_bounds a distkit.GaussianBatch or one list per record). The
     geometry is ops, whose model is weighted by 1 / sigma^2 of each
     satellite's bound."""
 
@@ -377,6 +416,125 @@ class EpochSetup:
     tm: threat.ThreatModel
 
 
+def _refusal(exc, n_visible):
+    exc.n_visible = n_visible
+    return exc
+
+
+def _stacks(above, constellations, flavor):
+    """One epoch's users, above (users x N) flagging the satellites above
+    their mask, in stacks whose visible satellites share their
+    constellation labels: those fix n, m, k_max and the fault modes.
+    Yields (labels, rows, vis): the users rows and their visible
+    satellites vis (rows x n). A PGO record's grids (its bounds'
+    convolve_rows, its thresholds' and its PL terms' convolve_batch) take
+    about 1.4 MB, and a stack holds all of its records' at once, so PGO
+    records stack alone."""
+    groups = {}
+    for r, mask in enumerate(above):
+        vis = np.flatnonzero(mask)
+        groups.setdefault(tuple([constellations[i] for i in vis]),
+                          []).append((r, vis))
+    for key, members in groups.items():
+        for part in ([members] if flavor == "gaussian"
+                     else [[m] for m in members]):
+            yield (key, np.array([r for r, _ in part]),
+                   np.array([v for _, v in part],
+                            dtype=int).reshape(len(part), len(key)))
+
+
+def _setup_stack(key, rows, vis, u, el, sat_ids, entries, budget, flavor):
+    """The set-up of one stack of _stacks: u (users x N x 3) and el (users
+    x N) are every user's line_of_sight rows and elevations, and
+    entries[i] is satellite i's bound-table entry, or its UnknownSatellite
+    (_entries).
+
+    Returns (rows, setup) pairs that cover the stack's users rows: a
+    stacked EpochSetup, or the JkAraimError, carrying the visible count as
+    n_visible, that refuses them. The checks run in epoch_setup's order:
+    fewer satellites than states plus one (InsufficientGeometry, the
+    stack); the first visible satellite the table does not hold or whose
+    PGO cannot be built (the record); bounds whose convolution fails (the
+    record, PGO flavour); a rank-deficient weighted geometry
+    (InsufficientGeometry, the record); k_max above n - m
+    (InsufficientRedundancy, the stack).
+    """
+    n = len(key)
+    if n < 3 + len(set(key)) + 1:
+        return [(rows, _refusal(InsufficientGeometry(
+            "insufficient geometry"), n))]
+    out = []
+    bad = np.array([isinstance(e, JkAraimError) for e in entries])[vis]
+    for b in np.flatnonzero(bad.any(axis=1)):
+        exc = entries[vis[b, np.argmax(bad[b])]]
+        out.append((rows[b:b + 1], _refusal(type(exc)(str(exc)), n)))
+    good = ~bad.any(axis=1)
+    rows, vis = rows[good], vis[good]
+    if not len(rows):
+        return out
+    elevations = el[rows[:, None], vis]
+    if not np.all((0.0 < elevations) & (elevations <= 90.0)):
+        raise ValueError(f"elevation {elevations.min()} out of range")
+    truth, acc, failed = _error_stack(
+        [[entries[i] for i in v] for v in vis], key, elevations, flavor)
+    out += [(rows[b:b + 1], _refusal(exc, n)) for b, exc in failed.items()]
+    if failed:
+        good = [b for b in range(len(rows)) if b not in failed]
+        if not good:
+            return out
+        rows, vis, elevations = rows[good], vis[good], elevations[good]
+        truth, acc = [truth[b] for b in good], [acc[b] for b in good]
+    W = 1.0 / distkit.bound_sigmas(acc) ** 2
+    G = model_core.geometry_matrix(u[rows[:, None], vis], key)
+    ok, S = model_core.solve(G, W)
+    out += [(rows[b:b + 1], _refusal(InsufficientGeometry(
+        "weighted geometry is rank deficient"), n))
+        for b in np.flatnonzero(~ok)]
+    if not ok.all():
+        if not ok.any():
+            return out
+        rows, vis, elevations = rows[ok], vis[ok], elevations[ok]
+        truth = [r for r, good in zip(truth, ok.tolist()) if good]
+        acc = _take(acc, np.flatnonzero(ok))
+        G, W, S = G[ok], W[ok], S[ok]
+    try:
+        tm = threat_model(model_core.LinearModel(
+            G[0], W[0], [sat_ids[i] for i in vis[0]], list(key)), budget)
+    except JkAraimError as exc:
+        return out + [(rows, _refusal(exc, n))]
+    return out + [(rows, EpochSetup(vis, elevations, truth, acc,
+                                    model_core.SolutionStack(G, W, S), tm))]
+
+
+def _take(acc, rows):
+    """The stacked accuracy bounds of the records rows (indices)."""
+    if isinstance(acc, distkit.GaussianBatch):
+        return distkit.GaussianBatch(acc.sigma[rows])
+    return [acc[b] for b in rows]
+
+
+def _entries(sat_ids, constellations, table):
+    """Each satellite's bound-table entry, or the JkAraimError that refuses
+    it: an UnknownSatellite for an svn the table does not hold or holds
+    under another constellation, or the error of an entry whose PGO
+    cannot be built (SatelliteBound.pgo, e.g. NoValidPartition)."""
+    out = []
+    for svn, const in zip(sat_ids, constellations, strict=True):
+        entry = table.get(svn)
+        if entry is None:
+            entry = UnknownSatellite(f"no bound parameters for {svn!r}")
+        elif entry.constellation != const:
+            entry = UnknownSatellite(f"{svn!r} is labelled {const!r}, but "
+                                     f"its bounds are {entry.constellation!r}")
+        else:
+            try:
+                entry.pgo()
+            except JkAraimError as exc:
+                entry = exc
+        out.append(entry)
+    return out
+
+
 def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
                 budget: IntegrityBudget, flavor="gaussian",
                 mask_deg=5.0) -> EpochSetup:
@@ -384,7 +542,8 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     satellites' ids, constellations and ECEF positions: the satellites
     above mask_deg, their errors and bounds (error_models), the linear model
     weighted by their bounds' sigmas (distkit.bound_sigmas) as a
-    SolutionOps, and its threat model (threat_model).
+    SolutionOps, and its threat model (threat_model). It is the scenario's
+    stacked set-up (_setup_stack) of one user.
 
     Raises ValueError for a mask_deg outside [0, 90) (check_mask_deg),
     InsufficientGeometry when fewer satellites than states plus one are
@@ -394,22 +553,23 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     """
     check_mask_deg(mask_deg)
     u, el = model_core.line_of_sight(user_ecef, positions)
-    vis = np.flatnonzero(el > mask_deg).tolist()
-    u, el = u[vis], el[vis]
-    ids = [sat_ids[i] for i in vis]
-    consts = [constellations[i] for i in vis]
-    try:
-        if len(vis) < 3 + len(set(consts)) + 1:
-            raise InsufficientGeometry("insufficient geometry")
-        truth, acc = error_models(ids, consts, el, table, flavor)
-        sigmas = distkit.bound_sigmas(acc)
-        ops = SolutionOps(model_core.model_from_los(
-            u, consts, ids, weights=1.0 / sigmas ** 2))
-        tm = threat_model(ops.model, budget)
-    except JkAraimError as exc:
-        exc.n_visible = len(vis)
-        raise
-    return EpochSetup(vis, el, truth, acc, ops, tm)
+    if flavor not in ("gaussian", "pgo"):
+        raise ValueError(f"unknown bound flavor {flavor!r}")
+    [(key, rows, vis)] = _stacks(el[None] > mask_deg, constellations,
+                                 flavor)
+    [(_, s)] = _setup_stack(key, rows, vis, u[None], el[None], sat_ids,
+                            _entries(sat_ids, constellations, table), budget,
+                            flavor)
+    if isinstance(s, JkAraimError):
+        raise s
+    vis = s.visible[0].tolist()
+    acc = (s.acc_bounds[0] if flavor == "pgo" else
+           [distkit.Gaussian(x) for x in s.acc_bounds.sigma[0].tolist()])
+    model = model_core.LinearModel(s.ops.G[0], s.ops.W[0],
+                                   [sat_ids[i] for i in vis],
+                                   [constellations[i] for i in vis])
+    return EpochSetup(vis, s.elevations[0], s.truth[0], acc,
+                      SolutionOps(model, s.ops.S[0]), s.tm)
 
 
 def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
@@ -420,80 +580,142 @@ def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
     sats are the scenario's healthy satellites (healthy_satellites) and
     positions their ECEF positions at t (satellite_positions). An epoch
     that epoch_setup refuses (a JkAraimError) is recorded with its visible
-    count and the reason."""
-    budget = config.budget
+    count and the reason. It is run_scenario's evaluation of an epoch
+    (_epoch_records) for one location, so the record is the one
+    run_scenario makes for the cell, bit for bit."""
     user = model_core.geodetic_to_ecef(lat, lon, 0.0)
-    try:
-        setup = epoch_setup(user, [a.svn for a in sats],
-                            [a.constellation for a in sats], positions,
-                            table, budget, flavor=config.flavor,
-                            mask_deg=config.mask_deg)
-    except JkAraimError as exc:
-        return EpochRecord(lat, lon, t, exc.n_visible, error=str(exc))
-    rec = EpochRecord(lat, lon, t, len(setup.visible))
-    ops, tm, acc = setup.ops, setup.tm, setup.acc_bounds
+    [rec] = _epoch_records(
+        config, sats, _entries([a.svn for a in sats],
+                               [a.constellation for a in sats], table),
+        positions, [(lat, lon)], [loc_id], user[None],
+        model_core.enu_frame(user)[None], t, epoch_id)
+    return rec
 
-    # Synthetic truth, one counter-keyed stream per cell.
-    rng = np.random.default_rng([config.seed, loc_id, epoch_id])
-    eps = draw_errors(setup.truth, rng)
-    err = ops.S @ eps
-    rec.vpe = float(err[2])
-    rec.hpe = float(np.hypot(err[0], err[1]))
 
-    # Each axis has one mode table: its detector runs it and its PL reads
-    # it, so the detector runs on every axis with a PL.
-    if config.algorithm == "baseline":
-        build, solve = jackknife.separation_table, baseline_araim_pl
-    else:   # "jk", the other algorithm ScenarioConfig accepts
-        build, solve = jackknife.thresholds, pl_solve
+def _epoch_records(config: ScenarioConfig, sats, entries, positions, cells,
+                   loc_ids, users, frames, t, epoch_id):
+    """The records of the cells (lat, lon) at epoch t: users (cells x 3)
+    are their ECEF positions and frames their ENU rotations
+    (model_core.enu_frame), and loc_ids key each record's truth stream.
+
+    One line_of_sight call covers every cell; each stack of _stacks is
+    then set up, drawn, tested and solved as one. Each record keeps its
+    own counter-keyed stream, [seed, loc_id, epoch_id], drawn by
+    draw_errors in satellite order."""
+    u, el = model_core.line_of_sight(users, positions, frames)
+    sat_ids = [a.svn for a in sats]
+    records = [None] * len(cells)
+
+    def evaluate(key, stack, vis):
+        # One stack at a time: its arrays and grids go when this returns.
+        for rows, s in _setup_stack(key, stack, vis, u, el, sat_ids, entries,
+                                    config.budget, config.flavor):
+            if isinstance(s, JkAraimError):
+                for r in rows.tolist():
+                    records[r] = EpochRecord(*cells[r], t, s.n_visible,
+                                             error=str(s))
+                continue
+            eps = np.array([
+                draw_errors(row, np.random.default_rng(
+                    [config.seed, loc_ids[r], epoch_id]))
+                for r, row in zip(rows.tolist(), s.truth)])
+            err = distkit.matvec(s.ops.S, eps)
+            hpe = np.hypot(err[:, 0], err[:, 1]).tolist()
+            recs = [EpochRecord(*cells[r], t, len(key), vpe=v, hpe=h)
+                    for r, v, h in zip(rows.tolist(), err[:, 2].tolist(),
+                                       hpe)]
+            for r, rec in zip(rows.tolist(), recs):
+                records[r] = rec
+            _detect_and_protect(config, s.ops, s.tm, s.acc_bounds, eps, recs)
+
+    for stack in _stacks(el > config.mask_deg,
+                         [a.constellation for a in sats], config.flavor):
+        evaluate(*stack)
+    return records
+
+
+def _detect_and_protect(config: ScenarioConfig, ops, tm, acc, eps, recs):
+    """Detection and protection levels of the records recs of one stack:
+    ops their SolutionStack, acc their stacked bounds and eps their drawn
+    errors. Each axis has one mode table: its detector runs it and its PL
+    reads it, so the detector runs on every axis with a PL.
+
+    A stack that raises a package error (JkAraimError) is run again one
+    record at a time, so the error lands on the records that raise it,
+    each keeping the alerts of the axes it finished before; so is a stack
+    whose records find different modes rank deficient (MixedStack), as
+    each then has its own mode table."""
+    budget = config.budget
     axes = (0, 1, 2) if config.compute_horizontal else (2,)
-    pl = np.full(3, math.nan)
+    alert = np.zeros(len(recs), dtype=bool)
+    pl = np.full((3, len(recs)), math.nan)
     try:
         for axis in axes:
-            tests = build(ops, tm, acc, budget, axis)
-            rec.alert |= bool(jackknife.run_detector(tests, eps)[1].any())
-            pl[axis] = solve(ops, tm, acc, tests, budget)
+            if config.algorithm == "baseline":
+                tests = jackknife.separation_table(ops, tm, acc, budget, axis)
+                alert |= jackknife.run_detector(tests, eps)[1].any(axis=-1)
+                pl[axis] = baseline_araim_pl(ops, tm, acc, tests, budget)
+            else:   # "jk", the other algorithm ScenarioConfig accepts
+                tests = jackknife.thresholds(ops, tm, acc, budget, axis)
+                alert |= jackknife.run_detector(tests, eps)[1].any(axis=-1)
+                pl[axis] = protection_levels(ops, tm, acc, tests, budget)[0]
     except JkAraimError as exc:
-        rec.error = str(exc)
-        return rec
-
-    rec.vpl = float(pl[2])
-    if config.compute_horizontal:
-        rec.hpl = float(np.hypot(pl[0], pl[1]))
-    rec.stanford = stanford_class(rec.vpe, rec.vpl, config.val)
-    return rec
+        if len(recs) > 1:
+            for b, rec in enumerate(recs):
+                _detect_and_protect(config, ops.take([b]), tm,
+                                    _take(acc, [b]), eps[b:b + 1], [rec])
+            return
+        recs[0].alert, recs[0].error = bool(alert[0]), str(exc)
+        return
+    hpl = np.hypot(pl[0], pl[1]).tolist()
+    for rec, a, vpl, h in zip(recs, alert.tolist(), pl[2].tolist(), hpl):
+        rec.alert, rec.vpl = a, vpl
+        if config.compute_horizontal:
+            rec.hpl = h
+        rec.stanford = stanford_class(rec.vpe, vpl, config.val)
 
 
 def run_scenario(config: ScenarioConfig, almanac=None, table=None,
                  progress=None):
-    """All (location, epoch) records for a scenario; deterministic in the
-    seed. Per-cell failures of the package's own kinds (JkAraimError) are
+    """All (location, epoch) records for a scenario, location by location
+    and within a location epoch by epoch; deterministic in the seed.
+    Per-cell failures of the package's own kinds (JkAraimError) are
     recorded in-row; any other exception is a bug and propagates.
 
-    Satellites are propagated once per epoch, on the first location that
-    needs the epoch; a propagation failure is recorded in every record of
-    its epoch."""
+    The scenario is evaluated one epoch at a time: the satellites are
+    propagated once, every location's lines of sight come from one
+    stacked call, and the locations whose visible satellites share their
+    constellation labels run as one stack through the set-up, the
+    detector and the PLs (_epoch_records). Each record is the one
+    evaluate_epoch makes for its cell, bit for bit. A propagation failure
+    is recorded in every record of its epoch. progress(done, total), when
+    given, is called after each epoch with the records done so far and
+    the records of the scenario."""
     if almanac is None:
         almanac = default_almanac(config.constellations)
     if table is None:
         table = overbound.default_table()
     sats = healthy_satellites(almanac, config.constellations)
-    records = []
+    entries = _entries([a.svn for a in sats],
+                       [a.constellation for a in sats], table)
     grid = config.grid()
     epochs = [float(t) for t in config.epochs()]
-    positions = [None] * len(epochs)
-    for loc_id, (lat, lon) in enumerate(grid):
-        for epoch_id, t in enumerate(epochs):
-            try:
-                if positions[epoch_id] is None:
-                    positions[epoch_id] = satellite_positions(sats, t)
-                rec = evaluate_epoch(config, sats, positions[epoch_id],
-                                     table, lat, lon, t, loc_id, epoch_id)
-            except JkAraimError as exc:
-                rec = EpochRecord(lat, lon, t, 0, error=str(exc))
-            records.append(rec)
+    users = model_core.geodetic_to_ecef(*np.transpose(grid), 0.0).T
+    frames = model_core.enu_frame(users)
+    loc_ids = list(range(len(grid)))
+    records = [None] * (len(grid) * len(epochs))
+    for epoch_id, t in enumerate(epochs):
+        try:
+            positions = satellite_positions(sats, t)
+        except JkAraimError as exc:
+            column = [EpochRecord(lat, lon, t, 0, error=str(exc))
+                      for lat, lon in grid]
+        else:
+            column = _epoch_records(config, sats, entries, positions, grid,
+                                    loc_ids, users, frames, t, epoch_id)
+        records[epoch_id::len(epochs)] = column
         if progress is not None:
-            progress(loc_id + 1, len(grid))
+            progress((epoch_id + 1) * len(grid), len(records))
     return records
 
 
@@ -536,15 +758,21 @@ def aggregate(records, val=35.0, availability_levels=(0.75, 0.95, 0.995)):
 
     availability = {}
     vpl_p995 = {}
+    by_count = {}
     for key, rs in sorted(by_loc.items()):
         ok = [1.0 if (np.isfinite(r.vpl) and r.vpl < val) else 0.0
               for r in rs]
         availability[key] = float(np.mean(ok))
-        vpls = np.array([r.vpl if np.isfinite(r.vpl) else np.inf
-                         for r in rs])
-        # Order statistic, not interpolation: stays well-defined when the
-        # upper tail holds unavailable (infinite) records.
-        vpl_p995[key] = float(np.quantile(vpls, 0.995, method="higher"))
+        by_count.setdefault(len(rs), []).append(
+            (key, [r.vpl if np.isfinite(r.vpl) else np.inf for r in rs]))
+    # Order statistic, not interpolation: stays well-defined when the
+    # upper tail holds unavailable (infinite) records. One call per
+    # record count covers every location with that many records.
+    for same in by_count.values():
+        q = np.quantile(np.array([v for _, v in same]), 0.995, axis=1,
+                        method="higher")
+        vpl_p995.update(zip([key for key, _ in same], q.tolist()))
+    vpl_p995 = {key: vpl_p995[key] for key in availability}
 
     coverage = {}
     lats = np.array([k[0] for k in availability])

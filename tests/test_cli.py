@@ -285,6 +285,25 @@ class TestUserSatsGeometry:
         assert "exceeds redundancy" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["pl", "detect"])
+    def test_no_satellite_above_mask_exit_3(self, tmp_path, capsys,
+                                            command):
+        # A legal mask that leaves no satellite visible is a refused
+        # geometry (InsufficientGeometry), not a malformed file.
+        sats, positions = self.gps()
+        path = tmp_path / "geom.json"
+        user_sats_geometry(path, sats, positions)
+        doc = json.loads(path.read_text())
+        doc["mask_deg"] = 89.9
+        path.write_text(json.dumps(doc))
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([]))
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\n")
+        argv = ["--config", str(cfg), command, str(path)]
+        assert main(argv + ([str(obs)] if command == "detect" else [])) == 3
+        assert "insufficient geometry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pl", "detect"])
     @pytest.mark.parametrize("mask", [-10.0, math.nan, 95.0],
                              ids=["negative", "nan", "above-zenith"])
     def test_out_of_range_mask_exit_2(self, tmp_path, capsys, command,
@@ -486,6 +505,43 @@ class TestCmdDetect:
         obs = tmp_path / "obs.json"
         obs.write_text("[1.0, 2.0, 3.0]")
         assert main(["--config", cfg, "detect", geom, str(obs)]) == 2
+
+    def test_baseline_runs_the_separation_table(self, toy_files, tmp_path,
+                                                capsys):
+        # The baseline's detector is run_detector on separation_table,
+        # the table pl --algorithm baseline reads: the toy's separations
+        # S_k y - S y of [1, 3] are +-1 m.
+        geom, cfg = toy_files
+        obs = tmp_path / "obs.json"
+        obs.write_text("[1.0, 3.0]")
+        argv = ["--config", cfg, "detect", geom, str(obs)]
+        assert main(argv + ["--algorithm", "baseline"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc["stats"].values()) == [-1.0, 1.0]
+        assert main(["--config", cfg, "pl", geom, "--algorithm",
+                     "baseline"]) == 0
+        assert doc["thresholds"] == json.loads(
+            capsys.readouterr().out)["thresholds"]
+        assert main(argv + ["--algorithm", "jk"]) == 0
+        jk = json.loads(capsys.readouterr().out)
+        assert sorted(abs(v) for v in jk["stats"].values()) == [2.0, 2.0]
+        assert jk["thresholds"] != doc["thresholds"]
+
+    def test_baseline_with_pgo_bound_exit_2(self, tmp_path, capsys):
+        # Refused with pl's message, on a user/sats geometry, which the
+        # PGO flavour would accept for jk.
+        from jkaraim import sim
+        consts = ("GPS", "GAL")
+        sats = sim.healthy_satellites(sim.default_almanac(consts), consts)
+        geom = user_sats_geometry(tmp_path / "dual.json", sats,
+                                  sim.satellite_positions(sats, 7200.0))
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([0.0] * len(sats)))
+        assert main(["detect", geom, str(obs), "--algorithm", "baseline",
+                     "--bound", "pgo"]) == 2
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert "--algorithm baseline takes --bound gaussian only" in err.err
 
 
 class TestDualConstellation:

@@ -527,39 +527,46 @@ class TestPlReadsTheDetectorTable:
 
 class TestBisectLevel:
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), hi=st.floats(1e-4, 1e4),
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           his=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=5),
            log_target=st.floats(-12.0, 0.0))
-    def test_matches_step_by_step_bisection(self, seed, hi, log_target):
-        # The batched tree walk takes the decisions of the plain loop.
+    def test_matches_step_by_step_bisection(self, seed, his, log_target):
+        # Several records' brackets in one walk: each takes the decisions
+        # of the plain loop on its own risk, and a record whose risk at hi
+        # already exceeds the target reads NaN with no steps.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
-        priors = 10.0 ** rng.uniform(-9.0, 0.0, n)
-        sigmas = rng.uniform(0.1, 5.0, n)
-        offsets = rng.uniform(0.0, 10.0, n)
+        shape = (len(his), n)
+        priors = 10.0 ** rng.uniform(-9.0, 0.0, shape)
+        sigmas = rng.uniform(0.1, 5.0, shape)
+        offsets = rng.uniform(0.0, 10.0, shape)
         target = 10.0 ** log_target
 
-        def risk(level):
+        def risk(b, level):
             r = 0.0
-            for p, s, o in zip(priors, sigmas, offsets):
+            for p, s, o in zip(priors[b], sigmas[b], offsets[b]):
                 r += p * float(ndtr((o - level) / s))
             return r
 
         def risks(levels):
-            return np.array([risk(v) for v in levels])
+            return np.array([[risk(b, v) for b, v in enumerate(row)]
+                             for row in levels])
 
-        level, steps = _bisect_level(risks, hi, target)
-        if risk(hi) > target:
-            assert (level, steps) == (None, 0)
-            return
-        lo, top, n_steps = 0.0, hi, 0
-        while top - lo > PL_TOLERANCE_M:
-            mid = 0.5 * (lo + top)
-            if risk(mid) > target:
-                lo = mid
-            else:
-                top = mid
-            n_steps += 1
-        assert (level, steps) == (top, n_steps)
+        level, steps = _bisect_level(risks, np.array(his), target)
+        assert level.shape == steps.shape == (len(his),)
+        for b, hi in enumerate(his):
+            if risk(b, hi) > target:
+                assert math.isnan(level[b]) and steps[b] == 0
+                continue
+            lo, top, n_steps = 0.0, hi, 0
+            while top - lo > PL_TOLERANCE_M:
+                mid = 0.5 * (lo + top)
+                if risk(b, mid) > target:
+                    lo = mid
+                else:
+                    top = mid
+                n_steps += 1
+            assert (level[b], steps[b]) == (top, n_steps)
 
 
 class TestLooserIntegrityBudget:

@@ -1,15 +1,18 @@
+import dataclasses
 import io
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jkaraim import integrity, jackknife, sim
 from jkaraim.errors import (AlmanacOutOfRange, InsufficientGeometry,
                             InsufficientRedundancy, JkAraimError,
-                            SubsetRankDeficient, TailUnresolved,
-                            UnknownSatellite)
+                            NoValidPartition, SubsetRankDeficient,
+                            TailUnresolved, UnknownSatellite)
 from jkaraim.integrity import IntegrityBudget
 from jkaraim.overbound import default_table
 from jkaraim.sim import (ScenarioConfig, aggregate, cnmp_sigma,
@@ -180,7 +183,7 @@ class TestScenario:
         def unresolved(*args, **kwargs):
             raise TailUnresolved("tail probability below resolvable mass")
 
-        monkeypatch.setattr(sim, "pl_solve", unresolved)
+        monkeypatch.setattr(sim, "protection_levels", unresolved)
         config = self.coarse_config(epoch_step_s=86400.0)
         records = sim.run_scenario(config)
         assert len(records) == len(config.grid())
@@ -195,7 +198,7 @@ class TestScenario:
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(sim, "pl_solve", broken)
+        monkeypatch.setattr(sim, "protection_levels", broken)
         with pytest.raises(RuntimeError, match="bug"):
             sim.run_scenario(self.coarse_config(epoch_step_s=86400.0))
 
@@ -485,28 +488,40 @@ class TestEpochSetup:
         assert (rec.n_visible, rec.error) == (
             5, "weighted geometry is rank deficient")
 
-    @pytest.mark.parametrize("refusal", ["missing_bounds", "grid_overflow"])
+    @pytest.mark.parametrize("refusal", ["missing_bounds", "invalid_pgo",
+                                         "grid_overflow"])
     def test_refused_records_keep_the_visible_count(self, refusal,
                                                     monkeypatch):
         # Whatever package error epoch_setup raises after the mask, the
         # record keeps the visible count of the full run's record at its
-        # cell: a satellite missing from the bound table, or PGO bounds
-        # wider than the grid may be.
+        # cell, and the scenario goes on: a satellite missing from the
+        # bound table, an entry whose PGO cannot be built (a negative
+        # partition point), or PGO bounds wider than the grid may be.
         config = ScenarioConfig(grid_step_deg=90.0, duration_s=600.0,
                                 epoch_step_s=600.0, flavor="pgo")
         full = sim.run_scenario(config)
         assert not any(r.error for r in full)
         table = default_table()
+        message = {"missing_bounds": "no bound parameters for 'SVN41'",
+                   "invalid_pgo": "x_rp must be positive"}.get(refusal)
         if refusal == "missing_bounds":
             del table["SVN41"]
+        elif refusal == "invalid_pgo":
+            table["SVN41"] = dataclasses.replace(table["SVN41"], xrp_m=-1.0)
+            for flavor in ("gaussian", "pgo"):
+                with pytest.raises(NoValidPartition, match=message):
+                    sim.error_models(["SVN41"], ["GPS"], [45.0], table,
+                                     flavor)
         else:
             monkeypatch.setattr(sim.distkit, "MAX_GRID_HALFWIDTH", 1.0)
-        records = sim.run_scenario(config, table=table)
+        records = TestStackOfOne.assert_stack_equals_singles(
+            config, default_almanac(("GPS",)), table)
         refused = [(r, f) for r, f in zip(records, full) if r.error]
-        if refusal == "missing_bounds":
+        if message:
             assert [(r.lat, r.lon, r.error) for r, _ in refused] == [
-                (lat, 0.0, "no bound parameters for 'SVN41'")
-                for lat in (-45.0, 45.0)]
+                (lat, 0.0, message) for lat in (-45.0, 45.0)]
+            assert [r for r in records if not r.error] == [
+                f for r, f in zip(records, full) if not r.error]
         else:
             assert len(refused) == len(full)
             assert all("exceeds maximum" in r.error for r, _ in refused)
@@ -526,3 +541,119 @@ class TestEpochSetup:
             f"{expect.n_visible} satellites, "
             f"{scope['setup'].tm.n_fault_modes} fault modes, "
             f"VPL {expect.vpl:.2f} m\n")
+
+
+class TestStackOfOne:
+    """run_scenario evaluates each epoch's locations as stacks, and
+    evaluate_epoch is the same evaluation of one location: every record of
+    a scenario equals evaluate_epoch's for its cell, field by field and
+    bit for bit."""
+
+    CONSTS = ("GPS", "GAL")
+
+    @staticmethod
+    def assert_stack_equals_singles(config, almanac, table=None):
+        table = default_table() if table is None else table
+        records = sim.run_scenario(config, almanac=almanac, table=table)
+        sats = sim.healthy_satellites(almanac, config.constellations)
+        epochs = [float(t) for t in config.epochs()]
+        positions = [sim.satellite_positions(sats, t) for t in epochs]
+        singles = [sim.evaluate_epoch(config, sats, positions[e], table,
+                                      lat, lon, t, loc, e)
+                   for loc, (lat, lon) in enumerate(config.grid())
+                   for e, t in enumerate(epochs)]
+
+        def bits(record):
+            return [np.float64(v).tobytes() if isinstance(v, float) else v
+                    for v in dataclasses.astuple(record)]
+
+        assert [bits(r) for r in records] == [bits(r) for r in singles]
+        return records
+
+    def lone_galileo(self):
+        """GPS plus one Galileo satellite: wherever that satellite is
+        visible, its one-satellite mode is rank deficient (it alone
+        observes the Galileo clock)."""
+        almanac = default_almanac(self.CONSTS)
+        return [a for a in almanac if a.constellation == "GPS"] + [
+            next(a for a in almanac if a.constellation == "GAL")]
+
+    def test_rank_deficient_mode_and_refusals(self):
+        # A 20 degree mask leaves some cells with too few satellites, and
+        # the lone Galileo satellite's mode is untestable where it is
+        # visible: such records stack apart and still match.
+        almanac = self.lone_galileo()
+        config = ScenarioConfig(grid_step_deg=60.0, epoch_step_s=21600.0,
+                                duration_s=86400.0, mask_deg=20.0,
+                                constellations=self.CONSTS, seed=3)
+        records = self.assert_stack_equals_singles(config, almanac)
+        assert any(r.error == "insufficient geometry" for r in records)
+        sats = sim.healthy_satellites(almanac, self.CONSTS)
+        skipped = 0
+        for r in records:
+            if r.error:
+                continue
+            s = sim.epoch_setup(
+                sim.model_core.geodetic_to_ecef(r.lat, r.lon),
+                [a.svn for a in sats], [a.constellation for a in sats],
+                sim.satellite_positions(sats, r.t), default_table(),
+                config.budget, mask_deg=config.mask_deg)
+            skipped += bool(jackknife.thresholds(s.ops, s.tm, s.acc_bounds,
+                                                 config.budget).skipped)
+        assert skipped
+
+    def test_cells_without_satellites(self):
+        # An 80 degree mask leaves most cells with no satellite at all:
+        # each such record reads insufficient geometry with no satellite
+        # visible, and epoch_setup refuses such a cell the same way.
+        config = ScenarioConfig(grid_step_deg=90.0, epoch_step_s=21600.0,
+                                duration_s=86400.0, mask_deg=80.0)
+        almanac = default_almanac(("GPS",))
+        records = self.assert_stack_equals_singles(config, almanac)
+        empty = [r for r in records if r.n_visible == 0]
+        assert empty and all(r.error == "insufficient geometry"
+                             for r in empty)
+        sats = sim.healthy_satellites(almanac, ("GPS",))
+        r = empty[0]
+        with pytest.raises(InsufficientGeometry) as exc:
+            sim.epoch_setup(
+                sim.model_core.geodetic_to_ecef(r.lat, r.lon),
+                [a.svn for a in sats], [a.constellation for a in sats],
+                sim.satellite_positions(sats, r.t), default_table(),
+                config.budget, mask_deg=config.mask_deg)
+        assert exc.value.n_visible == 0
+
+    @settings(max_examples=12, deadline=None)
+    @given(dual=st.booleans(), flavor=st.sampled_from(["gaussian", "pgo"]),
+           baseline=st.booleans(), horizontal=st.booleans(),
+           mask_deg=st.sampled_from([5.0, 25.0, 40.0, 80.0]),
+           p_sat=st.sampled_from([1e-5, 1e-4]),
+           c_req_fa=st.sampled_from([3.9e-6, 0.05]),
+           start=st.floats(0.0, 80000.0), seed=st.integers(0, 1000))
+    @example(dual=False, flavor="gaussian", baseline=False, horizontal=True,
+             mask_deg=5.0, p_sat=1e-4, c_req_fa=0.05, start=0.0, seed=0)
+    @example(dual=True, flavor="pgo", baseline=False, horizontal=False,
+             mask_deg=5.0, p_sat=1e-5, c_req_fa=3.9e-6, start=3600.0, seed=1)
+    @example(dual=True, flavor="gaussian", baseline=True, horizontal=True,
+             mask_deg=40.0, p_sat=1e-5, c_req_fa=0.05, start=7200.0, seed=2)
+    def test_scenario_records_are_stacks_of_one(
+            self, dual, flavor, baseline, horizontal, mask_deg, p_sat,
+            c_req_fa, start, seed):
+        # Small grids and a few epochs; the PGO flavour, whose records
+        # each run their own grid convolutions, on the coarsest grid. A
+        # false-alarm budget of 0.05 makes alerts common.
+        consts = self.CONSTS if dual else ("GPS",)
+        if baseline:
+            flavor = "gaussian"
+        pgo = flavor == "pgo"
+        config = ScenarioConfig(
+            grid_step_deg=90.0 if pgo else 60.0, epoch_step_s=5400.0,
+            duration_s=5400.0 if pgo else 16200.0, mask_deg=mask_deg,
+            constellations=consts, flavor=flavor,
+            algorithm="baseline" if baseline else "jk", seed=seed,
+            compute_horizontal=horizontal,
+            budget=IntegrityBudget(p_sat=p_sat, c_req_fa_vert=c_req_fa,
+                                   p_const=1e-4 if dual else 0.0))
+        shifted = [dataclasses.replace(a, toa=a.toa - start)
+                   for a in default_almanac(consts)]
+        self.assert_stack_equals_singles(config, shifted)
