@@ -14,9 +14,9 @@ Run:  python demos/fault_detection.py
 
 import numpy as np
 
-from jkaraim import (AXIS_UP, IntegrityBudget, default_almanac,
+from jkaraim import (AXIS_UP, IntegrityBudget, Truth, default_almanac,
                      default_table, draw_errors, epoch_setup,
-                     geodetic_to_ecef, run_detector, thresholds)
+                     geodetic_to_ecef, record_keys, run_detector, thresholds)
 from jkaraim.sim import satellite_positions
 
 budget = IntegrityBudget()
@@ -30,8 +30,10 @@ geom = ops.model
 print(f"{ops.n} satellites above the mask at the chosen epoch")
 print(f"k_max={tm.k_max}, {tm.n_fault_modes} fault modes")
 
-rng = np.random.default_rng(3)
-nominal = draw_errors(setup.truth, rng)
+# The nominal errors a scenario of seed 3 draws for this user (location 0)
+# at its first epoch.
+nominal = draw_errors(Truth.of_rows(setup.truth, setup.visible),
+                      record_keys(3, [0], 0))[0]
 tests = thresholds(ops, tm, acc, budget, AXIS_UP)
 const_ids = [m.id for m in tm.constellation_modes()]
 print(f"{len(tests.ids)} vertical tests, {len(tests.skipped)} modes "

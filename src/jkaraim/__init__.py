@@ -16,11 +16,11 @@ from .overbound import (OverboundReport, SatelliteBound, build_pgo,
                         default_partition_point, default_table, fit_bgmm,
                         fit_gaussian_overbound, verify_overbound)
 from .sim import (AlmanacEntry, EpochRecord, EpochSetup, ScenarioConfig,
-                  aggregate, cnmp_sigma, default_almanac, draw_errors,
+                  Truth, aggregate, cnmp_sigma, default_almanac, draw_errors,
                   epoch_setup, error_models, evaluate_epoch, parse_yuma,
-                  propagate, read_records_csv, run_scenario, stanford_class,
-                  summary_json, threat_model, tropo_sigma, write_records_csv,
-                  write_yuma)
+                  propagate, read_records_csv, record_keys, run_scenario,
+                  stanford_class, summary_json, threat_model, tropo_sigma,
+                  write_records_csv, write_yuma)
 from .threat import FaultMode, ThreatModel, determine_kmax, enumerate_modes
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "NonGaussianBound", "NoValidPartition", "OverboundReport", "Pgo",
     "SatelliteBound",
     "ScenarioConfig", "SolutionOps", "SubsetRankDeficient", "ThreatModel",
-    "UnknownSatellite",
+    "Truth", "UnknownSatellite",
     "aggregate", "baseline_araim_pl",
     "build_pgo", "cnmp_sigma",
     "convolve_batch", "convolve_rows",
@@ -44,7 +44,7 @@ __all__ = [
     "epoch_setup", "error_models", "evaluate_epoch", "fit_bgmm",
     "fit_gaussian_overbound",
     "geodetic_to_ecef", "parse_yuma",
-    "pl_solve", "propagate", "read_records_csv",
+    "pl_solve", "propagate", "read_records_csv", "record_keys",
     "run_detector", "run_scenario", "separation_table", "stanford_class",
     "summary_json", "threat_model", "thresholds",
     "tropo_sigma", "verify_overbound", "write_records_csv", "write_yuma",

@@ -206,80 +206,95 @@ class Pgo(ErrorDistribution):
         return self.x_rp
 
     @cached_property
-    def _draw(self):
-        """Sampler constants, computed on first use: (phi_lo, span) of the
-        truncated core's CDF, the core's Gaussian weight and total weight,
-        the two-sided tail mass and the one-sided tail mass of N(0, s2)."""
+    def draw_params(self):
+        """Sampler constants (sample_pgo), computed on first use: p1,
+        sigma1, sigma2, c_offset, x_rp, then (phi_lo, span) of the
+        truncated core's CDF, the core's Gaussian weight and total
+        weight, the two-sided tail mass and the one-sided tail mass of
+        N(0, s2)."""
         a = self.x_rp / self.sigma1
         phi_lo, phi_hi = ndtr(-a), ndtr(a)
         w_gauss = self.p1 * (phi_hi - phi_lo)
         f_rp = ndtr(-self.x_rp / self.sigma2)
-        return (phi_lo, phi_hi - phi_lo, w_gauss,
-                w_gauss + 2.0 * self.c_offset * self.x_rp,
-                2.0 * (self.tail_coeff * f_rp), f_rp)
-
-    def _sample_core(self, rng, n):
-        """Exact draws from the core piece p1*N(0,s1)+c on [-x_rp, x_rp]."""
-        phi_lo, span, w_gauss, w_total, _, _ = self._draw
-        if self.c_offset >= 0:
-            # Mixture of a truncated Gaussian and a uniform slab.
-            pick = rng.random(n) * w_total < w_gauss
-            u = rng.random(n)
-            gauss = self.sigma1 * ndtri(phi_lo + u * span)
-            unif = (2.0 * u - 1.0) * self.x_rp
-            return np.where(pick, gauss, unif)
-        # Negative offset: rejection from the truncated Gaussian; the
-        # acceptance ratio stays in [0, 1] because the density is
-        # non-negative at x_rp.
-        out = np.empty(n)
-        todo = np.arange(n)
-        while todo.size:
-            u = rng.random(todo.size)
-            x = self.sigma1 * ndtri(phi_lo + u * span)
-            dens = self.p1 * _norm_pdf(x, self.sigma1)
-            keep = rng.random(todo.size) * dens < dens + self.c_offset
-            out[todo[keep]] = x[keep]
-            todo = todo[~keep]
-        return out
-
-    def _sample_one(self, rng):
-        """One draw of sample(rng, size=1) through scalar generator calls:
-        the same calls in the same order, the same arithmetic."""
-        phi_lo, span, w_gauss, w_total, p_tail, f_rp = self._draw
-        in_tail = rng.random() < p_tail
-        if self.c_offset >= 0:
-            pick = rng.random() * w_total < w_gauss
-            u = rng.random()
-            x = (self.sigma1 * ndtri(phi_lo + u * span) if pick
-                 else (2.0 * u - 1.0) * self.x_rp)
-        else:
-            while True:
-                x = self.sigma1 * ndtri(phi_lo + rng.random() * span)
-                z = x / self.sigma1
-                # _norm_pdf, with the square its array form takes.
-                dens = self.p1 * (np.exp(-0.5 * (z * z))
-                                  / (self.sigma1 * _SQRT_2PI))
-                if rng.random() * dens < dens + self.c_offset:
-                    break
-        if in_tail:
-            mag = -self.sigma2 * ndtri(rng.random() * f_rp)
-            x = -mag if rng.random() < 0.5 else mag
-        return float(x)
+        return np.array([self.p1, self.sigma1, self.sigma2, self.c_offset,
+                         self.x_rp, phi_lo, phi_hi - phi_lo, w_gauss,
+                         w_gauss + 2.0 * self.c_offset * self.x_rp,
+                         2.0 * (self.tail_coeff * f_rp), f_rp])
 
     def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self._sample_one(rng)
-        *_, p_tail, f_rp = self._draw
-        n = int(np.prod(size))
-        in_tail = rng.random(n) < p_tail
-        out = self._sample_core(rng, n)
-        n_tail = int(in_tail.sum())
-        if n_tail:
-            u = rng.random(n_tail)
-            mag = -self.sigma2 * ndtri(u * f_rp)
-            sign = np.where(rng.random(n_tail) < 0.5, -1.0, 1.0)
-            out[in_tail] = sign * mag
-        return out.reshape(size)
+        """Draws of the given size (a float when size is None), each
+        uniform from rng.random in sample_pgo's order."""
+        n = 1 if size is None else int(np.prod(size))
+        out = sample_pgo(np.broadcast_to(self.draw_params[:, None],
+                                         (len(self.draw_params), n)),
+                         lambda slot, idx, rnd=0: rng.random(idx.size))
+        return float(out[0]) if size is None else out.reshape(size)
+
+
+# Draw slots of sample_pgo's uniforms: the tail choice, the core's
+# mixture choice, the core draw, the rejection test, the tail magnitude
+# and its sign. A counter-keyed source tells the draws apart by them.
+TAIL, PICK, CORE, ACCEPT, MAGNITUDE, SIGN = range(6)
+PGO_SLOTS = SIGN + 1
+
+
+def sample_pgo(params, uniform):
+    """One draw from each of the Pgos whose draw_params are the columns
+    of params (11 x m); uniform(slot, idx, rnd) returns a U(0, 1) draw
+    for each of the columns idx, in the given slot and rejection round.
+
+    Each draw picks the tail with probability p_tail. The core is p1 N(0,
+    s1) + c on [-x_rp, x_rp]: with c >= 0, a mixture of the truncated
+    Gaussian and a uniform slab; with c < 0, rejection from the truncated
+    Gaussian, whose acceptance ratio stays in [0, 1] because the density
+    is non-negative at x_rp. A tail draw is a magnitude of N(0, s2) beyond
+    x_rp with a random sign. The uniforms come in this order, slot by
+    slot and round by round, so a generator's stream is used as
+    Pgo.sample has always used it.
+    """
+    (p1, s1, s2, c, x_rp, phi_lo, span, w_gauss, w_total, p_tail,
+     f_rp) = params
+    out = np.empty(params.shape[1])
+    in_tail = uniform(TAIL, np.arange(out.size)) < p_tail
+    mix = np.flatnonzero(c >= 0.0)
+    if mix.size:
+        pick = uniform(PICK, mix) * w_total[mix] < w_gauss[mix]
+        u = uniform(CORE, mix)
+        out[mix] = np.where(pick, s1[mix] * ndtri(phi_lo[mix] + u * span[mix]),
+                            (2.0 * u - 1.0) * x_rp[mix])
+    todo, rnd = np.flatnonzero(c < 0.0), 0
+    while todo.size:
+        x = s1[todo] * ndtri(phi_lo[todo] + uniform(CORE, todo, rnd)
+                             * span[todo])
+        dens = p1[todo] * _norm_pdf(x, s1[todo])
+        keep = uniform(ACCEPT, todo, rnd) * dens < dens + c[todo]
+        out[todo[keep]] = x[keep]
+        todo, rnd = todo[~keep], rnd + 1
+    tail = np.flatnonzero(in_tail)
+    if tail.size:
+        mag = -s2[tail] * ndtri(uniform(MAGNITUDE, tail) * f_rp[tail])
+        out[tail] = np.where(uniform(SIGN, tail) < 0.5, -1.0, 1.0) * mag
+    return out
+
+
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def splitmix64(z):
+    """The SplitMix64 output function (Steele, Lea and Flood, OOPSLA
+    2014) of each element of the uint64 array z, modulo 2^64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def counter_uniforms(keys, counters):
+    """U(0, 1) draws that are pure functions of (key, counter), uint64
+    arrays that broadcast: the counter-th SplitMix64 output of the stream
+    seeded with key, z = splitmix64(key + counter * 0x9E3779B97F4A7C15),
+    as ((z >> 11) + 0.5) * 2^-53, which is never 0 or 1."""
+    z = splitmix64(keys + counters * _GOLDEN_GAMMA)
+    return ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
 
 
 class GridDistribution:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, asdict
 from importlib import resources
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import distkit, jackknife, model_core, overbound, threat
 from .errors import (AlmanacOutOfRange, InsufficientGeometry, JkAraimError,
@@ -211,8 +212,8 @@ def error_models(svns, constellations, elevations, table, flavor):
     NoValidPartition) for one whose PGO cannot be built.
 
     truth[i] is a row of independent components, (heavy-tailed SISRE PGO,
-    Gaussian(s_tropo), Gaussian(s_user)), which draw_errors samples. The
-    PGO flavour's acc_bounds[i] is that row's convolution (one
+    Gaussian(s_tropo), Gaussian(s_user)), whose law draw_errors samples.
+    The PGO flavour's acc_bounds[i] is that row's convolution (one
     distkit.convolve_rows batch for the epoch); the Gaussian flavour's is
     the Gaussian of sigma sqrt(sigma_G^2 + s_tropo^2 + s_user^2). The
     scenario builds a stack of records' models at once (_error_stack),
@@ -228,54 +229,142 @@ def error_models(svns, constellations, elevations, table, flavor):
             raise entry
     if not entries:
         return [], []
-    truth, acc, failed = _error_stack([entries], constellations,
-                                      np.asarray([elevations], dtype=float),
-                                      flavor)
+    truth, acc, failed = _error_stack(
+        entries, np.arange(len(entries))[None], constellations,
+        np.asarray([elevations], dtype=float), flavor)
     if failed:
         raise failed[0]
+    rows = _rows([e.pgo() for e in entries], truth.tropo[0], truth.user[0])
     if flavor == "pgo":
-        return truth[0], acc[0]
-    return truth[0], [distkit.Gaussian(s) for s in acc.sigma[0].tolist()]
+        return rows, acc[0]
+    return rows, [distkit.Gaussian(s) for s in acc.sigma[0].tolist()]
 
 
-def _error_stack(entries, constellations, elevations, flavor):
+def _rows(pgos, tropo, user):
+    """One record's truth rows, (Pgo, Gaussian(s_tropo), Gaussian(s_user))
+    per satellite, from its satellites' PGOs and sigmas."""
+    return [(p, distkit.Gaussian(t), distkit.Gaussian(u))
+            for p, t, u in zip(pgos, tropo.tolist(), user.tolist())]
+
+
+@dataclass
+class Truth:
+    """The nominal errors of a stack of records, as arrays (records x n):
+    satellite sat[b, j] of record b errs by a draw of its heavy-tailed
+    SISRE PGO, whose sampler constants (distkit.Pgo.draw_params) are
+    pgo[b, j], plus a draw of N(0, tropo[b, j]) and one of N(0, user[b,
+    j]). sat holds the satellites' indices in the scenario's satellite
+    list, which key their draws (draw_errors)."""
+
+    pgo: np.ndarray             # records x n x 11
+    sat: np.ndarray             # records x n
+    tropo: np.ndarray           # records x n, sigma (m)
+    user: np.ndarray            # records x n, sigma (m)
+
+    @classmethod
+    def of_rows(cls, rows, sat):
+        """One record's Truth from its truth rows (error_models,
+        EpochSetup.truth) and its satellites' indices (EpochSetup.visible),
+        so that it draws what the scenario draws for that record."""
+        pgo, tropo, user = zip(*rows)
+        return cls(np.array([[p.draw_params for p in pgo]]),
+                   np.array([sat], dtype=int),
+                   np.array([[g.sigma for g in tropo]]),
+                   np.array([[g.sigma for g in user]]))
+
+    def take(self, b):
+        """The Truth of the records b (indices or a mask)."""
+        return Truth(self.pgo[b], self.sat[b], self.tropo[b], self.user[b])
+
+
+def _error_stack(entries, vis, constellations, elevations, flavor):
     """error_models of a stack of records whose satellites share their
-    constellation labels: entries[b] holds record b's bound-table entries,
-    each of whose PGO builds (_entries), and elevations (records x n)
-    their elevations. Returns (truth, acc, failed): one list of truth rows
-    per record; the accuracy bounds, a GaussianBatch of every record's
-    sigmas (Gaussian flavour) or one list of grid bounds per record from
-    its own convolve_rows (PGO); and the JkAraimError of each record (by
-    index) whose convolve_rows failed, which has no bounds (None)."""
+    constellation labels: entries[i] is satellite i's bound-table entry,
+    vis (records x n) the records' satellites, each of whose PGO builds
+    (_entries), and elevations (records x n) their elevations. Returns
+    (truth, acc, failed): the records' Truth; the accuracy bounds, a
+    GaussianBatch of every record's sigmas (Gaussian flavour) or one list
+    of grid bounds per record from its own convolve_rows (PGO); and the
+    JkAraimError of each record (by index) whose convolve_rows failed,
+    which has no bounds (None)."""
     tropo = tropo_sigma(elevations)
     user = np.empty(elevations.shape)
     for const in set(constellations):
         cols = [j for j, c in enumerate(constellations) if c == const]
         user[:, cols] = cnmp_sigma(const, elevations[:, cols])
-    truth = [[(e.pgo(), distkit.Gaussian(t), distkit.Gaussian(u))
-              for e, t, u in zip(row, ts, us)]
-             for row, ts, us in zip(entries, tropo.tolist(), user.tolist())]
+    # The stack's satellites, each looked up once; at[b, j] is vis[b, j]'s
+    # place among them.
+    sats = np.unique(vis)
+    at = np.searchsorted(sats, vis)
+    pgos = [entries[i].pgo() for i in sats.tolist()]
+    truth = Truth(np.array([p.draw_params for p in pgos])[at], vis, tropo,
+                  user)
     failed = {}
     if flavor == "gaussian":
-        g = np.array([[e.gauss_sigma_m for e in row] for row in entries])
+        g = np.array([entries[i].gauss_sigma_m for i in sats.tolist()])[at]
         # Each square as pow rounds it, as Python floats' ** 2 did.
         return truth, distkit.GaussianBatch(np.sqrt(
             np.float_power(g, 2) + np.float_power(tropo, 2)
             + np.float_power(user, 2))), failed
     acc = []
-    for b, rows in enumerate(truth):
+    for b, (a, ts, us) in enumerate(zip(at, tropo, user)):
         try:
-            acc.append(list(distkit.convolve_rows(rows)))
+            acc.append(list(distkit.convolve_rows(
+                _rows([pgos[i] for i in a.tolist()], ts, us))))
         except JkAraimError as exc:
             failed[b] = exc
             acc.append(None)
     return truth, acc, failed
 
 
-def draw_errors(truth, rng: np.random.Generator) -> np.ndarray:
-    """One draw of each truth row's error (error_models): every component
-    samples itself from rng in turn, and the samples add left to right."""
-    return np.array([sum(c.sample(rng) for c in row) for row in truth])
+# Counter layout of a record's uniforms (distkit.counter_uniforms): the
+# satellite's index in the scenario's list, its draw slot (the PGO
+# sampler's, then the Gaussian part's) and, in the low 32 bits, the PGO
+# sampler's rejection round.
+_GAUSS_SLOT = distkit.PGO_SLOTS
+_SLOTS = distkit.PGO_SLOTS + 1
+
+
+def _fold(h, word):
+    """Mix a 64-bit word into the key h (uint64 arrays that broadcast)."""
+    return distkit.splitmix64(h ^ np.asarray(word, dtype=np.uint64))
+
+
+def record_keys(seed, loc_ids, epoch_id):
+    """The truth keys of the records (seed, loc_id, epoch_id), one per
+    loc_id, as a uint64 array: the seed's 64-bit words are folded in,
+    lowest first, after their count (so every bit of any non-negative
+    seed counts), then the loc_id, then the epoch_id."""
+    words = [(seed >> s) & 0xFFFFFFFFFFFFFFFF
+             for s in range(0, max(seed.bit_length(), 1), 64)]
+    h = _fold(np.zeros(1, dtype=np.uint64), len(words))
+    for w in words:
+        h = _fold(h, w)
+    return _fold(_fold(h, np.asarray(loc_ids, dtype=np.uint64)), epoch_id)
+
+
+def draw_errors(truth: Truth, keys) -> np.ndarray:
+    """One draw of each record's nominal errors (records x n), in one
+    array pass: record b's uniforms come from its key keys[b]
+    (record_keys) and counters that name the satellite, the draw slot and
+    the rejection round. So a record's errors do not depend on the stack
+    it is drawn in or on the other satellites it sees. Each error is its
+    PGO's draw (distkit.sample_pgo) plus sqrt(tropo^2 + user^2) times one
+    standard normal draw, the law of the two Gaussian components' sum."""
+    key = np.repeat(np.asarray(keys, dtype=np.uint64), truth.sat.shape[1])
+    base = truth.sat.ravel().astype(np.uint64) * np.uint64(_SLOTS)
+
+    def uniform(slot, idx, rnd=0):
+        return distkit.counter_uniforms(
+            key[idx], ((base[idx] + np.uint64(slot)) << np.uint64(32))
+            + np.uint64(rnd))
+
+    pgo = distkit.sample_pgo(
+        truth.pgo.reshape(-1, truth.pgo.shape[-1]).T, uniform)
+    everything = np.arange(key.size)
+    gauss = np.hypot(truth.tropo, truth.user).ravel() * ndtri(
+        uniform(_GAUSS_SLOT, everything))
+    return (pgo + gauss).reshape(truth.sat.shape)
 
 
 def stanford_class(vpe, vpl, val) -> str:
@@ -403,14 +492,14 @@ class EpochSetup:
     """What one epoch's detector and PLs start from (epoch_setup), for one
     record or, in the scenario, for a stack of records whose visible
     satellites share their constellation labels (each field then holds
-    every record's along a leading axis: ops a model_core.SolutionStack,
-    acc_bounds a distkit.GaussianBatch or one list per record). The
-    geometry is ops, whose model is weighted by 1 / sigma^2 of each
-    satellite's bound."""
+    every record's along a leading axis: truth a Truth, ops a
+    model_core.SolutionStack, acc_bounds a distkit.GaussianBatch or one
+    list per record). The geometry is ops, whose model is weighted by
+    1 / sigma^2 of each satellite's bound."""
 
     visible: list               # indices of the satellites above the mask
     elevations: np.ndarray      # their elevations (deg)
-    truth: list                 # their error component rows (error_models)
+    truth: list                 # error rows (error_models); stack: Truth
     acc_bounds: list            # and those errors' accuracy bounds
     ops: SolutionOps
     tm: threat.ThreatModel
@@ -475,15 +564,15 @@ def _setup_stack(key, rows, vis, u, el, sat_ids, entries, budget, flavor):
     elevations = el[rows[:, None], vis]
     if not np.all((0.0 < elevations) & (elevations <= 90.0)):
         raise ValueError(f"elevation {elevations.min()} out of range")
-    truth, acc, failed = _error_stack(
-        [[entries[i] for i in v] for v in vis], key, elevations, flavor)
+    truth, acc, failed = _error_stack(entries, vis, key, elevations,
+                                      flavor)
     out += [(rows[b:b + 1], _refusal(exc, n)) for b, exc in failed.items()]
     if failed:
         good = [b for b in range(len(rows)) if b not in failed]
         if not good:
             return out
         rows, vis, elevations = rows[good], vis[good], elevations[good]
-        truth, acc = [truth[b] for b in good], [acc[b] for b in good]
+        truth, acc = truth.take(good), [acc[b] for b in good]
     W = 1.0 / distkit.bound_sigmas(acc) ** 2
     G = model_core.geometry_matrix(u[rows[:, None], vis], key)
     ok, S = model_core.solve(G, W)
@@ -494,7 +583,7 @@ def _setup_stack(key, rows, vis, u, el, sat_ids, entries, budget, flavor):
         if not ok.any():
             return out
         rows, vis, elevations = rows[ok], vis[ok], elevations[ok]
-        truth = [r for r, good in zip(truth, ok.tolist()) if good]
+        truth = truth.take(ok)
         acc = _take(acc, np.flatnonzero(ok))
         G, W, S = G[ok], W[ok], S[ok]
     try:
@@ -557,9 +646,9 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
         raise ValueError(f"unknown bound flavor {flavor!r}")
     [(key, rows, vis)] = _stacks(el[None] > mask_deg, constellations,
                                  flavor)
+    entries = _entries(sat_ids, constellations, table)
     [(_, s)] = _setup_stack(key, rows, vis, u[None], el[None], sat_ids,
-                            _entries(sat_ids, constellations, table), budget,
-                            flavor)
+                            entries, budget, flavor)
     if isinstance(s, JkAraimError):
         raise s
     vis = s.visible[0].tolist()
@@ -568,7 +657,9 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     model = model_core.LinearModel(s.ops.G[0], s.ops.W[0],
                                    [sat_ids[i] for i in vis],
                                    [constellations[i] for i in vis])
-    return EpochSetup(vis, s.elevations[0], s.truth[0], acc,
+    truth = _rows([entries[i].pgo() for i in vis], s.truth.tropo[0],
+                  s.truth.user[0])
+    return EpochSetup(vis, s.elevations[0], truth, acc,
                       SolutionOps(model, s.ops.S[0]), s.tm)
 
 
@@ -596,15 +687,16 @@ def _epoch_records(config: ScenarioConfig, sats, entries, positions, cells,
                    loc_ids, users, frames, t, epoch_id):
     """The records of the cells (lat, lon) at epoch t: users (cells x 3)
     are their ECEF positions and frames their ENU rotations
-    (model_core.enu_frame), and loc_ids key each record's truth stream.
+    (model_core.enu_frame), and loc_ids key each record's truth draws.
 
     One line_of_sight call covers every cell; each stack of _stacks is
-    then set up, drawn, tested and solved as one. Each record keeps its
-    own counter-keyed stream, [seed, loc_id, epoch_id], drawn by
-    draw_errors in satellite order."""
+    then set up, drawn, tested and solved as one. Each record draws its
+    truth from its own key, record_keys(seed, loc_id, epoch_id), so its
+    errors are those it draws alone (draw_errors)."""
     u, el = model_core.line_of_sight(users, positions, frames)
     sat_ids = [a.svn for a in sats]
     records = [None] * len(cells)
+    keys = record_keys(config.seed, loc_ids, epoch_id)
 
     def evaluate(key, stack, vis):
         # One stack at a time: its arrays and grids go when this returns.
@@ -615,10 +707,7 @@ def _epoch_records(config: ScenarioConfig, sats, entries, positions, cells,
                     records[r] = EpochRecord(*cells[r], t, s.n_visible,
                                              error=str(s))
                 continue
-            eps = np.array([
-                draw_errors(row, np.random.default_rng(
-                    [config.seed, loc_ids[r], epoch_id]))
-                for r, row in zip(rows.tolist(), s.truth)])
+            eps = draw_errors(s.truth, keys[rows])
             err = distkit.matvec(s.ops.S, eps)
             hpe = np.hypot(err[:, 0], err[:, 1]).tolist()
             recs = [EpochRecord(*cells[r], t, len(key), vpe=v, hpe=h)
@@ -719,19 +808,25 @@ def run_scenario(config: ScenarioConfig, almanac=None, table=None,
     return records
 
 
+def _csv_number(x):
+    return "" if x is None or not math.isfinite(x) else f"{x:.6f}"
+
+
 def write_records_csv(records, fh):
+    """One CSV row per record; an unavailable number is an empty cell, and
+    error says why a refused record has no solution."""
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["lat_deg", "lon_deg", "t_s", "n_vis", "vpe_m", "hpe_m",
-                "vpl_m", "hpl_m", "alert", "class"])
-    for r in records:
-        def cell(x):
-            return "" if x is None or not np.isfinite(x) else f"{x:.6f}"
-        w.writerow([f"{r.lat:g}", f"{r.lon:g}", f"{r.t:g}", r.n_visible,
-                    cell(r.vpe), cell(r.hpe), cell(r.vpl), cell(r.hpl),
-                    int(r.alert), r.stanford])
+                "vpl_m", "hpl_m", "alert", "class", "error"])
+    w.writerows([f"{r.lat:g}", f"{r.lon:g}", f"{r.t:g}", r.n_visible,
+                 _csv_number(r.vpe), _csv_number(r.hpe), _csv_number(r.vpl),
+                 _csv_number(r.hpl), int(r.alert), r.stanford, r.error]
+                for r in records)
 
 
 def read_records_csv(fh):
+    """The records of write_records_csv's rows (an empty number is NaN;
+    a file written before the error column reads as no error)."""
     records = []
     for row in csv.DictReader(fh):
         def num(key):
@@ -742,7 +837,7 @@ def read_records_csv(fh):
             t=float(row["t_s"]), n_visible=int(row["n_vis"]),
             vpe=num("vpe_m"), hpe=num("hpe_m"), vpl=num("vpl_m"),
             hpl=num("hpl_m"), alert=bool(int(row["alert"])),
-            stanford=row["class"]))
+            stanford=row["class"], error=row.get("error", "")))
     return records
 
 
@@ -752,32 +847,31 @@ def aggregate(records, val=35.0, availability_levels=(0.75, 0.95, 0.995)):
     per location, and Stanford class counts."""
     if not records:
         raise ValueError("no records to aggregate")
-    by_loc = {}
-    for r in records:
-        by_loc.setdefault((r.lat, r.lon), []).append(r)
-
-    availability = {}
-    vpl_p995 = {}
-    by_count = {}
-    for key, rs in sorted(by_loc.items()):
-        ok = [1.0 if (np.isfinite(r.vpl) and r.vpl < val) else 0.0
-              for r in rs]
-        availability[key] = float(np.mean(ok))
-        by_count.setdefault(len(rs), []).append(
-            (key, [r.vpl if np.isfinite(r.vpl) else np.inf for r in rs]))
+    locs = sorted({(r.lat, r.lon) for r in records})
+    place = {key: i for i, key in enumerate(locs)}
+    loc = np.array([place[(r.lat, r.lon)] for r in records])
+    vpl = np.array([r.vpl for r in records], dtype=float)
+    vpl[~np.isfinite(vpl)] = np.inf
+    count = np.bincount(loc, minlength=len(locs))
+    # Sums of ones are exact, so each ratio is the mean of its location's
+    # 0/1 availabilities.
+    avails = np.bincount(loc, weights=vpl < val, minlength=len(locs)) / count
+    availability = dict(zip(locs, avails.tolist()))
     # Order statistic, not interpolation: stays well-defined when the
     # upper tail holds unavailable (infinite) records. One call per
-    # record count covers every location with that many records.
-    for same in by_count.values():
-        q = np.quantile(np.array([v for _, v in same]), 0.995, axis=1,
-                        method="higher")
-        vpl_p995.update(zip([key for key, _ in same], q.tolist()))
-    vpl_p995 = {key: vpl_p995[key] for key in availability}
+    # record count covers every location with that many records, each
+    # row of them in record order.
+    by_loc = vpl[np.argsort(loc, kind="stable")]
+    start = np.cumsum(count) - count
+    p995 = np.empty(len(locs))
+    for n in np.unique(count).tolist():
+        same = np.flatnonzero(count == n)
+        p995[same] = np.quantile(by_loc[start[same, None] + np.arange(n)],
+                                 0.995, axis=1, method="higher")
+    vpl_p995 = dict(zip(locs, p995.tolist()))
 
     coverage = {}
-    lats = np.array([k[0] for k in availability])
-    weights = np.cos(np.radians(lats))
-    avails = np.array(list(availability.values()))
+    weights = np.cos(np.radians([lat for lat, _ in locs]))
     for level in availability_levels:
         hit = avails >= level
         coverage[level] = {

@@ -17,7 +17,8 @@ from jkaraim.distkit import (_TAU, _TAU_Z, _UNDERFLOW_Z, GRID_POINTS,
 from jkaraim import distkit
 from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
-from jkaraim.sim import cnmp_sigma, draw_errors, error_models, tropo_sigma
+from jkaraim.sim import (Truth, cnmp_sigma, draw_errors, error_models,
+                        record_keys, tropo_sigma)
 
 from conftest import GridGaussian
 
@@ -683,6 +684,47 @@ class TestScalarSample:
             assert array.shape == (2000,)
 
 
+_M64 = 2 ** 64 - 1
+
+
+def splitmix64_int(z):
+    """SplitMix64's output function on one Python integer."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+class TestCounterUniforms:
+    def test_splitmix64_matches_integer_reference(self):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            np.array([0, 1, 2 ** 63, _M64, 0x9E3779B97F4A7C15],
+                     dtype=np.uint64),
+            rng.integers(0, _M64, size=2000, dtype=np.uint64,
+                         endpoint=True)])
+        assert distkit.splitmix64(z).tolist() == [splitmix64_int(v)
+                                                  for v in z.tolist()]
+        # The first output of the SplitMix64 generator seeded with 0.
+        assert splitmix64_int(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
+
+    def test_uniforms_are_the_counter_th_output(self):
+        rng = np.random.default_rng(12)
+        keys = rng.integers(0, _M64, size=500, dtype=np.uint64,
+                            endpoint=True)
+        counters = np.concatenate([
+            np.array([0, 1, _M64], dtype=np.uint64),
+            rng.integers(0, 2 ** 45, size=497, dtype=np.uint64)])
+        want = [((splitmix64_int((k + c * 0x9E3779B97F4A7C15) & _M64) >> 11)
+                 + 0.5) * 2.0 ** -53
+                for k, c in zip(keys.tolist(), counters.tolist())]
+        got = distkit.counter_uniforms(keys, counters)
+        assert got.tolist() == want
+        assert np.all((0.0 < got) & (got < 1.0))
+        # splitmix64(0) = 0, the lowest output, still gives a positive u.
+        zero = np.zeros(1, dtype=np.uint64)
+        assert distkit.counter_uniforms(zero, zero).tolist() == [2.0 ** -54]
+
+
 class TestPgoPdf:
     @settings(max_examples=80, deadline=None)
     @given(params=pgo_params, seed=st.integers(0, 2 ** 32 - 1))
@@ -735,20 +777,25 @@ class TestBatchedSynthesis:
                                           + tropo.sigma ** 2
                                           + user.sigma ** 2)
 
-        # The draw scenario records have always made, pgo + s_tropo z1 +
-        # s_user z2 from one stream: value for value, and the stream's
-        # final state.
+        # The draw scenario records make: satellite j's PGO sampled from
+        # its own counter-keyed uniforms, counter (j * 7 + slot) << 32 plus
+        # the rejection round, plus sqrt(s_tropo^2 + s_user^2) times the
+        # standard normal of slot 6, value for value.
         for seed in (0, 1, 2):
-            got_rng = np.random.default_rng(seed)
-            ref_rng = np.random.default_rng(seed)
-            got = draw_errors(truth, got_rng)
-            want = [float(pgo.sample(ref_rng))
-                    + tropo.sigma * ref_rng.standard_normal()
-                    + user.sigma * ref_rng.standard_normal()
-                    for pgo, tropo, user in truth]
-            np.testing.assert_array_equal(got, want)
-            assert got_rng.bit_generator.state \
-                == ref_rng.bit_generator.state
+            key = record_keys(seed, [0], 0)
+            got = draw_errors(Truth.of_rows(truth, range(len(truth))), key)
+            want = []
+            for j, (pgo, tropo, user) in enumerate(truth):
+                def uniform(slot, idx, rnd=0, j=j):
+                    counter = np.array([((j * 7 + slot) << 32) + rnd],
+                                       dtype=np.uint64)
+                    return distkit.counter_uniforms(key, counter)
+
+                want.append(float(
+                    distkit.sample_pgo(pgo.draw_params[:, None], uniform)[0]
+                    + np.hypot(tropo.sigma, user.sigma)
+                    * ndtri(uniform(6, 0))[0]))
+            np.testing.assert_array_equal(got, [want])
 
     @pytest.mark.parametrize("n_points", [2048, 4096])
     def test_rows_equal_scaled_convolve(self, n_points):

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import io
+import json
 import math
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jkaraim import integrity, jackknife, sim
+from jkaraim.distkit import Gaussian, convolve_rows
 from jkaraim.errors import (AlmanacOutOfRange, InsufficientGeometry,
                             InsufficientRedundancy, JkAraimError,
                             NoValidPartition, SubsetRankDeficient,
@@ -220,7 +223,7 @@ class TestScenario:
 
     def test_zero_noise_zero_vpe(self, monkeypatch):
         monkeypatch.setattr(sim, "draw_errors",
-                            lambda truth, rng: np.zeros(len(truth)))
+                            lambda truth, keys: np.zeros(truth.sat.shape))
         records = sim.run_scenario(self.coarse_config())
         for r in records:
             if not r.error:
@@ -236,12 +239,17 @@ class TestScenario:
         assert out[0] == out[1]
 
     def test_csv_round_trip(self):
-        records = sim.run_scenario(self.coarse_config())
+        # An 80 degree mask refuses most cells: their reasons must come
+        # back as written.
+        records = (sim.run_scenario(self.coarse_config())
+                   + sim.run_scenario(self.coarse_config(mask_deg=80.0)))
+        assert any(r.error for r in records)
         buf = io.StringIO()
         write_records_csv(records, buf)
         buf.seek(0)
         back = sim.read_records_csv(buf)
         assert len(back) == len(records)
+        assert [b.error for b in back] == [a.error for a in records]
         for a, b in zip(records, back):
             assert a.stanford == b.stanford
             if np.isfinite(a.vpl):
@@ -286,6 +294,150 @@ class TestAggregate:
                    for _ in range(10)]
         stats = aggregate(records, val=35.0)
         assert math.isinf(stats["vpl_p995_by_location"][(0.0, 0.0)])
+
+
+class TestWriters:
+    """write_records_csv and summary_json of a hand-built record list with
+    NaN and infinite VPLs and 3, 1, 5 and 2 records per location."""
+
+    ROWS = [
+        (10.0, -20.0, 0.0, 9, 0.4123456789, 0.2, 12.3456789, math.nan,
+         False, ""),
+        (0.0, 0.0, 0.0, 7, -1.5, 1.0, math.inf, math.nan, True, ""),
+        (-45.0, 22.5, 0.0, 3, math.nan, math.nan, math.nan, math.nan, False,
+         "insufficient geometry"),
+        (10.0, -20.0, 600.0, 9, 40.0, 3.0, 36.5, 20.25, True, ""),
+        (0.0, 0.0, 600.0, 8, 0.1, 0.1, 34.999999, 18.0, False, ""),
+        (75.0, 150.0, 0.0, 8, -2.25, 0.5, 1e-7, 1e-7, False, ""),
+        (0.0, 0.0, 1200.0, 8, 0.3, 0.2, 35.0, math.inf, False, ""),
+        (10.0, -20.0, 1200.0, 0, math.nan, math.nan, math.nan, math.nan,
+         False, 'no bound parameters for "SVN99", refused'),
+        (0.0, 0.0, 1800.0, 6, -0.05, 0.01, 22.75, 15.5, False, ""),
+        (75.0, 150.0, 600.0, 8, 0.0, 0.0, 33.125, math.nan, False, ""),
+        (0.0, 0.0, 2400.0, 6, 1.0, 2.0, math.nan, math.nan, False,
+         "tail probability unresolved"),
+    ]
+
+    # Six decimals for each number, an empty cell for an unavailable one,
+    # CSV quoting for an error that needs it.
+    CSV = """\
+lat_deg,lon_deg,t_s,n_vis,vpe_m,hpe_m,vpl_m,hpl_m,alert,class,error
+10,-20,0,9,0.412346,0.200000,12.345679,,0,NO,
+0,0,0,7,-1.500000,1.000000,,,1,SU,
+-45,22.5,0,3,,,,,0,SU,insufficient geometry
+10,-20,600,9,40.000000,3.000000,36.500000,20.250000,1,SU&MI,
+0,0,600,8,0.100000,0.100000,34.999999,18.000000,0,NO,
+75,150,0,8,-2.250000,0.500000,0.000000,0.000000,0,MI,
+0,0,1200,8,0.300000,0.200000,35.000000,,0,NO,
+10,-20,1200,0,,,,,0,SU,"no bound parameters for ""SVN99"", refused"
+0,0,1800,6,-0.050000,0.010000,22.750000,15.500000,0,NO,
+75,150,600,8,0.000000,0.000000,33.125000,,0,NO,
+0,0,2400,6,1.000000,2.000000,,,0,SU,tail probability unresolved
+"""
+
+    # SHA-256 of this list's summary, pinned so that a faster aggregate or
+    # writer keeps every byte.
+    SUMMARY_SHA256 = ("1dac824cf8eb3a24eda85c3777bb90af"
+                      "c67e112ae228d9ed4f36c35d3c6deb4b")
+
+    def records(self):
+        return [sim.EpochRecord(lat, lon, t, n, vpe=vpe, hpe=hpe, vpl=vpl,
+                                hpl=hpl, alert=alert,
+                                stanford=stanford_class(vpe, vpl, 35.0),
+                                error=error)
+                for lat, lon, t, n, vpe, hpe, vpl, hpl, alert, error
+                in self.ROWS]
+
+    def test_same_bytes(self):
+        buf = io.StringIO()
+        write_records_csv(self.records(), buf)
+        assert buf.getvalue() == self.CSV
+        summary = sim.summary_json(self.records(), ScenarioConfig(),
+                                   availability_levels=(0.5, 0.75, 0.995))
+        assert hashlib.sha256(summary.encode()).hexdigest() \
+            == self.SUMMARY_SHA256
+        avail = {(d["lat"], d["lon"]): d["availability"]
+                 for d in json.loads(summary)["availability_by_location"]}
+        assert avail == {(-45.0, 22.5): 0.0, (0.0, 0.0): 0.4,
+                         (10.0, -20.0): 1 / 3, (75.0, 150.0): 1.0}
+
+    def test_errors_read_back(self):
+        back = sim.read_records_csv(io.StringIO(self.CSV))
+        assert [r.error for r in back] == [row[-1] for row in self.ROWS]
+        # A file from before the error column reads as no error.
+        old = "\n".join(line.rsplit(",", 1)[0]
+                        for line in self.CSV.splitlines()[:3])
+        assert [r.error for r in sim.read_records_csv(io.StringIO(old))] \
+            == ["", ""]
+
+
+class TestTruthDraws:
+    """draw_errors draws a stack's truth in one array pass, each record
+    from its own key and each draw from a counter naming the satellite,
+    the draw slot and the rejection round."""
+
+    @staticmethod
+    def one_satellite(pgo, n, tropo, user):
+        """n records that each see satellite 4, whose PGO is pgo."""
+        return sim.Truth(np.broadcast_to(pgo.draw_params, (n, 1, 11)),
+                         np.full((n, 1), 4), np.full((n, 1), tropo),
+                         np.full((n, 1), user))
+
+    @pytest.mark.parametrize("svn", ["SVN53", "SVN44"])
+    def test_law(self, svn):
+        from scipy.stats import kstest
+        pgo = default_table()[svn].pgo()
+        # SVN53's core is a mixture (c >= 0), SVN44's a rejection (c < 0).
+        assert (pgo.c_offset >= 0.0) == (svn == "SVN53")
+        n = 10 ** 5
+        keys = sim.record_keys(7, np.arange(n), 3)
+        part = sim.draw_errors(self.one_satellite(pgo, n, 0.0, 0.0),
+                               keys)[:, 0]
+        assert np.mean(np.abs(part) > pgo.x_rp) > 0.1
+        assert kstest(part, pgo.cdf).pvalue > 1e-3
+        row = (pgo, Gaussian(0.6), Gaussian(0.8))
+        [grid] = convolve_rows([row])
+        total = sim.draw_errors(self.one_satellite(pgo, n, 0.6, 0.8),
+                                keys)[:, 0]
+        assert kstest(total, grid.cdf).pvalue > 1e-3
+
+    def test_alone_in_a_stack_and_reversed(self):
+        table = default_table()
+        svns = [s for s in table if table[s].constellation == "GPS"]
+        params = np.array([table[s].pgo().draw_params for s in svns])
+        rng = np.random.default_rng(4)
+        n_rec, n = 64, 7
+        sat = np.array([np.sort(rng.choice(len(svns), n, replace=False))
+                        for _ in range(n_rec)])
+        truth = sim.Truth(params[sat], sat, rng.uniform(0.1, 1.0, sat.shape),
+                          rng.uniform(0.1, 1.0, sat.shape))
+        keys = sim.record_keys(9, 3 * np.arange(n_rec) + 1, 17)
+        stack = sim.draw_errors(truth, keys)
+        back = np.arange(n_rec)[::-1]
+        np.testing.assert_array_equal(
+            sim.draw_errors(truth.take(back), keys[back])[back], stack)
+        some = [0, 2, 3, 6]
+        for b in range(n_rec):
+            one = truth.take([b])
+            np.testing.assert_array_equal(
+                sim.draw_errors(one, keys[b:b + 1])[0], stack[b])
+            # Nor do the other satellites a record sees change a draw.
+            fewer = sim.Truth(one.pgo[:, some], one.sat[:, some],
+                              one.tropo[:, some], one.user[:, some])
+            np.testing.assert_array_equal(
+                sim.draw_errors(fewer, keys[b:b + 1])[0], stack[b, some])
+
+    def test_every_bit_of_the_seed_counts(self):
+        seeds = [0, 1, 5, 2 ** 64 - 1, 2 ** 64, 5 + 2 ** 64, 5 + 2 ** 128]
+        assert len({int(sim.record_keys(s, [0], 0)[0]) for s in seeds}) \
+            == len(seeds)
+        kw = dict(grid_step_deg=90.0, epoch_step_s=43200.0,
+                  duration_s=86400.0)
+        a = sim.run_scenario(ScenarioConfig(seed=5, **kw))
+        b = sim.run_scenario(ScenarioConfig(seed=5 + 2 ** 64, **kw))
+        assert [r.vpl for r in a] == [r.vpl for r in b]
+        solved = [i for i, r in enumerate(a) if not r.error]
+        assert solved and all(a[i].vpe != b[i].vpe for i in solved)
 
 
 class TestBaselineAlert:
@@ -365,7 +517,7 @@ class TestHorizontalDetection:
         assert not jackknife.run_detector(up, y)[1].any()
         assert east.rows[k] @ y >= 1.5 * east.thresholds[k]
 
-        monkeypatch.setattr(sim, "draw_errors", lambda truth, rng: y)
+        monkeypatch.setattr(sim, "draw_errors", lambda truth, keys: y[None])
         vert, both = (sim.evaluate_epoch(c, sats, positions,
                                          default_table(), self.LAT,
                                          self.LON, self.T)
