@@ -847,26 +847,27 @@ def aggregate(records, val=35.0, availability_levels=(0.75, 0.95, 0.995)):
     per location, and Stanford class counts."""
     if not records:
         raise ValueError("no records to aggregate")
-    locs = sorted({(r.lat, r.lon) for r in records})
-    place = {key: i for i, key in enumerate(locs)}
-    loc = np.array([place[(r.lat, r.lon)] for r in records])
-    vpl = np.array([r.vpl for r in records], dtype=float)
+    by_loc = {}
+    for r in records:
+        by_loc.setdefault((r.lat, r.lon), []).append(r.vpl)
+    locs = sorted(by_loc)
+    # Every VPL, location by location; an unavailable one is infinite.
+    vpl = np.array([v for key in locs for v in by_loc[key]], dtype=float)
     vpl[~np.isfinite(vpl)] = np.inf
-    count = np.bincount(loc, minlength=len(locs))
+    count = np.array([len(by_loc[key]) for key in locs])
     # Sums of ones are exact, so each ratio is the mean of its location's
     # 0/1 availabilities.
-    avails = np.bincount(loc, weights=vpl < val, minlength=len(locs)) / count
+    avails = np.bincount(np.repeat(np.arange(len(locs)), count),
+                         weights=vpl < val) / count
     availability = dict(zip(locs, avails.tolist()))
     # Order statistic, not interpolation: stays well-defined when the
     # upper tail holds unavailable (infinite) records. One call per
-    # record count covers every location with that many records, each
-    # row of them in record order.
-    by_loc = vpl[np.argsort(loc, kind="stable")]
+    # record count covers every location with that many records.
     start = np.cumsum(count) - count
     p995 = np.empty(len(locs))
     for n in np.unique(count).tolist():
         same = np.flatnonzero(count == n)
-        p995[same] = np.quantile(by_loc[start[same, None] + np.arange(n)],
+        p995[same] = np.quantile(vpl[start[same, None] + np.arange(n)],
                                  0.995, axis=1, method="higher")
     vpl_p995 = dict(zip(locs, p995.tolist()))
 
