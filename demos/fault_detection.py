@@ -14,7 +14,7 @@ Run:  python demos/fault_detection.py
 
 import numpy as np
 
-from jkaraim import (AXIS_UP, IntegrityBudget, Truth, default_almanac,
+from jkaraim import (AXIS_UP, IntegrityBudget, default_almanac,
                      default_table, draw_errors, epoch_setup,
                      geodetic_to_ecef, record_keys, run_detector, thresholds)
 from jkaraim.sim import satellite_positions
@@ -25,16 +25,17 @@ setup = epoch_setup(geodetic_to_ecef(47.0, 8.5), [a.svn for a in almanac],
                     [a.constellation for a in almanac],
                     satellite_positions(almanac, 7200.0), default_table(),
                     budget)
+# A record is a stack of one: each field holds this one record's.
 ops, tm, acc = setup.ops, setup.tm, setup.acc_bounds
-geom = ops.model
+[visible] = setup.visible
 print(f"{ops.n} satellites above the mask at the chosen epoch")
 print(f"k_max={tm.k_max}, {tm.n_fault_modes} fault modes")
 
 # The nominal errors a scenario of seed 3 draws for this user (location 0)
 # at its first epoch.
-nominal = draw_errors(Truth.of_rows(setup.truth, setup.visible),
-                      record_keys(3, [0], 0))[0]
+nominal = draw_errors(setup.truth, record_keys(3, [0], 0))[0]
 tests = thresholds(ops, tm, acc, budget, AXIS_UP)
+[held] = tests.thresholds
 const_ids = [m.id for m in tm.constellation_modes()]
 print(f"{len(tests.ids)} vertical tests, {len(tests.skipped)} modes "
       "untestable")
@@ -46,8 +47,9 @@ def show(fault_of, biases):
     print(f"{'bias (m)':>9} {'satellite modes':>16} "
           f"{'constellation modes':>20} {'alert':>6}")
     for bias in biases:
-        stats, alerts = run_detector(tests, nominal + bias * fault_of)
-        ratios = dict(zip(tests.ids, np.abs(stats) / tests.thresholds))
+        [stats], [alerts] = run_detector(tests,
+                                         (nominal + bias * fault_of)[None])
+        ratios = dict(zip(tests.ids, np.abs(stats) / held))
         sat = max(r for i, r in ratios.items() if i not in const_ids)
         const = max(ratios[i] for i in const_ids)
         print(f"{bias:9.1f} {sat:16.2f} {const:20.2f} "
@@ -55,12 +57,12 @@ def show(fault_of, biases):
 
 
 target = 0
-print(f"\nbias on {geom.sat_ids[target]} "
-      f"(elevation {setup.elevations[target]:.0f} deg), statistic over "
+print(f"\nbias on {almanac[visible[target]].svn} "
+      f"(elevation {setup.elevations[0, target]:.0f} deg), statistic over "
       "threshold:")
 show(np.eye(ops.n)[target], (0.0, 4.0, 8.0, 16.0))
 
-gal = np.array([c == "GAL" for c in geom.const_of])
+gal = np.array([almanac[i].constellation == "GAL" for i in visible])
 print("\nvertical shift seen by every Galileo satellite, statistic over "
       "threshold:")
-show(np.where(gal, geom.G[:, AXIS_UP], 0.0), (0.0, 25.0, 50.0, 100.0))
+show(np.where(gal, ops.G[0, :, AXIS_UP], 0.0), (0.0, 25.0, 50.0, 100.0))

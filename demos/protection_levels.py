@@ -9,8 +9,8 @@ Run:  python demos/protection_levels.py
 """
 
 from jkaraim import (IntegrityBudget, baseline_araim_pl, default_almanac,
-                     default_table, epoch_setup, geodetic_to_ecef, pl_solve,
-                     separation_table, thresholds)
+                     default_table, epoch_setup, geodetic_to_ecef,
+                     protection_levels, separation_table, thresholds)
 from jkaraim.model_core import AXIS_UP
 from jkaraim.sim import satellite_positions
 
@@ -26,10 +26,11 @@ def epoch_case(lat, lon, t, flavor):
 
 
 def jk_vpl(s):
-    """The jk VPL, each fault term offset by the threshold of its mode's
-    vertical test."""
+    """The jk VPL of the set-up's one record, each fault term offset by the
+    threshold of its mode's vertical test."""
     tests = thresholds(s.ops, s.tm, s.acc_bounds, BUDGET, AXIS_UP)
-    return pl_solve(s.ops, s.tm, s.acc_bounds, tests, BUDGET)
+    [vpl], _ = protection_levels(s.ops, s.tm, s.acc_bounds, tests, BUDGET)
+    return vpl
 
 
 lat, lon, t = 34.0, -118.0, 36000.0
@@ -40,7 +41,8 @@ print(f"{gauss.ops.n} satellites, {gauss.tm.n_fault_modes} fault modes")
 
 sep = separation_table(gauss.ops, gauss.tm, gauss.acc_bounds, BUDGET,
                        AXIS_UP)
-base = baseline_araim_pl(gauss.ops, gauss.tm, gauss.acc_bounds, sep, BUDGET)
+[base] = baseline_araim_pl(gauss.ops, gauss.tm, gauss.acc_bounds, sep,
+                           BUDGET)
 print(f"\nsolution-separation benchmark VPL: {base:7.2f} m")
 
 vpl_g = jk_vpl(gauss)

@@ -8,16 +8,16 @@ from .errors import (EmConvergenceFailure, EmptySample, InsufficientGeometry,
                      KeplerNonConvergence, NonGaussianBound,
                      NoValidPartition, SubsetRankDeficient, UnknownSatellite)
 from .integrity import (DetectorTable, IntegrityBudget, baseline_araim_pl,
-                        pl_solve)
+                        protection_levels)
 from .jackknife import run_detector, separation_table, thresholds
 from .model_core import (AXIS_EAST, AXIS_NORTH, AXIS_UP, LinearModel,
-                         SolutionOps, ecef_to_geodetic, geodetic_to_ecef)
+                         SolutionStack, ecef_to_geodetic, geodetic_to_ecef)
 from .overbound import (OverboundReport, SatelliteBound, build_pgo,
                         default_partition_point, default_table, fit_bgmm,
                         fit_gaussian_overbound, verify_overbound)
 from .sim import (AlmanacEntry, EpochRecord, EpochSetup, ScenarioConfig,
                   Truth, aggregate, cnmp_sigma, default_almanac, draw_errors,
-                  epoch_setup, error_models, evaluate_epoch, parse_yuma,
+                  epoch_setup, evaluate_epoch, parse_yuma,
                   propagate, read_records_csv, record_keys, run_scenario,
                   stanford_class, summary_json, threat_model, tropo_sigma,
                   write_records_csv, write_yuma)
@@ -33,7 +33,7 @@ __all__ = [
     "JkAraimError", "KeplerNonConvergence", "LinearModel",
     "NonGaussianBound", "NoValidPartition", "OverboundReport", "Pgo",
     "SatelliteBound",
-    "ScenarioConfig", "SolutionOps", "SubsetRankDeficient", "ThreatModel",
+    "ScenarioConfig", "SolutionStack", "SubsetRankDeficient", "ThreatModel",
     "Truth", "UnknownSatellite",
     "aggregate", "baseline_araim_pl",
     "build_pgo", "cnmp_sigma",
@@ -41,10 +41,10 @@ __all__ = [
     "default_almanac", "draw_errors",
     "default_partition_point", "default_table", "determine_kmax",
     "ecef_to_geodetic", "enumerate_modes",
-    "epoch_setup", "error_models", "evaluate_epoch", "fit_bgmm",
+    "epoch_setup", "evaluate_epoch", "fit_bgmm",
     "fit_gaussian_overbound",
     "geodetic_to_ecef", "parse_yuma",
-    "pl_solve", "propagate", "read_records_csv", "record_keys",
+    "propagate", "protection_levels", "read_records_csv", "record_keys",
     "run_detector", "run_scenario", "separation_table", "stanford_class",
     "summary_json", "threat_model", "thresholds",
     "tropo_sigma", "verify_overbound", "write_records_csv", "write_yuma",

@@ -7,6 +7,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from importlib import metadata
@@ -15,8 +16,7 @@ import numpy as np
 
 from . import distkit, jackknife, model_core, overbound, sim, threat
 from .errors import JkAraimError
-from .integrity import IntegrityBudget, baseline_araim_pl, pl_solve
-from .model_core import SolutionOps
+from .integrity import IntegrityBudget, baseline_araim_pl, protection_levels
 
 EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
@@ -120,11 +120,14 @@ def _load_geometry(path, table, flavor, budget):
     """Geometry JSON: either a raw linear model (G, weights, sigmas; Gaussian
     bounds only) or a user/satellite description set up as a scenario epoch
     is (sim.epoch_setup). Returns (ops, threat model, accuracy bounds,
-    axis), ops the geometry's SolutionOps.
+    axis) of a stack of one record: ops a model_core.SolutionStack and the
+    bounds a distkit.GaussianBatch or a list of one record's bound list.
 
     A raw model's per-row lists (sigmas, weights, constellations, sat_ids)
     each hold one entry per row of G. Weights default to 1 / sigma^2 and
-    sigmas to 1 / sqrt(weight), both to 1 when neither is given."""
+    sigmas to 1 / sqrt(weight), both to 1 when neither is given. A
+    user/sats geometry's user_llh is 2 or 3 finite numbers: latitude and
+    longitude (deg) and the height (m, default 0)."""
     with open(path) as fh:
         doc = json.load(fh)
     if "G" in doc:
@@ -147,17 +150,22 @@ def _load_geometry(path, table, flavor, budget):
         model = model_core.LinearModel(G, weights, ids, const_of)
         if sigmas is None:
             sigmas = 1.0 / np.sqrt(model.W)
-        acc = [distkit.Gaussian(s) for s in sigmas]
+        acc = distkit.GaussianBatch(sigmas[None])
         n_axes = min(3, G.shape[1])
         axis = doc.get("axis", n_axes - 1)
         if type(axis) is not int or not 0 <= axis < n_axes:
             raise ValueError(f"axis = {axis!r} must be an integer position "
                              f"index in [0, {n_axes})")
-        return (SolutionOps(model), sim.threat_model(model, budget), acc,
-                axis)
-    sats = doc["sats"]
+        return (model_core.SolutionStack(model.G[None], model.W[None]),
+                sim.threat_model(const_of, model.m, budget), acc, axis)
+    sats, llh = doc["sats"], doc["user_llh"]
+    if not (type(llh) is list and len(llh) in (2, 3)
+            and all(type(v) in (int, float) and math.isfinite(v)
+                    for v in llh)):
+        raise ValueError(f"user_llh = {llh!r} must be a list of 2 or 3 "
+                         "finite numbers (lat_deg, lon_deg[, height_m])")
     setup = sim.epoch_setup(
-        model_core.geodetic_to_ecef(*doc["user_llh"]),
+        model_core.geodetic_to_ecef(*llh),
         [s["svn"] for s in sats], [s["constellation"] for s in sats],
         [s["ecef"] for s in sats], table, budget, flavor=flavor,
         mask_deg=float(doc.get("mask_deg", 5.0)))
@@ -190,12 +198,11 @@ def cmd_pl(args) -> int:
         pl = baseline_araim_pl(ops, tm, acc, tests, budget)
         binding = "total-risk"
     else:
-        pl, binding = pl_solve(ops, tm, acc, tests, budget,
-                               return_binding=True)
-    doc = {"pl_m": pl, "axis": axis, "binding": binding,
+        pl, [binding] = protection_levels(ops, tm, acc, tests, budget)
+    doc = {"pl_m": float(pl[0]), "axis": axis, "binding": binding,
            "algorithm": args.algorithm, "bound": args.bound,
            "thresholds": dict(zip(map(str, tests.ids),
-                                  tests.thresholds.tolist())),
+                                  tests.thresholds[0].tolist())),
            "n_fault_modes": tm.n_fault_modes}
     print(json.dumps(doc, indent=2))
     return 0
@@ -298,11 +305,11 @@ def cmd_detect(args) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     tests = _mode_table(args, ops, tm, acc, budget, axis)
-    stats, alerts = jackknife.run_detector(tests, y)
+    stats, alerts = jackknife.run_detector(tests, y[None])
     ids = [str(i) for i in tests.ids]
     doc = {"alert": bool(alerts.any()),
-           "stats": dict(zip(ids, stats.tolist())),
-           "thresholds": dict(zip(ids, tests.thresholds.tolist())),
+           "stats": dict(zip(ids, stats[0].tolist())),
+           "thresholds": dict(zip(ids, tests.thresholds[0].tolist())),
            "skipped_modes": list(tests.skipped)}
     print(json.dumps(doc, indent=2))
     return 0

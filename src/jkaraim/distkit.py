@@ -831,16 +831,14 @@ def gaussian_rows(C, sigma):
 
 def row_batches(C, bounds):
     """Distributions of the rows C (..., K, n) over the accuracy bounds
-    of one record or of a stack of records: the closed form gaussian_rows
-    for bounds given as a GaussianBatch of sigmas (..., n); convolve_batch
-    for one record's list of bounds (C 2-D); and for a stack of one
-    record's list ([bounds], C (1, K, n)), that record's convolve_batch as
-    a OneRecord. A scenario stacks grid bounds one record at a time
-    (sim._stacks), as each record's rows need their own grid."""
+    of a stack of records: the closed form gaussian_rows for bounds given
+    as a GaussianBatch of sigmas (..., n), and for a stack of one record's
+    list of grid bounds ([bounds], C (1, K, n)) that record's
+    convolve_batch as a OneRecord. A scenario stacks grid bounds one
+    record at a time (sim._stacks), as each record's rows need their own
+    grid."""
     if isinstance(bounds, GaussianBatch):
         return gaussian_rows(C, bounds.sigma)
-    if C.ndim == 2:
-        return convolve_batch(C, bounds)
     [c], [b] = C, bounds
     return OneRecord(convolve_batch(c, b))
 
@@ -848,9 +846,8 @@ def row_batches(C, bounds):
 def bound_sigmas(bounds) -> np.ndarray:
     """The Gaussian sigma of each bound, the square root of its variance:
     the WLS weights and the Gaussian solution-separation terms. bounds is
-    one record's list, a list of records' lists, or a GaussianBatch of
-    stacked sigmas (whose variances round as Gaussian.variance's)."""
+    a list of records' lists, or a GaussianBatch of stacked sigmas (whose
+    variances round as Gaussian.variance's)."""
     if isinstance(bounds, GaussianBatch):
         return np.sqrt(np.float_power(bounds.sigma, 2))
-    return np.sqrt([[b.variance() for b in r] if isinstance(r, list)
-                    else r.variance() for r in bounds])
+    return np.sqrt([[b.variance() for b in r] for r in bounds])

@@ -14,7 +14,7 @@ from scipy.special import ndtr, ndtri
 
 from . import distkit
 from .errors import NonGaussianBound, SubsetRankDeficient
-from .model_core import AXIS_UP, SolutionOps, _shared
+from .model_core import AXIS_UP, SolutionStack, _shared
 from .threat import ThreatModel
 
 
@@ -284,13 +284,16 @@ def _jk_terms(ops, threat, acc_bounds, tests, budget):
     return labels, offsets, bounds, risk, target, skipped_mass
 
 
-def protection_levels(ops, threat: ThreatModel, acc_bounds,
+def protection_levels(ops: SolutionStack, threat: ThreatModel, acc_bounds,
                       tests: DetectorTable, budget: IntegrityBudget):
-    """The jk protection levels of a stack of geometries (pl_solve of each
-    record, which is this of one record): ops a model_core.SolutionStack,
-    tests its jackknife.thresholds table and acc_bounds its stacked bounds.
-    Returns (levels, binding), each of the stack's leading shape: the PLs
-    and the label of the term that set each before the bisection.
+    """The jk protection levels of a stack of geometries ops on the axis of
+    its detector table tests (jackknife.thresholds), whose thresholds
+    offset the fault-mode terms (_jk_terms). acc_bounds holds each
+    satellite's accuracy bound: the bounds feed the convolutions and their
+    sigmas (distkit.bound_sigmas) the constellation modes' terms. Each
+    satellite's nominal bias is the budget's b_nom. Returns (levels,
+    binding), one entry per record: the PLs and the label of the term that
+    set each before the bisection.
 
     The equal-allocation per-mode max bound is computed first. When the
     skipped low-prior modes leave room inside the deflated budget, each
@@ -298,9 +301,9 @@ def protection_levels(ops, threat: ThreatModel, acc_bounds,
     the budget (one bracket per record, all in one _bisect_level), which
     makes the risk bound tight rather than allocated.
     """
-    shape = ops.S.shape[:-2]
     terms = _jk_terms(ops, threat, acc_bounds, tests, budget)
     if isinstance(terms, str):
+        shape = ops.S.shape[:-2]
         return np.full(shape, math.inf), np.full(shape, terms, dtype=object)
     labels, _, bounds, risk, target, skipped_mass = terms
     values = bounds()
@@ -309,47 +312,27 @@ def protection_levels(ops, threat: ThreatModel, acc_bounds,
                       0.0)
     target -= skipped_mass
     if target > 0.0:
-        level = np.reshape(
-            _bisect_level(risk, np.atleast_1d(best), target)[0], shape)
+        level = _bisect_level(risk, best, target)[0]
         best = np.where((best > 0.0) & ~np.isnan(level), level, best)
     return best, np.array(labels, dtype=object)[k]
 
 
-def pl_solve(ops: SolutionOps, threat: ThreatModel, acc_bounds,
-             tests: DetectorTable, budget: IntegrityBudget, *,
-             return_binding=False):
-    """Protection level of the geometry ops on the axis of the detector
-    table tests (jackknife.thresholds), whose thresholds offset the
-    fault-mode terms (_jk_terms): protection_levels of one record.
-
-    acc_bounds holds each satellite's accuracy bound: the bounds feed the
-    convolutions and their sigmas (distkit.bound_sigmas) the constellation
-    modes' terms. Each satellite's nominal bias is the budget's b_nom.
-    """
-    level, binding = protection_levels(ops, threat, acc_bounds, tests,
-                                       budget)
-    level, binding = float(level), str(binding)
-    return (level, binding) if return_binding else level
-
-
 def _require_gaussian(acc_bounds):
     """The baseline's terms are Gaussians of the bounds' sigmas, which
-    understate a heavier-tailed bound's tails: refuse any other bound. A
-    stack's Gaussian bounds are one GaussianBatch."""
-    if not (isinstance(acc_bounds, distkit.GaussianBatch)
-            or all(isinstance(b, distkit.Gaussian) for b in acc_bounds)):
+    understate a heavier-tailed bound's tails: refuse any other bound than
+    a GaussianBatch."""
+    if not isinstance(acc_bounds, distkit.GaussianBatch):
         raise NonGaussianBound(
             "the solution-separation baseline takes Gaussian accuracy "
             "bounds only")
 
 
-def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
+def baseline_araim_pl(ops: SolutionStack, threat: ThreatModel, acc_bounds,
                       tests: DetectorTable, budget: IntegrityBudget):
-    """Solution-separation protection level of the geometry ops on the
-    axis of the separation table tests (jackknife.separation_table), by
-    bisection on the total risk: a float for one record, and for a stack
-    of geometries (model_core.SolutionStack, its stacked table and
-    bounds) one level per record, each bisecting its own bracket.
+    """Solution-separation protection levels of a stack of geometries ops
+    on the axis of its separation table tests (jackknife.separation_table),
+    by bisection on the total risk: one level per record, each bisecting
+    its own bracket.
 
     The comparison benchmark, on Gaussian accuracy bounds only
     (NonGaussianBound otherwise): two-sided fault-free term, one-sided
@@ -389,13 +372,12 @@ def baseline_araim_pl(ops: SolutionOps, threat: ThreatModel, acc_bounds,
             return np.cumsum(weights * ndtr((offsets - levels[..., None])
                                             / sigmas), axis=-1)[..., -1]
 
-        found = _bisect_level(risk, np.full(shape or (1,), 1.0e4),
-                              target)[0].reshape(shape)
+        found = _bisect_level(risk, np.full(shape, 1.0e4), target)[0]
         level = np.where(np.isnan(found), math.inf, found)
-    return float(level) if level.ndim == 0 else level
+    return level
 
 
-def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
+def separation_tests(ops: SolutionStack, modes, acc_bounds, c_alloc: float,
                      axis: int = AXIS_UP) -> DetectorTable:
     """The solution-separation tests of the given modes on one axis, the
     satellite-subset modes first, then the constellation modes, each in
@@ -405,8 +387,8 @@ def separation_tests(ops: SolutionOps, modes, acc_bounds, c_alloc: float,
     row comes from ops.mode_rows, a constellation mode's from ops.reduced
     (the solve without the excluded constellation's measurements and
     clock). Rank-deficient modes are left untested; any other failure
-    propagates. ops may be a stack of geometries that agree on which
-    modes are rank deficient (model_core.SolutionStack.testable)."""
+    propagates. The geometries of the stack ops must agree on which
+    modes are rank deficient (MixedStack otherwise)."""
     sat = [m for m in modes if m.kind == "sat_subset"]
     ok, Q, _ = ops.mode_rows([m.excluded for m in sat], axis)
     ok = _shared(ok)

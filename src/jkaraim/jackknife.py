@@ -10,11 +10,11 @@ import numpy as np
 from . import distkit
 from .integrity import (DetectorTable, IntegrityBudget, _require_gaussian,
                         allocate, separation_tests)
-from .model_core import AXIS_UP, SolutionOps, _shared
+from .model_core import AXIS_UP, SolutionStack, _shared
 from .threat import ThreatModel
 
 
-def thresholds(ops: SolutionOps, threat: ThreatModel, acc_bounds,
+def thresholds(ops: SolutionStack, threat: ThreatModel, acc_bounds,
                budget: IntegrityBudget,
                axis: int = AXIS_UP) -> DetectorTable:
     """The jk mode table of one axis, every test at allocate's c_alloc,
@@ -26,10 +26,9 @@ def thresholds(ops: SolutionOps, threat: ThreatModel, acc_bounds,
     constellation modes' separation tests (integrity.separation_tests). A
     rank-deficient mode is untestable and is listed as skipped.
 
-    ops may be a stack of geometries (model_core.SolutionStack), with
-    their stacked bounds; the table then holds every record's rows and
-    thresholds (MixedStack when the geometries disagree on which modes
-    are rank deficient).
+    ops is a stack of geometries with their stacked bounds; the table
+    holds every record's rows and thresholds (MixedStack when the
+    geometries disagree on which modes are rank deficient).
     """
     c_alloc = allocate(budget, threat, axis)[2]
     modes = threat.sat_modes()
@@ -51,13 +50,13 @@ def thresholds(ops: SolutionOps, threat: ThreatModel, acc_bounds,
     return DetectorTable(axis, tuple(tested), Q, rows, held, tuple(skipped))
 
 
-def separation_table(ops: SolutionOps, threat: ThreatModel, acc_bounds,
+def separation_table(ops: SolutionStack, threat: ThreatModel, acc_bounds,
                      budget: IntegrityBudget,
                      axis: int = AXIS_UP) -> DetectorTable:
     """The solution-separation baseline's mode table of one axis: the
     separation tests of every mode of the threat at allocate's c_alloc
     (integrity.separation_tests), on Gaussian accuracy bounds only
-    (NonGaussianBound otherwise). ops may be a stack, as in thresholds."""
+    (NonGaussianBound otherwise). ops is a stack, as in thresholds."""
     _require_gaussian(acc_bounds)
     return separation_tests(ops, threat.modes, acc_bounds,
                             allocate(budget, threat, axis)[2], axis)

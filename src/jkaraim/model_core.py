@@ -19,7 +19,7 @@ AXIS_EAST, AXIS_NORTH, AXIS_UP = 0, 1, 2
 # normal matrix G'WG, i.e. working precision.
 RANK_RTOL = 1e-8
 
-# Rank rule of the satellite-subset downdate (see SolutionOps), its
+# Rank rule of the satellite-subset downdate (see SolutionStack), its
 # counterpart of RANK_RTOL: a subset that keeps at least as many
 # measurements as states is rank deficient when it keeps at most this
 # share of the full set's information in some direction. Exactly singular
@@ -40,7 +40,7 @@ class LinearModel:
 
     G rows are ENU unit line-of-sight components toward each satellite plus
     one 0/1 clock-indicator column per constellation. A rank-deficient G
-    is reported by the solve (_solution_matrix raises InsufficientGeometry),
+    is reported by the solve (SolutionStack raises InsufficientGeometry),
     whose SVD decides the rank.
     """
 
@@ -94,28 +94,22 @@ def solve(G, w):
         return ok, S - (S @ G - np.eye(G.shape[-1])) @ S
 
 
-def _solution_matrix(G, w, err=InsufficientGeometry):
-    """solve of one geometry; raises err when it is rank deficient."""
-    ok, S = solve(G, w)
-    if not ok:
-        raise err("weighted geometry is rank deficient")
-    return S
-
-
 def subset_ops(model: LinearModel, excluded):
     """(S_k, G S_k) of one fault mode by a direct weighted solve of the
     kept measurements, S_k zero in the excluded columns; the full set for
     an empty mode. Raises SubsetRankDeficient when fewer measurements than
     states remain or the kept geometry is rank deficient (the RANK_RTOL
-    rule). The library reads its modes from SolutionOps.mode_rows; this
+    rule). The library reads its modes from SolutionStack.mode_rows; this
     is their independent reference."""
     keep = np.ones(model.n, dtype=bool)
     keep[list(excluded)] = False
     if keep.sum() < model.m:
         raise SubsetRankDeficient("too few measurements remain")
+    ok, S = solve(model.G[keep], model.W[keep])
+    if not ok:
+        raise SubsetRankDeficient("weighted geometry is rank deficient")
     Sk = np.zeros((model.m, model.n))
-    Sk[:, keep] = _solution_matrix(model.G[keep], model.W[keep],
-                                   err=SubsetRankDeficient)
+    Sk[:, keep] = S
     return Sk, model.G @ Sk
 
 
@@ -133,13 +127,15 @@ def _shared(ok):
 
 class SolutionStack:
     """Full-set solutions S = (G'WG)^-1 G'W of geometries of one shape,
-    stacked along leading axes (none for one geometry, as in SolutionOps),
-    their residual operators R = I - G S, and every satellite-subset
-    operator derived from the two. S comes from solve; every method
-    works on the whole stack at once, and a geometry's rows do not depend
-    on which geometries share its stack. A table of the stack's modes
-    raises MixedStack when its geometries disagree on which modes are
-    rank deficient.
+    stacked along leading axes (one per record in the scenario, and a
+    stack of one for a lone record), their residual operators R = I - G S,
+    and every satellite-subset operator derived from the two. S comes from
+    solve, which runs here unless S is given, and raises
+    InsufficientGeometry when a weighted geometry is rank deficient. Every
+    method works on the whole stack at once, and a geometry's rows do not
+    depend on which geometries share its stack. A table of the stack's
+    modes raises MixedStack when its geometries disagree on which modes
+    are rank deficient.
 
     Excluding the measurements I leaves the subset solution
 
@@ -160,7 +156,12 @@ class SolutionStack:
     is rank deficient when that share is at most SUBSET_RTOL.
     """
 
-    def __init__(self, G, W, S):
+    def __init__(self, G, W, S=None):
+        if S is None:
+            ok, S = solve(G, W)
+            if not np.all(ok):
+                raise InsufficientGeometry(
+                    "weighted geometry is rank deficient")
         self.G, self.W, self.S = G, W, S
         self.n = G.shape[-2]      # measurement count
         self.R = np.eye(self.n) - G @ S
@@ -261,20 +262,6 @@ class SolutionStack:
             C[..., ks, :] = c
             Q[..., ks, :] = np.where(good[..., None], q, 0.0)
         return ok, Q, C
-
-
-class SolutionOps(SolutionStack):
-    """The SolutionStack of one geometry, the model: S (m x n), R (n x n)
-    and mode rows without leading axes. S is solved here unless given,
-    as the scenario's stacked set-up passes it in (sim.epoch_setup).
-    Raises InsufficientGeometry when the weighted geometry is rank
-    deficient."""
-
-    def __init__(self, model: LinearModel, S=None):
-        if S is None:
-            S = _solution_matrix(model.G, model.W)
-        super().__init__(model.G, model.W, S)
-        self.model = model
 
 
 # The conversions below take scalars or arrays of positions, and square by

@@ -19,7 +19,6 @@ from .errors import (AlmanacOutOfRange, InsufficientGeometry, JkAraimError,
                      KeplerNonConvergence, UnknownSatellite)
 from .integrity import (IntegrityBudget, baseline_araim_pl,
                         protection_levels)
-from .model_core import SolutionOps
 
 GM_EARTH = 3.986005e14          # m^3/s^2
 OMEGA_EARTH = 7.2921151467e-5   # rad/s
@@ -204,49 +203,6 @@ def propagate(alm: AlmanacEntry, t: float) -> np.ndarray:
                      y_orb * si])
 
 
-def error_models(svns, constellations, elevations, table, flavor):
-    """Nominal errors of one epoch's satellites and their accuracy bounds,
-    (truth, acc_bounds), one of each per (svn, constellation, elevation).
-    Raises UnknownSatellite for an svn the bound table does not hold or
-    holds under another constellation, and the entry's error (such as
-    NoValidPartition) for one whose PGO cannot be built.
-
-    truth[i] is a row of independent components, (heavy-tailed SISRE PGO,
-    Gaussian(s_tropo), Gaussian(s_user)), whose law draw_errors samples.
-    The PGO flavour's acc_bounds[i] is that row's convolution (one
-    distkit.convolve_rows batch for the epoch); the Gaussian flavour's is
-    the Gaussian of sigma sqrt(sigma_G^2 + s_tropo^2 + s_user^2). The
-    scenario builds a stack of records' models at once (_error_stack),
-    which this is of one record.
-    """
-    if flavor not in ("gaussian", "pgo"):
-        raise ValueError(f"unknown bound flavor {flavor!r}")
-    entries = _entries(svns, constellations, table)
-    for entry, elevation in zip(entries, elevations, strict=True):
-        if not (0.0 < elevation <= 90.0):
-            raise ValueError(f"elevation {elevation} out of range")
-        if isinstance(entry, JkAraimError):
-            raise entry
-    if not entries:
-        return [], []
-    truth, acc, failed = _error_stack(
-        entries, np.arange(len(entries))[None], constellations,
-        np.asarray([elevations], dtype=float), flavor)
-    if failed:
-        raise failed[0]
-    rows = _rows([e.pgo() for e in entries], truth.tropo[0], truth.user[0])
-    if flavor == "pgo":
-        return rows, acc[0]
-    return rows, [distkit.Gaussian(s) for s in acc.sigma[0].tolist()]
-
-
-def _rows(pgos, tropo, user):
-    """One record's truth rows, (Pgo, Gaussian(s_tropo), Gaussian(s_user))
-    per satellite, from its satellites' PGOs and sigmas."""
-    return [(p, distkit.Gaussian(t), distkit.Gaussian(u))
-            for p, t, u in zip(pgos, tropo.tolist(), user.tolist())]
-
-
 @dataclass
 class Truth:
     """The nominal errors of a stack of records, as arrays (records x n):
@@ -261,32 +217,27 @@ class Truth:
     tropo: np.ndarray           # records x n, sigma (m)
     user: np.ndarray            # records x n, sigma (m)
 
-    @classmethod
-    def of_rows(cls, rows, sat):
-        """One record's Truth from its truth rows (error_models,
-        EpochSetup.truth) and its satellites' indices (EpochSetup.visible),
-        so that it draws what the scenario draws for that record."""
-        pgo, tropo, user = zip(*rows)
-        return cls(np.array([[p.draw_params for p in pgo]]),
-                   np.array([sat], dtype=int),
-                   np.array([[g.sigma for g in tropo]]),
-                   np.array([[g.sigma for g in user]]))
-
     def take(self, b):
         """The Truth of the records b (indices or a mask)."""
         return Truth(self.pgo[b], self.sat[b], self.tropo[b], self.user[b])
 
 
 def _error_stack(entries, vis, constellations, elevations, flavor):
-    """error_models of a stack of records whose satellites share their
-    constellation labels: entries[i] is satellite i's bound-table entry,
-    vis (records x n) the records' satellites, each of whose PGO builds
-    (_entries), and elevations (records x n) their elevations. Returns
-    (truth, acc, failed): the records' Truth; the accuracy bounds, a
-    GaussianBatch of every record's sigmas (Gaussian flavour) or one list
-    of grid bounds per record from its own convolve_rows (PGO); and the
-    JkAraimError of each record (by index) whose convolve_rows failed,
-    which has no bounds (None)."""
+    """Nominal errors and accuracy bounds of a stack of records whose
+    satellites share their constellation labels: entries[i] is satellite
+    i's bound-table entry, vis (records x n) the records' satellites, each
+    of whose PGO builds (_entries), and elevations (records x n) their
+    elevations. Returns (truth, acc, failed): the records' Truth; the
+    accuracy bounds; and the JkAraimError of each record (by index) whose
+    convolve_rows failed, which has no bounds (None).
+
+    Each satellite's error is the sum of independent components (its
+    heavy-tailed SISRE PGO, Gaussian(s_tropo), Gaussian(s_user)), whose
+    law draw_errors samples. The Gaussian flavour's bounds are a
+    GaussianBatch of every record's sigmas sqrt(sigma_G^2 + s_tropo^2 +
+    s_user^2); the PGO flavour's are one list of grid bounds per record,
+    the convolution of its satellites' components (one
+    distkit.convolve_rows each)."""
     tropo = tropo_sigma(elevations)
     user = np.empty(elevations.shape)
     for const in set(constellations):
@@ -310,7 +261,8 @@ def _error_stack(entries, vis, constellations, elevations, flavor):
     for b, (a, ts, us) in enumerate(zip(at, tropo, user)):
         try:
             acc.append(list(distkit.convolve_rows(
-                _rows([pgos[i] for i in a.tolist()], ts, us))))
+                [(pgos[i], distkit.Gaussian(t), distkit.Gaussian(u))
+                 for i, t, u in zip(a.tolist(), ts.tolist(), us.tolist())])))
         except JkAraimError as exc:
             failed[b] = exc
             acc.append(None)
@@ -474,34 +426,34 @@ def satellite_positions(sats, t):
     return np.array([propagate(a, t) for a in sats]).reshape(-1, 3)
 
 
-def threat_model(geom, budget: IntegrityBudget):
-    """Fault modes of one geometry: k_max from its satellite count
+def threat_model(const_of, m: int, budget: IntegrityBudget):
+    """Fault modes of a geometry of m states whose satellites have the
+    constellation labels const_of: k_max from its satellite count
     (threat.determine_kmax), then every mode up to it
     (threat.enumerate_modes), which raises InsufficientRedundancy when
     k_max exceeds the redundancy n - m."""
     parts = {}
-    for i, c in enumerate(geom.const_of):
+    for i, c in enumerate(const_of):
         parts.setdefault(c, []).append(i)
-    k_max = threat.determine_kmax(geom.n, budget.p_sat, budget.p_thres)
-    return threat.enumerate_modes(geom.n, k_max, parts, budget.p_sat,
-                                  budget.p_const, m=geom.m)
+    n = len(const_of)
+    k_max = threat.determine_kmax(n, budget.p_sat, budget.p_thres)
+    return threat.enumerate_modes(n, k_max, parts, budget.p_sat,
+                                  budget.p_const, m=m)
 
 
 @dataclass
 class EpochSetup:
-    """What one epoch's detector and PLs start from (epoch_setup), for one
-    record or, in the scenario, for a stack of records whose visible
-    satellites share their constellation labels (each field then holds
-    every record's along a leading axis: truth a Truth, ops a
-    model_core.SolutionStack, acc_bounds a distkit.GaussianBatch or one
-    list per record). The geometry is ops, whose model is weighted by
-    1 / sigma^2 of each satellite's bound."""
+    """What the detector and PLs of a stack of records start from
+    (_setup_stack; epoch_setup for one user), for records whose visible
+    satellites share their constellation labels. Each field holds every
+    record's along a leading axis. The geometry is ops, weighted by 1 /
+    sigma^2 of each satellite's bound."""
 
-    visible: list               # indices of the satellites above the mask
+    visible: np.ndarray         # indices of the satellites above the mask
     elevations: np.ndarray      # their elevations (deg)
-    truth: list                 # error rows (error_models); stack: Truth
-    acc_bounds: list            # and those errors' accuracy bounds
-    ops: SolutionOps
+    truth: Truth                # their nominal errors
+    acc_bounds: object          # GaussianBatch, or one list per record
+    ops: model_core.SolutionStack
     tm: threat.ThreatModel
 
 
@@ -532,7 +484,7 @@ def _stacks(above, constellations, flavor):
                             dtype=int).reshape(len(part), len(key)))
 
 
-def _setup_stack(key, rows, vis, u, el, sat_ids, entries, budget, flavor):
+def _setup_stack(key, rows, vis, u, el, entries, budget, flavor):
     """The set-up of one stack of _stacks: u (users x N x 3) and el (users
     x N) are every user's line_of_sight rows and elevations, and
     entries[i] is satellite i's bound-table entry, or its UnknownSatellite
@@ -540,7 +492,7 @@ def _setup_stack(key, rows, vis, u, el, sat_ids, entries, budget, flavor):
 
     Returns (rows, setup) pairs that cover the stack's users rows: a
     stacked EpochSetup, or the JkAraimError, carrying the visible count as
-    n_visible, that refuses them. The checks run in epoch_setup's order:
+    n_visible, that refuses them. The checks run in this order:
     fewer satellites than states plus one (InsufficientGeometry, the
     stack); the first visible satellite the table does not hold or whose
     PGO cannot be built (the record); bounds whose convolution fails (the
@@ -587,8 +539,7 @@ def _setup_stack(key, rows, vis, u, el, sat_ids, entries, budget, flavor):
         acc = _take(acc, np.flatnonzero(ok))
         G, W, S = G[ok], W[ok], S[ok]
     try:
-        tm = threat_model(model_core.LinearModel(
-            G[0], W[0], [sat_ids[i] for i in vis[0]], list(key)), budget)
+        tm = threat_model(key, G.shape[-1], budget)
     except JkAraimError as exc:
         return out + [(rows, _refusal(exc, n))]
     return out + [(rows, EpochSetup(vis, elevations, truth, acc,
@@ -628,11 +579,11 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
                 budget: IntegrityBudget, flavor="gaussian",
                 mask_deg=5.0) -> EpochSetup:
     """One epoch's set-up from the user's ECEF position and the
-    satellites' ids, constellations and ECEF positions: the satellites
-    above mask_deg, their errors and bounds (error_models), the linear model
-    weighted by their bounds' sigmas (distkit.bound_sigmas) as a
-    SolutionOps, and its threat model (threat_model). It is the scenario's
-    stacked set-up (_setup_stack) of one user.
+    satellites' ids, constellations and ECEF positions: the scenario's
+    stacked set-up (_setup_stack) of one user, an EpochSetup of a stack
+    of one record. It holds the satellites above mask_deg, their errors
+    and bounds (_error_stack), the geometry weighted by their bounds'
+    sigmas (distkit.bound_sigmas) and its threat model (threat_model).
 
     Raises ValueError for a mask_deg outside [0, 90) (check_mask_deg),
     InsufficientGeometry when fewer satellites than states plus one are
@@ -646,21 +597,12 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
         raise ValueError(f"unknown bound flavor {flavor!r}")
     [(key, rows, vis)] = _stacks(el[None] > mask_deg, constellations,
                                  flavor)
-    entries = _entries(sat_ids, constellations, table)
-    [(_, s)] = _setup_stack(key, rows, vis, u[None], el[None], sat_ids,
-                            entries, budget, flavor)
+    [(_, s)] = _setup_stack(key, rows, vis, u[None], el[None],
+                            _entries(sat_ids, constellations, table),
+                            budget, flavor)
     if isinstance(s, JkAraimError):
         raise s
-    vis = s.visible[0].tolist()
-    acc = (s.acc_bounds[0] if flavor == "pgo" else
-           [distkit.Gaussian(x) for x in s.acc_bounds.sigma[0].tolist()])
-    model = model_core.LinearModel(s.ops.G[0], s.ops.W[0],
-                                   [sat_ids[i] for i in vis],
-                                   [constellations[i] for i in vis])
-    truth = _rows([entries[i].pgo() for i in vis], s.truth.tropo[0],
-                  s.truth.user[0])
-    return EpochSetup(vis, s.elevations[0], truth, acc,
-                      SolutionOps(model, s.ops.S[0]), s.tm)
+    return s
 
 
 def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
@@ -694,13 +636,12 @@ def _epoch_records(config: ScenarioConfig, sats, entries, positions, cells,
     truth from its own key, record_keys(seed, loc_id, epoch_id), so its
     errors are those it draws alone (draw_errors)."""
     u, el = model_core.line_of_sight(users, positions, frames)
-    sat_ids = [a.svn for a in sats]
     records = [None] * len(cells)
     keys = record_keys(config.seed, loc_ids, epoch_id)
 
     def evaluate(key, stack, vis):
         # One stack at a time: its arrays and grids go when this returns.
-        for rows, s in _setup_stack(key, stack, vis, u, el, sat_ids, entries,
+        for rows, s in _setup_stack(key, stack, vis, u, el, entries,
                                     config.budget, config.flavor):
             if isinstance(s, JkAraimError):
                 for r in rows.tolist():

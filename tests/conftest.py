@@ -3,8 +3,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from jkaraim.distkit import ErrorDistribution, Gaussian
-from jkaraim.model_core import LinearModel
+from jkaraim.distkit import ErrorDistribution, Gaussian, GaussianBatch
+from jkaraim.model_core import LinearModel, SolutionStack
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,33 @@ def random_geometry(rng, n=None, m=None, min_elev=5.0):
     return LinearModel(G, w, [f"s{i}" for i in range(n)], consts)
 
 
+def stack_of_one(model):
+    """The geometry of a LinearModel as the library takes a record's: a
+    SolutionStack of one."""
+    return SolutionStack(model.G[None], model.W[None])
+
+
+def record_model(ops):
+    """The LinearModel of the one record of the SolutionStack ops, for the
+    direct subset solves of model_core.subset_ops: satellite i is "s{i}",
+    labelled by its clock column."""
+    G = ops.G[0]
+    clock = (G[:, 3:].argmax(axis=1) if G.shape[1] > 3
+             else np.zeros(len(G), dtype=int))
+    return LinearModel(G, ops.W[0], [f"s{i}" for i in range(len(G))],
+                       [f"C{c}" for c in clock.tolist()])
+
+
+def record_bounds(acc):
+    """The list of bounds of the one record of the stacked bounds acc: a
+    Gaussian per sigma of a GaussianBatch, or the record's list of grid
+    bounds."""
+    if isinstance(acc, GaussianBatch):
+        return [Gaussian(s) for s in acc.sigma[0].tolist()]
+    [bounds] = acc
+    return bounds
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240824)
@@ -57,9 +84,9 @@ def rng():
 
 def gps_epoch_case(lat, lon, t, flavor="gaussian", budget=None,
                    constellations=("GPS",)):
-    """Geometry (SolutionOps), truth rows, accuracy bounds, threat model
-    and budget for one almanac epoch, set up as a scenario epoch is
-    (sim.epoch_setup).
+    """Geometry (a SolutionStack of one record), truth, stacked accuracy
+    bounds, threat model and budget for one almanac epoch, set up as a
+    scenario epoch is (sim.epoch_setup).
 
     Returns None when too few satellites are visible.
     """

@@ -16,9 +16,10 @@ from scipy.special import ndtri
 from jkaraim import jackknife, sim, threat
 from jkaraim.distkit import Gaussian, bound_sigmas, convolve_batch
 from jkaraim.errors import SubsetRankDeficient
-from jkaraim.integrity import IntegrityBudget, baseline_araim_pl, pl_solve
+from jkaraim.integrity import (IntegrityBudget, baseline_araim_pl,
+                               protection_levels)
 from jkaraim.jackknife import separation_table, thresholds
-from jkaraim.model_core import AXIS_UP, SolutionOps, subset_ops
+from jkaraim.model_core import AXIS_UP, SolutionStack, subset_ops
 from jkaraim.overbound import build_pgo, default_table, verify_overbound
 from jkaraim.sim import ScenarioConfig, cnmp_sigma, tropo_sigma
 
@@ -61,7 +62,7 @@ def test_criterion_1_algebraic_identities(capsys):
     worst = 0.0
     for _ in range(100):
         model = random_geometry(rng)
-        ops = SolutionOps(model)
+        ops = SolutionStack(model.G, model.W)
         eps = rng.standard_normal(model.n)
         x0 = rng.standard_normal(model.m)
         y = model.G @ x0 + eps
@@ -133,13 +134,13 @@ def test_criterion_2_distribution_engine(capsys):
 
 def test_criterion_3_family_wise_false_alarm(capsys):
     t0 = time.perf_counter()
-    ops, models, acc, tm, budget = gps_epoch_case(45.0, 10.0, 3600.0)
+    ops, _, acc, tm, budget = gps_epoch_case(45.0, 10.0, 3600.0)
     tau = 0.01
     tests = jackknife.thresholds(
         ops, tm, acc, IntegrityBudget(c_req_fa_vert=tau, c_req_fa_horiz=0.0))
     modes = [m for m in tm.sat_modes() if m.id in tests.ids]
-    _, _, C = ops.mode_rows([m.excluded for m in modes], AXIS_UP)
-    T = tests.thresholds
+    _, _, (C,) = ops.mode_rows([m.excluded for m in modes], AXIS_UP)
+    (T,) = tests.thresholds
     assert tests.ids == tuple(m.id for m in modes)
 
     rng = np.random.default_rng(303)
@@ -175,10 +176,11 @@ def test_criterion_5_baseline_equivalence(capsys):
         case = gps_epoch_case(lat, lon, t)
         if case is None:
             continue
-        ops, models, acc, tm, budget = case
-        jk = pl_solve(ops, tm, acc, thresholds(ops, tm, acc, budget), budget)
+        ops, _, acc, tm, budget = case
+        jk = protection_levels(ops, tm, acc, thresholds(ops, tm, acc, budget),
+                               budget)[0][0]
         base = baseline_araim_pl(
-            ops, tm, acc, separation_table(ops, tm, acc, budget), budget)
+            ops, tm, acc, separation_table(ops, tm, acc, budget), budget)[0]
         if not (np.isfinite(jk) and np.isfinite(base)):
             assert np.isfinite(jk) == np.isfinite(base)
             continue

@@ -52,29 +52,28 @@ class TestCmdPl:
         doc = json.loads(capsys.readouterr().out)
 
         from jkaraim import jackknife
-        from jkaraim.distkit import Gaussian
-        from jkaraim.integrity import IntegrityBudget, pl_solve
-        from jkaraim.model_core import LinearModel, SolutionOps
+        from jkaraim.distkit import GaussianBatch
+        from jkaraim.integrity import IntegrityBudget, protection_levels
+        from jkaraim.model_core import SolutionStack
         from jkaraim.threat import enumerate_modes
 
-        ops = SolutionOps(LinearModel(np.array([[1.0], [1.0]]), np.ones(2),
-                                      ["a", "b"], ["GPS", "GPS"]))
+        ops = SolutionStack(np.ones((1, 2, 1)), np.ones((1, 2)))
         budget = IntegrityBudget(i_req_vert=1e-7, i_req_horiz=2e-7,
                                  c_req_fa_vert=5e-8, c_req_fa_horiz=5e-8,
                                  p_const=0.0, b_nom=0.0)
         tm = enumerate_modes(2, 1, {"GPS": range(2)}, 1e-5, 0.0, m=1)
-        acc = [Gaussian(1.0)] * 2
+        acc = GaussianBatch(np.ones((1, 2)))
         tests = jackknife.thresholds(ops, tm, acc, budget, axis=0)
-        expect = pl_solve(ops, tm, acc, tests, budget)
+        [expect], _ = protection_levels(ops, tm, acc, tests, budget)
         assert doc["pl_m"] == pytest.approx(expect, abs=1e-6)
 
     def test_jk_and_baseline_agree(self, toy_files, capsys):
         # Each algorithm prints the thresholds of the mode table its PL
         # read: the jackknife table, or the baseline's separation table.
         from jkaraim import jackknife
-        from jkaraim.distkit import Gaussian
+        from jkaraim.distkit import GaussianBatch
         from jkaraim.integrity import IntegrityBudget
-        from jkaraim.model_core import LinearModel, SolutionOps
+        from jkaraim.model_core import SolutionStack
         from jkaraim.threat import enumerate_modes
 
         geom, cfg = toy_files
@@ -85,19 +84,18 @@ class TestCmdPl:
         base = json.loads(capsys.readouterr().out)
         assert jk["pl_m"] == pytest.approx(base["pl_m"], rel=0.05)
 
-        ops = SolutionOps(LinearModel(np.array([[1.0], [1.0]]), np.ones(2),
-                                      ["a", "b"], ["GPS", "GPS"]))
+        ops = SolutionStack(np.ones((1, 2, 1)), np.ones((1, 2)))
         budget = IntegrityBudget(i_req_vert=1e-7, i_req_horiz=2e-7,
                                  c_req_fa_vert=5e-8, c_req_fa_horiz=5e-8,
                                  p_const=0.0, b_nom=0.0)
         tm = enumerate_modes(2, 1, {"GPS": range(2)}, 1e-5, 0.0, m=1)
-        acc = [Gaussian(1.0)] * 2
+        acc = GaussianBatch(np.ones((1, 2)))
         for doc, table in ((jk, jackknife.thresholds),
                            (base, jackknife.separation_table)):
             tests = table(ops, tm, acc, budget, axis=0)
             assert doc["thresholds"] == {
                 str(i): t for i, t in zip(tests.ids,
-                                          tests.thresholds.tolist())}
+                                          tests.thresholds[0].tolist())}
             assert list(doc["thresholds"]) == ["1", "2"]
         # The two tables test the same modes at different thresholds: the
         # baseline's separations S_k - S are half the jackknife residuals.
@@ -276,7 +274,7 @@ class TestUserSatsGeometry:
         vis = sim.epoch_setup(
             geodetic_to_ecef(30.0, -90.0), [a.svn for a in sats],
             ["GPS"] * len(sats), positions, default_table(),
-            IntegrityBudget(p_const=0.0)).visible[:5]
+            IntegrityBudget(p_const=0.0)).visible[0, :5]
         geom = user_sats_geometry(tmp_path / "five.json",
                                   [sats[i] for i in vis], positions[vis])
         cfg = tmp_path / "budget.cfg"
@@ -302,6 +300,29 @@ class TestUserSatsGeometry:
         argv = ["--config", str(cfg), command, str(path)]
         assert main(argv + ([str(obs)] if command == "detect" else [])) == 3
         assert "insufficient geometry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pl", "detect"])
+    @pytest.mark.parametrize("llh", [
+        [30.0, -90.0, 0.0, 0.0], "30,-90", [30.0], [30.0, math.nan],
+        [30.0, -90.0, math.inf], [30.0, True], [30.0, "-90"], 30.0],
+        ids=["four", "string", "one", "nan", "inf", "bool", "text",
+             "number"])
+    def test_malformed_user_llh_exit_2(self, tmp_path, capsys, command,
+                                       llh):
+        # The user position is 2 or 3 finite numbers (latitude, longitude
+        # and the optional height); anything else is a malformed file.
+        sats, positions = self.gps()
+        path = tmp_path / "geom.json"
+        user_sats_geometry(path, sats, positions)
+        doc = json.loads(path.read_text())
+        doc["user_llh"] = llh
+        path.write_text(json.dumps(doc))
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps([0.0] * len(sats)))
+        argv = [command, str(path)]
+        assert main(argv + ([str(obs)] if command == "detect" else [])) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and "user_llh" in err.err
 
     @pytest.mark.parametrize("command", ["pl", "detect"])
     @pytest.mark.parametrize("mask", [-10.0, math.nan, 95.0],
@@ -609,8 +630,9 @@ class TestDualConstellation:
                             [a.svn for a in sats],
                             [a.constellation for a in sats], positions,
                             default_table(), budget)
-        gal = np.array(s.ops.model.const_of) == "GAL"
-        y = np.where(gal, 40.0 * s.ops.model.G[:, 2], 0.0)
+        [vis] = s.visible
+        gal = np.array([sats[i].constellation for i in vis]) == "GAL"
+        y = np.where(gal, 40.0 * s.ops.G[0, :, 2], 0.0)
         obs = tmp_path / "obs.json"
         obs.write_text(json.dumps(y.tolist()))
         assert main(["detect", geom, str(obs)]) == 0
@@ -620,10 +642,10 @@ class TestDualConstellation:
             2.0 * s.tm.n_fault_modes * s.tm.p_h0)
         const = separation_tests(s.ops, s.tm.constellation_modes(),
                                  s.acc_bounds, c_alloc)
-        stats, alerts = jackknife.run_detector(const, y)
+        [stats], [alerts] = jackknife.run_detector(const, y[None])
         assert sorted(const.ids) == [18, 19]
         for mid, stat, held in zip(const.ids, stats.tolist(),
-                                   const.thresholds.tolist()):
+                                   const.thresholds[0].tolist()):
             assert (doc["stats"][str(mid)], doc["thresholds"][str(mid)]) \
                 == (stat, held)
         sat_ids = [str(m.id) for m in s.tm.sat_modes()]

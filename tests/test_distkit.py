@@ -17,8 +17,8 @@ from jkaraim.distkit import (_TAU, _TAU_Z, _UNDERFLOW_Z, GRID_POINTS,
 from jkaraim import distkit
 from jkaraim.errors import TailUnresolved
 from jkaraim.overbound import default_table
-from jkaraim.sim import (Truth, cnmp_sigma, draw_errors, error_models,
-                        record_keys, tropo_sigma)
+from jkaraim import sim
+from jkaraim.sim import cnmp_sigma, draw_errors, record_keys, tropo_sigma
 
 from conftest import GridGaussian
 
@@ -179,8 +179,8 @@ class TestMassAndSymmetry:
 
 
 def pgo_grid(pgo, s_tropo, s_user, n_points=512):
-    """A satellite's PGO accuracy bound on a grid, as one row of
-    sim.error_models is built."""
+    """A satellite's PGO accuracy bound on a grid, as the scenario builds
+    one row of a record's PGO bounds."""
     return convolve_batch([[1.0, 1.0, 1.0]],
                           [pgo, Gaussian(s_tropo), Gaussian(s_user)],
                           n_points=n_points)[0]
@@ -454,8 +454,7 @@ DEEP_TAIL_ELEVATIONS = (5.5, 15.0, 45.0, 90.0)
 
 def satellite_rows(table, pairs):
     """The PGO (+) N(s_tropo) (+) N(s_user) components of each (svn,
-    elevation) pair's accuracy bound, as sim.error_models synthesises
-    them."""
+    elevation) pair's accuracy bound, as the scenario synthesises them."""
     rows = []
     for svn, el in pairs:
         entry = table[svn]
@@ -477,7 +476,7 @@ class TestDeepTail:
         # Each satellite's PGO accuracy bound (PGO (+) tropo (+) user noise
         # on a grid) at its p-quantile must leave an exact tail of p:
         # below 0.99 p is needlessly loose, above 1.001 p unsafe. The
-        # library's grid (error_models' bounds) and one twice as fine.
+        # library's grid (the scenario's bounds) and one twice as fine.
         table = default_table()
         pairs = deep_tail_pairs(table)
         rows = satellite_rows(table, pairs)
@@ -541,7 +540,7 @@ def pgo_cf(pgo, t):
 def exact_cdf(truth, coeffs, x):
     """CDF at the points x of sum_j coeffs[j] eps_j, each eps_j the sum of
     the independent components truth[j] = (Pgo, Gaussian, Gaussian) that
-    sim.error_models draws: the closed-form characteristic function
+    sim.draw_errors draws: the closed-form characteristic function
     inverted by Gil-Pelaez (1951) with the midpoint rule of Davies' AS 155
     (1980), F(x) = 1/2 + sum_k sin(t_k x) phi(t_k) / (pi (k + 1/2)) at
     t_k = (k + 1/2) 2 pi / P. The period P = 8 max|x| + 400 m keeps the
@@ -569,7 +568,8 @@ class TestExactTails:
     """Convolved rows of real GPS+GAL PGO epochs against the exact tail of
     the sums they stand for (exact_cdf): every row of both convolve_batch
     calls of an epoch's vertical jk chain (the statistic rows C_k in
-    jackknife.thresholds, the PL rows S and S_k in pl_solve), and the
+    jackknife.thresholds, the PL rows S and S_k in protection_levels), and
+    the
     constellation modes' rows S_k and S_k - S convolved as one more batch,
     each at its quantiles at c_alloc, 1e-9 and 1e-10.
 
@@ -600,8 +600,9 @@ class TestExactTails:
                 assert abs(pgo_cf(pgo, np.array([t]))[0] - exact) < 1e-12
 
     def test_convolved_rows_against_exact(self, monkeypatch):
-        from jkaraim import jackknife, sim
-        from jkaraim.integrity import IntegrityBudget, allocate, pl_solve
+        from jkaraim import jackknife
+        from jkaraim.integrity import (IntegrityBudget, allocate,
+                                       protection_levels)
         from jkaraim.model_core import AXIS_UP, geodetic_to_ecef
         consts = ("GPS", "GAL")
         sats = sim.healthy_satellites(sim.default_almanac(consts), consts)
@@ -624,17 +625,22 @@ class TestExactTails:
                 patch.setattr(distkit, "convolve_batch", record)
                 tests = jackknife.thresholds(s.ops, s.tm, s.acc_bounds,
                                              budget)
-                pl_solve(s.ops, s.tm, s.acc_bounds, tests, budget)
+                protection_levels(s.ops, s.tm, s.acc_bounds, tests, budget)
             assert len(calls) == 2
             const = [i for i, m in enumerate(tests.modes)
                      if m.kind == "constellation"]
-            C = np.vstack((tests.Q[const], tests.rows[const]))
-            calls.append((C, convolve_batch(C, s.acc_bounds)))
+            C = np.vstack((tests.Q[0, const], tests.rows[0, const]))
+            [acc] = s.acc_bounds
+            calls.append((C, convolve_batch(C, acc)))
+            truth = [(table[sats[i].svn].pgo(), Gaussian(t), Gaussian(u))
+                     for i, t, u in zip(s.visible[0].tolist(),
+                                        s.truth.tropo[0].tolist(),
+                                        s.truth.user[0].tolist())]
             p = np.array([allocate(budget, s.tm, AXIS_UP)[2], 1e-9, 1e-10])
             for C, batch in calls:
                 q = batch.quantile(p[:, None])
                 for coeffs, q_row in zip(C, q.T):
-                    ratios += (exact_cdf(s.truth, coeffs, q_row) / p).tolist()
+                    ratios += (exact_cdf(truth, coeffs, q_row) / p).tolist()
         assert len(ratios) == 3 * 152
         assert max(ratios) <= self.BOUND, max(ratios)
 
@@ -750,32 +756,45 @@ class TestPgoPdf:
 
 
 class TestBatchedSynthesis:
-    """sim.error_models builds every satellite's PGO accuracy grid in one
-    convolve_rows batch, each row on its own grid; every row must be the
-    one-row convolve_batch grid, the independent reference, bit for
+    """The scenario builds every satellite's PGO accuracy grid of a record
+    in one convolve_rows batch, each row on its own grid; every row must
+    be the one-row convolve_batch grid, the independent reference, bit for
     bit."""
 
-    def test_error_models_are_convolve_rows(self):
-        # One component row per satellite: the truth that draw_errors
-        # samples, and the rows both flavours' bounds are built on.
+    def test_record_bounds_are_convolve_rows(self):
+        # One component row per satellite of a record that sees every
+        # (svn, elevation) pair: the truth that draw_errors samples, and
+        # the rows both flavours' bounds are built on.
         table = default_table()
         pairs = deep_tail_pairs(table)
         svns, elevations = [s for s, _ in pairs], [e for _, e in pairs]
         consts = [table[svn].constellation for svn in svns]
-        truth, pgo_acc = error_models(svns, consts, elevations, table, "pgo")
-        assert len(truth) == len(pgo_acc) == 54 * len(DEEP_TAIL_ELEVATIONS)
-        assert truth == satellite_rows(table, pairs)
-        assert_same_batch(pgo_acc[0]._rows, convolve_rows(truth))
+        rows = satellite_rows(table, pairs)
+        entries = sim._entries(svns, consts, table)
+        vis = np.arange(len(pairs))[None]
+        truth, pgo_acc, failed = sim._error_stack(
+            entries, vis, consts, np.array([elevations]), "pgo")
+        assert not failed and len(pgo_acc) == 1
+        [pgo_acc] = pgo_acc
+        assert len(pgo_acc) == 54 * len(DEEP_TAIL_ELEVATIONS)
+        np.testing.assert_array_equal(truth.sat, vis)
+        np.testing.assert_array_equal(
+            truth.pgo[0], [pgo.draw_params for pgo, _, _ in rows])
+        assert truth.tropo[0].tolist() == [t.sigma for _, t, _ in rows]
+        assert truth.user[0].tolist() == [u.sigma for _, _, u in rows]
+        assert_same_batch(pgo_acc[0]._rows, convolve_rows(rows))
         assert all(a._rows is pgo_acc[0]._rows for a in pgo_acc)
 
-        gauss_truth, gauss_acc = error_models(svns, consts, elevations,
-                                              table, "gaussian")
-        assert gauss_truth == truth
-        for svn, (_, tropo, user), acc in zip(svns, truth, gauss_acc):
-            assert type(acc) is Gaussian
-            assert acc.sigma == math.sqrt(table[svn].gauss_sigma_m ** 2
-                                          + tropo.sigma ** 2
-                                          + user.sigma ** 2)
+        gauss_truth, gauss_acc, failed = sim._error_stack(
+            entries, vis, consts, np.array([elevations]), "gaussian")
+        assert not failed
+        for field in ("pgo", "sat", "tropo", "user"):
+            np.testing.assert_array_equal(getattr(gauss_truth, field),
+                                          getattr(truth, field))
+        assert gauss_acc.sigma[0].tolist() == [
+            math.sqrt(table[svn].gauss_sigma_m ** 2 + tropo.sigma ** 2
+                      + user.sigma ** 2)
+            for svn, (_, tropo, user) in zip(svns, rows)]
 
         # The draw scenario records make: satellite j's PGO sampled from
         # its own counter-keyed uniforms, counter (j * 7 + slot) << 32 plus
@@ -783,9 +802,9 @@ class TestBatchedSynthesis:
         # standard normal of slot 6, value for value.
         for seed in (0, 1, 2):
             key = record_keys(seed, [0], 0)
-            got = draw_errors(Truth.of_rows(truth, range(len(truth))), key)
+            got = draw_errors(truth, key)
             want = []
-            for j, (pgo, tropo, user) in enumerate(truth):
+            for j, (pgo, tropo, user) in enumerate(rows):
                 def uniform(slot, idx, rnd=0, j=j):
                     counter = np.array([((j * 7 + slot) << 32) + rnd],
                                        dtype=np.uint64)

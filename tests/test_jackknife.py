@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from jkaraim.distkit import Gaussian, bound_sigmas, convolve_batch
+from jkaraim.distkit import GaussianBatch, bound_sigmas, convolve_batch
 from jkaraim.integrity import IntegrityBudget, allocate
 from jkaraim.jackknife import run_detector, thresholds
-from jkaraim.model_core import AXIS_UP, LinearModel, SolutionOps, subset_ops
+from jkaraim.model_core import AXIS_UP, LinearModel, SolutionStack, subset_ops
 from jkaraim.threat import enumerate_modes
 
-from conftest import gps_epoch_case, random_geometry
+from conftest import (gps_epoch_case, random_geometry, record_bounds,
+                      stack_of_one)
 
 
 def toy_model():
@@ -20,46 +21,52 @@ def toy_threat(n, k_max=1):
     return enumerate_modes(n, k_max, {"GPS": range(n)}, 1e-5, 1e-4, m=1)
 
 
-def residual(ops, mode, i, y):
+def residual(model, mode, i, y):
     """Jackknife residual t_i = y_i - g_i x_hat_subset of the observations
     y for i in the mode's excluded set, x_hat_subset the direct solve of
     the kept measurements (subset_ops)."""
-    _, GSk = subset_ops(ops.model, mode.excluded)
+    _, GSk = subset_ops(model, mode.excluded)
     y = np.asarray(y, dtype=float)
     return float(y[i] - GSk[i] @ y)
 
 
 def stat_coeffs(ops, mode, axis=2):
-    """Coefficients c with t* = c . eps: the mode's row C of mode_rows."""
+    """Coefficients c with t* = c . eps: the mode's row C of mode_rows,
+    ops a stack of one record."""
     ok, _, C = ops.mode_rows([mode.excluded], axis)
-    assert ok[0]
-    return C[0]
+    assert ok[0, 0]
+    return C[0, 0]
+
+
+def unit_bounds(n):
+    """Unit Gaussian bounds of one record's n satellites, stacked."""
+    return GaussianBatch(np.ones((1, n)))
 
 
 def detect(ops, tm, acc, y, axis=2):
     """run_detector at the default budget, on the table of every testable
     mode of the axis, as a scenario record runs it: the table's mode ids,
-    then their statistics and alerts."""
+    then the record's statistics and alerts."""
     tests = thresholds(ops, tm, acc, IntegrityBudget(), axis)
-    return (tests.ids, *run_detector(tests, y))
+    stats, alerts = run_detector(tests, np.asarray(y, dtype=float)[None])
+    return tests.ids, stats[0], alerts[0]
 
 
 def detector_stat(ops, tm, mode, y, axis):
     """The statistic run_detector reports for one mode."""
-    ids, stats, _ = detect(ops, tm, [Gaussian(1.0)] * ops.n, y, axis=axis)
+    ids, stats, _ = detect(ops, tm, unit_bounds(ops.n), y, axis=axis)
     return stats[ids.index(mode.id)]
 
 
 class TestResidual:
     def test_toy_hand_value(self):
-        ops = SolutionOps(toy_model())
         mode = toy_threat(2).modes[1]
         assert mode.excluded == frozenset({1})
-        assert residual(ops, mode, 1, [1.0, 3.0]) == pytest.approx(2.0)
+        assert residual(toy_model(), mode, 1, [1.0, 3.0]) \
+            == pytest.approx(2.0)
 
     def test_zero_errors_zero_residual(self, rng):
         model = random_geometry(rng)
-        ops = SolutionOps(model)
         x0 = rng.standard_normal(model.m)
         tm = enumerate_modes(model.n, 1,
                              {c: [i for i, t in enumerate(model.const_of)
@@ -67,33 +74,32 @@ class TestResidual:
                               for c in dict.fromkeys(model.const_of)},
                              1e-5, 1e-4, m=model.m)
         mode = tm.modes[0]
-        assert abs(residual(ops, mode, 0, model.G @ x0)) < 1e-9
+        assert abs(residual(model, mode, 0, model.G @ x0)) < 1e-9
 
     def test_injected_bias_passes_through(self, rng):
         model = random_geometry(rng, n=10, m=4)
-        ops = SolutionOps(model)
         y = np.zeros(model.n)
         y[4] = 100.0
         tm = enumerate_modes(model.n, 1, {"C0": range(model.n)},
                              1e-5, 1e-4, m=model.m)
         mode = tm.modes[4]
-        assert residual(ops, mode, 4, y) == pytest.approx(100.0, abs=1e-9)
+        assert residual(model, mode, 4, y) == pytest.approx(100.0, abs=1e-9)
 
 
 class TestCombinedStat:
     def test_single_mode_equals_residual(self, rng):
         model = random_geometry(rng)
-        ops = SolutionOps(model)
+        ops = stack_of_one(model)
         y = rng.standard_normal(model.n)
         tm = enumerate_modes(model.n, 1, {"C": range(model.n)}, 1e-5,
                              1e-4, m=model.m)
         mode = tm.modes[2]
         t = detector_stat(ops, tm, mode, y, axis=2)
-        assert t == pytest.approx(residual(ops, mode, 2, y))
+        assert t == pytest.approx(residual(model, mode, 2, y))
 
     def test_coefficient_variance_matches_closed_form(self, rng):
         model = random_geometry(rng, n=9, m=4)
-        ops = SolutionOps(model)
+        ops = stack_of_one(model)
         tm = enumerate_modes(model.n, 2, {"C": range(model.n)}, 1e-5,
                              1e-4, m=model.m)
         sigmas = rng.uniform(0.5, 2.0, model.n)
@@ -107,14 +113,14 @@ class TestCombinedStat:
             if len(idx) == 1:
                 c2 = rows[0]
             else:
-                c2 = ops.S[2, idx] @ rows
+                c2 = ops.S[0, 2, idx] @ rows
             var_raw = float(np.sum(c2 ** 2 * sigmas ** 2))
             assert var_coeff == pytest.approx(var_raw, abs=1e-10)
 
     def test_two_fault_mode_matches_raw_definition(self, rng):
-        G = np.ones((4, 1))
-        ops = SolutionOps(LinearModel(G, np.ones(4), list("abcd"),
-                                      ["GPS"] * 4))
+        model = LinearModel(np.ones((4, 1)), np.ones(4), list("abcd"),
+                            ["GPS"] * 4)
+        ops = stack_of_one(model)
         tm = toy_threat(4, k_max=2)
         mode = next(m for m in tm.modes
                     if m.excluded == frozenset({1, 3}))
@@ -122,7 +128,7 @@ class TestCombinedStat:
             eps = rng.standard_normal(4)
             t = detector_stat(ops, tm, mode, eps, axis=0)
             coeffs = stat_coeffs(ops, mode, axis=0)
-            raw = sum(ops.S[0, i] * residual(ops, mode, i, eps)
+            raw = sum(ops.S[0, 0, i] * residual(model, mode, i, eps)
                       for i in (1, 3))
             assert t == pytest.approx(raw, abs=1e-9)
             assert t == pytest.approx(float(coeffs @ eps), abs=1e-9)
@@ -139,17 +145,18 @@ def epoch_case(flavor="gaussian", constellations=("GPS",)):
 
 
 def held(tests):
-    """Mode id -> threshold of a detector table."""
-    return dict(zip(tests.ids, tests.thresholds.tolist()))
+    """Mode id -> threshold of the detector table of one record."""
+    return dict(zip(tests.ids, tests.thresholds[0].tolist()))
 
 
 def stat_sigmas(ops, tm, sigmas, axis=AXIS_UP):
     """Mode id -> sqrt(C_k^2 . sigma^2), the sigma of each testable
-    satellite mode's statistic under Gaussian bounds of the given sigmas."""
+    satellite mode's statistic under Gaussian bounds of the given sigmas,
+    for the one record of ops and of sigmas (1, n)."""
     modes = tm.sat_modes()
     ok, _, C = ops.mode_rows([m.excluded for m in modes], axis)
-    return {m.id: float(np.sqrt(np.sum(c ** 2 * sigmas ** 2)))
-            for m, good, c in zip(modes, ok, C) if good}
+    return {m.id: float(np.sqrt(np.sum(c ** 2 * sigmas[0] ** 2)))
+            for m, good, c in zip(modes, ok[0], C[0]) if good}
 
 
 class TestThresholds:
@@ -159,7 +166,7 @@ class TestThresholds:
         ops, tm, acc, budget = epoch_case()
         c_alloc = budget.c_req_fa_total / (2 * tm.n_fault_modes * tm.p_h0)
         assert c_alloc == allocate(budget, tm, AXIS_UP)[2]
-        for bounds in ([Gaussian(1.0)] * ops.n, acc):
+        for bounds in (unit_bounds(ops.n), acc):
             T = held(thresholds(ops, tm, bounds, budget))
             sigma = stat_sigmas(ops, tm, bound_sigmas(bounds))
             assert T.keys() == sigma.keys() and len(T) == tm.n_fault_modes
@@ -172,7 +179,8 @@ class TestThresholds:
         # budget finer, so every T_k / sigma_k rises.
         ops, tm, acc, budget = epoch_case()
         tm2 = enumerate_modes(ops.n, tm.k_max + 1, {"GPS": range(ops.n)},
-                              budget.p_sat, budget.p_const, m=ops.model.m)
+                              budget.p_sat, budget.p_const,
+                              m=ops.G.shape[-1])
         assert tm2.n_fault_modes > tm.n_fault_modes
         ratios = []
         for threat in (tm, tm2):
@@ -186,20 +194,21 @@ class TestThresholds:
         ids=["gps-gaussian", "dual-pgo"])
     def test_thresholds_are_batch_quantiles(self, flavor, constellations):
         # Bit for bit the magnitudes of one batch's quantiles at c_alloc,
-        # row by row, from rows built by an independent SolutionOps; the
-        # constellation modes' separation tests follow them.
+        # row by row, from rows built by an independent SolutionStack of
+        # the record's geometry; the constellation modes' separation tests
+        # follow them.
         ops, tm, acc, budget = epoch_case(flavor, constellations)
         tests = thresholds(ops, tm, acc, budget)
         modes = tm.sat_modes()
-        ok, _, C = SolutionOps(ops.model).mode_rows(
+        ok, _, C = SolutionStack(ops.G[0], ops.W[0]).mode_rows(
             [m.excluded for m in modes], AXIS_UP)
-        q = convolve_batch(C[ok], acc).quantile(
+        q = convolve_batch(C[ok], record_bounds(acc)).quantile(
             allocate(budget, tm, AXIS_UP)[2])
         ids = [m.id for m, good in zip(modes, ok) if good]
         n = len(ids)
         assert list(tests.ids[:n]) == ids
-        assert tests.thresholds[:n].tolist() == np.abs(q).tolist()
-        np.testing.assert_array_equal(tests.rows[:n], C[ok])
+        assert tests.thresholds[0, :n].tolist() == np.abs(q).tolist()
+        np.testing.assert_array_equal(tests.rows[0, :n], C[ok])
         assert tests.ids[n:] == tuple(m.id for m in
                                       tm.constellation_modes())
 
@@ -209,12 +218,12 @@ class TestThresholds:
         model = LinearModel(np.eye(2), np.ones(2), ["a", "b"],
                             ["GPS", "GPS"])
         tm = toy_threat(2)
-        tests = thresholds(SolutionOps(model), tm, [Gaussian(1.0)] * 2,
+        tests = thresholds(stack_of_one(model), tm, unit_bounds(2),
                            IntegrityBudget(), axis=0)
-        assert tests.ids == () and tests.rows.shape == (0, 2)
+        assert tests.ids == () and tests.rows.shape == (1, 0, 2)
         assert tests.skipped == tuple(m.id for m in tm.modes)
-        stats, alerts = run_detector(tests, [50.0, -50.0])
-        assert stats.shape == alerts.shape == (0,)
+        stats, alerts = run_detector(tests, [[50.0, -50.0]])
+        assert stats.shape == alerts.shape == (1, 0)
 
 
 class TestRunDetector:
@@ -222,8 +231,7 @@ class TestRunDetector:
         model = random_geometry(rng, n=n, m=m)
         tm = enumerate_modes(model.n, 1, {"C0": range(model.n)},
                              1e-5, 1e-4, m=model.m)
-        acc = [Gaussian(1.0)] * model.n
-        return SolutionOps(model), tm, acc
+        return stack_of_one(model), tm, unit_bounds(model.n)
 
     def test_fault_free_no_alert(self, rng):
         ops, tm, acc = self.make_case(rng)
@@ -241,10 +249,10 @@ class TestRunDetector:
 
     def test_observations_argument_leaves_model_alone(self, rng):
         # The observations are an argument of each run, never state of the
-        # geometry: runs on one SolutionOps do not see each other's y, and
-        # the y passed in is not written to.
+        # geometry: runs on one SolutionStack do not see each other's y,
+        # and the y passed in is not written to.
         ops, tm, acc = self.make_case(rng)
-        G, W = ops.model.G.copy(), ops.model.W.copy()
+        G, W = ops.G.copy(), ops.W.copy()
         y = rng.standard_normal(ops.n)
         y[3] += 100.0
         y_in = y.copy()
@@ -253,9 +261,9 @@ class TestRunDetector:
         assert not detect(ops, tm, acc, np.zeros(ops.n))[2].any()
         np.testing.assert_array_equal(detect(ops, tm, acc, y)[1], given)
         np.testing.assert_array_equal(y, y_in)
-        np.testing.assert_array_equal(ops.model.G, G)
-        np.testing.assert_array_equal(ops.model.W, W)
-        assert not hasattr(ops.model, "y")
+        np.testing.assert_array_equal(ops.G, G)
+        np.testing.assert_array_equal(ops.W, W)
+        assert not hasattr(ops, "y")
 
     def test_family_wise_false_alarm_rate(self, rng):
         ops, tm, acc = self.make_case(rng)
@@ -264,7 +272,8 @@ class TestRunDetector:
         # Bonferroni split: per-mode two-sided level tau/N.
         thresh = {m.id: abs(ndtri(tau / (2 * tm.n_fault_modes)))
                   * np.sqrt(d.variance())
-                  for m, d in zip(tm.modes, convolve_batch(rows, acc))}
+                  for m, d in zip(tm.modes,
+                                  convolve_batch(rows, record_bounds(acc)))}
         trials = 20000
         eps = rng.standard_normal((ops.n, trials))
         stats = rows @ eps

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from jkaraim import sim
 from jkaraim.errors import InsufficientGeometry, SubsetRankDeficient
 from jkaraim.integrity import IntegrityBudget
-from jkaraim.model_core import (LinearModel, SolutionOps, _solution_matrix,
-                                ecef_to_geodetic, enu_rotation,
-                                geodetic_to_ecef, line_of_sight, subset_ops)
+from jkaraim.model_core import (LinearModel, SolutionStack, ecef_to_geodetic,
+                                enu_rotation, geodetic_to_ecef,
+                                line_of_sight, solve, subset_ops)
 from jkaraim.overbound import default_table
 from jkaraim.threat import enumerate_modes
 
@@ -19,6 +19,12 @@ from conftest import random_geometry
 def toy_model(w=(1.0, 1.0)):
     return LinearModel(np.array([[1.0], [1.0]]), np.array(w), ["a", "b"],
                        ["GPS", "GPS"])
+
+
+def one(model):
+    """The SolutionStack of one geometry, without leading axes: the
+    algebra of every SolutionStack method, one record at a time."""
+    return SolutionStack(model.G, model.W)
 
 
 def gps_setup(user, positions):
@@ -42,16 +48,17 @@ class TestAssembleGeometry:
         for d in (east, -east, north, -north):
             positions.append(user + 20.2e6 * (0.6 * d + 0.8 * up))
         setup = gps_setup(user, positions)
-        np.testing.assert_allclose(setup.ops.model.G[0], [0, 0, 1, 1],
+        np.testing.assert_allclose(setup.ops.G[0, 0], [0, 0, 1, 1],
                                    atol=1e-9)
-        assert setup.elevations[0] == pytest.approx(90.0)
+        assert setup.elevations[0, 0] == pytest.approx(90.0)
 
     def test_gps_almanac_visibility(self):
         almanac = sim.default_almanac(("GPS",))
         user = geodetic_to_ecef(0.0, 0.0)
         setup = gps_setup(user, [sim.propagate(a, 0.0) for a in almanac])
         assert 8 <= setup.ops.n <= 12
-        assert setup.ops.n == len(setup.visible) == len(setup.truth)
+        assert (setup.ops.n,) == setup.visible.shape[1:] \
+            == setup.truth.sat.shape[1:]
         assert np.all(setup.elevations > 5.0)
 
     def test_coplanar_rank_deficient(self):
@@ -67,23 +74,33 @@ class TestAssembleGeometry:
 
 
 class TestWlsSolve:
-    """The full-set weighted least-squares solution S y of SolutionOps."""
+    """The full-set weighted least-squares solution S y of a
+    SolutionStack."""
 
     def test_equal_weight_average(self):
-        S = SolutionOps(toy_model()).S
+        S = one(toy_model()).S
         np.testing.assert_allclose(S @ [1.0, 3.0], [2.0])
         np.testing.assert_allclose(S, [[0.5, 0.5]])
 
     def test_weighted_average(self):
-        S = SolutionOps(toy_model(w=(3.0, 1.0))).S
+        S = one(toy_model(w=(3.0, 1.0))).S
         np.testing.assert_allclose(S @ [1.0, 3.0], [1.5])
         np.testing.assert_allclose(S, [[0.75, 0.25]])
 
     def test_exact_consistency(self, rng):
         model = random_geometry(rng)
         x0 = rng.standard_normal(model.m)
-        np.testing.assert_allclose(SolutionOps(model).S @ (model.G @ x0), x0,
+        np.testing.assert_allclose(one(model).S @ (model.G @ x0), x0,
                                    atol=1e-12)
+
+    def test_rank_deficient_geometry_of_a_stack_raises(self):
+        # Solved in the constructor (S not given): one geometry of the
+        # stack observes nothing of its second state.
+        G = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                      [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]])
+        with pytest.raises(InsufficientGeometry, match="rank deficient"):
+            SolutionStack(G, np.ones((2, 3)))
+        assert SolutionStack(G[:1], np.ones((1, 3))).S.shape == (1, 2, 3)
 
 
 class TestSubsetOps:
@@ -94,7 +111,7 @@ class TestSubsetOps:
 
     def test_empty_exclusion_is_full_solution(self, rng):
         model = random_geometry(rng)
-        S = _solution_matrix(model.G, model.W)
+        S = solve(model.G, model.W)[1]
         Sk, _ = subset_ops(model, set())
         np.testing.assert_allclose(Sk, S, atol=1e-12)
 
@@ -106,7 +123,7 @@ class TestSubsetOps:
 
 
 def q_vector(ops, excluded, axis):
-    """The q vector of one mode: its row Q of SolutionOps.mode_rows."""
+    """The q vector of one mode: its row Q of SolutionStack.mode_rows."""
     ok, Q, _ = ops.mode_rows([excluded], axis)
     assert ok[0]
     return Q[0]
@@ -114,14 +131,14 @@ def q_vector(ops, excluded, axis):
 
 class TestQVector:
     def test_toy_q(self):
-        ops = SolutionOps(toy_model())
+        ops = one(toy_model())
         np.testing.assert_allclose(q_vector(ops, {1}, axis=0), [1.0, 0.0],
                                    atol=1e-12)
 
     def test_empty_mode_is_solution_row(self, rng):
         # The fault-free term's q vector is the axis row of S itself.
         model = random_geometry(rng)
-        ops = SolutionOps(model)
+        ops = one(model)
         Sk, _ = subset_ops(model, set())
         np.testing.assert_allclose(Sk[2], ops.S[2], atol=1e-12)
 
@@ -130,7 +147,7 @@ class TestQVector:
         # position error exactly, including under injected biases.
         for _ in range(10):
             model = random_geometry(rng, n=8, m=4)
-            ops = SolutionOps(model)
+            ops = one(model)
             eps = rng.standard_normal(model.n)
             eps[2] += 50.0
             for excluded in ({2}, {2, 5}):
@@ -150,7 +167,7 @@ class TestInvariants:
         # states exactly from noiseless measurements.
         for _ in range(100):
             model = random_geometry(rng)
-            ops = SolutionOps(model)
+            ops = one(model)
             np.testing.assert_allclose(ops.S @ model.G, np.eye(model.m),
                                        atol=1e-10)
             excl = frozenset({int(rng.integers(model.n))})
@@ -164,7 +181,7 @@ class TestInvariants:
     def test_jackknife_residual_expansion(self, rng):
         for _ in range(20):
             model = random_geometry(rng)
-            ops = SolutionOps(model)
+            ops = one(model)
             eps = rng.standard_normal(model.n)
             x0 = rng.standard_normal(model.m)
             y = model.G @ x0 + eps
@@ -179,7 +196,7 @@ class TestInvariants:
 
     def test_excluded_measurement_insensitivity(self, rng):
         model = random_geometry(rng)
-        ops = SolutionOps(model)
+        ops = one(model)
         y = rng.standard_normal(model.n)
         k = int(rng.integers(model.n))
         Q = np.vstack([ops.mode_rows([{k}], axis)[1] for axis in range(3)])
@@ -207,13 +224,13 @@ geometries = st.builds(
 
 
 class TestDowndate:
-    """SolutionOps' leave-out downdate against per-mode SVD solves
+    """SolutionStack's leave-out downdate against per-mode SVD solves
     (subset_ops)."""
 
     @settings(max_examples=60, deadline=None)
     @given(model=geometries, axis=st.integers(0, 2))
     def test_operators_match_svd_reference(self, model, axis):
-        ops = SolutionOps(model)
+        ops = one(model)
         modes = [frozenset(c) for size in (1, 2)
                  for c in combinations(range(model.n), size)]
         modes += [frozenset(i for i, c in enumerate(model.const_of)
@@ -246,7 +263,7 @@ class TestDowndate:
         rng = np.random.default_rng(seed)
         y = model.G @ rng.standard_normal(model.m) \
             + rng.standard_normal(model.n)
-        ops = SolutionOps(model)
+        ops = one(model)
         r = y - model.G @ (ops.S @ y)
         tm = enumerate_modes(model.n, 1, {"all": range(model.n)}, 1e-5,
                              1e-4, m=model.m)
@@ -273,7 +290,7 @@ class TestDowndate:
         const_of = ["C0"] * model.n
         const_of[4] = "C1"
         model = LinearModel(G, model.W, model.sat_ids, const_of)
-        ops = SolutionOps(model)
+        ops = one(model)
         for excluded in ({4}, {4, 7}, set(range(model.n)) - {4}):
             with pytest.raises(SubsetRankDeficient):
                 subset_ops(model, excluded)
@@ -299,7 +316,7 @@ class TestModeRows:
         modes += [frozenset(i for i, c in enumerate(model.const_of)
                             if c == tag)
                   for tag in dict.fromkeys(model.const_of)]
-        ops = SolutionOps(model)
+        ops = one(model)
         every = ops.mode_rows(modes, axis)
         for _ in range(3):
             sel = rng.choice(len(modes), int(rng.integers(1, 30)))
@@ -309,7 +326,7 @@ class TestModeRows:
 
     def test_empty_request(self, rng):
         model = random_geometry(rng, n=8, m=4)
-        ok, Q, C = SolutionOps(model).mode_rows([], 2)
+        ok, Q, C = one(model).mode_rows([], 2)
         assert ok.shape == (0,) and Q.shape == C.shape == (0, model.n)
 
 

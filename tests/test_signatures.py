@@ -1,12 +1,12 @@
 """One geometry handle and one detector table per axis.
 
-The PLs and the detectors take one epoch's geometry as its SolutionOps,
-and the observations as an argument. This parses integrity.py and
-jackknife.py and fails on a function with a model parameter (a
-LinearModel next to its own SolutionOps), or with an ops or y parameter
-that defaults to None (a SolutionOps rebuilt inside, or observations read
-from somewhere else). Observations are no field of LinearModel, and
-EpochSetup holds the geometry once, as ops.
+The PLs and the detectors take the geometry of a stack of records as its
+SolutionStack, and the observations as an argument. This parses
+integrity.py and jackknife.py and fails on a function with a model
+parameter (a LinearModel next to its own SolutionStack), or with an ops or
+y parameter that defaults to None (a SolutionStack rebuilt inside, or
+observations read from somewhere else). Observations are no field of
+LinearModel, and EpochSetup holds the geometry once, as ops.
 
 Each axis's tests are one DetectorTable: run_detector takes only the table
 and the observations, and both PLs take the same first five parameters,
@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import jkaraim
-from jkaraim.integrity import baseline_araim_pl, pl_solve
+from jkaraim.integrity import baseline_araim_pl, protection_levels
 from jkaraim.jackknife import run_detector
 from jkaraim.model_core import LinearModel
 from jkaraim.sim import EpochSetup
@@ -77,7 +77,7 @@ def test_detects_a_second_handle():
 
 def test_one_detector_table_per_axis():
     assert list(inspect.signature(run_detector).parameters) == ["tests", "y"]
-    for pl in (pl_solve, baseline_araim_pl):
+    for pl in (protection_levels, baseline_araim_pl):
         params = inspect.signature(pl).parameters
         assert list(params)[:5] == ["ops", "threat", "acc_bounds", "tests",
                                     "budget"]

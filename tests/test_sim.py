@@ -76,12 +76,21 @@ class TestErrorModels:
         assert cnmp_sigma("GAL", 5.0) == \
             pytest.approx(0.4529 * sim.IF_FACTOR_GAL, rel=1e-6)
 
-    def test_no_satellites_no_models(self):
-        # A user with no satellite above the mask gets no truth rows and
-        # no bounds, in either flavour, before any grid is built.
-        table = default_table()
+    def test_no_satellites_no_models(self, monkeypatch):
+        # A user with no satellite above the mask gets no truth and no
+        # bounds, in either flavour: the set-up refuses the epoch before
+        # any error model or grid is built.
+        def built(*args):
+            raise AssertionError("error models built")
+
+        monkeypatch.setattr(sim, "_error_stack", built)
+        user = sim.model_core.geodetic_to_ecef(0.0, 0.0)
         for flavor in ("gaussian", "pgo"):
-            assert sim.error_models([], [], [], table, flavor) == ([], [])
+            with pytest.raises(InsufficientGeometry) as exc:
+                sim.epoch_setup(user, [], [], np.zeros((0, 3)),
+                                default_table(), IntegrityBudget(),
+                                flavor=flavor)
+            assert exc.value.n_visible == 0
 
 
 class TestYuma:
@@ -446,7 +455,7 @@ class TestBaselineAlert:
 
     def dual_case(self):
         from conftest import gps_epoch_case
-        ops, models, acc, tm, budget = gps_epoch_case(
+        ops, _, acc, tm, budget = gps_epoch_case(
             45.0, 10.0, 3600.0, constellations=("GPS", "GAL"))
         return ops, tm, acc, budget
 
@@ -460,12 +469,13 @@ class TestBaselineAlert:
         monkeypatch.setattr(ops, "reduced", rank_deficient)
         tests = jackknife.separation_table(ops, tm, acc, budget)
         assert tests.skipped == tuple(m.id for m in tm.constellation_modes())
-        assert not jackknife.run_detector(tests, np.zeros(ops.n))[1].any()
+        assert not jackknife.run_detector(tests,
+                                          np.zeros((1, ops.n)))[1].any()
 
     def test_other_errors_propagate(self, monkeypatch):
         # A mode skipped on an unexpected error would be a missed alert.
         ops, tm, acc, budget = self.dual_case()
-        y = np.zeros(ops.n)
+        y = np.zeros((1, ops.n))
 
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
@@ -509,13 +519,14 @@ class TestHorizontalDetection:
         # Observations that keep every vertical statistic within 0.99 of
         # its threshold and push constellation mode 18's east separation
         # as far as they can.
-        lp = linprog(-east.rows[k], A_ub=np.vstack((up.rows, -up.rows)),
-                     b_ub=np.tile(0.99 * up.thresholds, 2),
+        rows = up.rows[0]
+        lp = linprog(-east.rows[0, k], A_ub=np.vstack((rows, -rows)),
+                     b_ub=np.tile(0.99 * up.thresholds[0], 2),
                      bounds=(None, None), method="highs")
         assert lp.status == 0
         y = lp.x
-        assert not jackknife.run_detector(up, y)[1].any()
-        assert east.rows[k] @ y >= 1.5 * east.thresholds[k]
+        assert not jackknife.run_detector(up, y[None])[1].any()
+        assert east.rows[0, k] @ y >= 1.5 * east.thresholds[0, k]
 
         monkeypatch.setattr(sim, "draw_errors", lambda truth, keys: y[None])
         vert, both = (sim.evaluate_epoch(c, sats, positions,
@@ -546,7 +557,8 @@ class TestGridResolution:
                             [a.constellation for a in sats], positions,
                             default_table(), budget, flavor="pgo")
         tests = jackknife.thresholds(s.ops, s.tm, s.acc_bounds, budget)
-        vpl = integrity.pl_solve(s.ops, s.tm, s.acc_bounds, tests, budget)
+        [vpl], _ = integrity.protection_levels(s.ops, s.tm, s.acc_bounds,
+                                               tests, budget)
         assert not rec.error
         assert vpl == rec.vpl
 
@@ -573,7 +585,7 @@ class TestEpochSetup:
         """The healthy GPS satellites above the mask, and their
         positions."""
         sats, positions = self.healthy()
-        vis = self.setup(sats, positions).visible
+        [vis] = self.setup(sats, positions).visible
         return [sats[i] for i in vis], positions[vis]
 
     def record(self, sats, positions, **budget):
@@ -660,10 +672,15 @@ class TestEpochSetup:
             del table["SVN41"]
         elif refusal == "invalid_pgo":
             table["SVN41"] = dataclasses.replace(table["SVN41"], xrp_m=-1.0)
+            sats = sim.healthy_satellites(default_almanac(("GPS",)),
+                                          ("GPS",))
             for flavor in ("gaussian", "pgo"):
                 with pytest.raises(NoValidPartition, match=message):
-                    sim.error_models(["SVN41"], ["GPS"], [45.0], table,
-                                     flavor)
+                    sim.epoch_setup(
+                        sim.model_core.geodetic_to_ecef(45.0, 0.0),
+                        [a.svn for a in sats], [a.constellation for a in sats],
+                        sim.satellite_positions(sats, 0.0), table,
+                        config.budget, flavor=flavor)
         else:
             monkeypatch.setattr(sim.distkit, "MAX_GRID_HALFWIDTH", 1.0)
         records = TestStackOfOne.assert_stack_equals_singles(
