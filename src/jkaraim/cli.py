@@ -14,7 +14,7 @@ from importlib import metadata
 
 import numpy as np
 
-from . import distkit, jackknife, model_core, overbound, sim, threat
+from . import distkit, jackknife, model_core, overbound, sim
 from .errors import JkAraimError
 from .integrity import IntegrityBudget, baseline_araim_pl, protection_levels
 
@@ -126,8 +126,8 @@ def _load_geometry(path, table, flavor, budget):
     A raw model's per-row lists (sigmas, weights, constellations, sat_ids)
     each hold one entry per row of G. Weights default to 1 / sigma^2 and
     sigmas to 1 / sqrt(weight), both to 1 when neither is given. A
-    user/sats geometry's user_llh is 2 or 3 finite numbers: latitude and
-    longitude (deg) and the height (m, default 0)."""
+    user/sats geometry's user_llh is 2 or 3 finite numbers: latitude (deg,
+    in [-90, 90]), longitude (deg) and the height (m, default 0)."""
     with open(path) as fh:
         doc = json.load(fh)
     if "G" in doc:
@@ -161,9 +161,11 @@ def _load_geometry(path, table, flavor, budget):
     sats, llh = doc["sats"], doc["user_llh"]
     if not (type(llh) is list and len(llh) in (2, 3)
             and all(type(v) in (int, float) and math.isfinite(v)
-                    for v in llh)):
+                    for v in llh)
+            and -90.0 <= llh[0] <= 90.0):
         raise ValueError(f"user_llh = {llh!r} must be a list of 2 or 3 "
-                         "finite numbers (lat_deg, lon_deg[, height_m])")
+                         "finite numbers (lat_deg in [-90, 90], lon_deg[, "
+                         "height_m])")
     setup = sim.epoch_setup(
         model_core.geodetic_to_ecef(*llh),
         [s["svn"] for s in sats], [s["constellation"] for s in sats],
@@ -224,7 +226,10 @@ def cmd_sim(args) -> int:
         with open(out_csv, "w") as fh:
             sim.write_records_csv(records, fh)
         summary = json.loads(sim.summary_json(records, config))
-        summary["mode_count_max"] = _full_mode_count(almanac, config)
+        sats = sim.healthy_satellites(almanac, config.constellations)
+        summary["mode_count_max"] = sim.threat_model(
+            [a.constellation for a in sats], 3 + len(config.constellations),
+            config.budget).n_fault_modes
         with open(out_json, "w") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
@@ -237,17 +242,6 @@ def cmd_sim(args) -> int:
     if not args.quiet:
         print(f"{len(records)} records -> {out_csv}", file=sys.stderr)
     return 0
-
-
-def _full_mode_count(almanac, config):
-    sats = sim.healthy_satellites(almanac, config.constellations)
-    parts = {}
-    for i, a in enumerate(sats):
-        parts.setdefault(a.constellation, []).append(i)
-    budget = config.budget
-    k_max = threat.determine_kmax(len(sats), budget.p_sat, budget.p_thres)
-    return threat.enumerate_modes(len(sats), k_max, parts, budget.p_sat,
-                                  budget.p_const).n_fault_modes
 
 
 def cmd_fit(args) -> int:
@@ -301,8 +295,8 @@ def cmd_detect(args) -> int:
     with open(args.observations) as fh:
         y = np.asarray(json.load(fh), dtype=float)
     if y.shape != (ops.n,):
-        print(f"error: expected {ops.n} observations, got {y.size}",
-              file=sys.stderr)
+        print(f"error: expected {ops.n} observations, got an array of "
+              f"shape {y.shape}", file=sys.stderr)
         return EXIT_PARSE
     tests = _mode_table(args, ops, tm, acc, budget, axis)
     stats, alerts = jackknife.run_detector(tests, y[None])

@@ -88,73 +88,34 @@ def allocate(budget: IntegrityBudget, threat: ThreatModel, axis: int):
 # The PL bisections stop once their bracket is at most this wide (m).
 PL_TOLERANCE_M = 1e-3
 
-# Bisection steps whose midpoints, on every branch, one risk call takes.
-_BISECT_DEPTH = 4
-_BISECT_POINTS = 2 ** _BISECT_DEPTH
-# A risk call's levels: the dyadic points 0 < j < _BISECT_POINTS of [lo,
-# hi], one tree level at a time (the order a step-by-step bisection meets
-# them), as slices (j, j - s, j + s): each j the midpoint of j - s and
-# j + s one level up.
-_BISECT_TREE = tuple((slice(s, _BISECT_POINTS, 2 * s),
-                      slice(0, _BISECT_POINTS - s, 2 * s),
-                      slice(2 * s, _BISECT_POINTS + 1, 2 * s))
-                     for s in (_BISECT_POINTS >> d
-                               for d in range(1, _BISECT_DEPTH + 1)))
-# The width of a bracket before step d of a walk (and after the last), in
-# points.
-_BISECT_SPAN = (_BISECT_POINTS >> np.arange(_BISECT_DEPTH + 1))[:, None]
-
 
 def _bisect_level(risk, hi, target: float):
     """Bisection on [0, hi] for the lowest level whose risk stays within
     target, to PL_TOLERANCE_M: hi (an array) holds one upper end per
     record, each record bisecting its own bracket. Returns (level, steps)
     of hi's shape, level NaN (and steps 0) where risk(hi) already exceeds
-    target. risk must not increase with the level.
+    target. risk maps one level per record (an array of hi's shape) to
+    their risks, and must not increase with the level.
 
-    risk maps levels (P, *hi.shape), P levels per record, to their risks.
-    Each call takes the midpoints of the next _BISECT_DEPTH steps on every
-    branch of every bracket (the first call hi as well), computed by the
-    same 0.5 * (a + b) steps; walking them takes the decisions of a
-    step-by-step bisection at the same midpoints, so each level is the
-    one a record bisected alone gets.
+    A record steps while its bracket is wider than the tolerance and its
+    midpoint lies strictly inside it: above about 4.4e12 m one ulp is
+    wider than the tolerance, and such a bracket stops shrinking.
     """
-    top = np.asarray(hi, dtype=float)
-    hi = top.reshape(-1)
+    hi = np.asarray(hi, dtype=float)
+    found = ~(risk(hi) > target)
     lo = np.zeros(hi.shape)
     steps = np.zeros(hi.shape, dtype=int)
-    rec = np.arange(hi.size)
-    pts = np.empty((_BISECT_POINTS + 1, hi.size))
-    first, active = True, np.ones(hi.shape, dtype=bool)
-    while active.any():
-        pts[:-1], pts[-1] = lo, hi
-        for j, a, b in _BISECT_TREE:
-            pts[j] = 0.5 * (pts[a] + pts[b])
-        mids = pts[1:-1]
-        levels = np.concatenate((hi[None], mids)) if first else mids
-        up = risk(levels.reshape((len(levels),) + top.shape)).reshape(
-            len(levels), -1) > target
-        if first:
-            found = ~up[0]
-            active &= found
-            up, first = up[1:], False
-        # Walk every bracket down the tree: start[d] is the first point of
-        # each bracket before step d, whose midpoint decides the step.
-        start = [np.zeros(hi.shape, dtype=int)]
-        for span in _BISECT_SPAN[1:, 0].tolist():
-            j = start[-1] + span
-            start.append(np.where(up[j - 1, rec], j, start[-1]))
-        start = np.array(start)
-        ends = pts[start + _BISECT_SPAN, rec]
-        wide = ends - pts[start, rec] > PL_TOLERANCE_M
-        # A record steps while its bracket is wider than the tolerance; a
-        # step-by-step bisection stops there too.
-        n = np.where(active, np.logical_and.accumulate(wide[:-1]).sum(0), 0)
-        lo, hi = pts[start[n, rec], rec], ends[n, rec]
-        steps += n
-        active &= wide[n, rec]
-    level = np.where(found, hi, np.nan).reshape(top.shape)
-    return level, np.where(found, steps, 0).reshape(top.shape)
+    active = found.copy()
+    while True:
+        mid = 0.5 * (lo + hi)
+        active &= (hi - lo > PL_TOLERANCE_M) & (lo < mid) & (mid < hi)
+        if not active.any():
+            break
+        up = risk(mid) > target
+        lo = np.where(active & up, mid, lo)
+        hi = np.where(active & ~up, mid, hi)
+        steps += active
+    return np.where(found, hi, np.nan), steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +188,9 @@ def _jk_terms(ops, threat, acc_bounds, tests, budget):
     Returns (labels, offsets, bounds, risk, target, skipped_mass), or the
     label of the reason no finite PL exists. offsets are the thresholds
     plus the biases; bounds() gives each term's level at its share i_alloc
-    of the budget; risk maps levels (P, ...), P per record, to the summed
-    monitored risk at each; target is allocate's deflated axis budget.
+    of the budget; risk maps one level per record (an array of the
+    stack's shape) to the summed monitored risk at each; target is
+    allocate's deflated axis budget.
     """
     axis = tests.axis
     target, i_alloc, _, _ = allocate(budget, threat, axis)

@@ -180,6 +180,24 @@ class TestCmdPl:
             assert err.out == ""
             assert err.err.startswith(f"error: {field} must be a list")
 
+    def test_huge_sigmas_end_the_bisection(self, tmp_path, capsys):
+        # At sigmas of 1e12 m the jk PL lies above 1e13 m, where one ulp
+        # is wider than the bisection's tolerance: the bisection must end
+        # with a finite PL. The baseline's bracket [0, 1e4] m holds no PL
+        # and it prints Infinity.
+        geom = tmp_path / "sky.json"
+        geom.write_text(json.dumps({"G": SKY_G, "sigmas": [1e12] * len(SKY_G),
+                                    "axis": 2}))
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\n")
+        pls = {}
+        for algorithm in ("jk", "baseline"):
+            assert main(["--config", str(cfg), "pl", str(geom),
+                         "--algorithm", algorithm]) == 0
+            pls[algorithm] = json.loads(capsys.readouterr().out)["pl_m"]
+        assert 1e13 < pls["jk"] < math.inf
+        assert pls["baseline"] == math.inf
+
     def test_no_redundancy_exit_3(self, tmp_path, toy_files, capsys):
         _, cfg = toy_files
         geom = tmp_path / "square.json"
@@ -304,13 +322,15 @@ class TestUserSatsGeometry:
     @pytest.mark.parametrize("command", ["pl", "detect"])
     @pytest.mark.parametrize("llh", [
         [30.0, -90.0, 0.0, 0.0], "30,-90", [30.0], [30.0, math.nan],
-        [30.0, -90.0, math.inf], [30.0, True], [30.0, "-90"], 30.0],
+        [30.0, -90.0, math.inf], [30.0, True], [30.0, "-90"], 30.0,
+        [120.0, -90.0], [-90.5, 0.0]],
         ids=["four", "string", "one", "nan", "inf", "bool", "text",
-             "number"])
+             "number", "latitude-120", "latitude-below-south-pole"])
     def test_malformed_user_llh_exit_2(self, tmp_path, capsys, command,
                                        llh):
-        # The user position is 2 or 3 finite numbers (latitude, longitude
-        # and the optional height); anything else is a malformed file.
+        # The user position is 2 or 3 finite numbers (latitude in [-90,
+        # 90], longitude and the optional height); anything else is a
+        # malformed file.
         sats, positions = self.gps()
         path = tmp_path / "geom.json"
         user_sats_geometry(path, sats, positions)
@@ -520,12 +540,19 @@ class TestCmdDetect:
         err = capsys.readouterr()
         assert err.out == "" and "user/sats" in err.err
 
+    @pytest.mark.parametrize("text, shape", [("[1.0, 2.0, 3.0]", (3,)),
+                                             ("[[1.0, 3.0]]", (1, 2))],
+                             ids=["three", "one-by-two"])
     def test_wrong_observation_count_exit_2(self, toy_files, tmp_path,
-                                            capsys):
+                                            capsys, text, shape):
+        # The toy takes 2 observations; the refusal names the shape it
+        # got, which for a 1 x 2 array holds the right count.
         geom, cfg = toy_files
         obs = tmp_path / "obs.json"
-        obs.write_text("[1.0, 2.0, 3.0]")
+        obs.write_text(text)
         assert main(["--config", cfg, "detect", geom, str(obs)]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and str(shape) in err.err
 
     def test_baseline_runs_the_separation_table(self, toy_files, tmp_path,
                                                 capsys):

@@ -566,8 +566,7 @@ class TestBisectLevel:
             return r
 
         def risks(levels):
-            return np.array([[risk(b, v) for b, v in enumerate(row)]
-                             for row in levels])
+            return np.array([risk(b, v) for b, v in enumerate(levels)])
 
         level, steps = _bisect_level(risks, np.array(his), target)
         assert level.shape == steps.shape == (len(his),)
@@ -584,6 +583,22 @@ class TestBisectLevel:
                     top = mid
                 n_steps += 1
             assert (level[b], steps[b]) == (top, n_steps)
+
+    def test_bracket_that_cannot_shrink_ends(self):
+        # Above about 4.4e12 m one ulp is wider than PL_TOLERANCE_M, so a
+        # bracket near 1e13 m stops shrinking once its midpoint rounds to
+        # one of its ends; the walk must end there, not step forever.
+        calls = []
+
+        def risks(levels):
+            calls.append(len(calls))
+            if len(calls) > 10_000:
+                raise RuntimeError("the bisection did not end")
+            return np.where(levels >= 1e13, 0.0, 1.0)
+
+        level, _ = _bisect_level(risks, np.array([2e13]), 0.5)
+        assert 1e13 <= level[0] <= 1e13 + np.spacing(1e13)
+        assert risks(level)[0] <= 0.5
 
 
 class TestLooserIntegrityBudget:
