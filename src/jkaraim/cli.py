@@ -298,6 +298,13 @@ def cmd_detect(args) -> int:
         print(f"error: expected {ops.n} observations, got an array of "
               f"shape {y.shape}", file=sys.stderr)
         return EXIT_PARSE
+    # A NaN statistic compares false with every threshold: it would never
+    # alert.
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        print(f"error: observation {bad[0]} is {y[bad[0]]}, not a finite "
+              "number", file=sys.stderr)
+        return EXIT_PARSE
     tests = _mode_table(args, ops, tm, acc, budget, axis)
     stats, alerts = jackknife.run_detector(tests, y[None])
     ids = [str(i) for i in tests.ids]

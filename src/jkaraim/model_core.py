@@ -130,8 +130,8 @@ class SolutionStack:
     stacked along leading axes (one per record in the scenario, and a
     stack of one for a lone record), their residual operators R = I - G S,
     and every satellite-subset operator derived from the two. S comes from
-    solve, which runs here unless S is given, and raises
-    InsufficientGeometry when a weighted geometry is rank deficient. Every
+    solve, and the stack raises InsufficientGeometry when any of its
+    weighted geometries is rank deficient. Every
     method works on the whole stack at once, and a geometry's rows do not
     depend on which geometries share its stack. A table of the stack's
     modes raises MixedStack when its geometries disagree on which modes
@@ -156,20 +156,13 @@ class SolutionStack:
     is rank deficient when that share is at most SUBSET_RTOL.
     """
 
-    def __init__(self, G, W, S=None):
-        if S is None:
-            ok, S = solve(G, W)
-            if not np.all(ok):
-                raise InsufficientGeometry(
-                    "weighted geometry is rank deficient")
+    def __init__(self, G, W):
+        ok, S = solve(G, W)
+        if not np.all(ok):
+            raise InsufficientGeometry("weighted geometry is rank deficient")
         self.G, self.W, self.S = G, W, S
         self.n = G.shape[-2]      # measurement count
         self.R = np.eye(self.n) - G @ S
-
-    def take(self, rows):
-        """The geometries rows (indices or a mask of the leading axis) as
-        their own stack."""
-        return SolutionStack(self.G[rows], self.W[rows], self.S[rows])
 
     def _leave_out(self, idx):
         """Leave-out rows for g modes of one size s, idx a (g, s) array of

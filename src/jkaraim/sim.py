@@ -217,19 +217,14 @@ class Truth:
     tropo: np.ndarray           # records x n, sigma (m)
     user: np.ndarray            # records x n, sigma (m)
 
-    def take(self, b):
-        """The Truth of the records b (indices or a mask)."""
-        return Truth(self.pgo[b], self.sat[b], self.tropo[b], self.user[b])
-
 
 def _error_stack(entries, vis, constellations, elevations, flavor):
     """Nominal errors and accuracy bounds of a stack of records whose
     satellites share their constellation labels: entries[i] is satellite
     i's bound-table entry, vis (records x n) the records' satellites, each
     of whose PGO builds (_entries), and elevations (records x n) their
-    elevations. Returns (truth, acc, failed): the records' Truth; the
-    accuracy bounds; and the JkAraimError of each record (by index) whose
-    convolve_rows failed, which has no bounds (None).
+    elevations. Returns (truth, acc): the records' Truth and their
+    accuracy bounds. A convolve_rows that fails raises its JkAraimError.
 
     Each satellite's error is the sum of independent components (its
     heavy-tailed SISRE PGO, Gaussian(s_tropo), Gaussian(s_user)), whose
@@ -250,23 +245,16 @@ def _error_stack(entries, vis, constellations, elevations, flavor):
     pgos = [entries[i].pgo() for i in sats.tolist()]
     truth = Truth(np.array([p.draw_params for p in pgos])[at], vis, tropo,
                   user)
-    failed = {}
     if flavor == "gaussian":
         g = np.array([entries[i].gauss_sigma_m for i in sats.tolist()])[at]
         # Each square as pow rounds it, as Python floats' ** 2 did.
         return truth, distkit.GaussianBatch(np.sqrt(
             np.float_power(g, 2) + np.float_power(tropo, 2)
-            + np.float_power(user, 2))), failed
-    acc = []
-    for b, (a, ts, us) in enumerate(zip(at, tropo, user)):
-        try:
-            acc.append(list(distkit.convolve_rows(
-                [(pgos[i], distkit.Gaussian(t), distkit.Gaussian(u))
-                 for i, t, u in zip(a.tolist(), ts.tolist(), us.tolist())])))
-        except JkAraimError as exc:
-            failed[b] = exc
-            acc.append(None)
-    return truth, acc, failed
+            + np.float_power(user, 2)))
+    return truth, [list(distkit.convolve_rows(
+        [(pgos[i], distkit.Gaussian(t), distkit.Gaussian(u))
+         for i, t, u in zip(a.tolist(), ts.tolist(), us.tolist())]))
+        for a, ts, us in zip(at, tropo, user)]
 
 
 # Counter layout of a record's uniforms (distkit.counter_uniforms): the
@@ -457,100 +445,53 @@ class EpochSetup:
     tm: threat.ThreatModel
 
 
-def _refusal(exc, n_visible):
-    exc.n_visible = n_visible
-    return exc
-
-
-def _stacks(above, constellations, flavor):
+def _stacks(above, constellations, alone):
     """One epoch's users, above (users x N) flagging the satellites above
     their mask, in stacks whose visible satellites share their
-    constellation labels: those fix n, m, k_max and the fault modes.
-    Yields (labels, rows, vis): the users rows and their visible
-    satellites vis (rows x n). A PGO record's grids (its bounds'
-    convolve_rows, its thresholds' and its PL terms' convolve_batch) take
-    about 1.4 MB, and a stack holds all of its records' at once, so PGO
-    records stack alone."""
+    constellation labels: those fix n, m, k_max and the fault modes. A
+    user flagged in alone gets a stack of its own. Yields (labels, rows,
+    vis): the users rows and their visible satellites vis (rows x n)."""
     groups = {}
     for r, mask in enumerate(above):
         vis = np.flatnonzero(mask)
-        groups.setdefault(tuple([constellations[i] for i in vis]),
-                          []).append((r, vis))
-    for key, members in groups.items():
-        for part in ([members] if flavor == "gaussian"
-                     else [[m] for m in members]):
-            yield (key, np.array([r for r, _ in part]),
-                   np.array([v for _, v in part],
-                            dtype=int).reshape(len(part), len(key)))
+        key = tuple([constellations[i] for i in vis])
+        groups.setdefault((key, r if alone[r] else -1), []).append((r, vis))
+    for (key, _), members in groups.items():
+        yield (key, np.array([r for r, _ in members]),
+               np.array([v for _, v in members],
+                        dtype=int).reshape(len(members), len(key)))
 
 
 def _setup_stack(key, rows, vis, u, el, entries, budget, flavor):
-    """The set-up of one stack of _stacks: u (users x N x 3) and el (users
-    x N) are every user's line_of_sight rows and elevations, and
-    entries[i] is satellite i's bound-table entry, or its UnknownSatellite
-    (_entries).
+    """The stacked EpochSetup of one stack of _stacks: u (users x N x 3)
+    and el (users x N) are every user's line_of_sight rows and elevations,
+    and entries[i] is satellite i's bound-table entry, or the JkAraimError
+    that refuses it (_entries).
 
-    Returns (rows, setup) pairs that cover the stack's users rows: a
-    stacked EpochSetup, or the JkAraimError, carrying the visible count as
-    n_visible, that refuses them. The checks run in this order:
-    fewer satellites than states plus one (InsufficientGeometry, the
-    stack); the first visible satellite the table does not hold or whose
-    PGO cannot be built (the record); bounds whose convolution fails (the
-    record, PGO flavour); a rank-deficient weighted geometry
-    (InsufficientGeometry, the record); k_max above n - m
-    (InsufficientRedundancy, the stack).
+    Raises the first JkAraimError of these checks, in this order: fewer
+    satellites than states plus one (InsufficientGeometry); the first
+    visible satellite the table does not hold or whose PGO cannot be
+    built; bounds whose convolution fails (PGO flavour); a rank-deficient
+    weighted geometry (InsufficientGeometry); k_max above n - m
+    (InsufficientRedundancy).
     """
-    n = len(key)
-    if n < 3 + len(set(key)) + 1:
-        return [(rows, _refusal(InsufficientGeometry(
-            "insufficient geometry"), n))]
-    out = []
+    if len(key) < 3 + len(set(key)) + 1:
+        raise InsufficientGeometry("insufficient geometry")
     bad = np.array([isinstance(e, JkAraimError) for e in entries])[vis]
-    for b in np.flatnonzero(bad.any(axis=1)):
-        exc = entries[vis[b, np.argmax(bad[b])]]
-        out.append((rows[b:b + 1], _refusal(type(exc)(str(exc)), n)))
-    good = ~bad.any(axis=1)
-    rows, vis = rows[good], vis[good]
-    if not len(rows):
-        return out
+    if bad.any():
+        # A copy: the table's error is shared by every record that sees
+        # the satellite.
+        exc = entries[vis[bad][0]]
+        raise type(exc)(str(exc))
     elevations = el[rows[:, None], vis]
     if not np.all((0.0 < elevations) & (elevations <= 90.0)):
         raise ValueError(f"elevation {elevations.min()} out of range")
-    truth, acc, failed = _error_stack(entries, vis, key, elevations,
-                                      flavor)
-    out += [(rows[b:b + 1], _refusal(exc, n)) for b, exc in failed.items()]
-    if failed:
-        good = [b for b in range(len(rows)) if b not in failed]
-        if not good:
-            return out
-        rows, vis, elevations = rows[good], vis[good], elevations[good]
-        truth, acc = truth.take(good), [acc[b] for b in good]
+    truth, acc = _error_stack(entries, vis, key, elevations, flavor)
     W = 1.0 / distkit.bound_sigmas(acc) ** 2
     G = model_core.geometry_matrix(u[rows[:, None], vis], key)
-    ok, S = model_core.solve(G, W)
-    out += [(rows[b:b + 1], _refusal(InsufficientGeometry(
-        "weighted geometry is rank deficient"), n))
-        for b in np.flatnonzero(~ok)]
-    if not ok.all():
-        if not ok.any():
-            return out
-        rows, vis, elevations = rows[ok], vis[ok], elevations[ok]
-        truth = truth.take(ok)
-        acc = _take(acc, np.flatnonzero(ok))
-        G, W, S = G[ok], W[ok], S[ok]
-    try:
-        tm = threat_model(key, G.shape[-1], budget)
-    except JkAraimError as exc:
-        return out + [(rows, _refusal(exc, n))]
-    return out + [(rows, EpochSetup(vis, elevations, truth, acc,
-                                    model_core.SolutionStack(G, W, S), tm))]
-
-
-def _take(acc, rows):
-    """The stacked accuracy bounds of the records rows (indices)."""
-    if isinstance(acc, distkit.GaussianBatch):
-        return distkit.GaussianBatch(acc.sigma[rows])
-    return [acc[b] for b in rows]
+    ops = model_core.SolutionStack(G, W)
+    return EpochSetup(vis, elevations, truth, acc, ops,
+                      threat_model(key, G.shape[-1], budget))
 
 
 def _entries(sat_ids, constellations, table):
@@ -595,14 +536,14 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     u, el = model_core.line_of_sight(user_ecef, positions)
     if flavor not in ("gaussian", "pgo"):
         raise ValueError(f"unknown bound flavor {flavor!r}")
-    [(key, rows, vis)] = _stacks(el[None] > mask_deg, constellations,
-                                 flavor)
-    [(_, s)] = _setup_stack(key, rows, vis, u[None], el[None],
+    [(key, rows, vis)] = _stacks(el[None] > mask_deg, constellations, [True])
+    try:
+        return _setup_stack(key, rows, vis, u[None], el[None],
                             _entries(sat_ids, constellations, table),
                             budget, flavor)
-    if isinstance(s, JkAraimError):
-        raise s
-    return s
+    except JkAraimError as exc:
+        exc.n_visible = len(key)
+        raise
 
 
 def evaluate_epoch(config: ScenarioConfig, sats, positions, table, lat, lon,
@@ -629,53 +570,66 @@ def _epoch_records(config: ScenarioConfig, sats, entries, positions, cells,
                    loc_ids, users, frames, t, epoch_id):
     """The records of the cells (lat, lon) at epoch t: users (cells x 3)
     are their ECEF positions and frames their ENU rotations
-    (model_core.enu_frame), and loc_ids key each record's truth draws.
+    (model_core.enu_frame), entries the satellites' _entries, and loc_ids
+    key each record's truth draws.
 
     One line_of_sight call covers every cell; each stack of _stacks is
     then set up, drawn, tested and solved as one. Each record draws its
     truth from its own key, record_keys(seed, loc_id, epoch_id), so its
-    errors are those it draws alone (draw_errors)."""
+    errors are those it draws alone (draw_errors).
+
+    A stack that raises a package error (JkAraimError) anywhere from its
+    set-up to its PLs is evaluated again one record at a time, so the
+    error lands on the records that raise it. A lone record that raises
+    keeps its visible count, and the VPE, HPE and alerts it reached, with
+    the message in its row. So a stack's records that disagree on which
+    modes are rank deficient (MixedStack) each get their own mode table.
+    A user who sees a satellite the table refuses stacks alone, as do PGO
+    records: a PGO record's grids (its bounds' convolve_rows, its
+    thresholds' and its PL terms' convolve_batch) take about 1.4 MB, and a
+    stack holds all of its records' at once."""
     u, el = model_core.line_of_sight(users, positions, frames)
+    above = el > config.mask_deg
+    refused = np.array([isinstance(e, JkAraimError) for e in entries],
+                       dtype=bool)
+    alone = (above & refused).any(axis=1) | (config.flavor == "pgo")
     records = [None] * len(cells)
     keys = record_keys(config.seed, loc_ids, epoch_id)
-
-    def evaluate(key, stack, vis):
-        # One stack at a time: its arrays and grids go when this returns.
-        for rows, s in _setup_stack(key, stack, vis, u, el, entries,
-                                    config.budget, config.flavor):
-            if isinstance(s, JkAraimError):
-                for r in rows.tolist():
-                    records[r] = EpochRecord(*cells[r], t, s.n_visible,
-                                             error=str(s))
+    stacks = list(_stacks(above, [a.constellation for a in sats], alone))
+    # A stack that raises appends its records as stacks of one, which
+    # this loop reaches in turn. Its set-up is only an argument, so its
+    # arrays and grids go when the call returns.
+    for key, rows, vis in stacks:
+        recs = [EpochRecord(*cells[r], t, len(key)) for r in rows.tolist()]
+        try:
+            _evaluate_stack(config, _setup_stack(
+                key, rows, vis, u, el, entries, config.budget, config.flavor),
+                keys[rows], recs)
+        except JkAraimError as exc:
+            if len(recs) > 1:
+                stacks += [(key, rows[b:b + 1], vis[b:b + 1])
+                           for b in range(len(recs))]
                 continue
-            eps = draw_errors(s.truth, keys[rows])
-            err = distkit.matvec(s.ops.S, eps)
-            hpe = np.hypot(err[:, 0], err[:, 1]).tolist()
-            recs = [EpochRecord(*cells[r], t, len(key), vpe=v, hpe=h)
-                    for r, v, h in zip(rows.tolist(), err[:, 2].tolist(),
-                                       hpe)]
-            for r, rec in zip(rows.tolist(), recs):
-                records[r] = rec
-            _detect_and_protect(config, s.ops, s.tm, s.acc_bounds, eps, recs)
-
-    for stack in _stacks(el > config.mask_deg,
-                         [a.constellation for a in sats], config.flavor):
-        evaluate(*stack)
+            recs[0].error = str(exc)
+        for r, rec in zip(rows.tolist(), recs):
+            records[r] = rec
     return records
 
 
-def _detect_and_protect(config: ScenarioConfig, ops, tm, acc, eps, recs):
-    """Detection and protection levels of the records recs of one stack:
-    ops their SolutionStack, acc their stacked bounds and eps their drawn
-    errors. Each axis has one mode table: its detector runs it and its PL
-    reads it, so the detector runs on every axis with a PL.
-
-    A stack that raises a package error (JkAraimError) is run again one
-    record at a time, so the error lands on the records that raise it,
-    each keeping the alerts of the axes it finished before; so is a stack
-    whose records find different modes rank deficient (MixedStack), as
-    each then has its own mode table."""
+def _evaluate_stack(config: ScenarioConfig, s: EpochSetup, keys, recs):
+    """Truth draws, detection and protection levels of the records recs of
+    one stack: s is their EpochSetup and keys their truth keys. Each axis
+    has one mode table: its detector runs it and its PL reads it, so the
+    detector runs on every axis with a PL. A package error propagates,
+    once the records hold their VPE and HPE and the alerts of the axes
+    finished before it."""
+    eps = draw_errors(s.truth, keys)
+    err = distkit.matvec(s.ops.S, eps)
+    hpe = np.hypot(err[:, 0], err[:, 1]).tolist()
+    for rec, v, h in zip(recs, err[:, 2].tolist(), hpe):
+        rec.vpe, rec.hpe = v, h
     budget = config.budget
+    ops, tm, acc = s.ops, s.tm, s.acc_bounds
     axes = (0, 1, 2) if config.compute_horizontal else (2,)
     alert = np.zeros(len(recs), dtype=bool)
     pl = np.full((3, len(recs)), math.nan)
@@ -689,17 +643,12 @@ def _detect_and_protect(config: ScenarioConfig, ops, tm, acc, eps, recs):
                 tests = jackknife.thresholds(ops, tm, acc, budget, axis)
                 alert |= jackknife.run_detector(tests, eps)[1].any(axis=-1)
                 pl[axis] = protection_levels(ops, tm, acc, tests, budget)[0]
-    except JkAraimError as exc:
-        if len(recs) > 1:
-            for b, rec in enumerate(recs):
-                _detect_and_protect(config, ops.take([b]), tm,
-                                    _take(acc, [b]), eps[b:b + 1], [rec])
-            return
-        recs[0].alert, recs[0].error = bool(alert[0]), str(exc)
-        return
+    finally:
+        for rec, a in zip(recs, alert.tolist()):
+            rec.alert = a
     hpl = np.hypot(pl[0], pl[1]).tolist()
-    for rec, a, vpl, h in zip(recs, alert.tolist(), pl[2].tolist(), hpl):
-        rec.alert, rec.vpl = a, vpl
+    for rec, vpl, h in zip(recs, pl[2].tolist(), hpl):
+        rec.vpl = vpl
         if config.compute_horizontal:
             rec.hpl = h
         rec.stanford = stanford_class(rec.vpe, vpl, config.val)

@@ -554,6 +554,21 @@ class TestCmdDetect:
         err = capsys.readouterr()
         assert err.out == "" and str(shape) in err.err
 
+    @pytest.mark.parametrize("text, index", [("[NaN, 100.0]", 0),
+                                             ("[1.0, Infinity]", 1)],
+                             ids=["nan", "infinity"])
+    def test_non_finite_observation_exit_2(self, toy_files, tmp_path,
+                                           capsys, text, index):
+        # A NaN statistic compares false with every threshold, so [NaN,
+        # 100.0] would not alert where [0.0, 100.0] does; the refusal
+        # names the observation.
+        geom, cfg = toy_files
+        obs = tmp_path / "obs.json"
+        obs.write_text(text)
+        assert main(["--config", cfg, "detect", geom, str(obs)]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and f"observation {index} is" in err.err
+
     def test_baseline_runs_the_separation_table(self, toy_files, tmp_path,
                                                 capsys):
         # The baseline's detector is run_detector on separation_table,

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -422,17 +423,21 @@ class TestTruthDraws:
                           rng.uniform(0.1, 1.0, sat.shape))
         keys = sim.record_keys(9, 3 * np.arange(n_rec) + 1, 17)
         stack = sim.draw_errors(truth, keys)
+
+        def take(rows, cols=slice(None)):
+            # The Truth of the records rows, with their satellites cols.
+            return sim.Truth(*(a[rows][:, cols] for a in (
+                truth.pgo, truth.sat, truth.tropo, truth.user)))
+
         back = np.arange(n_rec)[::-1]
         np.testing.assert_array_equal(
-            sim.draw_errors(truth.take(back), keys[back])[back], stack)
+            sim.draw_errors(take(back), keys[back])[back], stack)
         some = [0, 2, 3, 6]
         for b in range(n_rec):
-            one = truth.take([b])
             np.testing.assert_array_equal(
-                sim.draw_errors(one, keys[b:b + 1])[0], stack[b])
+                sim.draw_errors(take([b]), keys[b:b + 1])[0], stack[b])
             # Nor do the other satellites a record sees change a draw.
-            fewer = sim.Truth(one.pgo[:, some], one.sat[:, some],
-                              one.tropo[:, some], one.user[:, some])
+            fewer = take([b], some)
             np.testing.assert_array_equal(
                 sim.draw_errors(fewer, keys[b:b + 1])[0], stack[b, some])
 
@@ -652,17 +657,24 @@ class TestEpochSetup:
         assert (rec.n_visible, rec.error) == (
             5, "weighted geometry is rank deficient")
 
-    @pytest.mark.parametrize("refusal", ["missing_bounds", "invalid_pgo",
-                                         "grid_overflow"])
-    def test_refused_records_keep_the_visible_count(self, refusal,
+    @pytest.mark.parametrize("refusal, flavor", [
+        pytest.param("missing_bounds", "pgo", id="missing_bounds"),
+        pytest.param("invalid_pgo", "pgo", id="invalid_pgo"),
+        pytest.param("grid_overflow", "pgo", id="grid_overflow"),
+        pytest.param("missing_bounds", "gaussian",
+                     id="missing_bounds-gaussian"),
+        pytest.param("invalid_pgo", "gaussian", id="invalid_pgo-gaussian")])
+    def test_refused_records_keep_the_visible_count(self, refusal, flavor,
                                                     monkeypatch):
         # Whatever package error epoch_setup raises after the mask, the
         # record keeps the visible count of the full run's record at its
         # cell, and the scenario goes on: a satellite missing from the
         # bound table, an entry whose PGO cannot be built (a negative
-        # partition point), or PGO bounds wider than the grid may be.
+        # partition point), or PGO bounds wider than the grid may be. PGO
+        # records stack alone; Gaussian ones share stacks with the records
+        # that see the same constellations, refused or not.
         config = ScenarioConfig(grid_step_deg=90.0, duration_s=600.0,
-                                epoch_step_s=600.0, flavor="pgo")
+                                epoch_step_s=600.0, flavor=flavor)
         full = sim.run_scenario(config)
         assert not any(r.error for r in full)
         table = default_table()
@@ -732,12 +744,15 @@ class TestStackOfOne:
                    for loc, (lat, lon) in enumerate(config.grid())
                    for e, t in enumerate(epochs)]
 
-        def bits(record):
-            return [np.float64(v).tobytes() if isinstance(v, float) else v
-                    for v in dataclasses.astuple(record)]
-
+        bits = TestStackOfOne.bits
         assert [bits(r) for r in records] == [bits(r) for r in singles]
         return records
+
+    @staticmethod
+    def bits(record):
+        """A record's fields, each float as its bytes (NaN included)."""
+        return [np.float64(v).tobytes() if isinstance(v, float) else v
+                for v in dataclasses.astuple(record)]
 
     def lone_galileo(self):
         """GPS plus one Galileo satellite: wherever that satellite is
@@ -791,6 +806,76 @@ class TestStackOfOne:
                 sim.satellite_positions(sats, r.t), default_table(),
                 config.budget, mask_deg=config.mask_deg)
         assert exc.value.n_visible == 0
+
+    def test_only_the_raising_record_gets_the_error(self, monkeypatch):
+        # protection_levels raises for any stack that holds one record's
+        # geometry: its stack is evaluated again one record at a time, and
+        # only that record reads the error. It keeps its visible count,
+        # VPE, HPE and alert; every other record is the unpatched run's.
+        config = ScenarioConfig(
+            grid_step_deg=60.0, epoch_step_s=21600.0, duration_s=86400.0,
+            seed=2, budget=IntegrityBudget(c_req_fa_vert=0.05, p_const=0.0))
+        full = sim.run_scenario(config)
+        # An alerting record that shares its stack (the same visible count
+        # at the same epoch) with another solved record.
+        i = next(i for i, r in enumerate(full) if r.alert and not r.error
+                 and any(o is not r and not o.error and (o.t, o.n_visible)
+                         == (r.t, r.n_visible) for o in full))
+        chosen = full[i]
+        sats = sim.healthy_satellites(default_almanac(("GPS",)), ("GPS",))
+        G = sim.epoch_setup(
+            sim.model_core.geodetic_to_ecef(chosen.lat, chosen.lon),
+            [a.svn for a in sats], [a.constellation for a in sats],
+            sim.satellite_positions(sats, chosen.t), default_table(),
+            config.budget).ops.G[0]
+        real = sim.protection_levels
+
+        def flaky(ops, *args):
+            if any(np.array_equal(g, G) for g in ops.G):
+                raise TailUnresolved("tail probability below resolvable "
+                                     "mass")
+            return real(ops, *args)
+
+        monkeypatch.setattr(sim, "protection_levels", flaky)
+        records = sim.run_scenario(config)
+        rec = records[i]
+        assert rec.error == "tail probability below resolvable mass"
+        assert (rec.n_visible, rec.vpe, rec.hpe, rec.alert) == (
+            chosen.n_visible, chosen.vpe, chosen.hpe, True)
+        assert math.isnan(rec.vpl) and rec.stanford == "SU"
+        del records[i], full[i]
+        assert [self.bits(r) for r in records] == [self.bits(r) for r in full]
+
+    def test_users_who_see_a_refused_satellite_stack_alone(self,
+                                                           monkeypatch):
+        # With SVN41 missing from the table, the users who see it stack
+        # alone, so no stack of records that are not refused raises and
+        # passes through the set-up again, record by record.
+        table = default_table()
+        del table["SVN41"]
+        config = ScenarioConfig(grid_step_deg=30.0, epoch_step_s=3600.0,
+                                duration_s=86400.0)
+        epoch, passes = [], Counter()
+        real_epoch, real_setup = sim._epoch_records, sim._setup_stack
+
+        def epoch_records(*args):
+            epoch[:] = [args[-1]]       # epoch_id
+            return real_epoch(*args)
+
+        def setup_stack(key, rows, *args):
+            passes.update((epoch[0], r) for r in rows.tolist())
+            return real_setup(key, rows, *args)
+
+        monkeypatch.setattr(sim, "_epoch_records", epoch_records)
+        monkeypatch.setattr(sim, "_setup_stack", setup_stack)
+        records = sim.run_scenario(config, table=table)
+        n_epochs = len(config.epochs())
+        assert len(passes) == len(records)
+        refused = [r.error == "no bound parameters for 'SVN41'"
+                   for r in records]
+        assert any(refused) and not all(refused)
+        assert [records[r * n_epochs + e] for (e, r), c in passes.items()
+                if c > 1 and not records[r * n_epochs + e].error] == []
 
     @settings(max_examples=12, deadline=None)
     @given(dual=st.booleans(), flavor=st.sampled_from(["gaussian", "pgo"]),
