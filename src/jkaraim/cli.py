@@ -140,6 +140,12 @@ def _load_geometry(path, table, flavor, budget):
                                      and len(doc[field]) == n):
                 raise ValueError(f"{field} must be a list of one entry per "
                                  f"row of G ({n} rows)")
+        for field in ("G", "sigmas", "weights"):
+            bad = ~np.isfinite(np.asarray(doc.get(field, []), dtype=float))
+            if bad.any():
+                row = int(np.argwhere(bad)[0][0])
+                raise ValueError(f"{field} row {row} holds "
+                                 f"{doc[field][row]!r}, not a finite number")
         sigmas = doc.get("sigmas")
         if sigmas is not None:
             sigmas = np.asarray(sigmas, dtype=float)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from . import distkit
 from .errors import NonGaussianBound, SubsetRankDeficient
@@ -89,11 +90,12 @@ def allocate(budget: IntegrityBudget, threat: ThreatModel, axis: int):
 PL_TOLERANCE_M = 1e-3
 
 
-def _bisect_level(risk, hi, target: float):
+def _bisect_level(risk, hi, target):
     """Bisection on [0, hi] for the lowest level whose risk stays within
     target, to PL_TOLERANCE_M: hi (an array) holds one upper end per
-    record, each record bisecting its own bracket. Returns (level, steps)
-    of hi's shape, level NaN (and steps 0) where risk(hi) already exceeds
+    record and target one risk bound per record (or one for all), each
+    record bisecting its own bracket. Returns (level, steps) of hi's
+    shape, level NaN (and steps 0) where risk(hi) already exceeds the
     target. risk maps one level per record (an array of hi's shape) to
     their risks, and must not increase with the level.
 
@@ -116,6 +118,60 @@ def _bisect_level(risk, hi, target: float):
         hi = np.where(active & ~up, mid, hi)
         steps += active
     return np.where(found, hi, np.nan), steps
+
+
+class PlTable(NamedTuple):
+    """A stack's PL terms on one axis: record b's risk at a level l sums,
+    in term order, each term's weight times its tail beyond l - offset,
+    two-sided for jk and one-sided for the baseline. hi holds each
+    record's upper bracket; a record walk finds no level for (or does not
+    walk, target not positive) reads hi for jk and inf for the baseline."""
+
+    dists: object
+    offsets: np.ndarray
+    weights: np.ndarray
+    target: float
+    hi: np.ndarray
+    jk: bool
+
+    def risk(self, levels):
+        x = levels[..., None] - self.offsets
+        tails = self.dists.tail_prob(x) if self.jk else self.dists.cdf(-x)
+        return np.cumsum(self.weights * tails, axis=-1)[..., -1]
+
+
+def walk(tables):
+    """Each PlTable's levels, all from one _bisect_level, each record to
+    its own table's target. Several tables (all jk or all baseline) must
+    hold Gaussian terms: they walk padded to the widest with terms of
+    weight 0, offset 0 and sigma 1, each of which adds an exact 0.0 to a
+    risk, so every level is its table's alone, bit for bit."""
+    live = [t for t in tables if t.target > 0.0]
+    joint = live[0] if live else None
+    if len(live) > 1:
+        width = max(t.offsets.shape[-1] for t in live)
+
+        def cat(arrays, fill):
+            return np.concatenate([np.pad(
+                np.broadcast_to(a, t.offsets.shape),
+                ((0, 0), (0, width - t.offsets.shape[-1])),
+                constant_values=fill) for a, t in zip(arrays, live)])
+
+        joint = PlTable(
+            distkit.GaussianBatch(cat([t.dists.sigma for t in live], 1.0)),
+            cat([t.offsets for t in live], 0.0),
+            cat([t.weights for t in live], 0.0),
+            np.repeat([t.target for t in live], [len(t.hi) for t in live]),
+            np.concatenate([t.hi for t in live]), joint.jk)
+    if live:
+        level = _bisect_level(joint.risk, joint.hi, joint.target)[0]
+        parts = iter(np.split(level, np.cumsum([len(t.hi) for t in live])))
+    out = []
+    for t in tables:
+        none = t.hi if t.jk else np.full(t.hi.shape, math.inf)
+        out.append(np.where(np.isnan(p := next(parts)), none, p)
+                   if t.target > 0.0 else none)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +233,25 @@ def kept_modes(threat: ThreatModel, tests: DetectorTable, i_alloc: float,
     return keep, skipped_mass, unmonitorable
 
 
-def _jk_terms(ops, threat, acc_bounds, tests, budget):
+class _Joined(distkit.DistBatch):
+    """A record's n grid terms, then its Gaussian terms, as one DistBatch
+    along the last axis."""
+
+    def __init__(self, grids, gaussians, n):
+        self.parts, self.n = (grids, gaussians), n
+
+    def _each(self, method, x):
+        return np.concatenate([getattr(d, method)(v) for d, v in zip(
+            self.parts, (x[..., :self.n], x[..., self.n:]))], axis=-1)
+
+    def cdf(self, x):
+        return self._each("cdf", x)
+
+    def quantile(self, p):
+        return self._each("quantile", p)
+
+
+def jk_terms(ops, threat, acc_bounds, tests, budget):
     """The terms of the jk integrity sum on the axis of the mode table
     tests: the fault-free term, then the modes kept_modes keeps (satellite
     modes, then constellation modes), each fault term offset by its mode's
@@ -185,21 +259,21 @@ def _jk_terms(ops, threat, acc_bounds, tests, budget):
     plus its bias b_nom sum_i |S_k row_i|. One record's terms, or a
     stack's along leading axes.
 
-    Returns (labels, offsets, bounds, risk, target, skipped_mass), or the
-    label of the reason no finite PL exists. offsets are the thresholds
-    plus the biases; bounds() gives each term's level at its share i_alloc
-    of the budget; risk maps one level per record (an array of the
-    stack's shape) to the summed monitored risk at each; target is
-    allocate's deflated axis budget.
+    Returns (labels, bounds, table, skipped_mass): each term's level at
+    its share i_alloc of the budget, and the PlTable bisecting from the
+    largest (at least 0) onto allocate's deflated axis budget less the
+    mass of the modes kept_modes skips. Where no finite PL exists, the
+    one label is the reason and every bound and level is infinite.
     """
     axis = tests.axis
     target, i_alloc, _, _ = allocate(budget, threat, axis)
-    if target <= 0.0:
-        return "unmonitored"
     keep, skipped_mass, unmonitorable = kept_modes(threat, tests, i_alloc,
                                                    budget.p_thres)
-    if unmonitorable is not None:
-        return f"unmonitorable:{unmonitorable.id}"
+    if target <= 0.0 or unmonitorable is not None:
+        inf = np.full(ops.S.shape[:-2], math.inf)
+        return (["unmonitored" if target <= 0.0
+                 else f"unmonitorable:{unmonitorable.id}"], inf[..., None],
+                PlTable(None, None, None, 0.0, inf, True), skipped_mass)
 
     modes = [m for m, k in zip(tests.modes, keep.tolist()) if k]
     n_sat = sum(m.kind == "sat_subset" for m in modes)
@@ -214,43 +288,31 @@ def _jk_terms(ops, threat, acc_bounds, tests, budget):
         tests.thresholds[..., keep] * scale
         + budget.b_nom * np.abs(Q).sum(axis=-1)), axis=-1)
     priors = np.array([threat.p_h0] + [m.prior for m in modes])
-    # Rows of dists are the first n terms; the constellation terms (if
-    # any) are Gaussians of the bounds' sigmas.
+    # The first 1 + n_sat terms are rows over the bounds; the
+    # constellation terms (if any) are Gaussians of the bounds' sigmas.
     dists = distkit.row_batches(
         np.concatenate((s_row[..., None, :], Q[..., :n_sat, :]), axis=-2),
         acc_bounds)
-    n = 1 + n_sat
-    const = None
     if len(modes) > n_sat:
         var = distkit.bound_sigmas(acc_bounds) ** 2
-        const = distkit.GaussianBatch(
-            np.sqrt(distkit.matvec(Q[..., n_sat:, :] ** 2, var)))
-
-    def bounds():
-        p = i_alloc / (2.0 * priors)
-        q = dists.quantile(p[:n])
-        if const is not None:
-            q = np.concatenate((q, const.quantile(p[n:])), axis=-1)
-        return np.abs(q) + offsets
-
-    def risk(levels):
-        x = levels[..., None] - offsets
-        tails = dists.tail_prob(x[..., :n])
-        if const is not None:
-            tails = np.concatenate((tails, const.tail_prob(x[..., n:])),
-                                   axis=-1)
-        return np.cumsum(priors * tails, axis=-1)[..., -1]
-
+        const = np.sqrt(distkit.matvec(Q[..., n_sat:, :] ** 2, var))
+        dists = (distkit.GaussianBatch(np.concatenate((dists.sigma, const),
+                                                      axis=-1))
+                 if isinstance(dists, distkit.GaussianBatch)
+                 else _Joined(dists, distkit.GaussianBatch(const), 1 + n_sat))
+    bounds = np.abs(dists.quantile(i_alloc / (2.0 * priors))) + offsets
     labels = ["H0"] + [f"mode:{m.id}" if m.kind == "sat_subset"
                        else f"const:{m.id}" for m in modes]
-    return labels, offsets, bounds, risk, target, skipped_mass
+    return labels, bounds, PlTable(
+        dists, offsets, priors, target - skipped_mass,
+        np.maximum(bounds.max(axis=-1), 0.0), True), skipped_mass
 
 
 def protection_levels(ops: SolutionStack, threat: ThreatModel, acc_bounds,
                       tests: DetectorTable, budget: IntegrityBudget):
     """The jk protection levels of a stack of geometries ops on the axis of
     its detector table tests (jackknife.thresholds), whose thresholds
-    offset the fault-mode terms (_jk_terms). acc_bounds holds each
+    offset the fault-mode terms (jk_terms). acc_bounds holds each
     satellite's accuracy bound: the bounds feed the convolutions and their
     sigmas (distkit.bound_sigmas) the constellation modes' terms. Each
     satellite's nominal bias is the budget's b_nom. Returns (levels,
@@ -260,23 +322,13 @@ def protection_levels(ops: SolutionStack, threat: ThreatModel, acc_bounds,
     The equal-allocation per-mode max bound is computed first. When the
     skipped low-prior modes leave room inside the deflated budget, each
     level is then tightened by bisecting its summed monitored risk onto
-    the budget (one bracket per record, all in one _bisect_level), which
-    makes the risk bound tight rather than allocated.
+    the budget (jk_terms' table, walked alone), which makes the risk bound
+    tight rather than allocated.
     """
-    terms = _jk_terms(ops, threat, acc_bounds, tests, budget)
-    if isinstance(terms, str):
-        shape = ops.S.shape[:-2]
-        return np.full(shape, math.inf), np.full(shape, terms, dtype=object)
-    labels, _, bounds, risk, target, skipped_mass = terms
-    values = bounds()
-    k = np.argmax(values, axis=-1)
-    best = np.maximum(np.take_along_axis(values, k[..., None], -1)[..., 0],
-                      0.0)
-    target -= skipped_mass
-    if target > 0.0:
-        level = _bisect_level(risk, best, target)[0]
-        best = np.where((best > 0.0) & ~np.isnan(level), level, best)
-    return best, np.array(labels, dtype=object)[k]
+    labels, bounds, table, _ = jk_terms(ops, threat, acc_bounds, tests,
+                                        budget)
+    return (walk([table])[0],
+            np.array(labels, dtype=object)[np.argmax(bounds, axis=-1)])
 
 
 def _require_gaussian(acc_bounds):
@@ -289,12 +341,44 @@ def _require_gaussian(acc_bounds):
             "bounds only")
 
 
+def baseline_table(ops: SolutionStack, threat: ThreatModel, acc_bounds,
+                   tests: DetectorTable, budget: IntegrityBudget):
+    """baseline_araim_pl's PlTable: each record bisects [0, 1e4 m], and
+    none where allocate's axis target is not positive or an untested
+    mode's prior exceeds p_thres."""
+    _require_gaussian(acc_bounds)
+    axis = tests.axis
+    s_row = ops.S[..., axis, :]
+    if not np.array_equal(tests.rows, tests.Q - s_row[..., None, :]):
+        raise ValueError("baseline_araim_pl reads a separation table "
+                         "(jackknife.separation_table): rows S_k - S")
+    hi = np.full(s_row.shape[:-1], 1.0e4)
+    target, _, _, c_alloc = allocate(budget, threat, axis)
+    if not (target > 0.0
+            and kept_modes(threat, tests, 0.0, budget.p_thres)[2] is None):
+        return PlTable(None, None, None, 0.0, hi, False)
+    var = distkit.bound_sigmas(acc_bounds) ** 2
+    # Fault-free term (two-sided, so of weight 2 P_H0), then the faulted
+    # terms in mode order.
+    weights = np.array([2.0 * threat.p_h0] + [m.prior for m in tests.modes])
+    sigmas = np.sqrt(np.concatenate((
+        np.sum(s_row ** 2 * var, axis=-1)[..., None],
+        distkit.matvec(tests.Q ** 2, var)), axis=-1))
+    offsets = np.concatenate((
+        budget.b_nom * np.abs(s_row).sum(axis=-1)[..., None],
+        abs(float(ndtri(c_alloc)))
+        * np.sqrt(distkit.matvec(tests.rows ** 2, var))
+        + budget.b_nom * np.abs(tests.Q).sum(axis=-1)), axis=-1)
+    return PlTable(distkit.GaussianBatch(sigmas), offsets, weights, target,
+                   hi, False)
+
+
 def baseline_araim_pl(ops: SolutionStack, threat: ThreatModel, acc_bounds,
                       tests: DetectorTable, budget: IntegrityBudget):
     """Solution-separation protection levels of a stack of geometries ops
     on the axis of its separation table tests (jackknife.separation_table),
-    by bisection on the total risk: one level per record, each bisecting
-    its own bracket.
+    by bisection on the total risk (baseline_table, walked alone): one
+    level per record, each bisecting its own bracket.
 
     The comparison benchmark, on Gaussian accuracy bounds only
     (NonGaussianBound otherwise): two-sided fault-free term, one-sided
@@ -306,37 +390,7 @@ def baseline_araim_pl(ops: SolutionStack, threat: ThreatModel, acc_bounds,
     Raises ValueError for a table whose rows are not S_k - S, such as the
     jackknife table of jackknife.thresholds.
     """
-    _require_gaussian(acc_bounds)
-    axis = tests.axis
-    s_row = ops.S[..., axis, :]
-    if not np.array_equal(tests.rows, tests.Q - s_row[..., None, :]):
-        raise ValueError("baseline_araim_pl reads a separation table "
-                         "(jackknife.separation_table): rows S_k - S")
-    shape = s_row.shape[:-1]
-    level = np.full(shape, math.inf)
-    target, _, _, c_alloc = allocate(budget, threat, axis)
-    if (target > 0.0
-            and kept_modes(threat, tests, 0.0, budget.p_thres)[2] is None):
-        var = distkit.bound_sigmas(acc_bounds) ** 2
-        weights = np.array([2.0 * threat.p_h0]
-                           + [m.prior for m in tests.modes])
-        sigmas = np.sqrt(np.concatenate((
-            np.sum(s_row ** 2 * var, axis=-1)[..., None],
-            distkit.matvec(tests.Q ** 2, var)), axis=-1))
-        offsets = np.concatenate((
-            budget.b_nom * np.abs(s_row).sum(axis=-1)[..., None],
-            abs(float(ndtri(c_alloc)))
-            * np.sqrt(distkit.matvec(tests.rows ** 2, var))
-            + budget.b_nom * np.abs(tests.Q).sum(axis=-1)), axis=-1)
-
-        def risk(levels):
-            # Fault-free term, then the faulted terms in mode order.
-            return np.cumsum(weights * ndtr((offsets - levels[..., None])
-                                            / sigmas), axis=-1)[..., -1]
-
-        found = _bisect_level(risk, np.full(shape, 1.0e4), target)[0]
-        level = np.where(np.isnan(found), math.inf, found)
-    return level
+    return walk([baseline_table(ops, threat, acc_bounds, tests, budget)])[0]
 
 
 def separation_tests(ops: SolutionStack, modes, acc_bounds, c_alloc: float,

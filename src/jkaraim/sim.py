@@ -15,10 +15,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import distkit, jackknife, model_core, overbound, threat
-from .errors import (AlmanacOutOfRange, InsufficientGeometry, JkAraimError,
+from .errors import (AlmanacOutOfRange, InsufficientGeometry,
+                     InsufficientRedundancy, JkAraimError,
                      KeplerNonConvergence, UnknownSatellite)
-from .integrity import (IntegrityBudget, baseline_araim_pl,
-                        protection_levels)
+from .integrity import IntegrityBudget, baseline_table, jk_terms, walk
 
 GM_EARTH = 3.986005e14          # m^3/s^2
 OMEGA_EARTH = 7.2921151467e-5   # rad/s
@@ -217,14 +217,35 @@ class Truth:
     tropo: np.ndarray           # records x n, sigma (m)
     user: np.ndarray            # records x n, sigma (m)
 
+    def take(self, rows, cols):
+        """The Truth of the records rows seeing the satellites cols (index
+        arrays that broadcast, as in fancy indexing)."""
+        return Truth(*(a[rows, cols] for a in vars(self).values()))
 
-def _error_stack(entries, vis, constellations, elevations, flavor):
-    """Nominal errors and accuracy bounds of a stack of records whose
-    satellites share their constellation labels: entries[i] is satellite
-    i's bound-table entry, vis (records x n) the records' satellites, each
-    of whose PGO builds (_entries), and elevations (records x n) their
-    elevations. Returns (truth, acc): the records' Truth and their
-    accuracy bounds. A convolve_rows that fails raises its JkAraimError.
+
+def _epoch_truth(entries, constellations, el):
+    """The Truth of every user's view of every satellite at one epoch, el
+    their elevations (users x N) and entries the satellites' _entries:
+    zero sampler constants and receiver sigmas where the table refuses
+    the satellite."""
+    held = [j for j, e in enumerate(entries)
+            if not isinstance(e, JkAraimError)]
+    params, user = np.zeros((len(entries), 11)), np.zeros(el.shape)
+    for j in held:
+        params[j] = entries[j].pgo().draw_params
+    for const in {constellations[j] for j in held}:
+        cols = [j for j in held if constellations[j] == const]
+        user[:, cols] = cnmp_sigma(const, el[:, cols])
+    return Truth(np.broadcast_to(params, el.shape + (11,)),
+                 np.broadcast_to(np.arange(len(entries)), el.shape),
+                 tropo_sigma(el), user)
+
+
+def _error_stack(entries, truth, flavor):
+    """The accuracy bounds of a stack of records whose nominal errors are
+    truth (a Truth): entries[i] is satellite i's bound-table entry, each
+    of whose PGO builds (_entries). A convolve_rows that fails raises its
+    JkAraimError.
 
     Each satellite's error is the sum of independent components (its
     heavy-tailed SISRE PGO, Gaussian(s_tropo), Gaussian(s_user)), whose
@@ -233,28 +254,21 @@ def _error_stack(entries, vis, constellations, elevations, flavor):
     s_user^2); the PGO flavour's are one list of grid bounds per record,
     the convolution of its satellites' components (one
     distkit.convolve_rows each)."""
-    tropo = tropo_sigma(elevations)
-    user = np.empty(elevations.shape)
-    for const in set(constellations):
-        cols = [j for j, c in enumerate(constellations) if c == const]
-        user[:, cols] = cnmp_sigma(const, elevations[:, cols])
-    # The stack's satellites, each looked up once; at[b, j] is vis[b, j]'s
-    # place among them.
-    sats = np.unique(vis)
-    at = np.searchsorted(sats, vis)
-    pgos = [entries[i].pgo() for i in sats.tolist()]
-    truth = Truth(np.array([p.draw_params for p in pgos])[at], vis, tropo,
-                  user)
+    # The stack's satellites, each looked up once; at[b, j] is
+    # truth.sat[b, j]'s place among them.
+    sats = np.unique(truth.sat)
+    at = np.searchsorted(sats, truth.sat)
     if flavor == "gaussian":
         g = np.array([entries[i].gauss_sigma_m for i in sats.tolist()])[at]
         # Each square as pow rounds it, as Python floats' ** 2 did.
-        return truth, distkit.GaussianBatch(np.sqrt(
-            np.float_power(g, 2) + np.float_power(tropo, 2)
-            + np.float_power(user, 2)))
-    return truth, [list(distkit.convolve_rows(
+        return distkit.GaussianBatch(np.sqrt(
+            np.float_power(g, 2) + np.float_power(truth.tropo, 2)
+            + np.float_power(truth.user, 2)))
+    pgos = [entries[i].pgo() for i in sats.tolist()]
+    return [list(distkit.convolve_rows(
         [(pgos[i], distkit.Gaussian(t), distkit.Gaussian(u))
          for i, t, u in zip(a.tolist(), ts.tolist(), us.tolist())]))
-        for a, ts, us in zip(at, tropo, user)]
+        for a, ts, us in zip(at, truth.tropo, truth.user)]
 
 
 # Counter layout of a record's uniforms (distkit.counter_uniforms): the
@@ -462,20 +476,28 @@ def _stacks(above, constellations, alone):
                         dtype=int).reshape(len(members), len(key)))
 
 
-def _setup_stack(key, rows, vis, u, el, entries, budget, flavor):
+def _too_few(key):
+    """Whether a stack whose satellites have the constellation labels key
+    has fewer satellites than states plus one."""
+    return len(key) < 3 + len(set(key)) + 1
+
+
+def _setup_stack(key, rows, vis, u, el, truth, entries, budget, flavor):
     """The stacked EpochSetup of one stack of _stacks: u (users x N x 3)
     and el (users x N) are every user's line_of_sight rows and elevations,
-    and entries[i] is satellite i's bound-table entry, or the JkAraimError
-    that refuses it (_entries).
+    truth the Truth of every user's view of every satellite
+    (_epoch_truth), and entries[i] is satellite i's bound-table entry, or
+    the JkAraimError that refuses it (_entries).
 
     Raises the first JkAraimError of these checks, in this order: fewer
     satellites than states plus one (InsufficientGeometry); the first
     visible satellite the table does not hold or whose PGO cannot be
     built; bounds whose convolution fails (PGO flavour); a rank-deficient
     weighted geometry (InsufficientGeometry); k_max above n - m
-    (InsufficientRedundancy).
+    (InsufficientRedundancy). The first and the last depend on the labels
+    key alone.
     """
-    if len(key) < 3 + len(set(key)) + 1:
+    if _too_few(key):
         raise InsufficientGeometry("insufficient geometry")
     bad = np.array([isinstance(e, JkAraimError) for e in entries])[vis]
     if bad.any():
@@ -486,7 +508,8 @@ def _setup_stack(key, rows, vis, u, el, entries, budget, flavor):
     elevations = el[rows[:, None], vis]
     if not np.all((0.0 < elevations) & (elevations <= 90.0)):
         raise ValueError(f"elevation {elevations.min()} out of range")
-    truth, acc = _error_stack(entries, vis, key, elevations, flavor)
+    truth = truth.take(rows[:, None], vis)
+    acc = _error_stack(entries, truth, flavor)
     W = 1.0 / distkit.bound_sigmas(acc) ** 2
     G = model_core.geometry_matrix(u[rows[:, None], vis], key)
     ops = model_core.SolutionStack(G, W)
@@ -537,10 +560,11 @@ def epoch_setup(user_ecef, sat_ids, constellations, positions, table,
     if flavor not in ("gaussian", "pgo"):
         raise ValueError(f"unknown bound flavor {flavor!r}")
     [(key, rows, vis)] = _stacks(el[None] > mask_deg, constellations, [True])
+    entries = _entries(sat_ids, constellations, table)
     try:
         return _setup_stack(key, rows, vis, u[None], el[None],
-                            _entries(sat_ids, constellations, table),
-                            budget, flavor)
+                            _epoch_truth(entries, constellations, el[None]),
+                            entries, budget, flavor)
     except JkAraimError as exc:
         exc.n_visible = len(key)
         raise
@@ -573,84 +597,108 @@ def _epoch_records(config: ScenarioConfig, sats, entries, positions, cells,
     (model_core.enu_frame), entries the satellites' _entries, and loc_ids
     key each record's truth draws.
 
-    One line_of_sight call covers every cell; each stack of _stacks is
-    then set up, drawn, tested and solved as one. Each record draws its
-    truth from its own key, record_keys(seed, loc_id, epoch_id), so its
-    errors are those it draws alone (draw_errors).
+    One line_of_sight call covers every cell, and one draw_errors call
+    draws the truth of every cell's view of every visible satellite the
+    table holds: each record draws from its own key, record_keys(seed,
+    loc_id, epoch_id), so its errors are those it draws alone. Each stack
+    of _stacks is then set up, tested and given its PL terms as one, and
+    one walk bisects the closed-form PLs of every stack of the epoch
+    (integrity.walk). A PGO record's PL terms hold its grids, so its
+    stack walks them before the next stack is set up.
 
     A stack that raises a package error (JkAraimError) anywhere from its
     set-up to its PLs is evaluated again one record at a time, so the
-    error lands on the records that raise it. A lone record that raises
-    keeps its visible count, and the VPE, HPE and alerts it reached, with
-    the message in its row. So a stack's records that disagree on which
-    modes are rank deficient (MixedStack) each get their own mode table.
-    A user who sees a satellite the table refuses stacks alone, as do PGO
-    records: a PGO record's grids (its bounds' convolve_rows, its
-    thresholds' and its PL terms' convolve_batch) take about 1.4 MB, and a
-    stack holds all of its records' at once."""
+    error lands on the records that raise it; one refused for its labels
+    alone (too few satellites, or k_max above n - m) refuses all of its
+    records at once. A record refused alone keeps its visible count, and
+    the VPE, HPE and alerts it reached, with the message in its row. So a
+    stack's records that disagree on which modes are rank deficient
+    (MixedStack) each get their own mode table. A user who sees a
+    satellite the table refuses stacks alone, as do PGO records: a PGO
+    record's grids (its bounds' convolve_rows, its thresholds' and its PL
+    terms' convolve_batch) take about 1.4 MB, and a stack holds all of its
+    records' at once."""
     u, el = model_core.line_of_sight(users, positions, frames)
     above = el > config.mask_deg
     refused = np.array([isinstance(e, JkAraimError) for e in entries],
                        dtype=bool)
     alone = (above & refused).any(axis=1) | (config.flavor == "pgo")
+    labels = [a.constellation for a in sats]
+    truth = _epoch_truth(entries, labels, el)
+    b, i = np.nonzero(above & ~refused)
+    eps = np.zeros(el.shape)
+    eps[b, i] = draw_errors(truth.take(b[:, None], i[:, None]), record_keys(
+        config.seed, loc_ids, epoch_id)[b]).ravel()
     records = [None] * len(cells)
-    keys = record_keys(config.seed, loc_ids, epoch_id)
-    stacks = list(_stacks(above, [a.constellation for a in sats], alone))
+    waiting = []        # (records, PL tables) of the stacks not walked yet
+    stacks = list(_stacks(above, labels, alone))
     # A stack that raises appends its records as stacks of one, which
     # this loop reaches in turn. Its set-up is only an argument, so its
     # arrays and grids go when the call returns.
     for key, rows, vis in stacks:
         recs = [EpochRecord(*cells[r], t, len(key)) for r in rows.tolist()]
         try:
-            _evaluate_stack(config, _setup_stack(
-                key, rows, vis, u, el, entries, config.budget, config.flavor),
-                keys[rows], recs)
+            tables = _evaluate_stack(config, _setup_stack(
+                key, rows, vis, u, el, truth, entries, config.budget,
+                config.flavor), eps[rows[:, None], vis], recs)
+            if config.flavor == "pgo":
+                _write_pls(config, recs, [walk([t])[0] for t in tables])
+            else:
+                waiting.append((recs, tables))
         except JkAraimError as exc:
-            if len(recs) > 1:
+            if len(recs) > 1 and not (
+                    _too_few(key) or isinstance(exc, InsufficientRedundancy)):
                 stacks += [(key, rows[b:b + 1], vis[b:b + 1])
                            for b in range(len(recs))]
                 continue
-            recs[0].error = str(exc)
+            for rec in recs:
+                rec.error = str(exc)
         for r, rec in zip(rows.tolist(), recs):
             records[r] = rec
+    levels = iter(walk([t for _, tables in waiting for t in tables]))
+    for recs, tables in waiting:
+        _write_pls(config, recs, [next(levels) for _ in tables])
     return records
 
 
-def _evaluate_stack(config: ScenarioConfig, s: EpochSetup, keys, recs):
-    """Truth draws, detection and protection levels of the records recs of
-    one stack: s is their EpochSetup and keys their truth keys. Each axis
-    has one mode table: its detector runs it and its PL reads it, so the
-    detector runs on every axis with a PL. A package error propagates,
-    once the records hold their VPE and HPE and the alerts of the axes
-    finished before it."""
-    eps = draw_errors(s.truth, keys)
+def _evaluate_stack(config: ScenarioConfig, s: EpochSetup, eps, recs):
+    """Detection and PL terms of the records recs of one stack: s is their
+    EpochSetup and eps their drawn errors. Each axis has one mode table:
+    its detector runs it and its PL reads it, so the detector runs on every
+    axis with a PL. Returns one PL table (integrity.PlTable) per axis, the
+    vertical last. A package error propagates, once the records hold their
+    VPE and HPE and the alerts of the axes finished before it."""
     err = distkit.matvec(s.ops.S, eps)
     hpe = np.hypot(err[:, 0], err[:, 1]).tolist()
     for rec, v, h in zip(recs, err[:, 2].tolist(), hpe):
         rec.vpe, rec.hpe = v, h
     budget = config.budget
     ops, tm, acc = s.ops, s.tm, s.acc_bounds
-    axes = (0, 1, 2) if config.compute_horizontal else (2,)
     alert = np.zeros(len(recs), dtype=bool)
-    pl = np.full((3, len(recs)), math.nan)
+    tables = []
     try:
-        for axis in axes:
+        for axis in (0, 1, 2) if config.compute_horizontal else (2,):
             if config.algorithm == "baseline":
                 tests = jackknife.separation_table(ops, tm, acc, budget, axis)
                 alert |= jackknife.run_detector(tests, eps)[1].any(axis=-1)
-                pl[axis] = baseline_araim_pl(ops, tm, acc, tests, budget)
+                tables.append(baseline_table(ops, tm, acc, tests, budget))
             else:   # "jk", the other algorithm ScenarioConfig accepts
                 tests = jackknife.thresholds(ops, tm, acc, budget, axis)
                 alert |= jackknife.run_detector(tests, eps)[1].any(axis=-1)
-                pl[axis] = protection_levels(ops, tm, acc, tests, budget)[0]
+                tables.append(jk_terms(ops, tm, acc, tests, budget)[2])
     finally:
         for rec, a in zip(recs, alert.tolist()):
             rec.alert = a
-    hpl = np.hypot(pl[0], pl[1]).tolist()
-    for rec, vpl, h in zip(recs, pl[2].tolist(), hpl):
-        rec.vpl = vpl
-        if config.compute_horizontal:
-            rec.hpl = h
+    return tables
+
+
+def _write_pls(config: ScenarioConfig, recs, levels):
+    """Write the PLs levels of the records recs (one array per axis of
+    _evaluate_stack's tables) and their Stanford classes."""
+    hpl = (np.hypot(levels[0], levels[1]).tolist()
+           if config.compute_horizontal else [math.nan] * len(recs))
+    for rec, vpl, h in zip(recs, levels[-1].tolist(), hpl):
+        rec.vpl, rec.hpl = vpl, h
         rec.stanford = stanford_class(rec.vpe, vpl, config.val)
 
 

@@ -180,6 +180,31 @@ class TestCmdPl:
             assert err.out == ""
             assert err.err.startswith(f"error: {field} must be a list")
 
+    @pytest.mark.parametrize("field, row, value", [
+        ("G", 2, math.nan), ("G", 7, math.inf), ("sigmas", 0, math.nan),
+        ("weights", 3, math.inf), ("weights", 5, -math.inf)])
+    def test_non_finite_raw_geometry_exit_2(self, tmp_path, capsys, field,
+                                            row, value):
+        # A NaN or infinite entry of G, sigmas or weights is refused,
+        # naming the field and the row, before any solve or bound.
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("p_const = 0\n")
+        doc = {"G": [list(r) for r in SKY_G], "axis": 2,
+               field: [list(r) for r in SKY_G] if field == "G"
+               else [1.0] * len(SKY_G)}
+        if field == "G":
+            doc["G"][row][1] = value
+        else:
+            doc[field][row] = value
+        geom = tmp_path / "sky.json"
+        geom.write_text(json.dumps(doc))
+        for command in (["pl", str(geom)], ["detect", str(geom), "y.json"]):
+            assert main(["--config", str(cfg)] + command) == 2
+            err = capsys.readouterr()
+            assert err.out == ""
+            assert err.err.startswith(f"error: {field} row {row} holds ")
+            assert err.err.endswith(", not a finite number\n")
+
     def test_huge_sigmas_end_the_bisection(self, tmp_path, capsys):
         # At sigmas of 1e12 m the jk PL lies above 1e13 m, where one ulp
         # is wider than the bisection's tolerance: the bisection must end

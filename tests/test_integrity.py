@@ -9,10 +9,10 @@ from scipy.special import ndtr, ndtri
 from jkaraim import jackknife, sim
 from jkaraim.distkit import Gaussian, GaussianBatch, convolve_batch
 from jkaraim.errors import NonGaussianBound, SubsetRankDeficient
-from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget,
-                               _bisect_level, _jk_terms, allocate,
-                               baseline_araim_pl, kept_modes,
-                               protection_levels, separation_tests)
+from jkaraim.integrity import (PL_TOLERANCE_M, IntegrityBudget, PlTable,
+                               _bisect_level, allocate, baseline_araim_pl,
+                               baseline_table, jk_terms, kept_modes,
+                               protection_levels, separation_tests, walk)
 from jkaraim.jackknife import run_detector, separation_table
 from jkaraim.model_core import AXIS_UP, LinearModel, SolutionStack, subset_ops
 from jkaraim.overbound import default_table
@@ -64,22 +64,21 @@ def held(tests):
 
 def max_form(ops, tm, acc, tests, budget):
     """The equal-allocation max bound protection_levels starts its
-    bisection from: the largest of _jk_terms' per-term bounds, at least
+    bisection from: the largest of jk_terms' per-term bounds, at least
     0."""
-    _, _, bounds, _, _, _ = _jk_terms(ops, tm, acc, tests, budget)
-    return max(float(np.max(bounds())), 0.0)
+    _, bounds, _, _ = jk_terms(ops, tm, acc, tests, budget)
+    return max(float(np.max(bounds)), 0.0)
 
 
 def risk_at(ops, tm, acc, tests, level, budget):
     """Integrity risk of the one record of ops at a level: the monitored
-    sum protection_levels bisects (_jk_terms' risk) plus the mass budgeted
+    sum protection_levels bisects (jk_terms' table) plus the mass budgeted
     for the modes it skips; P_not_monitored is excluded. 1.0 where the PL
     is infinite."""
-    terms = _jk_terms(ops, tm, acc, tests, budget)
-    if isinstance(terms, str):
+    _, _, table, skipped_mass = jk_terms(ops, tm, acc, tests, budget)
+    if table.dists is None:
         return 1.0
-    _, _, _, risk, _, skipped_mass = terms
-    return float(risk(np.array([[level]]))[0, 0]) + skipped_mass
+    return float(table.risk(np.array([[level]]))[0, 0]) + skipped_mass
 
 
 class TestIntegrityBudget:
@@ -399,7 +398,7 @@ def epoch_case(flavor="gaussian", constellations=("GPS",)):
 
 class TestHmiRiskEval:
     """The integrity risk that protection_levels bisects (risk_at, from
-    _jk_terms)."""
+    jk_terms)."""
 
     def test_fixed_point_at_protection_level(self):
         # The PL is the lowest level, to PL_TOLERANCE_M, whose risk stays
@@ -502,7 +501,8 @@ class TestPlReadsTheDetectorTable:
         ops, acc, tm, budget = self.case(kind)
         tests = jackknife.thresholds(ops, tm, acc, budget, axis)
         assert tests.axis == axis
-        labels, offsets, *_ = _jk_terms(ops, tm, acc, tests, budget)
+        labels, _, table, _ = jk_terms(ops, tm, acc, tests, budget)
+        offsets = table.offsets
         keep, _, _ = kept_modes(tm, tests, allocate(budget, tm, axis)[1],
                                 budget.p_thres)
         modes = [m for m, k in zip(tests.modes, keep) if k]
@@ -546,18 +546,21 @@ class TestBisectLevel:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            his=st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=5),
-           log_target=st.floats(-12.0, 0.0))
-    def test_matches_step_by_step_bisection(self, seed, his, log_target):
+           log_target=st.floats(-12.0, 0.0), own_targets=st.booleans())
+    def test_matches_step_by_step_bisection(self, seed, his, log_target,
+                                            own_targets):
         # Several records' brackets in one walk: each takes the decisions
-        # of the plain loop on its own risk, and a record whose risk at hi
-        # already exceeds the target reads NaN with no steps.
+        # of the plain loop on its own risk and to its own target (one
+        # for all, or one per record), and a record whose risk at hi
+        # already exceeds its target reads NaN with no steps.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
         shape = (len(his), n)
         priors = 10.0 ** rng.uniform(-9.0, 0.0, shape)
         sigmas = rng.uniform(0.1, 5.0, shape)
         offsets = rng.uniform(0.0, 10.0, shape)
-        target = 10.0 ** log_target
+        targets = 10.0 ** (log_target - (rng.uniform(0.0, 3.0, len(his))
+                                         if own_targets else 0.0))
 
         def risk(b, level):
             r = 0.0
@@ -568,9 +571,10 @@ class TestBisectLevel:
         def risks(levels):
             return np.array([risk(b, v) for b, v in enumerate(levels)])
 
-        level, steps = _bisect_level(risks, np.array(his), target)
+        level, steps = _bisect_level(risks, np.array(his), targets)
         assert level.shape == steps.shape == (len(his),)
         for b, hi in enumerate(his):
+            target = float(np.broadcast_to(targets, len(his))[b])
             if risk(b, hi) > target:
                 assert math.isnan(level[b]) and steps[b] == 0
                 continue
@@ -599,6 +603,79 @@ class TestBisectLevel:
         level, _ = _bisect_level(risks, np.array([2e13]), 0.5)
         assert 1e13 <= level[0] <= 1e13 + np.spacing(1e13)
         assert risks(level)[0] <= 0.5
+
+
+class TestWalk:
+    """walk bisects the records of many PlTables in one _bisect_level, the
+    tables padded to the widest with zero-weight terms: every record's
+    level must be the one its own table's walk gives, bit for bit, and so
+    protection_levels' and baseline_araim_pl's."""
+
+    CELLS = [(30.0, -90.0, ("GPS",)), (-45.0, 60.0, ("GPS",)),
+             (10.0, 0.0, ("GPS", "GAL")), (60.0, 120.0, ("GPS", "GAL"))]
+
+    @staticmethod
+    def pl_tables(algorithm, ops, tm, acc, budget, axis=AXIS_UP):
+        """The PlTable and the public PL of one algorithm on one axis."""
+        if algorithm == "jk":
+            tests = jackknife.thresholds(ops, tm, acc, budget, axis)
+            return (jk_terms(ops, tm, acc, tests, budget)[2],
+                    protection_levels(ops, tm, acc, tests, budget)[0])
+        tests = separation_table(ops, tm, acc, budget, axis)
+        return (baseline_table(ops, tm, acc, tests, budget),
+                baseline_araim_pl(ops, tm, acc, tests, budget))
+
+    @pytest.mark.parametrize("algorithm", ["jk", "baseline"])
+    def test_one_walk_is_each_tables_own(self, algorithm):
+        cases = []
+        for lat, lon, consts in self.CELLS:
+            ops, _, acc, tm, budget = gps_epoch_case(lat, lon, 7200.0,
+                                                     constellations=consts)
+            for axis in (0, 2):
+                cases.append(self.pl_tables(algorithm, ops, tm, acc, budget,
+                                            axis))
+        # A geometry whose one-satellite mode b is untested, so no finite
+        # PL exists: its table is not walked.
+        ops, budget, tm, acc, _ = toy_case()
+        ops = stack_of_one(LinearModel(np.array([[1.0], [0.0]]), np.ones(2),
+                                       ["a", "b"], ["GPS", "GPS"]))
+        cases.append(self.pl_tables(algorithm, ops, tm, acc, budget, 0))
+        tables = [t for t, _ in cases]
+        assert len({t.offsets.shape[-1] for t in tables[:-1]}) > 2
+        assert tables[-1].target <= 0.0
+        rng = np.random.default_rng(3)
+        jk = algorithm == "jk"
+        # Stacks of several records of their own widths; in the 13-term
+        # one, record 0's risk at its bracket already exceeds the target.
+        for width in (2, 5, 13):
+            shape = (int(rng.integers(2, 5)), width)
+            hi = rng.uniform(30.0, 60.0, shape[0])
+            if width == 13:
+                hi[0] = 0.01
+            tables.append(PlTable(
+                GaussianBatch(rng.uniform(0.5, 3.0, shape)),
+                rng.uniform(0.0, 8.0, shape),
+                10.0 ** rng.uniform(-9.0, -3.0, width), 1e-8, hi, jk))
+        wide = tables[-1]
+        assert wide.risk(wide.hi)[0] > wide.target
+        # And one whose target is not positive, so it is not walked. A
+        # record with no level reads its bracket for jk, inf for the
+        # baseline.
+        tables.append(tables[-2]._replace(target=-1e-9))
+
+        levels = walk(tables)
+        assert len(levels) == len(tables)
+        for table, level in zip(tables, levels):
+            assert level.tobytes() == walk([table])[0].tobytes()
+        for (_, public), level in zip(cases, levels):
+            assert level.tobytes() == public.tobytes()
+        assert levels[len(cases) - 1].tolist() == [math.inf]
+        def none(table):
+            return table.hi if jk else np.full(table.hi.shape, math.inf)
+
+        assert levels[-2][0] == none(wide)[0]
+        assert np.all(levels[-2][1:] < wide.hi[1:])
+        assert levels[-1].tobytes() == none(tables[-1]).tobytes()
 
 
 class TestLooserIntegrityBudget:

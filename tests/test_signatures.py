@@ -92,4 +92,4 @@ def test_detector_separation_threshold_written_once():
                     isinstance(n, ast.Name) and n.id == "ndtri"
                     for n in ast.walk(node)):
                 callers.add(node.name)
-    assert callers == {"separation_tests", "baseline_araim_pl"}
+    assert callers == {"separation_tests", "baseline_table"}

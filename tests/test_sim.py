@@ -196,7 +196,7 @@ class TestScenario:
         def unresolved(*args, **kwargs):
             raise TailUnresolved("tail probability below resolvable mass")
 
-        monkeypatch.setattr(sim, "protection_levels", unresolved)
+        monkeypatch.setattr(sim, "jk_terms", unresolved)
         config = self.coarse_config(epoch_step_s=86400.0)
         records = sim.run_scenario(config)
         assert len(records) == len(config.grid())
@@ -211,7 +211,7 @@ class TestScenario:
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(sim, "protection_levels", broken)
+        monkeypatch.setattr(sim, "jk_terms", broken)
         with pytest.raises(RuntimeError, match="bug"):
             sim.run_scenario(self.coarse_config(epoch_step_s=86400.0))
 
@@ -440,6 +440,40 @@ class TestTruthDraws:
             fewer = take([b], some)
             np.testing.assert_array_equal(
                 sim.draw_errors(fewer, keys[b:b + 1])[0], stack[b, some])
+
+    def test_one_epoch_draw_is_each_stacks(self, monkeypatch):
+        # run_scenario draws an epoch's truth in one call; the errors each
+        # stack reads are draw_errors of the stack's own Truth and keys,
+        # and that Truth's sigmas are the error models at the stack's
+        # elevations.
+        config = ScenarioConfig(grid_step_deg=30.0, epoch_step_s=21600.0,
+                                duration_s=86400.0, seed=5,
+                                constellations=("GPS", "GAL"))
+        grid, epochs = config.grid(), config.epochs().tolist()
+        seen = []
+        real = sim._evaluate_stack
+
+        def evaluate_stack(config, s, eps, recs):
+            seen.append((s, eps.copy(), [grid.index((r.lat, r.lon))
+                                         for r in recs], recs[0].t))
+            return real(config, s, eps, recs)
+
+        monkeypatch.setattr(sim, "_evaluate_stack", evaluate_stack)
+        sim.run_scenario(config)
+        assert max(len(ids) for _, _, ids, _ in seen) > 1
+        consts = np.array([a.constellation for a in sim.healthy_satellites(
+            default_almanac(config.constellations), config.constellations)])
+        for s, eps, loc_ids, t in seen:
+            keys = sim.record_keys(config.seed, loc_ids, epochs.index(t))
+            np.testing.assert_array_equal(sim.draw_errors(s.truth, keys),
+                                          eps)
+            labels = consts[s.visible[0]]
+            assert s.truth.tropo.tobytes() == \
+                tropo_sigma(s.elevations).tobytes()
+            for const in set(labels.tolist()):
+                np.testing.assert_array_equal(
+                    s.truth.user[:, labels == const],
+                    cnmp_sigma(const, s.elevations[:, labels == const]))
 
     def test_every_bit_of_the_seed_counts(self):
         seeds = [0, 1, 5, 2 ** 64 - 1, 2 ** 64, 5 + 2 ** 64, 5 + 2 ** 128]
@@ -710,6 +744,46 @@ class TestEpochSetup:
             assert (r.lat, r.lon, r.n_visible) == (f.lat, f.lon, f.n_visible)
             assert r.n_visible >= 7
 
+    @pytest.mark.parametrize("mask_deg, p_sat", [(45.0, 1e-5), (25.0, 1e-4)])
+    def test_stacks_refused_for_their_labels_are_set_up_once(
+            self, mask_deg, p_sat, monkeypatch):
+        # Too few satellites, or k_max above n - m (p_sat = 1e-4 asks for
+        # k_max = 2), refuse a stack for its constellation labels alone:
+        # the refusal is written into every record of the stack, which is
+        # set up once, and each record is still evaluate_epoch's. A 45
+        # degree mask refuses every record of the day.
+        config = ScenarioConfig(
+            grid_step_deg=30.0, epoch_step_s=3600.0, duration_s=86400.0,
+            mask_deg=mask_deg, budget=IntegrityBudget(p_sat=p_sat,
+                                                      p_const=0.0))
+        calls, stacks = [], []
+        real_setup, real_stacks = sim._setup_stack, sim._stacks
+
+        def setup_stack(*args):
+            calls.append(args[1].size)
+            return real_setup(*args)
+
+        def count_stacks(*args):
+            for stack in real_stacks(*args):
+                stacks.append(stack)
+                yield stack
+
+        monkeypatch.setattr(sim, "_setup_stack", setup_stack)
+        monkeypatch.setattr(sim, "_stacks", count_stacks)
+        records = sim.run_scenario(config)
+        monkeypatch.undo()
+        assert len(calls) == len(stacks) and sum(calls) == len(records)
+        errors = Counter(r.error for r in records)
+        assert errors["insufficient geometry"]
+        if mask_deg == 45.0:
+            assert len(errors) == 1
+        else:
+            assert errors["k_max=2 exceeds redundancy n-m=1"] and errors[""]
+        assert [TestStackOfOne.bits(r) for r in records] == [
+            TestStackOfOne.bits(r)
+            for r in TestStackOfOne.assert_stack_equals_singles(
+                config, default_almanac(("GPS",)))]
+
     def test_readme_quick_start(self, capsys):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         section = readme.split("## Quick start", 1)[1]
@@ -808,8 +882,8 @@ class TestStackOfOne:
         assert exc.value.n_visible == 0
 
     def test_only_the_raising_record_gets_the_error(self, monkeypatch):
-        # protection_levels raises for any stack that holds one record's
-        # geometry: its stack is evaluated again one record at a time, and
+        # The jk PL terms (jk_terms) raise for any stack that holds one
+        # record's geometry: its stack is evaluated again one record at a time, and
         # only that record reads the error. It keeps its visible count,
         # VPE, HPE and alert; every other record is the unpatched run's.
         config = ScenarioConfig(
@@ -828,7 +902,7 @@ class TestStackOfOne:
             [a.svn for a in sats], [a.constellation for a in sats],
             sim.satellite_positions(sats, chosen.t), default_table(),
             config.budget).ops.G[0]
-        real = sim.protection_levels
+        real = sim.jk_terms
 
         def flaky(ops, *args):
             if any(np.array_equal(g, G) for g in ops.G):
@@ -836,7 +910,7 @@ class TestStackOfOne:
                                      "mass")
             return real(ops, *args)
 
-        monkeypatch.setattr(sim, "protection_levels", flaky)
+        monkeypatch.setattr(sim, "jk_terms", flaky)
         records = sim.run_scenario(config)
         rec = records[i]
         assert rec.error == "tail probability below resolvable mass"
