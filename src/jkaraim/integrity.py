@@ -143,19 +143,21 @@ class PlTable(NamedTuple):
 def walk(tables):
     """Each PlTable's levels, all from one _bisect_level, each record to
     its own table's target. Several tables (all jk or all baseline) must
-    hold Gaussian terms: they walk padded to the widest with terms of
-    weight 0, offset 0 and sigma 1, each of which adds an exact 0.0 to a
-    risk, so every level is its table's alone, bit for bit."""
+    hold Gaussian terms: they walk as one table, each of whose arrays is
+    filled in place and padded to the widest with terms of weight 0,
+    offset 0 and sigma 1. Each pad adds an exact 0.0 to a risk, so every
+    level is its table's alone, bit for bit."""
     live = [t for t in tables if t.target > 0.0]
     joint = live[0] if live else None
+    ends = np.cumsum([len(t.hi) for t in live])
     if len(live) > 1:
         width = max(t.offsets.shape[-1] for t in live)
 
         def cat(arrays, fill):
-            return np.concatenate([np.pad(
-                np.broadcast_to(a, t.offsets.shape),
-                ((0, 0), (0, width - t.offsets.shape[-1])),
-                constant_values=fill) for a, t in zip(arrays, live)])
+            out = np.full((ends[-1], width), fill)
+            for a, t, end in zip(arrays, live, ends.tolist()):
+                out[end - len(t.hi):end, :t.offsets.shape[-1]] = a
+            return out
 
         joint = PlTable(
             distkit.GaussianBatch(cat([t.dists.sigma for t in live], 1.0)),
@@ -165,7 +167,7 @@ def walk(tables):
             np.concatenate([t.hi for t in live]), joint.jk)
     if live:
         level = _bisect_level(joint.risk, joint.hi, joint.target)[0]
-        parts = iter(np.split(level, np.cumsum([len(t.hi) for t in live])))
+        parts = iter(np.split(level, ends))
     out = []
     for t in tables:
         none = t.hi if t.jk else np.full(t.hi.shape, math.inf)

@@ -8,7 +8,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -464,16 +464,23 @@ def _stacks(above, constellations, alone):
     their mask, in stacks whose visible satellites share their
     constellation labels: those fix n, m, k_max and the fault modes. A
     user flagged in alone gets a stack of its own. Yields (labels, rows,
-    vis): the users rows and their visible satellites vis (rows x n)."""
+    vis): the users rows, in order, and their visible satellites vis (rows
+    x n), stacks in the order of their first users."""
+    # One stable sort puts each user's visible satellites first, in order;
+    # a user's key is its row of label codes, -1 past its count.
+    order = np.argsort(~above, axis=1, kind="stable")
+    count = above.sum(axis=1)
+    code = np.unique(constellations, return_inverse=True)[1]
+    keys = np.where(np.arange(above.shape[1]) < count[:, None], code[order],
+                    -1).tolist()
     groups = {}
-    for r, mask in enumerate(above):
-        vis = np.flatnonzero(mask)
-        key = tuple([constellations[i] for i in vis])
-        groups.setdefault((key, r if alone[r] else -1), []).append((r, vis))
-    for (key, _), members in groups.items():
-        yield (key, np.array([r for r, _ in members]),
-               np.array([v for _, v in members],
-                        dtype=int).reshape(len(members), len(key)))
+    for r, (key, lone) in enumerate(zip(keys, np.asarray(alone).tolist())):
+        groups.setdefault((tuple(key), r if lone else -1), []).append(r)
+    for members in groups.values():
+        rows = np.array(members)
+        n = int(count[members[0]])
+        vis = order[rows, :n]
+        yield tuple([constellations[i] for i in vis[0].tolist()]), rows, vis
 
 
 def _too_few(key):
@@ -785,14 +792,19 @@ def aggregate(records, val=35.0, availability_levels=(0.75, 0.95, 0.995)):
     per location, and Stanford class counts."""
     if not records:
         raise ValueError("no records to aggregate")
-    by_loc = {}
-    for r in records:
-        by_loc.setdefault((r.lat, r.lon), []).append(r.vpl)
-    locs = sorted(by_loc)
+    lat, lon = [r.lat for r in records], [r.lon for r in records]
+    # One stable sort by location keeps each location's records in order;
+    # a location's key is its first record's (lat, lon).
+    at = np.array([lat, lon, [r.vpl for r in records]], dtype=float)
+    order = np.lexsort(at[1::-1])
+    lat_s, lon_s, vpl = at[:, order]
+    new = np.ones(len(records) + 1, dtype=bool)
+    new[1:-1] = (lat_s[1:] != lat_s[:-1]) | (lon_s[1:] != lon_s[:-1])
+    bounds = np.flatnonzero(new)
+    first, count = bounds[:-1], np.diff(bounds)
+    locs = [(lat[i], lon[i]) for i in order[first].tolist()]
     # Every VPL, location by location; an unavailable one is infinite.
-    vpl = np.array([v for key in locs for v in by_loc[key]], dtype=float)
     vpl[~np.isfinite(vpl)] = np.inf
-    count = np.array([len(by_loc[key]) for key in locs])
     # Sums of ones are exact, so each ratio is the mean of its location's
     # 0/1 availabilities.
     avails = np.bincount(np.repeat(np.arange(len(locs)), count),
@@ -801,21 +813,21 @@ def aggregate(records, val=35.0, availability_levels=(0.75, 0.95, 0.995)):
     # Order statistic, not interpolation: stays well-defined when the
     # upper tail holds unavailable (infinite) records. One call per
     # record count covers every location with that many records.
-    start = np.cumsum(count) - count
     p995 = np.empty(len(locs))
     for n in np.unique(count).tolist():
         same = np.flatnonzero(count == n)
-        p995[same] = np.quantile(vpl[start[same, None] + np.arange(n)],
+        p995[same] = np.quantile(vpl[first[same, None] + np.arange(n)],
                                  0.995, axis=1, method="higher")
     vpl_p995 = dict(zip(locs, p995.tolist()))
 
     coverage = {}
-    weights = np.cos(np.radians([lat for lat, _ in locs]))
+    weights = np.cos(np.radians(lat_s[first]))
+    total = np.sum(weights)
     for level in availability_levels:
         hit = avails >= level
         coverage[level] = {
-            "weighted": float(np.sum(weights[hit]) / np.sum(weights)),
-            "unweighted": float(np.mean(hit)),
+            "weighted": float(np.sum(weights[hit]) / total),
+            "unweighted": float(np.count_nonzero(hit) / len(locs)),
         }
 
     counts = {c: 0 for c in STANFORD_CLASSES}
@@ -829,20 +841,36 @@ def aggregate(records, val=35.0, availability_levels=(0.75, 0.95, 0.995)):
     }
 
 
+def _location_list(key, values):
+    """summary_json's text of its list key ("<name>_by_location"): one
+    {"lat", "lon", name} object per location of values ({(lat, lon):
+    value}), as json.dumps(indent=2) writes it. Each number is the C
+    encoder's (float repr, Infinity, -Infinity, NaN; an int stays an int),
+    from one dumps of them all."""
+    numbers = json.dumps([x for (lat, lon), v in values.items()
+                          for x in (lat, lon, v)])[1:-1].split(", ")
+    item = ('    {\n      "lat": %s,\n      "lon": %s,\n      "'
+            + key.removesuffix("_by_location") + '": %s\n    }')
+    return (f'"{key}": [\n' + ",\n".join([item] * len(values))
+            % tuple(numbers) + "\n  ]")
+
+
 def summary_json(records, config: ScenarioConfig,
                  availability_levels=(0.75, 0.95, 0.995)) -> str:
+    """The scenario summary as json.dumps(doc, indent=2) writes it; the
+    per-location lists, nearly all of the text, by _location_list."""
     stats = aggregate(records, val=config.val,
                       availability_levels=availability_levels)
     doc = {
-        "availability_by_location": [
-            {"lat": k[0], "lon": k[1], "availability": v}
-            for k, v in stats["availability_by_location"].items()],
+        "availability_by_location": [],
         "coverage": {str(k): v for k, v in stats["coverage"].items()},
-        "vpl_p995_by_location": [
-            {"lat": k[0], "lon": k[1], "vpl_p995": v}
-            for k, v in stats["vpl_p995_by_location"].items()],
+        "vpl_p995_by_location": [],
         "stanford_counts": stats["stanford_counts"],
         "config_echo": {
-            k: v for k, v in asdict(config).items() if k != "budget"},
+            f.name: getattr(config, f.name) for f in fields(config)
+            if f.name != "budget"},
     }
-    return json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2)
+    for key in ("availability_by_location", "vpl_p995_by_location"):
+        text = text.replace(f'"{key}": []', _location_list(key, stats[key]))
+    return text

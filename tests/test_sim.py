@@ -161,6 +161,30 @@ class TestScenario:
         records = sim.run_scenario(config)
         assert len(records) == len(config.grid()) * len(config.epochs())
 
+    def test_progress_once_per_epoch(self, monkeypatch):
+        # progress(done, total) runs once per epoch, after it, with the
+        # records of the epochs done so far; an epoch whose propagation
+        # fails counts too. The benchmark's clock is this hook, so how
+        # often it runs sets how the benchmark calibrates.
+        config = self.coarse_config(epoch_step_s=21600.0)
+        cells, epochs = len(config.grid()), len(config.epochs())
+        real_positions = sim.satellite_positions
+
+        def positions(sats, t):
+            if t == 43200.0:
+                raise AlmanacOutOfRange("propagation refused")
+            return real_positions(sats, t)
+
+        monkeypatch.setattr(sim, "satellite_positions", positions)
+        calls = []
+        records = sim.run_scenario(
+            config, progress=lambda *args: calls.append(args))
+        assert epochs == 4
+        assert calls == [((e + 1) * cells, cells * epochs)
+                         for e in range(epochs)]
+        assert sum(r.error == "propagation refused" for r in records) \
+            == cells
+
     def test_unknown_flavor_or_algorithm_rejected(self):
         with pytest.raises(ValueError, match="flavor"):
             self.coarse_config(flavor="laplace")
@@ -379,6 +403,107 @@ lat_deg,lon_deg,t_s,n_vis,vpe_m,hpe_m,vpl_m,hpl_m,alert,class,error
                         for line in self.CSV.splitlines()[:3])
         assert [r.error for r in sim.read_records_csv(io.StringIO(old))] \
             == ["", ""]
+
+
+def reference_aggregate(records, val=35.0,
+                        availability_levels=(0.75, 0.95, 0.995)):
+    """aggregate as a per-record dict grouping: locations in sorted order,
+    each keyed by its first record's (lat, lon), its VPLs in record
+    order."""
+    by_loc = {}
+    for r in records:
+        by_loc.setdefault((r.lat, r.lon), []).append(r.vpl)
+    locs = sorted(by_loc)
+    vpl = [np.where(np.isfinite(by_loc[k]), by_loc[k], np.inf) for k in locs]
+    avails = [np.sum(v < val) / len(v) for v in vpl]
+    weights = np.cos(np.radians([lat for lat, _ in locs]))
+    coverage = {}
+    for level in availability_levels:
+        hit = np.array(avails) >= level
+        coverage[level] = {
+            "weighted": float(np.sum(weights[hit]) / np.sum(weights)),
+            "unweighted": float(np.mean(hit))}
+    counts = {c: 0 for c in sim.STANFORD_CLASSES}
+    for r in records:
+        counts[r.stanford] += 1
+    return {
+        "availability_by_location": dict(zip(locs, map(float, avails))),
+        "coverage": coverage,
+        "vpl_p995_by_location": {
+            k: float(np.quantile(v, 0.995, method="higher"))
+            for k, v in zip(locs, vpl)},
+        "stanford_counts": counts}
+
+
+# Records of 1 to 6 locations, each with 1 to 5 records, interleaved in a
+# drawn order. Locations are int or float pairs (an int pair and its float
+# equal are one location, keyed by its first record); VPLs include NaN and
+# both infinities.
+_vpls = st.one_of(st.floats(0.0, 100.0), st.sampled_from(
+    [math.nan, math.inf, -math.inf, 35.0, 1e-7]))
+_locations = st.lists(
+    st.tuples(st.sampled_from([-45, 0, 10, 10.0, 75.0, -0.0, 22.5]),
+              st.sampled_from([-20, 0, 0.0, 150.0, 22.5, -180])),
+    min_size=1, max_size=6, unique=True)
+
+
+@st.composite
+def location_records(draw):
+    cells = []
+    for lat, lon in draw(_locations):
+        cells += [(lat, lon, draw(_vpls))
+                  for _ in range(draw(st.integers(1, 5)))]
+    order = draw(st.permutations(range(len(cells))))
+    records = []
+    for k in order:
+        lat, lon, vpl = cells[k]
+        vpe = draw(st.floats(-50.0, 50.0))
+        records.append(sim.EpochRecord(
+            lat, lon, 0.0, 8, vpe=vpe, vpl=vpl,
+            stanford=stanford_class(vpe, vpl, 35.0)))
+    return records
+
+
+class TestSummaryReference:
+    """aggregate against a per-record dict grouping, and summary_json
+    against json.dumps(doc, indent=2) of the document it writes."""
+
+    @staticmethod
+    def reference_summary(records, config, levels):
+        stats = aggregate(records, val=config.val,
+                          availability_levels=levels)
+        doc = {
+            "availability_by_location": [
+                {"lat": k[0], "lon": k[1], "availability": v}
+                for k, v in stats["availability_by_location"].items()],
+            "coverage": {str(k): v for k, v in stats["coverage"].items()},
+            "vpl_p995_by_location": [
+                {"lat": k[0], "lon": k[1], "vpl_p995": v}
+                for k, v in stats["vpl_p995_by_location"].items()],
+            "stanford_counts": stats["stanford_counts"],
+            "config_echo": {k: v for k, v in dataclasses.asdict(
+                config).items() if k != "budget"},
+        }
+        return json.dumps(doc, indent=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=location_records())
+    def test_aggregate_is_the_dict_grouping(self, records):
+        got, want = aggregate(records), reference_aggregate(records)
+        # repr tells an int key from a float one and compares NaN.
+        for name in want:
+            assert repr(list(got[name].items())) \
+                == repr(list(want[name].items())), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=location_records(), seed=st.integers(0, 2 ** 70),
+           levels=st.sampled_from([(0.75, 0.95, 0.995), (0.5,)]))
+    @example(records=[sim.EpochRecord(10, -20.0, 0.0, 8, vpl=math.inf)],
+             seed=0, levels=(0.5,))
+    def test_summary_is_json_dumps_indent_2(self, records, seed, levels):
+        config = ScenarioConfig(seed=seed)
+        assert sim.summary_json(records, config, levels) \
+            == self.reference_summary(records, config, levels)
 
 
 class TestTruthDraws:
@@ -796,6 +921,44 @@ class TestEpochSetup:
             f"{expect.n_visible} satellites, "
             f"{scope['setup'].tm.n_fault_modes} fault modes, "
             f"VPL {expect.vpl:.2f} m\n")
+
+
+def reference_stacks(above, constellations, alone):
+    """_stacks as a per-user loop: each user's visible satellites from
+    flatnonzero, its key from their labels."""
+    groups = {}
+    for r, mask in enumerate(above):
+        vis = np.flatnonzero(mask)
+        key = tuple([constellations[i] for i in vis])
+        groups.setdefault((key, r if alone[r] else -1), []).append((r, vis))
+    for (key, _), members in groups.items():
+        yield (key, np.array([r for r, _ in members]),
+               np.array([v for _, v in members],
+                        dtype=int).reshape(len(members), len(key)))
+
+
+class TestStacks:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), users=st.integers(1, 12), n=st.integers(0, 9),
+           n_consts=st.integers(1, 3))
+    def test_stacks_are_the_per_user_loop(self, data, users, n, n_consts):
+        # Random masks (users who see no satellite included) over 1 to 3
+        # constellations, and random alone flags.
+        constellations = data.draw(st.lists(
+            st.sampled_from(["GPS", "GAL", "GLO"][:n_consts]),
+            min_size=n, max_size=n))
+        above = np.array(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            min_size=users, max_size=users)), dtype=bool).reshape(users, n)
+        alone = np.array(data.draw(st.lists(
+            st.booleans(), min_size=users, max_size=users)))
+        got = list(sim._stacks(above, constellations, alone))
+        want = list(reference_stacks(above, constellations, alone))
+        assert [key for key, _, _ in got] == [key for key, _, _ in want]
+        for (_, rows, vis), (_, rows_ref, vis_ref) in zip(got, want):
+            assert rows.tolist() == rows_ref.tolist()
+            assert vis.shape == vis_ref.shape and vis.dtype == vis_ref.dtype
+            assert vis.tolist() == vis_ref.tolist()
 
 
 class TestStackOfOne:
